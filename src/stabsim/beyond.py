@@ -304,11 +304,23 @@ class PauliSumState:
 
     def _stab_bits(self) -> list:
         t = self.tableau
-        return [(t.get_row(t.n + j).x, t.get_row(t.n + j).z) for j in range(t.n)]
+        return [(p.x, p.z) for p in map(t.get_row, range(t.n, 2 * t.n))]
 
     def _destab_bits(self) -> list:
         t = self.tableau
-        return [(t.get_row(j).x, t.get_row(j).z) for j in range(t.n)]
+        return [(p.x, p.z) for p in map(t.get_row, range(t.n))]
+
+    def _stab_element(self, destab: list, x: int, z: int) -> tuple:
+        """(mask, product) for the word (x, z): bit j of mask is set iff the
+        word anticommutes with destabilizer j, and product is the product of
+        the stabilizer generators the mask selects.  The word lies in ±S iff
+        the product's bits equal (x, z)."""
+        mask = 0
+        for j, (xd, zd) in enumerate(destab):
+            mask |= _sp(xd, zd, x, z) << j
+        n = self.n
+        rows = [n + j for j in range(n) if (mask >> j) & 1]
+        return mask, self.tableau.row_product(rows)
 
     def apply_cnot(self, a: int, b: int):
         self.tableau.apply_cnot(a, b)
@@ -387,28 +399,21 @@ class PauliSumState:
 
     # -- traces and measurement -------------------------------------------------------
 
-    def _term_trace(self, t: PauliSumTerm, eig_override: int | None = None) -> complex:
+    def _term_trace(self, t: PauliSumTerm, destab: list) -> complex:
         """Trace of one term: 0 unless its word is in the stabilizer group,
-        else ±coeff with the sign fixed by the generator eigenvalues."""
-        tab = self.tableau
-        n = tab.n
-        umask = 0
-        for j, (xd, zd) in enumerate(self._destab_bits()):
-            umask |= _sp(xd, zd, t.x, t.z) << j
-        w = PauliOperator.identity(n)
-        for j in range(n):
-            if (umask >> j) & 1:
-                w = multiply(w, tab.get_row(n + j))
+        else ±coeff with the sign fixed by the generator eigenvalues.
+        `destab` is `_destab_bits()` of the current tableau."""
+        umask, w = self._stab_element(destab, t.x, t.z)
         if (w.x, w.z) != (t.x, t.z):
             return 0.0 + 0.0j
-        eig = t.eig if eig_override is None else eig_override
         sign = -1.0 if w.phase_exp else 1.0
-        if (eig & umask).bit_count() & 1:
+        if (t.eig & umask).bit_count() & 1:
             sign = -sign
         return t.coeff * sign
 
     def trace(self) -> float:
-        total = sum(self._term_trace(t) for t in self.terms)
+        destab = self._destab_bits()
+        total = sum(self._term_trace(t, destab) for t in self.terms)
         if abs(total.imag) > PROB_TOL:
             raise NumericalIntegrityError("state trace has an imaginary part")
         return total.real
@@ -420,7 +425,6 @@ class PauliSumState:
         if not q.is_hermitian():
             raise DimensionError("measurement operator must be Hermitian")
         n = self.n
-        tab = self.tableau
         stab = self._stab_bits()
         anti = [j for j in range(n) if _sp(stab[j][0], stab[j][1], q.x, q.z)]
         if not anti:
@@ -458,15 +462,8 @@ class PauliSumState:
     def _project_commuting(self, q: PauliOperator):
         """q commutes with the whole stabilizer, hence lies in ±S: filter terms
         by commutation with q and by their q-eigenvalue."""
-        n = self.n
-        tab = self.tableau
-        tmask = 0
-        for j, (xd, zd) in enumerate(self._destab_bits()):
-            tmask |= _sp(xd, zd, q.x, q.z) << j
-        w = PauliOperator.identity(n)
-        for j in range(n):
-            if (tmask >> j) & 1:
-                w = multiply(w, tab.get_row(n + j))
+        destab = self._destab_bits()
+        tmask, w = self._stab_element(destab, q.x, q.z)
         if (w.x, w.z) != (q.x, q.z):
             raise CorruptTableauError("operator commutes with but is outside ±S")
         eta = 1 if w.phase_exp == q.phase_exp else -1
@@ -478,8 +475,8 @@ class PauliSumState:
             (keep0 if lam == 1 else keep1).append(
                 PauliSumTerm(t.coeff, t.x, t.z, t.eig)
             )
-        p0 = sum(self._term_trace(t) for t in keep0).real
-        p1 = sum(self._term_trace(t) for t in keep1).real
+        p0 = sum(self._term_trace(t, destab) for t in keep0).real
+        p1 = sum(self._term_trace(t, destab) for t in keep1).real
         return p0, p1, keep0, keep1
 
     def _project_anticommuting(self, q: PauliOperator, anti: list):
@@ -519,8 +516,9 @@ class PauliSumState:
                 x, z = prod.x, prod.z
             keep0.append(PauliSumTerm(c, x, z, t.eig & ~bit))
             keep1.append(PauliSumTerm(c, x, z, t.eig | bit))
-        p0 = sum(self._term_trace(t) for t in keep0).real
-        p1 = sum(self._term_trace(t) for t in keep1).real
+        destab = self._destab_bits()
+        p0 = sum(self._term_trace(t, destab) for t in keep0).real
+        p1 = sum(self._term_trace(t, destab) for t in keep1).real
         return p0, p1, keep0, keep1
 
     def measure_qubit(self, a: int, rng) -> tuple:

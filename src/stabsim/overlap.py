@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError
-from .synth import _reduce_to_identity, _apply_instr
+from .synth import _apply_instr, _reduce_to_identity, require_pure
 from .tableau import Tableau
 
 
@@ -32,6 +32,8 @@ def inner_product(t1: Tableau, t2: Tableau) -> OverlapResult:
     """|<psi|phi>| for the states of two tableaus.  Inputs are not mutated."""
     if t1.n != t2.n:
         raise DimensionError(f"states have different sizes: {t1.n} != {t2.n}")
+    require_pure(t1)
+    require_pure(t2)
     n = t1.n
     segments = [[] for _ in range(11)]
     _reduce_to_identity(t1.copy(), segments)

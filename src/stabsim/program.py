@@ -87,10 +87,6 @@ class CircuitProgram:
             and all(np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks))
         )
 
-    @property
-    def is_unitary(self) -> bool:
-        return not any(isinstance(i, Measure) for i in self.instructions)
-
     def measurement_count(self) -> int:
         return sum(isinstance(i, Measure) for i in self.instructions)
 
@@ -163,6 +159,19 @@ def _parse_simple(tokens, lineno: int):
     raise ParseError(lineno, f"unknown instruction {tokens[0]!r}")
 
 
+def _check_named_gate(instr, gate_table: dict, lineno: int):
+    """A named gate must be defined above its use and match its arity."""
+    if not isinstance(instr, NamedUnitary):
+        return
+    if instr.name not in gate_table:
+        raise ParseError(lineno, f"gate {instr.name!r} used before definition")
+    b, _ = gate_table[instr.name]
+    if len(instr.qubits) != b:
+        raise ParseError(
+            lineno, f"gate {instr.name!r} acts on {b} qubits, got {len(instr.qubits)}"
+        )
+
+
 def parse(text: str) -> CircuitProgram:
     lines = list(enumerate(text.splitlines(), start=1))
     instructions = []
@@ -209,17 +218,11 @@ def parse(text: str) -> CircuitProgram:
             inner = _parse_simple(tokens[2:], lineno)
             if isinstance(inner, Measure):
                 raise ParseError(lineno, "measurements cannot be conditional")
+            _check_named_gate(inner, gate_table, lineno)
             instructions.append(Conditional(k, inner))
             continue
         instr = _parse_simple(tokens, lineno)
-        if isinstance(instr, NamedUnitary):
-            if instr.name not in gate_table:
-                raise ParseError(lineno, f"gate {instr.name!r} used before definition")
-            b, _ = gate_table[instr.name]
-            if len(instr.qubits) != b:
-                raise ParseError(
-                    lineno, f"gate {instr.name!r} acts on {b} qubits, got {len(instr.qubits)}"
-                )
+        _check_named_gate(instr, gate_table, lineno)
         if isinstance(instr, Measure):
             measures_seen += 1
         instructions.append(instr)

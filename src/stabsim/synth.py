@@ -27,6 +27,7 @@ from .gf2 import (
     gf2_row_ops_to_identity,
     gf2_solve,
 )
+from .mixed import MixedTableau
 from .program import CircuitProgram, Cnot, Hadamard, Measure, Phase
 from .tableau import Tableau, new_zero_state
 
@@ -307,6 +308,15 @@ def _reduce_to_identity(t: Tableau, segments: list):
         raise InvalidTableauError("reduction did not reach the standard tableau")
 
 
+def require_pure(t: Tableau):
+    """Reject a mixed tableau of rank < n: its rows past the rank are logical
+    operators, not stabilizer generators, so they do not describe its state."""
+    if isinstance(t, MixedTableau) and t.rank < t.n:
+        raise InvalidTableauError(
+            f"mixed state of rank {t.rank} < n={t.n} is not a pure stabilizer state"
+        )
+
+
 def canonical_synthesize(t: Tableau) -> CanonicalCircuit:
     """Canonical H-C-P-C-P-C-H-P-C-P-C circuit whose tableau equals `t`.
 
@@ -314,6 +324,7 @@ def canonical_synthesize(t: Tableau) -> CanonicalCircuit:
     inverse Clifford), replays it to obtain the inverse tableau, and then
     reduces that: the second reduction's rounds rebuild `t` from scratch.
     """
+    require_pure(t)
     if not t.satisfies_invariants():
         raise InvalidTableauError("tableau violates the commutation conditions")
     scratch = [[] for _ in range(11)]

@@ -156,6 +156,13 @@ class TestMainEntry:
         assert main(["run", str(f)]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_conditional_unknown_gate_exit_code(self, tmp_path, capsys, seed):
+        f = tmp_path / "cond.chp"
+        f.write_text("h 0\nm 0\nif 0 u foo 1\n")
+        assert main(["run", str(f), "--engine", "beyond", "--seed", str(seed)]) == 2
+        assert "parse error" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.chp")]) == 2
 

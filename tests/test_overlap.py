@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import apply_gate, paired_random_evolution, random_gate
-from stabsim.errors import DimensionError
+from stabsim.errors import DimensionError, InvalidTableauError
+from stabsim.mixed import new_mixed
 from stabsim.overlap import OverlapResult, inner_product
 from stabsim.pauli import parse_pauli
 from stabsim.tableau import new_zero_state
@@ -41,6 +42,14 @@ def test_bell_vs_00_is_inverse_sqrt2():
 def test_dimension_mismatch():
     with pytest.raises(DimensionError):
         inner_product(new_zero_state(1), new_zero_state(2))
+
+
+def test_rank_deficient_mixed_state_rejected():
+    with pytest.raises(InvalidTableauError):
+        inner_product(new_mixed(2, 0), new_zero_state(2))
+    with pytest.raises(InvalidTableauError):
+        inner_product(new_zero_state(2), new_mixed(2, 1))
+    assert inner_product(new_mixed(2, 2), new_zero_state(2)).value == 1.0
 
 
 def test_inputs_not_mutated(rng):

@@ -85,6 +85,19 @@ m 0
         parse(text + "u t 0 1\n")  # arity mismatch
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "h 0\nm 0\nif 0 u foo 1\n",  # unknown gate
+        "gate t 1\n1,0 0,0\n0,0 0,1\nh 0\nm 0\nif 0 u t 0 1\n",  # wrong arity
+    ],
+)
+def test_conditional_named_gate_validated(text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.lineno == len(text.splitlines())
+
+
 def test_block_parsing_and_span():
     text = """block 1
 1,0 0,0

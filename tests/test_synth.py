@@ -5,6 +5,7 @@ import pytest
 from conftest import random_tableau
 from stabsim.errors import InvalidTableauError, SingularMatrixError, StabsimError
 from stabsim.gf2 import BinaryMatrix, gf2_rank
+from stabsim.mixed import new_mixed
 from stabsim.pauli import parse_pauli
 from stabsim.program import CircuitProgram, Cnot, Hadamard, Measure, Phase, random_unitary_program
 from stabsim.synth import (
@@ -94,6 +95,12 @@ class TestCanonicalForm:
         t.set_row(2, parse_pauli("XI"))  # stabilizer row equal to a destabilizer
         with pytest.raises(InvalidTableauError):
             canonical_synthesize(t)
+
+    def test_rank_deficient_mixed_state_rejected(self):
+        with pytest.raises(InvalidTableauError):
+            canonical_synthesize(new_mixed(2, 1))
+        pure = canonical_synthesize(new_mixed(2, 2))
+        assert pure == canonical_synthesize(new_zero_state(2))
 
     def test_chp_text_has_round_comments(self, rng):
         t = random_tableau(3, rng)

@@ -2,11 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import apply_gate, paired_random_evolution, random_gate, random_tableau
 from stabsim.errors import CorruptTableauError, DimensionError
-from stabsim.oracle import DenseState
-from stabsim.pauli import multiply, parse_pauli
+from stabsim.mixed import new_mixed
+from stabsim.oracle import DenseState, density_from_generators
+from stabsim.pauli import PauliOperator, commutes, multiply, parse_pauli
 from stabsim.tableau import Tableau, new_zero_state
 
 
@@ -285,3 +288,129 @@ def test_oracle_agreement_random_circuits_with_measurements(rng):
                 d.project(q, rec.outcome)
         for g in t.stabilizer_generators():
             assert d.stabilized_by(g)
+
+
+# -- closed-form row products -----------------------------------------------------
+
+small_n = st.integers(min_value=1, max_value=8)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+kernel_settings = settings(max_examples=40, deadline=None, database=None)
+
+
+def fold_rows(t, rows):
+    """Reference product: multiply rows in one at a time, noting whether some
+    prefix product picked up an imaginary phase."""
+    w = PauliOperator.identity(t.n)
+    odd = False
+    for i in rows:
+        w = multiply(w, t.get_row(i))
+        odd |= bool(w.phase_exp & 1)
+    return w, odd
+
+
+def fold_size(t, a, limit):
+    """Number of destabilizer rows < limit with an X at qubit a."""
+    return sum((t.get_row(i).x >> a) & 1 for i in range(limit))
+
+
+@kernel_settings
+@given(n=small_n, seed=seeds)
+def test_row_product_of_stabilizer_rows_matches_multiply_fold(n, seed):
+    r = random.Random(seed)
+    t = random_tableau(n, r)
+    rows = [n + i for i in range(n) if r.random() < 0.5]
+    r.shuffle(rows)
+    want, odd = fold_rows(t, rows)
+    assert not odd
+    assert t.row_product(rows) == want
+
+
+@kernel_settings
+@given(n=small_n, seed=seeds)
+def test_row_product_raises_exactly_when_the_fold_goes_imaginary(n, seed):
+    # any rows, destabilizers included, so some prefixes anticommute
+    r = random.Random(seed)
+    t = random_tableau(n, r)
+    rows = r.sample(range(2 * n), r.randrange(2 * n + 1))
+    want, odd = fold_rows(t, rows)
+    if odd:
+        with pytest.raises(CorruptTableauError):
+            t.row_product(rows)
+    else:
+        assert t.row_product(rows) == want
+
+
+@kernel_settings
+@given(n=small_n, seed=seeds)
+def test_determinate_outcomes_match_dense_oracle(n, seed):
+    r = random.Random(seed)
+    t, d = paired_random_evolution(n, 20 * n, r)
+    # the first sweep mixes random and determinate outcomes; after it every
+    # qubit is determinate
+    for q in [r.randrange(n) for _ in range(n)] + list(range(n)):
+        p0, _ = d.measure_probs(q)
+        before, k = t.rowsum_count, fold_size(t, q, n)
+        det = t.is_deterministic(q)
+        rec = t.measure(q, r)
+        assert rec.deterministic == det
+        if det:
+            assert rec.outcome == (0 if p0 > 0.5 else 1)
+            assert p0 > 1 - 1e-10 or p0 < 1e-10
+            assert t.rowsum_count - before == k
+            assert t.get_row(t.scratch_row) == PauliOperator.single(
+                n, q, "Z", 2 * rec.outcome
+            )
+        d.project(q, rec.outcome)
+    assert t.satisfies_invariants()
+
+
+@kernel_settings
+@given(n=small_n, rank=st.integers(min_value=0, max_value=8), seed=seeds)
+def test_mixed_case_two_outcomes_match_dense_oracle(n, rank, seed):
+    r = random.Random(seed)
+    m = new_mixed(n, min(rank, n))
+    for _ in range(10 * n):
+        apply_gate(m, random_gate(n, r))
+    # measure a random subset of qubits twice: the second visit is case II,
+    # and the rank stays below n while the subset does not cover the logicals
+    subset = [q for q in range(n) if r.random() < 0.5]
+    for q in subset + subset:
+        if not m.is_deterministic(q):
+            m.measure(q, r)
+            continue
+        rho = density_from_generators(n, m.stabilizer_generators())
+        bit = 1 << (n - 1 - q)
+        diag = np.real(np.diag(rho))
+        p1 = diag[(np.arange(1 << n) & bit) != 0].sum() / diag.sum()
+        before, k = m.rowsum_count, fold_size(m, q, m.rank)
+        rec = m.measure(q, r)
+        assert rec.deterministic
+        assert abs(p1 - rec.outcome) < 1e-10
+        assert m.rowsum_count - before == k
+
+
+@kernel_settings
+@given(n=st.integers(min_value=2, max_value=8), seed=seeds)
+def test_flipped_bit_in_fold_raises_corrupt(n, seed):
+    r = random.Random(seed)
+    t = random_tableau(n, r)
+    for q in range(n):
+        t.measure(q, r)  # now every qubit is determinate
+    a = next((q for q in range(n) if fold_size(t, q, n) >= 2), None)
+    assume(a is not None)
+    fold = [n + i for i in range(n) if (t.get_row(i).x >> a) & 1]
+    first, second = t.get_row(fold[0]), t.get_row(fold[1])
+    # flip one bit of the second row so that it anticommutes with the first;
+    # a flipped z bit, or an x bit off qubit a, keeps qubit a determinate
+    zflips = [j for j in range(n) if (first.x >> j) & 1]
+    xflips = [j for j in range(n) if (first.z >> j) & 1 and j != a]
+    assume(zflips or xflips)
+    if zflips:
+        bad = PauliOperator(n, second.phase_exp, second.x, second.z ^ (1 << zflips[0]))
+    else:
+        bad = PauliOperator(n, second.phase_exp, second.x ^ (1 << xflips[0]), second.z)
+    t.set_row(fold[1], bad)
+    assert commutes(first, bad) == 1
+    assert t.is_deterministic(a)
+    with pytest.raises(CorruptTableauError):
+        t.measure(a, r)

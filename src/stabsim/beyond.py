@@ -33,8 +33,8 @@ from .pauli import (
     conjugate_phase,
     multiply,
 )
-from .program import CircuitProgram, Cnot, Conditional, Hadamard, Measure, NamedUnitary, Phase
-from .tableau import MeasurementRecord, new_zero_state
+from .program import CircuitProgram, execute
+from .tableau import MeasurementRecord, new_zero_state, sample_outcome
 
 ATOL = 1e-10
 PRUNE_TOL = 1e-14
@@ -44,6 +44,14 @@ PROB_TOL = 1e-8
 def _sp(x1: int, z1: int, x2: int, z2: int) -> int:
     """Symplectic product of two bit-encoded Pauli words."""
     return ((x1 & z2).bit_count() + (x2 & z1).bit_count()) & 1
+
+
+def _sp_mask(rows: list, x: int, z: int) -> int:
+    """Bit j is set iff the word (x, z) anticommutes with rows[j] = (x_j, z_j)."""
+    mask = 0
+    for j, (xr, zr) in enumerate(rows):
+        mask |= _sp(xr, zr, x, z) << j
+    return mask
 
 
 # -- tensor-product initial states ------------------------------------------------
@@ -96,33 +104,75 @@ class ProductState:
         return out
 
 
-class _ConjugationTracker:
-    """Rows V†X_jV and V†Z_jV for the unitary V applied so far; absorbing a
-    new gate g (V -> gV) rewrites rows through g† on the input side."""
+class _ProductRun:
+    """The product-state run as an engine.  It keeps the rows V†X_jV and
+    V†Z_jV for the unitary V applied so far (a new gate g, V -> gV, rewrites
+    rows through g† on the input side) and the conjugated measurement words
+    W_i with their signs, from which each outcome's exact conditional
+    probability follows."""
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self, init: ProductState):
+        n = self.n = init.n
         self.xrows = [PauliOperator.single(n, j, "X") for j in range(n)]
         self.zrows = [PauliOperator.single(n, j, "Z") for j in range(n)]
+        self.traces = init.block_traces()
+        self.ws: list = []
+        self.signs: list = []
+        self.q_prev = 1.0
+        self.probabilities: list = []
 
-    def absorb(self, instr):
-        if isinstance(instr, Hadamard):
-            a = instr.a
-            self.xrows[a], self.zrows[a] = self.zrows[a], self.xrows[a]
-        elif isinstance(instr, Phase):
-            a = instr.a
-            # P† X P = -Y = -i X Z
-            p = multiply(self.xrows[a], self.zrows[a])
-            self.xrows[a] = PauliOperator(self.n, (p.phase_exp + 3) % 4, p.x, p.z)
-        elif isinstance(instr, Cnot):
-            a, b = instr.a, instr.b
-            self.xrows[a] = multiply(self.xrows[a], self.xrows[b])
-            self.zrows[b] = multiply(self.zrows[a], self.zrows[b])
-        else:
-            raise DimensionError(f"not a stabilizer gate: {instr!r}")
+    def apply_hadamard(self, a: int):
+        self.xrows[a], self.zrows[a] = self.zrows[a], self.xrows[a]
 
-    def conjugated_z(self, a: int) -> PauliOperator:
-        return self.zrows[a]
+    def apply_phase(self, a: int):
+        # P† X P = -Y = -i X Z
+        p = multiply(self.xrows[a], self.zrows[a])
+        self.xrows[a] = PauliOperator(self.n, (p.phase_exp + 3) % 4, p.x, p.z)
+
+    def apply_cnot(self, a: int, b: int):
+        self.xrows[a] = multiply(self.xrows[a], self.xrows[b])
+        self.zrows[b] = multiply(self.zrows[a], self.zrows[b])
+
+    def _expectation(self, word: PauliOperator) -> complex:
+        val = 1j ** word.phase_exp
+        for off, b, tr in self.traces:
+            mask = (1 << b) - 1
+            val *= tr[((word.x >> off) & mask, (word.z >> off) & mask)]
+        return val
+
+    def _q_value(self, ws: list, signs: list) -> float:
+        """Tr[rho G_1..G_{k-1} G_k G_{k-1}..G_1] with G_i = (I + s_i W_i)/2."""
+        factors = ws[:-1] + [ws[-1]] + ws[-2::-1]
+        signlist = signs[:-1] + [signs[-1]] + signs[-2::-1]
+        total = 0.0 + 0.0j
+
+        def rec(i, word, coeff):
+            nonlocal total
+            if i == len(factors):
+                total += coeff * self._expectation(word)
+                return
+            rec(i + 1, word, coeff)
+            rec(i + 1, multiply(word, factors[i]), coeff * signlist[i])
+
+        rec(0, PauliOperator.identity(self.n), 1.0)
+        total /= 2 ** (2 * len(ws) - 1)
+        if abs(total.imag) > PROB_TOL:
+            raise NumericalIntegrityError("probability has an imaginary part")
+        return total.real
+
+    def measure(self, a: int, rng) -> MeasurementRecord:
+        w = self.zrows[a]
+        q0 = self._q_value(self.ws + [w], self.signs + [+1])
+        p0 = q0 / self.q_prev
+        if not -PROB_TOL <= p0 <= 1 + PROB_TOL:
+            raise NumericalIntegrityError(f"conditional probability {p0} out of range")
+        p0 = min(max(p0, 0.0), 1.0)
+        outcome, det = sample_outcome(p0, rng)
+        self.ws.append(w)
+        self.signs.append(1 if outcome == 0 else -1)
+        self.q_prev = q0 if outcome == 0 else self.q_prev - q0
+        self.probabilities.append(p0 if outcome == 0 else 1 - p0)
+        return MeasurementRecord(a, outcome, det)
 
 
 @dataclass
@@ -141,7 +191,8 @@ def product_measure_probabilities(
     max_measurements: int = 16,
 ) -> ProductRunResult:
     """Run a stabilizer program on a tensor-product initial state, sampling
-    each measurement with its exact conditional probability."""
+    each measurement with its exact conditional probability.  A
+    non-stabilizer gate raises StabsimError."""
     if not isinstance(init, ProductState):
         raise DimensionError("initial state must be a ProductState")
     if program.measurement_count() > max_measurements:
@@ -149,80 +200,11 @@ def product_measure_probabilities(
             f"{program.measurement_count()} measurements exceed the cap of "
             f"{max_measurements}; cost grows as 2^(2d)"
         )
-    n = max(init.n, program.n)
-    if init.n != n:
+    if program.n > init.n:
         raise DimensionError("block sizes do not cover the program's qubits")
-    traces = init.block_traces()
-
-    def expectation(word: PauliOperator) -> complex:
-        val = 1j ** word.phase_exp
-        for off, b, tr in traces:
-            mask = (1 << b) - 1
-            val *= tr[((word.x >> off) & mask, (word.z >> off) & mask)]
-        return val
-
-    def q_value(ws: list, signs: list) -> float:
-        """Tr[rho G_1..G_{k-1} G_k G_{k-1}..G_1] with G_i = (I + s_i W_i)/2."""
-        if not ws:
-            return 1.0
-        factors = ws[:-1] + [ws[-1]] + ws[-2::-1]
-        signlist = signs[:-1] + [signs[-1]] + signs[-2::-1]
-        total = 0.0 + 0.0j
-        ident = PauliOperator.identity(n)
-
-        def rec(i, word, coeff):
-            nonlocal total
-            if i == len(factors):
-                total += coeff * expectation(word)
-                return
-            rec(i + 1, word, coeff)
-            rec(i + 1, multiply(word, factors[i]), coeff * signlist[i])
-
-        rec(0, ident, 1.0)
-        total /= 2 ** (2 * len(ws) - 1)
-        if abs(total.imag) > PROB_TOL:
-            raise NumericalIntegrityError("probability has an imaginary part")
-        return total.real
-
-    tracker = _ConjugationTracker(n)
-    ws: list = []
-    signs: list = []
-    q_prev = 1.0
-    records = []
-    probs = []
-    for instr in program.instructions:
-        if isinstance(instr, Conditional):
-            if records[instr.bit].outcome != 1:
-                continue
-            instr = instr.inner
-        if isinstance(instr, NamedUnitary):
-            raise DimensionError(
-                "product-state runs allow stabilizer gates and measurements only"
-            )
-        if not isinstance(instr, Measure):
-            tracker.absorb(instr)
-            continue
-        w = tracker.conjugated_z(instr.a)
-        q0 = q_value(ws + [w], signs + [+1])
-        p0 = q0 / q_prev
-        if not -PROB_TOL <= p0 <= 1 + PROB_TOL:
-            raise NumericalIntegrityError(f"conditional probability {p0} out of range")
-        p0 = min(max(p0, 0.0), 1.0)
-        if p0 >= 1 - ATOL:
-            outcome, det = 0, True
-        elif p0 <= ATOL:
-            outcome, det = 1, True
-        elif abs(p0 - 0.5) < ATOL:
-            # one unbiased bit, mirroring the tableau engine's rng usage
-            outcome, det = rng.getrandbits(1) & 1, False
-        else:
-            outcome, det = (0 if rng.random() < p0 else 1), False
-        ws.append(w)
-        signs.append(1 if outcome == 0 else -1)
-        q_prev = q0 if outcome == 0 else q_prev - q0
-        records.append(MeasurementRecord(instr.a, outcome, det))
-        probs.append(p0 if outcome == 0 else 1 - p0)
-    return ProductRunResult(records, probs)
+    run = _ProductRun(init)
+    records = execute(run, program, rng)
+    return ProductRunResult(records, run.probabilities)
 
 
 # -- limited non-stabilizer gates ---------------------------------------------------
@@ -315,9 +297,7 @@ class PauliSumState:
         word anticommutes with destabilizer j, and product is the product of
         the stabilizer generators the mask selects.  The word lies in ±S iff
         the product's bits equal (x, z)."""
-        mask = 0
-        for j, (xd, zd) in enumerate(destab):
-            mask |= _sp(xd, zd, x, z) << j
+        mask = _sp_mask(destab, x, z)
         n = self.n
         rows = [n + j for j in range(n) if (mask >> j) & 1]
         return mask, self.tableau.row_product(rows)
@@ -372,12 +352,7 @@ class PauliSumState:
 
         emb = [(embed(p), c) for p, c in expansion]
         stab = self._stab_bits()
-        smask = []
-        for (xk, zk), _ in emb:
-            mask = 0
-            for j, (xs, zs) in enumerate(stab):
-                mask |= _sp(xs, zs, xk, zk) << j
-            smask.append(mask)
+        smask = [_sp_mask(stab, xk, zk) for (xk, zk), _ in emb]
 
         merged: dict = {}
         for t in self.terms:
@@ -439,14 +414,7 @@ class PauliSumState:
             if not -PROB_TOL <= p <= 1 + PROB_TOL:
                 raise NumericalIntegrityError(f"outcome probability {p} out of range")
         p0 = min(max(p0, 0.0), 1.0)
-        if p0 >= 1 - ATOL:
-            outcome = 0
-        elif p0 <= ATOL:
-            outcome = 1
-        elif abs(p0 - 0.5) < ATOL:
-            outcome = rng.getrandbits(1) & 1
-        else:
-            outcome = 0 if rng.random() < p0 else 1
+        outcome, _ = sample_outcome(p0, rng)
         chosen, prob = (keep0, p0) if outcome == 0 else (keep1, 1.0 - p0)
         merged: dict = {}
         for t in chosen:
@@ -524,6 +492,12 @@ class PauliSumState:
     def measure_qubit(self, a: int, rng) -> tuple:
         return self.measure_pauli(PauliOperator.single(self.n, a, "Z"), rng)
 
+    def measure(self, a: int, rng) -> MeasurementRecord:
+        """Measure qubit a; the record is determinate when its outcome had
+        probability > 1 - ATOL."""
+        outcome, prob = self.measure_qubit(a, rng)
+        return MeasurementRecord(a, outcome, deterministic=prob > 1 - ATOL)
+
     # -- diagnostics ---------------------------------------------------------------
 
     def is_hermitian_closed(self, tol: float = 1e-9) -> bool:
@@ -532,10 +506,7 @@ class PauliSumState:
         stab = self._stab_bits()
         table = {(t.x, t.z, t.eig): t.coeff for t in self.terms}
         for (x, z, e), c in table.items():
-            mask = 0
-            for j, (xs, zs) in enumerate(stab):
-                mask |= _sp(xs, zs, x, z) << j
-            mate = table.get((x, z, e ^ mask))
+            mate = table.get((x, z, e ^ _sp_mask(stab, x, z)))
             if mate is None or abs(np.conj(mate) - c) > tol:
                 return False
         return True

@@ -32,18 +32,19 @@ from .oracle import DenseState
 from .overlap import inner_product
 from .program import (
     CircuitProgram,
-    Cnot,
-    Conditional,
-    Hadamard,
-    Measure,
-    NamedUnitary,
-    Phase,
+    execute,
     parse,
     random_unitary_program,
     render,
 )
-from .synth import canonical_synthesize, minimize, tableau_of_program
-from .tableau import MeasurementRecord, Tableau, new_zero_state
+from .synth import (
+    canonical_synthesize,
+    enumerate_stabilizer_states,
+    minimize,
+    stabilizer_state_count,
+    tableau_of_program,
+)
+from .tableau import new_zero_state
 
 ENGINES = ("tableau", "mixed", "beyond", "oracle")
 
@@ -66,75 +67,19 @@ def _pad_blocks(program: CircuitProgram) -> ProductState:
     return ProductState(blocks)
 
 
-class _TableauEngine:
-    def __init__(self, program: CircuitProgram, mixed: bool):
+def _engine(program: CircuitProgram, engine: str, term_cap: int):
+    """A fresh state of the named engine for a program that starts in |0...0>."""
+    if engine in ("tableau", "mixed"):
         if program.blocks or program.gate_table:
             raise StabsimError(
                 "tableau engines cannot run programs with blocks or custom gates"
             )
-        self.t = MixedTableau(program.n) if mixed else new_zero_state(program.n)
-
-    def gate(self, instr):
-        if isinstance(instr, Cnot):
-            self.t.apply_cnot(instr.a, instr.b)
-        elif isinstance(instr, Hadamard):
-            self.t.apply_hadamard(instr.a)
-        elif isinstance(instr, Phase):
-            self.t.apply_phase(instr.a)
-        else:
-            raise StabsimError(f"engine cannot apply {instr!r}")
-
-    def measure(self, a, rng):
-        return self.t.measure(a, rng)
-
-
-class _OracleEngine:
-    def __init__(self, program: CircuitProgram):
+        return MixedTableau(program.n) if engine == "mixed" else new_zero_state(program.n)
+    if engine == "oracle":
         if program.blocks:
             raise StabsimError("the oracle engine starts from |0...0> only")
-        self.state = DenseState(program.n)
-        self.gate_table = program.gate_table
-
-    def gate(self, instr):
-        if isinstance(instr, Cnot):
-            self.state.apply_cnot(instr.a, instr.b)
-        elif isinstance(instr, Hadamard):
-            self.state.apply_hadamard(instr.a)
-        elif isinstance(instr, Phase):
-            self.state.apply_phase(instr.a)
-        elif isinstance(instr, NamedUnitary):
-            _, u = self.gate_table[instr.name]
-            self.state.apply_unitary(u, instr.qubits)
-        else:
-            raise StabsimError(f"engine cannot apply {instr!r}")
-
-    def measure(self, a, rng):
-        outcome, det = self.state.measure(a, rng)
-        return MeasurementRecord(a, outcome, det)
-
-
-class _PauliSumEngine:
-    def __init__(self, program: CircuitProgram, term_cap: int):
-        self.state = PauliSumState(program.n, term_cap=term_cap)
-        self.gate_table = program.gate_table
-
-    def gate(self, instr):
-        if isinstance(instr, Cnot):
-            self.state.apply_cnot(instr.a, instr.b)
-        elif isinstance(instr, Hadamard):
-            self.state.apply_hadamard(instr.a)
-        elif isinstance(instr, Phase):
-            self.state.apply_phase(instr.a)
-        elif isinstance(instr, NamedUnitary):
-            _, u = self.gate_table[instr.name]
-            self.state.apply_unitary(u, instr.qubits)
-        else:
-            raise StabsimError(f"engine cannot apply {instr!r}")
-
-    def measure(self, a, rng):
-        eps = 1e-10
-        outcome, prob = self.state.measure_qubit(a, rng)
-        return MeasurementRecord(a, outcome, deterministic=prob > 1 - eps)
+        return DenseState(program.n)
+    return PauliSumState(program.n, term_cap=term_cap)
 
 
 def run(
@@ -152,33 +97,12 @@ def run(
     rng = random.Random(seed)
 
     if engine == "beyond" and program.blocks:
-        if any(isinstance(i, NamedUnitary) for i in program.instructions):
-            raise StabsimError(
-                "block initial states and non-stabilizer gates cannot be combined"
-            )
-        result = product_measure_probabilities(
+        records = product_measure_probabilities(
             _pad_blocks(program), program, rng, max_measurements=max_measurements
-        )
-        records = result.records
+        ).records
     else:
-        if engine == "tableau":
-            eng = _TableauEngine(program, mixed=False)
-        elif engine == "mixed":
-            eng = _TableauEngine(program, mixed=True)
-        elif engine == "oracle":
-            eng = _OracleEngine(program)
-        else:
-            eng = _PauliSumEngine(program, term_cap)
-        records = []
-        for instr in program.instructions:
-            if isinstance(instr, Conditional):
-                if records[instr.bit].outcome != 1:
-                    continue
-                instr = instr.inner
-            if isinstance(instr, Measure):
-                records.append(eng.measure(instr.a, rng))
-            else:
-                eng.gate(instr)
+        state = _engine(program, engine, term_cap)
+        records = execute(state, program, rng)
 
     out = "".join(str(r.outcome) for r in records) + "\n"
     if verbose:
@@ -186,7 +110,7 @@ def run(
             kind = "determinate" if r.deterministic else "random"
             out += f"m {r.qubit} -> {r.outcome} ({kind})\n"
         if engine == "beyond" and not program.blocks:
-            rep = eng.state.resource_report()
+            rep = state.resource_report()
             out += (
                 f"# terms {rep['terms']} (bound {rep['term_bound']}, cap "
                 f"{rep['term_cap']}), nonstabilizer gates "
@@ -209,8 +133,8 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise DimensionError("beta must be positive")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise DimensionError("beta must be positive and finite")
         if self.n_min < 2 or self.n_max < self.n_min or self.step < 1:
             raise DimensionError("bad qubit range")
         if self.trials < 1:
@@ -222,15 +146,7 @@ def bench_one(n: int, beta: float, seed: int) -> dict:
     in sequence, reporting wall time and rowsum invocations per measurement."""
     rng = random.Random(seed)
     ngates = int(beta * n * math.log2(n))
-    program = random_unitary_program(n, ngates, rng)
-    t = new_zero_state(n)
-    for instr in program.instructions:
-        if isinstance(instr, Cnot):
-            t.apply_cnot(instr.a, instr.b)
-        elif isinstance(instr, Hadamard):
-            t.apply_hadamard(instr.a)
-        else:
-            t.apply_phase(instr.a)
+    t = tableau_of_program(random_unitary_program(n, ngates, rng))
     t.rowsum_count = 0
     start = time.perf_counter()
     for a in range(n):
@@ -281,88 +197,7 @@ def bench(config: BenchConfig) -> str:
     return buf.getvalue()
 
 
-# -- state counting ------------------------------------------------------------------
-
-
-def stabilizer_state_count(n: int) -> int:
-    """Closed form 2^n prod_{k=0}^{n-1} (2^(n-k) + 1)."""
-    if n < 1:
-        raise DimensionError("qubit count must be positive")
-    total = 1 << n
-    for k in range(n):
-        total *= (1 << (n - k)) + 1
-    return total
-
-
-def canonical_generator_key(gens: list, n: int) -> bytes:
-    """Canonical serialization of the group generated by commuting ±1 Pauli
-    generators: the reduced row echelon form of the symplectic bit rows is
-    unique per row space, so the key does not depend on the generating set."""
-    from .pauli import multiply
-
-    rows = list(gens)
-
-    def bits(p):
-        return p.x | (p.z << n)
-
-    idx = 0
-    for col in range(2 * n):
-        sel = next((k for k in range(idx, len(rows)) if (bits(rows[k]) >> col) & 1), None)
-        if sel is None:
-            continue
-        rows[idx], rows[sel] = rows[sel], rows[idx]
-        for k in range(len(rows)):
-            if k != idx and (bits(rows[k]) >> col) & 1:
-                rows[k] = multiply(rows[idx], rows[k])
-        idx += 1
-    nbytes = (n + 7) // 8
-    return b"".join(
-        p.x.to_bytes(nbytes, "little")
-        + p.z.to_bytes(nbytes, "little")
-        + bytes([p.phase_exp // 2])
-        for p in rows[:idx]
-    )
-
-
-def canonical_stabilizer_key(t: Tableau) -> bytes:
-    """Canonical key of a pure tableau's stabilizer group, signs included."""
-    return canonical_generator_key(t.stabilizer_generators(), t.n)
-
-
-def enumerate_stabilizer_states(n: int) -> int:
-    """Count distinct reachable stabilizer states by breadth-first closure
-    under the gate set, keyed by the canonical stabilizer form."""
-    if n > 3:
-        raise ResourceCapError("exhaustive enumeration is capped at 3 qubits")
-    gates = [("h", a) for a in range(n)] + [("p", a) for a in range(n)]
-    gates += [("c", a, b) for a in range(n) for b in range(n) if a != b]
-    start = new_zero_state(n)
-    seen = {canonical_stabilizer_key(start)}
-    frontier = [start]
-    while frontier:
-        t = frontier.pop()
-        for g in gates:
-            u = t.copy()
-            if g[0] == "h":
-                u.apply_hadamard(g[1])
-            elif g[0] == "p":
-                u.apply_phase(g[1])
-            else:
-                u.apply_cnot(g[1], g[2])
-            key = canonical_stabilizer_key(u)
-            if key not in seen:
-                seen.add(key)
-                frontier.append(u)
-    return len(seen)
-
-
 # -- command-line interface ------------------------------------------------------------
-
-
-def _require_unitary(program: CircuitProgram, what: str) -> CircuitProgram:
-    if not all(isinstance(i, (Cnot, Hadamard, Phase)) for i in program.instructions):
-        raise StabsimError(f"{what} requires a measurement-free stabilizer circuit")
-    return program
 
 
 def main(argv=None) -> int:
@@ -421,17 +256,14 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(report)
         elif args.command == "canonicalize":
-            program = _require_unitary(parse(Path(args.file).read_text()), "canonicalize")
+            program = parse(Path(args.file).read_text())
             circuit = canonical_synthesize(tableau_of_program(program))
             sys.stdout.write(circuit.to_chp_text())
         elif args.command == "minimize":
-            program = _require_unitary(parse(Path(args.file).read_text()), "minimize")
+            program = parse(Path(args.file).read_text())
             sys.stdout.write(render(minimize(program)))
         elif args.command == "innerprod":
-            progs = [
-                _require_unitary(parse(Path(f).read_text()), "innerprod")
-                for f in (args.file1, args.file2)
-            ]
+            progs = [parse(Path(f).read_text()) for f in (args.file1, args.file2)]
             n = max(p.n for p in progs)
             for p in progs:
                 p.n = n
@@ -453,7 +285,7 @@ def main(argv=None) -> int:
     except NumericalIntegrityError as exc:
         print(f"numerical integrity: {exc}", file=sys.stderr)
         return 4
-    except (StabsimError, OSError) as exc:
+    except (StabsimError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -80,86 +80,72 @@ class BinaryMatrix:
         return self.nrows == self.ncols and self.rows == self.transpose().rows
 
 
+def rref(rows, ncols: int, on_rowop=None) -> tuple[list, list]:
+    """Reduced row echelon form over GF(2); returns (rows, pivot columns).
+
+    Rows are int bitsets.  Pivots are taken only in columns < ncols; bits
+    at and above ncols ride along as an augmentation.  Rows are never
+    swapped: when row k lacks the bit of the next pivot column, the first
+    later row that has it is added into row k.  Every row addition
+    row_dst ^= row_src is reported as on_rowop(src, dst), in order.
+    """
+    rows = list(rows)
+    pivots = []
+    k = 0
+    for col in range(ncols):
+        if k == len(rows):
+            break
+        bit = 1 << col
+        if not rows[k] & bit:
+            sel = next((i for i in range(k + 1, len(rows)) if rows[i] & bit), None)
+            if sel is None:
+                continue
+            rows[k] ^= rows[sel]
+            if on_rowop:
+                on_rowop(sel, k)
+        pivot = rows[k]
+        for i, row in enumerate(rows):
+            if row & bit and i != k:
+                rows[i] = row ^ pivot
+                if on_rowop:
+                    on_rowop(k, i)
+        pivots.append(col)
+        k += 1
+    return rows, pivots
+
+
+def _invertible_rref(m: BinaryMatrix, what: str, rows: list, on_rowop=None) -> list:
+    """`rref` of the (augmented) rows of square m; raises unless m is invertible."""
+    if m.nrows != m.ncols:
+        raise DimensionError(f"{what} requires a square matrix")
+    rows, pivots = rref(rows, m.ncols, on_rowop)
+    if len(pivots) < m.nrows:
+        raise SingularMatrixError("matrix is singular over GF(2)")
+    return rows
+
+
 def gf2_gaussian_eliminate(m: BinaryMatrix) -> tuple[BinaryMatrix, int, list]:
     """Reduced row echelon form; returns (reduced, rank, pivot column list)."""
-    work = m.copy()
-    pivots = []
-    row = 0
-    for col in range(work.ncols):
-        sel = None
-        for i in range(row, work.nrows):
-            if (work.rows[i] >> col) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work.rows[row], work.rows[sel] = work.rows[sel], work.rows[row]
-        for i in range(work.nrows):
-            if i != row and (work.rows[i] >> col) & 1:
-                work.rows[i] ^= work.rows[row]
-        pivots.append(col)
-        row += 1
-        if row == work.nrows:
-            break
-    return work, row, pivots
+    rows, pivots = rref(m.rows, m.ncols)
+    return BinaryMatrix(m.nrows, m.ncols, rows), len(pivots), pivots
 
 
 def gf2_rank(m: BinaryMatrix) -> int:
-    return gf2_gaussian_eliminate(m)[1]
+    return len(rref(m.rows, m.ncols)[1])
 
 
 def gf2_invert(m: BinaryMatrix) -> BinaryMatrix:
     """Inverse of a square full-rank matrix; raises SingularMatrixError."""
-    if m.nrows != m.ncols:
-        raise DimensionError("inversion requires a square matrix")
     n = m.nrows
-    work = m.copy()
-    inv = BinaryMatrix.identity(n)
-    row = 0
-    for col in range(n):
-        sel = None
-        for i in range(row, n):
-            if (work.rows[i] >> col) & 1:
-                sel = i
-                break
-        if sel is None:
-            raise SingularMatrixError("matrix is singular over GF(2)")
-        work.rows[row], work.rows[sel] = work.rows[sel], work.rows[row]
-        inv.rows[row], inv.rows[sel] = inv.rows[sel], inv.rows[row]
-        for i in range(n):
-            if i != row and (work.rows[i] >> col) & 1:
-                work.rows[i] ^= work.rows[row]
-                inv.rows[i] ^= inv.rows[row]
-        row += 1
-    return inv
+    rows = _invertible_rref(m, "inversion", [r | 1 << (n + i) for i, r in enumerate(m.rows)])
+    return BinaryMatrix(n, n, [r >> n for r in rows])
 
 
 def gf2_solve(m: BinaryMatrix, b: int) -> int:
     """Solve M s = b for square invertible M; b and s are column bitsets."""
-    if m.nrows != m.ncols:
-        raise DimensionError("solve requires a square matrix")
     n = m.nrows
-    work = [(m.rows[i], (b >> i) & 1) for i in range(n)]
-    piv_of_col = {}
-    row = 0
-    for col in range(n):
-        sel = None
-        for i in range(row, n):
-            if (work[i][0] >> col) & 1:
-                sel = i
-                break
-        if sel is None:
-            raise SingularMatrixError("matrix is singular over GF(2)")
-        work[row], work[sel] = work[sel], work[row]
-        for i in range(n):
-            if i != row and (work[i][0] >> col) & 1:
-                work[i] = (work[i][0] ^ work[row][0], work[i][1] ^ work[row][1])
-        piv_of_col[col] = row
-        row += 1
-    s = 0
-    for col, r in piv_of_col.items():
-        s |= work[r][1] << col
-    return s
+    rows = _invertible_rref(m, "solve", [r | ((b >> i) & 1) << n for i, r in enumerate(m.rows)])
+    return sum((r >> n) << i for i, r in enumerate(rows))
 
 
 def gf2_cholesky(a: BinaryMatrix) -> tuple[BinaryMatrix, list]:
@@ -179,34 +165,14 @@ def gf2_cholesky(a: BinaryMatrix) -> tuple[BinaryMatrix, list]:
             below = (m.rows[i] & m.rows[j] & ((1 << j) - 1)).bit_count() & 1
             if a.get(i, j) ^ below:
                 m.rows[i] |= 1 << j
-    lam = []
-    mmt = m.matmul(m.transpose())
-    for i in range(n):
-        lam.append(a.get(i, i) ^ mmt.get(i, i))
+    # (M M^T)_ii is the parity of row i of M.
+    lam = [a.get(i, i) ^ (m.rows[i].bit_count() & 1) for i in range(n)]
     return m, lam
 
 
 def gf2_row_ops_to_identity(m: BinaryMatrix) -> list:
     """Row-addition schedule (src, dst) meaning row_dst ^= row_src that
     reduces a full-rank square matrix to the identity, without swaps."""
-    if m.nrows != m.ncols:
-        raise DimensionError("reduction requires a square matrix")
-    n = m.nrows
-    rows = list(m.rows)
     ops = []
-    for col in range(n):
-        if not (rows[col] >> col) & 1:
-            sel = None
-            for i in range(col + 1, n):
-                if (rows[i] >> col) & 1:
-                    sel = i
-                    break
-            if sel is None:
-                raise SingularMatrixError("matrix is singular over GF(2)")
-            rows[col] ^= rows[sel]
-            ops.append((sel, col))
-        for i in range(n):
-            if i != col and (rows[i] >> col) & 1:
-                rows[i] ^= rows[col]
-                ops.append((col, i))
+    _invertible_rref(m, "reduction", m.rows, lambda src, dst: ops.append((src, dst)))
     return ops

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, InvalidTableauError
-from .gf2 import BinaryMatrix, gf2_rank
+from .gf2 import BinaryMatrix, gf2_rank, rref
 from .pauli import PauliOperator, commutes, multiply
 from .tableau import MeasurementRecord, Tableau
 
@@ -219,28 +219,12 @@ class MixedTableau(Tableau):
         n, r = self.n, self.rank
         work = self.copy()
         stab = list(range(n, n + r))
-        wa, sa = divmod(a, 64)
-
-        def xbit(i):
-            return (int(work.x[wa, i]) >> sa) & 1
-
-        def zbit(i):
-            return (int(work.z[wa, i]) >> sa) & 1
-
-        piv_x = next((i for i in stab if xbit(i)), None)
-        if piv_x is not None:
-            for i in stab:
-                if i != piv_x and xbit(i):
-                    work.rowsum(i, piv_x)
-        piv_z = next((i for i in stab if i != piv_x and zbit(i)), None)
-        if piv_z is not None:
-            for i in stab:
-                if i not in (piv_x, piv_z) and zbit(i):
-                    work.rowsum(i, piv_z)
+        letters = [(p.x >> a & 1) | (p.z >> a & 1) << 1 for p in work.stabilizer_generators()]
+        # Eliminate on the (x_a, z_a) bits; the rows past the pivots are the
+        # generators with identity at a.
+        _, pivots = rref(letters, 2, lambda src, dst: work.rowsum(stab[dst], stab[src]))
         gens = []
-        for i in stab:
-            if i in (piv_x, piv_z):
-                continue
+        for i in stab[len(pivots):]:
             p = work.get_row(i)
             gens.append(
                 PauliOperator(n - 1, p.phase_exp, _drop_bit(p.x, a), _drop_bit(p.z, a))
@@ -261,9 +245,10 @@ class MixedTableau(Tableau):
         if version != _VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
         rank = int.from_bytes(data[8:16], "little")
-        base = Tableau.from_bytes(data[16:])
-        t = cls(base.n, rank)
-        t.x, t.z, t.r = base.x, base.z, base.r
+        t = super().from_bytes(data[16:])
+        if not 0 <= rank <= t.n:
+            raise DimensionError(f"rank {rank} out of range for n={t.n}")
+        t.rank = rank
         return t
 
 

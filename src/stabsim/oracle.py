@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import DimensionError, ResourceCapError
 from .pauli import PauliOperator
+from .tableau import MeasurementRecord, sample_outcome
 
 MAX_QUBITS = 12
 MAX_GROUP_QUBITS = 6
@@ -157,20 +158,13 @@ class DenseState:
                 raise ValueError("projection onto zero-probability outcome")
             self.vec /= norm
 
-    def measure(self, a: int, rng) -> tuple[int, bool]:
+    def measure(self, a: int, rng) -> MeasurementRecord:
         """Sample a measurement.  Uses one random bit when p = 1/2 so that
         stabilizer-only programs reproduce tableau-engine transcripts."""
         p0, _ = self.measure_probs(a)
-        if p0 > 1 - ATOL:
-            outcome, det = 0, True
-        elif p0 < ATOL:
-            outcome, det = 1, True
-        elif abs(p0 - 0.5) < ATOL:
-            outcome, det = rng.getrandbits(1) & 1, False
-        else:
-            outcome, det = (1 if rng.random() >= p0 else 0), False
+        outcome, det = sample_outcome(p0, rng)
         self.project(a, outcome)
-        return outcome, det
+        return MeasurementRecord(a, outcome, det)
 
     # -- stabilizer-group extraction -----------------------------------------------
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionError
-from .synth import _apply_instr, _reduce_to_identity, require_pure
+from .errors import DimensionError, InvalidTableauError
+from .gf2 import rref
+from .pauli import PauliOperator
+from .synth import _apply_segments, _reduce_stabilizers, require_pure
 from .tableau import Tableau
 
 
@@ -36,34 +38,22 @@ def inner_product(t1: Tableau, t2: Tableau) -> OverlapResult:
     require_pure(t2)
     n = t1.n
     segments = [[] for _ in range(11)]
-    _reduce_to_identity(t1.copy(), segments)
+    psi = t1.copy()
+    _reduce_stabilizers(psi, segments)
+    if psi.stabilizer_generators() != [PauliOperator.single(n, j, "Z") for j in range(n)]:
+        raise InvalidTableauError("reduction did not map the state to |0...0>")
     rotated = t2.copy()
-    for seg in segments:
-        for g in seg:
-            _apply_instr(rotated, g)
+    _apply_segments(rotated, segments)
 
-    # Gaussian elimination on the stabilizer half, X-block pivots first.
-    # Row additions go through rowsum so the sign bits stay exact.
-    rows = list(range(n, 2 * n))
-    row_pos = 0
-    for col in range(n):
-        wa, sa = divmod(col, 64)
-        sel = None
-        for k in range(row_pos, n):
-            if (int(rotated.x[wa, rows[k]]) >> sa) & 1:
-                sel = k
-                break
-        if sel is None:
-            continue
-        rows[row_pos], rows[sel] = rows[sel], rows[row_pos]
-        for k in range(n):
-            if k != row_pos and (int(rotated.x[wa, rows[k]]) >> sa) & 1:
-                rotated.rowsum(rows[k], rows[row_pos])
-        row_pos += 1
-    s = row_pos
+    # Eliminate the stabilizer rows' X block; each row carries the set of
+    # original rows it is the product of.  s is the X-block rank.
+    stab = rotated.stabilizer_generators()
+    rows, pivots = rref([p.x | 1 << (n + j) for j, p in enumerate(stab)], n)
+    s = len(pivots)
 
     # The remaining generators are Z-only; any minus sign kills the overlap.
-    for k in range(s, n):
-        if int(rotated.r[rows[k]]):
+    for row in rows[s:]:
+        combo = [n + j for j in range(n) if (row >> (n + j)) & 1]
+        if rotated.row_product(combo).phase_exp:
             return OverlapResult(True, 0, 0.0)
     return OverlapResult(False, s, 2.0 ** (-s / 2) if s else 1.0)

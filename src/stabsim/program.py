@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, StabsimError
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,43 @@ class Conditional:
     inner: object
 
 
-UNITARY_TYPES = (Cnot, Hadamard, Phase, NamedUnitary)
+def apply(state, instr, gate_table=None):
+    """Apply one unitary instruction to any engine.
+
+    Every engine has `apply_cnot`, `apply_hadamard` and `apply_phase`;
+    engines that take non-stabilizer gates also have `apply_unitary`, and
+    `gate_table` maps a named gate to its (qubit count, matrix) entry.
+    Anything else raises StabsimError.
+    """
+    if isinstance(instr, Cnot):
+        state.apply_cnot(instr.a, instr.b)
+    elif isinstance(instr, Hadamard):
+        state.apply_hadamard(instr.a)
+    elif isinstance(instr, Phase):
+        state.apply_phase(instr.a)
+    elif isinstance(instr, NamedUnitary) and hasattr(state, "apply_unitary") and gate_table:
+        state.apply_unitary(gate_table[instr.name][1], instr.qubits)
+    else:
+        raise StabsimError(f"engine cannot apply {instr!r}")
+
+
+def execute(state, program: "CircuitProgram", rng) -> list:
+    """Run a program on an engine; returns its MeasurementRecords in order.
+
+    Every engine answers `measure(a, rng)` with a MeasurementRecord, and a
+    `Conditional` runs its inner gate iff the record it names has outcome 1.
+    """
+    records = []
+    for instr in program.instructions:
+        if isinstance(instr, Conditional):
+            if records[instr.bit].outcome != 1:
+                continue
+            instr = instr.inner
+        if isinstance(instr, Measure):
+            records.append(state.measure(instr.a, rng))
+        else:
+            apply(state, instr, program.gate_table)
+    return records
 
 
 @dataclass
@@ -86,6 +122,10 @@ class CircuitProgram:
             and len(self.blocks) == len(other.blocks)
             and all(np.array_equal(a, b) for a, b in zip(self.blocks, other.blocks))
         )
+
+    def is_clifford(self) -> bool:
+        """True iff every instruction is a CNOT, H or P gate."""
+        return all(isinstance(i, (Cnot, Hadamard, Phase)) for i in self.instructions)
 
     def measurement_count(self) -> int:
         return sum(isinstance(i, Measure) for i in self.instructions)

@@ -10,11 +10,15 @@ order, a circuit that reproduces the original tableau from scratch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DimensionError,
     InvalidTableauError,
+    ResourceCapError,
     SingularMatrixError,
     StabsimError,
 )
@@ -26,25 +30,32 @@ from .gf2 import (
     gf2_rank,
     gf2_row_ops_to_identity,
     gf2_solve,
+    rref,
 )
 from .mixed import MixedTableau
-from .program import CircuitProgram, Cnot, Hadamard, Measure, Phase
-from .tableau import Tableau, new_zero_state
+from .pauli import multiply
+from .program import CircuitProgram, Cnot, Hadamard, Phase, _render_instr, apply, execute
+from .tableau import Tableau, _pack_rows, _unpack_rows, new_zero_state
 
 __all__ = [
     "BinaryMatrix",
     "CanonicalCircuit",
+    "canonical_generator_key",
+    "canonical_stabilizer_key",
     "canonical_synthesize",
     "circuits_equivalent",
     "cnot_synth_gauss",
     "cnot_synth_logdepth",
+    "enumerate_stabilizer_states",
     "gf2_cholesky",
     "gf2_gaussian_eliminate",
     "gf2_invert",
     "gf2_rank",
+    "gf2_row_ops_to_identity",
     "gf2_solve",
     "hadamard_fix_rank",
     "minimize",
+    "stabilizer_state_count",
     "tableau_of_program",
 ]
 
@@ -74,44 +85,24 @@ class CanonicalCircuit:
         return sum(len(seg) for seg in self.segments)
 
     def apply_to(self, t: Tableau):
-        for seg in self.segments:
-            for g in seg:
-                _apply_instr(t, g)
+        execute(t, self.flatten(), None)
 
     def to_chp_text(self) -> str:
         out = []
         for k, (kind, seg) in enumerate(zip(ROUND_TYPES, self.segments), start=1):
             out.append(f"# round {k}: {kind}")
-            for g in seg:
-                if isinstance(g, Cnot):
-                    out.append(f"c {g.a} {g.b}")
-                elif isinstance(g, Hadamard):
-                    out.append(f"h {g.a}")
-                else:
-                    out.append(f"p {g.a}")
+            out.extend(_render_instr(g) for g in seg)
         return "\n".join(out) + "\n"
-
-
-def _apply_instr(t: Tableau, instr):
-    if isinstance(instr, Cnot):
-        t.apply_cnot(instr.a, instr.b)
-    elif isinstance(instr, Hadamard):
-        t.apply_hadamard(instr.a)
-    elif isinstance(instr, Phase):
-        t.apply_phase(instr.a)
-    else:
-        raise StabsimError(f"not a stabilizer gate: {instr!r}")
 
 
 def tableau_of_program(program: CircuitProgram) -> Tableau:
     """Run a unitary stabilizer program on the standard initial tableau."""
-    if any(not isinstance(i, (Cnot, Hadamard, Phase)) for i in program.instructions):
+    if not program.is_clifford():
         raise StabsimError(
             "only measurement-free CNOT/H/P programs have a defining tableau"
         )
     t = new_zero_state(program.n)
-    for instr in program.instructions:
-        _apply_instr(t, instr)
+    execute(t, program, None)
     return t
 
 
@@ -119,27 +110,9 @@ def tableau_of_program(program: CircuitProgram) -> Tableau:
 
 
 def _block(t: Tableau, lo: int, which: str) -> BinaryMatrix:
-    rows = []
-    for i in range(lo, lo + t.n):
-        p = t.get_row(i)
-        rows.append(p.x if which == "x" else p.z)
+    """The x or z bits of rows lo..lo+n-1 (lo = 0: destabilizers, n: stabilizers)."""
+    rows = [getattr(t.get_row(i), which) for i in range(lo, lo + t.n)]
     return BinaryMatrix(t.n, t.n, rows)
-
-
-def _stab_x(t):
-    return _block(t, t.n, "x")
-
-
-def _stab_z(t):
-    return _block(t, t.n, "z")
-
-
-def _destab_x(t):
-    return _block(t, 0, "x")
-
-
-def _destab_z(t):
-    return _block(t, 0, "z")
 
 
 def _phase_bits(t: Tableau, lo: int) -> int:
@@ -152,47 +125,18 @@ def _phase_bits(t: Tableau, lo: int) -> int:
 def hadamard_fix_rank(t: Tableau) -> list:
     """Qubits to Hadamard so the stabilizer X block reaches full rank.
 
-    Row-reduces (X|Z) with X-block pivots; the left-over rows are X-free, and
-    a column basis of their Z part marks the qubits to flip.
+    The RREF of the stabilizer rows x | z << n takes its X-block pivots
+    first; the rows left over are X-free, and their Z-block pivots mark the
+    qubits to flip.
     """
     n = t.n
-    sx, sz = _stab_x(t), _stab_z(t)
-    rows = [(sx.rows[i], sz.rows[i]) for i in range(n)]
-    row = 0
-    for col in range(n):
-        sel = None
-        for i in range(row, n):
-            if (rows[i][0] >> col) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[row], rows[sel] = rows[sel], rows[row]
-        for i in range(n):
-            if i != row and (rows[i][0] >> col) & 1:
-                rows[i] = (rows[i][0] ^ rows[row][0], rows[i][1] ^ rows[row][1])
-        row += 1
-    k = row
-    if k == n:
-        return []
-    bottom = BinaryMatrix(n - k, n, [z for (x, z) in rows[k:]])
-    _, rank, pivot_cols = gf2_gaussian_eliminate(bottom)
-    if rank != n - k:
+    _, pivots = rref([p.x | p.z << n for p in t.stabilizer_generators()], 2 * n)
+    if len(pivots) != n:
         raise InvalidTableauError("stabilizer rows are not independent")
-    return list(pivot_cols)
+    return [c - n for c in pivots if c >= n]
 
 
-# -- column-operation schedules -------------------------------------------------
-
-
-def _colops_reduce(m: BinaryMatrix) -> list:
-    """(a, b) pairs meaning col_b ^= col_a that reduce full-rank m to I."""
-    return gf2_row_ops_to_identity(m.transpose())
-
-
-def _colops_build(m: BinaryMatrix) -> list:
-    """(a, b) pairs that build m from the identity by column additions."""
-    return list(reversed(_colops_reduce(m)))
+# -- CNOT rounds ------------------------------------------------------------------
 
 
 def _batch_apply_cnot_round(t: Tableau, e: BinaryMatrix):
@@ -202,17 +146,11 @@ def _batch_apply_cnot_round(t: Tableau, e: BinaryMatrix):
     the normal-ordered picture, so each row's sign bit shifts only by the
     Y-count correction (|x&z| - |x'&z'|)/2 mod 2.
     """
-    import numpy as np
-
-    from .tableau import _pack_rows, _unpack_rows
-
     k = 2 * t.n
     ef = e.to_numpy().astype(np.float64)
     ff = gf2_invert(e).transpose().to_numpy().astype(np.float64)
-    import numpy as _np
-
-    xb = _unpack_rows(_np.ascontiguousarray(t.x[:, :k].T), t.n)
-    zb = _unpack_rows(_np.ascontiguousarray(t.z[:, :k].T), t.n)
+    xb = _unpack_rows(np.ascontiguousarray(t.x[:, :k].T), t.n)
+    zb = _unpack_rows(np.ascontiguousarray(t.z[:, :k].T), t.n)
     pc0 = (xb & zb).sum(axis=1, dtype=np.int64)
     xn = ((xb.astype(np.float64) @ ef).astype(np.int64) & 1).astype(np.uint8)
     zn = ((zb.astype(np.float64) @ ff).astype(np.int64) & 1).astype(np.uint8)
@@ -238,73 +176,69 @@ def _apply_segments(t: Tableau, segments):
             _batch_apply_cnot_round(t, apply_cnots_as_row_ops(seg, t.n).transpose())
         else:
             for g in seg:
-                _apply_instr(t, g)
+                apply(t, g)
 
 
 # -- the 11-step reduction ------------------------------------------------------
 
 
-def _reduce_to_identity(t: Tableau, segments: list):
-    """Reduce a valid tableau to the standard initial tableau, recording each
-    gate into its round.  The round layout follows the canonical order."""
+def _emit(t: Tableau, segments: list, k: int, instr):
+    segments[k].append(instr)
+    apply(t, instr)
+
+
+def _clear_symmetric_z(t: Tableau, segments: list, k: int, lo: int, what: str):
+    """Rounds k..k+3 (P-C-P-C) on rows lo..lo+n-1, whose X block is the
+    identity and whose Z block is symmetric (the rows commute)."""
     n = t.n
-
-    def emit(k: int, instr):
-        segments[k].append(instr)
-        _apply_instr(t, instr)
-
-    # (1) Hadamards give the stabilizer X block full rank.
-    for a in hadamard_fix_rank(t):
-        emit(0, Hadamard(a))
-    # (2) CNOTs Gaussian-eliminate that block to the identity.
-    _emit_cnot_round(t, segments, 1, gf2_invert(_stab_x(t)))
-    # (3) The stabilizer Z block is now symmetric; phases fix its diagonal so
-    # it factors as M M^T.
-    d = _stab_z(t)
+    d = _block(t, lo, "z")
     if not d.is_symmetric():
-        raise InvalidTableauError("stabilizer rows do not commute")
+        raise InvalidTableauError(f"{what} rows do not commute")
+    # Phases fix the Z block's diagonal so it factors as M M^T.
     m, lam = gf2_cholesky(d)
     for a in range(n):
         if lam[a]:
-            emit(2, Phase(a))
-    # (4) CNOTs carry I to M, sending the Z block to M as well.
-    _emit_cnot_round(t, segments, 3, m)
-    # (5) Phases on every qubit clear the Z block; a double phase (= Z gate)
-    # on the subset solving M s = r clears the stabilizer sign bits.
+            _emit(t, segments, k, Phase(a))
+    # CNOTs carry the X block I to M, sending the Z block to M as well.
+    _emit_cnot_round(t, segments, k + 1, m)
+    # Phases on every qubit clear the Z block; a double phase (= Z gate) on
+    # the subset solving M s = r clears the sign bits.
     for a in range(n):
-        emit(4, Phase(a))
-    s = gf2_solve(m, _phase_bits(t, n))
+        _emit(t, segments, k + 2, Phase(a))
+    s = gf2_solve(m, _phase_bits(t, lo))
     for a in range(n):
         if (s >> a) & 1:
-            emit(4, Phase(a))
-            emit(4, Phase(a))
-    # (6) CNOTs Gaussian-eliminate M back to the identity.
-    _emit_cnot_round(t, segments, 5, gf2_invert(_stab_x(t)))
+            _emit(t, segments, k + 2, Phase(a))
+            _emit(t, segments, k + 2, Phase(a))
+    # CNOTs Gaussian-eliminate M back to the identity.
+    _emit_cnot_round(t, segments, k + 3, gf2_invert(_block(t, lo, "x")))
+
+
+def _reduce_stabilizers(t: Tableau, segments: list):
+    """Rounds 1-7: map the stabilizer generators to +Z_j (the state to
+    |0...0>), recording each gate into its round.  Reads only the stabilizer
+    rows."""
+    n = t.n
+    # (1) Hadamards give the stabilizer X block full rank.
+    for a in hadamard_fix_rank(t):
+        _emit(t, segments, 0, Hadamard(a))
+    # (2) CNOTs Gaussian-eliminate that block to the identity.
+    _emit_cnot_round(t, segments, 1, gf2_invert(_block(t, n, "x")))
+    # (3)-(6) The stabilizer Z block is now symmetric; clear it and the signs.
+    _clear_symmetric_z(t, segments, 2, n, "stabilizer")
     # (7) Hadamards on all qubits swap the X and Z blocks.
     for a in range(n):
-        emit(6, Hadamard(a))
-    # (8) The destabilizer Z block is symmetric; repeat the factoring trick.
-    a_blk = _destab_z(t)
-    if not a_blk.is_symmetric():
-        raise InvalidTableauError("destabilizer rows do not commute")
-    nmat, lam2 = gf2_cholesky(a_blk)
-    for a in range(n):
-        if lam2[a]:
-            emit(7, Phase(a))
-    # (9) CNOTs carry the destabilizer X block to N.
-    _emit_cnot_round(t, segments, 8, nmat)
-    # (10) Phases clear the destabilizer Z block and then its sign bits.
-    for a in range(n):
-        emit(9, Phase(a))
-    s = gf2_solve(nmat, _phase_bits(t, 0))
-    for a in range(n):
-        if (s >> a) & 1:
-            emit(9, Phase(a))
-            emit(9, Phase(a))
-    # (11) CNOTs finish the reduction.
-    _emit_cnot_round(t, segments, 10, gf2_invert(_destab_x(t)))
+        _emit(t, segments, 6, Hadamard(a))
 
-    if t != new_zero_state(n):
+
+def _reduce_to_identity(t: Tableau, segments: list):
+    """Reduce a valid tableau to the standard initial tableau, recording each
+    gate into its round.  After round 7 the destabilizer X block is the
+    identity and its Z block symmetric, so rounds 8-11 repeat rounds 3-6 on
+    the destabilizer rows."""
+    _reduce_stabilizers(t, segments)
+    _clear_symmetric_z(t, segments, 7, 0, "destabilizer")
+    if t != new_zero_state(t.n):
         raise InvalidTableauError("reduction did not reach the standard tableau")
 
 
@@ -339,12 +273,8 @@ def canonical_synthesize(t: Tableau) -> CanonicalCircuit:
 
 def circuits_equivalent(c1: CircuitProgram, c2: CircuitProgram) -> bool:
     """True iff the circuits act identically on every state, i.e. their final
-    tableaus from the standard initial tableau are equal."""
-    for c in (c1, c2):
-        if any(isinstance(i, Measure) for i in c.instructions):
-            raise StabsimError("equivalence is undefined for circuits that measure")
-        if any(not isinstance(i, (Cnot, Hadamard, Phase)) for i in c.instructions):
-            raise StabsimError("equivalence check requires stabilizer gates only")
+    tableaus from the standard initial tableau are equal.  Both must be
+    measurement-free CNOT/H/P circuits of the same width."""
     if c1.n != c2.n:
         raise DimensionError(f"circuits act on different widths: {c1.n} != {c2.n}")
     return tableau_of_program(c1) == tableau_of_program(c2)
@@ -456,3 +386,75 @@ def minimize(program: CircuitProgram) -> CircuitProgram:
             for a in sorted(counts):
                 out.extend([Phase(a)] * (counts[a] % 4))
     return CircuitProgram(n, tuple(out))
+
+
+# -- counting stabilizer states ----------------------------------------------------
+
+
+def stabilizer_state_count(n: int) -> int:
+    """Closed form 2^n prod_{k=0}^{n-1} (2^(n-k) + 1).
+
+    Raises ResourceCapError, before computing it, when the count has more
+    decimal digits than the interpreter will convert to text
+    (`sys.get_int_max_str_digits()`, 4300 by default: n = 167 is the last
+    that fits).
+    """
+    if n < 1:
+        raise DimensionError("qubit count must be positive")
+    # The count is 2^(n + n(n+1)/2) prod_{m=1}^{n} (1 + 2^-m).
+    log10 = (n + n * (n + 1) / 2) * math.log10(2)
+    digits = 1 + math.floor(log10 + sum(math.log10(1 + 2**-m) for m in range(1, min(n, 64) + 1)))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        raise ResourceCapError(f"the count for n={n} has {digits} digits, over the limit of {limit}")
+    total = 1 << n
+    for k in range(n):
+        total *= (1 << (n - k)) + 1
+    return total
+
+
+def canonical_generator_key(gens: list, n: int) -> bytes:
+    """Canonical serialization of the group generated by commuting ±1 Pauli
+    generators: the reduced row echelon form of the symplectic bit rows is
+    unique per row space, so the key does not depend on the generating set.
+    Each row addition multiplies the Pauli rows, so the signs come along."""
+    rows = list(gens)
+
+    def add(src: int, dst: int):
+        rows[dst] = multiply(rows[src], rows[dst])
+
+    _, pivots = rref([p.x | p.z << n for p in rows], 2 * n, on_rowop=add)
+    nbytes = (n + 7) // 8
+    return b"".join(
+        p.x.to_bytes(nbytes, "little")
+        + p.z.to_bytes(nbytes, "little")
+        + bytes([p.phase_exp // 2])
+        for p in rows[: len(pivots)]
+    )
+
+
+def canonical_stabilizer_key(t: Tableau) -> bytes:
+    """Canonical key of a pure tableau's stabilizer group, signs included."""
+    return canonical_generator_key(t.stabilizer_generators(), t.n)
+
+
+def enumerate_stabilizer_states(n: int) -> int:
+    """Count distinct reachable stabilizer states by breadth-first closure
+    under the gate set, keyed by the canonical stabilizer form."""
+    if n > 3:
+        raise ResourceCapError("exhaustive enumeration is capped at 3 qubits")
+    gates = [Hadamard(a) for a in range(n)] + [Phase(a) for a in range(n)]
+    gates += [Cnot(a, b) for a in range(n) for b in range(n) if a != b]
+    start = new_zero_state(n)
+    seen = {canonical_stabilizer_key(start)}
+    frontier = [start]
+    while frontier:
+        t = frontier.pop()
+        for g in gates:
+            u = t.copy()
+            apply(u, g)
+            key = canonical_stabilizer_key(u)
+            if key not in seen:
+                seen.add(key)
+                frontier.append(u)
+    return len(seen)

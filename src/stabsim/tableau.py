@@ -26,11 +26,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptTableauError, DimensionError, InvalidTableauError
+from .errors import (
+    CorruptTableauError,
+    DimensionError,
+    InvalidTableauError,
+    ResourceCapError,
+)
 from .pauli import PauliOperator
 
 _MAGIC = b"STBT"
 _VERSION = 1
+_HEADER = 16
+
+# Byte budget of one tableau (x, z and phase arrays).  About n^2 / 2 bytes
+# at n qubits: n = 10,000 takes 50 MB, the cap is reached near n = 46,000.
+MAX_TABLEAU_BYTES = 1 << 30
+
+
+def _tableau_bytes(n: int) -> int:
+    rows = 2 * n + 1
+    return (2 * ((n + 63) // 64) + 1) * rows * 8
+
+
+def _snapshot_bytes(n: int) -> int:
+    rows = 2 * n + 1
+    return _HEADER + 2 * rows * ((n + 63) // 64) * 8 + (rows + 63) // 64 * 8
 
 
 def _popcount_rows(a: np.ndarray) -> np.ndarray:
@@ -65,6 +85,22 @@ class MeasurementRecord:
     deterministic: bool
 
 
+def sample_outcome(p0: float, rng) -> tuple[int, bool]:
+    """(outcome, determinate) for an outcome that is 0 with probability p0,
+    by the rule every engine shares so that their transcripts agree: within
+    1e-10 of 0 or 1 it is determinate and draws nothing; p0 = 1/2 draws one
+    rng.getrandbits(1) bit, as a random tableau measurement does; any other
+    p0 draws one rng.random()."""
+    atol = 1e-10
+    if p0 >= 1 - atol:
+        return 0, True
+    if p0 <= atol:
+        return 1, True
+    if abs(p0 - 0.5) < atol:
+        return rng.getrandbits(1) & 1, False
+    return (0 if rng.random() < p0 else 1), False
+
+
 _ONE = np.uint64(1)
 _SHIFTS = [np.uint64(s) for s in range(64)]
 
@@ -75,6 +111,11 @@ class Tableau:
     def __init__(self, n: int):
         if n < 1:
             raise DimensionError(f"qubit count must be positive, got {n}")
+        if _tableau_bytes(n) > MAX_TABLEAU_BYTES:
+            raise ResourceCapError(
+                f"a tableau on {n} qubits needs {_tableau_bytes(n)} bytes, "
+                f"over the cap of {MAX_TABLEAU_BYTES}"
+            )
         self.n = n
         self._words = (n + 63) // 64
         rows = 2 * n + 1
@@ -386,16 +427,24 @@ class Tableau:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Tableau":
+        """Inverse of `to_bytes`.  Raises ValueError, before allocating
+        anything, unless the payload is exactly as long as the header's
+        qubit count requires."""
         if data[:4] != _MAGIC:
             raise ValueError("bad magic in tableau snapshot")
         version = int.from_bytes(data[4:8], "little")
         if version != _VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
-        n = int.from_bytes(data[8:16], "little")
+        n = int.from_bytes(data[8:_HEADER], "little")
+        if len(data) != _snapshot_bytes(n):
+            raise ValueError(
+                f"tableau snapshot for n={n} must be {_snapshot_bytes(n)} bytes, "
+                f"got {len(data)}"
+            )
         t = cls(n)
         rows = 2 * n + 1
         words = (n + 63) // 64
-        off = 16
+        off = _HEADER
         span = rows * words * 8
         t.x = np.frombuffer(data[off:off + span], dtype="<u8").reshape(rows, words).T.copy()
         off += span

@@ -12,12 +12,7 @@ import numpy as np
 
 from conftest import apply_gate, random_gate
 from stabsim.beyond import PauliSumState
-from stabsim.cli import (
-    bench_one,
-    canonical_generator_key,
-    enumerate_stabilizer_states,
-    stabilizer_state_count,
-)
+from stabsim.cli import bench_one, enumerate_stabilizer_states, stabilizer_state_count
 from stabsim.mixed import MixedTableau, new_mixed
 from stabsim.oracle import DenseState, density_from_generators
 from stabsim.overlap import inner_product
@@ -26,6 +21,7 @@ from stabsim.program import Cnot, Hadamard, Phase, random_unitary_program
 from stabsim.synth import (
     ROUND_TYPES,
     apply_cnots_as_row_ops,
+    canonical_generator_key,
     canonical_synthesize,
     cnot_synth_gauss,
     tableau_of_program,

@@ -1,12 +1,15 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+from stabsim import tableau
 from stabsim.cli import (
+    ENGINES,
     BenchConfig,
     bench,
     bench_one,
-    canonical_stabilizer_key,
     enumerate_stabilizer_states,
     load_demo_program,
     main,
@@ -14,6 +17,7 @@ from stabsim.cli import (
     stabilizer_state_count,
 )
 from stabsim.program import parse
+from stabsim.synth import canonical_stabilizer_key
 from stabsim.tableau import new_zero_state
 
 
@@ -35,6 +39,18 @@ class TestRun:
                 base = run(prog, seed=seed, engine="tableau")
                 for engine in ("mixed", "oracle", "beyond"):
                     assert run(prog, seed=seed, engine=engine) == base, (name, engine)
+
+    def test_demo_transcripts_are_recorded_ones(self):
+        # The benchmark's record of every demo x engine x seed 0-9 `-v`
+        # transcript; read only, never rewritten here.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "demo_transcripts.json"
+        recorded = json.loads(path.read_text())
+        for name in ("teleport", "ghz", "densecoding", "simon", "shor9"):
+            prog = load_demo_program(name)
+            for engine in ENGINES:
+                for seed in range(10):
+                    got = run(prog, seed=seed, engine=engine, verbose=True)
+                    assert got == recorded[f"{name}/{engine}/{seed}"], (name, engine, seed)
 
     def test_teleported_zero_measures_zero(self):
         text = (load_demo_program("teleport") and None) or ""
@@ -126,12 +142,26 @@ class TestBench:
         with pytest.raises(DimensionError):
             BenchConfig(n_min=2, n_max=4, step=1, beta=-1.0)
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta_exit_code(self, capsys, beta):
+        argv = ["bench", "--beta", beta, "--n-min", "4", "--n-max", "4"]
+        assert main(argv) == 2
+        assert "beta" in capsys.readouterr().err
+
 
 class TestCounting:
     @pytest.mark.parametrize("n,want", [(1, 6), (2, 60), (3, 1080)])
     def test_formula_matches_enumeration(self, n, want):
         assert stabilizer_state_count(n) == want
         assert enumerate_stabilizer_states(n) == want
+
+    def test_count_over_int_str_limit_is_a_resource_cap(self, capsys):
+        # 4300 decimal digits by default: n = 167 has 4274, n = 168 has 4325
+        assert main(["count-states", "167"]) == 0
+        assert len(capsys.readouterr().out.split("formula=")[1].strip()) == 4274
+        for n in ("168", "170"):
+            assert main(["count-states", n]) == 3
+            assert "resource cap" in capsys.readouterr().err
 
     def test_key_is_generating_set_independent(self, rng):
         t = new_zero_state(3)
@@ -201,6 +231,32 @@ class TestMainEntry:
         f = tmp_path / "m.chp"
         f.write_text("h 0\nm 0\n")
         assert main(["canonicalize", str(f)]) == 2
+
+    def test_minimize_and_innerprod_reject_measurements(self, tmp_path, capsys):
+        f = tmp_path / "m.chp"
+        f.write_text("h 0\nm 0\n")
+        assert main(["minimize", str(f)]) == 2
+        assert main(["innerprod", str(f), str(f)]) == 2
+        assert "measurement-free" in capsys.readouterr().err
+
+    def test_non_utf8_file_exit_code(self, tmp_path, capsys):
+        f = tmp_path / "latin1.chp"
+        f.write_bytes("h 0 # caf\xe9\nm 0\n".encode("latin-1"))
+        assert main(["run", str(f)]) == 2
+        assert "utf-8" in capsys.readouterr().err
+
+    def test_tableau_over_memory_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        # The real cap admits criterion 9's n = 10,000 tableau; lower it
+        # rather than asking for a tableau that big.
+        assert tableau._tableau_bytes(10_000) <= tableau.MAX_TABLEAU_BYTES
+        monkeypatch.setattr(tableau, "MAX_TABLEAU_BYTES", tableau._tableau_bytes(64))
+        f = tmp_path / "wide.chp"
+        f.write_text("h 64\nm 64\n")
+        for engine in ("tableau", "mixed", "beyond"):
+            assert main(["run", str(f), "--engine", engine]) == 3
+            assert "resource cap" in capsys.readouterr().err
+        f.write_text("h 63\nm 63\n")
+        assert main(["run", str(f)]) == 0
 
     def test_innerprod_output(self, tmp_path, capsys):
         f1 = tmp_path / "a.chp"

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabsim.errors import DimensionError, SingularMatrixError
 from stabsim.gf2 import (
@@ -11,6 +13,7 @@ from stabsim.gf2 import (
     gf2_rank,
     gf2_row_ops_to_identity,
     gf2_solve,
+    rref,
 )
 
 
@@ -141,3 +144,75 @@ def test_row_ops_reduce_to_identity(rng):
         for src, dst in ops:
             rows[dst] ^= rows[src]
         assert rows == BinaryMatrix.identity(n).rows
+
+
+@st.composite
+def bit_rows(draw):
+    ncols = draw(st.integers(1, 12))
+    extra = draw(st.integers(0, 4))  # augmentation bits at and above ncols
+    rows = draw(st.lists(st.integers(0, (1 << (ncols + extra)) - 1), min_size=1, max_size=10))
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_rows())
+def test_rref_schedule_replays_to_its_rows(case):
+    rows, ncols = case
+    ops = []
+    out, pivots = rref(rows, ncols, on_rowop=lambda src, dst: ops.append((src, dst)))
+    replay = list(rows)
+    for src, dst in ops:
+        replay[dst] ^= replay[src]
+    assert replay == out
+    low = (1 << ncols) - 1
+    assert len(pivots) == gf2_rank(BinaryMatrix(len(rows), ncols, rows))
+    for k, col in enumerate(pivots):
+        assert [(r >> col) & 1 for r in out] == [int(i == k) for i in range(len(out))]
+        assert out[k] & ((1 << col) - 1) == 0  # the pivot is the leading bit
+    assert not any(r & low for r in out[len(pivots):])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.randoms(use_true_random=False))
+def test_invert_and_solve_agree_with_matmul(n, r):
+    m = BinaryMatrix(n, n, [r.getrandbits(n) for _ in range(n)])
+    b = r.getrandbits(n)
+    if gf2_rank(m) < n:
+        for fn in (gf2_invert, lambda m: gf2_solve(m, b), gf2_row_ops_to_identity):
+            with pytest.raises(SingularMatrixError):
+                fn(m)
+        return
+    assert m.matmul(gf2_invert(m)) == BinaryMatrix.identity(n)
+    s = gf2_solve(m, b)
+    col = BinaryMatrix(n, 1, [(s >> i) & 1 for i in range(n)])
+    assert m.matmul(col).rows == [(b >> i) & 1 for i in range(n)]
+
+
+def _swapfree_schedule(m):
+    """The row-addition schedule as written before the shared kernel: a
+    reference for the order of operations callers replay as CNOTs."""
+    n = m.nrows
+    rows = list(m.rows)
+    ops = []
+    for col in range(n):
+        if not (rows[col] >> col) & 1:
+            sel = next(i for i in range(col + 1, n) if (rows[i] >> col) & 1)
+            rows[col] ^= rows[sel]
+            ops.append((sel, col))
+        for i in range(n):
+            if i != col and (rows[i] >> col) & 1:
+                rows[i] ^= rows[col]
+                ops.append((col, i))
+    return ops
+
+
+def test_row_ops_schedule_is_unchanged():
+    rng = random.Random(2024)
+    fixed = BinaryMatrix.from_numpy([[0, 1, 1], [1, 1, 0], [1, 0, 0]])
+    assert gf2_row_ops_to_identity(fixed) == [
+        (1, 0), (0, 1), (0, 2), (2, 0), (2, 1)
+    ]
+    for n in (1, 2, 5, 8, 16, 33):
+        for _ in range(5):
+            m = random_matrix(n, rng, full_rank=True)
+            assert gf2_row_ops_to_identity(m) == _swapfree_schedule(m)

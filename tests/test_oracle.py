@@ -43,10 +43,10 @@ def test_measurement_collapse():
     s.apply_hadamard(0)
     s.apply_cnot(0, 1)
     rng = random.Random(3)
-    o1, det1 = s.measure(0, rng)
-    o2, det2 = s.measure(1, rng)
-    assert not det1 and det2
-    assert o1 == o2
+    r1 = s.measure(0, rng)
+    r2 = s.measure(1, rng)
+    assert not r1.deterministic and r2.deterministic
+    assert r1.outcome == r2.outcome
 
 
 def test_density_and_pure_modes_agree():

@@ -1,19 +1,30 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stabsim.beyond import PauliSumState
 from stabsim.cli import PROGRAMS_DIR, load_demo_program
-from stabsim.errors import ParseError
+from stabsim.errors import ParseError, StabsimError
+from stabsim.mixed import MixedTableau
+from stabsim.oracle import DenseState
 from stabsim.program import (
+    CircuitProgram,
     Cnot,
     Conditional,
     Hadamard,
     Measure,
     NamedUnitary,
     Phase,
+    apply,
+    execute,
     parse,
     random_unitary_program,
     render,
 )
+from stabsim.tableau import new_zero_state
 
 
 def test_teleport_listing_parses():
@@ -153,3 +164,48 @@ def test_random_program_distribution_counts():
     for i in prog.instructions:
         if isinstance(i, Cnot):
             assert i.a != i.b
+
+
+@st.composite
+def clifford_programs(draw):
+    """Random CNOT/H/P/measure programs on at most 8 qubits, with gates
+    conditioned on earlier measurements."""
+    n = draw(st.integers(1, 8))
+    qubit = st.integers(0, n - 1)
+    instrs, measured = [], 0
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from("chpmi" if measured else "chpm"))
+        gate = draw(st.sampled_from("chp")) if kind == "i" else kind
+        if gate == "c" and n >= 2:
+            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            instr = Cnot(a, b)
+        elif gate == "m":
+            instr = Measure(draw(qubit))
+            measured += 1
+        else:
+            instr = (Phase if gate == "p" else Hadamard)(draw(qubit))
+        if kind == "i":
+            instr = Conditional(draw(st.integers(0, measured - 1)), instr)
+        instrs.append(instr)
+    return CircuitProgram(n, tuple(instrs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(clifford_programs(), st.integers(0, 2**32 - 1))
+def test_execute_engines_agree(program, seed):
+    # Every engine draws randomness by the same rule, so the same program
+    # and seed give the same records on all four.
+    n = program.n
+    engines = (new_zero_state(n), MixedTableau(n), PauliSumState(n), DenseState(n))
+    runs = [execute(state, program, random.Random(seed)) for state in engines]
+    assert all(r == runs[0] for r in runs[1:])
+    assert len(runs[0]) == program.measurement_count()
+
+
+def test_apply_rejects_what_an_engine_cannot_take():
+    t = new_zero_state(2)
+    table = {"t": (1, np.diag([1, np.exp(1j * np.pi / 4)]))}
+    for instr in (NamedUnitary("t", (0,)), Measure(0), Conditional(0, Hadamard(0))):
+        with pytest.raises(StabsimError):
+            apply(t, instr, table)
+    apply(DenseState(2), NamedUnitary("t", (0,)), table)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import apply_gate, paired_random_evolution, random_gate, random_tableau
 from stabsim.errors import CorruptTableauError, DimensionError
-from stabsim.mixed import new_mixed
+from stabsim import tableau as tableau_module
+from stabsim.mixed import MixedTableau, new_mixed
 from stabsim.oracle import DenseState, density_from_generators
 from stabsim.pauli import PauliOperator, commutes, multiply, parse_pauli
 from stabsim.tableau import Tableau, new_zero_state
@@ -221,6 +222,22 @@ def test_snapshot_round_trip(rng):
 def test_snapshot_rejects_garbage():
     with pytest.raises(ValueError):
         Tableau.from_bytes(b"NOPE" + bytes(32))
+
+
+@pytest.mark.parametrize("cls", [Tableau, MixedTableau])
+def test_snapshot_length_must_match_header(rng, cls, monkeypatch):
+    good = (new_mixed(5, 3) if cls is MixedTableau else random_tableau(5, rng)).to_bytes()
+    assert cls.from_bytes(good).to_bytes() == good
+    # Any allocation would mean the length was checked too late.
+    monkeypatch.setattr(tableau_module, "MAX_TABLEAU_BYTES", 0)
+    for bad in (good[:-5], good + b"junk", good[:20]):
+        with pytest.raises(ValueError):
+            cls.from_bytes(bad)
+    huge = bytearray(good)
+    at = 8 if cls is Tableau else 24  # the Tableau header's n field
+    huge[at:at + 8] = (10**12).to_bytes(8, "little")
+    with pytest.raises(ValueError, match="n=1000000000000"):
+        cls.from_bytes(bytes(huge))
 
 
 def test_snapshot_golden_bytes():

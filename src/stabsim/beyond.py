@@ -32,6 +32,7 @@ from .pauli import (
     conjugate_hadamard,
     conjugate_phase,
     multiply,
+    symplectic,
 )
 from .program import CircuitProgram, execute
 from .tableau import MeasurementRecord, new_zero_state, sample_outcome
@@ -39,19 +40,6 @@ from .tableau import MeasurementRecord, new_zero_state, sample_outcome
 ATOL = 1e-10
 PRUNE_TOL = 1e-14
 PROB_TOL = 1e-8
-
-
-def _sp(x1: int, z1: int, x2: int, z2: int) -> int:
-    """Symplectic product of two bit-encoded Pauli words."""
-    return ((x1 & z2).bit_count() + (x2 & z1).bit_count()) & 1
-
-
-def _sp_mask(rows: list, x: int, z: int) -> int:
-    """Bit j is set iff the word (x, z) anticommutes with rows[j] = (x_j, z_j)."""
-    mask = 0
-    for j, (xr, zr) in enumerate(rows):
-        mask |= _sp(xr, zr, x, z) << j
-    return mask
 
 
 # -- tensor-product initial states ------------------------------------------------
@@ -284,23 +272,14 @@ class PauliSumState:
 
     # -- stabilizer part ---------------------------------------------------------
 
-    def _stab_bits(self) -> list:
-        t = self.tableau
-        return [(p.x, p.z) for p in map(t.get_row, range(t.n, 2 * t.n))]
-
-    def _destab_bits(self) -> list:
-        t = self.tableau
-        return [(p.x, p.z) for p in map(t.get_row, range(t.n))]
-
-    def _stab_element(self, destab: list, x: int, z: int) -> tuple:
-        """(mask, product) for the word (x, z): bit j of mask is set iff the
-        word anticommutes with destabilizer j, and product is the product of
-        the stabilizer generators the mask selects.  The word lies in ±S iff
-        the product's bits equal (x, z)."""
-        mask = _sp_mask(destab, x, z)
-        n = self.n
-        rows = [n + j for j in range(n) if (mask >> j) & 1]
-        return mask, self.tableau.row_product(rows)
+    def _stab_elements(self, words):
+        """(mask, product) per word (x, z): bit j of mask is set iff the word
+        anticommutes with destabilizer j, and product is the product of the
+        stabilizer generators the mask selects.  The word lies in ±S iff the
+        product's bits equal (x, z)."""
+        n, tab = self.n, self.tableau
+        for mask in tab.anticommuting_rows(words, 0, n):
+            yield mask, tab.row_product([n + j for j in range(n) if (mask >> j) & 1])
 
     def apply_cnot(self, a: int, b: int):
         self.tableau.apply_cnot(a, b)
@@ -351,44 +330,48 @@ class PauliSumState:
             return x, z
 
         emb = [(embed(p), c) for p, c in expansion]
-        stab = self._stab_bits()
-        smask = [_sp_mask(stab, xk, zk) for (xk, zk), _ in emb]
+        smask = self.tableau.anticommuting_rows([e[0] for e in emb], n, 2 * n)
 
-        merged: dict = {}
-        for t in self.terms:
-            tp = PauliOperator(n, 0, t.x, t.z)
-            for (bi, ci) in ((e[0], e[1]) for e in emb):
-                left = multiply(PauliOperator(n, 0, bi[0], bi[1]), tp)
-                for k, ((bk, ck), sk) in enumerate(zip(emb, smask)):
-                    word = multiply(left, PauliOperator(n, 0, bk[0], bk[1]))
-                    c = t.coeff * ci * np.conj(ck) * (1j ** word.phase_exp)
-                    key = (word.x, word.z, t.eig ^ sk)
-                    merged[key] = merged.get(key, 0.0 + 0.0j) + c
-        self.terms = [
-            PauliSumTerm(c, x, z, e)
-            for (x, z, e), c in merged.items()
-            if abs(c) > self.prune_tolerance
-        ]
+        def products():
+            for t in self.terms:
+                tp = PauliOperator(n, 0, t.x, t.z)
+                for bi, ci in emb:
+                    left = multiply(PauliOperator(n, 0, *bi), tp)
+                    for (bk, ck), sk in zip(emb, smask):
+                        word = multiply(left, PauliOperator(n, 0, *bk))
+                        c = t.coeff * ci * np.conj(ck) * (1j ** word.phase_exp)
+                        yield (word.x, word.z, t.eig ^ sk), c
+
+        self._set_terms(products())
         self.gate_count += 1
         self.max_gate_width = max(self.max_gate_width, width)
 
+    def _set_terms(self, pairs):
+        """New term list from ((x, z, eig), coeff) pairs: coefficients of one
+        key are summed in order, and sums within the prune tolerance dropped."""
+        merged: dict = {}
+        for key, c in pairs:
+            merged[key] = merged.get(key, 0.0 + 0.0j) + c
+        self.terms = [
+            PauliSumTerm(c, *key) for key, c in merged.items() if abs(c) > self.prune_tolerance
+        ]
+
     # -- traces and measurement -------------------------------------------------------
 
-    def _term_trace(self, t: PauliSumTerm, destab: list) -> complex:
-        """Trace of one term: 0 unless its word is in the stabilizer group,
-        else ±coeff with the sign fixed by the generator eigenvalues.
-        `destab` is `_destab_bits()` of the current tableau."""
-        umask, w = self._stab_element(destab, t.x, t.z)
-        if (w.x, w.z) != (t.x, t.z):
-            return 0.0 + 0.0j
-        sign = -1.0 if w.phase_exp else 1.0
-        if (t.eig & umask).bit_count() & 1:
-            sign = -sign
-        return t.coeff * sign
+    def _trace_sum(self, terms: list) -> complex:
+        """Sum of the term traces, in term order.  A term's trace is 0 unless
+        its word is in the stabilizer group, else ±coeff with the sign fixed
+        by the generator eigenvalues."""
+        total = 0
+        for t, (umask, w) in zip(terms, self._stab_elements((t.x, t.z) for t in terms)):
+            sign = -1.0 if w.phase_exp else 1.0
+            if (t.eig & umask).bit_count() & 1:
+                sign = -sign
+            total += t.coeff * sign if (w.x, w.z) == (t.x, t.z) else 0j
+        return total
 
     def trace(self) -> float:
-        destab = self._destab_bits()
-        total = sum(self._term_trace(t, destab) for t in self.terms)
+        total = self._trace_sum(self.terms)
         if abs(total.imag) > PROB_TOL:
             raise NumericalIntegrityError("state trace has an imaginary part")
         return total.real
@@ -400,12 +383,12 @@ class PauliSumState:
         if not q.is_hermitian():
             raise DimensionError("measurement operator must be Hermitian")
         n = self.n
-        stab = self._stab_bits()
-        anti = [j for j in range(n) if _sp(stab[j][0], stab[j][1], q.x, q.z)]
-        if not anti:
+        (mask,) = self.tableau.anticommuting_rows([(q.x, q.z)], 0, 2 * n)
+        if not mask >> n:
             p0, p1, keep0, keep1 = self._project_commuting(q)
         else:
-            p0, p1, keep0, keep1 = self._project_anticommuting(q, anti)
+            hits = [i for i in range(2 * n) if (mask >> i) & 1]
+            p0, p1, keep0, keep1 = self._project_anticommuting(q, hits)
         if abs(p0 + p1 - 1.0) > PROB_TOL:
             raise NumericalIntegrityError(
                 f"outcome probabilities sum to {p0 + p1}, not 1"
@@ -416,66 +399,50 @@ class PauliSumState:
         p0 = min(max(p0, 0.0), 1.0)
         outcome, _ = sample_outcome(p0, rng)
         chosen, prob = (keep0, p0) if outcome == 0 else (keep1, 1.0 - p0)
-        merged: dict = {}
-        for t in chosen:
-            key = (t.x, t.z, t.eig)
-            merged[key] = merged.get(key, 0.0 + 0.0j) + t.coeff / prob
-        self.terms = [
-            PauliSumTerm(c, x, z, e)
-            for (x, z, e), c in merged.items()
-            if abs(c) > self.prune_tolerance
-        ]
+        self._set_terms(((t.x, t.z, t.eig), t.coeff / prob) for t in chosen)
         return outcome, prob
 
     def _project_commuting(self, q: PauliOperator):
         """q commutes with the whole stabilizer, hence lies in ±S: filter terms
         by commutation with q and by their q-eigenvalue."""
-        destab = self._destab_bits()
-        tmask, w = self._stab_element(destab, q.x, q.z)
+        ((tmask, w),) = self._stab_elements([(q.x, q.z)])
         if (w.x, w.z) != (q.x, q.z):
             raise CorruptTableauError("operator commutes with but is outside ±S")
         eta = 1 if w.phase_exp == q.phase_exp else -1
         keep0, keep1 = [], []
         for t in self.terms:
-            if _sp(t.x, t.z, q.x, q.z):
+            if symplectic(t.x, t.z, q.x, q.z):
                 continue  # traceless either way
             lam = eta * (-1 if (t.eig & tmask).bit_count() & 1 else 1)
             (keep0 if lam == 1 else keep1).append(
                 PauliSumTerm(t.coeff, t.x, t.z, t.eig)
             )
-        p0 = sum(self._term_trace(t, destab) for t in keep0).real
-        p1 = sum(self._term_trace(t, destab) for t in keep1).real
+        p0 = self._trace_sum(keep0).real
+        p1 = self._trace_sum(keep1).real
         return p0, p1, keep0, keep1
 
-    def _project_anticommuting(self, q: PauliOperator, anti: list):
-        """q anticommutes with generator M_{j1}: rewrite the generators so only
-        M_{j1} anticommutes, then replace it by q; anticommuting words pick up
-        a factor of the old generator."""
+    def _project_anticommuting(self, q: PauliOperator, hits: list):
+        """q anticommutes with the rows `hits` (ascending) of the tableau, the
+        first generator among them M_{j1}: the tableau's collapse multiplies
+        every other anticommuting row by M_{j1}, moves M_{j1} to its
+        destabilizer slot and puts q in its place; anticommuting words pick
+        up a factor of the old generator."""
         n = self.n
         tab = self.tableau
+        anti = [i - n for i in hits if i >= n]
         j1 = anti[0]
-        modmask = 0
-        for j in anti[1:]:
-            modmask |= 1 << j
-            tab.rowsum(n + j, n + j1)
+        modmask = sum(1 << j for j in anti[1:])
         for t in self.terms:
             if (t.eig >> j1) & 1:
                 t.eig ^= modmask
-        for j in range(n):
-            if j == j1:
-                continue
-            d = tab.get_row(j)
-            if _sp(d.x, d.z, q.x, q.z):
-                tab.rowsum(j, n + j1)
-        m1 = tab.get_row(n + j1)
-        tab.set_row(j1, m1)
-        tab.set_row(n + j1, q)
+        tab._collapse(np.array(hits), n + j1, j1, q)
+        m1 = tab.get_row(j1)
 
         bit = 1 << j1
         keep0, keep1 = [], []
         for t in self.terms:
             e1 = (t.eig >> j1) & 1
-            if _sp(t.x, t.z, q.x, q.z) == 0:
+            if symplectic(t.x, t.z, q.x, q.z) == 0:
                 c = t.coeff / 2
                 x, z = t.x, t.z
             else:
@@ -484,9 +451,8 @@ class PauliSumState:
                 x, z = prod.x, prod.z
             keep0.append(PauliSumTerm(c, x, z, t.eig & ~bit))
             keep1.append(PauliSumTerm(c, x, z, t.eig | bit))
-        destab = self._destab_bits()
-        p0 = sum(self._term_trace(t, destab) for t in keep0).real
-        p1 = sum(self._term_trace(t, destab) for t in keep1).real
+        p0 = self._trace_sum(keep0).real
+        p1 = self._trace_sum(keep1).real
         return p0, p1, keep0, keep1
 
     def measure_qubit(self, a: int, rng) -> tuple:
@@ -503,10 +469,11 @@ class PauliSumState:
     def is_hermitian_closed(self, tol: float = 1e-9) -> bool:
         """The term list must pair (c, P, e) with (c*, P, e ^ s_P) where s_P
         marks the generators anticommuting with P."""
-        stab = self._stab_bits()
         table = {(t.x, t.z, t.eig): t.coeff for t in self.terms}
-        for (x, z, e), c in table.items():
-            mate = table.get((x, z, e ^ _sp_mask(stab, x, z)))
+        n = self.n
+        masks = self.tableau.anticommuting_rows([key[:2] for key in table], n, 2 * n)
+        for ((x, z, e), c), s in zip(table.items(), masks):
+            mate = table.get((x, z, e ^ s))
             if mate is None or abs(np.conj(mate) - c) > tol:
                 return False
         return True
@@ -517,7 +484,7 @@ class PauliSumState:
 
         n = self.n
         dim = 1 << n
-        gens = [self.tableau.get_row(n + j) for j in range(n)]
+        gens = self.tableau.stabilizer_generators()
         gmats = [pauli_matrix(g) for g in gens]
         rho = np.zeros((dim, dim), dtype=complex)
         for t in self.terms:

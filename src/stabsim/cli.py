@@ -123,6 +123,11 @@ def run(
 # -- benchmark harness ------------------------------------------------------------
 
 
+# Most random gates one bench configuration may ask for.  The paper's largest
+# sweep (n = 8000, beta about 5) needs about 5e5.
+MAX_BENCH_GATES = 10**7
+
+
 @dataclass
 class BenchConfig:
     n_min: int
@@ -139,6 +144,12 @@ class BenchConfig:
             raise DimensionError("bad qubit range")
         if self.trials < 1:
             raise DimensionError("trials must be >= 1")
+        # floor(beta n log2 n) > cap, tested in floats so a huge beta cannot overflow.
+        if self.beta * self.n_max * math.log2(self.n_max) >= MAX_BENCH_GATES + 1:
+            raise ResourceCapError(
+                f"beta={self.beta} at n={self.n_max} asks for more than "
+                f"{MAX_BENCH_GATES} gates"
+            )
 
 
 def bench_one(n: int, beta: float, seed: int) -> dict:

@@ -126,61 +126,52 @@ class MixedTableau(Tableau):
     # -- accessors ----------------------------------------------------------
 
     def stabilizer_generators(self) -> list:
-        return [self.get_row(self.n + i) for i in range(self.rank)]
+        return self.rows(self.n, self.n + self.rank)
 
     def destabilizer_generators(self) -> list:
-        return [self.get_row(i) for i in range(self.rank)]
+        return self.rows(0, self.rank)
 
     def logical_x_rows(self) -> list:
-        return [self.get_row(self.rank + k) for k in range(self.n - self.rank)]
+        return self.rows(self.rank, self.n)
 
     def logical_z_rows(self) -> list:
-        return [self.get_row(self.n + self.rank + k) for k in range(self.n - self.rank)]
+        return self.rows(self.n + self.rank, 2 * self.n)
 
     # -- measurement --------------------------------------------------------
 
     def is_deterministic(self, a: int) -> bool:
-        """Determinate iff no stabilizer or logical row has an X at a."""
+        """Determinate iff no stabilizer or logical row (rows r..2n-1) has an
+        X at a."""
         self._check_qubit(a)
-        col = self._x_column(a, 0, 2 * self.n)
-        if np.any(col[self.n : self.n + self.rank]):
-            return False
-        if np.any(col[self.rank : self.n]) or np.any(col[self.n + self.rank :]):
-            return False
-        return True
+        return not np.any(self._x_column(a, self.rank, 2 * self.n))
 
     def measure(self, a: int, rng) -> MeasurementRecord:
         self._check_qubit(a)
         n, r = self.n, self.rank
-        col = self._x_column(a, 0, 2 * self.n)
-        stab_hits = np.nonzero(col[n : n + r])[0]
-        if stab_hits.size:
-            # Case I: the outcome anticommutes with a stabilizer generator.
-            p = n + int(stab_hits[0])
-            outcome = self._collapse(a, p, p - n, rng)
-            return MeasurementRecord(a, outcome, deterministic=False)
-        logical = [i for i in range(r, n) if col[i]]
-        logical += [i for i in range(n + r, 2 * n) if col[i]]
-        if not logical:
+        hits = np.nonzero(self._x_column(a, 0, 2 * n))[0]
+        stab_hits = hits[(hits >= n) & (hits < n + r)]
+        logical = hits[(hits >= r) & ((hits < n) | (hits >= n + r))]
+        if not stab_hits.size and not logical.size:
             # Case II: ±Z_a is in the stabilizer; accumulate its sign.
             outcome = self._determinate_outcome(a, r)
             return MeasurementRecord(a, outcome, deterministic=True)
+        outcome = rng.getrandbits(1) & 1
+        z_a = PauliOperator.single(n, a, "Z", 2 * outcome)
+        if stab_hits.size:
+            # Case I: the outcome anticommutes with a stabilizer generator.
+            p = int(stab_hits[0])
+            self._collapse(hits, p, p - n, z_a)
+            return MeasurementRecord(a, outcome, deterministic=False)
         # Case III: Z_a commutes with the stabilizer but is not in it; the
         # stabilizer gains ±Z_a as a new generator.
-        m = logical[0]
+        m = int(logical[0])
         mbar = m + n if m < n else m - n
-        outcome = self._collapse(a, m, mbar, rng)
-        moves = {}
-        for dst, src in ((n + r, m), (r, mbar), (m, n + r), (mbar, r)):
-            if dst in moves and moves[dst] != src:
-                raise InvalidTableauError("inconsistent row permutation")
-            moves[dst] = src
+        self._collapse(hits, m, mbar, z_a)
+        # Swap m with row n+r and mbar with row r, at once: the new generator
+        # and its partner become the rank-r pair (m = r is a single swap).
         perm = np.arange(2 * n + 1)
-        for dst, src in moves.items():
-            perm[dst] = src
-        self.x = self.x[:, perm]
-        self.z = self.z[:, perm]
-        self.r = self.r[perm]
+        perm[[n + r, r, m, mbar]] = [m, mbar, n + r, r]
+        self._permute_rows(perm)
         self.rank = r + 1
         return MeasurementRecord(a, outcome, deterministic=False)
 

@@ -106,10 +106,15 @@ def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     return PauliOperator(p.n, phase % 4, x, z)
 
 
+def symplectic(x1: int, z1: int, x2: int, z2: int) -> int:
+    """Symplectic inner product of two bit-encoded Pauli words: 0 iff they commute."""
+    return ((x1 & z2).bit_count() + (x2 & z1).bit_count()) & 1
+
+
 def commutes(p: PauliOperator, q: PauliOperator) -> int:
     """Symplectic inner product of the bit rows: 0 iff p and q commute."""
     _check_same_n(p, q)
-    return ((p.x & q.z).bit_count() + (q.x & p.z).bit_count()) & 1
+    return symplectic(p.x, p.z, q.x, q.z)
 
 
 def phase_g(x1: int, z1: int, x2: int, z2: int) -> int:

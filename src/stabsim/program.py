@@ -149,12 +149,16 @@ def _parse_index(tok: str, lineno: int) -> int:
     return int(tok)
 
 
-def _parse_matrix(lines, start: int, dim: int, what: str) -> tuple[np.ndarray, int]:
-    """Read a dim x dim complex matrix from re,im pair rows; returns (m, next_line)."""
-    m = np.zeros((dim, dim), dtype=complex)
-    row = 0
+def _parse_matrix(lines, start: int, b: int, what: str) -> tuple[np.ndarray, int]:
+    """Read a 2^b x 2^b complex matrix from re,im pair rows; returns (m,
+    next_line).  The rows are read and checked before the matrix is built,
+    so its size is bounded by the input's."""
+    if b >= (len(lines) - start).bit_length():  # 2^b rows cannot fit in the lines left
+        raise ParseError(len(lines), f"unexpected end of file inside {what}")
+    dim = 1 << b
+    rows = []
     i = start
-    while row < dim:
+    while len(rows) < dim:
         if i >= len(lines):
             raise ParseError(len(lines), f"unexpected end of file inside {what}")
         lineno, text = lines[i]
@@ -165,14 +169,15 @@ def _parse_matrix(lines, start: int, dim: int, what: str) -> tuple[np.ndarray, i
         parts = body.split()
         if len(parts) != dim:
             raise ParseError(lineno, f"{what} row needs {dim} entries, got {len(parts)}")
-        for col, pair in enumerate(parts):
+        row = []
+        for pair in parts:
             try:
                 re_s, im_s = pair.split(",")
-                m[row, col] = complex(float(re_s), float(im_s))
+                row.append(complex(float(re_s), float(im_s)))
             except ValueError:
                 raise ParseError(lineno, f"bad complex entry {pair!r} (want re,im)")
-        row += 1
-    return m, i
+        rows.append(row)
+    return np.array(rows, dtype=complex), i
 
 
 def _parse_simple(tokens, lineno: int):
@@ -233,7 +238,7 @@ def parse(text: str) -> CircuitProgram:
             b = int(tokens[1])
             if b < 1:
                 raise ParseError(lineno, "block size must be >= 1")
-            m, i = _parse_matrix(lines, i, 1 << b, "block")
+            m, i = _parse_matrix(lines, i, b, "block")
             blocks.append(m)
             continue
         if op == "gate":
@@ -244,7 +249,7 @@ def parse(text: str) -> CircuitProgram:
                 raise ParseError(lineno, "gate size must be >= 1")
             if name in gate_table:
                 raise ParseError(lineno, f"gate {name!r} defined twice")
-            m, i = _parse_matrix(lines, i, 1 << b, f"gate {name}")
+            m, i = _parse_matrix(lines, i, b, f"gate {name}")
             gate_table[name] = (b, m)
             continue
         if op == "if":

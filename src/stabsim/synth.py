@@ -13,8 +13,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     DimensionError,
     InvalidTableauError,
@@ -35,7 +33,7 @@ from .gf2 import (
 from .mixed import MixedTableau
 from .pauli import multiply
 from .program import CircuitProgram, Cnot, Hadamard, Phase, _render_instr, apply, execute
-from .tableau import Tableau, _pack_rows, _unpack_rows, new_zero_state
+from .tableau import Tableau, new_zero_state
 
 __all__ = [
     "BinaryMatrix",
@@ -106,19 +104,6 @@ def tableau_of_program(program: CircuitProgram) -> Tableau:
     return t
 
 
-# -- tableau block extraction -------------------------------------------------
-
-
-def _block(t: Tableau, lo: int, which: str) -> BinaryMatrix:
-    """The x or z bits of rows lo..lo+n-1 (lo = 0: destabilizers, n: stabilizers)."""
-    rows = [getattr(t.get_row(i), which) for i in range(lo, lo + t.n)]
-    return BinaryMatrix(t.n, t.n, rows)
-
-
-def _phase_bits(t: Tableau, lo: int) -> int:
-    return sum(int(t.r[lo + i]) << i for i in range(t.n))
-
-
 # -- Hadamards that make the stabilizer X block full rank ---------------------------
 
 
@@ -139,33 +124,17 @@ def hadamard_fix_rank(t: Tableau) -> list:
 # -- CNOT rounds ------------------------------------------------------------------
 
 
-def _batch_apply_cnot_round(t: Tableau, e: BinaryMatrix):
-    """Apply a whole CNOT round with column-op matrix E in one sweep.
-
-    Such a round maps X^x Z^z to X^(xE) Z^(z(E^-1)^T) with no phase change in
-    the normal-ordered picture, so each row's sign bit shifts only by the
-    Y-count correction (|x&z| - |x'&z'|)/2 mod 2.
-    """
-    k = 2 * t.n
-    ef = e.to_numpy().astype(np.float64)
-    ff = gf2_invert(e).transpose().to_numpy().astype(np.float64)
-    xb = _unpack_rows(np.ascontiguousarray(t.x[:, :k].T), t.n)
-    zb = _unpack_rows(np.ascontiguousarray(t.z[:, :k].T), t.n)
-    pc0 = (xb & zb).sum(axis=1, dtype=np.int64)
-    xn = ((xb.astype(np.float64) @ ef).astype(np.int64) & 1).astype(np.uint8)
-    zn = ((zb.astype(np.float64) @ ff).astype(np.int64) & 1).astype(np.uint8)
-    pc1 = (xn & zn).sum(axis=1, dtype=np.int64)
-    t.r[:k] ^= (((pc0 - pc1) >> 1) & 1).astype(np.uint64)
-    words = t.x.shape[0]
-    t.x[:, :k] = _pack_rows(xn, words).T
-    t.z[:, :k] = _pack_rows(zn, words).T
+def _column_maps(e: BinaryMatrix) -> tuple:
+    """The CNOT round with column-op matrix E maps X^x Z^z to
+    X^(xE) Z^(z(E^-1)^T): both maps, as `Tableau.apply_cnot_round` takes them."""
+    return e.to_numpy(), gf2_invert(e).transpose().to_numpy()
 
 
 def _emit_cnot_round(t: Tableau, segments: list, k: int, e: BinaryMatrix):
     """Record the round realizing column-op matrix E and apply it in bulk."""
     gates = cnot_synth_logdepth(e.transpose())
     segments[k].extend(gates)
-    _batch_apply_cnot_round(t, e)
+    t.apply_cnot_round(*_column_maps(e))
 
 
 def _apply_segments(t: Tableau, segments):
@@ -173,7 +142,8 @@ def _apply_segments(t: Tableau, segments):
     one matrix application."""
     for kind, seg in zip(ROUND_TYPES, segments):
         if kind == "C" and len(seg) > 16:
-            _batch_apply_cnot_round(t, apply_cnots_as_row_ops(seg, t.n).transpose())
+            e = apply_cnots_as_row_ops(seg, t.n).transpose()
+            t.apply_cnot_round(*_column_maps(e))
         else:
             for g in seg:
                 apply(t, g)
@@ -191,7 +161,7 @@ def _clear_symmetric_z(t: Tableau, segments: list, k: int, lo: int, what: str):
     """Rounds k..k+3 (P-C-P-C) on rows lo..lo+n-1, whose X block is the
     identity and whose Z block is symmetric (the rows commute)."""
     n = t.n
-    d = _block(t, lo, "z")
+    d = BinaryMatrix(n, n, [p.z for p in t.rows(lo, lo + n)])
     if not d.is_symmetric():
         raise InvalidTableauError(f"{what} rows do not commute")
     # Phases fix the Z block's diagonal so it factors as M M^T.
@@ -205,13 +175,15 @@ def _clear_symmetric_z(t: Tableau, segments: list, k: int, lo: int, what: str):
     # the subset solving M s = r clears the sign bits.
     for a in range(n):
         _emit(t, segments, k + 2, Phase(a))
-    s = gf2_solve(m, _phase_bits(t, lo))
+    signs = sum((p.phase_exp >> 1) << i for i, p in enumerate(t.rows(lo, lo + n)))
+    s = gf2_solve(m, signs)
     for a in range(n):
         if (s >> a) & 1:
             _emit(t, segments, k + 2, Phase(a))
             _emit(t, segments, k + 2, Phase(a))
     # CNOTs Gaussian-eliminate M back to the identity.
-    _emit_cnot_round(t, segments, k + 3, gf2_invert(_block(t, lo, "x")))
+    xs = [p.x for p in t.rows(lo, lo + n)]
+    _emit_cnot_round(t, segments, k + 3, gf2_invert(BinaryMatrix(n, n, xs)))
 
 
 def _reduce_stabilizers(t: Tableau, segments: list):
@@ -223,7 +195,8 @@ def _reduce_stabilizers(t: Tableau, segments: list):
     for a in hadamard_fix_rank(t):
         _emit(t, segments, 0, Hadamard(a))
     # (2) CNOTs Gaussian-eliminate that block to the identity.
-    _emit_cnot_round(t, segments, 1, gf2_invert(_block(t, n, "x")))
+    xs = [p.x for p in t.rows(n, 2 * n)]
+    _emit_cnot_round(t, segments, 1, gf2_invert(BinaryMatrix(n, n, xs)))
     # (3)-(6) The stabilizer Z block is now symmetric; clear it and the signs.
     _clear_symmetric_z(t, segments, 2, n, "stabilizer")
     # (7) Hadamards on all qubits swap the X and Z blocks.

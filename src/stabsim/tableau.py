@@ -7,9 +7,14 @@ word j//64 is qubit j) plus one phase bit, so row composition is word-wise
 XOR.  Unitary gates cost O(n) word operations; measurements cost O(n^2) bit
 operations in the worst case.
 
-A product of k commuting rows (a determinate measurement's outcome, or a
-stabilizer-group element in the Pauli-sum engine) is computed in closed form
-rather than by k successive rowsums.  Writing row a as
+This module alone knows how the bits are packed.  Other modules go through
+its row reads and writes, `anticommuting_rows` (which rows a batch of Pauli
+words anticommutes with), `_collapse` (the random-outcome update for any
+measured Pauli), `row_product`, `rowsum` and `apply_cnot_round`.
+
+A product of k commuting rows (a rowsum is k = 2; a determinate measurement's
+outcome, or a stabilizer-group element in the Pauli-sum engine) is computed
+in closed form rather than by k successive rowsums.  Writing row a as
 i^{|x_a & z_a|} (-1)^{r_a} X^{x_a} Z^{z_a}, moving every Z factor right past
 the later X factors gives the product's power of i as
 
@@ -53,9 +58,9 @@ def _snapshot_bytes(n: int) -> int:
     return _HEADER + 2 * rows * ((n + 63) // 64) * 8 + (rows + 63) // 64 * 8
 
 
-def _popcount_rows(a: np.ndarray) -> np.ndarray:
-    """Set-bit count along the last axis of a uint64 array."""
-    return np.bitwise_count(a).sum(axis=-1, dtype=np.int64)
+def _popcount(a: np.ndarray) -> np.ndarray:
+    """Set bits per row of a word-major (words, k) uint64 array."""
+    return np.bitwise_count(a).sum(axis=0, dtype=np.int64)
 
 
 def _unpack_rows(packed: np.ndarray, ncols: int) -> np.ndarray:
@@ -74,8 +79,17 @@ def _pack_rows(bits: np.ndarray, words: int) -> np.ndarray:
     return as_bytes.view("<u8").reshape(rows, words).astype(np.uint64)
 
 
-def _pack_int(words: np.ndarray) -> int:
-    return int.from_bytes(words.astype("<u8").tobytes(), "little")
+def _int_words(vals, words: int) -> np.ndarray:
+    """Ints (bit j = qubit j) -> packed (len(vals), words) uint64 rows."""
+    raw = b"".join(v.to_bytes(8 * words, "little") for v in vals)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(vals), words).astype(np.uint64)
+
+
+def _col_ints(a: np.ndarray) -> list[int]:
+    """Each column of a word-major (words, k) uint64 array as an int."""
+    raw = np.ascontiguousarray(a.T).astype("<u8").tobytes()
+    step = 8 * a.shape[0]
+    return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
 
 
 @dataclass(frozen=True)
@@ -103,6 +117,10 @@ def sample_outcome(p0: float, rng) -> tuple[int, bool]:
 
 _ONE = np.uint64(1)
 _SHIFTS = [np.uint64(s) for s in range(64)]
+
+# Word-by-row products per vectorized step of `anticommuting_rows` (8 bytes
+# each), so a long Pauli-sum term list is processed in bounded slices.
+_BATCH_ELEMS = 1 << 18
 
 
 class Tableau:
@@ -170,12 +188,7 @@ class Tableau:
 
     def get_row(self, i: int) -> PauliOperator:
         self._check_row(i)
-        return PauliOperator(
-            self.n,
-            2 * int(self.r[i]),
-            _pack_int(np.ascontiguousarray(self.x[:, i])),
-            _pack_int(np.ascontiguousarray(self.z[:, i])),
-        )
+        return self.rows(i, i + 1)[0]
 
     def set_row(self, i: int, p: PauliOperator):
         self._check_row(i)
@@ -183,16 +196,25 @@ class Tableau:
             raise DimensionError("operator length mismatch")
         if p.phase_exp % 2:
             raise InvalidTableauError("tableau rows must carry a ±1 phase")
-        nbytes = self._words * 8
-        self.x[:, i] = np.frombuffer(p.x.to_bytes(nbytes, "little"), dtype="<u8")
-        self.z[:, i] = np.frombuffer(p.z.to_bytes(nbytes, "little"), dtype="<u8")
+        self.x[:, i], self.z[:, i] = _int_words([p.x, p.z], self._words)
         self.r[i] = p.phase_exp // 2
 
+    def rows(self, lo: int, hi: int) -> list[PauliOperator]:
+        """Rows lo..hi-1 as Pauli operators, read in one pass."""
+        xs, zs = _col_ints(self.x[:, lo:hi]), _col_ints(self.z[:, lo:hi])
+        return [PauliOperator(self.n, 2 * int(r), x, z) for r, x, z in zip(self.r[lo:hi], xs, zs)]
+
     def stabilizer_generators(self) -> list[PauliOperator]:
-        return [self.get_row(self.n + i) for i in range(self.n)]
+        return self.rows(self.n, 2 * self.n)
 
     def destabilizer_generators(self) -> list[PauliOperator]:
-        return [self.get_row(i) for i in range(self.n)]
+        return self.rows(0, self.n)
+
+    def _permute_rows(self, perm: np.ndarray):
+        """Row i becomes the old row perm[i]."""
+        self.x = self.x[:, perm]
+        self.z = self.z[:, perm]
+        self.r = self.r[perm]
 
     # -- unitary gates -------------------------------------------------------
 
@@ -235,44 +257,36 @@ class Tableau:
 
     # -- rowsum ---------------------------------------------------------------
 
-    def _g_masks(self, src: int, xt: np.ndarray, zt: np.ndarray):
-        """Bit masks of +1 and -1 contributions of g against source row `src`."""
-        xs, zs = self.x[:, src], self.z[:, src]
-        c11 = xs & zs
-        c10 = xs & ~zs
-        c01 = ~xs & zs
-        pos = (c11 & zt & ~xt) | (c10 & xt & zt) | (c01 & xt & ~zt)
-        neg = (c11 & xt & ~zt) | (c10 & zt & ~xt) | (c01 & xt & zt)
-        return pos, neg
-
     def rowsum(self, h: int, i: int):
-        """Set generator h to i+h, tracking the phase mod 4 per the g function."""
+        """Set generator h to i+h: row h becomes row i times row h."""
         self._check_row(h)
         self._check_row(i)
         if h == i:
             raise DimensionError("rowsum requires distinct rows")
-        pos, neg = self._g_masks(i, self.x[:, h], self.z[:, h])
-        g = int(_popcount_rows(pos)) - int(_popcount_rows(neg))
-        total = (2 * int(self.r[h]) + 2 * int(self.r[i]) + g) % 4
-        if total & 1:
-            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
-        self.r[h] = total >> 1
-        self.x[:, h] ^= self.x[:, i]
-        self.z[:, h] ^= self.z[:, i]
-        self.rowsum_count += 1
+        self._batch_rowsum(np.array([h]), i)
 
     def _batch_rowsum(self, idx: np.ndarray, src: int):
-        """rowsum(i, src) for every row index in idx, vectorized over rows."""
-        xt = self.x[:, idx]
-        zt = self.z[:, idx]
-        pos, neg = self._g_masks(src, (xt.T).copy(), (zt.T).copy())
-        g = _popcount_rows(pos) - _popcount_rows(neg)
-        total = (2 * self.r[idx].astype(np.int64) + 2 * int(self.r[src]) + g) % 4
+        """rowsum(i, src) for every row index i in idx, vectorized over rows.
+
+        The phase is the product rule of the module docstring for two rows:
+        |Y_src| + |Y_i| + 2 r_src + 2 r_i + 2 |z_src & x_i| - |Y_new| (mod 4),
+        which is odd exactly when the rows anticommute.
+        """
+        xs, zs = self.x[:, src, None], self.z[:, src, None]
+        xt, zt = self.x[:, idx], self.z[:, idx]
+        xn, zn = xt ^ xs, zt ^ zs
+        total = (
+            2 * (self.r[idx].astype(np.int64) + int(self.r[src]))
+            + int(_popcount(xs & zs)[0])
+            + _popcount(xt & zt)
+            + 2 * _popcount(zs & xt)
+            - _popcount(xn & zn)
+        ) % 4
         if np.any(total & 1):
             raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
         self.r[idx] = (total >> 1).astype(np.uint64)
-        self.x[:, idx] ^= self.x[:, src][:, None]
-        self.z[:, idx] ^= self.z[:, src][:, None]
+        self.x[:, idx] = xn
+        self.z[:, idx] = zn
         self.rowsum_count += len(idx)
 
     def _row_product(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -290,19 +304,43 @@ class Tableau:
         zs = self.z[:, idx]
         xp = np.bitwise_xor.accumulate(xs, axis=1)
         zp = np.bitwise_xor.accumulate(zs, axis=1)
-        ys = np.bitwise_count(xs & zs).sum(axis=0, dtype=np.int64)
-        yp = np.bitwise_count(xp & zp).sum(axis=0, dtype=np.int64)
-        ycum = ys.cumsum()
+        ycum = _popcount(xs & zs).cumsum()
+        yp = _popcount(xp & zp)
         if ((ycum - yp) & 1).any():
             raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
-        cross = int(np.bitwise_count((zp ^ zs) & xs).sum(dtype=np.int64))
+        cross = int(_popcount((zp ^ zs) & xs).sum())
         phase = int(ycum[-1]) + 2 * int(self.r[idx].sum()) + 2 * cross - int(yp[-1])
         return xp[:, -1], zp[:, -1], phase % 4
 
     def row_product(self, rows) -> PauliOperator:
         """The group product of the given rows, in order (see `_row_product`)."""
         x, z, phase = self._row_product(np.asarray(rows, dtype=np.intp))
-        return PauliOperator(self.n, phase, _pack_int(x), _pack_int(z))
+        (xi,), (zi,) = _col_ints(x[:, None]), _col_ints(z[:, None])
+        return PauliOperator(self.n, phase, xi, zi)
+
+    # -- anticommutation ---------------------------------------------------------
+
+    def _anticommute(self, wx: np.ndarray, wz: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """(k, hi-lo) bool array: entry (a, j) is set iff the packed word
+        (wx[a], wz[a]) anticommutes with row lo+j.  wx, wz are (k, words)."""
+        both = (wx[:, :, None] & self.z[None, :, lo:hi]) ^ (wz[:, :, None] & self.x[None, :, lo:hi])
+        return (np.bitwise_count(np.bitwise_xor.reduce(both, axis=1)) & 1).astype(bool)
+
+    def anticommuting_rows(self, words, lo: int, hi: int) -> list[int]:
+        """For each Pauli word (x, z) (ints, bit j = qubit j), the bitmask of
+        the rows lo..hi-1 it anticommutes with (bit j = row lo+j).  Batches
+        of up to _BATCH_ELEMS word-row-word products take one fixed set of
+        vectorized operations each."""
+        words = list(words)
+        step = max(1, _BATCH_ELEMS // (self._words * max(hi - lo, 1)))
+        masks = []
+        for s in range(0, len(words), step):
+            part = words[s:s + step]
+            wx = _int_words([x for x, _ in part], self._words)
+            wz = _int_words([z for _, z in part], self._words)
+            bits = np.packbits(self._anticommute(wx, wz, lo, hi), axis=1, bitorder="little")
+            masks += [int.from_bytes(b.tobytes(), "little") for b in bits]
+        return masks
 
     # -- measurement ------------------------------------------------------------
 
@@ -315,29 +353,24 @@ class Tableau:
         self._check_qubit(a)
         return not np.any(self._x_column(a, self.n, 2 * self.n))
 
-    def _collapse(self, a: int, pivot: int, partner: int, rng) -> int:
-        """Random-outcome update: sweep rowsums against `pivot`, move it to
-        `partner`, and replace it by ±Z_a with a fresh random sign.
+    def _collapse(self, hits: np.ndarray, pivot: int, partner: int, row: PauliOperator):
+        """Update for measuring the Pauli `row` when it anticommutes with the
+        `pivot` row: every other row in `hits` (the rows of 0..2n-1 that
+        anticommute with `row`) is multiplied by the pivot, the pivot moves
+        to `partner`, and `row`, carrying the sign the caller drew, takes its
+        place.
 
         The partner row is excluded from the sweep: it anticommutes with the
         pivot, so its product would carry an unrepresentable ±i phase, and it
         is overwritten by the copy step regardless.
         """
-        xa = self._x_column(a, 0, 2 * self.n)
-        idx = np.nonzero(xa)[0]
-        idx = idx[(idx != pivot) & (idx != partner)]
+        idx = hits[(hits != pivot) & (hits != partner)]
         if idx.size:
             self._batch_rowsum(idx, pivot)
         self.x[:, partner] = self.x[:, pivot]
         self.z[:, partner] = self.z[:, pivot]
         self.r[partner] = self.r[pivot]
-        outcome = rng.getrandbits(1) & 1
-        wa, sa = divmod(a, 64)
-        self.x[:, pivot] = 0
-        self.z[:, pivot] = 0
-        self.z[wa, pivot] = _ONE << _SHIFTS[sa]
-        self.r[pivot] = outcome
-        return outcome
+        self.set_row(pivot, row)
 
     def _determinate_outcome(self, a: int, limit: int) -> int:
         """Leave in the scratch row the product of the stabilizer rows indexed
@@ -365,12 +398,16 @@ class Tableau:
         outcome is random; determinate outcomes consume no randomness.
         """
         self._check_qubit(a)
-        stab_hits = np.nonzero(self._x_column(a, self.n, 2 * self.n))[0]
+        n = self.n
+        col = self._x_column(a, 0, 2 * n)
+        stab_hits = np.nonzero(col[n:])[0]
         if stab_hits.size:
-            p = self.n + int(stab_hits[0])
-            outcome = self._collapse(a, p, p - self.n, rng)
+            p = n + int(stab_hits[0])
+            outcome = rng.getrandbits(1) & 1
+            z_a = PauliOperator.single(n, a, "Z", 2 * outcome)
+            self._collapse(np.nonzero(col)[0], p, p - n, z_a)
             return MeasurementRecord(a, outcome, deterministic=False)
-        outcome = self._determinate_outcome(a, self.n)
+        outcome = self._determinate_outcome(a, n)
         return MeasurementRecord(a, outcome, deterministic=True)
 
     # -- invariants ---------------------------------------------------------------
@@ -382,24 +419,38 @@ class Tableau:
         zrows = np.ascontiguousarray(self.z[:, :k].T)
         return _unpack_rows(xrows, self.n), _unpack_rows(zrows, self.n)
 
-    def anticommutation_matrix(self) -> np.ndarray:
-        """(2n, 2n) matrix of symplectic products between all generator rows."""
-        xb, zb = self.bit_matrix()
-        xf = xb.astype(np.float64)
-        zf = zb.astype(np.float64)
-        m = xf @ zf.T + zf @ xf.T
-        return m.astype(np.int64) & 1
-
     def satisfies_invariants(self) -> bool:
         """Check the commutation pattern: row i anticommutes with row j iff
-        j = i±n.  This also forces the 2n x 2n bit matrix to have full rank."""
+        j = i±n.  This also forces the 2n x 2n bit matrix to have full rank.
+
+        Row i is tested against rows i..2n-1 only (the pattern is
+        symmetric), one row at a time, so no temporary outgrows `x`."""
         n = self.n
-        m = self.anticommutation_matrix()
-        expected = np.zeros_like(m)
-        for i in range(n):
-            expected[i, n + i] = 1
-            expected[n + i, i] = 1
-        return np.array_equal(m, expected)
+        for i in range(2 * n):
+            anti = self._anticommute(self.x[None, :, i], self.z[None, :, i], i, 2 * n)[0]
+            # offset n from row i < n is its partner, row i+n
+            if np.flatnonzero(anti).tolist() != ([n] if i < n else []):
+                return False
+        return True
+
+    def apply_cnot_round(self, e: np.ndarray, f: np.ndarray):
+        """Apply a whole CNOT round given by its column maps: every row's x
+        bits go to xE and its z bits to zF, with E, F (n, n) 0/1 arrays and
+        F = (E^-1)^T.
+
+        Such a round has no phase change in the normal-ordered picture, so
+        each row's sign bit shifts only by the Y-count correction
+        (|x&z| - |x'&z'|)/2 mod 2.
+        """
+        k = 2 * self.n
+        xb, zb = self.bit_matrix()
+        pc0 = (xb & zb).sum(axis=1, dtype=np.int64)
+        xn = ((xb.astype(np.float64) @ e.astype(np.float64)).astype(np.int64) & 1).astype(np.uint8)
+        zn = ((zb.astype(np.float64) @ f.astype(np.float64)).astype(np.int64) & 1).astype(np.uint8)
+        pc1 = (xn & zn).sum(axis=1, dtype=np.int64)
+        self.r[:k] ^= (((pc0 - pc1) >> 1) & 1).astype(np.uint64)
+        self.x[:, :k] = _pack_rows(xn, self._words).T
+        self.z[:, :k] = _pack_rows(zn, self._words).T
 
     # -- binary snapshots -----------------------------------------------------------
 
@@ -410,20 +461,12 @@ class Tableau:
         head = _MAGIC + _VERSION.to_bytes(4, "little") + self.n.to_bytes(8, "little")
         x = np.ascontiguousarray(self.x.T)
         z = np.ascontiguousarray(self.z.T)
-        r = self.r.copy()
         x[self.scratch_row] = 0
         z[self.scratch_row] = 0
-        r[self.scratch_row] = 0
-        rbits = 0
-        for i, bit in enumerate(int(b) for b in r):
-            rbits |= bit << i
-        nwords = (2 * self.n + 1 + 63) // 64
-        return (
-            head
-            + x.astype("<u8").tobytes()
-            + z.astype("<u8").tobytes()
-            + rbits.to_bytes(8 * nwords, "little")
-        )
+        r = np.zeros(64 * ((2 * self.n + 64) // 64), dtype=np.uint8)
+        r[: 2 * self.n] = self.r[: 2 * self.n]
+        rbits = np.packbits(r, bitorder="little").tobytes()
+        return head + x.astype("<u8").tobytes() + z.astype("<u8").tobytes() + rbits
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Tableau":
@@ -450,8 +493,8 @@ class Tableau:
         off += span
         t.z = np.frombuffer(data[off:off + span], dtype="<u8").reshape(rows, words).T.copy()
         off += span
-        rbits = int.from_bytes(data[off:], "little")
-        t.r = np.array([(rbits >> i) & 1 for i in range(rows)], dtype=np.uint64)
+        rbits = np.unpackbits(np.frombuffer(data[off:], dtype=np.uint8), bitorder="little")
+        t.r = rbits[:rows].astype(np.uint64)
         return t
 
 

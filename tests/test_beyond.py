@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import apply_gate, random_gate
 from stabsim.beyond import (
@@ -14,7 +16,7 @@ from stabsim.beyond import (
 )
 from stabsim.errors import DimensionError, NumericalIntegrityError, ResourceCapError
 from stabsim.oracle import DenseState, pauli_matrix
-from stabsim.pauli import parse_pauli
+from stabsim.pauli import PauliOperator, commutes, parse_pauli
 from stabsim.program import parse
 from stabsim.tableau import new_zero_state
 
@@ -316,3 +318,50 @@ class TestPauliSum:
         s = PauliSumState(1)
         out = nonstab_apply(s, T_GATE, (0,))
         assert out is s and s.gate_count == 1
+
+
+def rowsum_loop_projection(tab, q):
+    """Reference for the tableau side of measuring q when it anticommutes
+    with some generator: one rowsum per anticommuting row, then the first
+    anticommuting generator M_{j1} moves to destabilizer j1 and q takes its
+    place."""
+    n = tab.n
+    anti = [j for j in range(n) if commutes(tab.get_row(n + j), q)]
+    j1 = anti[0]
+    for j in anti[1:]:
+        tab.rowsum(n + j, n + j1)
+    for j in range(n):
+        if j == j1:
+            continue
+        if commutes(tab.get_row(j), q):
+            tab.rowsum(j, n + j1)
+    tab.set_row(j1, tab.get_row(n + j1))
+    tab.set_row(n + j1, q)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    n=st.integers(min_value=1, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    with_t=st.booleans(),
+)
+def test_collapse_matches_rowsum_loop(n, seed, with_t):
+    r = random.Random(seed)
+    s = PauliSumState(n)
+    for _ in range(10 * n):
+        apply_gate(s, random_gate(n, r))
+    if with_t:
+        s.apply_unitary(T_GATE, (r.randrange(n),))
+    tab = s.tableau
+    q = PauliOperator(n, 2 * r.randrange(2), r.getrandbits(n), r.getrandbits(n))
+    if not any(commutes(tab.get_row(n + j), q) for j in range(n)):
+        # times destabilizer j, q anticommutes with generator j alone
+        d = tab.get_row(r.randrange(n))
+        q = PauliOperator(n, q.phase_exp, q.x ^ d.x, q.z ^ d.z)
+    ref = tab.copy()
+    rowsum_loop_projection(ref, q)
+    s.measure_pauli(q, r)
+    rows = range(2 * n)
+    assert [s.tableau.get_row(i) for i in rows] == [ref.get_row(i) for i in rows]
+    assert s.tableau.rowsum_count == ref.rowsum_count
+    assert s.is_hermitian_closed()

@@ -148,6 +148,23 @@ class TestBench:
         assert main(argv) == 2
         assert "beta" in capsys.readouterr().err
 
+    def test_gate_count_over_cap_exit_code(self, capsys):
+        # 2 * 1e308 gates overflow a float
+        argv = ["bench", "--beta", "1e308", "--n-min", "2", "--n-max", "2"]
+        assert main(argv) == 3
+        assert "resource cap" in capsys.readouterr().err
+
+    def test_gate_cap_is_floor_beta_n_log_n(self):
+        from stabsim.cli import MAX_BENCH_GATES
+        from stabsim.errors import ResourceCapError
+
+        # tested on the config alone: without the cap, running these would
+        # generate the gates
+        BenchConfig(n_min=2, n_max=2, step=1, beta=MAX_BENCH_GATES / 2)
+        for beta in ((MAX_BENCH_GATES + 1) / 2, 1e300):
+            with pytest.raises(ResourceCapError):
+                BenchConfig(n_min=2, n_max=2, step=1, beta=beta)
+
 
 class TestCounting:
     @pytest.mark.parametrize("n,want", [(1, 6), (2, 60), (3, 1080)])
@@ -192,6 +209,21 @@ class TestMainEntry:
         f.write_text("h 0\nm 0\nif 0 u foo 1\n")
         assert main(["run", str(f), "--engine", "beyond", "--seed", str(seed)]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", ["block 40", "gate g 40"])
+    def test_huge_matrix_header_without_rows_exit_code(self, tmp_path, capsys, header):
+        f = tmp_path / "short.chp"
+        f.write_text(header + "\n")
+        assert main(["run", str(f)]) == 2
+        assert "unexpected end of file" in capsys.readouterr().err
+
+    def test_matrix_rows_are_checked_before_the_matrix_is_built(self, tmp_path, capsys):
+        f = tmp_path / "short.chp"
+        f.write_text("gate g 1\n1,0 0,0\n")
+        assert main(["run", str(f)]) == 2
+        assert "unexpected end of file" in capsys.readouterr().err
+        f.write_text("gate g 1\n1,0 0,0\n0,0 1,0\nu g 0\nm 0\n")
+        assert main(["run", str(f), "--engine", "beyond"]) == 0
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.chp")]) == 2

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,3 +433,120 @@ def test_flipped_bit_in_fold_raises_corrupt(n, seed):
     assert t.is_deterministic(a)
     with pytest.raises(CorruptTableauError):
         t.measure(a, r)
+
+
+# -- one product-phase rule, the anticommutation primitive, the invariants --------
+
+
+@kernel_settings
+@given(n=st.integers(min_value=1, max_value=70), seed=seeds)
+def test_batch_rowsum_equals_one_rowsum_per_row(n, seed):
+    r = random.Random(seed)
+    t = random_tableau(n, r, ngates=4 * n)
+    src = r.randrange(2 * n)
+    partner = (src + n) % (2 * n)
+    # every row but the partner (the scratch row included) commutes with src
+    others = [i for i in range(2 * n + 1) if i not in (src, partner)]
+    idx = r.sample(others, r.randrange(len(others) + 1))
+    want = [multiply(t.get_row(src), t.get_row(i)) for i in idx]
+    batch, single = t.copy(), t.copy()
+    batch._batch_rowsum(np.array(idx, dtype=np.intp), src)
+    for i in idx:
+        single.rowsum(i, src)
+    rows = range(2 * n + 1)
+    assert [batch.get_row(i) for i in rows] == [single.get_row(i) for i in rows]
+    assert [batch.get_row(i) for i in idx] == want
+    assert batch.rowsum_count == single.rowsum_count == t.rowsum_count + len(idx)
+    # the partner anticommutes with src: its phase sum is odd, and both raise
+    with pytest.raises(CorruptTableauError):
+        t.copy()._batch_rowsum(np.array(idx + [partner], dtype=np.intp), src)
+    with pytest.raises(CorruptTableauError):
+        t.copy().rowsum(partner, src)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    n=st.sampled_from([1, 63, 64, 65, 130]),
+    k=st.integers(min_value=0, max_value=6),
+    seed=seeds,
+)
+def test_anticommuting_rows_match_commutes(n, k, seed):
+    r = random.Random(seed)
+    t = random_tableau(n, r, ngates=4 * n)
+    lo = r.randrange(2 * n + 2)
+    hi = r.randrange(lo, 2 * n + 2)
+    words = [(r.getrandbits(n), r.getrandbits(n)) for _ in range(k)]
+    words += [(p.x, p.z) for p in map(t.get_row, r.sample(range(2 * n), min(k, 2)))]
+    rows = [t.get_row(i) for i in range(lo, hi)]
+    want = [
+        sum(commutes(PauliOperator(n, 0, x, z), p) << j for j, p in enumerate(rows))
+        for x, z in words
+    ]
+    assert t.anticommuting_rows(words, lo, hi) == want
+
+
+def test_anticommuting_rows_in_small_slices(monkeypatch, rng):
+    t = random_tableau(70, rng)
+    words = [(rng.getrandbits(70), rng.getrandbits(70)) for _ in range(9)]
+    whole = t.anticommuting_rows(words, 0, 141)
+    monkeypatch.setattr(tableau_module, "_BATCH_ELEMS", 1)
+    assert t.anticommuting_rows(words, 0, 141) == whole
+    assert t.anticommuting_rows([], 0, 141) == []
+
+
+@kernel_settings
+@given(n=st.integers(min_value=1, max_value=70), seed=seeds, letter=st.sampled_from("xz"))
+def test_invariants_reject_one_flipped_bit(n, seed, letter):
+    r = random.Random(seed)
+    t = random_tableau(n, r, ngates=4 * n)
+    assert t.satisfies_invariants()
+    rows = [t.get_row(i) for i in range(2 * n)]
+    # flipping x (z) of row i at qubit j changes its product with every other
+    # row that has z (x) there; pick a bit for which such a row exists
+    other = [p.z if letter == "x" else p.x for p in rows]
+    count = [sum((v >> j) & 1 for v in other) for j in range(n)]
+    bits = [(i, j) for i in range(2 * n) for j in range(n) if count[j] > (other[i] >> j) & 1]
+    assume(bits)
+    i, j = r.choice(bits)
+    p = rows[i]
+    if letter == "x":
+        t.set_row(i, PauliOperator(n, p.phase_exp, p.x ^ (1 << j), p.z))
+    else:
+        t.set_row(i, PauliOperator(n, p.phase_exp, p.x, p.z ^ (1 << j)))
+    assert not t.satisfies_invariants()
+
+
+@kernel_settings
+@given(n=st.integers(min_value=2, max_value=70), seed=seeds)
+def test_invariants_reject_two_swapped_stabilizer_rows(n, seed):
+    r = random.Random(seed)
+    t = random_tableau(n, r, ngates=4 * n)
+    a, b = r.sample(range(n, 2 * n), 2)
+    pa, pb = t.get_row(a), t.get_row(b)
+    t.set_row(a, pb)
+    t.set_row(b, pa)
+    assert not t.satisfies_invariants()
+
+
+def test_only_tableau_py_knows_the_bit_layout():
+    """No module but tableau.py subscripts a tableau's packed x, z or r
+    arrays or imports tableau.py's packing helpers."""
+    private = {"_pack_rows", "_unpack_rows", "_pack_int", "_SHIFTS", "_ONE"}
+    offenders = []
+    for path in sorted(Path(tableau_module.__file__).parent.glob("*.py")):
+        if path.name == "tableau.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr in ("x", "z", "r")
+            ):
+                offenders.append(f"{path.name}:{node.lineno} indexes .{node.value.attr}")
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("tableau"):
+                offenders += [
+                    f"{path.name}:{node.lineno} imports {a.name}"
+                    for a in node.names
+                    if a.name in private
+                ]
+    assert not offenders

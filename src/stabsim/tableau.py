@@ -399,13 +399,12 @@ class Tableau:
         """
         self._check_qubit(a)
         n = self.n
-        col = self._x_column(a, 0, 2 * n)
-        stab_hits = np.nonzero(col[n:])[0]
+        stab_hits = np.nonzero(self._x_column(a, n, 2 * n))[0]
         if stab_hits.size:
             p = n + int(stab_hits[0])
             outcome = rng.getrandbits(1) & 1
             z_a = PauliOperator.single(n, a, "Z", 2 * outcome)
-            self._collapse(np.nonzero(col)[0], p, p - n, z_a)
+            self._collapse(np.nonzero(self._x_column(a, 0, 2 * n))[0], p, p - n, z_a)
             return MeasurementRecord(a, outcome, deterministic=False)
         outcome = self._determinate_outcome(a, n)
         return MeasurementRecord(a, outcome, deterministic=True)

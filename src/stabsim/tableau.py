@@ -304,11 +304,12 @@ class Tableau:
         zs = self.z[:, idx]
         xp = np.bitwise_xor.accumulate(xs, axis=1)
         zp = np.bitwise_xor.accumulate(zs, axis=1)
-        ycum = _popcount(xs & zs).cumsum()
-        yp = _popcount(xp & zp)
+        ys = np.bitwise_count(xs & zs).sum(axis=0, dtype=np.int64)
+        yp = np.bitwise_count(xp & zp).sum(axis=0, dtype=np.int64)
+        ycum = ys.cumsum()
         if ((ycum - yp) & 1).any():
             raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
-        cross = int(_popcount((zp ^ zs) & xs).sum())
+        cross = int(np.bitwise_count((zp ^ zs) & xs).sum(dtype=np.int64))
         phase = int(ycum[-1]) + 2 * int(self.r[idx].sum()) + 2 * cross - int(yp[-1])
         return xp[:, -1], zp[:, -1], phase % 4
 

@@ -428,8 +428,9 @@ class Tableau:
         n = self.n
         for i in range(2 * n):
             anti = self._anticommute(self.x[None, :, i], self.z[None, :, i], i, 2 * n)[0]
-            # offset n from row i < n is its partner, row i+n
-            if np.flatnonzero(anti).tolist() != ([n] if i < n else []):
+            # row i < n meets only its partner, row i+n (offset n); row i >= n none
+            hits = np.count_nonzero(anti)
+            if hits != (i < n) or (hits and not anti[n]):
                 return False
         return True
 

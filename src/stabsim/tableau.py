@@ -2,32 +2,49 @@
 
 A state on n qubits is a (2n+1)-row tableau: rows 0..n-1 hold destabilizer
 generators, rows n..2n-1 stabilizer generators, and row 2n is scratch space.
-Each row stores its x and z bit vectors packed into 64-bit words (bit j of
-word j//64 is qubit j) plus one phase bit, so row composition is word-wise
-XOR.  Unitary gates cost O(n) word operations; measurements cost O(n^2) bit
-operations in the worst case.
+
+The bits are stored qubit-major and sliced along the row axis, as in Stim
+(Gidney 2021): `x` and `z` have shape (n, W) with W = ceil((2n+1)/64), and
+the bit of row i at qubit j is bit i & 63 of word i >> 6 of `x[j]` (`z[j]`).
+The phase bits are packed the same way into the W words of `r`.  Bits past
+row 2n are zero.  `x` and `z` are two views of one array, each padded with
+zero columns to a multiple of 64 qubits, so one tableau row's x and z bits
+are read or written in one pass.  A gate on qubits a, b touches only the
+words x[a], z[a], x[b], z[b] and r: O(n/64) word operations.  A measurement
+multiplies a whole set of rows by one pivot row at once: the set is a
+packed row mask, the update of all of its rows is one masked XOR over the
+pivot's support, and their new phases come from a few bit-sliced passes
+along the qubit axis.  The worst case is O(n^2) bit operations in O(n^2/64)
+word operations.
+
+Phases mod 4 are counted in bit-sliced form.  For a count c of set bits
+along the qubit axis, bit 0 of c is the XOR of the bits, and bit 1 is the
+parity of C(c, 2), the number of pairs, which by the prefix-XOR identity is
+the XOR over j of b_j & (b_0 ^ ... ^ b_{j-1}).
 
 This module alone knows how the bits are packed.  Other modules go through
 its row reads and writes, `anticommuting_rows` (which rows a batch of Pauli
 words anticommutes with), `_collapse` (the random-outcome update for any
 measured Pauli), `row_product`, `rowsum` and `apply_cnot_round`.
 
-A product of k commuting rows (a rowsum is k = 2; a determinate measurement's
-outcome, or a stabilizer-group element in the Pauli-sum engine) is computed
-in closed form rather than by k successive rowsums.  Writing row a as
+A product of k commuting rows (a determinate measurement's outcome, or a
+stabilizer-group element in the Pauli-sum engine) is computed in closed
+form rather than by k successive rowsums.  Writing row a as
 i^{|x_a & z_a|} (-1)^{r_a} X^{x_a} Z^{z_a}, moving every Z factor right past
 the later X factors gives the product's power of i as
 
     sum_a |x_a & z_a| + 2 sum_a r_a + 2 sum_b |(z_0 ^ ... ^ z_{b-1}) & x_b|
     - |X & Z|   (mod 4),
 
-with X, Z the XOR of all rows.  The prefix XORs along the row axis and the
-popcounts are a fixed handful of vectorized operations.
+with X, Z the XOR of all rows.  The k rows are gathered into row-major
+packed words first, so the prefix XORs along the row axis and the popcounts
+are a fixed handful of vectorized operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,19 +65,23 @@ _HEADER = 16
 MAX_TABLEAU_BYTES = 1 << 30
 
 
+def _row_words(n: int) -> int:
+    """Words per qubit column: one bit for each of the 2n+1 rows."""
+    return (2 * n + 64) // 64
+
+
+def _padded(n: int) -> int:
+    """Qubit columns stored per letter: n rounded up to a multiple of 64."""
+    return (n + 63) // 64 * 64
+
+
 def _tableau_bytes(n: int) -> int:
-    rows = 2 * n + 1
-    return (2 * ((n + 63) // 64) + 1) * rows * 8
+    return (2 * _padded(n) + 1) * _row_words(n) * 8
 
 
 def _snapshot_bytes(n: int) -> int:
     rows = 2 * n + 1
     return _HEADER + 2 * rows * ((n + 63) // 64) * 8 + (rows + 63) // 64 * 8
-
-
-def _popcount(a: np.ndarray) -> np.ndarray:
-    """Set bits per row of a word-major (words, k) uint64 array."""
-    return np.bitwise_count(a).sum(axis=0, dtype=np.int64)
 
 
 def _unpack_rows(packed: np.ndarray, ncols: int) -> np.ndarray:
@@ -70,26 +91,77 @@ def _unpack_rows(packed: np.ndarray, ncols: int) -> np.ndarray:
     return bits[:, :ncols]
 
 
-def _pack_rows(bits: np.ndarray, words: int) -> np.ndarray:
-    """Unpacked (rows, ncols) 0/1 matrix -> packed (rows, words) uint64."""
-    rows = bits.shape[0]
-    padded = np.zeros((rows, words * 64), dtype=np.uint8)
-    padded[:, : bits.shape[1]] = bits
-    as_bytes = np.packbits(padded, axis=1, bitorder="little")
-    return as_bytes.view("<u8").reshape(rows, words).astype(np.uint64)
-
-
 def _int_words(vals, words: int) -> np.ndarray:
-    """Ints (bit j = qubit j) -> packed (len(vals), words) uint64 rows."""
+    """Ints (bit j = column j) -> packed (len(vals), words) uint64 rows."""
     raw = b"".join(v.to_bytes(8 * words, "little") for v in vals)
     return np.frombuffer(raw, dtype="<u8").reshape(len(vals), words).astype(np.uint64)
 
 
-def _col_ints(a: np.ndarray) -> list[int]:
-    """Each column of a word-major (words, k) uint64 array as an int."""
-    raw = np.ascontiguousarray(a.T).astype("<u8").tobytes()
-    step = 8 * a.shape[0]
+def _row_ints(a: np.ndarray) -> list[int]:
+    """Each row of a packed (k, words) uint64 array as an int."""
+    raw = a.astype("<u8").tobytes()
+    step = 8 * a.shape[1]
     return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
+
+
+@lru_cache(maxsize=256)
+def _span(lo: int, hi: int, words: int) -> np.ndarray:
+    """Read-only packed mask of `words` words with bits lo..hi-1 set."""
+    m = _int_words([((1 << max(hi - lo, 0)) - 1) << lo], words)[0]
+    m.setflags(write=False)
+    return m
+
+
+# Columns per step of `_transpose`: one step holds m bytes per column.
+_TRANSPOSE_COLS = 512
+
+
+def _transpose(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Bit columns of packed rows as packed rows: for the (m, w) uint64 array
+    `a`, an (len(cols), ceil(m/64)) uint64 array whose row k holds bit
+    cols[k] of every row of `a` (bit i from row i).  It reads one byte per
+    row and column, so gathering k columns costs O(m k), whatever w is."""
+    m = a.shape[0]
+    by_column = a.astype("<u8", copy=False).view(np.uint8).T  # (8w, m): byte c of every row
+    out = np.zeros((len(cols), (m + 63) // 64 * 8), dtype=np.uint8)
+    for lo in range(0, len(cols), _TRANSPOSE_COLS):
+        c = cols[lo:lo + _TRANSPOSE_COLS]
+        bits = by_column[c >> 3] >> (c & 7).astype(np.uint8)[:, None]
+        bits &= np.uint8(1)
+        out[lo:lo + len(c), :(m + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
+def _xor_combine(rows: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """GF(2) combination of packed rows: row k of the result is the XOR of
+    the rows[j] for the set bits j of sel[k], where rows is a C-contiguous
+    (m, w) uint64 array with m a multiple of 8 and sel is (K, nb) uint8,
+    little-endian bit order, selecting among the first 8 nb <= m rows.
+
+    Each block of 8 rows gets a table of all 256 XORs of its rows, so a block
+    costs one lookup per result row (the method of four Russians).  Blocks
+    are taken in groups whose tables and lookups hold no more words than
+    `rows` (or 2^14), in a fixed number of vectorized steps per group."""
+    m, w = rows.shape
+    nb = sel.shape[1]
+    blocks = rows[:8 * nb].reshape(nb, 8, w)
+    out = np.zeros((sel.shape[0], w), dtype=np.uint64)
+    step = max(1, max(1 << 14, m * w) // ((256 + sel.shape[0]) * w))
+    for lo in range(0, nb, step):
+        group = blocks[lo:lo + step]
+        table = np.zeros((len(group), 256, w), dtype=np.uint64)
+        for b in range(8):
+            np.bitwise_xor(table[:, :1 << b], group[:, b, None], out=table[:, 1 << b:2 << b])
+        picked = table[np.arange(len(group)), sel[:, lo:lo + len(group)]]
+        out ^= np.bitwise_xor.reduce(picked, axis=1)
+    return out
+
+
+def _pair_parity(b: np.ndarray) -> np.ndarray:
+    """Bit 1 of the number of set bits along axis 0, for every bit position
+    at once: the parity of the pairs, by the prefix-XOR identity."""
+    pre = np.bitwise_xor.accumulate(b, axis=0)
+    return np.bitwise_xor.reduce(b[1:] & pre[:-1], axis=0)
 
 
 @dataclass(frozen=True)
@@ -118,9 +190,13 @@ def sample_outcome(p0: float, rng) -> tuple[int, bool]:
 _ONE = np.uint64(1)
 _SHIFTS = [np.uint64(s) for s in range(64)]
 
-# Word-by-row products per vectorized step of `anticommuting_rows` (8 bytes
-# each), so a long Pauli-sum term list is processed in bounded slices.
+# Word-qubit-word products per vectorized step of `anticommuting_rows` (8
+# bytes each), so a long Pauli-sum term list is processed in bounded slices.
 _BATCH_ELEMS = 1 << 18
+
+# Words per array in one slice of a rowsum sweep (8 bytes each), so that the
+# sweep's temporaries stay in cache.
+_SWEEP_ELEMS = 1 << 15
 
 
 class Tableau:
@@ -135,19 +211,23 @@ class Tableau:
                 f"over the cap of {MAX_TABLEAU_BYTES}"
             )
         self.n = n
-        self._words = (n + 63) // 64
-        rows = 2 * n + 1
-        # x and z are stored word-major, shape (words, rows): the packed bits
-        # of one qubit column live contiguously, which keeps gate updates on
-        # cache-friendly slices.  Row-major order is restored in snapshots.
-        self.x = np.zeros((self._words, rows), dtype=np.uint64)
-        self.z = np.zeros((self._words, rows), dtype=np.uint64)
-        self.r = np.zeros(rows, dtype=np.uint64)
+        self._words = _row_words(n)
+        self._adopt(np.zeros((2 * _padded(n), self._words), dtype=np.uint64))
+        self.r = np.zeros(self._words, dtype=np.uint64)
         self.rowsum_count = 0
-        for j in range(n):
-            w, s = divmod(j, 64)
-            self.x[w, j] |= _ONE << _SHIFTS[s]
-            self.z[w, n + j] |= _ONE << _SHIFTS[s]
+        q = np.arange(n)
+        self.x[q, q >> 6] = _ONE << (q & 63).astype(np.uint64)
+        self.z[q, (q + n) >> 6] = _ONE << ((q + n) & 63).astype(np.uint64)
+
+    def _adopt(self, xz: np.ndarray):
+        """Store the (2 * _padded(n), W) column array: the x columns, zero
+        columns up to a multiple of 64 qubits, the z columns, zero columns.
+        Row reads and writes then take a tableau row's x and z bits in one
+        pass, and a gathered row's z words start on a word boundary."""
+        self._xz = xz
+        pad = _padded(self.n)
+        self.x = xz[:self.n]
+        self.z = xz[pad:pad + self.n]
 
     # -- basic structure ---------------------------------------------------
 
@@ -158,23 +238,20 @@ class Tableau:
     def copy(self) -> "Tableau":
         t = object.__new__(type(self))
         t.__dict__.update(self.__dict__)
-        t.x = self.x.copy()
-        t.z = self.z.copy()
+        t._adopt(self._xz.copy())
         t.r = self.r.copy()
         return t
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tableau) or self.n != other.n:
             return NotImplemented if not isinstance(other, Tableau) else False
-        k = 2 * self.n
-        return (
-            np.array_equal(self.x[:, :k], other.x[:, :k])
-            and np.array_equal(self.z[:, :k], other.z[:, :k])
-            and np.array_equal(self.r[:k], other.r[:k])
+        m = _span(0, 2 * self.n, self._words)
+        return np.array_equal(self._xz & m, other._xz & m) and np.array_equal(
+            self.r & m, other.r & m
         )
 
     def memory_bits(self) -> int:
-        return 8 * (self.x.nbytes + self.z.nbytes + self.r.nbytes)
+        return 8 * (self._xz.nbytes + self.r.nbytes)
 
     def _check_qubit(self, a: int):
         if not 0 <= a < self.n:
@@ -196,13 +273,18 @@ class Tableau:
             raise DimensionError("operator length mismatch")
         if p.phase_exp % 2:
             raise InvalidTableauError("tableau rows must carry a ±1 phase")
-        self.x[:, i], self.z[:, i] = _int_words([p.x, p.z], self._words)
-        self.r[i] = p.phase_exp // 2
+        self._write_row(i, self._pauli_bits(p.x, p.z), p.phase_exp // 2)
 
     def rows(self, lo: int, hi: int) -> list[PauliOperator]:
         """Rows lo..hi-1 as Pauli operators, read in one pass."""
-        xs, zs = _col_ints(self.x[:, lo:hi]), _col_ints(self.z[:, lo:hi])
-        return [PauliOperator(self.n, 2 * int(r), x, z) for r, x, z in zip(self.r[lo:hi], xs, zs)]
+        if hi <= lo:
+            return []
+        xs, zs = self._gather(np.arange(lo, hi))
+        signs = int.from_bytes(self.r.astype("<u8").tobytes(), "little") >> lo
+        return [
+            PauliOperator(self.n, 2 * ((signs >> k) & 1), x, z)
+            for k, (x, z) in enumerate(zip(_row_ints(xs), _row_ints(zs)))
+        ]
 
     def stabilizer_generators(self) -> list[PauliOperator]:
         return self.rows(self.n, 2 * self.n)
@@ -210,11 +292,46 @@ class Tableau:
     def destabilizer_generators(self) -> list[PauliOperator]:
         return self.rows(0, self.n)
 
+    def _gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows idx as packed row-major (k, ceil(n/64)) x and z words."""
+        rows = _transpose(self._xz, idx)
+        half = rows.shape[1] // 2
+        return rows[:, :half], rows[:, half:]
+
+    def _pauli_bits(self, x: int, z: int) -> np.ndarray:
+        """The x and z ints of a Pauli word as one 0/1 column of `_xz`."""
+        nbytes = _padded(self.n) // 8
+        raw = np.frombuffer(x.to_bytes(nbytes, "little") + z.to_bytes(nbytes, "little"), np.uint8)
+        return np.unpackbits(raw, bitorder="little")
+
+    def _read_row(self, i: int) -> tuple[np.ndarray, np.uint64]:
+        """Row i as a 0/1 column of `_xz` (its x bits, then its z bits) and
+        its sign bit."""
+        w, s = i >> 6, _SHIFTS[i & 63]
+        return (self._xz[:, w] >> s) & _ONE, (self.r[w] >> s) & _ONE
+
+    def _write_row(self, i: int, bits: np.ndarray, sign):
+        """Overwrite row i with a 0/1 column of `_xz` and a sign bit."""
+        w, s = i >> 6, _SHIFTS[i & 63]
+        keep = ~(_ONE << s)
+        col = self._xz[:, w]
+        col &= keep
+        col |= bits << s
+        self.r[w] = (self.r[w] & keep) | (np.uint64(sign) << s)
+
+    def _row_mask(self, idx) -> np.ndarray:
+        """Packed mask (W words) of the row indices idx."""
+        bits = np.zeros(64 * self._words, dtype=np.uint8)
+        bits[idx] = 1
+        return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+
     def _permute_rows(self, perm: np.ndarray):
-        """Row i becomes the old row perm[i]."""
-        self.x = self.x[:, perm]
-        self.z = self.z[:, perm]
-        self.r = self.r[perm]
+        """Row i becomes the old row perm[i]: only the rows that move are
+        read and rewritten."""
+        moved = np.flatnonzero(perm != np.arange(perm.size))
+        old = [self._read_row(int(perm[i])) for i in moved]
+        for i, row in zip(moved, old):
+            self._write_row(int(i), *row)
 
     # -- unitary gates -------------------------------------------------------
 
@@ -224,36 +341,30 @@ class Tableau:
         self._check_qubit(b)
         if a == b:
             raise DimensionError("control and target must differ")
-        wa, sa_ = a >> 6, _SHIFTS[a & 63]
-        wb, sb_ = b >> 6, _SHIFTS[b & 63]
-        x, z = self.x, self.z
-        xa = (x[wa] >> sa_) & _ONE
-        za = (z[wa] >> sa_) & _ONE
-        xb = (x[wb] >> sb_) & _ONE
-        zb = (z[wb] >> sb_) & _ONE
-        self.r ^= xa & zb & (xb ^ za ^ _ONE)
-        x[wb] ^= xa << sb_
-        z[wa] ^= zb << sa_
+        xa, za, xb, zb = self.x[a], self.z[a], self.x[b], self.z[b]
+        flip = xb ^ za
+        np.invert(flip, out=flip)
+        flip &= xa
+        flip &= zb
+        self.r ^= flip
+        xb ^= xa
+        za ^= zb
 
     def apply_hadamard(self, a: int):
         """Hadamard on qubit a: swap the x and z bits, flipping Y phases."""
         self._check_qubit(a)
-        wa, sa_ = a >> 6, _SHIFTS[a & 63]
-        xa = (self.x[wa] >> sa_) & _ONE
-        za = (self.z[wa] >> sa_) & _ONE
+        xa, za = self.x[a], self.z[a]
         self.r ^= xa & za
-        diff = (xa ^ za) << sa_
-        self.x[wa] ^= diff
-        self.z[wa] ^= diff
+        xa ^= za
+        za ^= xa
+        xa ^= za
 
     def apply_phase(self, a: int):
         """Phase gate on qubit a: z_a ^= x_a after absorbing the Y phase."""
         self._check_qubit(a)
-        wa, sa_ = a >> 6, _SHIFTS[a & 63]
-        xa = (self.x[wa] >> sa_) & _ONE
-        za = (self.z[wa] >> sa_) & _ONE
+        xa, za = self.x[a], self.z[a]
         self.r ^= xa & za
-        self.z[wa] ^= xa << sa_
+        za ^= xa
 
     # -- rowsum ---------------------------------------------------------------
 
@@ -266,28 +377,63 @@ class Tableau:
         self._batch_rowsum(np.array([h]), i)
 
     def _batch_rowsum(self, idx: np.ndarray, src: int):
-        """rowsum(i, src) for every row index i in idx, vectorized over rows.
+        """rowsum(i, src) for every row index i in idx."""
+        self._rowsum_mask(self._row_mask(idx), *self._read_row(src))
 
-        The phase is the product rule of the module docstring for two rows:
-        |Y_src| + |Y_i| + 2 r_src + 2 r_i + 2 |z_src & x_i| - |Y_new| (mod 4),
-        which is odd exactly when the rows anticommute.
+    def _rowsum_mask(self, mask: np.ndarray, src: np.ndarray, sign):
+        """rowsum(i, src) for every row i set in the packed mask, all at once,
+        where row src is the 0/1 column `src` of `_xz` with sign bit `sign`.
+
+        Row i becomes P_src P_i.  Qubits where row src is I change nothing,
+        so only the pivot's support is read, ordered by its letter there.
+        At each of those qubits the rows anticommute where z_i (X), x_i (Z)
+        or x_i ^ z_i (Y) is set, and the factor there is then i^{-1} rather
+        than i^{+1} where ~x_i (X), ~(x_i ^ z_i) (Z) or x_i (Y) is set.  The
+        product's power of i is the count c of anticommuting qubits minus
+        twice the count of -1 factors, so its bit 0 is the parity of c (odd
+        exactly when the rows anticommute) and its bit 1 is C(c, 2) mod 2
+        XOR the parity of the -1 factors (see the module docstring).
         """
-        xs, zs = self.x[:, src, None], self.z[:, src, None]
-        xt, zt = self.x[:, idx], self.z[:, idx]
-        xn, zn = xt ^ xs, zt ^ zs
-        total = (
-            2 * (self.r[idx].astype(np.int64) + int(self.r[src]))
-            + int(_popcount(xs & zs)[0])
-            + _popcount(xt & zt)
-            + 2 * _popcount(zs & xt)
-            - _popcount(xn & zn)
-        ) % 4
-        if np.any(total & 1):
-            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
-        self.r[idx] = (total >> 1).astype(np.uint64)
-        self.x[:, idx] = xn
-        self.z[:, idx] = zn
-        self.rowsum_count += len(idx)
+        pad = _padded(self.n)
+        sx, sz = src[:self.n], src[pad:pad + self.n]
+        xonly, zonly, both = (np.flatnonzero(v) for v in (sx > sz, sz > sx, sx & sz))
+        a, b = xonly.size, xonly.size + zonly.size
+        order = np.concatenate((xonly, zonly, both))
+        order = np.concatenate((order, order + pad))  # x columns, then z columns
+        k = b + both.size
+        # Words are independent: they are taken in slices that stay in cache,
+        # and written back once no slice has found an odd phase sum.
+        step = max(1, _SWEEP_ELEMS // max(order.size, 1))
+        done = []
+        for lo in range(0, self._words, step):
+            cols = slice(lo, lo + step)
+            m = mask[cols]
+            if not m.any():
+                continue
+            xz = self._xz[:, cols].take(order, axis=0)
+            x, z = xz[:k], xz[k:]
+            anti = z.copy()
+            anti[a:] = x[a:]
+            anti[b:] ^= z[b:]
+            minus = x.copy()
+            minus[a:b] ^= z[a:b]
+            np.invert(minus[:b], out=minus[:b])
+            pre = np.bitwise_xor.accumulate(anti, axis=0)
+            if k and (pre[-1] & m).any():
+                raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
+            minus[1:] ^= pre[:-1]
+            minus &= anti
+            phase = np.bitwise_xor.reduce(minus, axis=0)
+            if sign:
+                np.invert(phase, out=phase)
+            x[:a] ^= m
+            x[b:] ^= m
+            z[a:] ^= m
+            done.append((cols, xz, phase & m))
+        for cols, xz, phase in done:
+            self._xz[order, cols] = xz
+            self.r[cols] ^= phase
+        self.rowsum_count += int(np.bitwise_count(mask).sum())
 
     def _row_product(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """Product of the rows idx[0] * idx[1] * ... as (x words, z words,
@@ -298,56 +444,61 @@ class Tableau:
         it: exactly when folding the rows in one rowsum at a time would.
         """
         if not idx.size:
-            zero = np.zeros(self._words, dtype=np.uint64)
+            zero = np.zeros((self.n + 63) // 64, dtype=np.uint64)
             return zero, zero, 0
-        xs = self.x[:, idx]
-        zs = self.z[:, idx]
-        xp = np.bitwise_xor.accumulate(xs, axis=1)
-        zp = np.bitwise_xor.accumulate(zs, axis=1)
-        ys = np.bitwise_count(xs & zs).sum(axis=0, dtype=np.int64)
-        yp = np.bitwise_count(xp & zp).sum(axis=0, dtype=np.int64)
+        xs, zs = self._gather(idx)
+        xp = np.bitwise_xor.accumulate(xs, axis=0)
+        zp = np.bitwise_xor.accumulate(zs, axis=0)
+        ys = np.bitwise_count(xs & zs).sum(axis=1, dtype=np.int64)
+        yp = np.bitwise_count(xp & zp).sum(axis=1, dtype=np.int64)
         ycum = ys.cumsum()
         if ((ycum - yp) & 1).any():
             raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
         cross = int(np.bitwise_count((zp ^ zs) & xs).sum(dtype=np.int64))
-        phase = int(ycum[-1]) + 2 * int(self.r[idx].sum()) + 2 * cross - int(yp[-1])
-        return xp[:, -1], zp[:, -1], phase % 4
+        signs = int(((self.r[idx >> 6] >> (idx & 63).astype(np.uint64)) & _ONE).sum())
+        phase = int(ycum[-1]) + 2 * signs + 2 * cross - int(yp[-1])
+        return xp[-1], zp[-1], phase % 4
 
     def row_product(self, rows) -> PauliOperator:
         """The group product of the given rows, in order (see `_row_product`)."""
         x, z, phase = self._row_product(np.asarray(rows, dtype=np.intp))
-        (xi,), (zi,) = _col_ints(x[:, None]), _col_ints(z[:, None])
+        (xi,), (zi,) = _row_ints(x[None]), _row_ints(z[None])
         return PauliOperator(self.n, phase, xi, zi)
 
     # -- anticommutation ---------------------------------------------------------
 
-    def _anticommute(self, wx: np.ndarray, wz: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """(k, hi-lo) bool array: entry (a, j) is set iff the packed word
-        (wx[a], wz[a]) anticommutes with row lo+j.  wx, wz are (k, words)."""
-        both = (wx[:, :, None] & self.z[None, :, lo:hi]) ^ (wz[:, :, None] & self.x[None, :, lo:hi])
-        return (np.bitwise_count(np.bitwise_xor.reduce(both, axis=1)) & 1).astype(bool)
-
     def anticommuting_rows(self, words, lo: int, hi: int) -> list[int]:
         """For each Pauli word (x, z) (ints, bit j = qubit j), the bitmask of
-        the rows lo..hi-1 it anticommutes with (bit j = row lo+j).  Batches
-        of up to _BATCH_ELEMS word-row-word products take one fixed set of
-        vectorized operations each."""
+        the rows lo..hi-1 it anticommutes with (bit j = row lo+j).
+
+        A word anticommutes with a row iff the XOR of the z columns at the
+        word's x bits and the x columns at its z bits has the row's bit set.
+        Batches of up to _BATCH_ELEMS word-qubit-word products take one
+        fixed set of vectorized operations each."""
         words = list(words)
-        step = max(1, _BATCH_ELEMS // (self._words * max(hi - lo, 1)))
+        n, nbytes = self.n, (self.n + 7) // 8
+        step = max(1, _BATCH_ELEMS // (n * self._words))
+        keep = (1 << max(hi - lo, 0)) - 1
         masks = []
         for s in range(0, len(words), step):
             part = words[s:s + step]
-            wx = _int_words([x for x, _ in part], self._words)
-            wz = _int_words([z for _, z in part], self._words)
-            bits = np.packbits(self._anticommute(wx, wz, lo, hi), axis=1, bitorder="little")
-            masks += [int.from_bytes(b.tobytes(), "little") for b in bits]
+            raw = b"".join(v.to_bytes(nbytes, "little") for word in part for v in word)
+            bits = np.unpackbits(
+                np.frombuffer(raw, np.uint8).reshape(2 * len(part), nbytes),
+                axis=1, count=n, bitorder="little",
+            )
+            wx, wz = bits[0::2, :, None], bits[1::2, :, None]
+            anti = np.bitwise_xor.reduce(wx * self.z, axis=1)
+            anti ^= np.bitwise_xor.reduce(wz * self.x, axis=1)
+            masks += [(m >> lo) & keep for m in _row_ints(anti)]
         return masks
 
     # -- measurement ------------------------------------------------------------
 
     def _x_column(self, a: int, lo: int, hi: int) -> np.ndarray:
-        wa = a >> 6
-        return (self.x[wa, lo:hi] >> _SHIFTS[a & 63]) & _ONE
+        """0/1 x bits of qubit a in rows lo..hi-1."""
+        raw = self.x[a].astype("<u8", copy=False).view(np.uint8)
+        return np.unpackbits(raw, count=hi, bitorder="little")[lo:]
 
     def is_deterministic(self, a: int) -> bool:
         """True iff measuring qubit a gives a determinate outcome.  O(n)."""
@@ -366,11 +517,10 @@ class Tableau:
         is overwritten by the copy step regardless.
         """
         idx = hits[(hits != pivot) & (hits != partner)]
+        src = self._read_row(pivot)
         if idx.size:
-            self._batch_rowsum(idx, pivot)
-        self.x[:, partner] = self.x[:, pivot]
-        self.z[:, partner] = self.z[:, pivot]
-        self.r[partner] = self.r[pivot]
+            self._rowsum_mask(self._row_mask(idx), *src)
+        self._write_row(partner, *src)
         self.set_row(pivot, row)
 
     def _determinate_outcome(self, a: int, limit: int) -> int:
@@ -383,12 +533,11 @@ class Tableau:
         rowsums into the scratch row would, and it counts as those k
         rowsums in `rowsum_count`.
         """
-        idx = self.n + np.nonzero(self._x_column(a, 0, limit))[0]
+        idx = self.n + self._x_column(a, 0, limit).nonzero()[0]
         x, z, phase = self._row_product(idx)
-        s = self.scratch_row
-        self.x[:, s] = x
-        self.z[:, s] = z
-        self.r[s] = phase >> 1
+        words = np.concatenate((x, z)).astype("<u8", copy=False)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
+        self._write_row(self.scratch_row, bits, phase >> 1)
         self.rowsum_count += idx.size
         return phase >> 1
 
@@ -400,12 +549,12 @@ class Tableau:
         """
         self._check_qubit(a)
         n = self.n
-        stab_hits = np.nonzero(self._x_column(a, n, 2 * n))[0]
-        if stab_hits.size:
-            p = n + int(stab_hits[0])
+        hits = self._x_column(a, 0, 2 * n).nonzero()[0]
+        if hits.size and hits[-1] >= n:
+            p = int(hits[np.searchsorted(hits, n)])
             outcome = rng.getrandbits(1) & 1
             z_a = PauliOperator.single(n, a, "Z", 2 * outcome)
-            self._collapse(np.nonzero(self._x_column(a, 0, 2 * n))[0], p, p - n, z_a)
+            self._collapse(hits, p, p - n, z_a)
             return MeasurementRecord(a, outcome, deterministic=False)
         outcome = self._determinate_outcome(a, n)
         return MeasurementRecord(a, outcome, deterministic=True)
@@ -414,44 +563,45 @@ class Tableau:
 
     def bit_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Unpacked (2n, n) x and z bit matrices for rows 0..2n-1."""
-        k = 2 * self.n
-        xrows = np.ascontiguousarray(self.x[:, :k].T)
-        zrows = np.ascontiguousarray(self.z[:, :k].T)
-        return _unpack_rows(xrows, self.n), _unpack_rows(zrows, self.n)
+        xs, zs = self._gather(np.arange(2 * self.n))
+        return _unpack_rows(xs, self.n), _unpack_rows(zs, self.n)
 
     def satisfies_invariants(self) -> bool:
         """Check the commutation pattern: row i anticommutes with row j iff
         j = i±n.  This also forces the 2n x 2n bit matrix to have full rank.
 
-        Row i is tested against rows i..2n-1 only (the pattern is
-        symmetric), one row at a time, so no temporary outgrows `x`."""
-        n = self.n
-        for i in range(2 * n):
-            anti = self._anticommute(self.x[None, :, i], self.z[None, :, i], i, 2 * n)[0]
-            # row i < n meets only its partner, row i+n (offset n); row i >= n none
-            hits = np.count_nonzero(anti)
-            if hits != (i < n) or (hits and not anti[n]):
-                return False
-        return True
+        The whole 2n x 2n pattern is one packed GF(2) product of the rows'
+        bits with the columns (`_xor_combine`): no float array, and no
+        temporary more than a few times the size of `x`."""
+        n, k, pad = self.n, 2 * self.n, _padded(self.n)
+        xs, zs = (np.ascontiguousarray(h).view(np.uint8) for h in self._gather(np.arange(k)))
+        anti = _xor_combine(self._xz[pad:], xs) ^ _xor_combine(self._xz[:pad], zs)
+        anti &= _span(0, k, self._words)
+        want = np.zeros_like(anti)
+        partner = (np.arange(k) + n) % k
+        want[np.arange(k), partner >> 6] = _ONE << (partner & 63).astype(np.uint64)
+        return np.array_equal(anti, want)
 
     def apply_cnot_round(self, e: np.ndarray, f: np.ndarray):
         """Apply a whole CNOT round given by its column maps: every row's x
         bits go to xE and its z bits to zF, with E, F (n, n) 0/1 arrays and
-        F = (E^-1)^T.
+        F = (E^-1)^T.  In this layout the new column j is the XOR of the old
+        columns i with E[i, j] = 1 (F for z), one packed GF(2) product.
 
         Such a round has no phase change in the normal-ordered picture, so
         each row's sign bit shifts only by the Y-count correction
-        (|x&z| - |x'&z'|)/2 mod 2.
+        (|x&z| - |x'&z'|)/2 mod 2: bit 1 of |x&z| before XOR after, as the
+        parity of |x&z| does not change.  The scratch row is left as it was.
         """
-        k = 2 * self.n
-        xb, zb = self.bit_matrix()
-        pc0 = (xb & zb).sum(axis=1, dtype=np.int64)
-        xn = ((xb.astype(np.float64) @ e.astype(np.float64)).astype(np.int64) & 1).astype(np.uint8)
-        zn = ((zb.astype(np.float64) @ f.astype(np.float64)).astype(np.int64) & 1).astype(np.uint8)
-        pc1 = (xn & zn).sum(axis=1, dtype=np.int64)
-        self.r[:k] ^= (((pc0 - pc1) >> 1) & 1).astype(np.uint64)
-        self.x[:, :k] = _pack_rows(xn, self._words).T
-        self.z[:, :k] = _pack_rows(zn, self._words).T
+        keep, pad = _span(0, 2 * self.n, self._words), _padded(self.n)
+        before = _pair_parity(self.x & self.z)
+        xn = _xor_combine(self._xz[:pad], np.packbits(e.T, axis=1, bitorder="little"))
+        zn = _xor_combine(self._xz[pad:], np.packbits(f.T, axis=1, bitorder="little"))
+        self.r ^= (before ^ _pair_parity(xn & zn)) & keep
+        for a, new in ((self.x, xn), (self.z, zn)):
+            a &= ~keep
+            new &= keep
+            a |= new
 
     # -- binary snapshots -----------------------------------------------------------
 
@@ -460,20 +610,20 @@ class Tableau:
         x bits, z bits, and phase bits, all little-endian 64-bit words.  The
         scratch row is stored zeroed."""
         head = _MAGIC + _VERSION.to_bytes(4, "little") + self.n.to_bytes(8, "little")
-        x = np.ascontiguousarray(self.x.T)
-        z = np.ascontiguousarray(self.z.T)
-        x[self.scratch_row] = 0
-        z[self.scratch_row] = 0
-        r = np.zeros(64 * ((2 * self.n + 64) // 64), dtype=np.uint8)
-        r[: 2 * self.n] = self.r[: 2 * self.n]
-        rbits = np.packbits(r, bitorder="little").tobytes()
-        return head + x.astype("<u8").tobytes() + z.astype("<u8").tobytes() + rbits
+        k = 2 * self.n
+        x, z = self._gather(np.arange(k + 1))
+        x[k] = 0
+        z[k] = 0
+        r = self.r & _span(0, k, self._words)
+        return head + b"".join(a.astype("<u8").tobytes() for a in (x, z, r))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Tableau":
         """Inverse of `to_bytes`.  Raises ValueError, before allocating
         anything, unless the payload is exactly as long as the header's
-        qubit count requires."""
+        qubit count requires; ValueError if a padding bit (a qubit >= n, a
+        phase bit past row 2n-1) or the scratch row is set; and
+        InvalidTableauError unless the rows satisfy `satisfies_invariants`."""
         if data[:4] != _MAGIC:
             raise ValueError("bad magic in tableau snapshot")
         version = int.from_bytes(data[4:8], "little")
@@ -485,17 +635,23 @@ class Tableau:
                 f"tableau snapshot for n={n} must be {_snapshot_bytes(n)} bytes, "
                 f"got {len(data)}"
             )
+        rows, words = 2 * n + 1, (n + 63) // 64
+        body = np.frombuffer(data, dtype="<u8", offset=_HEADER)
+        x, z = body[:2 * rows * words].reshape(2, rows, words)
+        r = body[2 * rows * words:]
+        if ((x | z) & ~_span(0, n, words)).any():
+            raise ValueError("tableau snapshot sets bits past qubit n-1")
+        if x[-1].any() or z[-1].any():
+            raise ValueError("tableau snapshot has a nonzero scratch row")
+        if (r & ~_span(0, 2 * n, len(r))).any():
+            raise ValueError("tableau snapshot sets phase bits past row 2n-1")
         t = cls(n)
-        rows = 2 * n + 1
-        words = (n + 63) // 64
-        off = _HEADER
-        span = rows * words * 8
-        t.x = np.frombuffer(data[off:off + span], dtype="<u8").reshape(rows, words).T.copy()
-        off += span
-        t.z = np.frombuffer(data[off:off + span], dtype="<u8").reshape(rows, words).T.copy()
-        off += span
-        rbits = np.unpackbits(np.frombuffer(data[off:], dtype=np.uint8), bitorder="little")
-        t.r = rbits[:rows].astype(np.uint64)
+        t._adopt(_transpose(np.hstack((x, z)), np.arange(2 * _padded(n))))
+        t.r = r.astype(np.uint64)
+        if not t.satisfies_invariants():
+            raise InvalidTableauError(
+                "snapshot rows break the destabilizer/stabilizer commutation pattern"
+            )
         return t
 
 

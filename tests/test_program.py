@@ -144,6 +144,63 @@ m 0
     assert parse(render(prog)) == prog
 
 
+@st.composite
+def rendered_programs(draw):
+    """Random programs with every construct `render` writes: gates,
+    measurements, conditionals, named gates and initial-state blocks."""
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+
+    def matrix(b):
+        entries = st.lists(st.builds(complex, floats, floats), min_size=4**b, max_size=4**b)
+        return np.array(draw(entries), dtype=complex).reshape(2**b, 2**b)
+
+    name = st.text("abcxyzXYZ_0123456789", min_size=1, max_size=8).filter(
+        lambda s: not s[0].isdigit()
+    )
+    names = draw(st.lists(name, max_size=3, unique=True))
+    gate_table = {name: (b, matrix(b)) for name in names for b in [draw(st.integers(1, 2))]}
+    blocks = [matrix(draw(st.integers(1, 2))) for _ in range(draw(st.integers(0, 2)))]
+    qubits = draw(st.integers(2, 6))
+    qubit = st.integers(0, qubits - 1)
+    instrs, measured = [], 0
+    for kind in draw(st.lists(st.sampled_from("chpmui"), max_size=25)):
+        if kind == "u" and not gate_table:
+            continue
+        if kind == "i":
+            if not measured:
+                continue
+            inner = draw(st.sampled_from("chpu" if gate_table else "chp"))
+        else:
+            inner = kind
+        if inner == "c":
+            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            instr = Cnot(a, b)
+        elif inner == "m":
+            instr = Measure(draw(qubit))
+        elif inner == "u":
+            name = draw(st.sampled_from(sorted(gate_table)))
+            width = gate_table[name][0]
+            on = draw(st.lists(qubit, min_size=width, max_size=width, unique=True))
+            instr = NamedUnitary(name, tuple(on))
+        else:
+            instr = (Phase if inner == "p" else Hadamard)(draw(qubit))
+        if kind == "i":
+            instr = Conditional(draw(st.integers(0, measured - 1)), instr)
+        measured += kind == "m"
+        instrs.append(instr)
+    program = CircuitProgram(0, tuple(instrs), gate_table, blocks)
+    # the qubit count `parse` infers: the widest index or the blocks' span
+    span = sum(int(np.log2(m.shape[0])) for m in blocks)
+    program.n = max(program.qubit_span() if instrs else 0, span, 1)
+    return program
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(rendered_programs())
+def test_parse_inverts_render(program):
+    assert parse(render(program)) == program
+
+
 def test_demo_programs_all_parse():
     for path in PROGRAMS_DIR.glob("*.chp"):
         prog = parse(path.read_text())

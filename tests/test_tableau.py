@@ -1,5 +1,6 @@
 import ast
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_gate, paired_random_evolution, random_gate, random_tableau
-from stabsim.errors import CorruptTableauError, DimensionError
+from stabsim.errors import CorruptTableauError, DimensionError, InvalidTableauError, StabsimError
 from stabsim import tableau as tableau_module
 from stabsim.mixed import MixedTableau, new_mixed
 from stabsim.oracle import DenseState, density_from_generators
 from stabsim.pauli import PauliOperator, commutes, multiply, parse_pauli
+from stabsim.program import Cnot
+from stabsim.synth import _column_maps, apply_cnots_as_row_ops
 from stabsim.tableau import Tableau, new_zero_state
 
 
@@ -256,11 +259,125 @@ def test_snapshot_golden_bytes():
     assert Tableau.from_bytes(golden) == t
 
 
+def test_snapshot_rejects_padding_scratch_and_broken_rows():
+    # n = 3: one 64-bit word per row; the 7 x rows start after the 16-byte
+    # header, then the 7 z rows, then one word of phase bits
+    good = new_zero_state(3).to_bytes()
+
+    def flipped(byte, bit):
+        blob = bytearray(good)
+        blob[byte] ^= 1 << bit
+        return bytes(blob)
+
+    x0, z0, r = 16, 16 + 7 * 8, 16 + 14 * 8
+    for blob in (
+        flipped(x0 + 1, 2),  # bit 10 of row 0's x word: qubit 10 of 3
+        flipped(z0 + 7, 7),  # qubit 63 of row 0's z word
+        flipped(x0 + 6 * 8, 0),  # the scratch row
+        flipped(r, 6),  # the scratch row's phase
+        flipped(r + 7, 7),  # phase bit 63
+    ):
+        with pytest.raises(ValueError):
+            Tableau.from_bytes(blob)
+    # row 0 becomes X0 X1, which anticommutes with stabilizer Z1
+    with pytest.raises(InvalidTableauError):
+        Tableau.from_bytes(flipped(x0, 1))
+    # a flipped sign is another valid state
+    assert Tableau.from_bytes(flipped(r, 4)).to_bytes() == flipped(r, 4)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    n=st.sampled_from([1, 31, 32, 64]),
+    mixed=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_snapshot_flips_are_rejected_or_round_trip(n, mixed, seed, data):
+    r = random.Random(seed)
+    t = new_mixed(n, r.randrange(n + 1)) if mixed else new_zero_state(n)
+    for _ in range(4 * n):
+        apply_gate(t, random_gate(n, r))
+    t.measure(r.randrange(n), r)
+    blob = bytearray(t.to_bytes())
+    # the x rows, z rows and phase words of the Tableau payload, which a
+    # MixedTableau snapshot prefixes with its own 16-byte header
+    rows, words = 2 * n + 1, (n + 63) // 64
+    x0 = len(blob) - tableau_module._snapshot_bytes(n) + 16
+    z0, r0 = x0 + rows * words * 8, x0 + 2 * rows * words * 8
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from("xzrb"))
+        if kind == "b":
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+            continue
+        if kind == "r":
+            at, bit = r0, data.draw(st.integers(0, 64 * (len(blob) - r0) // 8 - 1))
+        else:
+            # the scratch row and the qubits below n get half the draws
+            row = data.draw(st.one_of(st.just(rows - 1), st.integers(0, rows - 1)))
+            at = (x0 if kind == "x" else z0) + 8 * words * row
+            bit = data.draw(st.one_of(st.integers(0, n - 1), st.integers(0, 64 * words - 1)))
+        blob[at + bit // 8] ^= 1 << (bit % 8)
+    try:
+        loaded = type(t).from_bytes(bytes(blob))
+    except (ValueError, StabsimError):
+        return
+    assert loaded.to_bytes() == bytes(blob)
+    assert loaded.satisfies_invariants()
+    # every bit that loaded is one that the rows show
+    rebuilt = type(t)(n)
+    for i in range(2 * n + 1):
+        rebuilt.set_row(i, loaded.get_row(i))
+    if mixed:
+        rebuilt.rank = loaded.rank
+    assert rebuilt == loaded
+
+
 def test_equality_ignores_scratch(rng):
     t = random_tableau(3, rng)
     u = t.copy()
-    u.x[:, u.scratch_row] ^= np.uint64(1)
+    s = u.scratch_row
+    u.x[0, s >> 6] ^= np.uint64(1) << np.uint64(s & 63)
     assert t == u
+
+
+def cnot_round_maps(gates, n):
+    """The column maps (E, F) of a CNOT list, as `synth` builds them."""
+    return _column_maps(apply_cnots_as_row_ops(gates, n).transpose())
+
+
+def random_cnots(n, count, r):
+    return [Cnot(*r.sample(range(n), 2)) for _ in range(count)] if n > 1 else []
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(min_value=1, max_value=70), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_cnot_round_equals_one_cnot_at_a_time(n, seed):
+    r = random.Random(seed)
+    t = random_tableau(n, r, ngates=4 * n)
+    # the round leaves the scratch row alone; give it something to keep
+    t.set_row(t.scratch_row, PauliOperator(n, 2 * r.randrange(2), r.getrandbits(n), r.getrandbits(n)))
+    gates = random_cnots(n, r.randrange(3 * n + 1), r)
+    bulk, single = t.copy(), t.copy()
+    bulk.apply_cnot_round(*cnot_round_maps(gates, n))
+    for g in gates:
+        single.apply_cnot(g.a, g.b)
+    assert [bulk.get_row(i) for i in range(2 * n)] == [single.get_row(i) for i in range(2 * n)]
+    assert bulk.get_row(bulk.scratch_row) == t.get_row(t.scratch_row)
+
+
+def test_cnot_round_allocates_a_few_tableaus():
+    n = 512
+    r = random.Random(5)
+    t = random_tableau(n, r, ngates=2 * n)
+    maps = cnot_round_maps(random_cnots(n, 4 * n, r), n)
+    tracemalloc.start()
+    try:
+        t.apply_cnot_round(*maps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * tableau_module._tableau_bytes(n)
 
 
 def test_memory_bits_close_to_4n_squared():

@@ -44,7 +44,6 @@ are a fixed handful of vectorized operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -104,12 +103,9 @@ def _row_ints(a: np.ndarray) -> list[int]:
     return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
 
 
-@lru_cache(maxsize=256)
 def _span(lo: int, hi: int, words: int) -> np.ndarray:
-    """Read-only packed mask of `words` words with bits lo..hi-1 set."""
-    m = _int_words([((1 << max(hi - lo, 0)) - 1) << lo], words)[0]
-    m.setflags(write=False)
-    return m
+    """Packed mask of `words` words with bits lo..hi-1 set."""
+    return _int_words([((1 << max(hi - lo, 0)) - 1) << lo], words)[0]
 
 
 # Columns per step of `_transpose`: one step holds m bytes per column.
@@ -193,10 +189,6 @@ _SHIFTS = [np.uint64(s) for s in range(64)]
 # Word-qubit-word products per vectorized step of `anticommuting_rows` (8
 # bytes each), so a long Pauli-sum term list is processed in bounded slices.
 _BATCH_ELEMS = 1 << 18
-
-# Words per array in one slice of a rowsum sweep (8 bytes each), so that the
-# sweep's temporaries stay in cache.
-_SWEEP_ELEMS = 1 << 15
 
 
 class Tableau:
@@ -401,38 +393,27 @@ class Tableau:
         order = np.concatenate((xonly, zonly, both))
         order = np.concatenate((order, order + pad))  # x columns, then z columns
         k = b + both.size
-        # Words are independent: they are taken in slices that stay in cache,
-        # and written back once no slice has found an odd phase sum.
-        step = max(1, _SWEEP_ELEMS // max(order.size, 1))
-        done = []
-        for lo in range(0, self._words, step):
-            cols = slice(lo, lo + step)
-            m = mask[cols]
-            if not m.any():
-                continue
-            xz = self._xz[:, cols].take(order, axis=0)
-            x, z = xz[:k], xz[k:]
-            anti = z.copy()
-            anti[a:] = x[a:]
-            anti[b:] ^= z[b:]
-            minus = x.copy()
-            minus[a:b] ^= z[a:b]
-            np.invert(minus[:b], out=minus[:b])
-            pre = np.bitwise_xor.accumulate(anti, axis=0)
-            if k and (pre[-1] & m).any():
-                raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
-            minus[1:] ^= pre[:-1]
-            minus &= anti
-            phase = np.bitwise_xor.reduce(minus, axis=0)
-            if sign:
-                np.invert(phase, out=phase)
-            x[:a] ^= m
-            x[b:] ^= m
-            z[a:] ^= m
-            done.append((cols, xz, phase & m))
-        for cols, xz, phase in done:
-            self._xz[order, cols] = xz
-            self.r[cols] ^= phase
+        xz = self._xz.take(order, axis=0)
+        x, z = xz[:k], xz[k:]
+        anti = z.copy()
+        anti[a:] = x[a:]
+        anti[b:] ^= z[b:]
+        minus = x.copy()
+        minus[a:b] ^= z[a:b]
+        np.invert(minus[:b], out=minus[:b])
+        pre = np.bitwise_xor.accumulate(anti, axis=0)
+        if k and (pre[-1] & mask).any():
+            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
+        minus[1:] ^= pre[:-1]
+        minus &= anti
+        phase = np.bitwise_xor.reduce(minus, axis=0)
+        if sign:
+            np.invert(phase, out=phase)
+        x[:a] ^= mask
+        x[b:] ^= mask
+        z[a:] ^= mask
+        self._xz[order] = xz
+        self.r ^= phase & mask
         self.rowsum_count += int(np.bitwise_count(mask).sum())
 
     def _row_product(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

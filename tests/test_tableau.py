@@ -575,10 +575,16 @@ def test_batch_rowsum_equals_one_rowsum_per_row(n, seed):
     assert [batch.get_row(i) for i in idx] == want
     assert batch.rowsum_count == single.rowsum_count == t.rowsum_count + len(idx)
     # the partner anticommutes with src: its phase sum is odd, and both raise
-    with pytest.raises(CorruptTableauError):
-        t.copy()._batch_rowsum(np.array(idx + [partner], dtype=np.intp), src)
-    with pytest.raises(CorruptTableauError):
-        t.copy().rowsum(partner, src)
+    # before they write anything
+    for call in (
+        lambda u: u._batch_rowsum(np.array(idx + [partner], dtype=np.intp), src),
+        lambda u: u.rowsum(partner, src),
+    ):
+        bad = t.copy()
+        with pytest.raises(CorruptTableauError):
+            call(bad)
+        assert [bad.get_row(i) for i in rows] == [t.get_row(i) for i in rows]
+        assert bad.rowsum_count == t.rowsum_count
 
 
 @settings(max_examples=30, deadline=None, database=None)

@@ -272,15 +272,6 @@ class PauliSumState:
 
     # -- stabilizer part ---------------------------------------------------------
 
-    def _stab_elements(self, words):
-        """(mask, product) per word (x, z): bit j of mask is set iff the word
-        anticommutes with destabilizer j, and product is the product of the
-        stabilizer generators the mask selects.  The word lies in ±S iff the
-        product's bits equal (x, z)."""
-        n, tab = self.n, self.tableau
-        for mask in tab.anticommuting_rows(words, 0, n):
-            yield mask, tab.row_product([n + j for j in range(n) if (mask >> j) & 1])
-
     def apply_cnot(self, a: int, b: int):
         self.tableau.apply_cnot(a, b)
         self._conjugate_terms(lambda p: conjugate_cnot(p, a, b))
@@ -358,20 +349,35 @@ class PauliSumState:
 
     # -- traces and measurement -------------------------------------------------------
 
-    def _trace_sum(self, terms: list) -> complex:
-        """Sum of the term traces, in term order.  A term's trace is 0 unless
-        its word is in the stabilizer group, else ±coeff with the sign fixed
-        by the generator eigenvalues."""
+    def _stabilizer_signs(self, paulis) -> list:
+        """(mask, sign) per Pauli word p (p.x, p.z): bit j of mask is set iff
+        p anticommutes with destabilizer j, so the mask selects the
+        generators whose product is ±p if p is in ±S at all; sign is that
+        product's ±1.0, or 0.0 when p lies outside ±S."""
+        words = [(p.x, p.z) for p in paulis]
+        masks = self.tableau.anticommuting_rows(words, 0, self.n)
+        xs, zs, phases = self.tableau.stabilizer_products(masks)
+        return [
+            (mask, 0.0 if (x, z) != word else -1.0 if phase else 1.0)
+            for word, mask, x, z, phase in zip(words, masks, xs, zs, phases)
+        ]
+
+    def _trace_sum(self, pairs) -> complex:
+        """Sum of the traces of (term, `_stabilizer_signs` entry) pairs, in
+        order: sign * coeff (0 outside ±S), negated when |eig & mask| is
+        odd.  One `Tableau.stabilizer_products` call gives a term list's
+        entries: mask m's generator product has the power of i
+        sum y_a + 2 sum r_a + 2 |m & mU| - |X & Z| (mod 4) over the rows a
+        it selects, with U[a, b] = |z_a & x_b| mod 2 for a < b."""
         total = 0
-        for t, (umask, w) in zip(terms, self._stab_elements((t.x, t.z) for t in terms)):
-            sign = -1.0 if w.phase_exp else 1.0
-            if (t.eig & umask).bit_count() & 1:
+        for t, (mask, sign) in pairs:
+            if (t.eig & mask).bit_count() & 1:
                 sign = -sign
-            total += t.coeff * sign if (w.x, w.z) == (t.x, t.z) else 0j
+            total += t.coeff * sign if sign else 0j
         return total
 
     def trace(self) -> float:
-        total = self._trace_sum(self.terms)
+        total = self._trace_sum(zip(self.terms, self._stabilizer_signs(self.terms)))
         if abs(total.imag) > PROB_TOL:
             raise NumericalIntegrityError("state trace has an imaginary part")
         return total.real
@@ -405,43 +411,36 @@ class PauliSumState:
     def _project_commuting(self, q: PauliOperator):
         """q commutes with the whole stabilizer, hence lies in ±S: filter terms
         by commutation with q and by their q-eigenvalue."""
-        ((tmask, w),) = self._stab_elements([(q.x, q.z)])
-        if (w.x, w.z) != (q.x, q.z):
+        kept = [t for t in self.terms if not symplectic(t.x, t.z, q.x, q.z)]  # the rest: trace 0
+        (qmask, qsign), *signs = self._stabilizer_signs([q, *kept])
+        if not qsign:
             raise CorruptTableauError("operator commutes with but is outside ±S")
-        eta = 1 if w.phase_exp == q.phase_exp else -1
-        keep0, keep1 = [], []
-        for t in self.terms:
-            if symplectic(t.x, t.z, q.x, q.z):
-                continue  # traceless either way
-            lam = eta * (-1 if (t.eig & tmask).bit_count() & 1 else 1)
-            (keep0 if lam == 1 else keep1).append(
-                PauliSumTerm(t.coeff, t.x, t.z, t.eig)
-            )
-        p0 = self._trace_sum(keep0).real
-        p1 = self._trace_sum(keep1).real
-        return p0, p1, keep0, keep1
+        flip = (qsign < 0) != (q.phase_exp == 2)
+        keep = ([], [])
+        for t, sign in zip(kept, signs):
+            keep[flip ^ ((t.eig & qmask).bit_count() & 1)].append((t, sign))
+        p0, p1 = (self._trace_sum(pairs).real for pairs in keep)
+        return p0, p1, *([t for t, _ in pairs] for pairs in keep)
 
     def _project_anticommuting(self, q: PauliOperator, hits: list):
         """q anticommutes with the rows `hits` (ascending) of the tableau, the
         first generator among them M_{j1}: the tableau's collapse multiplies
         every other anticommuting row by M_{j1}, moves M_{j1} to its
         destabilizer slot and puts q in its place; anticommuting words pick
-        up a factor of the old generator."""
-        n = self.n
-        tab = self.tableau
+        up a factor of the old generator.  New eigenvalue bits go to new
+        terms only, so a collapse that raises leaves the state as it was."""
+        n, tab = self.n, self.tableau
         anti = [i - n for i in hits if i >= n]
         j1 = anti[0]
-        modmask = sum(1 << j for j in anti[1:])
-        for t in self.terms:
-            if (t.eig >> j1) & 1:
-                t.eig ^= modmask
         tab._collapse(np.array(hits), n + j1, j1, q)
         m1 = tab.get_row(j1)
 
+        modmask = sum(1 << j for j in anti[1:])
         bit = 1 << j1
         keep0, keep1 = [], []
         for t in self.terms:
             e1 = (t.eig >> j1) & 1
+            eig = t.eig ^ modmask if e1 else t.eig
             if symplectic(t.x, t.z, q.x, q.z) == 0:
                 c = t.coeff / 2
                 x, z = t.x, t.z
@@ -449,10 +448,10 @@ class PauliSumState:
                 prod = multiply(PauliOperator(n, 0, t.x, t.z), m1)
                 c = t.coeff / 2 * (1j ** prod.phase_exp) * (-1 if e1 else 1)
                 x, z = prod.x, prod.z
-            keep0.append(PauliSumTerm(c, x, z, t.eig & ~bit))
-            keep1.append(PauliSumTerm(c, x, z, t.eig | bit))
-        p0 = self._trace_sum(keep0).real
-        p1 = self._trace_sum(keep1).real
+            keep0.append(PauliSumTerm(c, x, z, eig & ~bit))
+            keep1.append(PauliSumTerm(c, x, z, eig | bit))
+        signs = self._stabilizer_signs(keep0)
+        p0, p1 = (self._trace_sum(zip(keep, signs)).real for keep in (keep0, keep1))
         return p0, p1, keep0, keep1
 
     def measure_qubit(self, a: int, rng) -> tuple:

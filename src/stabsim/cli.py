@@ -2,7 +2,7 @@
 synthesis / overlap / counting subcommands.
 
 Exit codes: 0 success, 2 parse or usage error, 3 resource-cap error,
-4 numerical-integrity error.
+4 integrity error (a numerical-integrity failure or a corrupt tableau).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 
 from .beyond import PauliSumState, ProductState, product_measure_probabilities
 from .errors import (
+    CorruptTableauError,
     DimensionError,
     NumericalIntegrityError,
     ParseError,
@@ -295,6 +296,9 @@ def main(argv=None) -> int:
         return 3
     except NumericalIntegrityError as exc:
         print(f"numerical integrity: {exc}", file=sys.stderr)
+        return 4
+    except CorruptTableauError as exc:
+        print(f"corrupt tableau: {exc}", file=sys.stderr)
         return 4
     except (StabsimError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

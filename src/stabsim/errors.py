@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: parse/usage problems exit 2,
-resource-cap violations exit 3, numerical-integrity failures exit 4.
+resource-cap violations exit 3, and integrity failures exit 4: a
+`NumericalIntegrityError` or a `CorruptTableauError` (a failed internal
+consistency check).  Any other `StabsimError` exits 2.
 """
 
 

@@ -25,7 +25,8 @@ the XOR over j of b_j & (b_0 ^ ... ^ b_{j-1}).
 This module alone knows how the bits are packed.  Other modules go through
 its row reads and writes, `anticommuting_rows` (which rows a batch of Pauli
 words anticommutes with), `_collapse` (the random-outcome update for any
-measured Pauli), `row_product`, `rowsum` and `apply_cnot_round`.
+measured Pauli), `row_product`, `stabilizer_products` (the products of many
+subsets of the stabilizer rows at once), `rowsum` and `apply_cnot_round`.
 
 A product of k commuting rows (a determinate measurement's outcome, or a
 stabilizer-group element in the Pauli-sum engine) is computed in closed
@@ -38,7 +39,10 @@ the later X factors gives the product's power of i as
 
 with X, Z the XOR of all rows.  The k rows are gathered into row-major
 packed words first, so the prefix XORs along the row axis and the popcounts
-are a fixed handful of vectorized operations.
+are a fixed handful of vectorized operations.  For many subsets of the
+stabilizer rows at once, the cross term of a subset m is |m & mU| mod 2 for
+one GF(2) matrix U over the rows, so every subset's X, Z and mU is a single
+packed product of the subset masks with the rows (`stabilizer_products`).
 """
 
 from __future__ import annotations
@@ -445,6 +449,72 @@ class Tableau:
         x, z, phase = self._row_product(np.asarray(rows, dtype=np.intp))
         (xi,), (zi,) = _row_ints(x[None]), _row_ints(z[None])
         return PauliOperator(self.n, phase, xi, zi)
+
+    def stabilizer_products(self, masks) -> tuple[list[int], list[int], list[int]]:
+        """For each int mask m (bit j selects stabilizer row n+j), the product
+        of the selected rows in ascending order, as lists of x ints, z ints
+        and powers of i: `row_product` of those rows for every mask at once.
+
+        With the n stabilizer rows gathered once, every product's X and Z is
+        one `_xor_combine` of the masks with the rows.  The closed form of
+        the module docstring, summed over the selected rows, gives the power
+        of i as sum y_a + 2 sum r_a + 2 cross - |X & Z| (mod 4), where
+        cross = sum_{a<b} |z_a & x_b| mod 2 = |m & mU| mod 2 for the GF(2)
+        matrix U[a, b] = |z_a & x_b| mod 2 (a < b, else 0).  The rows of U
+        are further columns of the same combine.
+
+        Raises CorruptTableauError exactly when `row_product` would for some
+        mask: when a selected row anticommutes with the product of the
+        selected rows before it, i.e. some bit of m & mA is set, where
+        A[a, b] (a < b) marks anticommuting stabilizer rows.  Like
+        `row_product`, it leaves `rowsum_count` alone.
+        """
+        n, pad = self.n, _padded(self.n)
+        nw = pad // 64
+        cols, signs = self._stabilizer_columns()
+        xcols = cols[:pad]
+        rows = _transpose(cols, np.arange(pad))  # row-major: x words, z words
+        # V[a, b] = |z_a & x_b| mod 2: row a is the XOR of the x columns at
+        # row a's z bits.  A = V + V^T marks the anticommuting pairs.
+        v = _xor_combine(xcols, np.ascontiguousarray(rows[:, nw:]).view(np.uint8))
+        # bits b > a of row a: word k keeps all but its low a + 1 - 64k bits
+        clear = np.clip(np.arange(pad)[:, None] + 1 - 64 * np.arange(nw), 0, 64)
+        upper = ~np.uint64(0) << clear.astype(np.uint64)
+        anti = (v ^ _transpose(v, np.arange(pad))) & upper
+        rows = np.hstack((rows, v & upper))
+
+        m = _int_words(list(masks), nw)
+        sel = m.view(np.uint8)
+        if anti.any() and (_xor_combine(anti, sel) & m).any():
+            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
+        out = _xor_combine(rows, sel)
+        x, z, mu = out[:, :nw], out[:, nw:2 * nw], out[:, 2 * nw:]
+        # Bit a of low/high: bit 0/1 of y_a + 2 r_a, from bit-sliced counts.
+        y = xcols & cols[pad:]
+        low = np.bitwise_xor.reduce(y, axis=0)
+        high = _pair_parity(y) ^ signs
+
+        def count(a):
+            return np.bitwise_count(a).sum(axis=1, dtype=np.int64)
+
+        phase = count(m & low) + 2 * count(m & high) + 2 * count(m & mu) - count(x & z)
+        return _row_ints(x), _row_ints(z), (phase % 4).tolist()
+
+    def _stabilizer_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stabilizer rows alone, still qubit-major: the columns of `_xz`
+        (x columns, then z columns, 2 * _padded(n) in all) and the phase
+        bits, shifted so that bit a is row n+a, with bits a >= n cleared."""
+        n, nw = self.n, _padded(self.n) // 64
+        q, s = divmod(n, 64)
+        words = np.zeros((len(self._xz) + 1, nw + 1), dtype=np.uint64)
+        src = self._xz[:, q:q + nw + 1]
+        words[:-1, :src.shape[1]] = src
+        words[-1, :src.shape[1]] = self.r[q:q + nw + 1]
+        out = words[:, :nw] >> _SHIFTS[s]
+        if s:
+            out |= words[:, 1:] << _SHIFTS[64 - s]
+        out &= _span(0, n, nw)
+        return out[:-1], out[-1]
 
     # -- anticommutation ---------------------------------------------------------
 

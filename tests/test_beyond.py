@@ -14,7 +14,12 @@ from stabsim.beyond import (
     nonstab_measure,
     product_measure_probabilities,
 )
-from stabsim.errors import DimensionError, NumericalIntegrityError, ResourceCapError
+from stabsim.errors import (
+    CorruptTableauError,
+    DimensionError,
+    NumericalIntegrityError,
+    ResourceCapError,
+)
 from stabsim.oracle import DenseState, pauli_matrix
 from stabsim.pauli import PauliOperator, commutes, parse_pauli
 from stabsim.program import parse
@@ -222,6 +227,38 @@ class TestPauliSum:
             oa, pa = ca.measure_qubit(0, random.Random(seed))
             ob, pb = cb.measure_qubit(0, random.Random(seed))
             assert abs(pa - pb) < 1e-12
+
+    def test_collapse_that_raises_leaves_the_state_unchanged(self):
+        s = PauliSumState(2)
+        s.apply_hadamard(0)
+        s.apply_unitary(T_GATE, (0,))
+        s.tableau.set_row(3, parse_pauli("YI"))  # anticommutes with the X0 stabilizer
+        terms = [(t.coeff, t.x, t.z, t.eig) for t in s.terms]
+        tab = s.tableau.copy()
+        with pytest.raises(CorruptTableauError):
+            s.measure_qubit(0, random.Random(0))
+        assert [(t.coeff, t.x, t.z, t.eig) for t in s.terms] == terms
+        assert s.tableau == tab
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_t_gate_at_word_boundaries(self, n, seed):
+        # Clifford qubits 0..n-2 against the tableau engine; qubit n-1 gets
+        # H T H, so it reads 0 with probability (2 + sqrt 2) / 4.
+        r = random.Random(seed)
+        gates = [random_gate(n - 1, r) for _ in range(5 * n)]
+        s, t = PauliSumState(n), new_zero_state(n)
+        for g in gates:
+            apply_gate(s, g)
+            apply_gate(t, g)
+        s.apply_hadamard(n - 1)
+        s.apply_unitary(T_GATE, (n - 1,))
+        s.apply_hadamard(n - 1)
+        r1, r2 = random.Random(seed), random.Random(seed)
+        for a in range(n - 1):
+            assert s.measure(a, r1) == t.measure(a, r2)
+        out, prob = s.measure_qubit(n - 1, r1)
+        assert abs((prob if out == 0 else 1 - prob) - (2 + np.sqrt(2)) / 4) < 1e-10
 
     def test_term_budget(self):
         s = PauliSumState(1)

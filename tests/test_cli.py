@@ -16,6 +16,7 @@ from stabsim.cli import (
     run,
     stabilizer_state_count,
 )
+from stabsim.errors import CorruptTableauError
 from stabsim.program import parse
 from stabsim.synth import canonical_stabilizer_key
 from stabsim.tableau import new_zero_state
@@ -237,6 +238,16 @@ class TestMainEntry:
         f = tmp_path / "block.chp"
         f.write_text("block 1\n0.9,0 0,0\n0,0 0.2,0\nm 0\n")  # trace 1.1
         assert main(["run", str(f), "--engine", "beyond"]) == 4
+
+    def test_corrupt_tableau_exit_code(self, tmp_path, capsys, monkeypatch):
+        def corrupt(self, a, rng):
+            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
+
+        monkeypatch.setattr(tableau.Tableau, "measure", corrupt)
+        f = tmp_path / "m.chp"
+        f.write_text("h 0\nm 0\n")
+        assert main(["run", str(f)]) == 4
+        assert "corrupt tableau" in capsys.readouterr().err
 
     def test_count_states_output(self, capsys):
         assert main(["count-states", "2"]) == 0

@@ -461,6 +461,41 @@ def test_row_product_of_stabilizer_rows_matches_multiply_fold(n, seed):
     assert t.row_product(rows) == want
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(n=st.sampled_from([1, 63, 64, 65]), seed=seeds, corrupt=st.booleans())
+def test_stabilizer_products_match_row_product_at_word_boundaries(n, seed, corrupt):
+    assume(n > 1 or not corrupt)
+    r = random.Random(seed)
+    t = random_tableau(n, r, ngates=5 * n)
+    if corrupt:
+        # stabilizer a becomes destabilizer b, so it anticommutes with stabilizer b
+        a, b = r.sample(range(n), 2)
+        t.set_row(n + a, t.get_row(b))
+    bits = [1 << r.randrange(n) | 1 << r.randrange(n) for _ in range(4)]
+    masks = [0, (1 << n) - 1, *bits] + [r.getrandbits(n) & r.getrandbits(n) for _ in range(6)]
+    before = t.rowsum_count
+    want = []
+    for m in masks:
+        try:
+            want.append(t.row_product([n + j for j in range(n) if (m >> j) & 1]))
+        except CorruptTableauError:
+            want.append(None)
+    assert (None in want) == corrupt  # the all-ones mask takes both rows a and b
+    for m, w in zip(masks, want):
+        if w is None:
+            with pytest.raises(CorruptTableauError):
+                t.stabilizer_products([m])
+        else:
+            assert t.stabilizer_products([m]) == ([w.x], [w.z], [w.phase_exp])
+    good = [w for w in want if w is not None]
+    got = t.stabilizer_products(m for m, w in zip(masks, want) if w is not None)
+    assert got == ([w.x for w in good], [w.z for w in good], [w.phase_exp for w in good])
+    if corrupt:
+        with pytest.raises(CorruptTableauError):
+            t.stabilizer_products(masks)
+    assert t.rowsum_count == before
+
+
 @kernel_settings
 @given(n=small_n, seed=seeds)
 def test_row_product_raises_exactly_when_the_fold_goes_imaginary(n, seed):

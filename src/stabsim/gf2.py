@@ -160,13 +160,17 @@ def gf2_cholesky(a: BinaryMatrix) -> tuple[BinaryMatrix, list]:
         raise DimensionError("gf2_cholesky requires a symmetric matrix")
     n = a.nrows
     m = BinaryMatrix.identity(n)
-    for i in range(n):
+    rows = m.rows
+    for i, a_row in enumerate(a.rows):
+        # Row i holds bit i and its bits below j so far, row j only bits <= j,
+        # so their AND is exactly the k < j part of the sum.
+        m_row = rows[i]
         for j in range(i):
-            below = (m.rows[i] & m.rows[j] & ((1 << j) - 1)).bit_count() & 1
-            if a.get(i, j) ^ below:
-                m.rows[i] |= 1 << j
+            if ((a_row >> j) ^ (m_row & rows[j]).bit_count()) & 1:
+                m_row |= 1 << j
+        rows[i] = m_row
     # (M M^T)_ii is the parity of row i of M.
-    lam = [a.get(i, i) ^ (m.rows[i].bit_count() & 1) for i in range(n)]
+    lam = [((a_row >> i) ^ rows[i].bit_count()) & 1 for i, a_row in enumerate(a.rows)]
     return m, lam
 
 

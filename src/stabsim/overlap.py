@@ -1,8 +1,9 @@
 """Inner products between stabilizer states.
 
 |<psi|phi>| is either 0 (the stabilizers contain the same Pauli word with
-opposite signs) or 2**(-s/2).  We rotate |psi> to |0...0> with the gate
-sequence that reduces its tableau, drag |phi> through the same gates, and
+opposite signs) or 2**(-s/2).  We rotate |psi> to |0...0> with the rounds
+that reduce its stabilizers (H and P gates, and CNOT rounds kept as GF(2)
+matrices, never written out as gates), apply the same rounds to |phi>, and
 Gaussian-eliminate the resulting stabilizer: s is the X-block rank, and a
 zero overlap shows up as a residual Z-type generator with a minus sign.
 """

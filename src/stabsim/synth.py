@@ -124,26 +124,25 @@ def hadamard_fix_rank(t: Tableau) -> list:
 # -- CNOT rounds ------------------------------------------------------------------
 
 
-def _column_maps(e: BinaryMatrix) -> tuple:
+def _column_maps(e: BinaryMatrix, e_inv: BinaryMatrix) -> tuple:
     """The CNOT round with column-op matrix E maps X^x Z^z to
     X^(xE) Z^(z(E^-1)^T): both maps, as `Tableau.apply_cnot_round` takes them."""
-    return e.to_numpy(), gf2_invert(e).transpose().to_numpy()
+    return e.to_numpy(), e_inv.to_numpy().T
 
 
-def _emit_cnot_round(t: Tableau, segments: list, k: int, e: BinaryMatrix):
-    """Record the round realizing column-op matrix E and apply it in bulk."""
-    gates = cnot_synth_logdepth(e.transpose())
-    segments[k].extend(gates)
-    t.apply_cnot_round(*_column_maps(e))
+def _emit_cnot_round(t: Tableau, segments: list, k: int, e: BinaryMatrix, e_inv: BinaryMatrix):
+    """Record round k as its column-op matrix and inverse (E, E^-1), all the
+    tableau update needs, and apply it in bulk."""
+    segments[k] = (e, e_inv)
+    t.apply_cnot_round(*_column_maps(e, e_inv))
 
 
 def _apply_segments(t: Tableau, segments):
-    """Replay recorded rounds onto a tableau, folding long CNOT rounds into
-    one matrix application."""
+    """Replay recorded rounds onto a tableau: H and P rounds gate by gate,
+    each recorded C round as one (E, E^-1) matrix application."""
     for kind, seg in zip(ROUND_TYPES, segments):
-        if kind == "C" and len(seg) > 16:
-            e = apply_cnots_as_row_ops(seg, t.n).transpose()
-            t.apply_cnot_round(*_column_maps(e))
+        if kind == "C" and seg:
+            t.apply_cnot_round(*_column_maps(*seg))
         else:
             for g in seg:
                 apply(t, g)
@@ -170,20 +169,20 @@ def _clear_symmetric_z(t: Tableau, segments: list, k: int, lo: int, what: str):
         if lam[a]:
             _emit(t, segments, k, Phase(a))
     # CNOTs carry the X block I to M, sending the Z block to M as well.
-    _emit_cnot_round(t, segments, k + 1, m)
+    m_inv = gf2_invert(m)
+    _emit_cnot_round(t, segments, k + 1, m, m_inv)
     # Phases on every qubit clear the Z block; a double phase (= Z gate) on
-    # the subset solving M s = r clears the sign bits.
+    # the subset s = M^-1 r clears the sign bits r.
     for a in range(n):
         _emit(t, segments, k + 2, Phase(a))
     signs = sum((p.phase_exp >> 1) << i for i, p in enumerate(t.rows(lo, lo + n)))
-    s = gf2_solve(m, signs)
-    for a in range(n):
-        if (s >> a) & 1:
+    for a, row in enumerate(m_inv.rows):
+        if (row & signs).bit_count() & 1:
             _emit(t, segments, k + 2, Phase(a))
             _emit(t, segments, k + 2, Phase(a))
-    # CNOTs Gaussian-eliminate M back to the identity.
-    xs = [p.x for p in t.rows(lo, lo + n)]
-    _emit_cnot_round(t, segments, k + 3, gf2_invert(BinaryMatrix(n, n, xs)))
+    # The X block is now I M = M, so E = M^-1 takes it back to the identity
+    # (had it not been I, the caller's final check of the rows fails).
+    _emit_cnot_round(t, segments, k + 3, m_inv, m)
 
 
 def _reduce_stabilizers(t: Tableau, segments: list):
@@ -195,8 +194,8 @@ def _reduce_stabilizers(t: Tableau, segments: list):
     for a in hadamard_fix_rank(t):
         _emit(t, segments, 0, Hadamard(a))
     # (2) CNOTs Gaussian-eliminate that block to the identity.
-    xs = [p.x for p in t.rows(n, 2 * n)]
-    _emit_cnot_round(t, segments, 1, gf2_invert(BinaryMatrix(n, n, xs)))
+    x = BinaryMatrix(n, n, [p.x for p in t.rows(n, 2 * n)])
+    _emit_cnot_round(t, segments, 1, gf2_invert(x), x)
     # (3)-(6) The stabilizer Z block is now symmetric; clear it and the signs.
     _clear_symmetric_z(t, segments, 2, n, "stabilizer")
     # (7) Hadamards on all qubits swap the X and Z blocks.
@@ -227,9 +226,11 @@ def require_pure(t: Tableau):
 def canonical_synthesize(t: Tableau) -> CanonicalCircuit:
     """Canonical H-C-P-C-P-C-H-P-C-P-C circuit whose tableau equals `t`.
 
-    First reduces a copy of `t` to the identity (that gate list realizes the
-    inverse Clifford), replays it to obtain the inverse tableau, and then
+    First reduces a copy of `t` to the identity (those rounds realize the
+    inverse Clifford), replays them to obtain the inverse tableau, and then
     reduces that: the second reduction's rounds rebuild `t` from scratch.
+    Both reductions keep their C rounds as GF(2) matrices; only the five
+    output rounds are synthesized into CNOT gates.
     """
     require_pure(t)
     if not t.satisfies_invariants():
@@ -241,6 +242,9 @@ def canonical_synthesize(t: Tableau) -> CanonicalCircuit:
     _apply_segments(inverse, scratch)
     segments = [[] for _ in range(11)]
     _reduce_to_identity(inverse, segments)
+    for k, kind in enumerate(ROUND_TYPES):
+        if kind == "C":
+            segments[k] = cnot_synth_logdepth(segments[k][0].transpose())
     return CanonicalCircuit(t.n, tuple(segments))
 
 
@@ -303,20 +307,19 @@ def cnot_synth_gauss(m: BinaryMatrix) -> list:
     return [Cnot(a, b) for a, b in reversed(ops)]
 
 
-def cnot_synth_logdepth(m: BinaryMatrix, block: int | None = None) -> list:
-    """CNOT synthesis with section-wise sub-row sharing: O(n^2 / log n) gates.
+def cnot_synth_logdepth(m: BinaryMatrix) -> list:
+    """CNOT synthesis sharing sub-rows in sections of default_block_size(n)
+    columns: O(n^2 / log n) gates.
 
-    Same contract as cnot_synth_gauss.  Falls back to plain Gauss-Jordan for
-    n < 8, where sectioning cannot pay for itself.
+    Same contract and SingularMatrixError as cnot_synth_gauss.  Falls back to
+    plain Gauss-Jordan for n < 8, where sectioning cannot pay for itself.
     """
     if m.nrows != m.ncols:
         raise DimensionError("CNOT synthesis requires a square matrix")
-    if gf2_rank(m) != m.nrows:
-        raise SingularMatrixError("matrix is singular over GF(2)")
     n = m.nrows
     if n < 8:
         return cnot_synth_gauss(m)
-    block = block or default_block_size(n)
+    block = default_block_size(n)
     work = m.copy()
     low = _pmh_lower(work, block)          # work is now upper triangular
     work = work.transpose()                # lower triangular, unit diagonal
@@ -335,29 +338,23 @@ def apply_cnots_as_row_ops(gates, n: int) -> BinaryMatrix:
 
 
 def minimize(program: CircuitProgram) -> CircuitProgram:
-    """Equivalent circuit with every canonical CNOT round re-synthesized via
-    cnot_synth_logdepth and H/P rounds reduced modulo gate order."""
+    """Equivalent circuit: the canonical form's CNOT rounds as
+    `canonical_synthesize` wrote them (cnot_synth_logdepth of each round's
+    matrix), and its H/P rounds reduced modulo gate order."""
     t = tableau_of_program(program)
     canon = canonical_synthesize(t)
     n = program.n
     out = []
     for kind, seg in zip(ROUND_TYPES, canon.segments):
         if kind == "C":
-            # The round's column-op product equals the transpose of the same
-            # gate list folded as row ops, which is what the synthesizer wants.
-            target = apply_cnots_as_row_ops(seg, n)
-            out.extend(cnot_synth_logdepth(target))
-        elif kind == "H":
-            counts = {}
-            for g in seg:
-                counts[g.a] = counts.get(g.a, 0) + 1
-            out.extend(Hadamard(a) for a in sorted(counts) if counts[a] % 2)
-        else:
-            counts = {}
-            for g in seg:
-                counts[g.a] = counts.get(g.a, 0) + 1
-            for a in sorted(counts):
-                out.extend([Phase(a)] * (counts[a] % 4))
+            out.extend(seg)
+            continue
+        counts = {}
+        for g in seg:
+            counts[g.a] = counts.get(g.a, 0) + 1
+        gate, order = (Hadamard, 2) if kind == "H" else (Phase, 4)
+        for a in sorted(counts):
+            out.extend([gate(a)] * (counts[a] % order))
     return CircuitProgram(n, tuple(out))
 
 

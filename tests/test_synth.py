@@ -1,11 +1,16 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_tableau
+from stabsim import synth
 from stabsim.errors import InvalidTableauError, SingularMatrixError, StabsimError
 from stabsim.gf2 import BinaryMatrix, gf2_rank
 from stabsim.mixed import new_mixed
+from stabsim.overlap import inner_product
 from stabsim.pauli import parse_pauli
 from stabsim.program import CircuitProgram, Cnot, Hadamard, Measure, Phase, random_unitary_program
 from stabsim.synth import (
@@ -142,9 +147,17 @@ class TestCnotSynthesis:
         gates = cnot_synth_logdepth(m)
         assert gates == [Cnot(0, 1)]
 
-    def test_singular_rejected(self):
+    def test_singular_rejected(self, rng):
         with pytest.raises(SingularMatrixError):
             cnot_synth_logdepth(BinaryMatrix(3, 3, [1, 1, 4]))
+        # n = 3 takes the Gauss-Jordan path, n >= 8 the sectioned one.
+        for n in (3, 8, 9, 64):
+            for repeat in (True, False):
+                rows = random_invertible(n, rng).rows
+                i, j = rng.sample(range(n), 2)
+                rows[j] = rows[i] if repeat else 0
+                with pytest.raises(SingularMatrixError):
+                    cnot_synth_logdepth(BinaryMatrix(n, n, rows))
 
     @pytest.mark.parametrize("n", [8, 16, 64, 128, 256])
     def test_reconstruction_and_count(self, n, rng):
@@ -182,6 +195,61 @@ class TestMinimize:
     def test_measurement_rejected(self):
         with pytest.raises(StabsimError):
             minimize(CircuitProgram(1, (Measure(0),)))
+
+
+def minimize_by_resynthesis(program):
+    """`minimize` as it was written before CNOT rounds were kept as
+    matrices: every canonical C round folded back into its matrix and
+    synthesized again."""
+    n = program.n
+    out = []
+    for kind, seg in zip(ROUND_TYPES, canonical_synthesize(tableau_of_program(program)).segments):
+        if kind == "C":
+            out.extend(cnot_synth_logdepth(apply_cnots_as_row_ops(seg, n)))
+        elif kind == "H":
+            counts = {}
+            for g in seg:
+                counts[g.a] = counts.get(g.a, 0) + 1
+            out.extend(Hadamard(a) for a in sorted(counts) if counts[a] % 2)
+        else:
+            counts = {}
+            for g in seg:
+                counts[g.a] = counts.get(g.a, 0) + 1
+            for a in sorted(counts):
+                out.extend([Phase(a)] * (counts[a] % 4))
+    return CircuitProgram(n, tuple(out))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(n=st.integers(min_value=1, max_value=20), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_minimize_matches_resynthesis(n, seed):
+    prog = random_unitary_program(n, 6 * n, random.Random(seed))
+    assert minimize(prog) == minimize_by_resynthesis(prog)
+
+
+def count_cnot_synthesis(monkeypatch):
+    calls = []
+    real = synth.cnot_synth_logdepth
+
+    def counted(m):
+        calls.append(m.nrows)
+        return real(m)
+
+    monkeypatch.setattr(synth, "cnot_synth_logdepth", counted)
+    return calls
+
+
+def test_inner_product_synthesizes_no_cnots(monkeypatch, rng):
+    calls = count_cnot_synthesis(monkeypatch)
+    inner_product(random_tableau(12, rng), random_tableau(12, rng))
+    assert calls == []
+
+
+def test_canonical_form_synthesizes_only_its_five_cnot_rounds(monkeypatch, rng):
+    t = random_tableau(12, rng)
+    calls = count_cnot_synthesis(monkeypatch)
+    canonical_synthesize(t)
+    assert calls == [12] * 5
 
 
 def test_count_bound_single_constant(rng):

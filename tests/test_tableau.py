@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import apply_gate, paired_random_evolution, random_gate, random_tableau
 from stabsim.errors import CorruptTableauError, DimensionError, InvalidTableauError, StabsimError
+from stabsim.gf2 import gf2_invert
 from stabsim import tableau as tableau_module
 from stabsim.mixed import MixedTableau, new_mixed
 from stabsim.oracle import DenseState, density_from_generators
@@ -343,7 +344,8 @@ def test_equality_ignores_scratch(rng):
 
 def cnot_round_maps(gates, n):
     """The column maps (E, F) of a CNOT list, as `synth` builds them."""
-    return _column_maps(apply_cnots_as_row_ops(gates, n).transpose())
+    e = apply_cnots_as_row_ops(gates, n).transpose()
+    return _column_maps(e, gf2_invert(e))
 
 
 def random_cnots(n, count, r):

@@ -1,7 +1,7 @@
 """CHP-style quantum assembly: instruction types, parser, and renderer.
 
 The core dialect is one instruction per line, `#` comments, case-insensitive
-mnemonics, 0-based qubit indices:
+mnemonics, 0-based qubit indices written in ASCII decimal:
 
     c a b    CNOT from control a to target b
     h a      Hadamard on a
@@ -15,11 +15,15 @@ Extensions:
     block <b>            followed by a 2^b x 2^b density matrix, one row per
                          line, entries as re,im pairs (initial-state block)
     gate <name> <b>      followed by a 2^b x 2^b unitary in the same format
+
+`parse` reads the text in one pass.  A repeated `c`/`h`/`p`/`m` line is
+tokenized once: every repeat shares the first one's frozen instruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -131,38 +135,46 @@ class CircuitProgram:
         return sum(isinstance(i, Measure) for i in self.instructions)
 
     def qubit_span(self) -> int:
-        top = -1
-        for instr in self.instructions:
-            inner = instr.inner if isinstance(instr, Conditional) else instr
-            if isinstance(inner, Cnot):
-                top = max(top, inner.a, inner.b)
-            elif isinstance(inner, (Hadamard, Phase, Measure)):
-                top = max(top, inner.a)
-            else:
-                top = max(top, max(inner.qubits))
-        return top + 1
+        return _qubit_span(self.instructions)
+
+
+def _qubit_span(instructions) -> int:
+    """One more than the highest qubit index the instructions touch."""
+    top = -1
+    for instr in instructions:
+        inner = instr.inner if isinstance(instr, Conditional) else instr
+        if isinstance(inner, Cnot):
+            top = max(top, inner.a, inner.b)
+        elif isinstance(inner, (Hadamard, Phase, Measure)):
+            top = max(top, inner.a)
+        else:
+            top = max(top, max(inner.qubits))
+    return top + 1
+
+
+def _is_decimal(tok: str) -> bool:
+    # str.isdigit alone also takes non-ASCII digits such as "²", which int
+    # rejects, and "١", which int reads as 1.
+    return tok.isascii() and tok.isdigit()
 
 
 def _parse_index(tok: str, lineno: int) -> int:
-    if not tok.isdigit():
+    if not _is_decimal(tok):
         raise ParseError(lineno, f"expected a nonnegative qubit index, got {tok!r}")
     return int(tok)
 
 
-def _parse_matrix(lines, start: int, b: int, what: str) -> tuple[np.ndarray, int]:
-    """Read a 2^b x 2^b complex matrix from re,im pair rows; returns (m,
-    next_line).  The rows are read and checked before the matrix is built,
-    so its size is bounded by the input's."""
-    if b >= (len(lines) - start).bit_length():  # 2^b rows cannot fit in the lines left
-        raise ParseError(len(lines), f"unexpected end of file inside {what}")
+def _parse_matrix(numbered, header: int, eof: int, b: int, what: str) -> np.ndarray:
+    """Read a 2^b x 2^b complex matrix from re,im pair rows.  The rows come
+    from `numbered`, the parser's (lineno, line) iterator, just past the
+    header line `header`; `eof` is the last line number, where a truncated
+    matrix is reported.  The rows are read and checked before the matrix is
+    built, so its size is bounded by the input's."""
+    if b >= (eof - header).bit_length():  # 2^b rows cannot fit in the lines left
+        raise ParseError(eof, f"unexpected end of file inside {what}")
     dim = 1 << b
     rows = []
-    i = start
-    while len(rows) < dim:
-        if i >= len(lines):
-            raise ParseError(len(lines), f"unexpected end of file inside {what}")
-        lineno, text = lines[i]
-        i += 1
+    for lineno, text in numbered:
         body = text.split("#", 1)[0].strip()
         if not body:
             continue
@@ -177,7 +189,12 @@ def _parse_matrix(lines, start: int, b: int, what: str) -> tuple[np.ndarray, int
             except ValueError:
                 raise ParseError(lineno, f"bad complex entry {pair!r} (want re,im)")
         rows.append(row)
-    return np.array(rows, dtype=complex), i
+        if len(rows) == dim:
+            return np.array(rows, dtype=complex)
+    raise ParseError(eof, f"unexpected end of file inside {what}")
+
+
+_ONE_QUBIT = {"h": Hadamard, "p": Phase, "m": Measure}
 
 
 def _parse_simple(tokens, lineno: int):
@@ -185,15 +202,15 @@ def _parse_simple(tokens, lineno: int):
     if op == "c":
         if len(tokens) != 3:
             raise ParseError(lineno, "c takes exactly two qubit indices")
-        a, b = (_parse_index(t, lineno) for t in tokens[1:])
+        a = _parse_index(tokens[1], lineno)
+        b = _parse_index(tokens[2], lineno)
         if a == b:
             raise ParseError(lineno, "CNOT control and target must differ")
         return Cnot(a, b)
-    if op in ("h", "p", "m"):
+    if op in _ONE_QUBIT:
         if len(tokens) != 2:
             raise ParseError(lineno, f"{op} takes exactly one qubit index")
-        a = _parse_index(tokens[1], lineno)
-        return {"h": Hadamard, "p": Phase, "m": Measure}[op](a)
+        return _ONE_QUBIT[op](_parse_index(tokens[1], lineno))
     if op == "u":
         if len(tokens) < 3:
             raise ParseError(lineno, "u takes a gate name and at least one qubit")
@@ -218,38 +235,51 @@ def _check_named_gate(instr, gate_table: dict, lineno: int):
 
 
 def parse(text: str) -> CircuitProgram:
-    lines = list(enumerate(text.splitlines(), start=1))
+    """Parse CHP text in one pass over its lines.
+
+    A `c`/`h`/`p`/`m` line means the same wherever it appears, so each
+    distinct such line is tokenized once and its frozen instruction object
+    is shared by every repeat.  `u`, `if`, `block` and `gate` lines depend
+    on the gates defined and the measurements made above them, and are
+    parsed every time.  The qubit count is taken from the distinct
+    instructions only.
+    """
+    lines = text.splitlines()
+    numbered = enumerate(lines, 1)
     instructions = []
+    shared = {}  # line text -> the c/h/p/m instruction it spells
+    unshared = []  # u and if instructions
     gate_table = {}
     blocks = []
     measures_seen = 0
-    i = 0
-    while i < len(lines):
-        lineno, raw = lines[i]
-        i += 1
-        body = raw.split("#", 1)[0].strip()
-        if not body:
+    for lineno, raw in numbered:
+        instr = shared.get(raw)
+        if instr is not None:
+            if isinstance(instr, Measure):
+                measures_seen += 1
+            instructions.append(instr)
             continue
-        tokens = body.split()
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
         op = tokens[0].lower()
         if op == "block":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not _is_decimal(tokens[1]):
                 raise ParseError(lineno, "block takes one positive size argument")
             b = int(tokens[1])
             if b < 1:
                 raise ParseError(lineno, "block size must be >= 1")
-            m, i = _parse_matrix(lines, i, b, "block")
-            blocks.append(m)
+            blocks.append(_parse_matrix(numbered, lineno, len(lines), b, "block"))
             continue
         if op == "gate":
-            if len(tokens) != 3 or not tokens[2].isdigit():
+            if len(tokens) != 3 or not _is_decimal(tokens[2]):
                 raise ParseError(lineno, "gate takes a name and a positive size")
             name, b = tokens[1], int(tokens[2])
             if b < 1:
                 raise ParseError(lineno, "gate size must be >= 1")
             if name in gate_table:
                 raise ParseError(lineno, f"gate {name!r} defined twice")
-            m, i = _parse_matrix(lines, i, b, f"gate {name}")
+            m = _parse_matrix(numbered, lineno, len(lines), b, f"gate {name}")
             gate_table[name] = (b, m)
             continue
         if op == "if":
@@ -264,19 +294,22 @@ def parse(text: str) -> CircuitProgram:
             if isinstance(inner, Measure):
                 raise ParseError(lineno, "measurements cannot be conditional")
             _check_named_gate(inner, gate_table, lineno)
-            instructions.append(Conditional(k, inner))
-            continue
-        instr = _parse_simple(tokens, lineno)
-        _check_named_gate(instr, gate_table, lineno)
-        if isinstance(instr, Measure):
-            measures_seen += 1
+            instr = Conditional(k, inner)
+            unshared.append(instr)
+        else:
+            instr = _parse_simple(tokens, lineno)
+            if isinstance(instr, NamedUnitary):
+                _check_named_gate(instr, gate_table, lineno)
+                unshared.append(instr)
+            else:
+                shared[raw] = instr
+                if isinstance(instr, Measure):
+                    measures_seen += 1
         instructions.append(instr)
 
-    program = CircuitProgram(0, tuple(instructions), gate_table, blocks)
-    n = program.qubit_span() if instructions else 0
+    n = _qubit_span(chain(shared.values(), unshared))
     block_span = sum(int(np.log2(b.shape[0])) for b in blocks)
-    program.n = max(n, block_span, 1)
-    return program
+    return CircuitProgram(max(n, block_span, 1), tuple(instructions), gate_table, blocks)
 
 
 def _fmt_matrix(m: np.ndarray) -> str:

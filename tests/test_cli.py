@@ -1,12 +1,18 @@
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabsim import tableau
 from stabsim.cli import (
     ENGINES,
+    PROGRAMS_DIR,
     BenchConfig,
     bench,
     bench_one,
@@ -112,8 +118,6 @@ m 0
 
 
 def open_teleport_with_final_measure() -> str:
-    from stabsim.cli import PROGRAMS_DIR
-
     return (PROGRAMS_DIR / "teleport.chp").read_text() + "m 2\n"
 
 
@@ -203,6 +207,13 @@ class TestMainEntry:
         f.write_text("c 1 1\n")
         assert main(["run", str(f)]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["h \u00b2\n", "m \u0661\n", "block \u00b2\n"])
+    def test_non_ascii_digit_exit_code(self, tmp_path, capsys, text):
+        f = tmp_path / "digit.chp"
+        f.write_text(text, encoding="utf-8")
+        assert main(["run", str(f)]) == 2
+        assert "parse error: line 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_conditional_unknown_gate_exit_code(self, tmp_path, capsys, seed):
@@ -343,3 +354,33 @@ class TestMainEntry:
         )
         assert code == 0
         assert out.read_text().startswith("n,beta,trial")
+
+
+# Characters a mutation may insert: ASCII and non-ASCII digits (superscript
+# two, Arabic-Indic one), line and page breaks, comment marks, separators
+# and mnemonics.
+MUTATION_CHARS = "019 \n\r\x0c#\u00b2\u0661chmp"
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    name=st.sampled_from(sorted(p.stem for p in PROGRAMS_DIR.glob("*.chp"))),
+    engine=st.sampled_from(ENGINES),
+    # (position, character to insert there, or None to delete the one there);
+    # at most two edits keep every qubit index under 1000.
+    edits=st.lists(
+        st.tuples(st.integers(0, 10**4), st.sampled_from([None, *MUTATION_CHARS])),
+        max_size=2,
+    ),
+)
+def test_mutated_demo_programs_exit_cleanly(name, engine, edits):
+    text = (PROGRAMS_DIR / f"{name}.chp").read_text()
+    for pos, ch in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + (ch or "") + text[pos + (ch is None) :]
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "mutated.chp"
+        f.write_text(text, encoding="utf-8")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["run", str(f), "--engine", engine])
+    assert code in (0, 2, 3, 4)

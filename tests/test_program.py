@@ -61,12 +61,22 @@ def test_cnot_self_target_rejected():
         ("m x", 1),
         ("h -1", 1),
         ("h 0 1", 1),
+        ("h 0\nh \u00b2", 2),  # superscript two: str.isdigit, but not int
+        ("block \u00b2", 1),
+        ("h 0\nh \u0661", 2),  # Arabic-Indic one: int would read it as 1
+        ("gate g \u0661\n1,0 0,0\n0,0 1,0", 1),
     ],
 )
 def test_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.lineno == line
+
+
+def test_repeated_line_shares_one_instruction():
+    prog = parse("h 0\n" * 1000)
+    assert prog.instructions == (Hadamard(0),) * 1000
+    assert len({id(i) for i in prog.instructions}) == 1
 
 
 def test_conditional_parses_and_validates():
@@ -199,6 +209,72 @@ def rendered_programs(draw):
 @given(rendered_programs())
 def test_parse_inverts_render(program):
     assert parse(render(program)) == program
+
+
+@st.composite
+def chp_texts(draw):
+    """Random CHP texts whose c/h/p/m lines come from a small pool, so most
+    of them repeat.  They also hold `if` lines whose validity rests on
+    counting repeated `m` lines, `u` lines, gate and block definitions
+    (the last possibly cut off by the end of the text), comments, blank
+    lines, and at most one bad line."""
+    qubit = st.integers(0, 3)
+
+    def simple():
+        op = draw(st.sampled_from("chpmCHPM"))
+        if op in "cC":
+            a, b = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            return f"{op} {a} {b}"
+        return f"{op} {draw(qubit)}"
+
+    pool = [simple() for _ in range(draw(st.integers(1, 5)))] + ["m 0"]
+    rows = ["1,0 0,0", "0,0 1,0"]
+    # Repeated "m 0" lines up front: "if 1 ..." is valid only if the
+    # second, shared one is counted as a measurement.
+    lines = ["m 0"] * draw(st.integers(0, 2))
+    for name in draw(st.sampled_from(["", "t", "ts", "ts"])):
+        lines += [f"gate {name} 1", draw(st.sampled_from(rows)), draw(st.sampled_from(rows))]
+    for kind in draw(st.lists(st.sampled_from("ssssiiub# "), max_size=40)):
+        if kind == "s":
+            lines.append(draw(st.sampled_from(pool)))
+        elif kind == "i":
+            inner = draw(st.sampled_from(["h 0", "C 1 0", "p 2", "u t 1", "U s 0", "m 0"]))
+            lines.append(f"if {draw(st.integers(0, 1))} {inner}")
+        elif kind == "u":
+            lines.append(draw(st.sampled_from(["u t 2", "u s 1", "u t 0"])))
+        elif kind == "b":
+            lines += ["block 1", draw(st.sampled_from(rows)), draw(st.sampled_from(rows))]
+        elif kind == "#":
+            lines.append(draw(st.sampled_from(["", "   ", "# note", "h 0 # note"])))
+    bad = ["h", "c 2 2", "q 1", "m x", "h \u0661", "if 0 m 0", "gate t 1", "u t 0 1"]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(bad)))
+    elif draw(st.booleans()):
+        lines += draw(st.sampled_from([["gate z 1"], ["block 1", "1,0 0,0"], ["block 2"]]))
+    return lines
+
+
+def _parse_outcome(text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.lineno, str(exc)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(chp_texts())
+def test_repeated_lines_parse_as_if_each_were_new(lines):
+    # A distinct comment on every line makes every line new to the parser,
+    # so no instruction is shared: the result must not change.
+    got = _parse_outcome("\n".join(lines))
+    fresh = _parse_outcome("\n".join(f"{line} # {k}" for k, line in enumerate(lines)))
+    assert got == fresh
+    if isinstance(got, tuple):
+        if "unexpected end of file" in got[1]:
+            assert got[0] == len(lines)
+    else:  # n comes from the distinct instructions; check it against all of them
+        span = sum(int(np.log2(m.shape[0])) for m in got.blocks)
+        assert got.n == max(got.qubit_span(), span, 1)
 
 
 def test_demo_programs_all_parse():

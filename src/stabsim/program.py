@@ -27,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ParseError, StabsimError
+from .errors import DimensionError, ParseError, StabsimError
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,107 @@ def apply(state, instr, gate_table=None):
         raise StabsimError(f"engine cannot apply {instr!r}")
 
 
+_GATES = (Cnot, Hadamard, Phase)
+
+
+def _gate_error(g, n: int) -> DimensionError:
+    """The error the tableau's per-gate method raises for the gate g."""
+    qubits = (g.a, g.b) if isinstance(g, Cnot) else (g.a,)
+    for q in qubits:
+        if not 0 <= q < n:
+            return DimensionError(f"qubit {q} out of range for n={n}")
+    return DimensionError("control and target must differ")
+
+
+def moments(gates, n: int) -> list:
+    """Schedule CNOT/H/P gates on n qubits into ASAP moments.
+
+    A moment is a set of gates on pairwise-distinct qubits, given as the
+    (h, p, ca, cb) lists that `Tableau.apply_moment` takes.  Each gate goes
+    into the moment after the last one that touched any of its qubits, so
+    gates that share a qubit keep their order, and applying the moments in
+    turn equals applying the gates in program order.
+
+    Every gate is checked before the schedule is returned: the first one,
+    in program order, with a qubit outside 0..n-1 (a negative index too) or
+    with its control as its target raises the per-gate method's
+    DimensionError.
+    """
+    free = [0] * n  # per qubit: the first moment no gate on it has used
+    out = []  # per moment: its (h, p, ca, cb) lists
+    for g in gates:
+        kind = type(g)
+        if kind is Cnot:
+            a, b = g.a, g.b
+            if not (0 <= a < n and 0 <= b < n and a != b):
+                raise _gate_error(g, n)
+            k = free[a]
+            if free[b] > k:
+                k = free[b]
+            free[a] = free[b] = k + 1
+            if k == len(out):
+                out.append(([], [], [], []))
+            moment = out[k]
+            moment[2].append(a)
+            moment[3].append(b)
+        elif kind is Hadamard or kind is Phase:
+            a = g.a
+            if not 0 <= a < n:
+                raise _gate_error(g, n)
+            k = free[a]
+            free[a] = k + 1
+            if k == len(out):
+                out.append(([], [], [], []))
+            out[k][kind is Phase].append(a)  # the moment's h or p list
+        else:
+            raise StabsimError(f"{g!r} is not a CNOT, H or P gate")
+    return out
+
+
+def apply_gates(state, gates):
+    """Apply a run of unconditional CNOT/H/P gates to any engine.
+
+    A tableau engine (one with `apply_moment`) checks the whole run, then
+    applies it moment by moment (see `moments`): the tableau ends
+    bit-identical to applying the gates in order, and a bad gate raises
+    before any bit changes.  Other engines take the gates one at a time in
+    program order, as reordering their floating-point updates could change
+    the rounding.
+    """
+    if hasattr(state, "apply_moment"):
+        for moment in moments(gates, state.n):
+            state.apply_moment(*moment)
+    else:
+        for g in gates:
+            apply(state, g)
+
+
 def execute(state, program: "CircuitProgram", rng) -> list:
     """Run a program on an engine; returns its MeasurementRecords in order.
 
-    Every engine answers `measure(a, rng)` with a MeasurementRecord, and a
-    `Conditional` runs its inner gate iff the record it names has outcome 1.
+    Each maximal run of unconditional CNOT/H/P gates goes to `apply_gates`,
+    so a tableau engine applies it as ASAP moments of gates on distinct
+    qubits.  One moment of k gates costs O(k n / 64) word operations, so
+    the paper's O(n) per gate still holds.  Every engine answers
+    `measure(a, rng)` with a MeasurementRecord, and a `Conditional` runs its
+    inner gate iff the record it names has outcome 1; a Conditional naming
+    no earlier measurement raises StabsimError.
     """
     records = []
+    run = []
     for instr in program.instructions:
+        if type(instr) in _GATES:
+            run.append(instr)
+            continue
+        if run:
+            apply_gates(state, run)
+            run = []
         if isinstance(instr, Conditional):
+            if not 0 <= instr.bit < len(records):
+                raise StabsimError(
+                    f"condition names measurement {instr.bit}, but only "
+                    f"{len(records)} measurements were made before it"
+                )
             if records[instr.bit].outcome != 1:
                 continue
             instr = instr.inner
@@ -101,6 +193,8 @@ def execute(state, program: "CircuitProgram", rng) -> list:
             records.append(state.measure(instr.a, rng))
         else:
             apply(state, instr, program.gate_table)
+    if run:
+        apply_gates(state, run)
     return records
 
 

@@ -32,7 +32,16 @@ from .gf2 import (
 )
 from .mixed import MixedTableau
 from .pauli import multiply
-from .program import CircuitProgram, Cnot, Hadamard, Phase, _render_instr, apply, execute
+from .program import (
+    CircuitProgram,
+    Cnot,
+    Hadamard,
+    Phase,
+    _render_instr,
+    apply,
+    apply_gates,
+    execute,
+)
 from .tableau import Tableau, new_zero_state
 
 __all__ = [
@@ -138,14 +147,14 @@ def _emit_cnot_round(t: Tableau, segments: list, k: int, e: BinaryMatrix, e_inv:
 
 
 def _apply_segments(t: Tableau, segments):
-    """Replay recorded rounds onto a tableau: H and P rounds gate by gate,
-    each recorded C round as one (E, E^-1) matrix application."""
+    """Replay recorded rounds onto a tableau: each H and P round as ASAP
+    moments (`apply_gates`), each recorded C round as one (E, E^-1) matrix
+    application."""
     for kind, seg in zip(ROUND_TYPES, segments):
         if kind == "C" and seg:
             t.apply_cnot_round(*_column_maps(*seg))
-        else:
-            for g in seg:
-                apply(t, g)
+        elif seg:
+            apply_gates(t, seg)
 
 
 # -- the 11-step reduction ------------------------------------------------------

@@ -10,7 +10,12 @@ The phase bits are packed the same way into the W words of `r`.  Bits past
 row 2n are zero.  `x` and `z` are two views of one array, each padded with
 zero columns to a multiple of 64 qubits, so one tableau row's x and z bits
 are read or written in one pass.  A gate on qubits a, b touches only the
-words x[a], z[a], x[b], z[b] and r: O(n/64) word operations.  A measurement
+words x[a], z[a], x[b], z[b] and r: O(n/64) word operations.  A moment of
+k gates on distinct qubits (`apply_moment`; `program.execute` schedules
+every run of CNOT/H/P gates into moments) is one fixed set of gathers,
+scatters and XOR reductions over those qubits' columns: O(k n / 64) word
+operations, so the paper's O(n) per gate still holds, in a number of numpy
+calls that does not grow with k.  A measurement
 multiplies a whole set of rows by one pivot row at once: the set is a
 packed row mask, the update of all of its rows is one masked XOR over the
 pivot's support, and their new phases come from a few bit-sliced passes
@@ -361,6 +366,46 @@ class Tableau:
         xa, za = self.x[a], self.z[a]
         self.r ^= xa & za
         za ^= xa
+
+    def apply_moment(self, h, p, ca, cb):
+        """Apply one moment: Hadamards on the qubits h, phase gates on the
+        qubits p and CNOTs from ca[k] to cb[k], all on pairwise-distinct
+        qubits.  Gates on distinct qubits commute and touch distinct columns,
+        so this equals applying them one at a time in any order.
+
+        Each kind is the formula of its per-gate method on all of that
+        kind's columns at once: a fixed number of gathers and scatters of
+        the moment's rows of x and z, and one XOR reduction into r.  A
+        moment of k gates costs O(k n / 64) word operations.  Raises
+        DimensionError, changing nothing, if a qubit is out of range or two
+        gates share a qubit."""
+        h, p, ca, cb = (np.asarray(v, dtype=np.intp) for v in (h, p, ca, cb))
+        if ca.size != cb.size:
+            raise DimensionError("every CNOT needs one control and one target")
+        qubits = np.concatenate((h, p, ca, cb))
+        bad = qubits[(qubits < 0) | (qubits >= self.n)]
+        if bad.size:
+            raise DimensionError(f"qubit {bad[0]} out of range for n={self.n}")
+        if np.bincount(qubits, minlength=1).max() > 1:
+            raise DimensionError("gates of one moment must act on distinct qubits")
+        x, z, r = self.x, self.z, self.r
+        if h.size:
+            xh, zh = x[h], z[h]
+            r ^= np.bitwise_xor.reduce(xh & zh, axis=0)
+            x[h], z[h] = zh, xh
+        if p.size:
+            xp, zp = x[p], z[p]
+            r ^= np.bitwise_xor.reduce(xp & zp, axis=0)
+            z[p] = zp ^ xp
+        if ca.size:
+            xa, za, xb, zb = x[ca], z[ca], x[cb], z[cb]
+            flip = xb ^ za
+            np.invert(flip, out=flip)
+            flip &= xa
+            flip &= zb
+            r ^= np.bitwise_xor.reduce(flip, axis=0)
+            x[cb] = xb ^ xa
+            z[ca] = za ^ zb
 
     # -- rowsum ---------------------------------------------------------------
 

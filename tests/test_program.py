@@ -342,3 +342,19 @@ def test_apply_rejects_what_an_engine_cannot_take():
         with pytest.raises(StabsimError):
             apply(t, instr, table)
     apply(DenseState(2), NamedUnitary("t", (0,)), table)
+
+
+@pytest.mark.parametrize(
+    "instrs,bit,made",
+    [
+        ((Conditional(3, Hadamard(0)),), 3, 0),
+        ((Measure(0), Conditional(-1, Hadamard(0))), -1, 1),
+    ],
+)
+def test_conditional_on_a_measurement_not_yet_made_is_rejected(instrs, bit, made):
+    # The parser rejects these; a program built through the API must not
+    # index past the records or read one from the end.
+    n = 1
+    for state in (new_zero_state(n), MixedTableau(n), PauliSumState(n), DenseState(n)):
+        with pytest.raises(StabsimError, match=f"measurement {bit}, but only {made} "):
+            execute(state, CircuitProgram(n, instrs), random.Random(0))

@@ -11,7 +11,10 @@ non-stabilizer budget:
 * stabilizer circuits salted with d non-stabilizer gates on at most b
   qubits each: the density matrix is kept as a sum of at most 4**(2bd)
   terms (coefficient, Pauli word, per-generator eigenvalue bits) alongside
-  a destabilizer+stabilizer tableau.
+  a destabilizer+stabilizer tableau.  The terms are a `PauliTable`, packed
+  like the tableau's rows: Clifford gates conjugate both with one moment
+  kernel, and a measurement updates, traces and merges the whole table in
+  numpy steps whose floats are those of one term at a time.
 """
 
 from __future__ import annotations
@@ -26,16 +29,16 @@ from .errors import (
     NumericalIntegrityError,
     ResourceCapError,
 )
-from .pauli import (
-    PauliOperator,
-    conjugate_cnot,
-    conjugate_hadamard,
-    conjugate_phase,
-    multiply,
-    symplectic,
-)
+from .pauli import PauliOperator, multiply
 from .program import CircuitProgram, execute
-from .tableau import MeasurementRecord, new_zero_state, sample_outcome
+from .tableau import (  # noqa: F401  (PauliSumTerm is part of this module's API)
+    MeasurementRecord,
+    PauliSumTerm,
+    PauliTable,
+    conjugate_moment,
+    new_zero_state,
+    sample_outcome,
+)
 
 ATOL = 1e-10
 PRUNE_TOL = 1e-14
@@ -219,21 +222,18 @@ def nonstab_expand(u: np.ndarray) -> list:
     return out
 
 
-@dataclass
-class PauliSumTerm:
-    coeff: complex
-    x: int
-    z: int
-    eig: int
+# Powers of i as `1j ** k` gives them (1j ** 3 has a -0.0 real part).
+_I_POWERS = np.array([1j ** k for k in range(4)])
 
 
 class PauliSumState:
     """Density matrix 2^-n sum_t c_t P_t prod_j (I + (-1)^{e_tj} M_j), with
-    the generators M_j (and their destabilizers) held in a tableau."""
+    the generators M_j (and their destabilizers) held in a tableau and the
+    terms in a `PauliTable` packed like the tableau's rows."""
 
     def __init__(self, n: int, term_cap: int = 1_000_000):
         self.tableau = new_zero_state(n)
-        self.terms = [PauliSumTerm(1.0 + 0j, 0, 0, 0)]
+        self.table = PauliTable(n)
         self.term_cap = term_cap
         self.gate_count = 0
         self.max_gate_width = 0
@@ -243,18 +243,20 @@ class PauliSumState:
     def n(self) -> int:
         return self.tableau.n
 
+    @property
+    def terms(self) -> PauliTable:
+        """The terms, read as PauliSumTerms; len() is the term count."""
+        return self.table
+
     def copy(self) -> "PauliSumState":
         s = object.__new__(PauliSumState)
+        s.__dict__.update(self.__dict__)
         s.tableau = self.tableau.copy()
-        s.terms = [PauliSumTerm(t.coeff, t.x, t.z, t.eig) for t in self.terms]
-        s.term_cap = self.term_cap
-        s.gate_count = self.gate_count
-        s.max_gate_width = self.max_gate_width
-        s.prune_tolerance = self.prune_tolerance
+        s.table = self.table.copy()
         return s
 
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self.table)
 
     def term_bound(self) -> int:
         """The 4^(2bd) growth bound for the gates applied so far."""
@@ -262,7 +264,7 @@ class PauliSumState:
 
     def resource_report(self) -> dict:
         return {
-            "terms": len(self.terms),
+            "terms": len(self.table),
             "term_bound": self.term_bound(),
             "term_cap": self.term_cap,
             "nonstabilizer_gates": self.gate_count,
@@ -272,31 +274,32 @@ class PauliSumState:
 
     # -- stabilizer part ---------------------------------------------------------
 
+    def apply_moment(self, h, p, ca, cb):
+        """One moment of H/P/CNOT gates on distinct qubits, applied to the
+        tableau and the terms by one kernel, checked once before any bit
+        changes (`tableau.conjugate_moment`)."""
+        conjugate_moment((self.tableau, self.table), h, p, ca, cb)
+
     def apply_cnot(self, a: int, b: int):
-        self.tableau.apply_cnot(a, b)
-        self._conjugate_terms(lambda p: conjugate_cnot(p, a, b))
+        self.apply_moment((), (), (a,), (b,))
 
     def apply_hadamard(self, a: int):
-        self.tableau.apply_hadamard(a)
-        self._conjugate_terms(lambda p: conjugate_hadamard(p, a))
+        self.apply_moment((a,), (), (), ())
 
     def apply_phase(self, a: int):
-        self.tableau.apply_phase(a)
-        self._conjugate_terms(lambda p: conjugate_phase(p, a))
-
-    def _conjugate_terms(self, fn):
-        n = self.n
-        for t in self.terms:
-            p = fn(PauliOperator(n, 0, t.x, t.z))
-            t.x, t.z = p.x, p.z
-            if p.phase_exp:
-                t.coeff = -t.coeff
+        self.apply_moment((), (a,), (), ())
 
     # -- non-stabilizer gates -------------------------------------------------------
 
-    def apply_unitary(self, u: np.ndarray, qubits: tuple):
-        """Fold a non-stabilizer gate into the term list."""
-        qubits = tuple(qubits)
+    def apply_unitary(self, u: np.ndarray, qubits):
+        """Fold a non-stabilizer gate on the given qubits into the term
+        list.  Raises, changing nothing: TypeError for a qubit that is not
+        an integer (taken through operator.index), DimensionError for a
+        repeated or out-of-range qubit or a matrix that is not 2^b x 2^b
+        for b = len(qubits), ResourceCapError past the term cap."""
+        from operator import index
+
+        qubits = tuple(index(q) for q in qubits)
         if len(set(qubits)) != len(qubits):
             raise DimensionError("duplicate qubit in gate application")
         for q in qubits:
@@ -304,7 +307,9 @@ class PauliSumState:
                 raise DimensionError(f"qubit {q} out of range")
         expansion = nonstab_expand(u)
         width = len(qubits)
-        new_count = len(self.terms) * len(expansion) ** 2
+        if np.shape(u)[0] != 1 << width:
+            raise DimensionError("unitary dimension does not match qubit count")
+        new_count = len(self.table) * len(expansion) ** 2
         if new_count > self.term_cap:
             raise ResourceCapError(
                 f"term count {new_count} exceeds cap {self.term_cap}; the "
@@ -321,63 +326,43 @@ class PauliSumState:
             return x, z
 
         emb = [(embed(p), c) for p, c in expansion]
-        smask = self.tableau.anticommuting_rows([e[0] for e in emb], n, 2 * n)
-
-        def products():
-            for t in self.terms:
-                tp = PauliOperator(n, 0, t.x, t.z)
-                for bi, ci in emb:
-                    left = multiply(PauliOperator(n, 0, *bi), tp)
-                    for (bk, ck), sk in zip(emb, smask):
-                        word = multiply(left, PauliOperator(n, 0, *bk))
-                        c = t.coeff * ci * np.conj(ck) * (1j ** word.phase_exp)
-                        yield (word.x, word.z, t.eig ^ sk), c
-
-        self._set_terms(products())
+        smask = PauliTable(n, [(c, *e, 0) for e, c in emb]).generator_masks(self.tableau)
+        products = []
+        for t in self.table:
+            coeff, eig, tp = t.coeff, t.eig, PauliOperator(n, 0, t.x, t.z)
+            for bi, ci in emb:
+                left = multiply(PauliOperator(n, 0, *bi), tp)
+                for (bk, ck), sk in zip(emb, smask):
+                    word = multiply(left, PauliOperator(n, 0, *bk))
+                    c = coeff * ci * np.conj(ck) * (1j ** word.phase_exp)
+                    products.append((c, word.x, word.z, eig ^ sk))
+        self.table = PauliTable(n, products, self.prune_tolerance)
         self.gate_count += 1
         self.max_gate_width = max(self.max_gate_width, width)
 
-    def _set_terms(self, pairs):
-        """New term list from ((x, z, eig), coeff) pairs: coefficients of one
-        key are summed in order, and sums within the prune tolerance dropped."""
-        merged: dict = {}
-        for key, c in pairs:
-            merged[key] = merged.get(key, 0.0 + 0.0j) + c
-        self.terms = [
-            PauliSumTerm(c, *key) for key, c in merged.items() if abs(c) > self.prune_tolerance
-        ]
-
     # -- traces and measurement -------------------------------------------------------
 
-    def _stabilizer_signs(self, paulis) -> list:
-        """(mask, sign) per Pauli word p (p.x, p.z): bit j of mask is set iff
-        p anticommutes with destabilizer j, so the mask selects the
-        generators whose product is ±p if p is in ±S at all; sign is that
-        product's ±1.0, or 0.0 when p lies outside ±S."""
-        words = [(p.x, p.z) for p in paulis]
-        masks = self.tableau.anticommuting_rows(words, 0, self.n)
-        xs, zs, phases = self.tableau.stabilizer_products(masks)
-        return [
-            (mask, 0.0 if (x, z) != word else -1.0 if phase else 1.0)
-            for word, mask, x, z, phase in zip(words, masks, xs, zs, phases)
-        ]
+    def _trace_signs(self, table: PauliTable, where=None):
+        """`Tableau.stabilizer_signs` of the terms, each sign negated when
+        |e_t & m_t| is odd: the sign of the term's trace."""
+        masks, signs = self.tableau.stabilizer_signs(table, where)
+        return masks, np.where(table.eig_parity(masks), -signs, signs)
 
-    def _trace_sum(self, pairs) -> complex:
-        """Sum of the traces of (term, `_stabilizer_signs` entry) pairs, in
-        order: sign * coeff (0 outside ±S), negated when |eig & mask| is
-        odd.  One `Tableau.stabilizer_products` call gives a term list's
-        entries: mask m's generator product has the power of i
-        sum y_a + 2 sum r_a + 2 |m & mU| - |X & Z| (mod 4) over the rows a
-        it selects, with U[a, b] = |z_a & x_b| mod 2 for a < b."""
-        total = 0
-        for t, (mask, sign) in pairs:
-            if (t.eig & mask).bit_count() & 1:
-                sign = -sign
-            total += t.coeff * sign if sign else 0j
-        return total
+    def _trace_sum(self, coeff: np.ndarray, signs: np.ndarray):
+        """Sum of coeff * sign over the terms, 0j where the sign is 0, added
+        one term at a time in order (np.cumsum, not the pairwise np.sum), so
+        every float is that of a one-at-a-time sum.  Before any
+        non-stabilizer gate the sum is a Python complex, after one a numpy
+        scalar, and 0 when there are no terms: the probabilities built from
+        it keep those types."""
+        if not len(coeff):
+            return 0
+        total = np.cumsum(np.concatenate(([0j], np.where(signs != 0, coeff * signs, 0j))))[-1]
+        return total if self.gate_count else complex(total)
 
     def trace(self) -> float:
-        total = self._trace_sum(zip(self.terms, self._stabilizer_signs(self.terms)))
+        _, signs = self._trace_signs(self.table)
+        total = self._trace_sum(self.table.coefficients(), signs)
         if abs(total.imag) > PROB_TOL:
             raise NumericalIntegrityError("state trace has an imaginary part")
         return total.real
@@ -389,12 +374,11 @@ class PauliSumState:
         if not q.is_hermitian():
             raise DimensionError("measurement operator must be Hermitian")
         n = self.n
-        (mask,) = self.tableau.anticommuting_rows([(q.x, q.z)], 0, 2 * n)
-        if not mask >> n:
-            p0, p1, keep0, keep1 = self._project_commuting(q)
+        hits = np.flatnonzero(self.tableau.anticommuting(q))
+        if not hits.size or hits[-1] < n:
+            p0, p1, keep = self._project_commuting(q, hits)
         else:
-            hits = [i for i in range(2 * n) if (mask >> i) & 1]
-            p0, p1, keep0, keep1 = self._project_anticommuting(q, hits)
+            p0, p1, keep = self._project_anticommuting(q, hits)
         if abs(p0 + p1 - 1.0) > PROB_TOL:
             raise NumericalIntegrityError(
                 f"outcome probabilities sum to {p0 + p1}, not 1"
@@ -404,58 +388,70 @@ class PauliSumState:
                 raise NumericalIntegrityError(f"outcome probability {p} out of range")
         p0 = min(max(p0, 0.0), 1.0)
         outcome, _ = sample_outcome(p0, rng)
-        chosen, prob = (keep0, p0) if outcome == 0 else (keep1, 1.0 - p0)
-        self._set_terms(((t.x, t.z, t.eig), t.coeff / prob) for t in chosen)
+        prob = p0 if outcome == 0 else 1.0 - p0
+        table, coeff, where = keep(outcome)
+        self.table = table.merged(coeff / prob, self.prune_tolerance, where)
         return outcome, prob
 
-    def _project_commuting(self, q: PauliOperator):
-        """q commutes with the whole stabilizer, hence lies in ±S: filter terms
-        by commutation with q and by their q-eigenvalue."""
-        kept = [t for t in self.terms if not symplectic(t.x, t.z, q.x, q.z)]  # the rest: trace 0
-        (qmask, qsign), *signs = self._stabilizer_signs([q, *kept])
-        if not qsign:
+    def _project_commuting(self, q: PauliOperator, hits: np.ndarray):
+        """q commutes with the whole stabilizer, hence lies in ±S as the
+        product of the generators `hits` (the destabilizers it anticommutes
+        with): terms anticommuting with q have trace 0 and are dropped, the
+        rest split by their q-eigenvalue."""
+        table = self.table
+        kept = ~table.anticommuting(q)
+        prod = self.tableau.row_product(self.n + hits)
+        _, signs = self._trace_signs(table, kept)
+        if (prod.x, prod.z) != (q.x, q.z):
             raise CorruptTableauError("operator commutes with but is outside ±S")
-        flip = (qsign < 0) != (q.phase_exp == 2)
-        keep = ([], [])
-        for t, sign in zip(kept, signs):
-            keep[flip ^ ((t.eig & qmask).bit_count() & 1)].append((t, sign))
-        p0, p1 = (self._trace_sum(pairs).real for pairs in keep)
-        return p0, p1, *([t for t, _ in pairs] for pairs in keep)
+        flip = (prod.phase_exp != 0) != (q.phase_exp == 2)
+        ones = table.eig_bits(hits) ^ flip
+        coeff = table.coefficients()
+        wheres = (kept & ~ones, kept & ones)
+        p0, p1 = (self._trace_sum(coeff[w], signs[w]).real for w in wheres)
+        return p0, p1, lambda outcome: (table, coeff[wheres[outcome]], wheres[outcome])
 
-    def _project_anticommuting(self, q: PauliOperator, hits: list):
+    def _project_anticommuting(self, q: PauliOperator, hits: np.ndarray):
         """q anticommutes with the rows `hits` (ascending) of the tableau, the
         first generator among them M_{j1}: the tableau's collapse multiplies
         every other anticommuting row by M_{j1}, moves M_{j1} to its
         destabilizer slot and puts q in its place; anticommuting words pick
-        up a factor of the old generator.  New eigenvalue bits go to new
-        terms only, so a collapse that raises leaves the state as it was."""
+        up a factor of the old generator.  The terms are updated in a copy,
+        so a collapse that raises leaves the state as it was."""
         n, tab = self.n, self.tableau
-        anti = [i - n for i in hits if i >= n]
-        j1 = anti[0]
-        tab._collapse(np.array(hits), n + j1, j1, q)
+        anti = hits[hits >= n] - n
+        j1 = int(anti[0])
+        tab._collapse(hits, n + j1, j1, q)
         m1 = tab.get_row(j1)
 
-        modmask = sum(1 << j for j in anti[1:])
-        bit = 1 << j1
-        keep0, keep1 = [], []
-        for t in self.terms:
-            e1 = (t.eig >> j1) & 1
-            eig = t.eig ^ modmask if e1 else t.eig
-            if symplectic(t.x, t.z, q.x, q.z) == 0:
-                c = t.coeff / 2
-                x, z = t.x, t.z
-            else:
-                prod = multiply(PauliOperator(n, 0, t.x, t.z), m1)
-                c = t.coeff / 2 * (1j ** prod.phase_exp) * (-1 if e1 else 1)
-                x, z = prod.x, prod.z
-            keep0.append(PauliSumTerm(c, x, z, eig & ~bit))
-            keep1.append(PauliSumTerm(c, x, z, eig | bit))
-        signs = self._stabilizer_signs(keep0)
-        p0, p1 = (self._trace_sum(zip(keep, signs)).real for keep in (keep0, keep1))
-        return p0, p1, keep0, keep1
+        table = self.table.copy()
+        coeff = table.coefficients()
+        flips = table.anticommuting(q)
+        e1 = table.eig_bits([j1])
+        k = table.multiply(flips, m1)
+        table.flip_eig(anti[1:], e1)
+        c = coeff / 2
+        c[flips] = c[flips] * _I_POWERS[k[flips]] * np.where(e1[flips], -1 + 0j, 1 + 0j)
+        # keep0 and keep1 differ only in the bit for generator j1, so they
+        # share the words, masks and product signs.
+        masks, signs = tab.stabilizer_signs(table)
+        p = []
+        for bit in (0, 1):
+            table.set_eig(j1, bit)
+            p.append(self._trace_sum(c, np.where(table.eig_parity(masks), -signs, signs)).real)
+
+        def keep(outcome):
+            table.set_eig(j1, outcome)
+            return table, c, None
+
+        return p[0], p[1], keep
 
     def measure_qubit(self, a: int, rng) -> tuple:
-        return self.measure_pauli(PauliOperator.single(self.n, a, "Z"), rng)
+        """Measure Z on qubit a (any integer, taken through operator.index;
+        TypeError otherwise); returns (outcome, probability of it)."""
+        from operator import index
+
+        return self.measure_pauli(PauliOperator.single(self.n, index(a), "Z"), rng)
 
     def measure(self, a: int, rng) -> MeasurementRecord:
         """Measure qubit a; the record is determinate when its outcome had
@@ -469,8 +465,8 @@ class PauliSumState:
         """The term list must pair (c, P, e) with (c*, P, e ^ s_P) where s_P
         marks the generators anticommuting with P."""
         table = {(t.x, t.z, t.eig): t.coeff for t in self.terms}
-        n = self.n
-        masks = self.tableau.anticommuting_rows([key[:2] for key in table], n, 2 * n)
+        words = PauliTable(self.n, [(1, x, z, 0) for x, z, _ in table])
+        masks = words.generator_masks(self.tableau)
         for ((x, z, e), c), s in zip(table.items(), masks):
             mate = table.get((x, z, e ^ s))
             if mate is None or abs(np.conj(mate) - c) > tol:
@@ -496,14 +492,16 @@ class PauliSumState:
 
 
 def nonstab_apply(state: PauliSumState, u: np.ndarray, qubits: tuple) -> PauliSumState:
+    """`PauliSumState.apply_unitary` (same errors), returning the state."""
     state.apply_unitary(u, qubits)
     return state
 
 
 def nonstab_measure(state: PauliSumState, q, rng) -> tuple:
-    """Measure a Pauli observable (or qubit index, meaning Z there)."""
-    if isinstance(q, int):
-        outcome, prob = state.measure_qubit(q, rng)
-    else:
+    """Measure a Pauli observable, or Z on a qubit given by any integer
+    (numpy integers too; anything else raises TypeError)."""
+    if isinstance(q, PauliOperator):
         outcome, prob = state.measure_pauli(q, rng)
+    else:
+        outcome, prob = state.measure_qubit(q, rng)
     return state, outcome, prob

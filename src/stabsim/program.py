@@ -145,8 +145,9 @@ def moments(gates, n: int) -> list:
 def apply_gates(state, gates):
     """Apply a run of unconditional CNOT/H/P gates to any engine.
 
-    A tableau engine (one with `apply_moment`) checks the whole run, then
-    applies it moment by moment (see `moments`): the tableau ends
+    An engine with `apply_moment` (the tableaus, and the Pauli-sum engine,
+    whose Clifford gates only negate coefficients, exactly) checks the
+    whole run, then applies it moment by moment (see `moments`): it ends
     bit-identical to applying the gates in order, and a bad gate raises
     before any bit changes.  Other engines take the gates one at a time in
     program order, as reordering their floating-point updates could change

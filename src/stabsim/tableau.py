@@ -27,11 +27,17 @@ along the qubit axis, bit 0 of c is the XOR of the bits, and bit 1 is the
 parity of C(c, 2), the number of pairs, which by the prefix-XOR identity is
 the XOR over j of b_j & (b_0 ^ ... ^ b_{j-1}).
 
+The Pauli-sum engine's terms (`PauliTable`) use the same layout with the
+terms in place of the rows, so one moment kernel (`conjugate_moment`)
+conjugates the tableau and the terms, and the term-wise steps of a
+Pauli-sum measurement are whole-table numpy steps.
+
 This module alone knows how the bits are packed.  Other modules go through
-its row reads and writes, `anticommuting_rows` (which rows a batch of Pauli
-words anticommutes with), `_collapse` (the random-outcome update for any
-measured Pauli), `row_product`, `stabilizer_products` (the products of many
-subsets of the stabilizer rows at once), `rowsum` and `apply_cnot_round`.
+its row reads and writes, `anticommuting_rows` (which strings of one store
+anticommute with which of another), `_collapse` (the random-outcome update
+for any measured Pauli), `row_product`, `stabilizer_products` (the products
+of many subsets of the stabilizer rows at once), `rowsum`,
+`apply_cnot_round` and the `PauliTable` methods.
 
 A product of k commuting rows (a determinate measurement's outcome, or a
 stabilizer-group element in the Pauli-sum engine) is computed in closed
@@ -47,7 +53,8 @@ packed words first, so the prefix XORs along the row axis and the popcounts
 are a fixed handful of vectorized operations.  For many subsets of the
 stabilizer rows at once, the cross term of a subset m is |m & mU| mod 2 for
 one GF(2) matrix U over the rows, so every subset's X, Z and mU is a single
-packed product of the subset masks with the rows (`stabilizer_products`).
+packed product of the masks with the stabilizer columns
+(`stabilizer_products`).
 """
 
 from __future__ import annotations
@@ -97,6 +104,20 @@ def _unpack_rows(packed: np.ndarray, ncols: int) -> np.ndarray:
     as_bytes = packed.astype("<u8").view(np.uint8).reshape(packed.shape[0], -1)
     bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
     return bits[:, :ncols]
+
+
+def _bits(words: np.ndarray, count: int) -> np.ndarray:
+    """Bits 0..count-1 of a packed word vector as a bool array."""
+    raw = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, count=count, bitorder="little").view(bool)
+
+
+def _pack(flags: np.ndarray, words: int) -> np.ndarray:
+    """A bool array (bit i = flags[i]) as `words` packed uint64 words."""
+    out = np.zeros(8 * words, dtype=np.uint8)
+    packed = np.packbits(flags, bitorder="little")
+    out[:packed.size] = packed
+    return out.view("<u8").astype(np.uint64, copy=False)
 
 
 def _int_words(vals, words: int) -> np.ndarray:
@@ -151,7 +172,7 @@ def _xor_combine(rows: np.ndarray, sel: np.ndarray) -> np.ndarray:
     nb = sel.shape[1]
     blocks = rows[:8 * nb].reshape(nb, 8, w)
     out = np.zeros((sel.shape[0], w), dtype=np.uint64)
-    step = max(1, max(1 << 14, m * w) // ((256 + sel.shape[0]) * w))
+    step = max(1, max(1 << 14, m * w) // ((256 + sel.shape[0]) * max(w, 1)))
     for lo in range(0, nb, step):
         group = blocks[lo:lo + step]
         table = np.zeros((len(group), 256, w), dtype=np.uint64)
@@ -200,7 +221,174 @@ _SHIFTS = [np.uint64(s) for s in range(64)]
 _BATCH_ELEMS = 1 << 18
 
 
-class Tableau:
+# The gate formulas, shared by every gate path.  Each updates the columns of
+# the qubits it acts on in place (views, or blocks gathered over a moment's
+# gates) and returns the sign flips to XOR into r.
+
+
+def _hadamard(x, z):
+    """H: swap x and z; the sign flips at a Y (x & z)."""
+    flip = x & z
+    x ^= z
+    z ^= x
+    x ^= z
+    return flip
+
+
+def _phase(x, z):
+    """P: z ^= x; the sign flips at a Y (x & z)."""
+    flip = x & z
+    z ^= x
+    return flip
+
+
+def _cnot(xa, za, xb, zb):
+    """CNOT: xb ^= xa, za ^= zb; the sign flips where xa & zb & ~(xb ^ za)."""
+    flip = xb ^ za
+    np.invert(flip, out=flip)
+    flip &= xa
+    flip &= zb
+    xb ^= xa
+    za ^= zb
+    return flip
+
+
+def _moment_qubits(n: int, h, p, ca, cb) -> tuple:
+    """The moment's qubit lists as integer arrays, checked: DimensionError
+    for a qubit outside 0..n-1 (the first in h, p, ca, cb order), a CNOT
+    whose control is its target, CNOT lists of unequal length or two gates
+    on one qubit; TypeError for an index that is not an integer."""
+    h, p, ca, cb = parts = [np.asarray(v) for v in (h, p, ca, cb)]
+    for a in parts:
+        if a.size and a.dtype.kind not in "iu":
+            raise TypeError(f"qubit indices must be integers, got {a.dtype}")
+    if ca.size != cb.size:
+        raise DimensionError("every CNOT needs one control and one target")
+    qubits = np.concatenate(parts, axis=None).astype(np.intp, copy=False)
+    bad = (qubits < 0) | (qubits >= n)
+    if bad.any():
+        raise DimensionError(f"qubit {qubits[bad][0]} out of range for n={n}")
+    if np.bincount(qubits, minlength=1).max() > 1:
+        if (ca == cb).any():
+            raise DimensionError("control and target must differ")
+        raise DimensionError("gates of one moment must act on distinct qubits")
+    return h, p, ca, cb
+
+
+def conjugate_moment(tables, h, p, ca, cb):
+    """Apply one moment to every Pauli-string store in `tables` (a `Tableau`,
+    a `PauliTable`, all on the same qubits): Hadamards on the qubits h,
+    phase gates on the qubits p and CNOTs from ca[k] to cb[k], all on
+    pairwise-distinct qubits.  The moment is checked once (see
+    `_moment_qubits`) before any bit of any table changes."""
+    h, p, ca, cb = _moment_qubits(tables[0].n, h, p, ca, cb)
+    for t in tables:
+        t._conjugate(h, p, ca, cb)
+
+
+class _PauliColumns:
+    """Pauli strings stored qubit-major, the layout the tableau and the
+    Pauli-sum term table share: `x` and `z` are (n, w) uint64 arrays, bit i
+    of word k of `x[j]` being string 64k+i's x bit at qubit j, and `r`
+    holds one sign bit per string in w words.  `_count` strings are in use;
+    every bit past them is zero."""
+
+    n: int
+    _words: int
+
+    def _conjugate(self, h, p, ca, cb):
+        """Conjugate every string by one checked moment (see
+        `conjugate_moment`): each kind's formula on all of that kind's
+        columns at once, gathered and scattered back, with its sign flips
+        XOR-reduced into r: a fixed number of numpy steps costing O(k w)
+        word operations for k gates."""
+        x, z, r = self.x, self.z, self.r
+        if h.size:
+            xh, zh = x[h], z[h]
+            r ^= np.bitwise_xor.reduce(_hadamard(xh, zh), axis=0)
+            x[h], z[h] = xh, zh
+        if p.size:
+            xp, zp = x[p], z[p]
+            r ^= np.bitwise_xor.reduce(_phase(xp, zp), axis=0)
+            z[p] = zp
+        if ca.size:
+            xa, za, xb, zb = x[ca], z[ca], x[cb], z[cb]
+            r ^= np.bitwise_xor.reduce(_cnot(xa, za, xb, zb), axis=0)
+            x[cb], z[ca] = xb, za
+
+    def _check_qubit(self, a: int):
+        if not 0 <= a < self.n:
+            raise DimensionError(f"qubit {a} out of range for n={self.n}")
+
+    def apply_moment(self, h, p, ca, cb):
+        """Apply one moment: Hadamards on the qubits h, phase gates on the
+        qubits p and CNOTs from ca[k] to cb[k], all on pairwise-distinct
+        qubits.  Gates on distinct qubits commute and touch distinct columns,
+        so this equals applying them one at a time in any order.  Raises,
+        changing nothing, on a bad moment (see `_moment_qubits`)."""
+        conjugate_moment((self,), h, p, ca, cb)
+
+    def apply_cnot(self, a: int, b: int):
+        """CNOT from control a to target b."""
+        self._check_qubit(a)
+        self._check_qubit(b)
+        if a == b:
+            raise DimensionError("control and target must differ")
+        self.r ^= _cnot(self.x[a], self.z[a], self.x[b], self.z[b])
+
+    def apply_hadamard(self, a: int):
+        """Hadamard on qubit a: swap the x and z bits, flipping Y signs."""
+        self._check_qubit(a)
+        self.r ^= _hadamard(self.x[a], self.z[a])
+
+    def apply_phase(self, a: int):
+        """Phase gate on qubit a: z_a ^= x_a after absorbing the Y sign."""
+        self._check_qubit(a)
+        self.r ^= _phase(self.x[a], self.z[a])
+
+    # -- anticommutation ---------------------------------------------------------
+
+    def anticommuting_rows(self, words: "_PauliColumns", lo: int, hi: int) -> np.ndarray:
+        """Which of the strings in `words` (a `PauliTable`, or a tableau's
+        rows) each of this store's strings lo..hi-1 anticommutes with: a
+        (hi - lo, w) uint64 array, w the word count of `words`, whose row k
+        has bit t set iff string lo+k anticommutes with string t of `words`
+        (see `_anticommutation`).  Batches of up to _BATCH_ELEMS
+        string-qubit-word products take one fixed set of vectorized
+        operations each."""
+        n, w = self.n, words._words
+        out = np.zeros((max(hi - lo, 0), w), dtype=np.uint64)
+        step = max(1, _BATCH_ELEMS // (n * max(w, 1)))
+        for s in range(lo, hi, step):
+            e, k = min(hi, s + step), s >> 6
+            # bit i of column j: string 64k + i's bit at qubit j
+            xs, zs = (_unpack_rows(a[:, k:(e + 63) >> 6], e - 64 * k) for a in (self.x, self.z))
+            out[s - lo:e - lo] = _anticommutation(xs[:, s - 64 * k:].T, zs[:, s - 64 * k:].T, words)
+        return out
+
+    def anticommuting(self, q: PauliOperator) -> np.ndarray:
+        """Boolean per string in use: whether it anticommutes with q."""
+        if q.n != self.n:
+            raise DimensionError("operator length mismatch")
+        nbytes = _padded(self.n) // 8
+        wx, wz = (np.unpackbits(np.frombuffer(v.to_bytes(nbytes, "little"), np.uint8),
+                                count=self.n, bitorder="little")[None] for v in (q.x, q.z))
+        return _bits(_anticommutation(wx, wz, self)[0], self._count)
+
+
+def _anticommutation(wx: np.ndarray, wz: np.ndarray, words: _PauliColumns) -> np.ndarray:
+    """The anticommutation kernel: for k strings given as (k, n) 0/1 uint8
+    x and z bits, a (k, w) uint64 array whose row s has bit t set iff string
+    s anticommutes with string t of `words`.  String s anticommutes with t
+    iff the XOR, over the qubits j, of z_t[j] where s has x[j] and of
+    x_t[j] where s has z[j] is 1: the XOR of `words`' z columns at s's x
+    bits and x columns at its z bits."""
+    anti = np.bitwise_xor.reduce(wx[:, :, None] * words.z, axis=1)
+    anti ^= np.bitwise_xor.reduce(wz[:, :, None] * words.x, axis=1)
+    return anti
+
+
+class Tableau(_PauliColumns):
     """Mutable destabilizer+stabilizer tableau for an n-qubit state."""
 
     def __init__(self, n: int):
@@ -236,6 +424,11 @@ class Tableau:
     def scratch_row(self) -> int:
         return 2 * self.n
 
+    @property
+    def _count(self) -> int:
+        """Rows 0..2n-1: the destabilizers and the stabilizers."""
+        return 2 * self.n
+
     def copy(self) -> "Tableau":
         t = object.__new__(type(self))
         t.__dict__.update(self.__dict__)
@@ -254,10 +447,6 @@ class Tableau:
     def memory_bits(self) -> int:
         return 8 * (self._xz.nbytes + self.r.nbytes)
 
-    def _check_qubit(self, a: int):
-        if not 0 <= a < self.n:
-            raise DimensionError(f"qubit {a} out of range for n={self.n}")
-
     def _check_row(self, i: int):
         if not 0 <= i <= 2 * self.n:
             raise DimensionError(f"row {i} out of range")
@@ -266,7 +455,10 @@ class Tableau:
 
     def get_row(self, i: int) -> PauliOperator:
         self._check_row(i)
-        return self.rows(i, i + 1)[0]
+        bits, sign = self._read_row(i)  # one pass over the columns, no transpose
+        raw = np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
+        x, z = (int.from_bytes(h, "little") for h in (raw[:len(raw) // 2], raw[len(raw) // 2:]))
+        return PauliOperator(self.n, 2 * int(sign), x, z)
 
     def set_row(self, i: int, p: PauliOperator):
         self._check_row(i)
@@ -333,79 +525,6 @@ class Tableau:
         old = [self._read_row(int(perm[i])) for i in moved]
         for i, row in zip(moved, old):
             self._write_row(int(i), *row)
-
-    # -- unitary gates -------------------------------------------------------
-
-    def apply_cnot(self, a: int, b: int):
-        """CNOT from control a to target b."""
-        self._check_qubit(a)
-        self._check_qubit(b)
-        if a == b:
-            raise DimensionError("control and target must differ")
-        xa, za, xb, zb = self.x[a], self.z[a], self.x[b], self.z[b]
-        flip = xb ^ za
-        np.invert(flip, out=flip)
-        flip &= xa
-        flip &= zb
-        self.r ^= flip
-        xb ^= xa
-        za ^= zb
-
-    def apply_hadamard(self, a: int):
-        """Hadamard on qubit a: swap the x and z bits, flipping Y phases."""
-        self._check_qubit(a)
-        xa, za = self.x[a], self.z[a]
-        self.r ^= xa & za
-        xa ^= za
-        za ^= xa
-        xa ^= za
-
-    def apply_phase(self, a: int):
-        """Phase gate on qubit a: z_a ^= x_a after absorbing the Y phase."""
-        self._check_qubit(a)
-        xa, za = self.x[a], self.z[a]
-        self.r ^= xa & za
-        za ^= xa
-
-    def apply_moment(self, h, p, ca, cb):
-        """Apply one moment: Hadamards on the qubits h, phase gates on the
-        qubits p and CNOTs from ca[k] to cb[k], all on pairwise-distinct
-        qubits.  Gates on distinct qubits commute and touch distinct columns,
-        so this equals applying them one at a time in any order.
-
-        Each kind is the formula of its per-gate method on all of that
-        kind's columns at once: a fixed number of gathers and scatters of
-        the moment's rows of x and z, and one XOR reduction into r.  A
-        moment of k gates costs O(k n / 64) word operations.  Raises
-        DimensionError, changing nothing, if a qubit is out of range or two
-        gates share a qubit."""
-        h, p, ca, cb = (np.asarray(v, dtype=np.intp) for v in (h, p, ca, cb))
-        if ca.size != cb.size:
-            raise DimensionError("every CNOT needs one control and one target")
-        qubits = np.concatenate((h, p, ca, cb))
-        bad = qubits[(qubits < 0) | (qubits >= self.n)]
-        if bad.size:
-            raise DimensionError(f"qubit {bad[0]} out of range for n={self.n}")
-        if np.bincount(qubits, minlength=1).max() > 1:
-            raise DimensionError("gates of one moment must act on distinct qubits")
-        x, z, r = self.x, self.z, self.r
-        if h.size:
-            xh, zh = x[h], z[h]
-            r ^= np.bitwise_xor.reduce(xh & zh, axis=0)
-            x[h], z[h] = zh, xh
-        if p.size:
-            xp, zp = x[p], z[p]
-            r ^= np.bitwise_xor.reduce(xp & zp, axis=0)
-            z[p] = zp ^ xp
-        if ca.size:
-            xa, za, xb, zb = x[ca], z[ca], x[cb], z[cb]
-            flip = xb ^ za
-            np.invert(flip, out=flip)
-            flip &= xa
-            flip &= zb
-            r ^= np.bitwise_xor.reduce(flip, axis=0)
-            x[cb] = xb ^ xa
-            z[ca] = za ^ zb
 
     # -- rowsum ---------------------------------------------------------------
 
@@ -495,99 +614,77 @@ class Tableau:
         (xi,), (zi,) = _row_ints(x[None]), _row_ints(z[None])
         return PauliOperator(self.n, phase, xi, zi)
 
-    def stabilizer_products(self, masks) -> tuple[list[int], list[int], list[int]]:
-        """For each int mask m (bit j selects stabilizer row n+j), the product
-        of the selected rows in ascending order, as lists of x ints, z ints
-        and powers of i: `row_product` of those rows for every mask at once.
+    def stabilizer_products(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Products of many subsets of the stabilizer rows at once.  `masks`
+        is an (n, w) uint64 array: bit t of row a selects stabilizer row
+        n+a for product t (64 w products).  Returns the products' x and z
+        bits as (n, w) columns, bit t of word k of row j being product
+        64k+t's bit at qubit j, and each product's power of i as a
+        length-64w int array: product t is `row_product` of its selected
+        rows in ascending order.
 
-        With the n stabilizer rows gathered once, every product's X and Z is
-        one `_xor_combine` of the masks with the rows.  The closed form of
-        the module docstring, summed over the selected rows, gives the power
-        of i as sum y_a + 2 sum r_a + 2 cross - |X & Z| (mod 4), where
+        Every product's bits at qubit j are the XOR of the mask rows a with
+        a stabilizer bit at j: one `_xor_combine` of the masks, selected by
+        the stabilizer columns.  The closed form of the module docstring,
+        summed over the selected rows, gives the power of i as
+        sum y_a + 2 sum r_a + 2 cross - |X & Z| (mod 4), where
         cross = sum_{a<b} |z_a & x_b| mod 2 = |m & mU| mod 2 for the GF(2)
-        matrix U[a, b] = |z_a & x_b| mod 2 (a < b, else 0).  The rows of U
-        are further columns of the same combine.
+        matrix U[a, b] = |z_a & x_b| mod 2 (a < b, else 0).  The columns of
+        U are further selectors of the same combine, and each count is a
+        sum over the unpacked bits of the products.
 
         Raises CorruptTableauError exactly when `row_product` would for some
-        mask: when a selected row anticommutes with the product of the
+        product: when a selected row anticommutes with the product of the
         selected rows before it, i.e. some bit of m & mA is set, where
-        A[a, b] (a < b) marks anticommuting stabilizer rows.  Like
-        `row_product`, it leaves `rowsum_count` alone.
+        A[a, b] (a < b) marks anticommuting stabilizer rows; its columns
+        are selectors of the combine too.  Like `row_product`, it leaves
+        `rowsum_count` alone.
         """
         n, pad = self.n, _padded(self.n)
-        nw = pad // 64
-        cols, signs = self._stabilizer_columns()
-        xcols = cols[:pad]
-        rows = _transpose(cols, np.arange(pad))  # row-major: x words, z words
+        w = masks.shape[1]
+        # The stabilizer rows' bits, and their columns packed over the rows.
+        bits = _unpack_rows(self._xz, 2 * n)[:, n:]  # column j, row n+a
+        xbits, zbits = bits[:n], bits[pad:pad + n]
+        cols = np.zeros((2, pad, pad // 8), dtype=np.uint8)
+        cols[:, :n, :(n + 7) // 8] = np.packbits((xbits, zbits), axis=2, bitorder="little")
+        xcols, zcols = cols.view("<u8").astype(np.uint64, copy=False)
         # V[a, b] = |z_a & x_b| mod 2: row a is the XOR of the x columns at
-        # row a's z bits.  A = V + V^T marks the anticommuting pairs.
-        v = _xor_combine(xcols, np.ascontiguousarray(rows[:, nw:]).view(np.uint8))
-        # bits b > a of row a: word k keeps all but its low a + 1 - 64k bits
-        clear = np.clip(np.arange(pad)[:, None] + 1 - 64 * np.arange(nw), 0, 64)
-        upper = ~np.uint64(0) << clear.astype(np.uint64)
-        anti = (v ^ _transpose(v, np.arange(pad))) & upper
-        rows = np.hstack((rows, v & upper))
-
-        m = _int_words(list(masks), nw)
-        sel = m.view(np.uint8)
-        if anti.any() and (_xor_combine(anti, sel) & m).any():
+        # row a's z bits.  Column b of U and of A = V + V^T keeps rows a < b.
+        v = _xor_combine(xcols, np.packbits(zbits.T, axis=1, bitorder="little"))
+        vt = _transpose(v, np.arange(n))
+        below = np.packbits(np.tri(n, pad, -1, dtype=bool), axis=1, bitorder="little")
+        below = below.view("<u8").astype(np.uint64, copy=False)
+        m = np.zeros((pad, w), dtype=np.uint64)
+        m[:n] = masks
+        sel = np.concatenate((xcols[:n], zcols[:n], vt & below, (v ^ vt) & below))
+        out = _xor_combine(m, sel.view(np.uint8))
+        xs, zs, mu, ma = out[:n], out[n:2 * n], out[2 * n:3 * n], out[3 * n:]
+        if (ma & masks).any():
             raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
-        out = _xor_combine(rows, sel)
-        x, z, mu = out[:, :nw], out[:, nw:2 * nw], out[:, 2 * nw:]
-        # Bit a of low/high: bit 0/1 of y_a + 2 r_a, from bit-sliced counts.
-        y = xcols & cols[pad:]
-        low = np.bitwise_xor.reduce(y, axis=0)
-        high = _pair_parity(y) ^ signs
+        # Per term: sum of y_a + 2 r_a over its rows, 2 |m & mU|, |X & Z|.
+        y = ((xbits & zbits).sum(axis=0) + 2 * _bits(self.r, 2 * n)[n:]) % 4
+        b = _unpack_rows(np.concatenate((masks, masks & mu, xs & zs)), 64 * w)
+        phase = y @ b[:n] + 2 * b[n:2 * n].sum(axis=0) - b[2 * n:].sum(axis=0)
+        return xs, zs, phase % 4
 
-        def count(a):
-            return np.bitwise_count(a).sum(axis=1, dtype=np.int64)
-
-        phase = count(m & low) + 2 * count(m & high) + 2 * count(m & mu) - count(x & z)
-        return _row_ints(x), _row_ints(z), (phase % 4).tolist()
-
-    def _stabilizer_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stabilizer rows alone, still qubit-major: the columns of `_xz`
-        (x columns, then z columns, 2 * _padded(n) in all) and the phase
-        bits, shifted so that bit a is row n+a, with bits a >= n cleared."""
-        n, nw = self.n, _padded(self.n) // 64
-        q, s = divmod(n, 64)
-        words = np.zeros((len(self._xz) + 1, nw + 1), dtype=np.uint64)
-        src = self._xz[:, q:q + nw + 1]
-        words[:-1, :src.shape[1]] = src
-        words[-1, :src.shape[1]] = self.r[q:q + nw + 1]
-        out = words[:, :nw] >> _SHIFTS[s]
-        if s:
-            out |= words[:, 1:] << _SHIFTS[64 - s]
-        out &= _span(0, n, nw)
-        return out[:-1], out[-1]
-
-    # -- anticommutation ---------------------------------------------------------
-
-    def anticommuting_rows(self, words, lo: int, hi: int) -> list[int]:
-        """For each Pauli word (x, z) (ints, bit j = qubit j), the bitmask of
-        the rows lo..hi-1 it anticommutes with (bit j = row lo+j).
-
-        A word anticommutes with a row iff the XOR of the z columns at the
-        word's x bits and the x columns at its z bits has the row's bit set.
-        Batches of up to _BATCH_ELEMS word-qubit-word products take one
-        fixed set of vectorized operations each."""
-        words = list(words)
-        n, nbytes = self.n, (self.n + 7) // 8
-        step = max(1, _BATCH_ELEMS // (n * self._words))
-        keep = (1 << max(hi - lo, 0)) - 1
-        masks = []
-        for s in range(0, len(words), step):
-            part = words[s:s + step]
-            raw = b"".join(v.to_bytes(nbytes, "little") for word in part for v in word)
-            bits = np.unpackbits(
-                np.frombuffer(raw, np.uint8).reshape(2 * len(part), nbytes),
-                axis=1, count=n, bitorder="little",
-            )
-            wx, wz = bits[0::2, :, None], bits[1::2, :, None]
-            anti = np.bitwise_xor.reduce(wx * self.z, axis=1)
-            anti ^= np.bitwise_xor.reduce(wz * self.x, axis=1)
-            masks += [(m >> lo) & keep for m in _row_ints(anti)]
-        return masks
+    def stabilizer_signs(self, words: "PauliTable", where=None) -> tuple[np.ndarray, np.ndarray]:
+        """For each term of `words`, its destabilizer mask and the sign with
+        which it lies in the stabilizer group: masks is the (n, w) array of
+        `anticommuting_rows(words, 0, n)`, whose bit t of row a is set iff
+        term t anticommutes with destabilizer a, so it selects the
+        generators whose product is ±P_t if P_t is in ±S at all; signs is
+        that product's ±1.0 per term, or 0.0 where P_t lies outside ±S.
+        Terms outside the bool array `where` get an empty mask: their
+        products cannot raise, and their signs mean nothing."""
+        masks = self.anticommuting_rows(words, 0, self.n)
+        if where is not None:
+            masks &= _pack(where, words._words)
+        xs, zs, phase = self.stabilizer_products(masks)
+        k = words._count
+        outside = _bits(np.bitwise_or.reduce((xs ^ words.x) | (zs ^ words.z), axis=0), k)
+        signs = np.where(phase[:k] != 0, -1.0, 1.0)
+        signs[outside] = 0.0
+        return masks, signs
 
     # -- measurement ------------------------------------------------------------
 
@@ -749,6 +846,182 @@ class Tableau:
                 "snapshot rows break the destabilizer/stabilizer commutation pattern"
             )
         return t
+
+
+@dataclass
+class PauliSumTerm:
+    coeff: complex
+    x: int
+    z: int
+    eig: int
+
+
+class PauliTable(_PauliColumns):
+    """The terms (coefficient, Pauli word, eigenvalue bits) of a Pauli-sum
+    state, packed like the tableau's rows so that one moment kernel
+    conjugates both (`conjugate_moment`).
+
+    For K terms in w = ceil(K/64) words: `x`, `z` hold the words, bit t of
+    word k of `x[j]` being term 64k+t's x bit at qubit j; `eig` (n, w)
+    holds the eigenvalue bits, bit t of `eig[a]` being term t's bit for
+    generator a; `r` holds one sign bit per term, a negation of its
+    coefficient not yet applied (conjugation only negates coefficients, and
+    negation is exact, so it is deferred); `_coeff` holds the complex
+    coefficients.  x, z and eig are the rows of one (3n, w) array, so a
+    term's whole key, x | z << n | eig << 2n, is one row of its
+    transpose."""
+
+    def __init__(self, n: int, terms=((1.0 + 0j, 0, 0, 0),), tol=None):
+        """A table of the (coeff, x, z, eig) tuples `terms`, with x, z and
+        eig ints (bit j = qubit j, or generator j for eig).  With a
+        tolerance tol the terms are merged as `merged` merges them."""
+        terms = list(terms)
+        self.n = n
+        keys = _int_words([x | z << n | e << 2 * n for _, x, z, e in terms], (3 * n + 63) // 64)
+        coeff = np.array([t[0] for t in terms], dtype=complex)
+        if tol is not None:
+            keys, coeff, _ = _merge(keys, coeff, tol)
+        self._set_rows(keys, coeff)
+
+    def _set_rows(self, keys: np.ndarray, coeff: np.ndarray):
+        """Take the terms from their row-major keys and coefficients."""
+        self._count = len(coeff)
+        self._words = (self._count + 63) // 64
+        self._adopt_bits(_transpose(keys, np.arange(3 * self.n)))
+        self.r = np.zeros(self._words, dtype=np.uint64)
+        self._coeff = coeff
+
+    def _adopt_bits(self, bits: np.ndarray):
+        n = self.n
+        self._bits = bits
+        self.x, self.z, self.eig = bits[:n], bits[n:2 * n], bits[2 * n:]
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _conjugate(self, h, p, ca, cb):
+        # Clifford gates fix the identity word and flip no sign on it: a
+        # table of identities alone (a stabilizer state, before any
+        # non-stabilizer gate) stays as it is.
+        if self.x.any() or self.z.any():
+            super()._conjugate(h, p, ca, cb)
+
+    def copy(self) -> "PauliTable":
+        t = object.__new__(PauliTable)
+        t.__dict__.update(self.__dict__)
+        t._adopt_bits(self._bits.copy())
+        t.r = self.r.copy()
+        t._coeff = self._coeff.copy()
+        return t
+
+    def _keys(self) -> np.ndarray:
+        """The terms' keys as row-major (K, ceil(3n/64)) words."""
+        return _transpose(self._bits, np.arange(self._count))
+
+    def coefficients(self) -> np.ndarray:
+        """The coefficient array, every deferred negation applied."""
+        if self.r.any():
+            neg = _bits(self.r, self._count)
+            self._coeff[neg] = -self._coeff[neg]
+            self.r[:] = 0
+        return self._coeff
+
+    def __iter__(self):
+        """The terms as PauliSumTerms, ints as in `__init__`."""
+        n, mask = self.n, (1 << self.n) - 1
+        for c, k in zip(self.coefficients().tolist(), _row_ints(self._keys())):
+            yield PauliSumTerm(c, k & mask, (k >> n) & mask, k >> 2 * n)
+
+    def __getitem__(self, i):
+        return list(self)[i]
+
+    def generator_masks(self, tableau: Tableau) -> list[int]:
+        """Per term, the int mask (bit a = generator a) of the stabilizer
+        generators of `tableau` that it anticommutes with."""
+        rows = self.anticommuting_rows(tableau, 0, self._count)
+        return [(m >> self.n) & ((1 << self.n) - 1) for m in _row_ints(rows)]
+
+    # -- the measurement's term updates -------------------------------------------
+
+    def multiply(self, where: np.ndarray, p: PauliOperator) -> np.ndarray:
+        """Multiply the words of the terms `where` (a bool array) on the
+        right by p, in place, and return per term the power of i of that
+        product, as `pauli.multiply` gives it (0 for the other terms):
+        phase(p) + |x & z| + |x_p & z_p| + 2 |z & x_p| - |x' & z'| (mod 4),
+        each count a sum over the qubits of the unpacked bits."""
+        n, nb = self.n, _padded(self.n) // 8
+        sel = _pack(where, self._words)
+        raw = np.frombuffer(p.x.to_bytes(nb, "little") + p.z.to_bytes(nb, "little"), np.uint8)
+        pbits = np.unpackbits(raw, bitorder="little")
+        px, pz = np.flatnonzero(pbits[:n]), np.flatnonzero(pbits[8 * nb:8 * nb + n])
+        before = np.concatenate((self.x & self.z, self.z[px]))
+        self.x[px] ^= sel
+        self.z[pz] ^= sel
+        b = _unpack_rows(np.concatenate((before, self.x & self.z)), self._count)
+        k = b[:n].sum(axis=0) + 2 * b[n:-n].sum(axis=0) - b[-n:].sum(axis=0)
+        return np.where(where, (k + p.phase_exp + (p.x & p.z).bit_count()) % 4, 0)
+
+    def eig_bits(self, gens) -> np.ndarray:
+        """Per term, the XOR of its eigenvalue bits for the generators gens."""
+        return _bits(np.bitwise_xor.reduce(self.eig[gens], axis=0), self._count)
+
+    def flip_eig(self, gens, where: np.ndarray):
+        """Flip the eigenvalue bits for the generators gens of the terms
+        `where`."""
+        self.eig[gens] ^= _pack(where, self._words)
+
+    def set_eig(self, gen: int, bit: int):
+        """Set every term's eigenvalue bit for generator gen to bit."""
+        self.eig[gen] = _span(0, self._count, self._words) if bit else 0
+
+    def eig_parity(self, masks: np.ndarray) -> np.ndarray:
+        """Per term t, the parity of |e_t & m_t| for per-term generator
+        masks laid out as `Tableau.stabilizer_signs` returns them."""
+        return _bits(np.bitwise_xor.reduce(self.eig & masks, axis=0), self._count)
+
+    def merged(self, coeff: np.ndarray, tol: float, where=None) -> "PauliTable":
+        """A new table of the terms `where` (all if None) with coefficients
+        coeff, merged by `_merge`."""
+        keys = self._keys()
+        subset = where is not None and not where.all()
+        if subset:
+            keys = keys[where]
+        keys, coeff, changed = _merge(keys, coeff, tol)
+        out = object.__new__(PauliTable)
+        out.n = self.n
+        if changed or subset:
+            out._set_rows(keys, coeff)
+        else:
+            out.__dict__.update(self.__dict__)
+            out._adopt_bits(self._bits.copy())
+            out.r = np.zeros_like(self.r)
+            out._coeff = coeff
+        return out
+
+
+def _merge(keys: np.ndarray, coeff: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Merge row-major term keys: rows equal in every word become one, at
+    the place of the first, with coeff summed over them in row order onto
+    0j (np.add.at, so each float is as a one-at-a-time sum gives it), and
+    sums with |c| <= tol are dropped.  Returns the kept keys and sums and
+    whether any row was merged or dropped."""
+    void = np.ascontiguousarray(keys).view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
+    _, first = np.unique(void, return_index=True)
+    merging = first.size < len(keys)
+    if merging:
+        _, group = np.unique(void, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        sums = np.zeros(order.size, dtype=complex)
+        np.add.at(sums, rank[group.ravel()], coeff)
+        keys = keys[first[order]]
+    else:
+        sums = coeff + 0j  # the one-term sum onto 0j: -0.0 parts become 0.0
+    keep = np.abs(sums) > tol
+    if keep.all():
+        return keys, sums, merging
+    return keys[keep], sums[keep], True
 
 
 def new_zero_state(n: int) -> Tableau:

@@ -402,3 +402,53 @@ def test_collapse_matches_rowsum_loop(n, seed, with_t):
     assert [s.tableau.get_row(i) for i in rows] == [ref.get_row(i) for i in rows]
     assert s.tableau.rowsum_count == ref.rowsum_count
     assert s.is_hermitian_closed()
+
+
+def t_state():
+    s = PauliSumState(3)
+    s.apply_hadamard(0)
+    s.apply_cnot(0, 1)
+    s.apply_unitary(T_GATE, (1,))
+    return s
+
+
+def snapshot(s):
+    return (
+        [(t.coeff, t.x, t.z, t.eig) for t in s.terms],
+        s.tableau.to_bytes(),
+        s.resource_report(),
+    )
+
+
+@pytest.mark.parametrize("qubits", [(0, 1), ()])
+def test_unitary_of_the_wrong_size_is_rejected_before_any_change(qubits):
+    for apply in (lambda s: s.apply_unitary(T_GATE, qubits),
+                  lambda s: nonstab_apply(s, T_GATE, qubits)):
+        s = t_state()
+        before = snapshot(s)
+        with pytest.raises(DimensionError, match="unitary dimension does not match qubit count"):
+            apply(s)
+        assert snapshot(s) == before
+
+
+def test_numpy_integer_qubits_are_accepted():
+    for q in (np.int64(0), np.int32(2), np.uint8(1)):
+        got, want = t_state(), t_state()
+        _, out, prob = nonstab_measure(got, q, random.Random(3))
+        assert (out, prob) == want.measure_qubit(int(q), random.Random(3))
+        assert snapshot(got) == snapshot(want)
+    got, want = t_state(), t_state()
+    got.apply_unitary(T_GATE, np.array([2]))
+    want.apply_unitary(T_GATE, (2,))
+    assert snapshot(got) == snapshot(want)
+
+
+@pytest.mark.parametrize("bad", [1.0, "0", None])
+def test_non_integer_qubits_raise_type_error(bad):
+    s = t_state()
+    before = snapshot(s)
+    with pytest.raises(TypeError):
+        nonstab_measure(s, bad, random.Random(0))
+    with pytest.raises(TypeError):
+        s.apply_unitary(T_GATE, (bad,))
+    assert snapshot(s) == before

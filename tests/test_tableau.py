@@ -17,7 +17,7 @@ from stabsim.oracle import DenseState, density_from_generators
 from stabsim.pauli import PauliOperator, commutes, multiply, parse_pauli
 from stabsim.program import Cnot
 from stabsim.synth import _column_maps, apply_cnots_as_row_ops
-from stabsim.tableau import Tableau, new_zero_state
+from stabsim.tableau import PauliTable, Tableau, new_zero_state
 
 
 def test_zero_state_two_qubits_is_block_identity():
@@ -463,6 +463,32 @@ def test_row_product_of_stabilizer_rows_matches_multiply_fold(n, seed):
     assert t.row_product(rows) == want
 
 
+def packed_masks(masks, n):
+    """Int masks (bit a selects stabilizer a) as the (n, w) generator-major
+    words `Tableau.stabilizer_products` takes: bit t of row a is bit a of
+    masks[t]."""
+    bits = np.array([[(m >> a) & 1 for m in masks] for a in range(n)], dtype=np.uint8)
+    w = (len(masks) + 63) // 64
+    out = np.zeros((n, 8 * w), dtype=np.uint8)
+    out[:, :(len(masks) + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view("<u8").astype(np.uint64)
+
+
+def packed_row_int(row) -> int:
+    """One packed uint64 row as an int (bit 64k+i = bit i of word k)."""
+    return int.from_bytes(np.asarray(row).astype("<u8").tobytes(), "little")
+
+
+def stabilizer_products_as_ints(t, masks):
+    """`Tableau.stabilizer_products` of int masks, as (x ints, z ints,
+    powers of i), one entry per mask."""
+    xs, zs, phase = t.stabilizer_products(packed_masks(masks, t.n))
+    col = [packed_row_int(r) for r in xs], [packed_row_int(r) for r in zs]
+    x, z = ([sum(((c >> k) & 1) << j for j, c in enumerate(cs)) for k in range(len(masks))]
+            for cs in col)
+    return x, z, [int(p) for p in phase[:len(masks)]]
+
+
 @settings(max_examples=30, deadline=None, database=None)
 @given(n=st.sampled_from([1, 63, 64, 65]), seed=seeds, corrupt=st.booleans())
 def test_stabilizer_products_match_row_product_at_word_boundaries(n, seed, corrupt):
@@ -486,15 +512,17 @@ def test_stabilizer_products_match_row_product_at_word_boundaries(n, seed, corru
     for m, w in zip(masks, want):
         if w is None:
             with pytest.raises(CorruptTableauError):
-                t.stabilizer_products([m])
+                stabilizer_products_as_ints(t, [m])
         else:
-            assert t.stabilizer_products([m]) == ([w.x], [w.z], [w.phase_exp])
-    good = [w for w in want if w is not None]
-    got = t.stabilizer_products(m for m, w in zip(masks, want) if w is not None)
-    assert got == ([w.x for w in good], [w.z for w in good], [w.phase_exp for w in good])
+            assert stabilizer_products_as_ints(t, [m]) == ([w.x], [w.z], [w.phase_exp])
+    good = [(m, w) for m, w in zip(masks, want) if w is not None]
+    # 65+ products span two words of the packed masks
+    good = (good * (70 // len(good) + 1))[:70]
+    got = stabilizer_products_as_ints(t, [m for m, _ in good])
+    assert got == ([w.x for _, w in good], [w.z for _, w in good], [w.phase_exp for _, w in good])
     if corrupt:
         with pytest.raises(CorruptTableauError):
-            t.stabilizer_products(masks)
+            stabilizer_products_as_ints(t, masks)
     assert t.rowsum_count == before
 
 
@@ -624,10 +652,15 @@ def test_batch_rowsum_equals_one_rowsum_per_row(n, seed):
         assert bad.rowsum_count == t.rowsum_count
 
 
+def word_table(n, words):
+    """The Pauli words (x, z) as a PauliTable (coefficient 1, eig 0)."""
+    return PauliTable(n, [(1, x, z, 0) for x, z in words])
+
+
 @settings(max_examples=30, deadline=None, database=None)
 @given(
     n=st.sampled_from([1, 63, 64, 65, 130]),
-    k=st.integers(min_value=0, max_value=6),
+    k=st.sampled_from([0, 1, 2, 5, 63, 64, 65]),
     seed=seeds,
 )
 def test_anticommuting_rows_match_commutes(n, k, seed):
@@ -637,21 +670,30 @@ def test_anticommuting_rows_match_commutes(n, k, seed):
     hi = r.randrange(lo, 2 * n + 2)
     words = [(r.getrandbits(n), r.getrandbits(n)) for _ in range(k)]
     words += [(p.x, p.z) for p in map(t.get_row, r.sample(range(2 * n), min(k, 2)))]
+    table = word_table(n, words)
     rows = [t.get_row(i) for i in range(lo, hi)]
-    want = [
-        sum(commutes(PauliOperator(n, 0, x, z), p) << j for j, p in enumerate(rows))
-        for x, z in words
+    anti = [[commutes(PauliOperator(n, 0, x, z), p) for x, z in words] for p in rows]
+    # row k of the result: bit t set iff tableau row lo+k anticommutes with word t
+    got = t.anticommuting_rows(table, lo, hi)
+    assert got.shape == (hi - lo, (len(words) + 63) // 64)
+    assert [packed_row_int(g) for g in got] == [sum(a << j for j, a in enumerate(row)) for row in anti]
+    # the same kernel with the words as rows and the tableau rows as columns
+    back = [packed_row_int(g) >> lo for g in table.anticommuting_rows(t, 0, len(words))]
+    assert [b & ((1 << (hi - lo)) - 1) for b in back] == [
+        sum(row[j] << i for i, row in enumerate(anti)) for j in range(len(words))
     ]
-    assert t.anticommuting_rows(words, lo, hi) == want
+    for q in [PauliOperator(n, 0, x, z) for x, z in words[-1:]]:
+        want = [bool(commutes(PauliOperator(n, 0, x, z), q)) for x, z in words]
+        assert list(table.anticommuting(q)) == want
 
 
 def test_anticommuting_rows_in_small_slices(monkeypatch, rng):
     t = random_tableau(70, rng)
-    words = [(rng.getrandbits(70), rng.getrandbits(70)) for _ in range(9)]
-    whole = t.anticommuting_rows(words, 0, 141)
+    table = word_table(70, [(rng.getrandbits(70), rng.getrandbits(70)) for _ in range(9)])
+    whole = t.anticommuting_rows(table, 0, 141)
     monkeypatch.setattr(tableau_module, "_BATCH_ELEMS", 1)
-    assert t.anticommuting_rows(words, 0, 141) == whole
-    assert t.anticommuting_rows([], 0, 141) == []
+    assert np.array_equal(t.anticommuting_rows(table, 0, 141), whole)
+    assert t.anticommuting_rows(word_table(70, []), 0, 141).shape == (141, 0)
 
 
 @kernel_settings

@@ -455,10 +455,7 @@ class Tableau(_PauliColumns):
 
     def get_row(self, i: int) -> PauliOperator:
         self._check_row(i)
-        bits, sign = self._read_row(i)  # one pass over the columns, no transpose
-        raw = np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
-        x, z = (int.from_bytes(h, "little") for h in (raw[:len(raw) // 2], raw[len(raw) // 2:]))
-        return PauliOperator(self.n, 2 * int(sign), x, z)
+        return self.rows(i, i + 1)[0]
 
     def set_row(self, i: int, p: PauliOperator):
         self._check_row(i)
@@ -620,7 +617,7 @@ class Tableau(_PauliColumns):
         n+a for product t (64 w products).  Returns the products' x and z
         bits as (n, w) columns, bit t of word k of row j being product
         64k+t's bit at qubit j, and each product's power of i as a
-        length-64w int array: product t is `row_product` of its selected
+        length-64w int64 array: product t is `row_product` of its selected
         rows in ascending order.
 
         Every product's bits at qubit j are the XOR of the mask rows a with
@@ -662,9 +659,11 @@ class Tableau(_PauliColumns):
         if (ma & masks).any():
             raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
         # Per term: sum of y_a + 2 r_a over its rows, 2 |m & mU|, |X & Z|.
-        y = ((xbits & zbits).sum(axis=0) + 2 * _bits(self.r, 2 * n)[n:]) % 4
+        y = (xbits & zbits).sum(axis=0, dtype=np.int64)
+        y = (y + 2 * _bits(self.r, 2 * n)[n:].astype(np.int64)) % 4
         b = _unpack_rows(np.concatenate((masks, masks & mu, xs & zs)), 64 * w)
-        phase = y @ b[:n] + 2 * b[n:2 * n].sum(axis=0) - b[2 * n:].sum(axis=0)
+        phase = (y @ b[:n] + 2 * b[n:2 * n].sum(axis=0, dtype=np.int64)
+                 - b[2 * n:].sum(axis=0, dtype=np.int64))
         return xs, zs, phase % 4
 
     def stabilizer_signs(self, words: "PauliTable", where=None) -> tuple[np.ndarray, np.ndarray]:
@@ -880,7 +879,7 @@ class PauliTable(_PauliColumns):
         keys = _int_words([x | z << n | e << 2 * n for _, x, z, e in terms], (3 * n + 63) // 64)
         coeff = np.array([t[0] for t in terms], dtype=complex)
         if tol is not None:
-            keys, coeff, _ = _merge(keys, coeff, tol)
+            keys, coeff = _merge(keys, coeff, tol)
         self._set_rows(keys, coeff)
 
     def _set_rows(self, keys: np.ndarray, coeff: np.ndarray):
@@ -900,9 +899,9 @@ class PauliTable(_PauliColumns):
         return self._count
 
     def _conjugate(self, h, p, ca, cb):
-        # Clifford gates fix the identity word and flip no sign on it: a
+        # Clifford gates fix the identity word and flip no sign on it, so a
         # table of identities alone (a stabilizer state, before any
-        # non-stabilizer gate) stays as it is.
+        # non-stabilizer gate) is left as it is.
         if self.x.any() or self.z.any():
             super()._conjugate(h, p, ca, cb)
 
@@ -932,9 +931,6 @@ class PauliTable(_PauliColumns):
         for c, k in zip(self.coefficients().tolist(), _row_ints(self._keys())):
             yield PauliSumTerm(c, k & mask, (k >> n) & mask, k >> 2 * n)
 
-    def __getitem__(self, i):
-        return list(self)[i]
-
     def generator_masks(self, tableau: Tableau) -> list[int]:
         """Per term, the int mask (bit a = generator a) of the stabilizer
         generators of `tableau` that it anticommutes with."""
@@ -958,7 +954,8 @@ class PauliTable(_PauliColumns):
         self.x[px] ^= sel
         self.z[pz] ^= sel
         b = _unpack_rows(np.concatenate((before, self.x & self.z)), self._count)
-        k = b[:n].sum(axis=0) + 2 * b[n:-n].sum(axis=0) - b[-n:].sum(axis=0)
+        k = (b[:n].sum(axis=0, dtype=np.int64) + 2 * b[n:-n].sum(axis=0, dtype=np.int64)
+             - b[-n:].sum(axis=0, dtype=np.int64))
         return np.where(where, (k + p.phase_exp + (p.x & p.z).bit_count()) % 4, 0)
 
     def eig_bits(self, gens) -> np.ndarray:
@@ -983,33 +980,22 @@ class PauliTable(_PauliColumns):
         """A new table of the terms `where` (all if None) with coefficients
         coeff, merged by `_merge`."""
         keys = self._keys()
-        subset = where is not None and not where.all()
-        if subset:
+        if where is not None:
             keys = keys[where]
-        keys, coeff, changed = _merge(keys, coeff, tol)
         out = object.__new__(PauliTable)
         out.n = self.n
-        if changed or subset:
-            out._set_rows(keys, coeff)
-        else:
-            out.__dict__.update(self.__dict__)
-            out._adopt_bits(self._bits.copy())
-            out.r = np.zeros_like(self.r)
-            out._coeff = coeff
+        out._set_rows(*_merge(keys, coeff, tol))
         return out
 
 
-def _merge(keys: np.ndarray, coeff: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
+def _merge(keys: np.ndarray, coeff: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Merge row-major term keys: rows equal in every word become one, at
     the place of the first, with coeff summed over them in row order onto
     0j (np.add.at, so each float is as a one-at-a-time sum gives it), and
-    sums with |c| <= tol are dropped.  Returns the kept keys and sums and
-    whether any row was merged or dropped."""
+    sums with |c| <= tol are dropped.  Returns the kept keys and sums."""
     void = np.ascontiguousarray(keys).view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
-    _, first = np.unique(void, return_index=True)
-    merging = first.size < len(keys)
-    if merging:
-        _, group = np.unique(void, return_inverse=True)
+    _, first, group = np.unique(void, return_index=True, return_inverse=True)
+    if first.size < len(keys):
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
@@ -1019,9 +1005,7 @@ def _merge(keys: np.ndarray, coeff: np.ndarray, tol: float) -> tuple[np.ndarray,
     else:
         sums = coeff + 0j  # the one-term sum onto 0j: -0.0 parts become 0.0
     keep = np.abs(sums) > tol
-    if keep.all():
-        return keys, sums, merging
-    return keys[keep], sums[keep], True
+    return keys[keep], sums[keep]
 
 
 def new_zero_state(n: int) -> Tableau:

@@ -483,6 +483,7 @@ def stabilizer_products_as_ints(t, masks):
     """`Tableau.stabilizer_products` of int masks, as (x ints, z ints,
     powers of i), one entry per mask."""
     xs, zs, phase = t.stabilizer_products(packed_masks(masks, t.n))
+    assert phase.dtype == np.int64
     col = [packed_row_int(r) for r in xs], [packed_row_int(r) for r in zs]
     x, z = ([sum(((c >> k) & 1) << j for j, c in enumerate(cs)) for k in range(len(masks))]
             for cs in col)

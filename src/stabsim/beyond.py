@@ -305,10 +305,10 @@ class PauliSumState:
         for q in qubits:
             if not 0 <= q < self.n:
                 raise DimensionError(f"qubit {q} out of range")
-        expansion = nonstab_expand(u)
         width = len(qubits)
-        if np.shape(u)[0] != 1 << width:
+        if np.shape(u)[:1] != (1 << width,):
             raise DimensionError("unitary dimension does not match qubit count")
+        expansion = nonstab_expand(u)
         new_count = len(self.table) * len(expansion) ** 2
         if new_count > self.term_cap:
             raise ResourceCapError(
@@ -373,12 +373,12 @@ class PauliSumState:
             raise DimensionError("operator length mismatch")
         if not q.is_hermitian():
             raise DimensionError("measurement operator must be Hermitian")
-        n = self.n
         hits = np.flatnonzero(self.tableau.anticommuting(q))
-        if not hits.size or hits[-1] < n:
+        case, pivot = self.tableau._case_split(hits)
+        if case == 2:
             p0, p1, keep = self._project_commuting(q, hits)
         else:
-            p0, p1, keep = self._project_anticommuting(q, hits)
+            p0, p1, keep = self._project_anticommuting(q, hits, pivot)
         if abs(p0 + p1 - 1.0) > PROB_TOL:
             raise NumericalIntegrityError(
                 f"outcome probabilities sum to {p0 + p1}, not 1"
@@ -411,17 +411,17 @@ class PauliSumState:
         p0, p1 = (self._trace_sum(coeff[w], signs[w]).real for w in wheres)
         return p0, p1, lambda outcome: (table, coeff[wheres[outcome]], wheres[outcome])
 
-    def _project_anticommuting(self, q: PauliOperator, hits: np.ndarray):
+    def _project_anticommuting(self, q: PauliOperator, hits: np.ndarray, pivot: int):
         """q anticommutes with the rows `hits` (ascending) of the tableau, the
-        first generator among them M_{j1}: the tableau's collapse multiplies
-        every other anticommuting row by M_{j1}, moves M_{j1} to its
-        destabilizer slot and puts q in its place; anticommuting words pick
-        up a factor of the old generator.  The terms are updated in a copy,
-        so a collapse that raises leaves the state as it was."""
+        first generator among them M_{j1} at the `pivot` row n + j1 (case I
+        of `Tableau._case_split`): the tableau's collapse multiplies every
+        other anticommuting row by M_{j1}, moves M_{j1} to its destabilizer
+        slot and puts q in its place; anticommuting words pick up a factor
+        of the old generator.  The terms are updated in a copy, so a
+        collapse that raises leaves the state as it was."""
         n, tab = self.n, self.tableau
-        anti = hits[hits >= n] - n
-        j1 = int(anti[0])
-        tab._collapse(hits, n + j1, j1, q)
+        j1 = pivot - n
+        tab._collapse(hits, pivot, j1, q)
         m1 = tab.get_row(j1)
 
         table = self.table.copy()
@@ -429,7 +429,7 @@ class PauliSumState:
         flips = table.anticommuting(q)
         e1 = table.eig_bits([j1])
         k = table.multiply(flips, m1)
-        table.flip_eig(anti[1:], e1)
+        table.flip_eig(hits[hits > pivot] - n, e1)
         c = coeff / 2
         c[flips] = c[flips] * _I_POWERS[k[flips]] * np.where(e1[flips], -1 + 0j, 1 + 0j)
         # keep0 and keep1 differ only in the bit for generator j1, so they

@@ -236,7 +236,7 @@ def main(argv=None) -> int:
     p_canon = sub.add_parser("canonicalize", help="emit the 11-round canonical form")
     p_canon.add_argument("file")
 
-    p_min = sub.add_parser("minimize", help="canonicalize and shrink CNOT rounds")
+    p_min = sub.add_parser("minimize", help="the canonical circuit, without round comments")
     p_min.add_argument("file")
 
     p_inner = sub.add_parser("innerprod", help="overlap of two prepared states")

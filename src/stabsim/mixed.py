@@ -11,6 +11,14 @@ Row layout (0-based, n qubits, rank r):
 Every row commutes with every other except its partner at distance n.  The
 state is the uniform mixture over the stabilized subspace: its density
 matrix is 2**(-r) times the product of (I + M_i) over the generators.
+
+Gates and measurement are the `Tableau`'s, which read the rank: measuring
+a Pauli is case I, II or III of one case split (`Tableau._case_split`).
+`from_stabilizers` builds a state from its generators the same way: it
+starts from the completely mixed state (rank 0) and measures each generator
+in turn with the outcome forced to +1.  Every generator must be case III
+and becomes the next stabilizer row exactly as given; the collapses supply
+its destabilizer partner and the logical rows.
 """
 
 from __future__ import annotations
@@ -18,9 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, InvalidTableauError
-from .gf2 import BinaryMatrix, gf2_rank, rref
-from .pauli import PauliOperator, commutes, multiply
-from .tableau import MeasurementRecord, Tableau
+from .gf2 import rref
+from .pauli import PauliOperator
+from .tableau import Tableau
 
 _MAGIC = b"STBM"
 _VERSION = 1
@@ -40,140 +48,40 @@ class MixedTableau(Tableau):
             raise DimensionError(f"rank {rank} out of range for n={n}")
         self.rank = rank
 
-    def copy(self) -> "MixedTableau":
-        t = super().copy()
-        t.rank = self.rank
-        return t
-
-    def __eq__(self, other) -> bool:
-        same = super().__eq__(other)
-        if isinstance(other, MixedTableau) and same is True:
-            return self.rank == other.rank
-        return same
-
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_stabilizers(cls, n: int, gens: list) -> "MixedTableau":
-        """Build a mixed tableau around the given commuting, independent
-        generators; partners and logical rows come from completing a
-        symplectic basis (Gram-Schmidt over GF(2))."""
-        r = len(gens)
-        if r > n:
+        """The state stabilized by the given commuting, independent ±1
+        generators: each is measured, outcome forced to +1, on the
+        completely mixed state.  A generator in case I anticommutes with an
+        earlier one, in case II it is ± a product of earlier ones; both
+        raise InvalidTableauError."""
+        if len(gens) > n:
             raise DimensionError("more generators than qubits")
         for g in gens:
             if g.n != n:
                 raise DimensionError("generator length mismatch")
             if not g.is_hermitian():
                 raise InvalidTableauError("generators must carry ±1 phases")
-        for i in range(r):
-            for j in range(i):
-                if commutes(gens[i], gens[j]):
-                    raise InvalidTableauError("generators must commute")
-        if r:
-            bits = BinaryMatrix(r, 2 * n, [g.x | (g.z << n) for g in gens])
-            if gf2_rank(bits) != r:
+        t = cls(n, 0)
+        for g in gens:
+            hits = np.flatnonzero(t.anticommuting(g))
+            case, pivot = t._case_split(hits)
+            if case == 1:
+                raise InvalidTableauError("generators must commute")
+            if case == 2:
                 raise InvalidTableauError("generators are not independent")
-
-        def strip(p: PauliOperator) -> PauliOperator:
-            return PauliOperator(n, 0, p.x, p.z)
-
-        def orthogonalize(v, g, d):
-            if commutes(v, d):
-                v = strip(multiply(v, g))
-            if commutes(v, g):
-                v = strip(multiply(v, d))
-            return v
-
-        work = list(gens)
-        pool = [PauliOperator.single(n, j, "X") for j in range(n)]
-        pool += [PauliOperator.single(n, j, "Z") for j in range(n)]
-        pairs = []
-        for i in range(r):
-            g = work[i]
-            d = next((v for v in pool if commutes(v, g)), None)
-            if d is None:
-                raise InvalidTableauError("could not complete a destabilizer")
-            pool.remove(d)
-            pool = [orthogonalize(v, g, d) for v in pool]
-            for j in range(i + 1, r):
-                if commutes(work[j], d):
-                    work[j] = multiply(work[j], g)  # keeps a ±1 phase
-            pairs.append((g, d))
-        logicals = []
-        while pool:
-            v = pool.pop(0)
-            if v.x == 0 and v.z == 0:
-                continue
-            w = next((u for u in pool if commutes(v, u)), None)
-            if w is None:
-                continue  # dependent on rows already placed
-            pool.remove(w)
-            pool = [orthogonalize(u, v, w) for u in pool]
-            logicals.append((v, w))
-        if len(logicals) != n - r:
-            raise InvalidTableauError("symplectic completion failed")
-
-        t = cls(n, r)
-        for i, (g, d) in enumerate(pairs):
-            t.set_row(n + i, g)
-            t.set_row(i, strip(d))
-        for k, (xbar, zbar) in enumerate(logicals):
-            t.set_row(r + k, xbar)
-            t.set_row(n + r + k, zbar)
+            t._collapse(hits, pivot, (pivot + n) % (2 * n), g)
         return t
 
     # -- accessors ----------------------------------------------------------
-
-    def stabilizer_generators(self) -> list:
-        return self.rows(self.n, self.n + self.rank)
-
-    def destabilizer_generators(self) -> list:
-        return self.rows(0, self.rank)
 
     def logical_x_rows(self) -> list:
         return self.rows(self.rank, self.n)
 
     def logical_z_rows(self) -> list:
         return self.rows(self.n + self.rank, 2 * self.n)
-
-    # -- measurement --------------------------------------------------------
-
-    def is_deterministic(self, a: int) -> bool:
-        """Determinate iff no stabilizer or logical row (rows r..2n-1) has an
-        X at a."""
-        self._check_qubit(a)
-        return not np.any(self._x_column(a, self.rank, 2 * self.n))
-
-    def measure(self, a: int, rng) -> MeasurementRecord:
-        self._check_qubit(a)
-        n, r = self.n, self.rank
-        hits = np.nonzero(self._x_column(a, 0, 2 * n))[0]
-        stab_hits = hits[(hits >= n) & (hits < n + r)]
-        logical = hits[(hits >= r) & ((hits < n) | (hits >= n + r))]
-        if not stab_hits.size and not logical.size:
-            # Case II: ±Z_a is in the stabilizer; accumulate its sign.
-            outcome = self._determinate_outcome(a, r)
-            return MeasurementRecord(a, outcome, deterministic=True)
-        outcome = rng.getrandbits(1) & 1
-        z_a = PauliOperator.single(n, a, "Z", 2 * outcome)
-        if stab_hits.size:
-            # Case I: the outcome anticommutes with a stabilizer generator.
-            p = int(stab_hits[0])
-            self._collapse(hits, p, p - n, z_a)
-            return MeasurementRecord(a, outcome, deterministic=False)
-        # Case III: Z_a commutes with the stabilizer but is not in it; the
-        # stabilizer gains ±Z_a as a new generator.
-        m = int(logical[0])
-        mbar = m + n if m < n else m - n
-        self._collapse(hits, m, mbar, z_a)
-        # Swap m with row n+r and mbar with row r, at once: the new generator
-        # and its partner become the rank-r pair (m = r is a single swap).
-        perm = np.arange(2 * n + 1)
-        perm[[n + r, r, m, mbar]] = [m, mbar, n + r, r]
-        self._permute_rows(perm)
-        self.rank = r + 1
-        return MeasurementRecord(a, outcome, deterministic=False)
 
     # -- purification and discard ----------------------------------------------
 
@@ -203,23 +111,18 @@ class MixedTableau(Tableau):
     def discard_qubit(self, a: int) -> "MixedTableau":
         """Trace out qubit a: put the stabilizer in a form with at most one
         generator carrying X and one carrying Z there, drop those, and
-        rebuild partners/logicals for the survivors on n-1 qubits."""
+        build the survivors' state on n-1 qubits by `from_stabilizers`."""
         if self.n < 2:
             raise DimensionError("cannot discard below one qubit")
         self._check_qubit(a)
         n, r = self.n, self.rank
         work = self.copy()
-        stab = list(range(n, n + r))
         letters = [(p.x >> a & 1) | (p.z >> a & 1) << 1 for p in work.stabilizer_generators()]
         # Eliminate on the (x_a, z_a) bits; the rows past the pivots are the
         # generators with identity at a.
-        _, pivots = rref(letters, 2, lambda src, dst: work.rowsum(stab[dst], stab[src]))
-        gens = []
-        for i in stab[len(pivots):]:
-            p = work.get_row(i)
-            gens.append(
-                PauliOperator(n - 1, p.phase_exp, _drop_bit(p.x, a), _drop_bit(p.z, a))
-            )
+        _, pivots = rref(letters, 2, lambda src, dst: work.rowsum(n + dst, n + src))
+        gens = [PauliOperator(n - 1, p.phase_exp, _drop_bit(p.x, a), _drop_bit(p.z, a))
+                for p in work.rows(n + len(pivots), n + r)]
         return MixedTableau.from_stabilizers(n - 1, gens)
 
     # -- snapshots ------------------------------------------------------------

@@ -30,7 +30,6 @@ from .gf2 import (
     gf2_solve,
     rref,
 )
-from .mixed import MixedTableau
 from .pauli import multiply
 from .program import (
     CircuitProgram,
@@ -226,7 +225,7 @@ def _reduce_to_identity(t: Tableau, segments: list):
 def require_pure(t: Tableau):
     """Reject a mixed tableau of rank < n: its rows past the rank are logical
     operators, not stabilizer generators, so they do not describe its state."""
-    if isinstance(t, MixedTableau) and t.rank < t.n:
+    if t.rank < t.n:
         raise InvalidTableauError(
             f"mixed state of rank {t.rank} < n={t.n} is not a pure stabilizer state"
         )
@@ -347,24 +346,11 @@ def apply_cnots_as_row_ops(gates, n: int) -> BinaryMatrix:
 
 
 def minimize(program: CircuitProgram) -> CircuitProgram:
-    """Equivalent circuit: the canonical form's CNOT rounds as
-    `canonical_synthesize` wrote them (cnot_synth_logdepth of each round's
-    matrix), and its H/P rounds reduced modulo gate order."""
-    t = tableau_of_program(program)
-    canon = canonical_synthesize(t)
-    n = program.n
-    out = []
-    for kind, seg in zip(ROUND_TYPES, canon.segments):
-        if kind == "C":
-            out.extend(seg)
-            continue
-        counts = {}
-        for g in seg:
-            counts[g.a] = counts.get(g.a, 0) + 1
-        gate, order = (Hadamard, 2) if kind == "H" else (Phase, 4)
-        for a in sorted(counts):
-            out.extend([gate(a)] * (counts[a] % order))
-    return CircuitProgram(n, tuple(out))
+    """Equivalent circuit: the canonical form of the program's tableau,
+    flattened.  Its CNOT rounds come from `cnot_synth_logdepth`, and its H
+    and P rounds hold no gate power that cancels (at most one H and three P
+    per qubit and round)."""
+    return canonical_synthesize(tableau_of_program(program)).flatten()
 
 
 # -- counting stabilizer states ----------------------------------------------------

@@ -2,6 +2,8 @@
 
 A state on n qubits is a (2n+1)-row tableau: rows 0..n-1 hold destabilizer
 generators, rows n..2n-1 stabilizer generators, and row 2n is scratch space.
+Its `rank` r is n; a mixed state (`mixed`) has r < n generators, and its
+rows r..n-1 and n+r..2n-1 hold logical operators.
 
 The bits are stored qubit-major and sliced along the row axis, as in Stim
 (Gidney 2021): `x` and `z` have shape (n, W) with W = ceil((2n+1)/64), and
@@ -34,10 +36,11 @@ Pauli-sum measurement are whole-table numpy steps.
 
 This module alone knows how the bits are packed.  Other modules go through
 its row reads and writes, `anticommuting_rows` (which strings of one store
-anticommute with which of another), `_collapse` (the random-outcome update
-for any measured Pauli), `row_product`, `stabilizer_products` (the products
-of many subsets of the stabilizer rows at once), `rowsum`,
-`apply_cnot_round` and the `PauliTable` methods.
+anticommute with which of another), `_case_split` (the paper's measurement
+cases I-III at any rank, and the pivot), `_collapse` (the update for any
+measured Pauli that anticommutes with a pivot row), `row_product`,
+`stabilizer_products` (the products of many subsets of the stabilizer rows
+at once), `rowsum`, `apply_cnot_round` and the `PauliTable` methods.
 
 A product of k commuting rows (a determinate measurement's outcome, or a
 stabilizer-group element in the Pauli-sum engine) is computed in closed
@@ -400,6 +403,7 @@ class Tableau(_PauliColumns):
                 f"over the cap of {MAX_TABLEAU_BYTES}"
             )
         self.n = n
+        self.rank = n
         self._words = _row_words(n)
         self._adopt(np.zeros((2 * _padded(n), self._words), dtype=np.uint64))
         self.r = np.zeros(self._words, dtype=np.uint64)
@@ -440,9 +444,8 @@ class Tableau(_PauliColumns):
         if not isinstance(other, Tableau) or self.n != other.n:
             return NotImplemented if not isinstance(other, Tableau) else False
         m = _span(0, 2 * self.n, self._words)
-        return np.array_equal(self._xz & m, other._xz & m) and np.array_equal(
-            self.r & m, other.r & m
-        )
+        return (self.rank == other.rank and np.array_equal(self._xz & m, other._xz & m)
+                and np.array_equal(self.r & m, other.r & m))
 
     def memory_bits(self) -> int:
         return 8 * (self._xz.nbytes + self.r.nbytes)
@@ -477,10 +480,10 @@ class Tableau(_PauliColumns):
         ]
 
     def stabilizer_generators(self) -> list[PauliOperator]:
-        return self.rows(self.n, 2 * self.n)
+        return self.rows(self.n, self.n + self.rank)
 
     def destabilizer_generators(self) -> list[PauliOperator]:
-        return self.rows(0, self.n)
+        return self.rows(0, self.rank)
 
     def _gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows idx as packed row-major (k, ceil(n/64)) x and z words."""
@@ -514,14 +517,6 @@ class Tableau(_PauliColumns):
         bits = np.zeros(64 * self._words, dtype=np.uint8)
         bits[idx] = 1
         return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64, copy=False)
-
-    def _permute_rows(self, perm: np.ndarray):
-        """Row i becomes the old row perm[i]: only the rows that move are
-        read and rewritten."""
-        moved = np.flatnonzero(perm != np.arange(perm.size))
-        old = [self._read_row(int(perm[i])) for i in moved]
-        for i, row in zip(moved, old):
-            self._write_row(int(i), *row)
 
     # -- rowsum ---------------------------------------------------------------
 
@@ -693,13 +688,30 @@ class Tableau(_PauliColumns):
         return np.unpackbits(raw, count=hi, bitorder="little")[lo:]
 
     def is_deterministic(self, a: int) -> bool:
-        """True iff measuring qubit a gives a determinate outcome.  O(n)."""
+        """True iff measuring qubit a gives a determinate outcome: no
+        stabilizer or logical row (rows r..2n-1) has an X at a.  O(n)."""
         self._check_qubit(a)
-        return not np.any(self._x_column(a, self.n, 2 * self.n))
+        return not np.any(self._x_column(a, self.rank, 2 * self.n))
+
+    def _case_split(self, hits: np.ndarray) -> tuple[int, int]:
+        """(case, pivot) of the paper's rule for measuring a Pauli that
+        anticommutes with the rows `hits` (ascending) of this rank-r
+        tableau: 1 (case I) if it anticommutes with a stabilizer row, the
+        first being the pivot; else 3 (case III) if with a logical row, the
+        first being the pivot; else 2 (case II, pivot -1): it lies in ±S."""
+        n, r = self.n, self.rank
+        k = int(np.searchsorted(hits, n))
+        if k < hits.size and hits[k] < n + r:
+            return 1, int(hits[k])
+        k = int(np.searchsorted(hits, r))
+        if k < hits.size:
+            return 3, int(hits[k])
+        return 2, -1
 
     def _collapse(self, hits: np.ndarray, pivot: int, partner: int, row: PauliOperator):
         """Update for measuring the Pauli `row` when it anticommutes with the
-        `pivot` row: every other row in `hits` (the rows of 0..2n-1 that
+        `pivot` row (case I or III of `_case_split`), whose partner row is
+        pivot ± n: every other row in `hits` (the rows of 0..2n-1 that
         anticommute with `row`) is multiplied by the pivot, the pivot moves
         to `partner`, and `row`, carrying the sign the caller drew, takes its
         place.
@@ -707,25 +719,35 @@ class Tableau(_PauliColumns):
         The partner row is excluded from the sweep: it anticommutes with the
         pivot, so its product would carry an unrepresentable ±i phase, and it
         is overwritten by the copy step regardless.
+
+        In case III the pivot is a logical row, so `row` is a new generator:
+        the logical pair in rows n+r and r moves to the pivot's two rows, and
+        `row` and its partner take rows n+r and r; the rank grows by one.
         """
         idx = hits[(hits != pivot) & (hits != partner)]
         src = self._read_row(pivot)
         if idx.size:
             self._rowsum_mask(self._row_mask(idx), *src)
+        n, r = self.n, self.rank
+        if not n <= pivot < n + r:
+            moved = self._read_row(n + r), self._read_row(r)
+            self._write_row(pivot, *moved[0])
+            self._write_row(partner, *moved[1])
+            pivot, partner, self.rank = n + r, r, r + 1
         self._write_row(partner, *src)
         self.set_row(pivot, row)
 
-    def _determinate_outcome(self, a: int, limit: int) -> int:
+    def _determinate_outcome(self, a: int) -> int:
         """Leave in the scratch row the product of the stabilizer rows indexed
-        by destabilizer rows < limit that anticommute with Z_a; its sign is
-        the outcome.
+        by the destabilizer rows (0..r-1) that anticommute with Z_a; its sign
+        is the outcome.
 
         The product is taken in closed form (see the module docstring), but
         it raises CorruptTableauError exactly when the paper's fold of k
         rowsums into the scratch row would, and it counts as those k
         rowsums in `rowsum_count`.
         """
-        idx = self.n + self._x_column(a, 0, limit).nonzero()[0]
+        idx = self.n + self._x_column(a, 0, self.rank).nonzero()[0]
         x, z, phase = self._row_product(idx)
         words = np.concatenate((x, z)).astype("<u8", copy=False)
         bits = np.unpackbits(words.view(np.uint8), bitorder="little")
@@ -737,19 +759,19 @@ class Tableau(_PauliColumns):
         """Measure qubit a in the standard basis, updating the state.
 
         `rng` must supply one unbiased bit via getrandbits(1) when the
-        outcome is random; determinate outcomes consume no randomness.
+        outcome is random (cases I and III); determinate outcomes (case II)
+        consume no randomness.
         """
         self._check_qubit(a)
         n = self.n
         hits = self._x_column(a, 0, 2 * n).nonzero()[0]
-        if hits.size and hits[-1] >= n:
-            p = int(hits[np.searchsorted(hits, n)])
-            outcome = rng.getrandbits(1) & 1
-            z_a = PauliOperator.single(n, a, "Z", 2 * outcome)
-            self._collapse(hits, p, p - n, z_a)
-            return MeasurementRecord(a, outcome, deterministic=False)
-        outcome = self._determinate_outcome(a, n)
-        return MeasurementRecord(a, outcome, deterministic=True)
+        case, p = self._case_split(hits)
+        if case == 2:
+            return MeasurementRecord(a, self._determinate_outcome(a), deterministic=True)
+        outcome = rng.getrandbits(1) & 1
+        z_a = PauliOperator.single(n, a, "Z", 2 * outcome)
+        self._collapse(hits, p, (p + n) % (2 * n), z_a)
+        return MeasurementRecord(a, outcome, deterministic=False)
 
     # -- invariants ---------------------------------------------------------------
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_gate, random_gate
+from stabsim import beyond
 from stabsim.beyond import (
     PauliSumState,
     ProductState,
@@ -429,6 +430,20 @@ def test_unitary_of_the_wrong_size_is_rejected_before_any_change(qubits):
         with pytest.raises(DimensionError, match="unitary dimension does not match qubit count"):
             apply(s)
         assert snapshot(s) == before
+
+
+def test_oversized_unitary_is_rejected_before_its_expansion(monkeypatch):
+    # expanding a 256 x 256 matrix alone takes minutes
+    s = t_state()
+    before = snapshot(s)
+
+    def expand(u):
+        raise AssertionError("a unitary of the wrong size was expanded")
+
+    monkeypatch.setattr(beyond, "nonstab_expand", expand)
+    with pytest.raises(DimensionError, match="unitary dimension does not match qubit count"):
+        s.apply_unitary(np.eye(256), (0,))
+    assert snapshot(s) == before
 
 
 def test_numpy_integer_qubits_are_accepted():

@@ -5,12 +5,15 @@ so these sizes have no other referee."""
 
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stabsim.mixed import new_mixed
+from stabsim.errors import DimensionError, InvalidTableauError
+from stabsim.mixed import MixedTableau, new_mixed
 from stabsim.pauli import (
     PauliOperator,
+    commutes,
     conjugate_cnot,
     conjugate_hadamard,
     conjugate_phase,
@@ -22,7 +25,8 @@ from stabsim.tableau import MeasurementRecord, new_zero_state
 class Reference:
     """The paper's tableau with its 2n+1 rows held as `PauliOperator`s:
     gates by conjugation, rowsum by `multiply`, and the measurement rules of
-    `Tableau.measure` (rank n) and `MixedTableau.measure` written out one
+    `Tableau.measure` at rank n and below, and of a Pauli measurement with
+    a forced outcome (`MixedTableau.from_stabilizers`), written out one
     rowsum at a time."""
 
     def __init__(self, n: int, rank: int):
@@ -68,6 +72,33 @@ class Reference:
                 self.rows[dst] = old[src]
             self.rank = r + 1
         return MeasurementRecord(a, outcome, False)
+
+
+    def measure_forced(self, q: PauliOperator) -> int:
+        """Measure the Pauli q with the outcome that puts q, sign included,
+        into the stabilizer, and return the paper's case (1, 2 or 3).  Case
+        II changes nothing; cases I and III collapse onto the first
+        stabilizer or logical row that anticommutes with q."""
+        n, r = self.n, self.rank
+        hits = [i for i in range(2 * n) if commutes(self.rows[i], q)]  # 1 = anticommute
+        stab = [i for i in hits if n <= i < n + r]
+        logical = [i for i in hits if r <= i < n or i >= n + r]
+        if not stab and not logical:
+            return 2
+        pivot = (stab or logical)[0]
+        partner = pivot - n if pivot >= n else pivot + n
+        for i in hits:
+            if i not in (pivot, partner):
+                self.rowsum(i, pivot)
+        self.rows[partner] = self.rows[pivot]
+        self.rows[pivot] = q
+        if stab:
+            return 1
+        old = list(self.rows)
+        for dst, src in zip((n + r, r, pivot, partner), (pivot, partner, n + r, r)):
+            self.rows[dst] = old[src]
+        self.rank = r + 1
+        return 3
 
 
 def random_program(n: int, length: int, rng: random.Random) -> list:
@@ -119,3 +150,90 @@ def test_mixed_tableau_matches_row_reference_at_word_boundaries(n, rank, seed):
     ref = Reference(n, rank)
     run_both(m, ref, ops, seed)
     assert m.rank == ref.rank
+
+
+def scrambled_rows(n: int, rng: random.Random) -> list:
+    """The 2n rows of a reference tableau after random gates: destabilizers,
+    then stabilizers."""
+    ref = Reference(n, n)
+    for name, qubits in random_program(n, 4 * n, rng):
+        if name != "m":
+            ref.gate(name, qubits)
+    return ref.rows[:2 * n]
+
+
+def random_generators(n: int, rng: random.Random, count: int) -> list:
+    """A random commuting, independent list of `count` generators with
+    random signs, each stabilizer row times random earlier ones."""
+    gens = rng.sample(scrambled_rows(n, rng)[n:], count)
+    for i in range(1, len(gens)):
+        gens[i] = multiply(gens[rng.randrange(i)], gens[i])
+    return [PauliOperator(n, (g.phase_exp + 2 * rng.randrange(2)) % 4, g.x, g.z) for g in gens]
+
+
+generator_n = st.sampled_from([1, 31, 32, 33, 63, 64, 65])
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(n=generator_n, seed=seeds)
+def test_from_stabilizers_matches_forced_measurements_at_word_boundaries(n, seed):
+    rng = random.Random(seed)
+    gens = random_generators(n, rng, rng.randrange(n + 1))
+    m = MixedTableau.from_stabilizers(n, gens)
+    ref = Reference(n, 0)
+    assert [ref.measure_forced(g) for g in gens] == [3] * len(gens)
+    assert [m.get_row(i) for i in range(2 * n + 1)] == ref.rows
+    assert m.rank == ref.rank
+    assert m.rowsum_count == ref.rowsum_count
+    assert m.stabilizer_generators() == gens
+    assert m.satisfies_invariants()
+    if n > 1:
+        # the generators' letters at a span 0, 1 or 2 dimensions, and each
+        # dimension costs the traced-out state one generator
+        a = rng.randrange(n)
+        letters = {(g.x >> a & 1) | (g.z >> a & 1) << 1 for g in gens} - {0}
+        d = m.discard_qubit(a)
+        assert d.rank == len(gens) - min(len(letters), 2)
+        assert d.satisfies_invariants()
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    n=generator_n,
+    seed=seeds,
+    kind=st.sampled_from(["anticommuting", "product", "negated", "identity", "phase"]),
+)
+def test_from_stabilizers_rejects_invalid_sets_at_word_boundaries(n, seed, kind):
+    # a bad generator joins (first three kinds) or replaces (last two) one
+    # of a valid set, keeping at most n generators
+    pair = kind in ("anticommuting", "product", "negated")
+    assume(n > 1 or not pair)
+    rng = random.Random(seed)
+    valid = random_generators(n, rng, rng.randrange(1, n if pair else n + 1))
+    at = rng.randrange(len(valid))
+    g = valid[at]
+    if kind == "anticommuting":
+        # a destabilizer anticommutes with its stabilizer partner alone
+        rows = scrambled_rows(n, rng)
+        j = rng.randrange(n)
+        others = [p for i, p in enumerate(rows[n:]) if i != j]
+        gens = rng.sample(others, rng.randrange(n - 1)) + [rows[n + j]]
+        gens.insert(rng.randrange(len(gens) + 1), rows[j])
+    elif kind == "product":
+        subset = rng.sample(valid, min(len(valid), rng.randrange(2, n + 2)))
+        bad = subset[0]
+        for p in subset[1:]:
+            bad = multiply(p, bad)
+        gens = valid[:at] + [bad] + valid[at:]
+    elif kind == "negated":
+        gens = valid + [PauliOperator(n, (g.phase_exp + 2) % 4, g.x, g.z)]
+    elif kind == "identity":
+        gens = valid[:at] + [PauliOperator(n, 2 * rng.randrange(2), 0, 0)] + valid[at + 1:]
+    else:
+        gens = valid[:at] + [PauliOperator(n, 2 * rng.randrange(2) + 1, g.x, g.z)] + valid[at + 1:]
+    with pytest.raises(InvalidTableauError):
+        MixedTableau.from_stabilizers(n, gens)
+    with pytest.raises(DimensionError):
+        MixedTableau.from_stabilizers(n, scrambled_rows(n, rng)[n:] + [PauliOperator.identity(n)])
+    with pytest.raises(DimensionError):
+        MixedTableau.from_stabilizers(n, valid[:at] + [PauliOperator.identity(n + 1)] + valid[at + 1:])

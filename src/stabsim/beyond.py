@@ -4,9 +4,9 @@ Two engines, both polynomial in the qubit count but exponential in the
 non-stabilizer budget:
 
 * product-initial-state circuits with a bounded number d of measurements:
-  each conditional outcome probability expands into at most 2**(2k-1)
-  signed Pauli words, evaluated blockwise against the initial density
-  blocks (cost O(2**(2b)) per block trace);
+  measurement k folds its 2k-1 projector factors into a `PauliTable` of at
+  most 2**k merged words, whose expectations come blockwise from the
+  initial blocks' Pauli traces (O(b 4**b) per block of b qubits);
 
 * stabilizer circuits salted with d non-stabilizer gates on at most b
   qubits each: the density matrix is kept as a sum of at most 4**(2bd)
@@ -44,6 +44,9 @@ ATOL = 1e-10
 PRUNE_TOL = 1e-14
 PROB_TOL = 1e-8
 
+# Powers of i as `1j ** k` gives them (1j ** 3 has a -0.0 real part).
+_I_POWERS = np.array([1j ** k for k in range(4)])
+
 
 # -- tensor-product initial states ------------------------------------------------
 
@@ -80,19 +83,28 @@ class ProductState:
         return cls([zero] * n)
 
     def block_traces(self) -> list:
-        """Per block, Tr(P rho) for every phase-free Pauli word P on it."""
-        from .oracle import pauli_matrix
+        """Per block, (offset, b, Tr(P rho) for every phase-free Pauli word
+        P on it as the [x, z] array of `_pauli_traces`)."""
+        return [(off, m.shape[0].bit_length() - 1, _pauli_traces(m))
+                for m, off in zip(self.blocks, self.offsets)]
 
-        out = []
-        for m, off in zip(self.blocks, self.offsets):
-            b = m.shape[0].bit_length() - 1
-            traces = {}
-            for x in range(1 << b):
-                for z in range(1 << b):
-                    p = pauli_matrix(PauliOperator(b, 0, x, z))
-                    traces[(x, z)] = complex(np.trace(p @ m))
-            out.append((off, b, traces))
-        return out
+
+# The phase-free letters I, Z, X, Y as 2 x 2 matrices, indexed 2x + z.
+_LETTERS = np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
+
+
+def _pauli_traces(m: np.ndarray) -> np.ndarray:
+    """Tr(P m) for every phase-free Pauli word P on b qubits (qubit 0 the
+    most significant index bit of the 2^b x 2^b m), indexed [x, z].  Pass k
+    contracts qubit k's row and column axes with the letters: O(b 4^b)."""
+    dim = m.shape[0]
+    b = dim.bit_length() - 1
+    t = m.reshape((2,) * (2 * b))
+    for k in range(b):
+        # axes: letters of qubits k-1..0, then rows k..b-1, then columns k..b-1
+        t = np.tensordot(_LETTERS, t, axes=([1, 2], [b, k]))
+    t = t.reshape((2, 2) * b)  # (x, z) of qubits b-1..0
+    return t.transpose([*range(0, 2 * b, 2), *range(1, 2 * b, 2)]).reshape(dim, dim)
 
 
 class _ProductRun:
@@ -107,8 +119,7 @@ class _ProductRun:
         self.xrows = [PauliOperator.single(n, j, "X") for j in range(n)]
         self.zrows = [PauliOperator.single(n, j, "Z") for j in range(n)]
         self.traces = init.block_traces()
-        self.ws: list = []
-        self.signs: list = []
+        self.measured: list = []  # (W_i, s_i) per earlier measurement
         self.q_prev = 1.0
         self.probabilities: list = []
 
@@ -124,43 +135,35 @@ class _ProductRun:
         self.xrows[a] = multiply(self.xrows[a], self.xrows[b])
         self.zrows[b] = multiply(self.zrows[a], self.zrows[b])
 
-    def _expectation(self, word: PauliOperator) -> complex:
-        val = 1j ** word.phase_exp
+    def _q_zero(self, w: PauliOperator) -> float:
+        """Tr[rho G_1..G_{k-1} G_k G_{k-1}..G_1] with G_i = (I + s_i W_i)/2
+        and G_k = (I + w)/2, folded in one factor at a time: a copy times
+        W_i joins the table and equal words merge, exactly (the coefficients
+        are Gaussian integers), so it never holds more than 2^k words."""
+        table = PauliTable(self.n)
+        for p, s in self.measured + [(w, 1)] + self.measured[::-1]:
+            moved = table.copy()
+            k = moved.multiply(np.ones(len(table), dtype=bool), p)
+            coeff = np.concatenate((table.coefficients(), s * _I_POWERS[k] * moved.coefficients()))
+            table = table.merged(coeff, 0.0, joined=moved)
+        coeff = table.coefficients()
         for off, b, tr in self.traces:
-            mask = (1 << b) - 1
-            val *= tr[((word.x >> off) & mask, (word.z >> off) & mask)]
-        return val
-
-    def _q_value(self, ws: list, signs: list) -> float:
-        """Tr[rho G_1..G_{k-1} G_k G_{k-1}..G_1] with G_i = (I + s_i W_i)/2."""
-        factors = ws[:-1] + [ws[-1]] + ws[-2::-1]
-        signlist = signs[:-1] + [signs[-1]] + signs[-2::-1]
-        total = 0.0 + 0.0j
-
-        def rec(i, word, coeff):
-            nonlocal total
-            if i == len(factors):
-                total += coeff * self._expectation(word)
-                return
-            rec(i + 1, word, coeff)
-            rec(i + 1, multiply(word, factors[i]), coeff * signlist[i])
-
-        rec(0, PauliOperator.identity(self.n), 1.0)
-        total /= 2 ** (2 * len(ws) - 1)
+            x, z = table.qubit_bits(off, off + b)
+            coeff = coeff * tr[x, z]
+        total = complex(coeff.sum()) / 2 ** (2 * len(self.measured) + 1)
         if abs(total.imag) > PROB_TOL:
             raise NumericalIntegrityError("probability has an imaginary part")
         return total.real
 
     def measure(self, a: int, rng) -> MeasurementRecord:
         w = self.zrows[a]
-        q0 = self._q_value(self.ws + [w], self.signs + [+1])
+        q0 = self._q_zero(w)
         p0 = q0 / self.q_prev
         if not -PROB_TOL <= p0 <= 1 + PROB_TOL:
             raise NumericalIntegrityError(f"conditional probability {p0} out of range")
         p0 = min(max(p0, 0.0), 1.0)
         outcome, det = sample_outcome(p0, rng)
-        self.ws.append(w)
-        self.signs.append(1 if outcome == 0 else -1)
+        self.measured.append((w, 1 if outcome == 0 else -1))
         self.q_prev = q0 if outcome == 0 else self.q_prev - q0
         self.probabilities.append(p0 if outcome == 0 else 1 - p0)
         return MeasurementRecord(a, outcome, det)
@@ -189,7 +192,7 @@ def product_measure_probabilities(
     if program.measurement_count() > max_measurements:
         raise ResourceCapError(
             f"{program.measurement_count()} measurements exceed the cap of "
-            f"{max_measurements}; cost grows as 2^(2d)"
+            f"{max_measurements}; measurement k sums up to 2^k Pauli words"
         )
     if program.n > init.n:
         raise DimensionError("block sizes do not cover the program's qubits")
@@ -209,21 +212,10 @@ def nonstab_expand(u: np.ndarray) -> list:
         raise DimensionError("unitary must be 2^b x 2^b")
     if not np.allclose(u.conj().T @ u, np.eye(dim), atol=ATOL):
         raise NumericalIntegrityError("matrix is not unitary")
-    from .oracle import pauli_matrix
-
     b = dim.bit_length() - 1
-    out = []
-    for x in range(dim):
-        for z in range(dim):
-            p = PauliOperator(b, 0, x, z)
-            c = complex(np.trace(pauli_matrix(p).conj().T @ u)) / dim
-            if abs(c) > PRUNE_TOL:
-                out.append((p, c))
-    return out
-
-
-# Powers of i as `1j ** k` gives them (1j ** 3 has a -0.0 real part).
-_I_POWERS = np.array([1j ** k for k in range(4)])
+    traces = _pauli_traces(u)
+    return [(PauliOperator(b, 0, int(x), int(z)), complex(traces[x, z]) / dim)
+            for x, z in zip(*np.nonzero(np.abs(traces) > PRUNE_TOL * dim))]
 
 
 class PauliSumState:

@@ -178,34 +178,16 @@ def bench_one(n: int, beta: float, seed: int) -> dict:
 def bench(config: BenchConfig) -> str:
     """CSV report over the configured qubit range."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "n",
-            "beta",
-            "trial",
-            "seed",
-            "gates",
-            "total_meas_time",
-            "rowsums_per_meas",
-            "time_per_meas",
-        ]
-    )
+    writer = csv.DictWriter(buf, ["n", "beta", "trial", "seed", "gates", "total_meas_time",
+                                  "rowsums_per_meas", "time_per_meas"])
+    writer.writeheader()
     for n in range(config.n_min, config.n_max + 1, config.step):
         for trial in range(config.trials):
             row = bench_one(n, config.beta, config.seed + trial)
-            writer.writerow(
-                [
-                    row["n"],
-                    row["beta"],
-                    trial,
-                    row["seed"],
-                    row["gates"],
-                    f"{row['total_meas_time']:.6f}",
-                    f"{row['rowsums_per_meas']:.3f}",
-                    f"{row['time_per_meas']:.9f}",
-                ]
-            )
+            writer.writerow({**row, "trial": trial,
+                             "total_meas_time": f"{row['total_meas_time']:.6f}",
+                             "rowsums_per_meas": f"{row['rowsums_per_meas']:.3f}",
+                             "time_per_meas": f"{row['time_per_meas']:.9f}"})
     return buf.getvalue()
 
 

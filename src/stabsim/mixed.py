@@ -23,6 +23,8 @@ its destabilizer partner and the logical rows.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
 from .errors import DimensionError, InvalidTableauError
@@ -119,8 +121,12 @@ class MixedTableau(Tableau):
         work = self.copy()
         letters = [(p.x >> a & 1) | (p.z >> a & 1) << 1 for p in work.stabilizer_generators()]
         # Eliminate on the (x_a, z_a) bits; the rows past the pivots are the
-        # generators with identity at a.
-        _, pivots = rref(letters, 2, lambda src, dst: work.rowsum(n + dst, n + src))
+        # generators with identity at a.  The row operations come in at most
+        # four runs that share a source row, each one batched rowsum.
+        ops = []
+        _, pivots = rref(letters, 2, lambda src, dst: ops.append((src, dst)))
+        for src, run in groupby(ops, key=lambda op: op[0]):
+            work._batch_rowsum(np.array([n + dst for _, dst in run]), n + src)
         gens = [PauliOperator(n - 1, p.phase_exp, _drop_bit(p.x, a), _drop_bit(p.z, a))
                 for p in work.rows(n + len(pivots), n + r)]
         return MixedTableau.from_stabilizers(n - 1, gens)

@@ -998,12 +998,22 @@ class PauliTable(_PauliColumns):
         masks laid out as `Tableau.stabilizer_signs` returns them."""
         return _bits(np.bitwise_xor.reduce(self.eig & masks, axis=0), self._count)
 
-    def merged(self, coeff: np.ndarray, tol: float, where=None) -> "PauliTable":
-        """A new table of the terms `where` (all if None) with coefficients
-        coeff, merged by `_merge`."""
+    def qubit_bits(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per term, its x bits and its z bits on the qubits lo..hi-1 (at
+        most 62 of them) as int64 arrays (bit j - lo = qubit j)."""
+        weights = np.int64(1) << np.arange(hi - lo, dtype=np.int64)
+        return tuple(weights @ _unpack_rows(v[lo:hi], self._count).astype(np.int64)
+                     for v in (self.x, self.z))
+
+    def merged(self, coeff: np.ndarray, tol: float, where=None, joined=None) -> "PauliTable":
+        """A new table of the terms `where` (all if None), followed by all
+        those of the table `joined` if given, with coefficients coeff,
+        merged by `_merge`."""
         keys = self._keys()
         if where is not None:
             keys = keys[where]
+        if joined is not None:
+            keys = np.concatenate((keys, joined._keys()))
         out = object.__new__(PauliTable)
         out.n = self.n
         out._set_rows(*_merge(keys, coeff, tol))

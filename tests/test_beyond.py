@@ -1,4 +1,6 @@
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_gate, random_gate
-from stabsim import beyond
+from stabsim import beyond, cli
 from stabsim.beyond import (
+    PRUNE_TOL,
     PauliSumState,
     ProductState,
     nonstab_apply,
@@ -22,11 +25,32 @@ from stabsim.errors import (
     ResourceCapError,
 )
 from stabsim.oracle import DenseState, pauli_matrix
-from stabsim.pauli import PauliOperator, commutes, parse_pauli
-from stabsim.program import parse
-from stabsim.tableau import new_zero_state
+from stabsim.pauli import PauliOperator, commutes, multiply, parse_pauli
+from stabsim.program import Measure, execute, parse
+from stabsim.tableau import PauliTable, new_zero_state
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.workloads import T_GATE as T_GATE_TEXT  # noqa: E402
 
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
+
+
+def random_unitary(dim: int, seed: int) -> np.ndarray:
+    """A Haar-random dim x dim unitary (QR of a complex Gaussian matrix)."""
+    a = np.random.default_rng(seed).normal(size=(dim, dim, 2))
+    q, r = np.linalg.qr(a[..., 0] + 1j * a[..., 1])
+    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_density(dim: int, nrng) -> np.ndarray:
+    """A random density matrix of random rank 1..dim."""
+    a = nrng.normal(size=(dim, nrng.integers(1, dim + 1), 2))
+    a = a[..., 0] + 1j * a[..., 1]
+    m = a @ a.conj().T
+    return m / np.trace(m).real
 
 
 class _ForcedRng:
@@ -62,11 +86,7 @@ class TestExpand:
 
     def test_reconstruction(self, rng):
         for _ in range(10):
-            dim = rng.choice([2, 4])
-            # random unitary via QR
-            a = np.random.default_rng(rng.randrange(10**9)).normal(size=(dim, dim, 2))
-            q, r = np.linalg.qr(a[..., 0] + 1j * a[..., 1])
-            u = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+            u = random_unitary(rng.choice([2, 4]), rng.randrange(10**9))
             terms = nonstab_expand(u)
             rebuilt = sum(c * pauli_matrix(p) for p, c in terms)
             assert np.allclose(rebuilt, u, atol=1e-12)
@@ -467,3 +487,191 @@ def test_non_integer_qubits_raise_type_error(bad):
     with pytest.raises(TypeError):
         s.apply_unitary(T_GATE, (bad,))
     assert snapshot(s) == before
+
+
+# -- the Pauli expansion and the q-values against the paths they replaced ------
+
+
+def expand_by_matrices(u) -> list:
+    """The Pauli expansion as one trace of a 2^b x 2^b matrix product per
+    word, O(32^b): the reference for `nonstab_expand`."""
+    u = np.asarray(u, dtype=complex)
+    dim = u.shape[0]
+    b = dim.bit_length() - 1
+    out = []
+    for x in range(dim):
+        for z in range(dim):
+            p = PauliOperator(b, 0, x, z)
+            c = complex(np.trace(pauli_matrix(p).conj().T @ u)) / dim
+            if abs(c) > PRUNE_TOL:
+                out.append((p, c))
+    return out
+
+
+def traces_by_matrices(state: ProductState) -> list:
+    """Per block, (offset, b, {(x, z): Tr(P rho)}) by one matrix trace per
+    word: the reference for `ProductState.block_traces`."""
+    out = []
+    for m, off in zip(state.blocks, state.offsets):
+        b = m.shape[0].bit_length() - 1
+        traces = {}
+        for x in range(1 << b):
+            for z in range(1 << b):
+                p = pauli_matrix(PauliOperator(b, 0, x, z))
+                traces[(x, z)] = complex(np.trace(p @ m))
+        out.append((off, b, traces))
+    return out
+
+
+def q_by_recursion(traces: list, n: int, ws: list, signs: list) -> float:
+    """Tr[rho G_1..G_{k-1} G_k G_{k-1}..G_1] with G_i = (I + s_i W_i)/2 as
+    a sum over all 2^(2k-1) words, one `multiply` per node: the reference
+    for the fold of `_ProductRun`."""
+    factors = ws[:-1] + [ws[-1]] + ws[-2::-1]
+    signlist = signs[:-1] + [signs[-1]] + signs[-2::-1]
+    total = 0.0 + 0.0j
+
+    def expectation(word):
+        val = 1j ** word.phase_exp
+        for off, b, tr in traces:
+            mask = (1 << b) - 1
+            val *= tr[((word.x >> off) & mask, (word.z >> off) & mask)]
+        return val
+
+    def rec(i, word, coeff):
+        nonlocal total
+        if i == len(factors):
+            total += coeff * expectation(word)
+            return
+        rec(i + 1, word, coeff)
+        rec(i + 1, multiply(word, factors[i]), coeff * signlist[i])
+
+    rec(0, PauliOperator.identity(n), 1.0)
+    return (total / 2 ** (2 * len(ws) - 1)).real
+
+
+def parsed_t_gate() -> np.ndarray:
+    prog = parse("\n".join(T_GATE_TEXT) + "\nu t 0\n")
+    return prog.gate_table["t"][1]
+
+
+def one_qubit_gates() -> list:
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    return [T_GATE, parsed_t_gate(), np.diag([1, 1j]), h, np.eye(2), np.array([[0, 1], [1, 0]])]
+
+
+@pytest.mark.parametrize("u", one_qubit_gates() + [random_unitary(2, s) for s in range(40)])
+def test_one_qubit_expansion_is_bit_identical_to_the_matrix_traces(u):
+    got, want = nonstab_expand(u), expand_by_matrices(u)
+    assert [p for p, _ in got] == [p for p, _ in want]
+    assert [np.complex128(c).tobytes() for _, c in got] == [np.complex128(c).tobytes() for _, c in want]
+    assert all(type(c) is complex for _, c in got)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_expansion_matches_the_matrix_traces(b):
+    for seed in range(4):
+        u = random_unitary(1 << b, 100 * b + seed)
+        got, want = nonstab_expand(u), expand_by_matrices(u)
+        assert [p for p, _ in got] == [p for p, _ in want]
+        assert max(abs(c - d) for (_, c), (_, d) in zip(got, want)) < 1e-12
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_block_traces_match_the_matrix_traces(b):
+    nrng = np.random.default_rng(b)
+    state = ProductState([random_density(1 << b, nrng), random_density(2, nrng)])
+    for (off, bb, got), (woff, wb, want) in zip(state.block_traces(), traces_by_matrices(state)):
+        assert (off, bb) == (woff, wb)
+        assert max(abs(got[x, z] - c) for (x, z), c in want.items()) < 1e-12
+
+
+def random_block_program(sizes, d, rng) -> tuple:
+    """Random density blocks of the given sizes, then d rounds of a few
+    random gates and one measurement, as (blocks, gate ops, program)."""
+    nrng = np.random.default_rng(rng.randrange(2**32))
+    blocks = [random_density(1 << b, nrng) for b in sizes]
+    n = sum(sizes)
+    ops = []
+    for _ in range(d):
+        ops += [random_gate(n, rng) for _ in range(rng.randrange(6))]
+        ops.append(("m", (rng.randrange(n),)))
+    text = "".join(f"{name} {' '.join(map(str, q))}\n" for name, q in ops)
+    return blocks, ops, parse(text)
+
+
+class _CheckedRun(beyond._ProductRun):
+    """Checks every measurement's folded q-value against the recursion."""
+
+    def __init__(self, init):
+        super().__init__(init)
+        self.ref_traces = traces_by_matrices(init)
+        self.worst = 0.0
+
+    def measure(self, a, rng):
+        w = self.zrows[a]
+        ws, signs = zip(*self.measured, (w, 1))
+        want = q_by_recursion(self.ref_traces, self.n, list(ws), list(signs))
+        self.worst = max(self.worst, abs(self._q_zero(w) - want))
+        return super().measure(a, rng)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_folded_q_values_match_the_recursion(seed):
+    rng = random.Random(seed)
+    sizes = [rng.randrange(1, 3) for _ in range(rng.randrange(1, 4))]
+    blocks, _, prog = random_block_program(sizes, 1 + seed % 8, rng)
+    run = _CheckedRun(ProductState(blocks))
+    execute(run, prog, random.Random(seed))
+    assert run.worst < 1e-12
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    sizes=st.lists(st.integers(1, 2), min_size=1, max_size=6).filter(lambda s: sum(s) <= 6),
+    d=st.integers(1, 6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_product_probabilities_match_the_dense_density_matrix(sizes, d, seed):
+    rng = random.Random(seed)
+    blocks, ops, prog = random_block_program(sizes, d, rng)
+    res = product_measure_probabilities(ProductState(blocks), prog, random.Random(seed))
+    rho = blocks[0]
+    for m in blocks[1:]:
+        rho = np.kron(rho, m)
+    dense = DenseState(sum(sizes), density=True)
+    dense.rho = rho
+    records = iter(zip(res.records, res.probabilities))
+    for instr, (name, qubits) in zip(prog.instructions, ops):
+        if isinstance(instr, Measure):
+            rec, prob = next(records)
+            assert abs(prob - dense.measure_probs(rec.qubit)[rec.outcome]) < 1e-10
+            dense.project(rec.qubit, rec.outcome)
+        else:
+            apply_gate(dense, (name, qubits))
+
+
+def ghz_block_program(d: int) -> str:
+    """A mixed one-qubit block entangled GHZ-style with d - 1 more qubits,
+    some turned to the X basis, then every qubit measured: d measurements."""
+    lines = ["block 1", "0.75,0 0.25,0.1", "0.25,-0.1 0.25,0", "h 1"]
+    lines += [f"c 1 {q}" for q in range(2, d)] + [f"h {q}" for q in range(0, d, 3)]
+    lines += [f"m {q}" for q in range(d)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_folded_tables_hold_at_most_two_to_the_d_words(monkeypatch, d):
+    # the product run merges only when it folds in a factor
+    sizes = []
+    merged = PauliTable.merged
+
+    def recording_merged(*args, **kwargs):
+        table = merged(*args, **kwargs)
+        sizes.append(len(table))
+        return table
+
+    monkeypatch.setattr(PauliTable, "merged", recording_merged)
+    out = cli.run(parse(ghz_block_program(d)), seed=1, engine="beyond")
+    assert len(out) == d + 1 and set(out[:-1]) <= {"0", "1"}
+    assert sizes and max(sizes) <= 2 ** d

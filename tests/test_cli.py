@@ -5,6 +5,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,6 +245,17 @@ class TestMainEntry:
         f = tmp_path / "big.chp"
         f.write_text("m 13\n")  # 14 qubits exceeds the dense-oracle cap
         assert main(["run", str(f), "--engine", "oracle"]) == 3
+
+    def test_random_eight_qubit_gate_exceeds_the_term_cap(self, tmp_path, capsys):
+        # 4^8 Pauli terms, squared, are far past the default cap of 10^6
+        a = np.random.default_rng(8).normal(size=(256, 256, 2))
+        q, r = np.linalg.qr(a[..., 0] + 1j * a[..., 1])
+        u = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+        rows = [" ".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row) for row in u]
+        f = tmp_path / "u8.chp"
+        f.write_text("\n".join(["gate g 8", *rows, "u g 0 1 2 3 4 5 6 7", "m 0"]) + "\n")
+        assert main(["run", str(f), "--engine", "beyond"]) == 3
+        assert "exceeds cap 1000000" in capsys.readouterr().err
 
     def test_numerical_integrity_exit_code(self, tmp_path, capsys):
         f = tmp_path / "block.chp"

@@ -268,6 +268,18 @@ def test_exact_term_counts_at_word_boundaries(count):
     run_both(n, r, steps=8, state=state, ref=ref)
 
 
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("n", [3, 64, 70])
+def test_qubit_bits_read_each_terms_bits_on_a_qubit_range(n, count):
+    r = random.Random(n * count)
+    table = PauliTable(n, [(1, r.getrandbits(n), r.getrandbits(n), r.getrandbits(n)) for _ in range(count)])
+    for lo, hi in ((0, min(n, 62)), (n - 1, n), (n // 3, n // 3 + 2), (n - min(n, 40), n)):
+        mask = (1 << hi - lo) - 1
+        x, z = table.qubit_bits(lo, hi)
+        assert x.tolist() == [t.x >> lo & mask for t in table]
+        assert z.tolist() == [t.z >> lo & mask for t in table]
+
+
 @pytest.mark.parametrize("bad", [Hadamard(6), Phase(-1), Cnot(2, 2), Cnot(0, 9)])
 def test_bad_gate_in_a_run_changes_no_bit(bad):
     state = PauliSumState(6)

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stabsim.errors import DimensionError, InvalidTableauError
-from stabsim.mixed import MixedTableau, new_mixed
+from stabsim.gf2 import rref
+from stabsim.mixed import MixedTableau, _drop_bit, new_mixed
 from stabsim.pauli import (
     PauliOperator,
     commutes,
@@ -195,6 +196,32 @@ def test_from_stabilizers_matches_forced_measurements_at_word_boundaries(n, seed
         d = m.discard_qubit(a)
         assert d.rank == len(gens) - min(len(letters), 2)
         assert d.satisfies_invariants()
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(n=st.sampled_from([31, 32, 33, 63, 64, 65]), seed=seeds)
+def test_discard_qubit_matches_one_rowsum_per_row_operation(n, seed):
+    rng = random.Random(seed)
+    m = MixedTableau.from_stabilizers(n, random_generators(n, rng, rng.randrange(n // 2, n + 1)))
+    a = rng.randrange(n)
+    ref = MixedTableau.copy(m)
+    letters = [(p.x >> a & 1) | (p.z >> a & 1) << 1 for p in ref.stabilizer_generators()]
+    rref(letters, 2, lambda src, dst: ref.rowsum(n + dst, n + src))
+    works = []
+
+    def keep_copy():
+        works.append(MixedTableau.copy(m))
+        return works[-1]
+
+    m.copy = keep_copy  # discard_qubit eliminates in a copy
+    d = m.discard_qubit(a)
+    (work,) = works
+    assert [work.get_row(i) for i in range(2 * n + 1)] == [ref.get_row(i) for i in range(2 * n + 1)]
+    assert work.rowsum_count == ref.rowsum_count
+    assert d.stabilizer_generators() == [
+        PauliOperator(n - 1, p.phase_exp, _drop_bit(p.x, a), _drop_bit(p.z, a))
+        for p in ref.stabilizer_generators() if not (p.x | p.z) >> a & 1
+    ]
 
 
 @settings(max_examples=25, deadline=None, database=None)

@@ -35,6 +35,7 @@ from .tableau import (  # noqa: F401  (PauliSumTerm is part of this module's API
     MeasurementRecord,
     PauliSumTerm,
     PauliTable,
+    _moment_qubits,
     conjugate_moment,
     new_zero_state,
     sample_outcome,
@@ -123,17 +124,22 @@ class _ProductRun:
         self.q_prev = 1.0
         self.probabilities: list = []
 
-    def apply_hadamard(self, a: int):
-        self.xrows[a], self.zrows[a] = self.zrows[a], self.xrows[a]
-
-    def apply_phase(self, a: int):
-        # P† X P = -Y = -i X Z
-        p = multiply(self.xrows[a], self.zrows[a])
-        self.xrows[a] = PauliOperator(self.n, (p.phase_exp + 3) % 4, p.x, p.z)
-
-    def apply_cnot(self, a: int, b: int):
-        self.xrows[a] = multiply(self.xrows[a], self.xrows[b])
-        self.zrows[b] = multiply(self.zrows[a], self.zrows[b])
+    def apply_moment(self, h, p, ca, cb):
+        """One moment of H/P/CNOT gates on distinct qubits, checked before
+        any row changes (`tableau._moment_qubits`).  The rows are exact
+        Pauli words and the gates commute, so the order they are folded in
+        does not matter."""
+        h, p, ca, cb = (v.tolist() for v in _moment_qubits(self.n, h, p, ca, cb))
+        xr, zr = self.xrows, self.zrows
+        for a in h:
+            xr[a], zr[a] = zr[a], xr[a]
+        for a in p:
+            # P† X P = -Y = -i X Z
+            y = multiply(xr[a], zr[a])
+            xr[a] = PauliOperator(self.n, (y.phase_exp + 3) % 4, y.x, y.z)
+        for a, b in zip(ca, cb):
+            xr[a] = multiply(xr[a], xr[b])
+            zr[b] = multiply(zr[a], zr[b])
 
     def _q_zero(self, w: PauliOperator) -> float:
         """Tr[rho G_1..G_{k-1} G_k G_{k-1}..G_1] with G_i = (I + s_i W_i)/2

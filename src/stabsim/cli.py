@@ -68,7 +68,7 @@ def _pad_blocks(program: CircuitProgram) -> ProductState:
     return ProductState(blocks)
 
 
-def _engine(program: CircuitProgram, engine: str, term_cap: int):
+def _engine(program: CircuitProgram, engine: str):
     """A fresh state of the named engine for a program that starts in |0...0>."""
     if engine in ("tableau", "mixed"):
         if program.blocks or program.gate_table:
@@ -80,7 +80,7 @@ def _engine(program: CircuitProgram, engine: str, term_cap: int):
         if program.blocks:
             raise StabsimError("the oracle engine starts from |0...0> only")
         return DenseState(program.n)
-    return PauliSumState(program.n, term_cap=term_cap)
+    return PauliSumState(program.n)
 
 
 def run(
@@ -88,8 +88,6 @@ def run(
     seed: int = 0,
     engine: str = "tableau",
     verbose: bool = False,
-    term_cap: int = 1_000_000,
-    max_measurements: int = 16,
 ) -> str:
     """Execute a program; returns the transcript (one character per
     measurement plus a newline, details appended in verbose mode)."""
@@ -98,11 +96,9 @@ def run(
     rng = random.Random(seed)
 
     if engine == "beyond" and program.blocks:
-        records = product_measure_probabilities(
-            _pad_blocks(program), program, rng, max_measurements=max_measurements
-        ).records
+        records = product_measure_probabilities(_pad_blocks(program), program, rng).records
     else:
-        state = _engine(program, engine, term_cap)
+        state = _engine(program, engine)
         records = execute(state, program, rng)
 
     out = "".join(str(r.outcome) for r in records) + "\n"

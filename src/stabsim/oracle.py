@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionError, ResourceCapError
 from .pauli import PauliOperator
-from .tableau import MeasurementRecord, sample_outcome
+from .tableau import MeasurementRecord, _moment_qubits, sample_outcome
 
 MAX_QUBITS = 12
 MAX_GROUP_QUBITS = 6
@@ -112,6 +112,18 @@ class DenseState:
             t = np.tensordot(ut, t, axes=(ins, list(qubits)))
             t = np.moveaxis(t, range(k), qubits)
             self.vec = t.reshape(-1)
+
+    def apply_moment(self, h, p, ca, cb):
+        """One moment of H/P/CNOT gates on distinct qubits, checked before
+        the state changes (`tableau._moment_qubits`), then applied as
+        Hadamards, phases and CNOTs in that order."""
+        h, p, ca, cb = (v.tolist() for v in _moment_qubits(self.n, h, p, ca, cb))
+        for a in h:
+            self.apply_unitary(H2, (a,))
+        for a in p:
+            self.apply_unitary(S2, (a,))
+        for a, b in zip(ca, cb):
+            self.apply_unitary(CNOT4, (a, b))
 
     def apply_cnot(self, a: int, b: int):
         self.apply_unitary(CNOT4, (a, b))

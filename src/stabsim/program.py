@@ -65,26 +65,6 @@ class Conditional:
     inner: object
 
 
-def apply(state, instr, gate_table=None):
-    """Apply one unitary instruction to any engine.
-
-    Every engine has `apply_cnot`, `apply_hadamard` and `apply_phase`;
-    engines that take non-stabilizer gates also have `apply_unitary`, and
-    `gate_table` maps a named gate to its (qubit count, matrix) entry.
-    Anything else raises StabsimError.
-    """
-    if isinstance(instr, Cnot):
-        state.apply_cnot(instr.a, instr.b)
-    elif isinstance(instr, Hadamard):
-        state.apply_hadamard(instr.a)
-    elif isinstance(instr, Phase):
-        state.apply_phase(instr.a)
-    elif isinstance(instr, NamedUnitary) and hasattr(state, "apply_unitary") and gate_table:
-        state.apply_unitary(gate_table[instr.name][1], instr.qubits)
-    else:
-        raise StabsimError(f"engine cannot apply {instr!r}")
-
-
 _GATES = (Cnot, Hadamard, Phase)
 
 
@@ -143,34 +123,23 @@ def moments(gates, n: int) -> list:
 
 
 def apply_gates(state, gates):
-    """Apply a run of unconditional CNOT/H/P gates to any engine.
-
-    An engine with `apply_moment` (the tableaus, and the Pauli-sum engine,
-    whose Clifford gates only negate coefficients, exactly) checks the
-    whole run, then applies it moment by moment (see `moments`): it ends
-    bit-identical to applying the gates in order, and a bad gate raises
-    before any bit changes.  Other engines take the gates one at a time in
-    program order, as reordering their floating-point updates could change
-    the rounding.
-    """
-    if hasattr(state, "apply_moment"):
-        for moment in moments(gates, state.n):
-            state.apply_moment(*moment)
-    else:
-        for g in gates:
-            apply(state, g)
+    """Apply CNOT/H/P gates to any engine: `moments` checks and schedules
+    them, so a bad gate raises before the state changes, and the engine's
+    `apply_moment` takes one moment at a time.  Only `DenseState`'s floats
+    can differ from applying the gates in program order."""
+    for moment in moments(gates, state.n):
+        state.apply_moment(*moment)
 
 
 def execute(state, program: "CircuitProgram", rng) -> list:
-    """Run a program on an engine; returns its MeasurementRecords in order.
+    """Run a program on any engine; returns its MeasurementRecords in order.
 
-    Each maximal run of unconditional CNOT/H/P gates goes to `apply_gates`,
-    so a tableau engine applies it as ASAP moments of gates on distinct
-    qubits.  One moment of k gates costs O(k n / 64) word operations, so
-    the paper's O(n) per gate still holds.  Every engine answers
-    `measure(a, rng)` with a MeasurementRecord, and a `Conditional` runs its
-    inner gate iff the record it names has outcome 1; a Conditional naming
-    no earlier measurement raises StabsimError.
+    Unconditional CNOT/H/P gates, and the inner gate of a `Conditional`
+    whose measurement gave 1 (measurements end runs, so it has been made),
+    gather into runs for `apply_gates`.  A `NamedUnitary` goes to the
+    engine's `apply_unitary` with its `gate_table` matrix.  StabsimError for
+    a Conditional naming no earlier measurement, a gate not in the table, an
+    engine without `apply_unitary`, or any other instruction.
     """
     records = []
     run = []
@@ -178,10 +147,7 @@ def execute(state, program: "CircuitProgram", rng) -> list:
         if type(instr) in _GATES:
             run.append(instr)
             continue
-        if run:
-            apply_gates(state, run)
-            run = []
-        if isinstance(instr, Conditional):
+        if type(instr) is Conditional:
             if not 0 <= instr.bit < len(records):
                 raise StabsimError(
                     f"condition names measurement {instr.bit}, but only "
@@ -190,10 +156,22 @@ def execute(state, program: "CircuitProgram", rng) -> list:
             if records[instr.bit].outcome != 1:
                 continue
             instr = instr.inner
-        if isinstance(instr, Measure):
+            if type(instr) in _GATES:
+                run.append(instr)
+                continue
+        if run:
+            apply_gates(state, run)
+            run = []
+        if type(instr) is Measure:
             records.append(state.measure(instr.a, rng))
+        elif type(instr) is NamedUnitary:
+            if instr.name not in program.gate_table:
+                raise StabsimError(f"gate {instr.name!r} is not in the program's gate table")
+            if not hasattr(state, "apply_unitary"):
+                raise StabsimError(f"engine cannot apply gate {instr.name!r}")
+            state.apply_unitary(program.gate_table[instr.name][1], instr.qubits)
         else:
-            apply(state, instr, program.gate_table)
+            raise StabsimError(f"engine cannot apply {instr!r}")
     if run:
         apply_gates(state, run)
     return records

@@ -37,7 +37,6 @@ from .program import (
     Hadamard,
     Phase,
     _render_instr,
-    apply,
     apply_gates,
     execute,
 )
@@ -103,10 +102,9 @@ class CanonicalCircuit:
 
 def tableau_of_program(program: CircuitProgram) -> Tableau:
     """Run a unitary stabilizer program on the standard initial tableau."""
-    if not program.is_clifford():
-        raise StabsimError(
-            "only measurement-free CNOT/H/P programs have a defining tableau"
-        )
+    if not program.is_clifford() or program.blocks:
+        raise StabsimError("only measurement-free CNOT/H/P programs from |0...0> "
+                           "(no block lines) have a defining tableau")
     t = new_zero_state(program.n)
     execute(t, program, None)
     return t
@@ -159,9 +157,10 @@ def _apply_segments(t: Tableau, segments):
 # -- the 11-step reduction ------------------------------------------------------
 
 
-def _emit(t: Tableau, segments: list, k: int, instr):
-    segments[k].append(instr)
-    apply(t, instr)
+def _emit(t: Tableau, segments: list, k: int, gates: list):
+    """Record H or P gates into round k and apply them as moments."""
+    segments[k].extend(gates)
+    apply_gates(t, gates)
 
 
 def _clear_symmetric_z(t: Tableau, segments: list, k: int, lo: int, what: str):
@@ -173,21 +172,16 @@ def _clear_symmetric_z(t: Tableau, segments: list, k: int, lo: int, what: str):
         raise InvalidTableauError(f"{what} rows do not commute")
     # Phases fix the Z block's diagonal so it factors as M M^T.
     m, lam = gf2_cholesky(d)
-    for a in range(n):
-        if lam[a]:
-            _emit(t, segments, k, Phase(a))
+    _emit(t, segments, k, [Phase(a) for a in range(n) if lam[a]])
     # CNOTs carry the X block I to M, sending the Z block to M as well.
     m_inv = gf2_invert(m)
     _emit_cnot_round(t, segments, k + 1, m, m_inv)
     # Phases on every qubit clear the Z block; a double phase (= Z gate) on
     # the subset s = M^-1 r clears the sign bits r.
-    for a in range(n):
-        _emit(t, segments, k + 2, Phase(a))
+    _emit(t, segments, k + 2, [Phase(a) for a in range(n)])
     signs = sum((p.phase_exp >> 1) << i for i, p in enumerate(t.rows(lo, lo + n)))
-    for a, row in enumerate(m_inv.rows):
-        if (row & signs).bit_count() & 1:
-            _emit(t, segments, k + 2, Phase(a))
-            _emit(t, segments, k + 2, Phase(a))
+    odd = [a for a, row in enumerate(m_inv.rows) if (row & signs).bit_count() & 1]
+    _emit(t, segments, k + 2, [Phase(a) for a in odd for _ in range(2)])
     # The X block is now I M = M, so E = M^-1 takes it back to the identity
     # (had it not been I, the caller's final check of the rows fails).
     _emit_cnot_round(t, segments, k + 3, m_inv, m)
@@ -199,16 +193,14 @@ def _reduce_stabilizers(t: Tableau, segments: list):
     rows."""
     n = t.n
     # (1) Hadamards give the stabilizer X block full rank.
-    for a in hadamard_fix_rank(t):
-        _emit(t, segments, 0, Hadamard(a))
+    _emit(t, segments, 0, [Hadamard(a) for a in hadamard_fix_rank(t)])
     # (2) CNOTs Gaussian-eliminate that block to the identity.
     x = BinaryMatrix(n, n, [p.x for p in t.rows(n, 2 * n)])
     _emit_cnot_round(t, segments, 1, gf2_invert(x), x)
     # (3)-(6) The stabilizer Z block is now symmetric; clear it and the signs.
     _clear_symmetric_z(t, segments, 2, n, "stabilizer")
     # (7) Hadamards on all qubits swap the X and Z blocks.
-    for a in range(n):
-        _emit(t, segments, 6, Hadamard(a))
+    _emit(t, segments, 6, [Hadamard(a) for a in range(n)])
 
 
 def _reduce_to_identity(t: Tableau, segments: list):
@@ -417,7 +409,7 @@ def enumerate_stabilizer_states(n: int) -> int:
         t = frontier.pop()
         for g in gates:
             u = t.copy()
-            apply(u, g)
+            apply_gates(u, [g])
             key = canonical_stabilizer_key(u)
             if key not in seen:
                 seen.add(key)

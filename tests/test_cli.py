@@ -305,6 +305,19 @@ class TestMainEntry:
         assert main(["innerprod", str(f), str(f)]) == 2
         assert "measurement-free" in capsys.readouterr().err
 
+    def test_synthesis_subcommands_reject_block_initial_states(self, tmp_path, capsys):
+        # Qubit 0 starts in |1>, so its overlap with |00> is 0, not 1.
+        one = tmp_path / "one.chp"
+        one.write_text("block 1\n0,0 0,0\n0,0 1,0\n")
+        two = tmp_path / "two.chp"
+        two.write_text("c 0 1\n")
+        for argv in (["canonicalize", one], ["minimize", one], ["innerprod", one, two],
+                     ["innerprod", two, one]):
+            assert main([str(a) for a in argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "no block lines" in captured.err
+
     def test_non_utf8_file_exit_code(self, tmp_path, capsys):
         f = tmp_path / "latin1.chp"
         f.write_bytes("h 0 # caf\xe9\nm 0\n".encode("latin-1"))

@@ -1,16 +1,19 @@
-"""The moment path: `execute` schedules each run of unconditional CNOT/H/P
-gates into moments of gates on distinct qubits, and a tableau engine
-applies each moment with `Tableau.apply_moment`.  It must give exactly what
-applying the gates one at a time gives."""
+"""The moment path: `execute` schedules each run of CNOT/H/P gates into
+moments of gates on distinct qubits, and every engine applies each moment
+with its `apply_moment`.  It must give what applying the gates one at a time
+gives: exactly on the tableaus, to rounding on the dense engine."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabsim.beyond import ProductState, _ProductRun
 from stabsim.errors import DimensionError, StabsimError
 from stabsim.mixed import MixedTableau
+from stabsim.oracle import DenseState
 from stabsim.program import (
     CircuitProgram,
     Cnot,
@@ -18,7 +21,6 @@ from stabsim.program import (
     Hadamard,
     Measure,
     Phase,
-    apply,
     execute,
     moments,
     random_unitary_program,
@@ -27,7 +29,8 @@ from stabsim.tableau import new_zero_state
 
 
 def per_gate_execute(state, program, rng) -> list:
-    """The reference: every instruction applied on its own, in order."""
+    """The reference: every instruction applied on its own, in order,
+    through the engine's per-gate methods."""
     records = []
     for instr in program.instructions:
         if isinstance(instr, Conditional):
@@ -36,8 +39,12 @@ def per_gate_execute(state, program, rng) -> list:
             instr = instr.inner
         if isinstance(instr, Measure):
             records.append(state.measure(instr.a, rng))
+        elif isinstance(instr, Cnot):
+            state.apply_cnot(instr.a, instr.b)
+        elif isinstance(instr, Hadamard):
+            state.apply_hadamard(instr.a)
         else:
-            apply(state, instr)
+            state.apply_phase(instr.a)
     return records
 
 
@@ -101,6 +108,19 @@ def test_moment_path_equals_per_gate_path(n, rank, seed):
         assert got_rng.random() == want_rng.random()
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(min_value=1, max_value=6), seed=seeds)
+def test_dense_moment_path_equals_per_gate_path_to_rounding(n, seed):
+    # The dense engine's floats follow moment order, so the amplitudes may
+    # differ in the last bits; the records may not.
+    program = random_program(n, random.Random(seed))
+    got, want = DenseState(n), DenseState(n)
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    assert execute(got, program, got_rng) == per_gate_execute(want, program, want_rng)
+    assert np.abs(got.vec - want.vec).max() < 1e-12
+    assert got_rng.random() == want_rng.random()
+
+
 def test_moments_are_asap_layers_of_distinct_qubits():
     gates = [Hadamard(0), Hadamard(0), Cnot(1, 2), Phase(3), Cnot(2, 0), Phase(1)]
     assert moments(gates, 4) == [
@@ -127,7 +147,7 @@ def test_bad_gate_in_run_raises_per_gate_error_and_changes_nothing(bad):
     with pytest.raises(DimensionError) as got:
         execute(t, CircuitProgram(5, run), None)
     with pytest.raises(DimensionError) as want:
-        apply(new_zero_state(5), bad)
+        per_gate_execute(new_zero_state(5), CircuitProgram(5, (bad,)), None)
     assert str(got.value) == str(want.value)
     assert t.to_bytes() == before
 
@@ -141,25 +161,43 @@ def test_first_bad_gate_of_a_run_is_the_one_reported():
     assert t.to_bytes() == before
 
 
-@pytest.mark.parametrize(
-    "moment",
-    [
-        ([0], [0], [], []),
-        ([1], [], [1], [2]),
-        ([], [2], [0], [2]),
-        ([], [], [0, 1], [2, 0]),
-        ([], [], [3], [3]),
-        ([4], [], [], []),
-        ([], [-1], [], []),
-        ([], [], [0, 1], [2]),
-    ],
-)
+BAD_MOMENTS = [
+    ([0], [0], [], []),
+    ([1], [], [1], [2]),
+    ([], [2], [0], [2]),
+    ([], [], [0, 1], [2, 0]),
+    ([], [], [3], [3]),
+    ([4], [], [], []),
+    ([], [-1], [], []),
+    ([], [], [0, 1], [2]),
+]
+
+
+@pytest.mark.parametrize("moment", BAD_MOMENTS)
 def test_apply_moment_rejects_bad_moments_and_changes_nothing(moment):
     t = scrambled(4)
     before = t.to_bytes()
     with pytest.raises(DimensionError):
         t.apply_moment(*moment)
     assert t.to_bytes() == before
+
+
+@pytest.mark.parametrize("moment", BAD_MOMENTS)
+def test_dense_and_product_apply_moment_reject_bad_moments_and_change_nothing(moment):
+    program = random_unitary_program(4, 80, random.Random(4))
+    dense = DenseState(4)
+    execute(dense, program, None)
+    before = dense.vec.copy()
+    with pytest.raises(DimensionError):
+        dense.apply_moment(*moment)
+    assert np.array_equal(dense.vec, before)
+
+    run = _ProductRun(ProductState.all_zeros(4))
+    execute(run, program, None)
+    rows = (list(run.xrows), list(run.zrows))
+    with pytest.raises(DimensionError):
+        run.apply_moment(*moment)
+    assert (run.xrows, run.zrows) == rows
 
 
 def test_moments_reject_what_is_not_a_gate():

@@ -18,7 +18,6 @@ from stabsim.program import (
     Measure,
     NamedUnitary,
     Phase,
-    apply,
     execute,
     parse,
     random_unitary_program,
@@ -335,13 +334,28 @@ def test_execute_engines_agree(program, seed):
     assert len(runs[0]) == program.measurement_count()
 
 
-def test_apply_rejects_what_an_engine_cannot_take():
-    t = new_zero_state(2)
+def test_execute_rejects_what_an_engine_cannot_take():
     table = {"t": (1, np.diag([1, np.exp(1j * np.pi / 4)]))}
-    for instr in (NamedUnitary("t", (0,)), Measure(0), Conditional(0, Hadamard(0))):
-        with pytest.raises(StabsimError):
-            apply(t, instr, table)
-    apply(DenseState(2), NamedUnitary("t", (0,)), table)
+    program = CircuitProgram(2, (NamedUnitary("t", (0,)),), table)
+    with pytest.raises(StabsimError, match="engine cannot apply gate 't'"):
+        execute(new_zero_state(2), program, random.Random(0))
+    execute(DenseState(2), program, random.Random(0))
+    # X on qubit 0, so measurement 0 gives 1 and the Conditional is unwrapped.
+    flip = (Hadamard(0), Phase(0), Phase(0), Hadamard(0), Measure(0))
+    for bad in (Conditional(0, Conditional(0, Hadamard(1))), "h 1"):
+        for state in (new_zero_state(2), DenseState(2)):
+            with pytest.raises(StabsimError, match="engine cannot apply"):
+                execute(state, CircuitProgram(2, flip + (bad,)), random.Random(0))
+
+
+@pytest.mark.parametrize("table", [{}, {"t": (1, np.diag([1, np.exp(1j * np.pi / 4)]))}])
+def test_execute_names_a_gate_missing_from_the_gate_table(table):
+    # The parser rejects an undefined gate; a program built through the API
+    # must not end in a bare KeyError.
+    program = CircuitProgram(1, (NamedUnitary("x", (0,)),), table)
+    for state in (PauliSumState(1), DenseState(1)):
+        with pytest.raises(StabsimError, match="gate 'x' is not in the program's gate table"):
+            execute(state, program, random.Random(0))
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +138,16 @@ class TestEquivalence:
         c1 = CircuitProgram(1, (Measure(0),))
         with pytest.raises(StabsimError):
             circuits_equivalent(c1, c1)
+
+    def test_block_initial_states_rejected(self):
+        # A block line sets the input state, which a tableau cannot hold:
+        # the program would be read as starting from |0...0>.
+        one = CircuitProgram(2, (Cnot(0, 1),), blocks=[np.diag([0, 1]).astype(complex)])
+        two = CircuitProgram(2, (Cnot(0, 1),))
+        for call in (lambda: tableau_of_program(one), lambda: minimize(one),
+                     lambda: circuits_equivalent(one, two), lambda: circuits_equivalent(two, one)):
+            with pytest.raises(StabsimError, match="no block lines"):
+                call()
 
 
 class TestCnotSynthesis:

@@ -28,6 +28,7 @@ from .errors import (
     DimensionError,
     NumericalIntegrityError,
     ResourceCapError,
+    StabsimError,
 )
 from .pauli import PauliOperator, multiply
 from .program import CircuitProgram, execute
@@ -174,6 +175,9 @@ class _ProductRun:
         self.probabilities.append(p0 if outcome == 0 else 1 - p0)
         return MeasurementRecord(a, outcome, det)
 
+    def measure_run(self, qubits, rng) -> list:
+        return [self.measure(a, rng) for a in qubits]
+
 
 @dataclass
 class ProductRunResult:
@@ -191,8 +195,8 @@ def product_measure_probabilities(
     max_measurements: int = 16,
 ) -> ProductRunResult:
     """Run a stabilizer program on a tensor-product initial state, sampling
-    each measurement with its exact conditional probability.  A
-    non-stabilizer gate raises StabsimError."""
+    each measurement with its exact conditional probability.  A program
+    that applies a non-stabilizer gate raises StabsimError before it runs."""
     if not isinstance(init, ProductState):
         raise DimensionError("initial state must be a ProductState")
     if program.measurement_count() > max_measurements:
@@ -202,6 +206,8 @@ def product_measure_probabilities(
         )
     if program.n > init.n:
         raise DimensionError("block sizes do not cover the program's qubits")
+    if program.applies_named_gates():
+        raise StabsimError("the product-state engine cannot apply non-stabilizer gates")
     run = _ProductRun(init)
     records = execute(run, program, rng)
     return ProductRunResult(records, run.probabilities)
@@ -456,6 +462,9 @@ class PauliSumState:
         probability > 1 - ATOL."""
         outcome, prob = self.measure_qubit(a, rng)
         return MeasurementRecord(a, outcome, deterministic=prob > 1 - ATOL)
+
+    def measure_run(self, qubits, rng) -> list:
+        return [self.measure(a, rng) for a in qubits]
 
     # -- diagnostics ---------------------------------------------------------------
 

@@ -69,9 +69,10 @@ def _pad_blocks(program: CircuitProgram) -> ProductState:
 
 
 def _engine(program: CircuitProgram, engine: str):
-    """A fresh state of the named engine for a program that starts in |0...0>."""
+    """A fresh state of the named engine for a program that starts in |0...0>.
+    The tableau engines refuse a program they could not run to its end."""
     if engine in ("tableau", "mixed"):
-        if program.blocks or program.gate_table:
+        if program.blocks or (program.gate_table and program.applies_named_gates()):
             raise StabsimError(
                 "tableau engines cannot run programs with blocks or custom gates"
             )

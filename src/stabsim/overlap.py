@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionError, InvalidTableauError
+import numpy as np
+
+from .errors import CorruptTableauError, DimensionError, InvalidTableauError
 from .gf2 import rref
 from .pauli import PauliOperator
 from .synth import _apply_segments, _reduce_stabilizers, require_pure
@@ -53,8 +55,12 @@ def inner_product(t1: Tableau, t2: Tableau) -> OverlapResult:
     s = len(pivots)
 
     # The remaining generators are Z-only; any minus sign kills the overlap.
-    for row in rows[s:]:
-        combo = [n + j for j in range(n) if (row >> (n + j)) & 1]
-        if rotated.row_product(combo).phase_exp:
-            return OverlapResult(True, 0, 0.0)
+    # Each is a product of stabilizer rows, all of them one segmented product.
+    combos = [[n + j for j in range(n) if (row >> (n + j)) & 1] for row in rows[s:]]
+    flat = np.array([i for combo in combos for i in combo], dtype=np.intp)
+    _, phase, bad = rotated._row_products(flat, [len(combo) for combo in combos])
+    if bad.any():
+        raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
+    if phase.any():
+        return OverlapResult(True, 0, 0.0)
     return OverlapResult(False, s, 2.0 ** (-s / 2) if s else 1.0)

@@ -134,20 +134,26 @@ def apply_gates(state, gates):
 def execute(state, program: "CircuitProgram", rng) -> list:
     """Run a program on any engine; returns its MeasurementRecords in order.
 
-    Unconditional CNOT/H/P gates, and the inner gate of a `Conditional`
-    whose measurement gave 1 (measurements end runs, so it has been made),
-    gather into runs for `apply_gates`.  A `NamedUnitary` goes to the
+    Consecutive instructions gather into runs of two kinds.  Unconditional
+    CNOT/H/P gates, and the inner gate of a `Conditional` whose measurement
+    gave 1, gather into runs for `apply_gates`.  Consecutive `Measure`
+    instructions gather into runs for the engine's `measure_run(qubits,
+    rng)`, which answers them as one `measure(a, rng)` call per qubit
+    would; a `Conditional` ends a run of measurements, so it sees the
+    outcomes of every measurement above it.  A `NamedUnitary` goes to the
     engine's `apply_unitary` with its `gate_table` matrix.  StabsimError for
     a Conditional naming no earlier measurement, a gate not in the table, an
     engine without `apply_unitary`, or any other instruction.
     """
     records = []
-    run = []
+    gates = []  # the pending run of gates
+    qubits = []  # the pending run of measurements
     for instr in program.instructions:
-        if type(instr) in _GATES:
-            run.append(instr)
-            continue
-        if type(instr) is Conditional:
+        kind = type(instr)
+        if qubits and kind is not Measure:
+            records += state.measure_run(qubits, rng)
+            qubits = []
+        if kind is Conditional:
             if not 0 <= instr.bit < len(records):
                 raise StabsimError(
                     f"condition names measurement {instr.bit}, but only "
@@ -156,15 +162,16 @@ def execute(state, program: "CircuitProgram", rng) -> list:
             if records[instr.bit].outcome != 1:
                 continue
             instr = instr.inner
-            if type(instr) in _GATES:
-                run.append(instr)
-                continue
-        if run:
-            apply_gates(state, run)
-            run = []
-        if type(instr) is Measure:
-            records.append(state.measure(instr.a, rng))
-        elif type(instr) is NamedUnitary:
+            kind = type(instr)
+        if kind in _GATES:
+            gates.append(instr)
+            continue
+        if gates:
+            apply_gates(state, gates)
+            gates = []
+        if kind is Measure:
+            qubits.append(instr.a)
+        elif kind is NamedUnitary:
             if instr.name not in program.gate_table:
                 raise StabsimError(f"gate {instr.name!r} is not in the program's gate table")
             if not hasattr(state, "apply_unitary"):
@@ -172,8 +179,10 @@ def execute(state, program: "CircuitProgram", rng) -> list:
             state.apply_unitary(program.gate_table[instr.name][1], instr.qubits)
         else:
             raise StabsimError(f"engine cannot apply {instr!r}")
-    if run:
-        apply_gates(state, run)
+    if gates:
+        apply_gates(state, gates)
+    if qubits:
+        records += state.measure_run(qubits, rng)
     return records
 
 
@@ -203,6 +212,12 @@ class CircuitProgram:
     def is_clifford(self) -> bool:
         """True iff every instruction is a CNOT, H or P gate."""
         return all(isinstance(i, (Cnot, Hadamard, Phase)) for i in self.instructions)
+
+    def applies_named_gates(self) -> bool:
+        """True iff some instruction, bare or inside an `if`, is a `u` gate;
+        defining a gate without applying it does not count."""
+        return any(type(i.inner if type(i) is Conditional else i) is NamedUnitary
+                   for i in self.instructions)
 
     def measurement_count(self) -> int:
         return sum(isinstance(i, Measure) for i in self.instructions)

@@ -38,7 +38,8 @@ This module alone knows how the bits are packed.  Other modules go through
 its row reads and writes, `anticommuting_rows` (which strings of one store
 anticommute with which of another), `_case_split` (the paper's measurement
 cases I-III at any rank, and the pivot), `_collapse` (the update for any
-measured Pauli that anticommutes with a pivot row), `row_product`,
+measured Pauli that anticommutes with a pivot row), `row_product` and
+`_row_products` (consecutive segments of rows multiplied at once),
 `stabilizer_products` (the products of many subsets of the stabilizer rows
 at once), `rowsum`, `apply_cnot_round` and the `PauliTable` methods.
 
@@ -51,17 +52,19 @@ the later X factors gives the product's power of i as
     sum_a |x_a & z_a| + 2 sum_a r_a + 2 sum_b |(z_0 ^ ... ^ z_{b-1}) & x_b|
     - |X & Z|   (mod 4),
 
-with X, Z the XOR of all rows.  The k rows are gathered into row-major
-packed words first, so the prefix XORs along the row axis and the popcounts
-are a fixed handful of vectorized operations.  For many subsets of the
-stabilizer rows at once, the cross term of a subset m is |m & mU| mod 2 for
-one GF(2) matrix U over the rows, so every subset's X, Z and mU is a single
-packed product of the masks with the stabilizer columns
-(`stabilizer_products`).
+with X, Z the XOR of all rows.  A determinate measurement leaves the
+tableau as it was, so a stretch of them is one segmented product
+(`_row_products`): the distinct rows are gathered into row-major words
+once, and one prefix XOR along the row axis and per-segment sums give
+every outcome.  For many subsets of the stabilizer rows at once, the cross
+term of a subset m is |m & mU| mod 2 for one GF(2) matrix U over the rows,
+so every subset's X, Z and mU is a single packed product of the masks with
+the stabilizer columns (`stabilizer_products`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +144,8 @@ def _span(lo: int, hi: int, words: int) -> np.ndarray:
     return _int_words([((1 << max(hi - lo, 0)) - 1) << lo], words)[0]
 
 
-# Columns per step of `_transpose`: one step holds m bytes per column.
-_TRANSPOSE_COLS = 512
+# Bytes one step of `_transpose` or `Tableau._row_products` holds per array.
+_STEP_BYTES = 1 << 17
 
 
 def _transpose(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -151,10 +154,11 @@ def _transpose(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
     cols[k] of every row of `a` (bit i from row i).  It reads one byte per
     row and column, so gathering k columns costs O(m k), whatever w is."""
     m = a.shape[0]
+    step = max(1, _STEP_BYTES // max(m, 1))
     by_column = a.astype("<u8", copy=False).view(np.uint8).T  # (8w, m): byte c of every row
     out = np.zeros((len(cols), (m + 63) // 64 * 8), dtype=np.uint8)
-    for lo in range(0, len(cols), _TRANSPOSE_COLS):
-        c = cols[lo:lo + _TRANSPOSE_COLS]
+    for lo in range(0, len(cols), step):
+        c = cols[lo:lo + step]
         bits = by_column[c >> 3] >> (c & 7).astype(np.uint8)[:, None]
         bits &= np.uint8(1)
         out[lo:lo + len(c), :(m + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
@@ -576,35 +580,72 @@ class Tableau(_PauliColumns):
         self.r ^= phase & mask
         self.rowsum_count += int(np.bitwise_count(mask).sum())
 
-    def _row_product(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        """Product of the rows idx[0] * idx[1] * ... as (x words, z words,
-        power of i), in a fixed number of vectorized steps.
+    def _row_products(self, rows: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Products of consecutive segments of `rows`, segment s being the
+        next lengths[s] row indices in order (the empty one is the
+        identity): per segment its x then z words (S, 2 ceil(n/64)), its
+        power of i, and whether some prefix product is imaginary, i.e. when
+        folding it in one rowsum at a time would raise CorruptTableauError.
 
-        Raises CorruptTableauError if any prefix product has an imaginary
-        phase, i.e. a row anticommutes with the product of the rows before
-        it: exactly when folding the rows in one rowsum at a time would.
-        """
-        if not idx.size:
-            zero = np.zeros((self.n + 63) // 64, dtype=np.uint64)
-            return zero, zero, 0
-        xs, zs = self._gather(idx)
-        xp = np.bitwise_xor.accumulate(xs, axis=0)
-        zp = np.bitwise_xor.accumulate(zs, axis=0)
-        ys = np.bitwise_count(xs & zs).sum(axis=1, dtype=np.int64)
-        yp = np.bitwise_count(xp & zp).sum(axis=1, dtype=np.int64)
-        ycum = ys.cumsum()
-        if ((ycum - yp) & 1).any():
-            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
-        cross = int(np.bitwise_count((zp ^ zs) & xs).sum(dtype=np.int64))
-        signs = int(((self.r[idx >> 6] >> (idx & 63).astype(np.uint64)) & _ONE).sum())
-        phase = int(ycum[-1]) + 2 * signs + 2 * cross - int(yp[-1])
-        return xp[-1], zp[-1], phase % 4
+        The distinct rows are gathered once.  Whole segments are taken in
+        steps of at most _STEP_BYTES of words (a longer one alone): one XOR
+        accumulate, re-based at each segment start, and np.add.reduceat
+        sums of the module docstring's terms per segment."""
+        lengths = np.asarray(lengths, dtype=np.intp)
+        hw = _padded(self.n) // 64
+        present = np.zeros(2 * self.n + 1, dtype=bool)
+        present[rows] = True
+        slot = np.cumsum(present) - 1  # row i is gathered row slot[i]
+        uniq = np.flatnonzero(present)
+        gathered = _transpose(self._xz, uniq)
+        signs = _bits(self.r, 2 * self.n + 1)[uniq]
+        full = np.flatnonzero(lengths)  # the empty segments are the identity
+        ends = np.cumsum(lengths[full])
+        starts = ends - lengths[full]
+        bounds = ends.tolist()
+        words = np.zeros((lengths.size, 2 * hw), dtype=np.uint64)
+        # per segment: sum of y, of signs, of cross terms, of odd rows; |X & Z|
+        sums = np.zeros((5, lengths.size), dtype=np.int64)
+        step = max(1, _STEP_BYTES // (16 * hw))
+        s = 0
+        while s < full.size:
+            lo = int(starts[s])
+            e = max(s + 1, bisect_right(bounds, lo + step))
+            first, last = starts[s:e] - lo, ends[s:e] - (lo + 1)
+            idx = slot[rows[lo:bounds[e - 1]]]
+            g = gathered[idx]
+            # XORing each segment's first row with the product of the one
+            # before it restarts the running XOR there.
+            carry = np.bitwise_xor.reduceat(g, first, axis=0)[:-1]
+            g[first[1:]] ^= carry
+            pre = np.bitwise_xor.accumulate(g, axis=0)
+            g[first[1:]] ^= carry
+            xs, zs, xp, zp = g[:, :hw], g[:, hw:], pre[:, :hw], pre[:, hw:]
+            y = np.bitwise_count(xs & zs).sum(axis=1, dtype=np.int64)
+            yp = np.bitwise_count(xp & zp).sum(axis=1, dtype=np.int64)
+            t = zp ^ zs  # z of the segment's rows before each row
+            t &= xs
+            cross = np.bitwise_count(t).sum(axis=1, dtype=np.int64)
+            # A prefix is imaginary where the running sum of y and the
+            # prefix's |X & Z| differ in parity from their first row's.
+            odd = (np.cumsum(y) - yp) & 1
+            seg = full[s:e]
+            sums[:4, seg] = np.add.reduceat(np.stack((y, signs[idx], cross, odd)), first, axis=1)
+            sums[4, seg] = yp[last]
+            words[seg] = pre[last]
+            s = e
+        y, sign, cross, odd, xz = sums
+        return words, (y + 2 * sign + 2 * cross - xz) % 4, (odd > 0) & (odd < lengths)
 
     def row_product(self, rows) -> PauliOperator:
-        """The group product of the given rows, in order (see `_row_product`)."""
-        x, z, phase = self._row_product(np.asarray(rows, dtype=np.intp))
-        (xi,), (zi,) = _row_ints(x[None]), _row_ints(z[None])
-        return PauliOperator(self.n, phase, xi, zi)
+        """The group product of the given rows, in order (one segment of
+        `_row_products`)."""
+        rows = np.asarray(rows, dtype=np.intp)
+        words, phase, bad = self._row_products(rows, [rows.size])
+        if bad[0]:
+            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
+        xi, zi = _row_ints(words.reshape(2, -1))
+        return PauliOperator(self.n, int(phase[0]), xi, zi)
 
     def stabilizer_products(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Products of many subsets of the stabilizer rows at once.  `masks`
@@ -737,41 +778,64 @@ class Tableau(_PauliColumns):
         self._write_row(partner, *src)
         self.set_row(pivot, row)
 
-    def _determinate_outcome(self, a: int) -> int:
-        """Leave in the scratch row the product of the stabilizer rows indexed
-        by the destabilizer rows (0..r-1) that anticommute with Z_a; its sign
-        is the outcome.
+    def _determinate(self, stretch) -> list[MeasurementRecord]:
+        """Records of determinate measurements given as (qubit, hits), hits
+        being the destabilizer rows that anticommute with Z there: the signs
+        of the products of the stabilizer rows they index, one
+        `_row_products` call.  As the paper's folds of k rowsums into the
+        scratch row would, this leaves the last product there, counts k
+        rowsums per measurement, and raises CorruptTableauError at the first
+        corrupt product, after the ones before it."""
+        if not stretch:
+            return []
+        lengths = [hits.size for _, hits in stretch]
+        rows = np.concatenate([hits for _, hits in stretch])
+        rows += self.n
+        words, phase, bad = self._row_products(rows, lengths)
+        done = int(bad.argmax()) if bad.any() else len(stretch)
+        if done:
+            bits = np.unpackbits(words[done - 1].astype("<u8", copy=False).view(np.uint8),
+                                 bitorder="little")
+            self._write_row(self.scratch_row, bits, phase[done - 1] >> 1)
+            self.rowsum_count += sum(lengths[:done])
+        if done < len(stretch):
+            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
+        return [MeasurementRecord(a, int(ph) >> 1, True) for (a, _), ph in zip(stretch, phase)]
 
-        The product is taken in closed form (see the module docstring), but
-        it raises CorruptTableauError exactly when the paper's fold of k
-        rowsums into the scratch row would, and it counts as those k
-        rowsums in `rowsum_count`.
-        """
-        idx = self.n + self._x_column(a, 0, self.rank).nonzero()[0]
-        x, z, phase = self._row_product(idx)
-        words = np.concatenate((x, z)).astype("<u8", copy=False)
-        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-        self._write_row(self.scratch_row, bits, phase >> 1)
-        self.rowsum_count += idx.size
-        return phase >> 1
+    def measure_run(self, qubits, rng) -> list[MeasurementRecord]:
+        """Measure the qubits in turn in the standard basis, with the
+        records, rows, rank, `rowsum_count` and rng draws of one `measure`
+        per qubit.  A random outcome (case I or III) draws one
+        rng.getrandbits(1) bit and changes the tableau; a determinate one
+        (case II) only the scratch row, so each stretch of them between
+        random ones is one `_determinate` call, cut where its row indices
+        (16 bytes a row: the hits kept and their joined copy) would pass
+        _STEP_BYTES."""
+        n = self.n
+        records, stretch, size = [], [], 0
+        for a in qubits:
+            if 0 <= a < n:
+                hits = self._x_column(a, 0, 2 * n).nonzero()[0]
+                case, p = self._case_split(hits)
+                if case == 2:
+                    if size + hits.size > _STEP_BYTES // 16:
+                        records += self._determinate(stretch)
+                        stretch, size = [], 0
+                    stretch.append((a, hits))
+                    size += hits.size
+                    continue
+            records += self._determinate(stretch)
+            stretch, size = [], 0
+            self._check_qubit(a)
+            outcome = rng.getrandbits(1) & 1
+            z_a = PauliOperator.single(n, a, "Z", 2 * outcome)
+            self._collapse(hits, p, (p + n) % (2 * n), z_a)
+            records.append(MeasurementRecord(a, outcome, deterministic=False))
+        return records + self._determinate(stretch)
 
     def measure(self, a: int, rng) -> MeasurementRecord:
-        """Measure qubit a in the standard basis, updating the state.
-
-        `rng` must supply one unbiased bit via getrandbits(1) when the
-        outcome is random (cases I and III); determinate outcomes (case II)
-        consume no randomness.
-        """
-        self._check_qubit(a)
-        n = self.n
-        hits = self._x_column(a, 0, 2 * n).nonzero()[0]
-        case, p = self._case_split(hits)
-        if case == 2:
-            return MeasurementRecord(a, self._determinate_outcome(a), deterministic=True)
-        outcome = rng.getrandbits(1) & 1
-        z_a = PauliOperator.single(n, a, "Z", 2 * outcome)
-        self._collapse(hits, p, (p + n) % (2 * n), z_a)
-        return MeasurementRecord(a, outcome, deterministic=False)
+        """Measure qubit a in the standard basis: a run of one."""
+        return self.measure_run((a,), rng)[0]
 
     # -- invariants ---------------------------------------------------------------
 

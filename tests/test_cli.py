@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -116,6 +119,10 @@ m 0
 
         with pytest.raises(StabsimError):
             run(parse(text), engine="tableau")
+
+
+# A T gate definition that a program may or may not apply.
+T_GATE = "gate t 1\n1,0 0,0\n0,0 0.7071067811865476,0.7071067811865476\n"
 
 
 def open_teleport_with_final_measure() -> str:
@@ -263,14 +270,57 @@ class TestMainEntry:
         assert main(["run", str(f), "--engine", "beyond"]) == 4
 
     def test_corrupt_tableau_exit_code(self, tmp_path, capsys, monkeypatch):
-        def corrupt(self, a, rng):
+        def corrupt(self, qubits, rng):
             raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
 
-        monkeypatch.setattr(tableau.Tableau, "measure", corrupt)
+        # `execute` hands each run of measurements to `measure_run`.
+        monkeypatch.setattr(tableau.Tableau, "measure_run", corrupt)
         f = tmp_path / "m.chp"
         f.write_text("h 0\nm 0\n")
         assert main(["run", str(f)]) == 4
         assert "corrupt tableau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["tableau", "mixed"])
+    def test_tableau_engines_run_a_program_with_an_unused_gate(self, tmp_path, capsys, engine):
+        f = tmp_path / "unused.chp"
+        f.write_text(T_GATE + "h 0\nm 0\n")
+        assert main(["run", str(f), "--engine", engine, "--seed", "3"]) == 0
+        assert capsys.readouterr().out == run(parse("h 0\nm 0\n"), seed=3)
+
+    @pytest.mark.parametrize("engine", ["tableau", "mixed"])
+    @pytest.mark.parametrize("body", ["h 0\nu t 0\nm 0\n", "h 0\nm 0\nif 0 u t 0\nm 0\n"])
+    def test_tableau_engines_refuse_an_applied_gate_before_running(self, tmp_path, capsys,
+                                                                   monkeypatch, engine, body):
+        def never(*args):
+            raise AssertionError("the program ran")
+
+        monkeypatch.setattr("stabsim.cli.execute", never)
+        f = tmp_path / "applied.chp"
+        f.write_text(T_GATE + body)
+        assert main(["run", str(f), "--engine", engine]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot run programs with blocks or custom gates" in captured.err
+
+    def test_product_state_engine_refuses_an_applied_gate_before_running(self, tmp_path, capsys,
+                                                                         monkeypatch):
+        def never(*args):
+            raise AssertionError("the program ran")
+
+        monkeypatch.setattr("stabsim.beyond.execute", never)
+        f = tmp_path / "block_u.chp"
+        f.write_text("block 1\n1,0 0,0\n0,0 0,0\n" + T_GATE + "h 0\nm 0\nu t 0\nm 0\n")
+        assert main(["run", str(f), "--engine", "beyond"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot apply non-stabilizer gates" in captured.err
+
+    def test_python_dash_m_runs_the_cli(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-m", "stabsim", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: stabsim")
 
     def test_count_states_output(self, capsys):
         assert main(["count-states", "2"]) == 0

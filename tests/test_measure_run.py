@@ -1,0 +1,140 @@
+import random
+from contextlib import nullcontext
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import apply_gate, random_gate, random_tableau
+from stabsim import tableau as tableau_module
+from stabsim.errors import CorruptTableauError
+from stabsim.mixed import MixedTableau
+from stabsim.pauli import PauliOperator, multiply
+from stabsim.tableau import new_zero_state
+
+
+def outcome_of(call):
+    """call()'s value, or the CorruptTableauError class if it raised one."""
+    try:
+        return call()
+    except CorruptTableauError:
+        return CorruptTableauError
+
+
+def assert_same_state(got, want):
+    # every row, the scratch row and the padding included
+    assert np.array_equal(got._xz, want._xz)
+    assert np.array_equal(got.r, want.r)
+    assert (got.rank, got.rowsum_count) == (want.rank, want.rowsum_count)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([1, 2, 63, 64, 65, 129]), mixed=st.booleans(),
+       corrupt=st.booleans(), small_steps=st.booleans(), data=st.data())
+def test_measure_run_matches_one_measure_at_a_time(n, mixed, corrupt, small_steps, data):
+    r = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    t = MixedTableau(n, data.draw(st.integers(0, n), label="rank")) if mixed else new_zero_state(n)
+    for _ in range(data.draw(st.sampled_from([0, 1, 3, 10]), label="gates per qubit") * n):
+        apply_gate(t, random_gate(n, r))
+    if corrupt:
+        # A flipped z bit of a stabilizer row leaves every measurement's case
+        # as it was, but can make rows of a determinate product anticommute.
+        row, q = n + r.randrange(n), r.randrange(n)
+        p = t.get_row(row)
+        t.set_row(row, PauliOperator(n, p.phase_exp, p.x, p.z ^ (1 << q)))
+    # few distinct qubits, so repeats (determinate) and random outcomes interleave
+    pool = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True))
+    qubits = data.draw(st.lists(st.sampled_from(pool), max_size=24), label="qubits")
+    seed = r.getrandbits(32)
+    one, run = t.copy(), t.copy()
+    r_one, r_run = random.Random(seed), random.Random(seed)
+
+    def one_at_a_time():
+        return [one.measure(a, r_one) for a in qubits]
+
+    # 64-byte steps cut a stretch every 4 rows and split its products into
+    # steps of at most 4 rows (a longer product alone).
+    with mock.patch.object(tableau_module, "_STEP_BYTES", 64) if small_steps else nullcontext():
+        want = outcome_of(one_at_a_time)
+        got = outcome_of(lambda: run.measure_run(qubits, r_run))
+    assert got == want
+    assert_same_state(run, one)
+    assert r_run.getstate() == r_one.getstate()
+
+
+def test_measure_run_raises_inside_a_determinate_stretch_as_the_loop_does():
+    # CNOT 0->1 on |000>: Z_1 is the product of stabilizer rows Z_0 and
+    # Z_0 Z_1.  Row n+1 becomes Y_0 Z_1, which anticommutes with Z_0 but
+    # has no X at qubit 1, so measuring 1 stays determinate and its fold
+    # goes imaginary; measuring 2 before it is fine.
+    n = 3
+    t = new_zero_state(n)
+    t.apply_cnot(0, 1)
+    t.set_row(n + 1, PauliOperator(n, 0, 0b001, 0b011))
+    assert t.is_deterministic(1) and t.is_deterministic(2)
+    one, run = t.copy(), t.copy()
+    assert one.measure(2, random.Random(0)).outcome == 0
+    with pytest.raises(CorruptTableauError):
+        one.measure(1, random.Random(0))
+    with pytest.raises(CorruptTableauError):
+        run.measure_run([2, 1, 2], random.Random(0))
+    assert_same_state(run, one)
+    assert run.rowsum_count == 1
+    assert run.get_row(run.scratch_row) == PauliOperator.single(n, 2, "Z")
+
+
+@pytest.mark.parametrize("budget", [None, 64])
+def test_row_products_match_a_multiply_fold_per_segment(budget, monkeypatch):
+    # 64 bytes is a step of 4 rows at n <= 64, so segments span many steps
+    # and a segment longer than a step is a step alone.
+    if budget is not None:
+        monkeypatch.setattr(tableau_module, "_STEP_BYTES", budget)
+    r = random.Random(3)
+    for n in (1, 5, 64, 65):
+        t = random_tableau(n, r)
+        segments = [[], [n + i for i in range(n) if r.random() < 0.5], []]
+        segments += [r.choices(range(n, 2 * n), k=r.randrange(9)) for _ in range(12)]
+        rows = np.array([i for s in segments for i in s], dtype=np.intp)
+        words, phase, bad = t._row_products(rows, [len(s) for s in segments])
+        assert not bad.any()
+        for s, w, ph in zip(segments, words, phase):
+            want = PauliOperator.identity(n)
+            for i in s:
+                want = multiply(want, t.get_row(i))
+            xi, zi = (int.from_bytes(h.astype("<u8").tobytes(), "little") for h in np.split(w, 2))
+            assert (xi, zi, int(ph)) == (want.x, want.z, want.phase_exp)
+
+
+def test_an_empty_product_is_the_identity():
+    t = random_tableau(3, random.Random(1))
+    assert t.row_product([]) == PauliOperator.identity(3)
+    words, phase, bad = t._row_products(np.array([4, 5], dtype=np.intp), [0, 2, 0])
+    assert not words[0].any() and not words[2].any()
+    assert (phase[0], phase[2]) == (0, 0) and not bad.any()
+
+
+def test_a_long_determinate_stretch_is_cut_into_bounded_products(monkeypatch):
+    # 64-byte steps: at most 64 // 16 = 4 row indices per call, unless one
+    # measurement alone needs more.
+    monkeypatch.setattr(tableau_module, "_STEP_BYTES", 64)
+    r = random.Random(7)
+    t = new_zero_state(9)
+    for _ in range(200):
+        name, qubits = random_gate(9, r)
+        if name == "c":
+            t.apply_cnot(*qubits)  # reversible: every outcome stays determinate
+    calls = []
+    products = t._row_products
+
+    def spy(rows, lengths):
+        calls.append(list(lengths))
+        return products(rows, lengths)
+
+    monkeypatch.setattr(t, "_row_products", spy)
+    records = t.measure_run(list(range(9)) * 3, random.Random(0))
+    assert all(rec.deterministic for rec in records)
+    assert sum(len(c) for c in calls) == 27
+    assert all(sum(c) <= 4 or len(c) == 1 for c in calls)
+    assert len(calls) > 1

@@ -23,7 +23,7 @@ from stabsim.program import (
     random_unitary_program,
     render,
 )
-from stabsim.tableau import new_zero_state
+from stabsim.tableau import MeasurementRecord, new_zero_state
 
 
 def test_teleport_listing_parses():
@@ -332,6 +332,45 @@ def test_execute_engines_agree(program, seed):
     runs = [execute(state, program, random.Random(seed)) for state in engines]
     assert all(r == runs[0] for r in runs[1:])
     assert len(runs[0]) == program.measurement_count()
+
+
+class SpyEngine:
+    """Logs the calls `execute` makes; every measurement of qubit a gives
+    a % 2."""
+
+    def __init__(self, n):
+        self.n = n
+        self.calls = []
+
+    def apply_moment(self, h, p, ca, cb):
+        self.calls.append(("moment", h, p, ca, cb))
+
+    def measure_run(self, qubits, rng):
+        self.calls.append(("measure_run", list(qubits)))
+        return [MeasurementRecord(a, a % 2, False) for a in qubits]
+
+
+def test_execute_hands_each_run_of_measurements_to_measure_run():
+    program = parse(
+        "m 0\nm 1\nm 2\n"  # records 0-2: outcomes 0 1 0
+        "h 0\n"  # a gate ends a run
+        "m 1\nm 3\n"  # records 3-4: outcomes 1 1
+        "if 4 h 2\n"  # ends the run and sees its last record: applied
+        "m 0\n"  # record 5
+        "if 0 h 1\n"  # outcome 0: skipped, but it ends the run all the same
+        "m 2\nm 1\n"
+    )
+    spy = SpyEngine(program.n)
+    records = execute(spy, program, random.Random(0))
+    assert spy.calls == [
+        ("measure_run", [0, 1, 2]),
+        ("moment", [0], [], [], []),
+        ("measure_run", [1, 3]),
+        ("moment", [2], [], [], []),
+        ("measure_run", [0]),
+        ("measure_run", [2, 1]),
+    ]
+    assert [r.qubit for r in records] == [0, 1, 2, 1, 3, 0, 2, 1]
 
 
 def test_execute_rejects_what_an_engine_cannot_take():

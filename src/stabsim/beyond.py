@@ -30,7 +30,7 @@ from .errors import (
     ResourceCapError,
     StabsimError,
 )
-from .pauli import PauliOperator, multiply
+from .pauli import PauliOperator, _qubit_index, multiply
 from .program import CircuitProgram, execute
 from .tableau import (  # noqa: F401  (PauliSumTerm is part of this module's API)
     MeasurementRecord,
@@ -163,6 +163,7 @@ class _ProductRun:
         return total.real
 
     def measure(self, a: int, rng) -> MeasurementRecord:
+        a = _qubit_index(self.n, a)
         w = self.zrows[a]
         q0 = self._q_zero(w)
         p0 = q0 / self.q_prev
@@ -297,18 +298,11 @@ class PauliSumState:
 
     def apply_unitary(self, u: np.ndarray, qubits):
         """Fold a non-stabilizer gate on the given qubits into the term
-        list.  Raises, changing nothing: TypeError for a qubit that is not
-        an integer (taken through operator.index), DimensionError for a
-        repeated or out-of-range qubit or a matrix that is not 2^b x 2^b
-        for b = len(qubits), ResourceCapError past the term cap."""
-        from operator import index
-
-        qubits = tuple(index(q) for q in qubits)
-        if len(set(qubits)) != len(qubits):
-            raise DimensionError("duplicate qubit in gate application")
-        for q in qubits:
-            if not 0 <= q < self.n:
-                raise DimensionError(f"qubit {q} out of range")
+        list.  Raises, changing nothing, for a bad qubit (see
+        `pauli._qubit_index`), DimensionError for a matrix that is not
+        2^b x 2^b for b = len(qubits), ResourceCapError past the term cap."""
+        qubits = tuple(qubits)
+        qubits = [_qubit_index(self.n, q, *qubits[:j]) for j, q in enumerate(qubits)]
         width = len(qubits)
         if np.shape(u)[:1] != (1 << width,):
             raise DimensionError("unitary dimension does not match qubit count")
@@ -373,11 +367,9 @@ class PauliSumState:
 
     def measure_pauli(self, q: PauliOperator, rng) -> tuple:
         """Measure the ±1 observable q; returns (outcome, probability of it)."""
-        if q.n != self.n:
-            raise DimensionError("operator length mismatch")
+        hits = np.flatnonzero(self.tableau.anticommuting(q))
         if not q.is_hermitian():
             raise DimensionError("measurement operator must be Hermitian")
-        hits = np.flatnonzero(self.tableau.anticommuting(q))
         case, pivot = self.tableau._case_split(hits)
         if case == 2:
             p0, p1, keep = self._project_commuting(q, hits)
@@ -451,11 +443,9 @@ class PauliSumState:
         return p[0], p[1], keep
 
     def measure_qubit(self, a: int, rng) -> tuple:
-        """Measure Z on qubit a (any integer, taken through operator.index;
-        TypeError otherwise); returns (outcome, probability of it)."""
-        from operator import index
-
-        return self.measure_pauli(PauliOperator.single(self.n, index(a), "Z"), rng)
+        """Measure Z on qubit a (see `pauli._qubit_index`); returns
+        (outcome, probability of it)."""
+        return self.measure_pauli(PauliOperator.single(self.n, a, "Z"), rng)
 
     def measure(self, a: int, rng) -> MeasurementRecord:
         """Measure qubit a; the record is determinate when its outcome had

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidTableauError
 from .gf2 import rref
-from .pauli import PauliOperator
+from .pauli import PauliOperator, _qubit_index
 from .tableau import Tableau
 
 _MAGIC = b"STBM"
@@ -62,8 +62,6 @@ class MixedTableau(Tableau):
         if len(gens) > n:
             raise DimensionError("more generators than qubits")
         for g in gens:
-            if g.n != n:
-                raise DimensionError("generator length mismatch")
             if not g.is_hermitian():
                 raise InvalidTableauError("generators must carry ±1 phases")
         t = cls(n, 0)
@@ -116,7 +114,7 @@ class MixedTableau(Tableau):
         build the survivors' state on n-1 qubits by `from_stabilizers`."""
         if self.n < 2:
             raise DimensionError("cannot discard below one qubit")
-        self._check_qubit(a)
+        a = _qubit_index(self.n, a)
         n, r = self.n, self.rank
         work = self.copy()
         letters = [(p.x >> a & 1) | (p.z >> a & 1) << 1 for p in work.stabilizer_generators()]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, ResourceCapError
-from .pauli import PauliOperator
+from .pauli import PauliOperator, _qubit_index
 from .tableau import MeasurementRecord, _moment_qubits, sample_outcome
 
 MAX_QUBITS = 12
@@ -70,13 +70,6 @@ class DenseState:
     def density(self) -> bool:
         return self.rho is not None
 
-    def copy(self) -> "DenseState":
-        s = object.__new__(DenseState)
-        s.n = self.n
-        s.vec = None if self.vec is None else self.vec.copy()
-        s.rho = None if self.rho is None else self.rho.copy()
-        return s
-
     def density_matrix(self) -> np.ndarray:
         if self.density:
             return self.rho.copy()
@@ -86,14 +79,11 @@ class DenseState:
 
     def apply_unitary(self, u: np.ndarray, qubits: tuple[int, ...]):
         """Apply a 2^k x 2^k unitary to the listed qubits (first qubit is the
-        most significant bit of the unitary's index space)."""
+        most significant bit of the unitary's index space).  A bad qubit
+        raises as `pauli._qubit_index` says, before the state changes."""
         qubits = tuple(qubits)
+        qubits = [_qubit_index(self.n, q, *qubits[:j]) for j, q in enumerate(qubits)]
         k = len(qubits)
-        if len(set(qubits)) != k:
-            raise DimensionError("duplicate qubit in unitary application")
-        for q in qubits:
-            if not 0 <= q < self.n:
-                raise DimensionError(f"qubit {q} out of range")
         u = np.asarray(u, dtype=complex)
         if u.shape != (1 << k, 1 << k):
             raise DimensionError("unitary dimension does not match qubit count")
@@ -138,9 +128,7 @@ class DenseState:
 
     def measure_probs(self, a: int) -> tuple[float, float]:
         """Exact (p0, p1) for a standard-basis measurement of qubit a."""
-        if not 0 <= a < self.n:
-            raise DimensionError(f"qubit {a} out of range")
-        bit = 1 << (self.n - 1 - a)
+        bit = 1 << (self.n - 1 - _qubit_index(self.n, a))
         idx = np.arange(1 << self.n)
         mask1 = (idx & bit) != 0
         if self.density:
@@ -153,7 +141,7 @@ class DenseState:
 
     def project(self, a: int, outcome: int):
         """Collapse qubit a onto `outcome` and renormalize."""
-        bit = 1 << (self.n - 1 - a)
+        bit = 1 << (self.n - 1 - _qubit_index(self.n, a))
         idx = np.arange(1 << self.n)
         kill = ((idx & bit) != 0) != bool(outcome)
         if self.density:

@@ -10,12 +10,30 @@ bulk operations are word-wise XOR/AND and immutability comes for free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import DimensionError
 
 _PHASE_LABEL = {0: "+", 1: "i", 2: "-", 3: "-i"}
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
+
+
+def _qubit_index(n: int, q, *others) -> int:
+    """Qubit q of an n-qubit register as an int, for an operation whose
+    qubits `others` were checked before it.  TypeError if q is not an
+    integer (operator.index takes numpy integers too); DimensionError if it
+    is outside 0..n-1 or is one of `others`.  Every engine checks each
+    qubit of an operation this way before its state changes."""
+    try:
+        q = index(q)
+    except TypeError:
+        raise TypeError(f"qubit indices must be integers, got {type(q).__name__}") from None
+    if not 0 <= q < n:
+        raise DimensionError(f"qubit {q} out of range for n={n}")
+    if q in others:
+        raise DimensionError("control and target must differ")
+    return q
 
 
 @dataclass(frozen=True)
@@ -42,8 +60,7 @@ class PauliOperator:
     @classmethod
     def single(cls, n: int, qubit: int, letter: str, phase_exp: int = 0) -> "PauliOperator":
         """One non-identity letter at `qubit`, identity elsewhere."""
-        if not 0 <= qubit < n:
-            raise DimensionError(f"qubit {qubit} out of range for n={n}")
+        qubit = _qubit_index(n, qubit)
         xb, zb = _LETTER_BITS[letter]
         return cls(n, phase_exp, xb << qubit, zb << qubit)
 
@@ -137,8 +154,7 @@ def phase_g(x1: int, z1: int, x2: int, z2: int) -> int:
 
 
 def conjugate_hadamard(p: PauliOperator, a: int) -> PauliOperator:
-    if not 0 <= a < p.n:
-        raise DimensionError(f"qubit {a} out of range for n={p.n}")
+    a = _qubit_index(p.n, a)
     bit = 1 << a
     xa, za = p.x & bit, p.z & bit
     phase = p.phase_exp + (2 if (xa and za) else 0)
@@ -148,8 +164,7 @@ def conjugate_hadamard(p: PauliOperator, a: int) -> PauliOperator:
 
 
 def conjugate_phase(p: PauliOperator, a: int) -> PauliOperator:
-    if not 0 <= a < p.n:
-        raise DimensionError(f"qubit {a} out of range for n={p.n}")
+    a = _qubit_index(p.n, a)
     bit = 1 << a
     xa, za = p.x & bit, p.z & bit
     phase = p.phase_exp + (2 if (xa and za) else 0)
@@ -157,11 +172,8 @@ def conjugate_phase(p: PauliOperator, a: int) -> PauliOperator:
 
 
 def conjugate_cnot(p: PauliOperator, a: int, b: int) -> PauliOperator:
-    if a == b:
-        raise DimensionError("control and target must differ")
-    for q in (a, b):
-        if not 0 <= q < p.n:
-            raise DimensionError(f"qubit {q} out of range for n={p.n}")
+    a = _qubit_index(p.n, a)
+    b = _qubit_index(p.n, b, a)
     xa = (p.x >> a) & 1
     za = (p.z >> a) & 1
     xb = (p.x >> b) & 1

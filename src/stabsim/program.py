@@ -27,7 +27,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, StabsimError
+from .errors import ParseError, StabsimError
+from .pauli import _qubit_index
 
 
 @dataclass(frozen=True)
@@ -68,15 +69,6 @@ class Conditional:
 _GATES = (Cnot, Hadamard, Phase)
 
 
-def _gate_error(g, n: int) -> DimensionError:
-    """The error the tableau's per-gate method raises for the gate g."""
-    qubits = (g.a, g.b) if isinstance(g, Cnot) else (g.a,)
-    for q in qubits:
-        if not 0 <= q < n:
-            return DimensionError(f"qubit {q} out of range for n={n}")
-    return DimensionError("control and target must differ")
-
-
 def moments(gates, n: int) -> list:
     """Schedule CNOT/H/P gates on n qubits into ASAP moments.
 
@@ -89,7 +81,7 @@ def moments(gates, n: int) -> list:
     Every gate is checked before the schedule is returned: the first one,
     in program order, with a qubit outside 0..n-1 (a negative index too) or
     with its control as its target raises the per-gate method's
-    DimensionError.
+    DimensionError (`pauli._qubit_index`).
     """
     free = [0] * n  # per qubit: the first moment no gate on it has used
     out = []  # per moment: its (h, p, ca, cb) lists
@@ -98,7 +90,7 @@ def moments(gates, n: int) -> list:
         if kind is Cnot:
             a, b = g.a, g.b
             if not (0 <= a < n and 0 <= b < n and a != b):
-                raise _gate_error(g, n)
+                _qubit_index(n, b, _qubit_index(n, a))  # raises
             k = free[a]
             if free[b] > k:
                 k = free[b]
@@ -111,7 +103,7 @@ def moments(gates, n: int) -> list:
         elif kind is Hadamard or kind is Phase:
             a = g.a
             if not 0 <= a < n:
-                raise _gate_error(g, n)
+                _qubit_index(n, a)  # raises
             k = free[a]
             free[a] = k + 1
             if k == len(out):

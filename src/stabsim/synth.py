@@ -311,15 +311,11 @@ def cnot_synth_logdepth(m: BinaryMatrix) -> list:
     """CNOT synthesis sharing sub-rows in sections of default_block_size(n)
     columns: O(n^2 / log n) gates.
 
-    Same contract and SingularMatrixError as cnot_synth_gauss.  Falls back to
-    plain Gauss-Jordan for n < 8, where sectioning cannot pay for itself.
+    Same contract and SingularMatrixError as cnot_synth_gauss.
     """
     if m.nrows != m.ncols:
         raise DimensionError("CNOT synthesis requires a square matrix")
-    n = m.nrows
-    if n < 8:
-        return cnot_synth_gauss(m)
-    block = default_block_size(n)
+    block = default_block_size(m.nrows)
     work = m.copy()
     low = _pmh_lower(work, block)          # work is now upper triangular
     work = work.transpose()                # lower triangular, unit diagonal

@@ -75,7 +75,7 @@ from .errors import (
     InvalidTableauError,
     ResourceCapError,
 )
-from .pauli import PauliOperator
+from .pauli import PauliOperator, _qubit_index
 
 _MAGIC = b"STBT"
 _VERSION = 1
@@ -137,6 +137,17 @@ def _row_ints(a: np.ndarray) -> list[int]:
     raw = a.astype("<u8").tobytes()
     step = 8 * a.shape[1]
     return [int.from_bytes(raw[i:i + step], "little") for i in range(0, len(raw), step)]
+
+
+def _word_bits(n: int, p: PauliOperator) -> np.ndarray:
+    """The Pauli word of p (on n qubits, else DimensionError) as 0/1 uint8
+    bits: its x bits at 0..n-1 and its z bits at _padded(n)..+n-1, zeros
+    between, as in one row of a tableau's `_xz` columns."""
+    if p.n != n:
+        raise DimensionError("operator length mismatch")
+    nbytes = _padded(n) // 8
+    raw = np.frombuffer(p.x.to_bytes(nbytes, "little") + p.z.to_bytes(nbytes, "little"), np.uint8)
+    return np.unpackbits(raw, bitorder="little")
 
 
 def _span(lo: int, hi: int, words: int) -> np.ndarray:
@@ -323,10 +334,6 @@ class _PauliColumns:
             r ^= np.bitwise_xor.reduce(_cnot(xa, za, xb, zb), axis=0)
             x[cb], z[ca] = xb, za
 
-    def _check_qubit(self, a: int):
-        if not 0 <= a < self.n:
-            raise DimensionError(f"qubit {a} out of range for n={self.n}")
-
     def apply_moment(self, h, p, ca, cb):
         """Apply one moment: Hadamards on the qubits h, phase gates on the
         qubits p and CNOTs from ca[k] to cb[k], all on pairwise-distinct
@@ -337,20 +344,18 @@ class _PauliColumns:
 
     def apply_cnot(self, a: int, b: int):
         """CNOT from control a to target b."""
-        self._check_qubit(a)
-        self._check_qubit(b)
-        if a == b:
-            raise DimensionError("control and target must differ")
+        a = _qubit_index(self.n, a)
+        b = _qubit_index(self.n, b, a)
         self.r ^= _cnot(self.x[a], self.z[a], self.x[b], self.z[b])
 
     def apply_hadamard(self, a: int):
         """Hadamard on qubit a: swap the x and z bits, flipping Y signs."""
-        self._check_qubit(a)
+        a = _qubit_index(self.n, a)
         self.r ^= _hadamard(self.x[a], self.z[a])
 
     def apply_phase(self, a: int):
         """Phase gate on qubit a: z_a ^= x_a after absorbing the Y sign."""
-        self._check_qubit(a)
+        a = _qubit_index(self.n, a)
         self.r ^= _phase(self.x[a], self.z[a])
 
     # -- anticommutation ---------------------------------------------------------
@@ -375,12 +380,9 @@ class _PauliColumns:
 
     def anticommuting(self, q: PauliOperator) -> np.ndarray:
         """Boolean per string in use: whether it anticommutes with q."""
-        if q.n != self.n:
-            raise DimensionError("operator length mismatch")
-        nbytes = _padded(self.n) // 8
-        wx, wz = (np.unpackbits(np.frombuffer(v.to_bytes(nbytes, "little"), np.uint8),
-                                count=self.n, bitorder="little")[None] for v in (q.x, q.z))
-        return _bits(_anticommutation(wx, wz, self)[0], self._count)
+        n, pad = self.n, _padded(self.n)
+        bits = _word_bits(n, q)[None]
+        return _bits(_anticommutation(bits[:, :n], bits[:, pad:pad + n], self)[0], self._count)
 
 
 def _anticommutation(wx: np.ndarray, wz: np.ndarray, words: _PauliColumns) -> np.ndarray:
@@ -454,30 +456,36 @@ class Tableau(_PauliColumns):
     def memory_bits(self) -> int:
         return 8 * (self._xz.nbytes + self.r.nbytes)
 
-    def _check_row(self, i: int):
-        if not 0 <= i <= 2 * self.n:
-            raise DimensionError(f"row {i} out of range")
+    def _row_indices(self, rows) -> np.ndarray:
+        """A row index or an array of them, checked against the rows 0..2n
+        (the scratch row included): TypeError unless they are integers,
+        DimensionError naming the first one out of range."""
+        idx = np.asarray(rows)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise TypeError(f"row indices must be integers, got {idx.dtype}")
+        bad = (idx < 0) | (idx > 2 * self.n)
+        if bad.any():
+            raise DimensionError(f"row {idx[bad][0]} out of range for n={self.n}")
+        return idx
 
     # -- row access ---------------------------------------------------------
 
     def get_row(self, i: int) -> PauliOperator:
-        self._check_row(i)
         return self.rows(i, i + 1)[0]
 
     def set_row(self, i: int, p: PauliOperator):
-        self._check_row(i)
-        if p.n != self.n:
-            raise DimensionError("operator length mismatch")
+        i = int(self._row_indices(i))
+        bits = _word_bits(self.n, p)
         if p.phase_exp % 2:
             raise InvalidTableauError("tableau rows must carry a ±1 phase")
-        self._write_row(i, self._pauli_bits(p.x, p.z), p.phase_exp // 2)
+        self._write_row(i, bits, p.phase_exp // 2)
 
     def rows(self, lo: int, hi: int) -> list[PauliOperator]:
         """Rows lo..hi-1 as Pauli operators, read in one pass."""
         if hi <= lo:
             return []
-        xs, zs = self._gather(np.arange(lo, hi))
-        signs = int.from_bytes(self.r.astype("<u8").tobytes(), "little") >> lo
+        xs, zs = self._gather(self._row_indices(np.arange(lo, hi)))
+        signs = int.from_bytes(self.r.astype("<u8").tobytes(), "little") >> int(lo)
         return [
             PauliOperator(self.n, 2 * ((signs >> k) & 1), x, z)
             for k, (x, z) in enumerate(zip(_row_ints(xs), _row_ints(zs)))
@@ -494,12 +502,6 @@ class Tableau(_PauliColumns):
         rows = _transpose(self._xz, idx)
         half = rows.shape[1] // 2
         return rows[:, :half], rows[:, half:]
-
-    def _pauli_bits(self, x: int, z: int) -> np.ndarray:
-        """The x and z ints of a Pauli word as one 0/1 column of `_xz`."""
-        nbytes = _padded(self.n) // 8
-        raw = np.frombuffer(x.to_bytes(nbytes, "little") + z.to_bytes(nbytes, "little"), np.uint8)
-        return np.unpackbits(raw, bitorder="little")
 
     def _read_row(self, i: int) -> tuple[np.ndarray, np.uint64]:
         """Row i as a 0/1 column of `_xz` (its x bits, then its z bits) and
@@ -526,8 +528,7 @@ class Tableau(_PauliColumns):
 
     def rowsum(self, h: int, i: int):
         """Set generator h to i+h: row h becomes row i times row h."""
-        self._check_row(h)
-        self._check_row(i)
+        h, i = self._row_indices([h, i]).tolist()
         if h == i:
             raise DimensionError("rowsum requires distinct rows")
         self._batch_rowsum(np.array([h]), i)
@@ -640,7 +641,7 @@ class Tableau(_PauliColumns):
     def row_product(self, rows) -> PauliOperator:
         """The group product of the given rows, in order (one segment of
         `_row_products`)."""
-        rows = np.asarray(rows, dtype=np.intp)
+        rows = self._row_indices(rows).astype(np.intp, copy=False)
         words, phase, bad = self._row_products(rows, [rows.size])
         if bad[0]:
             raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
@@ -731,7 +732,7 @@ class Tableau(_PauliColumns):
     def is_deterministic(self, a: int) -> bool:
         """True iff measuring qubit a gives a determinate outcome: no
         stabilizer or logical row (rows r..2n-1) has an X at a.  O(n)."""
-        self._check_qubit(a)
+        a = _qubit_index(self.n, a)
         return not np.any(self._x_column(a, self.rank, 2 * self.n))
 
     def _case_split(self, hits: np.ndarray) -> tuple[int, int]:
@@ -754,8 +755,8 @@ class Tableau(_PauliColumns):
         `pivot` row (case I or III of `_case_split`), whose partner row is
         pivot ± n: every other row in `hits` (the rows of 0..2n-1 that
         anticommute with `row`) is multiplied by the pivot, the pivot moves
-        to `partner`, and `row`, carrying the sign the caller drew, takes its
-        place.
+        to `partner`, and `row`, a Hermitian Pauli carrying the sign the
+        caller drew, takes its place.
 
         The partner row is excluded from the sweep: it anticommutes with the
         pivot, so its product would carry an unrepresentable ±i phase, and it
@@ -776,7 +777,7 @@ class Tableau(_PauliColumns):
             self._write_row(partner, *moved[1])
             pivot, partner, self.rank = n + r, r, r + 1
         self._write_row(partner, *src)
-        self.set_row(pivot, row)
+        self._write_row(pivot, _word_bits(n, row), row.phase_exp // 2)
 
     def _determinate(self, stretch) -> list[MeasurementRecord]:
         """Records of determinate measurements given as (qubit, hits), hits
@@ -810,23 +811,27 @@ class Tableau(_PauliColumns):
         (case II) only the scratch row, so each stretch of them between
         random ones is one `_determinate` call, cut where its row indices
         (16 bytes a row: the hits kept and their joined copy) would pass
-        _STEP_BYTES."""
+        _STEP_BYTES.  An invalid qubit raises as `measure` would, after the
+        measurements before it have taken effect."""
         n = self.n
         records, stretch, size = [], [], 0
         for a in qubits:
-            if 0 <= a < n:
-                hits = self._x_column(a, 0, 2 * n).nonzero()[0]
-                case, p = self._case_split(hits)
-                if case == 2:
-                    if size + hits.size > _STEP_BYTES // 16:
-                        records += self._determinate(stretch)
-                        stretch, size = [], 0
-                    stretch.append((a, hits))
-                    size += hits.size
-                    continue
+            try:
+                a = _qubit_index(n, a)
+            except (TypeError, DimensionError):
+                self._determinate(stretch)
+                raise
+            hits = self._x_column(a, 0, 2 * n).nonzero()[0]
+            case, p = self._case_split(hits)
+            if case == 2:
+                if size + hits.size > _STEP_BYTES // 16:
+                    records += self._determinate(stretch)
+                    stretch, size = [], 0
+                stretch.append((a, hits))
+                size += hits.size
+                continue
             records += self._determinate(stretch)
             stretch, size = [], 0
-            self._check_qubit(a)
             outcome = rng.getrandbits(1) & 1
             z_a = PauliOperator.single(n, a, "Z", 2 * outcome)
             self._collapse(hits, p, (p + n) % (2 * n), z_a)
@@ -1031,11 +1036,10 @@ class PauliTable(_PauliColumns):
         product, as `pauli.multiply` gives it (0 for the other terms):
         phase(p) + |x & z| + |x_p & z_p| + 2 |z & x_p| - |x' & z'| (mod 4),
         each count a sum over the qubits of the unpacked bits."""
-        n, nb = self.n, _padded(self.n) // 8
+        n, pad = self.n, _padded(self.n)
         sel = _pack(where, self._words)
-        raw = np.frombuffer(p.x.to_bytes(nb, "little") + p.z.to_bytes(nb, "little"), np.uint8)
-        pbits = np.unpackbits(raw, bitorder="little")
-        px, pz = np.flatnonzero(pbits[:n]), np.flatnonzero(pbits[8 * nb:8 * nb + n])
+        bits = _word_bits(n, p)
+        px, pz = np.flatnonzero(bits[:n]), np.flatnonzero(bits[pad:pad + n])
         before = np.concatenate((self.x & self.z, self.z[px]))
         self.x[px] ^= sel
         self.z[pz] ^= sel

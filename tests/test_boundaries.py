@@ -1,0 +1,297 @@
+"""The index contract at every engine and accessor: a qubit that is not an
+integer raises TypeError, one outside 0..n-1 or repeated within one
+operation raises DimensionError, a tableau row outside 0..2n likewise, and
+in every case the state is left exactly as it was."""
+
+import random
+import re
+
+import numpy as np
+import pytest
+
+from stabsim import pauli
+from stabsim.beyond import PauliSumState, ProductState, _ProductRun, product_measure_probabilities
+from stabsim.errors import DimensionError
+from stabsim.mixed import MixedTableau, new_mixed
+from stabsim.oracle import CNOT4, H2, DenseState
+from stabsim.pauli import PauliOperator, parse_pauli
+from stabsim.program import CircuitProgram, Cnot, Hadamard, Measure, Phase, execute
+from stabsim.tableau import PauliTable, new_zero_state
+
+N = 3
+T_GATE = np.diag([1, np.exp(1j * np.pi / 4)])
+
+# (bad qubit, exception, full text); a moment names the dtype of its array.
+BAD_QUBITS = [
+    (1.5, TypeError, r"qubit indices must be integers, got float(64)?"),
+    (-1, DimensionError, r"qubit -1 out of range for n=3"),
+    (N, DimensionError, r"qubit 3 out of range for n=3"),
+]
+REPEATED = r"control and target must differ"
+
+
+def expect(exc, text, call, snapshot):
+    before = snapshot()
+    with pytest.raises(exc) as err:
+        call()
+    assert re.fullmatch(text, str(err.value)), str(err.value)
+    assert snapshot() == before
+
+
+def tableau_state(t):
+    # every bit (the scratch row and the padding too), the rank and counters
+    return lambda: (t._xz.tobytes(), t.r.tobytes(), t.rank, t.rowsum_count, t.to_bytes())
+
+
+def scrambled_tableau(mixed: bool):
+    t = new_mixed(N, 2) if mixed else new_zero_state(N)
+    gates = (Hadamard(0), Cnot(0, 1), Phase(1), Cnot(1, 2), Hadamard(2))
+    execute(t, CircuitProgram(N, gates), None)
+    return t
+
+
+# One call per entry point, with the bad qubit q in the named position.
+TABLEAU_CALLS = {
+    "apply_cnot control": lambda t, q: t.apply_cnot(q, 0),
+    "apply_cnot target": lambda t, q: t.apply_cnot(1, q),
+    "apply_hadamard": lambda t, q: t.apply_hadamard(q),
+    "apply_phase": lambda t, q: t.apply_phase(q),
+    "apply_moment": lambda t, q: t.apply_moment([0], [], [1], [q]),
+    "measure": lambda t, q: t.measure(q, random.Random(0)),
+    "measure_run": lambda t, q: t.measure_run([q], random.Random(0)),
+    "is_deterministic": lambda t, q: t.is_deterministic(q),
+}
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("call", TABLEAU_CALLS.values(), ids=TABLEAU_CALLS.keys())
+@pytest.mark.parametrize("q,exc,text", BAD_QUBITS)
+def test_tableau_rejects_a_bad_qubit_unchanged(mixed, call, q, exc, text):
+    t = scrambled_tableau(mixed)
+    expect(exc, text, lambda: call(t, q), tableau_state(t))
+
+
+def test_a_non_integer_moment_reaches_the_moment_check():
+    t = scrambled_tableau(False)
+    for h in ([1.5], np.array([0.0]), [None]):
+        expect(TypeError, r"qubit indices must be integers, got (float64|object)",
+               lambda: t.apply_moment(h, [], [], []), tableau_state(t))
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_tableau_rejects_a_repeated_qubit_unchanged(mixed):
+    t = scrambled_tableau(mixed)
+    expect(DimensionError, REPEATED, lambda: t.apply_cnot(2, 2), tableau_state(t))
+    expect(DimensionError, REPEATED, lambda: t.apply_moment([], [], [2], [2]), tableau_state(t))
+    expect(DimensionError, r"gates of one moment must act on distinct qubits",
+           lambda: t.apply_moment([1], [1], [], []), tableau_state(t))
+
+
+@pytest.mark.parametrize("q,exc,text", BAD_QUBITS)
+def test_measure_run_raises_at_the_bad_qubit_after_the_ones_before_it(q, exc, text):
+    # qubit 0 is random, then determinate twice: the stretch before the bad
+    # qubit writes the scratch row and counts its rowsums.
+    run, one = scrambled_tableau(False), scrambled_tableau(False)
+    r_run, r_one = random.Random(7), random.Random(7)
+    with pytest.raises(exc, match=text):
+        run.measure_run([0, 0, 0, q, 1], r_run)
+    for a in (0, 0, 0):
+        one.measure(a, r_one)
+    assert tableau_state(run)() == tableau_state(one)()
+    assert r_run.getstate() == r_one.getstate()
+
+
+# -- tableau rows 0..2n ------------------------------------------------------------
+
+ROW_CALLS = {
+    "get_row": lambda t, i: t.get_row(i),
+    "set_row": lambda t, i: t.set_row(i, PauliOperator.identity(N)),
+    "rowsum target": lambda t, i: t.rowsum(i, 4),
+    "rowsum source": lambda t, i: t.rowsum(4, i),
+    "rows": lambda t, i: t.rows(i, i + 1),
+    "row_product": lambda t, i: t.row_product([4, i]),
+}
+BAD_ROWS = [
+    (1.5, TypeError, r"row indices must be integers, got float64"),
+    (-1, DimensionError, r"row -1 out of range for n=3"),
+    (2 * N + 1, DimensionError, r"row 7 out of range for n=3"),
+]
+
+
+@pytest.mark.parametrize("call", ROW_CALLS.values(), ids=ROW_CALLS.keys())
+@pytest.mark.parametrize("i,exc,text", BAD_ROWS)
+def test_row_accessors_reject_a_bad_row_unchanged(call, i, exc, text):
+    t = scrambled_tableau(False)
+    expect(exc, text, lambda: call(t, i), tableau_state(t))
+
+
+def silent_cases():
+    """The calls that once answered without raising, each with its error
+    and state: rows 5..7 at n=3 included padding row 7 as +III, row -1 was
+    the scratch row, Measure(-1) measured the last qubit and recorded
+    qubit=-1, and qubit 5 failed on a negative shift count."""
+    t, d = scrambled_tableau(False), dense_state()
+    program = CircuitProgram(N, (Hadamard(2), Measure(-1)))
+    return {
+        "rows": (r"row 7 out of range for n=3", lambda: t.rows(5, 8), tableau_state(t)),
+        "row_product": (r"row -1 out of range for n=3", lambda: t.row_product([-1]),
+                        tableau_state(t)),
+        "product run": (r"qubit -1 out of range for n=3", lambda: product_measure_probabilities(
+            ProductState.all_zeros(N), program, random.Random(0)), lambda: None),
+        "project": (r"qubit 5 out of range for n=3", lambda: d.project(5, 0),
+                    lambda: d.vec.tobytes()),
+    }
+
+
+@pytest.mark.parametrize("case", ["rows", "row_product", "product run", "project"])
+def test_the_entry_points_that_answered_silently_now_raise(case):
+    expect(DimensionError, *silent_cases()[case])
+
+
+def test_rows_in_range_and_rowsum_of_a_row_with_itself():
+    t = scrambled_tableau(False)
+    expect(DimensionError, r"rowsum requires distinct rows", lambda: t.rowsum(4, 4),
+           tableau_state(t))
+    assert t.rows(3, 3) == [] and t.get_row(2 * N) == PauliOperator.identity(N)
+
+
+def test_a_word_of_the_wrong_length_is_rejected_everywhere():
+    t, s, table = scrambled_tableau(False), PauliSumState(N), PauliTable(N)
+    long = parse_pauli("ZZZZ")
+    for call, snapshot in (
+        (lambda: t.set_row(4, long), tableau_state(t)),
+        (lambda: t.anticommuting(long), tableau_state(t)),
+        (lambda: s.measure_pauli(long, random.Random(0)), lambda: sum_state(s)),
+        (lambda: table.multiply(np.ones(1, dtype=bool), long), lambda: table._bits.tobytes()),
+        (lambda: MixedTableau.from_stabilizers(N, [parse_pauli("ZII"), long]), lambda: None),
+    ):
+        expect(DimensionError, r"operator length mismatch", call, snapshot)
+
+
+# -- Pauli-sum, dense and product-state engines -----------------------------------------
+
+
+def sum_state(s):
+    terms = [(t.coeff, t.x, t.z, t.eig) for t in s.terms]
+    return terms, tableau_state(s.tableau)(), s.resource_report()
+
+
+def t_state():
+    s = PauliSumState(N)
+    s.apply_hadamard(0)
+    s.apply_cnot(0, 1)
+    s.apply_unitary(T_GATE, (1,))
+    return s
+
+
+SUM_CALLS = {
+    "apply_unitary": lambda s, q: s.apply_unitary(T_GATE, (q,)),
+    "apply_unitary second": lambda s, q: s.apply_unitary(np.kron(T_GATE, T_GATE), (0, q)),
+    "measure_qubit": lambda s, q: s.measure_qubit(q, random.Random(0)),
+    "measure": lambda s, q: s.measure(q, random.Random(0)),
+    "apply_cnot": lambda s, q: s.apply_cnot(0, q),
+    "apply_hadamard": lambda s, q: s.apply_hadamard(q),
+}
+
+
+@pytest.mark.parametrize("call", SUM_CALLS.values(), ids=SUM_CALLS.keys())
+@pytest.mark.parametrize("q,exc,text", BAD_QUBITS)
+def test_pauli_sum_state_rejects_a_bad_qubit_unchanged(call, q, exc, text):
+    s = t_state()
+    expect(exc, text, lambda: call(s, q), lambda: sum_state(s))
+
+
+def test_pauli_sum_state_rejects_a_repeated_qubit_unchanged():
+    s = t_state()
+    expect(DimensionError, REPEATED, lambda: s.apply_unitary(np.kron(T_GATE, T_GATE), (2, 2)),
+           lambda: sum_state(s))
+    expect(DimensionError, REPEATED, lambda: s.apply_cnot(1, 1), lambda: sum_state(s))
+
+
+def dense_state():
+    d = DenseState(N)
+    execute(d, CircuitProgram(N, (Hadamard(0), Cnot(0, 1), Phase(1), Hadamard(2))), None)
+    return d
+
+
+DENSE_CALLS = {
+    "apply_cnot": lambda d, q: d.apply_cnot(q, 1),
+    "apply_hadamard": lambda d, q: d.apply_hadamard(q),
+    "apply_phase": lambda d, q: d.apply_phase(q),
+    "apply_unitary": lambda d, q: d.apply_unitary(CNOT4, (0, q)),
+    "apply_moment": lambda d, q: d.apply_moment([q], [], [], []),
+    "measure": lambda d, q: d.measure(q, random.Random(0)),
+    "measure_probs": lambda d, q: d.measure_probs(q),
+    "project": lambda d, q: d.project(q, 0),
+}
+
+
+@pytest.mark.parametrize("density", [False, True])
+@pytest.mark.parametrize("call", DENSE_CALLS.values(), ids=DENSE_CALLS.keys())
+@pytest.mark.parametrize("q,exc,text", BAD_QUBITS)
+def test_dense_state_rejects_a_bad_qubit_unchanged(density, call, q, exc, text):
+    d = DenseState(N, density=density)
+    d.apply_unitary(H2, (0,))
+    expect(exc, text, lambda: call(d, q), lambda: d.density_matrix().tobytes())
+
+
+def test_dense_state_rejects_a_repeated_qubit_unchanged():
+    d = dense_state()
+    for call in (lambda: d.apply_cnot(2, 2), lambda: d.apply_unitary(CNOT4, (1, 1))):
+        expect(DimensionError, REPEATED, call, lambda: d.vec.tobytes())
+
+
+@pytest.mark.parametrize("q,exc,text", BAD_QUBITS)
+def test_product_state_run_rejects_a_bad_measured_qubit(q, exc, text):
+    program = CircuitProgram(N, (Hadamard(0), Cnot(0, 1), Measure(0), Measure(q)))
+    with pytest.raises(exc) as err:
+        product_measure_probabilities(ProductState.all_zeros(N), program, random.Random(0))
+    assert re.fullmatch(text, str(err.value))
+
+    run = _ProductRun(ProductState.all_zeros(N))
+    execute(run, CircuitProgram(N, program.instructions[:3]), random.Random(0))
+    expect(exc, text, lambda: run.measure(q, random.Random(0)),
+           lambda: (list(run.xrows), list(run.zrows), list(run.measured), run.q_prev,
+                    list(run.probabilities)))
+
+
+# -- Pauli words and mixed states -------------------------------------------------------
+
+PAULI_CALLS = {
+    "single": lambda p, q: PauliOperator.single(N, q, "Z"),
+    "conjugate_hadamard": lambda p, q: pauli.conjugate_hadamard(p, q),
+    "conjugate_phase": lambda p, q: pauli.conjugate_phase(p, q),
+    "conjugate_cnot control": lambda p, q: pauli.conjugate_cnot(p, q, 0),
+    "conjugate_cnot target": lambda p, q: pauli.conjugate_cnot(p, 0, q),
+}
+
+
+@pytest.mark.parametrize("call", PAULI_CALLS.values(), ids=PAULI_CALLS.keys())
+@pytest.mark.parametrize("q,exc,text", BAD_QUBITS)
+def test_pauli_functions_reject_a_bad_qubit(call, q, exc, text):
+    p = parse_pauli("XYZ")
+    expect(exc, text, lambda: call(p, q), lambda: p)
+
+
+def test_conjugate_cnot_rejects_a_repeated_qubit():
+    expect(DimensionError, REPEATED, lambda: pauli.conjugate_cnot(parse_pauli("XYZ"), 1, 1),
+           lambda: None)
+
+
+@pytest.mark.parametrize("q,exc,text", BAD_QUBITS)
+def test_discard_qubit_rejects_a_bad_qubit_unchanged(q, exc, text):
+    m = scrambled_tableau(True)
+    expect(exc, text, lambda: m.discard_qubit(q), tableau_state(m))
+
+
+def test_numpy_integers_are_qubits_everywhere():
+    t, d = scrambled_tableau(False), dense_state()
+    want_t, want_d = scrambled_tableau(False), dense_state()
+    t.apply_cnot(np.int64(2), np.uint8(0))
+    want_t.apply_cnot(2, 0)
+    d.apply_unitary(CNOT4, np.array([2, 0]))
+    want_d.apply_unitary(CNOT4, (2, 0))
+    assert tableau_state(t)() == tableau_state(want_t)()
+    assert np.array_equal(d.vec, want_d.vec)
+    assert t.get_row(np.int64(4)) == want_t.get_row(4)
+    assert PauliOperator.single(N, np.int32(1), "X") == PauliOperator.single(N, 1, "X")

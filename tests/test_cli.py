@@ -26,7 +26,7 @@ from stabsim.cli import (
     run,
     stabilizer_state_count,
 )
-from stabsim.errors import CorruptTableauError
+from stabsim.errors import CorruptTableauError, ResourceCapError, StabsimError
 from stabsim.program import parse
 from stabsim.synth import canonical_stabilizer_key
 from stabsim.tableau import new_zero_state
@@ -193,6 +193,12 @@ class TestCounting:
             assert main(["count-states", n]) == 3
             assert "resource cap" in capsys.readouterr().err
 
+    def test_bad_counts_are_refused(self, capsys):
+        assert main(["count-states", "0"]) == 2
+        assert "qubit count must be positive" in capsys.readouterr().err
+        with pytest.raises(ResourceCapError, match="capped at 3 qubits"):
+            enumerate_stabilizer_states(4)
+
     def test_key_is_generating_set_independent(self, rng):
         t = new_zero_state(3)
         t.apply_hadamard(0)
@@ -244,6 +250,16 @@ class TestMainEntry:
         assert "unexpected end of file" in capsys.readouterr().err
         f.write_text("gate g 1\n1,0 0,0\n0,0 1,0\nu g 0\nm 0\n")
         assert main(["run", str(f), "--engine", "beyond"]) == 0
+
+    def test_oracle_engine_refuses_a_block_program(self, tmp_path, capsys):
+        f = tmp_path / "block.chp"
+        f.write_text("block 1\n1,0 0,0\n0,0 0,0\nm 0\n")
+        assert main(["run", str(f), "--engine", "oracle"]) == 2
+        assert "the oracle engine starts from |0...0> only" in capsys.readouterr().err
+
+    def test_unknown_engine_is_refused(self):
+        with pytest.raises(StabsimError, match="unknown engine 'bogus'"):
+            run(parse("h 0\nm 0\n"), engine="bogus")
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.chp")]) == 2

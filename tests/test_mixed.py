@@ -292,3 +292,20 @@ def test_snapshot_round_trip(rng):
         apply_mixed_gate(m, random_mixed_gate(3, rng))
     again = MixedTableau.from_bytes(m.to_bytes())
     assert again == m and again.rank == m.rank
+
+
+@pytest.mark.parametrize(
+    "edit,exc,message",
+    [
+        (lambda b: b"XXXX" + b[4:], ValueError, "bad magic in mixed-tableau snapshot"),
+        (lambda b: b[:4] + (2).to_bytes(4, "little") + b[8:], ValueError,
+         "unsupported snapshot version 2"),
+        (lambda b: b[:8] + (4).to_bytes(8, "little") + b[16:], DimensionError,
+         "rank 4 out of range for n=3"),
+    ],
+)
+def test_snapshot_header_errors(edit, exc, message):
+    data = new_mixed(3, 2).to_bytes()
+    with pytest.raises(exc) as err:
+        MixedTableau.from_bytes(edit(data))
+    assert str(err.value) == message

@@ -72,6 +72,23 @@ def test_errors_carry_line_numbers(text, line):
     assert err.value.lineno == line
 
 
+
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("gate g 1\n1,0 0,0\n0,0 1,0\nu g", 4, "u takes a gate name and at least one qubit"),
+        ("gate g 2\n" + "1,0 0,0 0,0 0,0\n" * 4 + "u g 1 1", 6, "u qubits must be distinct"),
+        ("block 0", 1, "block size must be >= 1"),
+        ("gate g 0", 1, "gate size must be >= 1"),
+        ("h 0\nm 0\nif 0", 3, "if takes a measurement index and an instruction"),
+        ("gate g 1\n1,0 0,0\n\n\n", 4, "unexpected end of file inside gate g"),
+    ],
+)
+def test_documented_parse_errors_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.lineno, str(err.value)) == (line, f"line {line}: {message}")
+
 def test_repeated_line_shares_one_instruction():
     prog = parse("h 0\n" * 1000)
     assert prog.instructions == (Hadamard(0),) * 1000

@@ -162,7 +162,7 @@ class TestCnotSynthesis:
     def test_singular_rejected(self, rng):
         with pytest.raises(SingularMatrixError):
             cnot_synth_logdepth(BinaryMatrix(3, 3, [1, 1, 4]))
-        # n = 3 takes the Gauss-Jordan path, n >= 8 the sectioned one.
+        # sections of 1 column at n = 3, of 2 at n = 8 and 9, of 3 at n = 64.
         for n in (3, 8, 9, 64):
             for repeat in (True, False):
                 rows = random_invertible(n, rng).rows

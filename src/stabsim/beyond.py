@@ -49,6 +49,10 @@ PROB_TOL = 1e-8
 # Powers of i as `1j ** k` gives them (1j ** 3 has a -0.0 real part).
 _I_POWERS = np.array([1j ** k for k in range(4)])
 
+# |0><0|, the block of each qubit of `ProductState.all_zeros` (shared, so read-only).
+ZERO_BLOCK = np.array([[1, 0], [0, 0]], dtype=complex)
+ZERO_BLOCK.flags.writeable = False
+
 
 # -- tensor-product initial states ------------------------------------------------
 
@@ -81,8 +85,7 @@ class ProductState:
 
     @classmethod
     def all_zeros(cls, n: int) -> "ProductState":
-        zero = np.array([[1, 0], [0, 0]], dtype=complex)
-        return cls([zero] * n)
+        return cls([ZERO_BLOCK] * n)
 
     def block_traces(self) -> list:
         """Per block, (offset, b, Tr(P rho) for every phase-free Pauli word

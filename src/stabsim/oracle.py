@@ -140,23 +140,25 @@ class DenseState:
         return 1.0 - p1, p1
 
     def project(self, a: int, outcome: int):
-        """Collapse qubit a onto `outcome` and renormalize."""
+        """Collapse qubit a onto `outcome` and renormalize.  ValueError, with
+        the state unchanged, if the outcome has probability zero."""
         bit = 1 << (self.n - 1 - _qubit_index(self.n, a))
         idx = np.arange(1 << self.n)
         kill = ((idx & bit) != 0) != bool(outcome)
         if self.density:
-            self.rho[kill, :] = 0
-            self.rho[:, kill] = 0
-            tr = np.real(np.trace(self.rho))
+            rho = self.rho.copy()
+            rho[kill, :] = 0
+            rho[:, kill] = 0
+            tr = np.real(np.trace(rho))
             if tr < ATOL:
                 raise ValueError("projection onto zero-probability outcome")
-            self.rho /= tr
+            self.rho = rho / tr
         else:
-            self.vec[kill] = 0
-            norm = np.linalg.norm(self.vec)
+            vec = np.where(kill, 0, self.vec)
+            norm = np.linalg.norm(vec)
             if norm < ATOL:
                 raise ValueError("projection onto zero-probability outcome")
-            self.vec /= norm
+            self.vec = vec / norm
 
     def measure(self, a: int, rng) -> MeasurementRecord:
         """Sample a measurement.  Uses one random bit when p = 1/2 so that

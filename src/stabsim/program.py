@@ -79,38 +79,46 @@ def moments(gates, n: int) -> list:
     turn equals applying the gates in program order.
 
     Every gate is checked before the schedule is returned: the first one,
-    in program order, with a qubit outside 0..n-1 (a negative index too) or
-    with its control as its target raises the per-gate method's
-    DimensionError (`pauli._qubit_index`).
+    in program order, with a qubit that is not an integer (TypeError), is
+    outside 0..n-1 (a negative index too) or is its control as its target
+    (DimensionError) raises the per-gate method's error (`pauli._qubit_index`).
     """
     free = [0] * n  # per qubit: the first moment no gate on it has used
     out = []  # per moment: its (h, p, ca, cb) lists
-    for g in gates:
-        kind = type(g)
-        if kind is Cnot:
-            a, b = g.a, g.b
-            if not (0 <= a < n and 0 <= b < n and a != b):
-                _qubit_index(n, b, _qubit_index(n, a))  # raises
-            k = free[a]
-            if free[b] > k:
-                k = free[b]
-            free[a] = free[b] = k + 1
-            if k == len(out):
-                out.append(([], [], [], []))
-            moment = out[k]
-            moment[2].append(a)
-            moment[3].append(b)
-        elif kind is Hadamard or kind is Phase:
-            a = g.a
-            if not 0 <= a < n:
-                _qubit_index(n, a)  # raises
-            k = free[a]
-            free[a] = k + 1
-            if k == len(out):
-                out.append(([], [], [], []))
-            out[k][kind is Phase].append(a)  # the moment's h or p list
-        else:
-            raise StabsimError(f"{g!r} is not a CNOT, H or P gate")
+    try:
+        for g in gates:
+            kind = type(g)
+            if kind is Cnot:
+                a, b = g.a, g.b
+                if not (0 <= a < n and 0 <= b < n and a != b):
+                    _qubit_index(n, b, _qubit_index(n, a))  # raises
+                k = free[a]
+                if free[b] > k:
+                    k = free[b]
+                free[a] = free[b] = k + 1
+                if k == len(out):
+                    out.append(([], [], [], []))
+                moment = out[k]
+                moment[2].append(a)
+                moment[3].append(b)
+            elif kind is Hadamard or kind is Phase:
+                a = g.a
+                if not 0 <= a < n:
+                    _qubit_index(n, a)  # raises
+                k = free[a]
+                free[a] = k + 1
+                if k == len(out):
+                    out.append(([], [], [], []))
+                out[k][kind is Phase].append(a)  # the moment's h or p list
+            else:
+                raise StabsimError(f"{g!r} is not a CNOT, H or P gate")
+    except TypeError:
+        # a qubit of gate g is not an integer (1.5 passes the range test and
+        # fails as a list index, a string fails the test): raise the
+        # per-gate check's TypeError, which names its type
+        for q in (g.a, g.b) if type(g) is Cnot else (g.a,):
+            _qubit_index(n, q)
+        raise
     return out
 
 

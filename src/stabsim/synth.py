@@ -65,6 +65,8 @@ __all__ = [
 ]
 
 ROUND_TYPES = "HCPCPCHPCPC"
+# Most qubits `enumerate_stabilizer_states` (and `stabsim count-states`) enumerates.
+MAX_ENUMERATED_QUBITS = 3
 
 
 @dataclass
@@ -394,8 +396,8 @@ def canonical_stabilizer_key(t: Tableau) -> bytes:
 def enumerate_stabilizer_states(n: int) -> int:
     """Count distinct reachable stabilizer states by breadth-first closure
     under the gate set, keyed by the canonical stabilizer form."""
-    if n > 3:
-        raise ResourceCapError("exhaustive enumeration is capped at 3 qubits")
+    if n > MAX_ENUMERATED_QUBITS:
+        raise ResourceCapError(f"exhaustive enumeration is capped at {MAX_ENUMERATED_QUBITS} qubits")
     gates = [Hadamard(a) for a in range(n)] + [Phase(a) for a in range(n)]
     gates += [Cnot(a, b) for a in range(n) for b in range(n) if a != b]
     start = new_zero_state(n)

@@ -271,21 +271,33 @@ def _cnot(xa, za, xb, zb):
     return flip
 
 
+def _index_array(values, what: str) -> np.ndarray:
+    """`values` as an array of integers, else TypeError naming its dtype.
+    An integer beyond 64 bits stays a Python int in an object array, so
+    that the caller's range check names it as it names any other."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "iu":
+        if a.dtype.kind == "O" and all(isinstance(v, (int, np.integer)) for v in a.flat):
+            return np.array(a.tolist())
+        raise TypeError(f"{what} indices must be integers, got {a.dtype}")
+    return a
+
+
 def _moment_qubits(n: int, h, p, ca, cb) -> tuple:
     """The moment's qubit lists as integer arrays, checked: DimensionError
     for a qubit outside 0..n-1 (the first in h, p, ca, cb order), a CNOT
     whose control is its target, CNOT lists of unequal length or two gates
     on one qubit; TypeError for an index that is not an integer."""
-    h, p, ca, cb = parts = [np.asarray(v) for v in (h, p, ca, cb)]
-    for a in parts:
-        if a.size and a.dtype.kind not in "iu":
-            raise TypeError(f"qubit indices must be integers, got {a.dtype}")
+    h, p, ca, cb = parts = [_index_array(v, "qubit") for v in (h, p, ca, cb)]
     if ca.size != cb.size:
         raise DimensionError("every CNOT needs one control and one target")
-    qubits = np.concatenate(parts, axis=None).astype(np.intp, copy=False)
+    qubits = np.concatenate(parts, axis=None)
     bad = (qubits < 0) | (qubits >= n)
     if bad.any():
-        raise DimensionError(f"qubit {qubits[bad][0]} out of range for n={n}")
+        # named from its own list: the concatenation may have made it a float
+        q = next(v for a in parts for v in a.flat if not 0 <= v < n)
+        raise DimensionError(f"qubit {q} out of range for n={n}")
+    qubits = qubits.astype(np.intp, copy=False)
     if np.bincount(qubits, minlength=1).max() > 1:
         if (ca == cb).any():
             raise DimensionError("control and target must differ")
@@ -460,9 +472,7 @@ class Tableau(_PauliColumns):
         """A row index or an array of them, checked against the rows 0..2n
         (the scratch row included): TypeError unless they are integers,
         DimensionError naming the first one out of range."""
-        idx = np.asarray(rows)
-        if idx.size and idx.dtype.kind not in "iu":
-            raise TypeError(f"row indices must be integers, got {idx.dtype}")
+        idx = _index_array(rows, "row")
         bad = (idx < 0) | (idx > 2 * self.n)
         if bad.any():
             raise DimensionError(f"row {idx[bad][0]} out of range for n={self.n}")
@@ -481,11 +491,14 @@ class Tableau(_PauliColumns):
         self._write_row(i, bits, p.phase_exp // 2)
 
     def rows(self, lo: int, hi: int) -> list[PauliOperator]:
-        """Rows lo..hi-1 as Pauli operators, read in one pass."""
+        """Rows lo..hi-1 as Pauli operators, read in one pass.  The two ends
+        are checked before any index is built (DimensionError names the
+        first end out of range)."""
         if hi <= lo:
             return []
-        xs, zs = self._gather(self._row_indices(np.arange(lo, hi)))
-        signs = int.from_bytes(self.r.astype("<u8").tobytes(), "little") >> int(lo)
+        lo, last = self._row_indices([lo, hi - 1]).tolist()
+        xs, zs = self._gather(np.arange(lo, last + 1))
+        signs = int.from_bytes(self.r.astype("<u8").tobytes(), "little") >> lo
         return [
             PauliOperator(self.n, 2 * ((signs >> k) & 1), x, z)
             for k, (x, z) in enumerate(zip(_row_ints(xs), _row_ints(zs)))

@@ -12,18 +12,20 @@ import numpy as np
 
 from conftest import apply_gate, random_gate
 from stabsim.beyond import PauliSumState
-from stabsim.cli import bench_one, enumerate_stabilizer_states, stabilizer_state_count
 from stabsim.mixed import MixedTableau, new_mixed
 from stabsim.oracle import DenseState, density_from_generators
 from stabsim.overlap import inner_product
 from stabsim.pauli import PauliOperator, multiply
 from stabsim.program import Cnot, Hadamard, Phase, execute, random_unitary_program
+from stabsim.runner import bench_one
 from stabsim.synth import (
     ROUND_TYPES,
     apply_cnots_as_row_ops,
     canonical_generator_key,
     canonical_synthesize,
     cnot_synth_gauss,
+    enumerate_stabilizer_states,
+    stabilizer_state_count,
     tableau_of_program,
 )
 from stabsim.tableau import Tableau, new_zero_state

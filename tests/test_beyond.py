@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_gate, random_gate
-from stabsim import beyond, cli
+from stabsim import beyond, runner
 from stabsim.beyond import (
     PRUNE_TOL,
     PauliSumState,
@@ -672,6 +672,6 @@ def test_folded_tables_hold_at_most_two_to_the_d_words(monkeypatch, d):
         return table
 
     monkeypatch.setattr(PauliTable, "merged", recording_merged)
-    out = cli.run(parse(ghz_block_program(d)), seed=1, engine="beyond")
+    out = runner.run(parse(ghz_block_program(d)), seed=1, engine="beyond")
     assert len(out) == d + 1 and set(out[:-1]) <= {"0", "1"}
     assert sizes and max(sizes) <= 2 ** d

@@ -26,6 +26,7 @@ BAD_QUBITS = [
     (1.5, TypeError, r"qubit indices must be integers, got float(64)?"),
     (-1, DimensionError, r"qubit -1 out of range for n=3"),
     (N, DimensionError, r"qubit 3 out of range for n=3"),
+    (2**70, DimensionError, r"qubit 1180591620717411303424 out of range for n=3"),
 ]
 REPEATED = r"control and target must differ"
 
@@ -73,9 +74,17 @@ def test_tableau_rejects_a_bad_qubit_unchanged(mixed, call, q, exc, text):
 
 def test_a_non_integer_moment_reaches_the_moment_check():
     t = scrambled_tableau(False)
-    for h in ([1.5], np.array([0.0]), [None]):
+    for h in ([1.5], np.array([0.0]), [None], [None, 2**70]):
         expect(TypeError, r"qubit indices must be integers, got (float64|object)",
                lambda: t.apply_moment(h, [], [], []), tableau_state(t))
+
+
+def test_a_moment_names_an_unsigned_qubit_past_int64_exactly():
+    # mixed with the empty lists' float64 arrays, it would print rounded
+    t = scrambled_tableau(False)
+    expect(DimensionError, r"qubit 18446744073709551615 out of range for n=3",
+           lambda: t.apply_moment([], np.array([2**64 - 1], dtype=np.uint64), [], []),
+           tableau_state(t))
 
 
 @pytest.mark.parametrize("mixed", [False, True])
@@ -115,6 +124,7 @@ BAD_ROWS = [
     (1.5, TypeError, r"row indices must be integers, got float64"),
     (-1, DimensionError, r"row -1 out of range for n=3"),
     (2 * N + 1, DimensionError, r"row 7 out of range for n=3"),
+    (2**70, DimensionError, r"row 1180591620717411303424 out of range for n=3"),
 ]
 
 
@@ -146,6 +156,14 @@ def silent_cases():
 @pytest.mark.parametrize("case", ["rows", "row_product", "product run", "project"])
 def test_the_entry_points_that_answered_silently_now_raise(case):
     expect(DimensionError, *silent_cases()[case])
+
+
+def test_rows_past_the_tableau_raise_before_allocating():
+    # one index per row asked for would be 2**70 of them
+    t = scrambled_tableau(False)
+    for lo, hi, first in ((0, 2**70, 2**70 - 1), (-2**70, 2, -2**70), (2**63, 2**63 + 1, 2**63)):
+        expect(DimensionError, rf"row {first} out of range for n=3", lambda: t.rows(lo, hi),
+               tableau_state(t))
 
 
 def test_rows_in_range_and_rowsum_of_a_row_with_itself():
@@ -235,6 +253,14 @@ def test_dense_state_rejects_a_bad_qubit_unchanged(density, call, q, exc, text):
     expect(exc, text, lambda: call(d, q), lambda: d.density_matrix().tobytes())
 
 
+@pytest.mark.parametrize("density", [False, True])
+def test_dense_projection_onto_an_impossible_outcome_leaves_the_state(density):
+    d = DenseState(2, density=density)
+    expect(ValueError, r"projection onto zero-probability outcome", lambda: d.project(0, 1),
+           lambda: d.density_matrix().tobytes())
+    assert d.density_matrix()[0, 0] == 1
+
+
 def test_dense_state_rejects_a_repeated_qubit_unchanged():
     d = dense_state()
     for call in (lambda: d.apply_cnot(2, 2), lambda: d.apply_unitary(CNOT4, (1, 1))):
@@ -250,9 +276,32 @@ def test_product_state_run_rejects_a_bad_measured_qubit(q, exc, text):
 
     run = _ProductRun(ProductState.all_zeros(N))
     execute(run, CircuitProgram(N, program.instructions[:3]), random.Random(0))
-    expect(exc, text, lambda: run.measure(q, random.Random(0)),
-           lambda: (list(run.xrows), list(run.zrows), list(run.measured), run.q_prev,
-                    list(run.probabilities)))
+    expect(exc, text, lambda: run.measure(q, random.Random(0)), product_run_state(run))
+
+
+def product_run_state(run):
+    return lambda: (list(run.xrows), list(run.zrows), list(run.measured), run.q_prev,
+                    list(run.probabilities))
+
+
+# engine name -> (a maker of an N-qubit state, the snapshot of one)
+ENGINE_STATES = {
+    "tableau": (lambda: scrambled_tableau(False), tableau_state),
+    "mixed": (lambda: scrambled_tableau(True), tableau_state),
+    "oracle": (dense_state, lambda d: lambda: d.vec.tobytes()),
+    "pauli sum": (t_state, lambda s: lambda: sum_state(s)),
+    "product run": (lambda: _ProductRun(ProductState.all_zeros(N)), product_run_state),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINE_STATES.values(), ids=ENGINE_STATES.keys())
+@pytest.mark.parametrize("gate", [Hadamard(1.5), Phase(1.5), Cnot(0, 1.5), Cnot(1.5, 0)], ids=repr)
+def test_a_program_with_a_non_integer_qubit_is_refused_unchanged(engine, gate):
+    make, snapshot = engine
+    state = make()
+    program = CircuitProgram(N, (Hadamard(0), gate, Measure(0)))
+    expect(TypeError, r"qubit indices must be integers, got float",
+           lambda: execute(state, program, random.Random(0)), snapshot(state))
 
 
 # -- Pauli words and mixed states -------------------------------------------------------

@@ -1,7 +1,9 @@
+import ast
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -14,21 +16,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabsim import tableau
-from stabsim.cli import (
+from stabsim.cli import main
+from stabsim.errors import CorruptTableauError, ResourceCapError, StabsimError
+from stabsim.program import parse, random_unitary_program
+from stabsim.runner import (
     ENGINES,
     PROGRAMS_DIR,
     BenchConfig,
     bench,
     bench_one,
-    enumerate_stabilizer_states,
     load_demo_program,
-    main,
     run,
-    stabilizer_state_count,
 )
-from stabsim.errors import CorruptTableauError, ResourceCapError, StabsimError
-from stabsim.program import parse
-from stabsim.synth import canonical_stabilizer_key
+from stabsim.synth import (
+    MAX_ENUMERATED_QUBITS,
+    canonical_stabilizer_key,
+    enumerate_stabilizer_states,
+    stabilizer_state_count,
+    tableau_of_program,
+)
 from stabsim.tableau import new_zero_state
 
 
@@ -142,6 +148,18 @@ class TestBench:
         assert lines[0].split(",")[:3] == ["n", "beta", "trial"]
         assert len(lines) == 1 + 2 * 2
 
+    @pytest.mark.parametrize("n,beta", [(40, 0.6), (40, 1.2), (65, 2.0)])
+    def test_rowsums_per_meas_equal_a_measure_loop(self, n, beta):
+        # bench_one measures through measure_run: its rowsum count must be
+        # that of one `measure` per qubit on the same tableau and rng
+        rng = random.Random(4)
+        t = tableau_of_program(random_unitary_program(n, int(beta * n * math.log2(n)), rng))
+        t.rowsum_count = 0
+        for a in range(n):
+            t.measure(a, rng)
+        assert t.rowsum_count > 0
+        assert bench_one(n, beta, seed=4)["rowsums_per_meas"] == t.rowsum_count / n
+
     def test_gate_count_is_floor_beta_n_log_n(self):
         for n, beta in ((16, 0.6), (33, 1.2)):
             row = bench_one(n, beta, seed=1)
@@ -168,8 +186,8 @@ class TestBench:
         assert "resource cap" in capsys.readouterr().err
 
     def test_gate_cap_is_floor_beta_n_log_n(self):
-        from stabsim.cli import MAX_BENCH_GATES
         from stabsim.errors import ResourceCapError
+        from stabsim.runner import MAX_BENCH_GATES
 
         # tested on the config alone: without the cap, running these would
         # generate the gates
@@ -199,6 +217,13 @@ class TestCounting:
         with pytest.raises(ResourceCapError, match="capped at 3 qubits"):
             enumerate_stabilizer_states(4)
 
+    def test_count_states_enumerates_exactly_up_to_the_cap(self, capsys):
+        n = MAX_ENUMERATED_QUBITS + 1
+        assert main(["count-states", str(n)]) == 0
+        assert capsys.readouterr().out == f"n={n} formula={stabilizer_state_count(n)}\n"
+        with pytest.raises(ResourceCapError, match=f"capped at {MAX_ENUMERATED_QUBITS} qubits"):
+            enumerate_stabilizer_states(n)
+
     def test_key_is_generating_set_independent(self, rng):
         t = new_zero_state(3)
         t.apply_hadamard(0)
@@ -206,6 +231,25 @@ class TestCounting:
         u = t.copy()
         u.rowsum(4, 3)  # different generators, same group
         assert canonical_stabilizer_key(t) == canonical_stabilizer_key(u)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "stabsim"
+
+
+def stabsim_imports(path: Path) -> set:
+    """The stabsim modules a source file imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # the package is flat, so a relative import is one from stabsim
+            module = ".".join(filter(None, ["stabsim" if node.level else None, node.module]))
+            names = [f"{module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("stabsim."))
+    return found
 
 
 class TestMainEntry:
@@ -310,7 +354,7 @@ class TestMainEntry:
         def never(*args):
             raise AssertionError("the program ran")
 
-        monkeypatch.setattr("stabsim.cli.execute", never)
+        monkeypatch.setattr("stabsim.runner.execute", never)
         f = tmp_path / "applied.chp"
         f.write_text(T_GATE + body)
         assert main(["run", str(f), "--engine", engine]) == 2
@@ -337,6 +381,20 @@ class TestMainEntry:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0
         assert done.stdout.startswith("usage: stabsim")
+
+    def test_only_python_dash_m_imports_the_cli(self):
+        importers = {path.stem for path in SRC.glob("*.py") if "cli" in stabsim_imports(path)}
+        assert importers == {"__main__"}
+
+    def test_the_cli_leaves_running_to_the_library(self):
+        # engines are reached through stabsim.runner, and `import stabsim`
+        # loads neither the cli nor the runner
+        cli = SRC / "cli.py"
+        assert not stabsim_imports(cli) & {"beyond", "mixed", "oracle", "tableau"}
+        names = {node.id for node in ast.walk(ast.parse(cli.read_text()))
+                 if isinstance(node, ast.Name)}
+        assert "execute" not in names
+        assert not stabsim_imports(SRC / "__init__.py") & {"cli", "runner"}
 
     def test_count_states_output(self, capsys):
         assert main(["count-states", "2"]) == 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabsim.beyond import PauliSumState
-from stabsim.cli import PROGRAMS_DIR, load_demo_program
+from stabsim.runner import PROGRAMS_DIR, load_demo_program
 from stabsim.errors import ParseError, StabsimError
 from stabsim.mixed import MixedTableau
 from stabsim.oracle import DenseState

@@ -57,6 +57,12 @@ ZERO_BLOCK.flags.writeable = False
 # -- tensor-product initial states ------------------------------------------------
 
 
+def _is_qubit_matrix(m: np.ndarray) -> bool:
+    """Whether m is a 2^b x 2^b matrix for some b >= 1."""
+    dim = len(m) if m.ndim else 0
+    return m.shape == (dim, dim) and dim >= 2 and not dim & (dim - 1)
+
+
 class ProductState:
     """Initial state that factors into blocks of at most b qubits each."""
 
@@ -68,9 +74,9 @@ class ProductState:
         off = 0
         for m in blocks:
             m = np.asarray(m, dtype=complex)
-            dim = m.shape[0]
-            if m.shape != (dim, dim) or dim & (dim - 1) or dim < 2:
+            if not _is_qubit_matrix(m):
                 raise DimensionError("blocks must be 2^b x 2^b matrices")
+            dim = len(m)
             if not np.allclose(m, m.conj().T, atol=ATOL):
                 raise NumericalIntegrityError("block is not Hermitian")
             if abs(np.trace(m).real - 1.0) > ATOL or abs(np.trace(m).imag) > ATOL:
@@ -223,9 +229,9 @@ def product_measure_probabilities(
 def nonstab_expand(u: np.ndarray) -> list:
     """Expand a unitary on b' qubits as sum_i c_i P_i with c_i = 2^-b' Tr(P_i U)."""
     u = np.asarray(u, dtype=complex)
-    dim = u.shape[0]
-    if u.shape != (dim, dim) or dim & (dim - 1) or dim < 2:
+    if not _is_qubit_matrix(u):
         raise DimensionError("unitary must be 2^b x 2^b")
+    dim = len(u)
     if not np.allclose(u.conj().T @ u, np.eye(dim), atol=ATOL):
         raise NumericalIntegrityError("matrix is not unitary")
     b = dim.bit_length() - 1

@@ -22,13 +22,17 @@ _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
 def _qubit_index(n: int, q, *others) -> int:
     """Qubit q of an n-qubit register as an int, for an operation whose
     qubits `others` were checked before it.  TypeError if q is not an
-    integer (operator.index takes numpy integers too); DimensionError if it
-    is outside 0..n-1 or is one of `others`.  Every engine checks each
-    qubit of an operation this way before its state changes."""
-    try:
-        q = index(q)
-    except TypeError:
-        raise TypeError(f"qubit indices must be integers, got {type(q).__name__}") from None
+    integer or is a bool (operator.index takes numpy integers too, and
+    True); DimensionError if it is outside 0..n-1 or is one of `others`.
+    Every engine checks each qubit of an operation this way before its
+    state changes."""
+    if type(q) is not int:
+        try:
+            if isinstance(q, bool):
+                raise TypeError
+            q = index(q)
+        except TypeError:
+            raise TypeError(f"qubit indices must be integers, got {type(q).__name__}") from None
     if not 0 <= q < n:
         raise DimensionError(f"qubit {q} out of range for n={n}")
     if q in others:

@@ -79,9 +79,10 @@ def moments(gates, n: int) -> list:
     turn equals applying the gates in program order.
 
     Every gate is checked before the schedule is returned: the first one,
-    in program order, with a qubit that is not an integer (TypeError), is
-    outside 0..n-1 (a negative index too) or is its control as its target
-    (DimensionError) raises the per-gate method's error (`pauli._qubit_index`).
+    in program order, with a qubit that is not an integer or is a bool
+    (TypeError), is outside 0..n-1 (a negative index too) or is its control
+    as its target (DimensionError) raises the per-gate method's error
+    (`pauli._qubit_index`).
     """
     free = [0] * n  # per qubit: the first moment no gate on it has used
     out = []  # per moment: its (h, p, ca, cb) lists
@@ -90,7 +91,7 @@ def moments(gates, n: int) -> list:
             kind = type(g)
             if kind is Cnot:
                 a, b = g.a, g.b
-                if not (0 <= a < n and 0 <= b < n and a != b):
+                if not (0 <= a < n and 0 <= b < n and a != b) or type(a) is bool or type(b) is bool:
                     _qubit_index(n, b, _qubit_index(n, a))  # raises
                 k = free[a]
                 if free[b] > k:
@@ -103,7 +104,7 @@ def moments(gates, n: int) -> list:
                 moment[3].append(b)
             elif kind is Hadamard or kind is Phase:
                 a = g.a
-                if not 0 <= a < n:
+                if not 0 <= a < n or type(a) is bool:
                     _qubit_index(n, a)  # raises
                 k = free[a]
                 free[a] = k + 1

@@ -40,8 +40,8 @@ anticommute with which of another), `_case_split` (the paper's measurement
 cases I-III at any rank, and the pivot), `_collapse` (the update for any
 measured Pauli that anticommutes with a pivot row), `row_product` and
 `_row_products` (consecutive segments of rows multiplied at once),
-`stabilizer_products` (the products of many subsets of the stabilizer rows
-at once), `rowsum`, `apply_cnot_round` and the `PauliTable` methods.
+`stabilizer_signs` (which Pauli-sum terms lie in +-S, and with which sign),
+`rowsum`, `apply_cnot_round` and the `PauliTable` methods.
 
 A product of k commuting rows (a determinate measurement's outcome, or a
 stabilizer-group element in the Pauli-sum engine) is computed in closed
@@ -56,10 +56,9 @@ with X, Z the XOR of all rows.  A determinate measurement leaves the
 tableau as it was, so a stretch of them is one segmented product
 (`_row_products`): the distinct rows are gathered into row-major words
 once, and one prefix XOR along the row axis and per-segment sums give
-every outcome.  For many subsets of the stabilizer rows at once, the cross
-term of a subset m is |m & mU| mod 2 for one GF(2) matrix U over the rows,
-so every subset's X, Z and mU is a single packed product of the masks with
-the stabilizer columns (`stabilizer_products`).
+every outcome.  The trace signs of a Pauli-sum state's terms are segments
+of the same kernel, one per distinct set of stabilizer rows the terms
+select.
 """
 
 from __future__ import annotations
@@ -107,7 +106,7 @@ def _snapshot_bytes(n: int) -> int:
 
 def _unpack_rows(packed: np.ndarray, ncols: int) -> np.ndarray:
     """Packed (rows, words) uint64 -> unpacked (rows, ncols) uint8 bit matrix."""
-    as_bytes = packed.astype("<u8").view(np.uint8).reshape(packed.shape[0], -1)
+    as_bytes = packed.astype("<u8").view(np.uint8)
     bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
     return bits[:, :ncols]
 
@@ -272,10 +271,13 @@ def _cnot(xa, za, xb, zb):
 
 
 def _index_array(values, what: str) -> np.ndarray:
-    """`values` as an array of integers, else TypeError naming its dtype.
-    An integer beyond 64 bits stays a Python int in an object array, so
-    that the caller's range check names it as it names any other."""
+    """`values` as an array of integers, else TypeError naming its dtype
+    (bool for a list holding one: np.asarray makes [0, True] int64).  An
+    integer beyond 64 bits stays a Python int in an object array, so that
+    the caller's range check names it as it names any other."""
     a = np.asarray(values)
+    if a is not values and a.ndim == 1 and not {bool, np.bool_}.isdisjoint(map(type, values)):
+        raise TypeError(f"{what} indices must be integers, got bool")
     if a.size and a.dtype.kind not in "iu":
         if a.dtype.kind == "O" and all(isinstance(v, (int, np.integer)) for v in a.flat):
             return np.array(a.tolist())
@@ -492,12 +494,15 @@ class Tableau(_PauliColumns):
 
     def rows(self, lo: int, hi: int) -> list[PauliOperator]:
         """Rows lo..hi-1 as Pauli operators, read in one pass.  The two ends
-        are checked before any index is built (DimensionError names the
-        first end out of range)."""
+        are checked before any index is built (TypeError unless both are
+        integers; DimensionError names the first end out of range)."""
+        lo, hi = _index_array([lo, hi], "row").tolist()
         if hi <= lo:
             return []
-        lo, last = self._row_indices([lo, hi - 1]).tolist()
-        xs, zs = self._gather(np.arange(lo, last + 1))
+        for i in (lo, hi - 1):
+            if not 0 <= i <= 2 * self.n:
+                raise DimensionError(f"row {i} out of range for n={self.n}")
+        xs, zs = self._gather(np.arange(lo, hi))
         signs = int.from_bytes(self.r.astype("<u8").tobytes(), "little") >> lo
         return [
             PauliOperator(self.n, 2 * ((signs >> k) & 1), x, z)
@@ -661,61 +666,6 @@ class Tableau(_PauliColumns):
         xi, zi = _row_ints(words.reshape(2, -1))
         return PauliOperator(self.n, int(phase[0]), xi, zi)
 
-    def stabilizer_products(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Products of many subsets of the stabilizer rows at once.  `masks`
-        is an (n, w) uint64 array: bit t of row a selects stabilizer row
-        n+a for product t (64 w products).  Returns the products' x and z
-        bits as (n, w) columns, bit t of word k of row j being product
-        64k+t's bit at qubit j, and each product's power of i as a
-        length-64w int64 array: product t is `row_product` of its selected
-        rows in ascending order.
-
-        Every product's bits at qubit j are the XOR of the mask rows a with
-        a stabilizer bit at j: one `_xor_combine` of the masks, selected by
-        the stabilizer columns.  The closed form of the module docstring,
-        summed over the selected rows, gives the power of i as
-        sum y_a + 2 sum r_a + 2 cross - |X & Z| (mod 4), where
-        cross = sum_{a<b} |z_a & x_b| mod 2 = |m & mU| mod 2 for the GF(2)
-        matrix U[a, b] = |z_a & x_b| mod 2 (a < b, else 0).  The columns of
-        U are further selectors of the same combine, and each count is a
-        sum over the unpacked bits of the products.
-
-        Raises CorruptTableauError exactly when `row_product` would for some
-        product: when a selected row anticommutes with the product of the
-        selected rows before it, i.e. some bit of m & mA is set, where
-        A[a, b] (a < b) marks anticommuting stabilizer rows; its columns
-        are selectors of the combine too.  Like `row_product`, it leaves
-        `rowsum_count` alone.
-        """
-        n, pad = self.n, _padded(self.n)
-        w = masks.shape[1]
-        # The stabilizer rows' bits, and their columns packed over the rows.
-        bits = _unpack_rows(self._xz, 2 * n)[:, n:]  # column j, row n+a
-        xbits, zbits = bits[:n], bits[pad:pad + n]
-        cols = np.zeros((2, pad, pad // 8), dtype=np.uint8)
-        cols[:, :n, :(n + 7) // 8] = np.packbits((xbits, zbits), axis=2, bitorder="little")
-        xcols, zcols = cols.view("<u8").astype(np.uint64, copy=False)
-        # V[a, b] = |z_a & x_b| mod 2: row a is the XOR of the x columns at
-        # row a's z bits.  Column b of U and of A = V + V^T keeps rows a < b.
-        v = _xor_combine(xcols, np.packbits(zbits.T, axis=1, bitorder="little"))
-        vt = _transpose(v, np.arange(n))
-        below = np.packbits(np.tri(n, pad, -1, dtype=bool), axis=1, bitorder="little")
-        below = below.view("<u8").astype(np.uint64, copy=False)
-        m = np.zeros((pad, w), dtype=np.uint64)
-        m[:n] = masks
-        sel = np.concatenate((xcols[:n], zcols[:n], vt & below, (v ^ vt) & below))
-        out = _xor_combine(m, sel.view(np.uint8))
-        xs, zs, mu, ma = out[:n], out[n:2 * n], out[2 * n:3 * n], out[3 * n:]
-        if (ma & masks).any():
-            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
-        # Per term: sum of y_a + 2 r_a over its rows, 2 |m & mU|, |X & Z|.
-        y = (xbits & zbits).sum(axis=0, dtype=np.int64)
-        y = (y + 2 * _bits(self.r, 2 * n)[n:].astype(np.int64)) % 4
-        b = _unpack_rows(np.concatenate((masks, masks & mu, xs & zs)), 64 * w)
-        phase = (y @ b[:n] + 2 * b[n:2 * n].sum(axis=0, dtype=np.int64)
-                 - b[2 * n:].sum(axis=0, dtype=np.int64))
-        return xs, zs, phase % 4
-
     def stabilizer_signs(self, words: "PauliTable", where=None) -> tuple[np.ndarray, np.ndarray]:
         """For each term of `words`, its destabilizer mask and the sign with
         which it lies in the stabilizer group: masks is the (n, w) array of
@@ -724,29 +674,30 @@ class Tableau(_PauliColumns):
         generators whose product is ±P_t if P_t is in ±S at all; signs is
         that product's ±1.0 per term, or 0.0 where P_t lies outside ±S.
         Terms outside the bool array `where` get an empty mask: their
-        products cannot raise, and their signs mean nothing."""
-        masks = self.anticommuting_rows(words, 0, self.n)
+        products cannot raise, and their signs mean nothing.  A product is
+        `row_product` of the rows n+a its mask selects, in ascending order,
+        and raises likewise: one `_row_products` segment per distinct mask."""
+        n, k = self.n, words._count
+        masks = self.anticommuting_rows(words, 0, n)
         if where is not None:
             masks &= _pack(where, words._words)
-        xs, zs, phase = self.stabilizer_products(masks)
-        k = words._count
-        outside = _bits(np.bitwise_or.reduce((xs ^ words.x) | (zs ^ words.z), axis=0), k)
-        signs = np.where(phase[:k] != 0, -1.0, 1.0)
-        signs[outside] = 0.0
-        return masks, signs
+        keys = _transpose(masks, np.arange(k))  # row t: term t's mask
+        first, group = _unique_rows(keys)
+        bits = _unpack_rows(keys[first], n)
+        prods, phase, bad = self._row_products(np.flatnonzero(bits) % n + n, bits.sum(axis=1))
+        if bad.any():
+            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
+        cols = _transpose(prods[group], np.r_[:n, _padded(n):_padded(n) + n])
+        outside = _bits(np.bitwise_or.reduce((cols[:n] ^ words.x) | (cols[n:] ^ words.z), axis=0), k)
+        return masks, np.select([outside, phase[group] != 0], [0.0, -1.0], 1.0)
 
     # -- measurement ------------------------------------------------------------
-
-    def _x_column(self, a: int, lo: int, hi: int) -> np.ndarray:
-        """0/1 x bits of qubit a in rows lo..hi-1."""
-        raw = self.x[a].astype("<u8", copy=False).view(np.uint8)
-        return np.unpackbits(raw, count=hi, bitorder="little")[lo:]
 
     def is_deterministic(self, a: int) -> bool:
         """True iff measuring qubit a gives a determinate outcome: no
         stabilizer or logical row (rows r..2n-1) has an X at a.  O(n)."""
         a = _qubit_index(self.n, a)
-        return not np.any(self._x_column(a, self.rank, 2 * self.n))
+        return not _bits(self.x[a], 2 * self.n)[self.rank:].any()
 
     def _case_split(self, hits: np.ndarray) -> tuple[int, int]:
         """(case, pivot) of the paper's rule for measuring a Pauli that
@@ -803,13 +754,11 @@ class Tableau(_PauliColumns):
         if not stretch:
             return []
         lengths = [hits.size for _, hits in stretch]
-        rows = np.concatenate([hits for _, hits in stretch])
-        rows += self.n
+        rows = np.concatenate([hits for _, hits in stretch]) + self.n
         words, phase, bad = self._row_products(rows, lengths)
         done = int(bad.argmax()) if bad.any() else len(stretch)
         if done:
-            bits = np.unpackbits(words[done - 1].astype("<u8", copy=False).view(np.uint8),
-                                 bitorder="little")
+            bits = _unpack_rows(words[done - 1:done], 64 * words.shape[1])[0]
             self._write_row(self.scratch_row, bits, phase[done - 1] >> 1)
             self.rowsum_count += sum(lengths[:done])
         if done < len(stretch):
@@ -834,7 +783,7 @@ class Tableau(_PauliColumns):
             except (TypeError, DimensionError):
                 self._determinate(stretch)
                 raise
-            hits = self._x_column(a, 0, 2 * n).nonzero()[0]
+            hits = _bits(self.x[a], 2 * n).nonzero()[0]
             case, p = self._case_split(hits)
             if case == 2:
                 if size + hits.size > _STEP_BYTES // 16:
@@ -1101,19 +1050,29 @@ class PauliTable(_PauliColumns):
         return out
 
 
+def _unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first occurrence of each distinct row of the (k, words) uint64
+    array `keys`, and per row the number of its distinct row, by one lexsort."""
+    order = np.lexsort(keys.T[::-1])
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    group = np.empty_like(order)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
+
+
 def _merge(keys: np.ndarray, coeff: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Merge row-major term keys: rows equal in every word become one, at
     the place of the first, with coeff summed over them in row order onto
     0j (np.add.at, so each float is as a one-at-a-time sum gives it), and
     sums with |c| <= tol are dropped.  Returns the kept keys and sums."""
-    void = np.ascontiguousarray(keys).view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
-    _, first, group = np.unique(void, return_index=True, return_inverse=True)
+    first, group = _unique_rows(keys)
     if first.size < len(keys):
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
         sums = np.zeros(order.size, dtype=complex)
-        np.add.at(sums, rank[group.ravel()], coeff)
+        np.add.at(sums, rank[group], coeff)
         keys = keys[first[order]]
     else:
         sums = coeff + 0j  # the one-term sum onto 0j: -0.0 parts become 0.0

@@ -1,5 +1,5 @@
 """The index contract at every engine and accessor: a qubit that is not an
-integer raises TypeError, one outside 0..n-1 or repeated within one
+integer (a bool included) raises TypeError, one outside 0..n-1 or repeated within one
 operation raises DimensionError, a tableau row outside 0..2n likewise, and
 in every case the state is left exactly as it was."""
 
@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from stabsim import pauli
-from stabsim.beyond import PauliSumState, ProductState, _ProductRun, product_measure_probabilities
+from stabsim.beyond import (
+    PauliSumState,
+    ProductState,
+    _ProductRun,
+    nonstab_expand,
+    product_measure_probabilities,
+)
 from stabsim.errors import DimensionError
 from stabsim.mixed import MixedTableau, new_mixed
 from stabsim.oracle import CNOT4, H2, DenseState
@@ -27,6 +33,9 @@ BAD_QUBITS = [
     (-1, DimensionError, r"qubit -1 out of range for n=3"),
     (N, DimensionError, r"qubit 3 out of range for n=3"),
     (2**70, DimensionError, r"qubit 1180591620717411303424 out of range for n=3"),
+    (True, TypeError, r"qubit indices must be integers, got bool"),
+    (False, TypeError, r"qubit indices must be integers, got bool"),
+    (np.True_, TypeError, r"qubit indices must be integers, got bool"),
 ]
 REPEATED = r"control and target must differ"
 
@@ -79,6 +88,16 @@ def test_a_non_integer_moment_reaches_the_moment_check():
                lambda: t.apply_moment(h, [], [], []), tableau_state(t))
 
 
+def test_a_moment_mixing_an_integer_and_a_bool_is_refused():
+    # np.asarray makes [0, True] an int64 array, which would act on qubit 1
+    t = scrambled_tableau(False)
+    for moment in (([0, True], [], [], []), ([], [np.False_, 2], [], []), ([], [], [0], [True])):
+        expect(TypeError, r"qubit indices must be integers, got bool",
+               lambda: t.apply_moment(*moment), tableau_state(t))
+    expect(TypeError, r"row indices must be integers, got bool", lambda: t.rows(0, True),
+           tableau_state(t))
+
+
 def test_a_moment_names_an_unsigned_qubit_past_int64_exactly():
     # mixed with the empty lists' float64 arrays, it would print rounded
     t = scrambled_tableau(False)
@@ -125,6 +144,9 @@ BAD_ROWS = [
     (-1, DimensionError, r"row -1 out of range for n=3"),
     (2 * N + 1, DimensionError, r"row 7 out of range for n=3"),
     (2**70, DimensionError, r"row 1180591620717411303424 out of range for n=3"),
+    (True, TypeError, r"row indices must be integers, got bool"),
+    (False, TypeError, r"row indices must be integers, got bool"),
+    (np.True_, TypeError, r"row indices must be integers, got bool"),
 ]
 
 
@@ -295,13 +317,28 @@ ENGINE_STATES = {
 
 
 @pytest.mark.parametrize("engine", ENGINE_STATES.values(), ids=ENGINE_STATES.keys())
-@pytest.mark.parametrize("gate", [Hadamard(1.5), Phase(1.5), Cnot(0, 1.5), Cnot(1.5, 0)], ids=repr)
-def test_a_program_with_a_non_integer_qubit_is_refused_unchanged(engine, gate):
+@pytest.mark.parametrize("gate, kind", [
+    pytest.param(gate, kind, id=repr(gate)) for gate, kind in [
+        (Hadamard(1.5), "float"), (Phase(1.5), "float"), (Cnot(0, 1.5), "float"),
+        (Cnot(1.5, 0), "float"), (Hadamard(True), "bool"), (Phase(np.True_), "bool"),
+        (Cnot(2, True), "bool"), (Cnot(False, 2), "bool"),
+    ]
+])
+def test_a_program_with_a_non_integer_qubit_is_refused_unchanged(engine, gate, kind):
+    # Hadamard(True) would share its moment with Hadamard(0)
     make, snapshot = engine
     state = make()
     program = CircuitProgram(N, (Hadamard(0), gate, Measure(0)))
-    expect(TypeError, r"qubit indices must be integers, got float",
+    expect(TypeError, rf"qubit indices must be integers, got {kind}",
            lambda: execute(state, program, random.Random(0)), snapshot(state))
+
+
+@pytest.mark.parametrize("m", [np.array(1.0), np.zeros((2, 2, 2)), np.eye(3) / 3], ids=repr)
+def test_a_matrix_that_is_not_2b_square_is_a_dimension_error(m):
+    # a 0-d array once failed on m.shape[0] with IndexError
+    expect(DimensionError, r"blocks must be 2\^b x 2\^b matrices", lambda: ProductState([m]),
+           lambda: None)
+    expect(DimensionError, r"unitary must be 2\^b x 2\^b", lambda: nonstab_expand(m), lambda: None)
 
 
 # -- Pauli words and mixed states -------------------------------------------------------

@@ -465,7 +465,7 @@ def test_row_product_of_stabilizer_rows_matches_multiply_fold(n, seed):
 
 def packed_masks(masks, n):
     """Int masks (bit a selects stabilizer a) as the (n, w) generator-major
-    words `Tableau.stabilizer_products` takes: bit t of row a is bit a of
+    words `Tableau.stabilizer_signs` returns: bit t of row a is bit a of
     masks[t]."""
     bits = np.array([[(m >> a) & 1 for m in masks] for a in range(n)], dtype=np.uint8)
     w = (len(masks) + 63) // 64
@@ -479,51 +479,81 @@ def packed_row_int(row) -> int:
     return int.from_bytes(np.asarray(row).astype("<u8").tobytes(), "little")
 
 
-def stabilizer_products_as_ints(t, masks):
-    """`Tableau.stabilizer_products` of int masks, as (x ints, z ints,
-    powers of i), one entry per mask."""
-    xs, zs, phase = t.stabilizer_products(packed_masks(masks, t.n))
-    assert phase.dtype == np.int64
-    col = [packed_row_int(r) for r in xs], [packed_row_int(r) for r in zs]
-    x, z = ([sum(((c >> k) & 1) << j for j, c in enumerate(cs)) for k in range(len(masks))]
-            for cs in col)
-    return x, z, [int(p) for p in phase[:len(masks)]]
+def multiply_all(ops):
+    """The (x, z) word of the product of the Pauli operators ops."""
+    x = z = 0
+    for p in ops:
+        x ^= p.x
+        z ^= p.z
+    return x, z
+
+
+def stabilizer_signs_of(t, words, where=None):
+    """`Tableau.stabilizer_signs` of (x, z) words: (packed masks, signs)."""
+    masks, signs = t.stabilizer_signs(PauliTable(t.n, [(1.0, x, z, 0) for x, z in words]), where)
+    return masks, signs.tolist()
+
+
+def sign_by_row_product(t, m, x, z):
+    """The sign with which the word (x, z) is `row_product` of the
+    stabilizer rows the int mask m selects: +-1.0, 0.0 where the product is
+    another word, None where it raises."""
+    try:
+        w = t.row_product([t.n + j for j in range(t.n) if (m >> j) & 1])
+    except CorruptTableauError:
+        return None
+    return 0.0 if (w.x, w.z) != (x, z) else (-1.0 if w.phase_exp else 1.0)
 
 
 @settings(max_examples=30, deadline=None, database=None)
 @given(n=st.sampled_from([1, 63, 64, 65]), seed=seeds, corrupt=st.booleans())
-def test_stabilizer_products_match_row_product_at_word_boundaries(n, seed, corrupt):
+def test_stabilizer_signs_match_row_product_at_word_boundaries(n, seed, corrupt):
     assume(n > 1 or not corrupt)
     r = random.Random(seed)
     t = random_tableau(n, r, ngates=5 * n)
+    stabs, destabs = t.stabilizer_generators(), t.destabilizer_generators()
     if corrupt:
         # stabilizer a becomes destabilizer b, so it anticommutes with stabilizer b
         a, b = r.sample(range(n), 2)
         t.set_row(n + a, t.get_row(b))
     bits = [1 << r.randrange(n) | 1 << r.randrange(n) for _ in range(4)]
     masks = [0, (1 << n) - 1, *bits] + [r.getrandbits(n) & r.getrandbits(n) for _ in range(6)]
+    # Term m is the word of the stabilizers m selects (before any
+    # corruption), so its destabilizer mask is m.  Times a destabilizer,
+    # which commutes with every destabilizer, it keeps the mask m and lies
+    # outside +-S.
+    inside = [multiply_all([stabs[j] for j in range(n) if (m >> j) & 1]) for m in masks]
+    outside = [(x ^ d.x, z ^ d.z) for (x, z), d in zip(inside, r.choices(destabs, k=len(masks)))]
     before = t.rowsum_count
-    want = []
-    for m in masks:
-        try:
-            want.append(t.row_product([n + j for j in range(n) if (m >> j) & 1]))
-        except CorruptTableauError:
-            want.append(None)
+    want = [sign_by_row_product(t, m, *w) for m, w in zip(masks, inside)]
+    want_out = [sign_by_row_product(t, m, *w) for m, w in zip(masks, outside)]
     assert (None in want) == corrupt  # the all-ones mask takes both rows a and b
-    for m, w in zip(masks, want):
-        if w is None:
+    if not corrupt:
+        assert 0.0 not in want and set(want_out) == {0.0}
+    for m, w, s in zip(masks + masks, inside + outside, want + want_out):
+        if s is None:
             with pytest.raises(CorruptTableauError):
-                stabilizer_products_as_ints(t, [m])
+                stabilizer_signs_of(t, [w])
         else:
-            assert stabilizer_products_as_ints(t, [m]) == ([w.x], [w.z], [w.phase_exp])
-    good = [(m, w) for m, w in zip(masks, want) if w is not None]
-    # 65+ products span two words of the packed masks
+            got = stabilizer_signs_of(t, [w])
+            assert np.array_equal(got[0], packed_masks([m], n)) and got[1] == [s]
+    good = [(m, w, s) for m, w, s in zip(masks + masks, inside + outside, want + want_out)
+            if s is not None]
+    # 65+ terms span two words of the packed masks
     good = (good * (70 // len(good) + 1))[:70]
-    got = stabilizer_products_as_ints(t, [m for m, _ in good])
-    assert got == ([w.x for _, w in good], [w.z for _, w in good], [w.phase_exp for _, w in good])
+    got = stabilizer_signs_of(t, [w for _, w, _ in good])
+    assert np.array_equal(got[0], packed_masks([m for m, _, _ in good], n))
+    assert got[1] == [s for _, _, s in good]
+    # Terms outside `where` get the empty mask, so they cannot raise.
+    where = np.array([s is not None and r.random() < 0.8 for s in want])
+    got = stabilizer_signs_of(t, inside, where)
+    assert np.array_equal(got[0], packed_masks([m if k else 0 for m, k in zip(masks, where)], n))
+    assert [s for s, k in zip(got[1], where) if k] == [s for s, k in zip(want, where) if k]
     if corrupt:
         with pytest.raises(CorruptTableauError):
-            stabilizer_products_as_ints(t, masks)
+            stabilizer_signs_of(t, inside)
+    masks_none, signs_none = stabilizer_signs_of(t, [])
+    assert masks_none.shape == (n, 0) and signs_none == []
     assert t.rowsum_count == before
 
 

@@ -54,11 +54,11 @@ the later X factors gives the product's power of i as
 
 with X, Z the XOR of all rows.  A determinate measurement leaves the
 tableau as it was, so a stretch of them is one segmented product
-(`_row_products`): the distinct rows are gathered into row-major words
-once, and one prefix XOR along the row axis and per-segment sums give
-every outcome.  The trace signs of a Pauli-sum state's terms are segments
-of the same kernel, one per distinct set of stabilizer rows the terms
-select.
+(`_row_products`): the distinct rows are gathered once, word-major (one
+array per word, holding that word of every row), so one prefix XOR along
+the rows and per-segment sums give every outcome.  The trace signs of a
+Pauli-sum state's terms are segments of the same kernel, one per distinct
+set of stabilizer rows the terms select.
 """
 
 from __future__ import annotations
@@ -154,7 +154,8 @@ def _span(lo: int, hi: int, words: int) -> np.ndarray:
     return _int_words([((1 << max(hi - lo, 0)) - 1) << lo], words)[0]
 
 
-# Bytes one step of `_transpose` or `Tableau._row_products` holds per array.
+# Bytes one step of `_transpose` or `Tableau._row_products` (a word-major
+# block of rows, and its prefix XOR) holds per array.
 _STEP_BYTES = 1 << 17
 
 
@@ -272,10 +273,16 @@ def _cnot(xa, za, xb, zb):
 
 def _index_array(values, what: str) -> np.ndarray:
     """`values` as an array of integers, else TypeError naming its dtype
-    (bool for a list holding one: np.asarray makes [0, True] int64).  An
-    integer beyond 64 bits stays a Python int in an object array, so that
-    the caller's range check names it as it names any other."""
-    a = np.asarray(values)
+    (bool for a list holding one: np.asarray makes [0, True] int64), or its
+    shape if it is nested.  An integer beyond 64 bits stays a Python int in
+    an object array, so that the caller's range check names it as it names
+    any other."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # a ragged nesting such as [[1], 2]
+        raise TypeError(f"{what} indices must be integers, got a nested sequence") from None
+    if a.ndim > 1:
+        raise TypeError(f"{what} indices must be integers, got an array of shape {a.shape}")
     if a is not values and a.ndim == 1 and not {bool, np.bool_}.isdisjoint(map(type, values)):
         raise TypeError(f"{what} indices must be integers, got bool")
     if a.size and a.dtype.kind not in "iu":
@@ -606,20 +613,24 @@ class Tableau(_PauliColumns):
         power of i, and whether some prefix product is imaginary, i.e. when
         folding it in one rowsum at a time would raise CorruptTableauError.
 
-        The distinct rows are gathered once.  Whole segments are taken in
-        steps of at most _STEP_BYTES of words (a longer one alone): one XOR
-        accumulate, re-based at each segment start, and np.add.reduceat
-        sums of the module docstring's terms per segment."""
+        The distinct rows are gathered once, word-major: a (2 ceil(n/64), U)
+        block whose row k is word k of every distinct row, so every step runs
+        along the rows.  Whole segments are taken in steps of at most
+        _STEP_BYTES of words (a longer one alone): one XOR accumulate,
+        re-based at each segment start if the step holds several, and
+        np.add.reduceat sums of the module docstring's terms per segment.
+        Per row they are uint8 and may wrap: the phase needs them only mod
+        4, the imaginary-prefix test only their parity."""
         lengths = np.asarray(lengths, dtype=np.intp)
         hw = _padded(self.n) // 64
         present = np.zeros(2 * self.n + 1, dtype=bool)
         present[rows] = True
-        slot = np.cumsum(present) - 1  # row i is gathered row slot[i]
-        uniq = np.flatnonzero(present)
-        gathered = _transpose(self._xz, uniq)
-        signs = _bits(self.r, 2 * self.n + 1)[uniq]
-        full = np.flatnonzero(lengths)  # the empty segments are the identity
-        ends = np.cumsum(lengths[full])
+        slot = present.cumsum() - 1  # row i is gathered row slot[i]
+        uniq = present.nonzero()[0]
+        gathered = np.ascontiguousarray(_transpose(self._xz, uniq).T)
+        signs = _bits(self.r, 2 * self.n + 1)[uniq].view(np.uint8)
+        full = lengths.nonzero()[0]  # the empty segments are the identity
+        ends = lengths[full].cumsum()
         starts = ends - lengths[full]
         bounds = ends.tolist()
         words = np.zeros((lengths.size, 2 * hw), dtype=np.uint64)
@@ -632,26 +643,28 @@ class Tableau(_PauliColumns):
             e = max(s + 1, bisect_right(bounds, lo + step))
             first, last = starts[s:e] - lo, ends[s:e] - (lo + 1)
             idx = slot[rows[lo:bounds[e - 1]]]
-            g = gathered[idx]
-            # XORing each segment's first row with the product of the one
-            # before it restarts the running XOR there.
-            carry = np.bitwise_xor.reduceat(g, first, axis=0)[:-1]
-            g[first[1:]] ^= carry
-            pre = np.bitwise_xor.accumulate(g, axis=0)
-            g[first[1:]] ^= carry
-            xs, zs, xp, zp = g[:, :hw], g[:, hw:], pre[:, :hw], pre[:, hw:]
-            y = np.bitwise_count(xs & zs).sum(axis=1, dtype=np.int64)
-            yp = np.bitwise_count(xp & zp).sum(axis=1, dtype=np.int64)
+            g = gathered.take(idx, axis=1)
+            heads = first[1:]
+            if heads.size:
+                # XORing each segment's first row with the product of the
+                # one before it restarts the running XOR there...
+                g[:, heads] ^= np.bitwise_xor.reduceat(g, first, axis=1)[:, :-1]
+            pre = np.bitwise_xor.accumulate(g, axis=1)
+            g[:, heads] = pre[:, heads]  # ...where the prefix is that row alone
+            xs, zs, xp, zp = g[:hw], g[hw:], pre[:hw], pre[hw:]
+            y = np.bitwise_count(xs & zs).sum(axis=0, dtype=np.uint8)
+            yp = np.bitwise_count(xp & zp).sum(axis=0, dtype=np.uint8)
             t = zp ^ zs  # z of the segment's rows before each row
             t &= xs
-            cross = np.bitwise_count(t).sum(axis=1, dtype=np.int64)
+            cross = np.bitwise_count(t).sum(axis=0, dtype=np.uint8)
             # A prefix is imaginary where the running sum of y and the
             # prefix's |X & Z| differ in parity from their first row's.
-            odd = (np.cumsum(y) - yp) & 1
+            odd = (y.cumsum(dtype=np.uint8) ^ yp) & 1
             seg = full[s:e]
-            sums[:4, seg] = np.add.reduceat(np.stack((y, signs[idx], cross, odd)), first, axis=1)
+            per_row = np.array((y, signs[idx], cross, odd))
+            sums[:4, seg] = np.add.reduceat(per_row, first, axis=1, dtype=np.int64)
             sums[4, seg] = yp[last]
-            words[seg] = pre[last]
+            words[seg] = pre[:, last].T
             s = e
         y, sign, cross, odd, xz = sums
         return words, (y + 2 * sign + 2 * cross - xz) % 4, (odd > 0) & (odd < lengths)

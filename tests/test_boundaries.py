@@ -195,6 +195,28 @@ def test_rows_in_range_and_rowsum_of_a_row_with_itself():
     assert t.rows(3, 3) == [] and t.get_row(2 * N) == PauliOperator.identity(N)
 
 
+NESTED = {
+    "tableau apply_moment": (r"qubit indices must be integers, got an array of shape \(1, 1\)",
+                             lambda t, s: t.apply_moment([[1]], [], [], [])),
+    "tableau apply_moment ragged": (r"qubit indices must be integers, got a nested sequence",
+                                    lambda t, s: t.apply_moment([], [], [[0], 1], [2, 0])),
+    "pauli-sum apply_moment": (r"qubit indices must be integers, got an array of shape \(1, 1\)",
+                               lambda t, s: s.apply_moment([], [], [[0]], [[2]])),
+    "row_product": (r"row indices must be integers, got an array of shape \(1, 2\)",
+                    lambda t, s: t.row_product([[3, 4]])),
+    "rowsum": (r"row indices must be integers, got an array of shape \(2, 1\)",
+               lambda t, s: t.rowsum([3], [4])),
+}
+
+
+@pytest.mark.parametrize("case", NESTED.values(), ids=NESTED.keys())
+def test_nested_index_lists_are_refused_unchanged(case):
+    # a nested list must fail the index check, not numpy's broadcasting or a shift
+    text, call = case
+    t, s = scrambled_tableau(False), t_state()
+    expect(TypeError, text, lambda: call(t, s), lambda: (tableau_state(t)(), sum_state(s)))
+
+
 def test_a_word_of_the_wrong_length_is_rejected_everywhere():
     t, s, table = scrambled_tableau(False), PauliSumState(N), PauliTable(N)
     long = parse_pauli("ZZZZ")

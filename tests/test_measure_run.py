@@ -1,5 +1,6 @@
 import random
 from contextlib import nullcontext
+from functools import cache
 from unittest import mock
 
 import numpy as np
@@ -103,6 +104,60 @@ def test_row_products_match_a_multiply_fold_per_segment(budget, monkeypatch):
             want = PauliOperator.identity(n)
             for i in s:
                 want = multiply(want, t.get_row(i))
+            xi, zi = (int.from_bytes(h.astype("<u8").tobytes(), "little") for h in np.split(w, 2))
+            assert (xi, zi, int(ph)) == (want.x, want.z, want.phase_exp)
+
+
+@cache
+def fold_tableau(n, ghz):
+    """A dense random tableau, or the GHZ state with P on every qubit,
+    whose stabilizer row n is ±Y...Y: |x & z| = n, past 255 at n = 300.
+    Returned with all of its rows as Pauli operators."""
+    if ghz:
+        t = new_zero_state(n)
+        t.apply_hadamard(0)
+        for j in range(1, n):
+            t.apply_cnot(0, j)
+        for j in range(n):
+            t.apply_phase(j)
+    else:
+        t = random_tableau(n, random.Random(n))
+    return t, t.rows(0, 2 * n)
+
+
+@st.composite
+def segments(draw, n):
+    """Segments of rows 0..2n-1, each drawn from a few rows and their
+    partners (destabilizer a and stabilizer a + n anticommute), so that
+    some folds go imaginary; and at times one long segment of the
+    stabilizer rows, over 256 rows long, closed by a destabilizer."""
+    out = []
+    for _ in range(draw(st.integers(1, 24))):
+        pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        row = st.sampled_from(pool).flatmap(lambda a: st.sampled_from([a, a + n]))
+        out.append(draw(st.lists(row, max_size=12)))
+    if draw(st.booleans()):
+        long = list(range(n, 2 * n)) * (256 // n + 1) + [draw(st.integers(0, n - 1))]
+        out.insert(draw(st.integers(0, len(out))), long)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 63, 64, 65, 129, 300]), ghz=st.booleans(),
+       small_steps=st.booleans(), data=st.data())
+def test_row_products_flag_exactly_the_folds_that_go_imaginary(n, ghz, small_steps, data):
+    t, ops = fold_tableau(n, ghz)
+    segs = data.draw(segments(n), label="segments")
+    rows = np.array([i for s in segs for i in s], dtype=np.intp)
+    with mock.patch.object(tableau_module, "_STEP_BYTES", 64) if small_steps else nullcontext():
+        words, phase, bad = t._row_products(rows, [len(s) for s in segs])
+    for s, w, ph, b in zip(segs, words, phase, bad):
+        want, imaginary = PauliOperator.identity(n), False
+        for i in s:
+            want = multiply(want, ops[i])
+            imaginary |= want.phase_exp % 2 == 1
+        assert bool(b) == imaginary
+        if not imaginary:
             xi, zi = (int.from_bytes(h.astype("<u8").tobytes(), "little") for h in np.split(w, 2))
             assert (xi, zi, int(ph)) == (want.x, want.z, want.phase_exp)
 

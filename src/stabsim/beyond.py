@@ -13,8 +13,8 @@ non-stabilizer budget:
   terms (coefficient, Pauli word, per-generator eigenvalue bits) alongside
   a destabilizer+stabilizer tableau.  The terms are a `PauliTable`, packed
   like the tableau's rows: Clifford gates conjugate both with one moment
-  kernel, and a measurement updates, traces and merges the whole table in
-  numpy steps whose floats are those of one term at a time.
+  kernel; a non-stabilizer gate or a measurement updates and merges the
+  whole table in numpy steps whose floats are those of one term at a time.
 """
 
 from __future__ import annotations
@@ -30,13 +30,16 @@ from .errors import (
     ResourceCapError,
     StabsimError,
 )
+from .oracle import check_unitary
 from .pauli import PauliOperator, _qubit_index, multiply
 from .program import CircuitProgram, execute
 from .tableau import (  # noqa: F401  (PauliSumTerm is part of this module's API)
+    MAX_TABLEAU_BYTES,
     MeasurementRecord,
     PauliSumTerm,
     PauliTable,
     _moment_qubits,
+    _term_bytes,
     conjugate_moment,
     new_zero_state,
     sample_outcome,
@@ -87,7 +90,6 @@ class ProductState:
             self.offsets.append(off)
             off += dim.bit_length() - 1
         self.n = off
-        self.max_block = max(b.shape[0].bit_length() - 1 for b in self.blocks)
 
     @classmethod
     def all_zeros(cls, n: int) -> "ProductState":
@@ -102,6 +104,13 @@ class ProductState:
 
 # The phase-free letters I, Z, X, Y as 2 x 2 matrices, indexed 2x + z.
 _LETTERS = np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """(real, imag) of a * b for (real, imag) pairs of arrays, as Python forms
+    a complex product (numpy's complex array product may differ in the last bit)."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _pauli_traces(m: np.ndarray) -> np.ndarray:
@@ -164,7 +173,7 @@ class _ProductRun:
             table = table.merged(coeff, 0.0, joined=moved)
         coeff = table.coefficients()
         for off, b, tr in self.traces:
-            x, z = table.qubit_bits(off, off + b)
+            x, z = table.qubit_bits(range(off, off + b))
             coeff = coeff * tr[x, z]
         total = complex(coeff.sum()) / 2 ** (2 * len(self.measured) + 1)
         if abs(total.imag) > PROB_TOL:
@@ -231,9 +240,8 @@ def nonstab_expand(u: np.ndarray) -> list:
     u = np.asarray(u, dtype=complex)
     if not _is_qubit_matrix(u):
         raise DimensionError("unitary must be 2^b x 2^b")
+    check_unitary(u)
     dim = len(u)
-    if not np.allclose(u.conj().T @ u, np.eye(dim), atol=ATOL):
-        raise NumericalIntegrityError("matrix is not unitary")
     b = dim.bit_length() - 1
     traces = _pauli_traces(u)
     return [(PauliOperator(b, 0, int(x), int(z)), complex(traces[x, z]) / dim)
@@ -306,44 +314,52 @@ class PauliSumState:
     # -- non-stabilizer gates -------------------------------------------------------
 
     def apply_unitary(self, u: np.ndarray, qubits):
-        """Fold a non-stabilizer gate on the given qubits into the term
-        list.  Raises, changing nothing, for a bad qubit (see
-        `pauli._qubit_index`), DimensionError for a matrix that is not
-        2^b x 2^b for b = len(qubits), ResourceCapError past the term cap."""
+        """Fold U = sum_i c_i B_i on the given qubits into the terms: (c, P,
+        e) becomes (c c_i c_k^*, B_i P B_k, e ^ s_k) for every (i, k), s_k
+        the generators B_k anticommutes with, merged in (term, i, k) order.
+        With P = p (x) R, p its word on the gate's qubits, B_i P B_k = (B_i p
+        B_k) (x) R: the key moves by one XOR per (i, k) and the power of i
+        depends on p alone, taken by `multiply` on b qubits per distinct p.
+        Raises, changing nothing, for a bad qubit (`pauli._qubit_index`),
+        DimensionError unless U is 2^b x 2^b for b = len(qubits),
+        NumericalIntegrityError unless it is unitary, and ResourceCapError
+        past the term cap or when the products would pass MAX_TABLEAU_BYTES."""
         qubits = tuple(qubits)
         qubits = [_qubit_index(self.n, q, *qubits[:j]) for j, q in enumerate(qubits)]
         width = len(qubits)
         if np.shape(u)[:1] != (1 << width,):
             raise DimensionError("unitary dimension does not match qubit count")
         expansion = nonstab_expand(u)
-        new_count = len(self.table) * len(expansion) ** 2
+        n, e, table = self.n, len(expansion), self.table
+        new_count = len(table) * e * e
         if new_count > self.term_cap:
             raise ResourceCapError(
                 f"term count {new_count} exceeds cap {self.term_cap}; the "
                 f"4^(2bd) bound after this gate is "
                 f"{4 ** (2 * max(self.max_gate_width, width) * (self.gate_count + 1))}"
             )
-        n = self.n
-
-        def embed(p: PauliOperator) -> tuple:
-            x = z = 0
-            for i, q in enumerate(qubits):
-                x |= ((p.x >> i) & 1) << q
-                z |= ((p.z >> i) & 1) << q
-            return x, z
-
-        emb = [(embed(p), c) for p, c in expansion]
-        smask = PauliTable(n, [(c, *e, 0) for e, c in emb]).generator_masks(self.tableau)
-        products = []
-        for t in self.table:
-            coeff, eig, tp = t.coeff, t.eig, PauliOperator(n, 0, t.x, t.z)
-            for bi, ci in emb:
-                left = multiply(PauliOperator(n, 0, *bi), tp)
-                for (bk, ck), sk in zip(emb, smask):
-                    word = multiply(left, PauliOperator(n, 0, *bk))
-                    c = coeff * ci * np.conj(ck) * (1j ** word.phase_exp)
-                    products.append((c, word.x, word.z, eig ^ sk))
-        self.table = PauliTable(n, products, self.prune_tolerance)
+        need = new_count * _term_bytes(n)
+        if need > MAX_TABLEAU_BYTES:
+            raise ResourceCapError(f"{new_count} terms on {n} qubits need about {need} bytes "
+                                   f"to merge, over the cap of {MAX_TABLEAU_BYTES}")
+        words, cs = zip(*expansion)
+        x, z = table.qubit_bits(qubits)
+        local, which = np.unique(x | z << width, return_inverse=True)
+        left = [[multiply(bi, PauliOperator(width, 0, v, v >> width)) for bi in words]
+                for v in local.tolist()]  # PauliOperator keeps the low `width` bits of v
+        ph = np.array([[[multiply(a, bk).phase_exp for bk in words] for a in row] for row in left],
+                      dtype=np.intp).reshape(-1, e, e)[which]
+        c, b = table.coefficients(), np.array(cs)
+        re, im = _times((c.real[:, None], c.imag[:, None]), (b.real, b.imag))
+        re, im = _times((re[..., None], im[..., None]), (b.real, -b.imag))
+        re, im = _times((re, im), (_I_POWERS.real[ph], _I_POWERS.imag[ph]))
+        coeff = np.empty(re.size, dtype=complex)
+        coeff.real, coeff.imag = re.ravel(), im.ravel()
+        emb = [[sum((v >> j & 1) << q for j, q in enumerate(qubits)) for v in (p.x, p.z)]
+               for p in words]
+        masks = PauliTable(n, [(1, bx, bz, 0) for bx, bz in emb]).generator_masks(self.tableau)
+        shifts = [(xi ^ xk, zi ^ zk, s) for xi, zi in emb for (xk, zk), s in zip(emb, masks)]
+        self.table = table.shifted(shifts, coeff, self.prune_tolerance)
         self.gate_count += 1
         self.max_gate_width = max(self.max_gate_width, width)
 
@@ -356,12 +372,11 @@ class PauliSumState:
         return masks, np.where(table.eig_parity(masks), -signs, signs)
 
     def _trace_sum(self, coeff: np.ndarray, signs: np.ndarray):
-        """Sum of coeff * sign over the terms, 0j where the sign is 0, added
-        one term at a time in order (np.cumsum, not the pairwise np.sum), so
-        every float is that of a one-at-a-time sum.  Before any
-        non-stabilizer gate the sum is a Python complex, after one a numpy
-        scalar, and 0 when there are no terms: the probabilities built from
-        it keep those types."""
+        """Sum of coeff * sign over the terms (0j where the sign is 0), added
+        one at a time in order by np.cumsum, not the pairwise np.sum.  It is
+        a Python complex before any non-stabilizer gate, a numpy scalar after
+        one, and 0 with no terms: the probabilities built from it keep those
+        types."""
         if not len(coeff):
             return 0
         total = np.cumsum(np.concatenate(([0j], np.where(signs != 0, coeff * signs, 0j))))[-1]
@@ -478,23 +493,6 @@ class PauliSumState:
             if mate is None or abs(np.conj(mate) - c) > tol:
                 return False
         return True
-
-    def density_matrix(self) -> np.ndarray:
-        """Dense reconstruction for small n (test use only)."""
-        from .oracle import pauli_matrix
-
-        n = self.n
-        dim = 1 << n
-        gens = self.tableau.stabilizer_generators()
-        gmats = [pauli_matrix(g) for g in gens]
-        rho = np.zeros((dim, dim), dtype=complex)
-        for t in self.terms:
-            m = t.coeff * pauli_matrix(PauliOperator(n, 0, t.x, t.z))
-            for j, gm in enumerate(gmats):
-                sgn = -1.0 if (t.eig >> j) & 1 else 1.0
-                m = m @ (np.eye(dim) + sgn * gm)
-            rho += m
-        return rho / dim
 
 
 def nonstab_apply(state: PauliSumState, u: np.ndarray, qubits: tuple) -> PauliSumState:

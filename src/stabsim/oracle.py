@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, ResourceCapError
+from .errors import DimensionError, NumericalIntegrityError, ResourceCapError
 from .pauli import PauliOperator, _qubit_index
 from .tableau import MeasurementRecord, _moment_qubits, sample_outcome
 
@@ -36,6 +36,13 @@ def pauli_matrix(p: PauliOperator) -> np.ndarray:
     for j in range(p.n):
         m = np.kron(m, _LETTER_MATRIX[p.letter(j)])
     return (1j ** p.phase_exp) * m
+
+
+def check_unitary(u: np.ndarray):
+    """NumericalIntegrityError unless the square complex matrix u is
+    unitary to within ATOL: the check of every engine's `apply_unitary`."""
+    if not np.allclose(u.conj().T @ u, np.eye(len(u)), atol=ATOL):
+        raise NumericalIntegrityError("matrix is not unitary")
 
 
 def density_from_generators(n: int, gens: list[PauliOperator]) -> np.ndarray:
@@ -79,19 +86,28 @@ class DenseState:
 
     def apply_unitary(self, u: np.ndarray, qubits: tuple[int, ...]):
         """Apply a 2^k x 2^k unitary to the listed qubits (first qubit is the
-        most significant bit of the unitary's index space).  A bad qubit
-        raises as `pauli._qubit_index` says, before the state changes."""
+        most significant bit of the unitary's index space).  Raises before
+        the state changes: for a bad qubit as `pauli._qubit_index` says,
+        DimensionError for a matrix of the wrong shape, and
+        NumericalIntegrityError for one that is not unitary
+        (`check_unitary`)."""
         qubits = tuple(qubits)
         qubits = [_qubit_index(self.n, q, *qubits[:j]) for j, q in enumerate(qubits)]
         k = len(qubits)
         u = np.asarray(u, dtype=complex)
         if u.shape != (1 << k, 1 << k):
             raise DimensionError("unitary dimension does not match qubit count")
+        check_unitary(u)
+        self._apply(u, qubits)
+
+    def _apply(self, u: np.ndarray, qubits: list):
+        """Apply the unitary u to the checked, distinct qubits."""
+        k = len(qubits)
         ut = u.reshape([2] * (2 * k))
         ins = list(range(k, 2 * k))
         if self.density:
             t = self.rho.reshape([2] * (2 * self.n))
-            t = np.tensordot(ut, t, axes=(ins, list(qubits)))
+            t = np.tensordot(ut, t, axes=(ins, qubits))
             t = np.moveaxis(t, range(k), qubits)
             cols = [q + self.n for q in qubits]
             t = np.tensordot(np.conj(ut), t, axes=(ins, cols))
@@ -99,7 +115,7 @@ class DenseState:
             self.rho = t.reshape(1 << self.n, 1 << self.n)
         else:
             t = self.vec.reshape([2] * self.n)
-            t = np.tensordot(ut, t, axes=(ins, list(qubits)))
+            t = np.tensordot(ut, t, axes=(ins, qubits))
             t = np.moveaxis(t, range(k), qubits)
             self.vec = t.reshape(-1)
 
@@ -109,20 +125,20 @@ class DenseState:
         Hadamards, phases and CNOTs in that order."""
         h, p, ca, cb = (v.tolist() for v in _moment_qubits(self.n, h, p, ca, cb))
         for a in h:
-            self.apply_unitary(H2, (a,))
+            self._apply(H2, [a])
         for a in p:
-            self.apply_unitary(S2, (a,))
+            self._apply(S2, [a])
         for a, b in zip(ca, cb):
-            self.apply_unitary(CNOT4, (a, b))
+            self._apply(CNOT4, [a, b])
 
     def apply_cnot(self, a: int, b: int):
-        self.apply_unitary(CNOT4, (a, b))
+        self.apply_moment((), (), (a,), (b,))
 
     def apply_hadamard(self, a: int):
-        self.apply_unitary(H2, (a,))
+        self.apply_moment((a,), (), (), ())
 
     def apply_phase(self, a: int):
-        self.apply_unitary(S2, (a,))
+        self.apply_moment((), (a,), (), ())
 
     # -- measurement -----------------------------------------------------------
 

@@ -10,19 +10,16 @@ The bits are stored qubit-major and sliced along the row axis, as in Stim
 the bit of row i at qubit j is bit i & 63 of word i >> 6 of `x[j]` (`z[j]`).
 The phase bits are packed the same way into the W words of `r`.  Bits past
 row 2n are zero.  `x` and `z` are two views of one array, each padded with
-zero columns to a multiple of 64 qubits, so one tableau row's x and z bits
-are read or written in one pass.  A gate on qubits a, b touches only the
-words x[a], z[a], x[b], z[b] and r: O(n/64) word operations.  A moment of
-k gates on distinct qubits (`apply_moment`; `program.execute` schedules
-every run of CNOT/H/P gates into moments) is one fixed set of gathers,
-scatters and XOR reductions over those qubits' columns: O(k n / 64) word
-operations, so the paper's O(n) per gate still holds, in a number of numpy
-calls that does not grow with k.  A measurement
-multiplies a whole set of rows by one pivot row at once: the set is a
-packed row mask, the update of all of its rows is one masked XOR over the
-pivot's support, and their new phases come from a few bit-sliced passes
-along the qubit axis.  The worst case is O(n^2) bit operations in O(n^2/64)
-word operations.
+zero columns to a multiple of 64 qubits, so a row's x and z bits are read
+or written in one pass.  A gate on qubits a, b touches only x[a], z[a],
+x[b], z[b] and r: O(n/64) word operations.  A moment of k gates on distinct
+qubits (`apply_moment`; `program.execute` schedules every run of CNOT/H/P
+gates into moments) is one fixed set of gathers, scatters and XOR
+reductions: O(k n / 64) word operations in a number of numpy calls that
+does not grow with k.  A measurement multiplies a whole packed mask of rows
+by one pivot row at once: one masked XOR over the pivot's support, the new
+phases from a few bit-sliced passes along the qubit axis, O(n^2/64) word
+operations at worst.
 
 Phases mod 4 are counted in bit-sliced form.  For a count c of set bits
 along the qubit axis, bit 0 of c is the XOR of the bits, and bit 1 is the
@@ -31,17 +28,16 @@ the XOR over j of b_j & (b_0 ^ ... ^ b_{j-1}).
 
 The Pauli-sum engine's terms (`PauliTable`) use the same layout with the
 terms in place of the rows, so one moment kernel (`conjugate_moment`)
-conjugates the tableau and the terms, and the term-wise steps of a
-Pauli-sum measurement are whole-table numpy steps.
+conjugates the tableau and the terms, and a measurement or a
+non-stabilizer gate updates every term in whole-table numpy steps.
 
 This module alone knows how the bits are packed.  Other modules go through
-its row reads and writes, `anticommuting_rows` (which strings of one store
-anticommute with which of another), `_case_split` (the paper's measurement
-cases I-III at any rank, and the pivot), `_collapse` (the update for any
-measured Pauli that anticommutes with a pivot row), `row_product` and
-`_row_products` (consecutive segments of rows multiplied at once),
-`stabilizer_signs` (which Pauli-sum terms lie in +-S, and with which sign),
-`rowsum`, `apply_cnot_round` and the `PauliTable` methods.
+its row reads and writes, `anticommuting_rows`, `_case_split` (the paper's
+measurement cases I-III at any rank, and the pivot), `_collapse` (the
+update for a measured Pauli that anticommutes with a pivot row),
+`row_product`, `_row_products`, `stabilizer_signs` (which Pauli-sum terms
+lie in +-S, and with which sign), `rowsum`, `apply_cnot_round` and the
+`PauliTable` methods.
 
 A product of k commuting rows (a determinate measurement's outcome, or a
 stabilizer-group element in the Pauli-sum engine) is computed in closed
@@ -97,6 +93,12 @@ def _padded(n: int) -> int:
 
 def _tableau_bytes(n: int) -> int:
     return (2 * _padded(n) + 1) * _row_words(n) * 8
+
+
+def _term_bytes(n: int) -> int:
+    """Bytes per product term while a Pauli-sum gate merges them: three copies
+    of its key, a bool per key word (`_merge`), 160 for coefficients and indices."""
+    return 25 * ((3 * n + 63) // 64) + 160
 
 
 def _snapshot_bytes(n: int) -> int:
@@ -178,14 +180,12 @@ def _transpose(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def _xor_combine(rows: np.ndarray, sel: np.ndarray) -> np.ndarray:
     """GF(2) combination of packed rows: row k of the result is the XOR of
-    the rows[j] for the set bits j of sel[k], where rows is a C-contiguous
-    (m, w) uint64 array with m a multiple of 8 and sel is (K, nb) uint8,
-    little-endian bit order, selecting among the first 8 nb <= m rows.
-
-    Each block of 8 rows gets a table of all 256 XORs of its rows, so a block
-    costs one lookup per result row (the method of four Russians).  Blocks
-    are taken in groups whose tables and lookups hold no more words than
-    `rows` (or 2^14), in a fixed number of vectorized steps per group."""
+    the rows[j] for the set bits j of sel[k] (rows a C-contiguous (m, w)
+    uint64 array, m a multiple of 8; sel (K, nb) uint8, little-endian, over
+    the first 8 nb <= m rows).  Each block of 8 rows gets a table of all 256
+    XORs of its rows, one lookup per result row (the method of four
+    Russians), in groups whose tables and lookups hold no more words than
+    `rows` (or 2^14), a fixed number of vectorized steps per group."""
     m, w = rows.shape
     nb = sel.shape[1]
     blocks = rows[:8 * nb].reshape(nb, 8, w)
@@ -356,11 +356,9 @@ class _PauliColumns:
             x[cb], z[ca] = xb, za
 
     def apply_moment(self, h, p, ca, cb):
-        """Apply one moment: Hadamards on the qubits h, phase gates on the
-        qubits p and CNOTs from ca[k] to cb[k], all on pairwise-distinct
-        qubits.  Gates on distinct qubits commute and touch distinct columns,
-        so this equals applying them one at a time in any order.  Raises,
-        changing nothing, on a bad moment (see `_moment_qubits`)."""
+        """Apply one moment, checked, as `conjugate_moment` does.  Gates on
+        distinct qubits commute and touch distinct columns, so this equals
+        applying them one at a time in any order."""
         conjugate_moment((self,), h, p, ca, cb)
 
     def apply_cnot(self, a: int, b: int):
@@ -382,13 +380,11 @@ class _PauliColumns:
     # -- anticommutation ---------------------------------------------------------
 
     def anticommuting_rows(self, words: "_PauliColumns", lo: int, hi: int) -> np.ndarray:
-        """Which of the strings in `words` (a `PauliTable`, or a tableau's
-        rows) each of this store's strings lo..hi-1 anticommutes with: a
-        (hi - lo, w) uint64 array, w the word count of `words`, whose row k
-        has bit t set iff string lo+k anticommutes with string t of `words`
-        (see `_anticommutation`).  Batches of up to _BATCH_ELEMS
-        string-qubit-word products take one fixed set of vectorized
-        operations each."""
+        """Which strings of `words` (a `PauliTable`, or a tableau's rows) each
+        of this store's strings lo..hi-1 anticommutes with: a (hi - lo, w)
+        uint64 array, w the word count of `words`, whose row k has bit t set
+        iff string lo+k anticommutes with string t (`_anticommutation`), in
+        batches of up to _BATCH_ELEMS string-qubit-word products."""
         n, w = self.n, words._words
         out = np.zeros((max(hi - lo, 0), w), dtype=np.uint64)
         step = max(1, _BATCH_ELEMS // (n * max(w, 1)))
@@ -489,11 +485,19 @@ class Tableau(_PauliColumns):
 
     # -- row access ---------------------------------------------------------
 
+    def _row_index(self, i) -> int:
+        """One row index, checked by `_row_indices`; a sequence is a TypeError."""
+        idx = self._row_indices(i)
+        if idx.ndim:
+            raise TypeError(f"row indices must be integers, got {type(i).__name__}")
+        return int(idx)
+
     def get_row(self, i: int) -> PauliOperator:
+        i = self._row_index(i)
         return self.rows(i, i + 1)[0]
 
     def set_row(self, i: int, p: PauliOperator):
-        i = int(self._row_indices(i))
+        i = self._row_index(i)
         bits = _word_bits(self.n, p)
         if p.phase_exp % 2:
             raise InvalidTableauError("tableau rows must carry a ±1 phase")
@@ -785,9 +789,8 @@ class Tableau(_PauliColumns):
         rng.getrandbits(1) bit and changes the tableau; a determinate one
         (case II) only the scratch row, so each stretch of them between
         random ones is one `_determinate` call, cut where its row indices
-        (16 bytes a row: the hits kept and their joined copy) would pass
-        _STEP_BYTES.  An invalid qubit raises as `measure` would, after the
-        measurements before it have taken effect."""
+        (16 bytes a row) would pass _STEP_BYTES.  An invalid qubit raises as
+        `measure` would, after the measurements before it took effect."""
         n = self.n
         records, stretch, size = [], [], 0
         for a in qubits:
@@ -923,38 +926,31 @@ class PauliSumTerm:
 
 class PauliTable(_PauliColumns):
     """The terms (coefficient, Pauli word, eigenvalue bits) of a Pauli-sum
-    state, packed like the tableau's rows so that one moment kernel
-    conjugates both (`conjugate_moment`).
+    state, packed like the tableau's rows (`_PauliColumns`, K terms in w =
+    ceil(K/64) words) so that one moment kernel conjugates both.  `eig` (n,
+    w) holds the eigenvalue bits, bit t of `eig[a]` being term t's bit for
+    generator a; `r` holds per term a negation of its coefficient not yet
+    applied (conjugation only negates them, exactly, so it is deferred);
+    `_coeff` holds the complex coefficients.  x, z and eig are the rows of
+    one (3n, w) array, so a term's whole key, x | z << n | eig << 2n, is
+    one row of its transpose."""
 
-    For K terms in w = ceil(K/64) words: `x`, `z` hold the words, bit t of
-    word k of `x[j]` being term 64k+t's x bit at qubit j; `eig` (n, w)
-    holds the eigenvalue bits, bit t of `eig[a]` being term t's bit for
-    generator a; `r` holds one sign bit per term, a negation of its
-    coefficient not yet applied (conjugation only negates coefficients, and
-    negation is exact, so it is deferred); `_coeff` holds the complex
-    coefficients.  x, z and eig are the rows of one (3n, w) array, so a
-    term's whole key, x | z << n | eig << 2n, is one row of its
-    transpose."""
-
-    def __init__(self, n: int, terms=((1.0 + 0j, 0, 0, 0),), tol=None):
+    def __init__(self, n: int, terms=((1.0 + 0j, 0, 0, 0),)):
         """A table of the (coeff, x, z, eig) tuples `terms`, with x, z and
-        eig ints (bit j = qubit j, or generator j for eig).  With a
-        tolerance tol the terms are merged as `merged` merges them."""
+        eig ints (bit j = qubit j, or generator j for eig)."""
         terms = list(terms)
-        self.n = n
         keys = _int_words([x | z << n | e << 2 * n for _, x, z, e in terms], (3 * n + 63) // 64)
-        coeff = np.array([t[0] for t in terms], dtype=complex)
-        if tol is not None:
-            keys, coeff = _merge(keys, coeff, tol)
-        self._set_rows(keys, coeff)
+        self._set_rows(n, keys, np.array([t[0] for t in terms], dtype=complex))
 
-    def _set_rows(self, keys: np.ndarray, coeff: np.ndarray):
-        """Take the terms from their row-major keys and coefficients."""
+    def _set_rows(self, n: int, keys: np.ndarray, coeff: np.ndarray) -> "PauliTable":
+        """Take n qubits' terms from their row-major keys and coefficients."""
+        self.n = n
         self._count = len(coeff)
         self._words = (self._count + 63) // 64
         self._adopt_bits(_transpose(keys, np.arange(3 * self.n)))
         self.r = np.zeros(self._words, dtype=np.uint64)
         self._coeff = coeff
+        return self
 
     def _adopt_bits(self, bits: np.ndarray):
         n = self.n
@@ -1041,11 +1037,11 @@ class PauliTable(_PauliColumns):
         masks laid out as `Tableau.stabilizer_signs` returns them."""
         return _bits(np.bitwise_xor.reduce(self.eig & masks, axis=0), self._count)
 
-    def qubit_bits(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per term, its x bits and its z bits on the qubits lo..hi-1 (at
-        most 62 of them) as int64 arrays (bit j - lo = qubit j)."""
-        weights = np.int64(1) << np.arange(hi - lo, dtype=np.int64)
-        return tuple(weights @ _unpack_rows(v[lo:hi], self._count).astype(np.int64)
+    def qubit_bits(self, qubits) -> tuple[np.ndarray, np.ndarray]:
+        """Per term, its x bits and its z bits on the given qubits (at most
+        62 of them) as int64 arrays (bit k = qubit qubits[k])."""
+        weights = np.int64(1) << np.arange(len(qubits), dtype=np.int64)
+        return tuple(weights @ _unpack_rows(v[qubits], self._count).astype(np.int64)
                      for v in (self.x, self.z))
 
     def merged(self, coeff: np.ndarray, tol: float, where=None, joined=None) -> "PauliTable":
@@ -1057,10 +1053,16 @@ class PauliTable(_PauliColumns):
             keys = keys[where]
         if joined is not None:
             keys = np.concatenate((keys, joined._keys()))
-        out = object.__new__(PauliTable)
-        out.n = self.n
-        out._set_rows(*_merge(keys, coeff, tol))
-        return out
+        return _merge(self.n, keys, coeff, tol)
+
+    def shifted(self, shifts, coeff: np.ndarray, tol: float) -> "PauliTable":
+        """A new table whose term m t + j (m = len(shifts)) is term t with
+        its x, z and eigenvalue bits XORed with the ints shifts[j] = (x, z,
+        eig), with coefficients coeff, merged by `_merge`."""
+        n = self.n
+        moves = _int_words([x | z << n | e << 2 * n for x, z, e in shifts], (3 * n + 63) // 64)
+        keys = self._keys()[:, None] ^ moves
+        return _merge(n, keys.reshape(-1, moves.shape[1]), coeff, tol)
 
 
 def _unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1074,11 +1076,11 @@ def _unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], group
 
 
-def _merge(keys: np.ndarray, coeff: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Merge row-major term keys: rows equal in every word become one, at
-    the place of the first, with coeff summed over them in row order onto
-    0j (np.add.at, so each float is as a one-at-a-time sum gives it), and
-    sums with |c| <= tol are dropped.  Returns the kept keys and sums."""
+def _merge(n: int, keys: np.ndarray, coeff: np.ndarray, tol: float) -> PauliTable:
+    """A table on n qubits of merged row-major term keys: rows equal in
+    every word become one, at the place of the first, with coeff summed
+    over them in row order onto 0j (np.add.at, so each float is as a
+    one-at-a-time sum gives it), and sums with |c| <= tol are dropped."""
     first, group = _unique_rows(keys)
     if first.size < len(keys):
         order = np.argsort(first)
@@ -1090,7 +1092,7 @@ def _merge(keys: np.ndarray, coeff: np.ndarray, tol: float) -> tuple[np.ndarray,
     else:
         sums = coeff + 0j  # the one-term sum onto 0j: -0.0 parts become 0.0
     keep = np.abs(sums) > tol
-    return keys[keep], sums[keep]
+    return object.__new__(PauliTable)._set_rows(n, keys[keep], sums[keep])
 
 
 def new_zero_state(n: int) -> Tableau:

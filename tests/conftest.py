@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from stabsim.oracle import DenseState
@@ -27,6 +28,13 @@ def apply_gate(target, gate):
         target.apply_hadamard(*qubits)
     else:
         target.apply_phase(*qubits)
+
+
+def random_unitary(dim: int, seed: int) -> np.ndarray:
+    """A Haar-random dim x dim unitary (QR of a complex Gaussian matrix)."""
+    a = np.random.default_rng(seed).normal(size=(dim, dim, 2))
+    q, r = np.linalg.qr(a[..., 0] + 1j * a[..., 1])
+    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_tableau(n, rng, ngates=None) -> Tableau:

@@ -5,6 +5,7 @@ in every case the state is left exactly as it was."""
 
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from stabsim.beyond import (
     nonstab_expand,
     product_measure_probabilities,
 )
-from stabsim.errors import DimensionError
+from stabsim.errors import DimensionError, NumericalIntegrityError, ResourceCapError
 from stabsim.mixed import MixedTableau, new_mixed
 from stabsim.oracle import CNOT4, H2, DenseState
 from stabsim.pauli import PauliOperator, parse_pauli
@@ -206,6 +207,9 @@ NESTED = {
                     lambda t, s: t.row_product([[3, 4]])),
     "rowsum": (r"row indices must be integers, got an array of shape \(2, 1\)",
                lambda t, s: t.rowsum([3], [4])),
+    "get_row": (r"row indices must be integers, got list", lambda t, s: t.get_row([3])),
+    "set_row": (r"row indices must be integers, got list",
+                lambda t, s: t.set_row([3], PauliOperator.identity(N))),
 }
 
 
@@ -263,6 +267,38 @@ def test_pauli_sum_state_rejects_a_bad_qubit_unchanged(call, q, exc, text):
     expect(exc, text, lambda: call(s, q), lambda: sum_state(s))
 
 
+def test_pauli_sum_state_refuses_a_matrix_that_is_not_unitary_unchanged():
+    s = t_state()
+    expect(NumericalIntegrityError, r"matrix is not unitary",
+           lambda: s.apply_unitary(NOT_UNITARY, (0,)), lambda: sum_state(s))
+
+
+def test_a_gate_past_the_byte_cap_is_refused_before_it_expands():
+    # 1,024 terms times the 256 products of a 2-qubit gate stay below the
+    # 10^6-term cap, but at n = 4,000 their keys pass MAX_TABLEAU_BYTES.
+    n, r = 4000, random.Random(4000)
+    s = PauliSumState(n)
+    s.apply_moment(range(0, n, 2), [], [], [])
+    s.apply_moment([], [], range(0, n, 2), range(1, n, 2))
+    s.table = PauliTable(n, [(1 / 1024, r.getrandbits(n), r.getrandbits(n), r.getrandbits(n))
+                             for _ in range(1024)])
+    u = np.kron(H2, T_GATE) @ CNOT4
+    assert 1024 * len(nonstab_expand(u)) ** 2 < s.term_cap
+    snapshot = lambda: (s.table._bits.tobytes(), s.table.coefficients().tobytes(),  # noqa: E731
+                        tableau_state(s.tableau)(), s.resource_report())
+    before = snapshot()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError) as err:
+            s.apply_unitary(u, (5, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert re.fullmatch(r"262144 terms on 4000 qubits need about \d+ bytes to merge, over the "
+                        r"cap of 1073741824", str(err.value)), str(err.value)
+    assert peak < 1 << 20 and snapshot() == before
+
+
 def test_pauli_sum_state_rejects_a_repeated_qubit_unchanged():
     s = t_state()
     expect(DimensionError, REPEATED, lambda: s.apply_unitary(np.kron(T_GATE, T_GATE), (2, 2)),
@@ -295,6 +331,18 @@ def test_dense_state_rejects_a_bad_qubit_unchanged(density, call, q, exc, text):
     d = DenseState(N, density=density)
     d.apply_unitary(H2, (0,))
     expect(exc, text, lambda: call(d, q), lambda: d.density_matrix().tobytes())
+
+
+NOT_UNITARY = np.array([[2, 0], [0, 0]])
+
+
+@pytest.mark.parametrize("density", [False, True])
+def test_dense_state_refuses_a_matrix_that_is_not_unitary_unchanged(density):
+    d = DenseState(N, density=density)
+    d.apply_unitary(H2, (0,))
+    for u, qubits in ((NOT_UNITARY, (0,)), (np.kron(NOT_UNITARY, H2), (2, 1)), (2 * CNOT4, (0, 1))):
+        expect(NumericalIntegrityError, r"matrix is not unitary", lambda: d.apply_unitary(u, qubits),
+               lambda: d.density_matrix().tobytes())
 
 
 @pytest.mark.parametrize("density", [False, True])

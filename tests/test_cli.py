@@ -329,6 +329,15 @@ class TestMainEntry:
         f.write_text("block 1\n0.9,0 0,0\n0,0 0.2,0\nm 0\n")  # trace 1.1
         assert main(["run", str(f), "--engine", "beyond"]) == 4
 
+    @pytest.mark.parametrize("engine", ["beyond", "oracle"])
+    def test_a_non_unitary_gate_exit_code(self, tmp_path, capsys, engine):
+        # the oracle once ran this gate and printed "m 0 -> 0 (determinate)"
+        f = tmp_path / "nonunitary.chp"
+        f.write_text("gate g 1\n2,0 0,0\n0,0 0,0\nh 0\nu g 0\nm 0\n")
+        assert main(["run", str(f), "--engine", engine, "--seed", "1", "-v"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "matrix is not unitary" in err
+
     def test_corrupt_tableau_exit_code(self, tmp_path, capsys, monkeypatch):
         def corrupt(self, qubits, rng):
             raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_unitary
+
 from stabsim.beyond import PRUNE_TOL, PROB_TOL, PauliSumState, nonstab_expand
 from stabsim.errors import CorruptTableauError, DimensionError, NumericalIntegrityError
 from stabsim.pauli import (
     PauliOperator,
-    commutes,
     conjugate_cnot,
     conjugate_hadamard,
     conjugate_phase,
@@ -60,10 +61,7 @@ class ReferencePauliSum:
 
     def _masks(self, words, lo, hi):
         rows = [self.tableau.get_row(i) for i in range(lo, hi)]
-        return [
-            sum(commutes(PauliOperator(self.n, 0, x, z), r) << j for j, r in enumerate(rows))
-            for x, z in words
-        ]
+        return [sum(symplectic(x, z, r.x, r.z) << j for j, r in enumerate(rows)) for x, z in words]
 
     def _set_terms(self, pairs):
         merged = {}
@@ -240,6 +238,35 @@ def test_term_counts_cross_the_word_boundaries():
     assert {1, 2, 3} <= words, sorted(seen)
 
 
+@pytest.mark.parametrize("n, seed, grows_past", [(2, 0, 16), (5, 1, 64), (24, 2, 1024), (65, 3, 256)])
+def test_haar_random_gates_match_the_per_term_engine(n, seed, grows_past):
+    """Generic 1- and 2-qubit gates (every Pauli letter in their expansions,
+    up to 16 words) on qubits entangled by a random Clifford circuit, a
+    measurement after each: the whole-table gate step gives the per-term
+    products' coefficients to the bit."""
+    r = random.Random(seed)
+    state, ref = PauliSumState(n), ReferencePauliSum(n)
+    run = [random_clifford(n, r) for _ in range(4 * n)]
+    execute(state, CircuitProgram(n, tuple(run)), None)
+    for g in run:
+        ref.gate(g)
+    rs, rr = random.Random(seed), random.Random(seed)
+    widths, counts = set(), []
+    for step in range(10):
+        qubits = r.sample(range(n), 2 - step % 2)
+        if len(ref.terms) * 4 ** (2 * len(qubits)) <= 6_000:
+            u = random_unitary(1 << len(qubits), 100 * seed + step)
+            widths.add(len(nonstab_expand(u)))
+            state.apply_unitary(u, qubits)
+            ref.apply_unitary(u, qubits)
+            assert term_list(state.terms) == ref_term_list(ref)
+            counts.append(len(ref.terms))
+        q = PauliOperator.single(n, r.randrange(n), "Z")
+        assert repr(state.measure_pauli(q, rs)) == repr(ref.measure_pauli(q, rr))
+        assert term_list(state.terms) == ref_term_list(ref)
+    assert widths == {4, 16} and max(counts) > grows_past, counts
+
+
 def split_terms(state, ref, count):
     """Split terms (c, P, e) into two halves (c/2, P, e) until there are
     `count` of them: the same density matrix, in both engines."""
@@ -271,13 +298,15 @@ def test_exact_term_counts_at_word_boundaries(count):
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 129])
 @pytest.mark.parametrize("n", [3, 64, 70])
 def test_qubit_bits_read_each_terms_bits_on_a_qubit_range(n, count):
+    # ranges, as the product-state run reads its blocks, and a gate's qubits in any order
     r = random.Random(n * count)
     table = PauliTable(n, [(1, r.getrandbits(n), r.getrandbits(n), r.getrandbits(n)) for _ in range(count)])
-    for lo, hi in ((0, min(n, 62)), (n - 1, n), (n // 3, n // 3 + 2), (n - min(n, 40), n)):
-        mask = (1 << hi - lo) - 1
-        x, z = table.qubit_bits(lo, hi)
-        assert x.tolist() == [t.x >> lo & mask for t in table]
-        assert z.tolist() == [t.z >> lo & mask for t in table]
+    ranges = [range(lo, hi) for lo, hi in ((0, min(n, 62)), (n - 1, n), (n // 3, n // 3 + 2),
+                                            (n - min(n, 40), n))]
+    for qubits in ranges + [[n - 1, 0], r.sample(range(n), min(n, 5))]:
+        x, z = table.qubit_bits(qubits)
+        assert x.tolist() == [sum((t.x >> q & 1) << k for k, q in enumerate(qubits)) for t in table]
+        assert z.tolist() == [sum((t.z >> q & 1) << k for k, q in enumerate(qubits)) for t in table]
 
 
 @pytest.mark.parametrize("bad", [Hadamard(6), Phase(-1), Cnot(2, 2), Cnot(0, 9)])

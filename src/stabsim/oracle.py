@@ -40,8 +40,11 @@ def pauli_matrix(p: PauliOperator) -> np.ndarray:
 
 def check_unitary(u: np.ndarray):
     """NumericalIntegrityError unless the square complex matrix u is
-    unitary to within ATOL: the check of every engine's `apply_unitary`."""
-    if not np.allclose(u.conj().T @ u, np.eye(len(u)), atol=ATOL):
+    unitary to within ATOL: the check of every engine's `apply_unitary`.
+    The rule is np.allclose's, |U^dagger U - I| <= ATOL + 1e-5 I elementwise
+    (so a NaN or an inf fails), without its set-up cost."""
+    eye = np.eye(len(u))
+    if not (np.abs(u.conj().T @ u - eye) <= ATOL + 1e-5 * eye).all():
         raise NumericalIntegrityError("matrix is not unitary")
 
 

@@ -1,11 +1,12 @@
 """Inner products between stabilizer states.
 
 |<psi|phi>| is either 0 (the stabilizers contain the same Pauli word with
-opposite signs) or 2**(-s/2).  We rotate |psi> to |0...0> with the rounds
-that reduce its stabilizers (H and P gates, and CNOT rounds kept as GF(2)
-matrices, never written out as gates), apply the same rounds to |phi>, and
-Gaussian-eliminate the resulting stabilizer: s is the X-block rank, and a
-zero overlap shows up as a residual Z-type generator with a minus sign.
+opposite signs) or 2**(-s/2).  With |psi> = U|0...0>, we rotate both states
+by U^-1, which takes |psi> to |0...0>: the tableau of U^-1 is
+`Tableau.inverse` of psi's tableau, in closed form, and that of U^-1|phi> is
+its composition with phi's (`Tableau.compose`).  Gaussian elimination of the
+rotated stabilizer then gives s as its X-block rank, and a zero overlap
+shows up as a residual Z-type generator with a minus sign.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptTableauError, DimensionError, InvalidTableauError
+from .errors import CorruptTableauError, DimensionError
 from .gf2 import rref
-from .pauli import PauliOperator
-from .synth import _apply_segments, _reduce_stabilizers, require_pure
 from .tableau import Tableau
 
 
@@ -34,19 +33,13 @@ class OverlapResult:
 
 
 def inner_product(t1: Tableau, t2: Tableau) -> OverlapResult:
-    """|<psi|phi>| for the states of two tableaus.  Inputs are not mutated."""
+    """|<psi|phi>| for the states of two tableaus.  Inputs are not mutated.
+    InvalidTableauError for a tableau of rank < n, or a t1 whose rows break
+    the commutation conditions; of t2, only the stabilizer rows matter."""
     if t1.n != t2.n:
         raise DimensionError(f"states have different sizes: {t1.n} != {t2.n}")
-    require_pure(t1)
-    require_pure(t2)
     n = t1.n
-    segments = [[] for _ in range(11)]
-    psi = t1.copy()
-    _reduce_stabilizers(psi, segments)
-    if psi.stabilizer_generators() != [PauliOperator.single(n, j, "Z") for j in range(n)]:
-        raise InvalidTableauError("reduction did not map the state to |0...0>")
-    rotated = t2.copy()
-    _apply_segments(rotated, segments)
+    rotated = t1.inverse().compose(t2)
 
     # Eliminate the stabilizer rows' X block; each row carries the set of
     # original rows it is the product of.  s is the X-block rank.

@@ -145,17 +145,6 @@ def _emit_cnot_round(t: Tableau, segments: list, k: int, e: BinaryMatrix, e_inv:
     t.apply_cnot_round(*_column_maps(e, e_inv))
 
 
-def _apply_segments(t: Tableau, segments):
-    """Replay recorded rounds onto a tableau: each H and P round as ASAP
-    moments (`apply_gates`), each recorded C round as one (E, E^-1) matrix
-    application."""
-    for kind, seg in zip(ROUND_TYPES, segments):
-        if kind == "C" and seg:
-            t.apply_cnot_round(*_column_maps(*seg))
-        elif seg:
-            apply_gates(t, seg)
-
-
 # -- the 11-step reduction ------------------------------------------------------
 
 
@@ -189,10 +178,12 @@ def _clear_symmetric_z(t: Tableau, segments: list, k: int, lo: int, what: str):
     _emit_cnot_round(t, segments, k + 3, m_inv, m)
 
 
-def _reduce_stabilizers(t: Tableau, segments: list):
-    """Rounds 1-7: map the stabilizer generators to +Z_j (the state to
-    |0...0>), recording each gate into its round.  Reads only the stabilizer
-    rows."""
+def _reduce_to_identity(t: Tableau, segments: list):
+    """Reduce a valid tableau to the standard initial tableau, recording each
+    gate into its round.  Rounds 1-7 map the stabilizer generators to +Z_j
+    (the state to |0...0>).  The destabilizer X block is then the identity
+    and its Z block symmetric, so rounds 8-11 repeat rounds 3-6 on the
+    destabilizer rows."""
     n = t.n
     # (1) Hadamards give the stabilizer X block full rank.
     _emit(t, segments, 0, [Hadamard(a) for a in hadamard_fix_rank(t)])
@@ -203,47 +194,22 @@ def _reduce_stabilizers(t: Tableau, segments: list):
     _clear_symmetric_z(t, segments, 2, n, "stabilizer")
     # (7) Hadamards on all qubits swap the X and Z blocks.
     _emit(t, segments, 6, [Hadamard(a) for a in range(n)])
-
-
-def _reduce_to_identity(t: Tableau, segments: list):
-    """Reduce a valid tableau to the standard initial tableau, recording each
-    gate into its round.  After round 7 the destabilizer X block is the
-    identity and its Z block symmetric, so rounds 8-11 repeat rounds 3-6 on
-    the destabilizer rows."""
-    _reduce_stabilizers(t, segments)
+    # (8)-(11) The same four rounds on the destabilizer rows.
     _clear_symmetric_z(t, segments, 7, 0, "destabilizer")
-    if t != new_zero_state(t.n):
+    if t != new_zero_state(n):
         raise InvalidTableauError("reduction did not reach the standard tableau")
-
-
-def require_pure(t: Tableau):
-    """Reject a mixed tableau of rank < n: its rows past the rank are logical
-    operators, not stabilizer generators, so they do not describe its state."""
-    if t.rank < t.n:
-        raise InvalidTableauError(
-            f"mixed state of rank {t.rank} < n={t.n} is not a pure stabilizer state"
-        )
 
 
 def canonical_synthesize(t: Tableau) -> CanonicalCircuit:
     """Canonical H-C-P-C-P-C-H-P-C-P-C circuit whose tableau equals `t`.
 
-    First reduces a copy of `t` to the identity (those rounds realize the
-    inverse Clifford), replays them to obtain the inverse tableau, and then
-    reduces that: the second reduction's rounds rebuild `t` from scratch.
-    Both reductions keep their C rounds as GF(2) matrices; only the five
-    output rounds are synthesized into CNOT gates.
+    Reduces the inverse tableau (`Tableau.inverse`, in closed form) to the
+    standard one; the reduction's rounds, in order, rebuild `t` from scratch.
+    Its C rounds stay GF(2) matrices until the five of the output circuit are
+    synthesized into CNOT gates.  Raises InvalidTableauError as `inverse` does.
     """
-    require_pure(t)
-    if not t.satisfies_invariants():
-        raise InvalidTableauError("tableau violates the commutation conditions")
-    scratch = [[] for _ in range(11)]
-    first = t.copy()
-    _reduce_to_identity(first, scratch)
-    inverse = new_zero_state(t.n)
-    _apply_segments(inverse, scratch)
     segments = [[] for _ in range(11)]
-    _reduce_to_identity(inverse, segments)
+    _reduce_to_identity(t.inverse(), segments)
     for k, kind in enumerate(ROUND_TYPES):
         if kind == "C":
             segments[k] = cnot_synth_logdepth(segments[k][0].transpose())

@@ -36,8 +36,8 @@ its row reads and writes, `anticommuting_rows`, `_case_split` (the paper's
 measurement cases I-III at any rank, and the pivot), `_collapse` (the
 update for a measured Pauli that anticommutes with a pivot row),
 `row_product`, `_row_products`, `stabilizer_signs` (which Pauli-sum terms
-lie in +-S, and with which sign), `rowsum`, `apply_cnot_round` and the
-`PauliTable` methods.
+lie in +-S, and with which sign), `rowsum`, `apply_cnot_round`, `compose`
+and `inverse` (products and inverses of Cliffords) and the `PauliTable` methods.
 
 A product of k commuting rows (a determinate measurement's outcome, or a
 stabilizer-group element in the Pauli-sum engine) is computed in closed
@@ -864,6 +864,66 @@ class Tableau(_PauliColumns):
             new &= keep
             a |= new
 
+    # -- the Clifford group ----------------------------------------------------------
+
+    def _require_pure(self):
+        """InvalidTableauError unless the rank is n: past it, the rows of a
+        mixed tableau are logical operators, so no Clifford is defined."""
+        if self.rank < self.n:
+            raise InvalidTableauError(
+                f"mixed state of rank {self.rank} < n={self.n} is not a pure stabilizer state"
+            )
+
+    def _with_columns(self, cols: np.ndarray, signs: np.ndarray) -> "Tableau":
+        """A tableau on n qubits whose x and z columns are the rows of the
+        (2n, <= W) packed array cols, with the W packed sign bits `signs`."""
+        t = Tableau(self.n)
+        t._xz[:] = 0
+        t.x[:, :cols.shape[1]], t.z[:, :cols.shape[1]] = cols[:self.n], cols[self.n:]
+        t.r = signs
+        return t
+
+    def compose(self, first: "Tableau") -> "Tableau":
+        """The tableau of `first`'s Clifford followed by this one's.  Row i of
+        `first`, i^{|x&z|} (-1)^r X^x Z^z, goes to the same product of this
+        tableau's rows: its destabilizer rows by the x bits, then its
+        stabilizer rows by the z bits, all 2n rows one `_row_products` call.
+        The kernel's imaginary-prefix flag is expected (a destabilizer and
+        its stabilizer anticommute) and ignored; an odd final power of i
+        raises CorruptTableauError.  InvalidTableauError unless both have
+        rank n.  Neither tableau changes."""
+        if first.n != self.n:
+            raise DimensionError(f"tableaus have different sizes: {self.n} != {first.n}")
+        self._require_pure()
+        first._require_pure()
+        n = self.n
+        xs, zs = first.bit_matrix()
+        sel = np.concatenate((xs, zs), axis=1)  # column c selects row c
+        words, phase, _ = self._row_products(np.flatnonzero(sel) % (2 * n), sel.sum(axis=1))
+        phase += (xs & zs).sum(axis=1, dtype=np.int64) + 2 * _bits(first.r, 2 * n)
+        if (phase & 1).any():
+            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
+        cols = _transpose(words, np.r_[:n, _padded(n):_padded(n) + n])
+        return self._with_columns(cols, _pack((phase & 2) > 0, self._words))
+
+    def inverse(self) -> "Tableau":
+        """The tableau of the inverse Clifford, in closed form, as Stim's
+        `Tableau::inverse` (Gidney 2021).  If M = [[A, B], [C, D]] holds the
+        destabilizer (A, B) and stabilizer (C, D) x | z blocks, the inverse's
+        is M^-1 = [[D^T, B^T], [C^T, A^T]]: its x columns are the stabilizer
+        halves, and its z columns the destabilizer halves, of this tableau's
+        z then x columns.  Composing this tableau with that unsigned inverse
+        gives ± the standard tableau, and a row whose image is - takes a minus
+        sign.  InvalidTableauError if the rank is below n or the rows fail
+        `satisfies_invariants`; the tableau does not change."""
+        self._require_pure()
+        if not self.satisfies_invariants():
+            raise InvalidTableauError("tableau violates the commutation conditions")
+        n = self.n
+        cols = _transpose(np.concatenate((self.z, self.x)), np.r_[n:2 * n, :n])
+        unsigned = self._with_columns(cols, np.zeros_like(self.r))
+        return self._with_columns(cols, self.compose(unsigned).r)
+
     # -- binary snapshots -----------------------------------------------------------
 
     def to_bytes(self) -> bytes:
@@ -1069,8 +1129,9 @@ def _unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first occurrence of each distinct row of the (k, words) uint64
     array `keys`, and per row the number of its distinct row, by one lexsort."""
     order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
     new = np.ones(len(keys), dtype=bool)
-    new[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     group = np.empty_like(order)
     group[order] = np.cumsum(new) - 1
     return order[new], group

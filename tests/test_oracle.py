@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import paired_random_evolution
-from stabsim.errors import ResourceCapError
-from stabsim.oracle import DenseState, density_from_generators, partial_trace, pauli_matrix
+from stabsim.errors import NumericalIntegrityError, ResourceCapError
+from stabsim.oracle import (
+    ATOL,
+    H2,
+    DenseState,
+    check_unitary,
+    density_from_generators,
+    partial_trace,
+    pauli_matrix,
+)
 from stabsim.pauli import parse_pauli
 
 
@@ -78,3 +86,59 @@ def test_partial_trace_of_product():
     rho = np.kron(a, b)
     assert np.allclose(partial_trace(rho, 2, [0]), a)
     assert np.allclose(partial_trace(rho, 2, [1]), b)
+
+
+def unitary_verdict(u):
+    try:
+        check_unitary(u)
+    except NumericalIntegrityError:
+        return False
+    return True
+
+
+def diagonal_at(gram):
+    """diag(x + iy, 1), x fixed just below 1 and y found by bisection, whose
+    computed U^dagger U has (0, 0) entry exactly `gram` (near 1): the entry
+    x^2 + y^2 moves by less than one unit in the last place per step of y."""
+    def u(y):
+        return np.diag([complex(1 - 1e-4, y), 1])
+
+    def entry(y):
+        return (u(y).conj().T @ u(y))[0, 0].real
+
+    lo, hi = 0.0, 1.0
+    while entry(lo) != gram:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            raise AssertionError(f"no y gives {gram!r}")
+        lo, hi = (mid, hi) if entry(mid) <= gram else (lo, mid)
+    return u(lo)
+
+
+def test_check_unitary_gives_the_verdicts_of_allclose():
+    bound = ATOL + 1e-5  # allclose's tolerance on the diagonal of the identity
+    above = np.nextafter(1 + bound, 0.0)  # the last double whose error passes
+    while above - 1 <= bound:
+        above = np.nextafter(above, 2.0)
+    below = np.nextafter(1 - bound, 2.0)
+    while 1 - below <= bound:
+        below = np.nextafter(below, 0.0)
+    edges = [diagonal_at(g) for g in (np.nextafter(above, 0.0), above,
+                                      np.nextafter(below, 2.0), below)]
+    cases = edges + [
+        np.eye(2, dtype=complex),
+        H2,
+        np.array([[1, ATOL], [0, 1]], dtype=complex),  # off-diagonal error exactly ATOL
+        np.array([[1, np.nextafter(ATOL, 1.0)], [0, 1]], dtype=complex),
+        np.array([[np.nan, 0], [0, 1]], dtype=complex),
+        np.array([[np.inf, 0], [0, 1]], dtype=complex),
+        np.array([[1, 0], [0, complex(0, -np.inf)]]),
+        np.array([[1, 0], [0, complex(np.inf, np.nan)]]),
+    ]
+    with np.errstate(invalid="ignore"):
+        want = [bool(np.allclose(u.conj().T @ u, np.eye(len(u)), atol=ATOL)) for u in cases]
+        got = [unitary_verdict(u) for u in cases]
+    assert got == want
+    # the edges straddle the boundary on both sides of the diagonal, and the
+    # off-diagonal error of exactly ATOL passes while the next double fails
+    assert want == [True, False, True, False, True, True, True, False, False, False, False, False]

@@ -93,3 +93,22 @@ def test_unitary_invariance(rng):
 def test_result_string_forms():
     assert str(OverlapResult(True, 0, 0.0)) == "zero"
     assert str(OverlapResult(False, 2, 0.5)) == "2^-2/2 = 0.5"
+
+
+def test_t1_with_broken_destabilizers_is_refused():
+    # the rotation is t1's inverse, which reads all of t1's rows
+    t1 = new_zero_state(2)
+    t1.set_row(0, parse_pauli("ZI"))  # commutes with its partner stabilizer Z0
+    with pytest.raises(InvalidTableauError, match="commutation conditions"):
+        inner_product(t1, new_zero_state(2))
+
+
+def test_t2_with_broken_destabilizers_still_gets_the_oracle_answer(rng):
+    for _ in range(40):
+        n = rng.randrange(1, 6)
+        t1, d1 = paired_random_evolution(n, 40, rng)
+        t2, d2 = paired_random_evolution(n, 40, rng)
+        for i in range(n):  # every destabilizer row replaced by a stabilizer row
+            t2.set_row(i, t2.get_row(n + rng.randrange(n)))
+        assert not t2.satisfies_invariants()
+        assert abs(inner_product(t1, t2).value - abs(np.vdot(d1.vec, d2.vec))) < 1e-12

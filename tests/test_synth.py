@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -14,7 +15,15 @@ from stabsim.gf2 import BinaryMatrix, gf2_rank
 from stabsim.mixed import new_mixed
 from stabsim.overlap import inner_product
 from stabsim.pauli import parse_pauli
-from stabsim.program import CircuitProgram, Cnot, Hadamard, Measure, Phase, random_unitary_program
+from stabsim.program import (
+    CircuitProgram,
+    Cnot,
+    Hadamard,
+    Measure,
+    Phase,
+    random_unitary_program,
+    render,
+)
 from stabsim.synth import (
     ROUND_TYPES,
     CanonicalCircuit,
@@ -272,3 +281,35 @@ def test_count_bound_single_constant(rng):
         small = minimize(prog)
         ratios.append(len(small.instructions) * math.log2(n) / n**2)
     assert max(ratios) < 8.0
+
+
+# SHA-256 of (canonical_synthesize(U).to_chp_text(), render(minimize(u)),
+# the four inner_product strings joined by newlines) for random_unitary_program
+# at (n, seed).  The canonical form reduces the inverse tableau, which is unique
+# to the Clifford, and s is fixed by the overlap, so any correct way of getting
+# the inverse or the rotation must give these bytes.
+SYNTH_PINS = {
+    (5, 1): ("ba3a7f7e1733c087ff79dd5839e4a0673660fc3012954ea7c3652472f7e82ec4",
+             "1ead2d58eb7b8d5ebad4f0658607076dcc7e04fa3bd85505b06db117e265edb0",
+             "82b61581a0ae3ac7b8014c017ac5602db6c22c4f9b0773e05dd2f891b5ed7783"),
+    (24, 2): ("c4d59e4c3540e7720d630b2802841570d39b859ca437fd052fbac41fb8c87935",
+              "5179a7bf037c6ccfdf2ea518ae3f714bf1daa9147b68f99bc513299540d9b9b0",
+              "8cfb23ddb808494b571734136c20e0b1b54b240d9b44b3229df31dc71629ea6c"),
+    (64, 3): ("18c5433016f0e945a67f2472a96aa718557e3c979a454b6dad210ba00be5d0f0",
+              "5dde21ff659cb45d8f941c0f18455059b75453d09470cceb657bdc7d6bae17aa",
+              "4043928abe04c17c5e07e90949cbf42527218c9a37f291be4651bfd688ac151d"),
+    (65, 4): ("3e01a32d5c436fe68e2844759e26d84c306204695fd6fc43c2f39df3dab2521a",
+              "f46caf7e3b192b8f709a8c14f6c445fde5d49cea88798715373949abe8d23a1a",
+              "4043928abe04c17c5e07e90949cbf42527218c9a37f291be4651bfd688ac151d"),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(SYNTH_PINS))
+def test_synthesis_outputs_are_pinned(n, seed):
+    rng = random.Random(seed)
+    u, v = (random_unitary_program(n, n * n + 20, rng) for _ in range(2))
+    tu, tv = tableau_of_program(u), tableau_of_program(v)
+    pairs = ((tu, tv), (tv, tu), (tu, new_zero_state(n)), (tu, tu))
+    overlaps = "\n".join(str(inner_product(a, b)) for a, b in pairs)
+    texts = (canonical_synthesize(tu).to_chp_text(), render(minimize(u)), overlaps)
+    assert tuple(hashlib.sha256(s.encode()).hexdigest() for s in texts) == SYNTH_PINS[n, seed]

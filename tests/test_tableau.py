@@ -15,8 +15,8 @@ from stabsim import tableau as tableau_module
 from stabsim.mixed import MixedTableau, new_mixed
 from stabsim.oracle import DenseState, density_from_generators
 from stabsim.pauli import PauliOperator, commutes, multiply, parse_pauli
-from stabsim.program import Cnot
-from stabsim.synth import _column_maps, apply_cnots_as_row_ops
+from stabsim.program import CircuitProgram, Cnot, Phase, random_unitary_program
+from stabsim.synth import _column_maps, apply_cnots_as_row_ops, tableau_of_program
 from stabsim.tableau import PauliTable, Tableau, new_zero_state
 
 
@@ -783,3 +783,79 @@ def test_only_tableau_py_knows_the_bit_layout():
                     if a.name in private
                 ]
     assert not offenders
+
+
+# -- the inverse and the composition of Clifford tableaus ----------------------------
+
+
+def inverse_program(prog):
+    """The inverse circuit: the gates in reverse order, each P as P^3."""
+    gates = []
+    for g in reversed(prog.instructions):
+        gates += [g] * (3 if isinstance(g, Phase) else 1)
+    return CircuitProgram(prog.n, tuple(gates))
+
+
+def tableau_state(t):
+    return t._xz.tobytes(), t.r.tobytes(), t.rank, t.rowsum_count
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+def test_inverse_is_the_tableau_of_the_inverse_circuit(n):
+    r = random.Random(n)
+    prog = random_unitary_program(n, n * n + 20, r)
+    t = tableau_of_program(prog)
+    before = tableau_state(t)
+    inv = t.inverse()
+    assert tableau_state(t) == before
+    assert inv == tableau_of_program(inverse_program(prog))
+    assert inv.inverse() == t
+    assert t.compose(inv) == new_zero_state(n) == inv.compose(t)
+    assert tableau_state(t) == before
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+def test_compose_is_the_tableau_of_the_concatenated_circuit(n):
+    r = random.Random(1000 + n)
+    a, b = (random_unitary_program(n, n * n + 20, r) for _ in range(2))
+    ta, tb = tableau_of_program(a), tableau_of_program(b)
+    both = CircuitProgram(n, a.instructions + b.instructions)
+    assert tb.compose(ta) == tableau_of_program(both)
+    assert ta.compose(new_zero_state(n)) == ta == new_zero_state(n).compose(ta)
+
+
+def test_inverse_and_compose_refuse_a_mixed_tableau_unchanged():
+    mixed, pure = new_mixed(3, 2), random_tableau(3, random.Random(3))
+    states = [tableau_state(t) for t in (mixed, pure)]
+    for call in (mixed.inverse, lambda: mixed.compose(pure), lambda: pure.compose(mixed)):
+        with pytest.raises(InvalidTableauError, match=r"mixed state of rank 2 < n=3"):
+            call()
+    assert [tableau_state(t) for t in (mixed, pure)] == states
+    with pytest.raises(DimensionError):
+        pure.compose(new_zero_state(4))
+
+
+@pytest.mark.parametrize("n, seed", [(1, 1), (5, 2), (64, 3), (65, 4)])
+def test_inverse_refuses_a_flipped_bit_unchanged(n, seed):
+    r = random.Random(seed)
+    t = random_tableau(n, r, ngates=4 * n)
+    t.rowsum_count = 7
+    while t.satisfies_invariants():  # a flip may leave a valid tableau (Z -> Y at n = 1)
+        i, flip = r.randrange(2 * n), 1 << r.randrange(n)
+        p = t.get_row(i)
+        x, z = (p.x ^ flip, p.z) if r.getrandbits(1) else (p.x, p.z ^ flip)
+        t.set_row(i, PauliOperator(n, p.phase_exp, x, z))
+    before = tableau_state(t)
+    with pytest.raises(InvalidTableauError, match="tableau violates the commutation conditions"):
+        t.inverse()
+    assert tableau_state(t) == before
+
+
+def test_compose_raises_for_an_imaginary_image():
+    # X0 Z1 of `first` selects the rows X0 and Z0 X1 of a tableau whose rows
+    # break the commutation pattern: their product is -i Y0 X1.
+    t, first = new_zero_state(2), new_zero_state(2)
+    t.set_row(3, parse_pauli("ZX"))
+    first.set_row(0, parse_pauli("XZ"))
+    with pytest.raises(CorruptTableauError):
+        t.compose(first)

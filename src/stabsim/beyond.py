@@ -38,9 +38,8 @@ from .tableau import (  # noqa: F401  (PauliSumTerm is part of this module's API
     MeasurementRecord,
     PauliSumTerm,
     PauliTable,
-    _moment_qubits,
+    _CliffordGates,
     _term_bytes,
-    conjugate_moment,
     new_zero_state,
     sample_outcome,
 )
@@ -127,7 +126,7 @@ def _pauli_traces(m: np.ndarray) -> np.ndarray:
     return t.transpose([*range(0, 2 * b, 2), *range(1, 2 * b, 2)]).reshape(dim, dim)
 
 
-class _ProductRun:
+class _ProductRun(_CliffordGates):
     """The product-state run as an engine.  It keeps the rows V†X_jV and
     V†Z_jV for the unitary V applied so far (a new gate g, V -> gV, rewrites
     rows through g† on the input side) and the conjugated measurement words
@@ -143,12 +142,12 @@ class _ProductRun:
         self.q_prev = 1.0
         self.probabilities: list = []
 
-    def apply_moment(self, h, p, ca, cb):
-        """One moment of H/P/CNOT gates on distinct qubits, checked before
-        any row changes (`tableau._moment_qubits`).  The rows are exact
-        Pauli words and the gates commute, so the order they are folded in
-        does not matter."""
-        h, p, ca, cb = (v.tolist() for v in _moment_qubits(self.n, h, p, ca, cb))
+    def _conjugate(self, h, p, ca, cb):
+        """The kernel of a moment checked by `_CliffordGates` or
+        `program.moments`, given as intp arrays.  The rows are exact Pauli
+        words and the gates commute, so the order they are folded in does
+        not matter."""
+        h, p, ca, cb = (v.tolist() for v in (h, p, ca, cb))
         xr, zr = self.xrows, self.zrows
         for a in h:
             xr[a], zr[a] = zr[a], xr[a]
@@ -248,7 +247,7 @@ def nonstab_expand(u: np.ndarray) -> list:
             for x, z in zip(*np.nonzero(np.abs(traces) > PRUNE_TOL * dim))]
 
 
-class PauliSumState:
+class PauliSumState(_CliffordGates):
     """Density matrix 2^-n sum_t c_t P_t prod_j (I + (-1)^{e_tj} M_j), with
     the generators M_j (and their destabilizers) held in a tableau and the
     terms in a `PauliTable` packed like the tableau's rows."""
@@ -296,20 +295,11 @@ class PauliSumState:
 
     # -- stabilizer part ---------------------------------------------------------
 
-    def apply_moment(self, h, p, ca, cb):
-        """One moment of H/P/CNOT gates on distinct qubits, applied to the
-        tableau and the terms by one kernel, checked once before any bit
-        changes (`tableau.conjugate_moment`)."""
-        conjugate_moment((self.tableau, self.table), h, p, ca, cb)
-
-    def apply_cnot(self, a: int, b: int):
-        self.apply_moment((), (), (a,), (b,))
-
-    def apply_hadamard(self, a: int):
-        self.apply_moment((a,), (), (), ())
-
-    def apply_phase(self, a: int):
-        self.apply_moment((), (a,), (), ())
+    def _conjugate(self, h, p, ca, cb):
+        """The kernel of a checked moment (`_CliffordGates`): one kernel,
+        run on the tableau and on the terms."""
+        self.tableau._conjugate(h, p, ca, cb)
+        self.table._conjugate(h, p, ca, cb)
 
     # -- non-stabilizer gates -------------------------------------------------------
 

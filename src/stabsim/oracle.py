@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalIntegrityError, ResourceCapError
 from .pauli import PauliOperator, _qubit_index
-from .tableau import MeasurementRecord, _moment_qubits, sample_outcome
+from .tableau import MeasurementRecord, _CliffordGates, sample_outcome
 
 MAX_QUBITS = 12
 MAX_GROUP_QUBITS = 6
@@ -57,7 +57,7 @@ def density_from_generators(n: int, gens: list[PauliOperator]) -> np.ndarray:
     return rho
 
 
-class DenseState:
+class DenseState(_CliffordGates):
     """A statevector (pure mode) or density matrix (density mode)."""
 
     def __init__(self, n: int, density: bool = False):
@@ -122,26 +122,17 @@ class DenseState:
             t = np.moveaxis(t, range(k), qubits)
             self.vec = t.reshape(-1)
 
-    def apply_moment(self, h, p, ca, cb):
-        """One moment of H/P/CNOT gates on distinct qubits, checked before
-        the state changes (`tableau._moment_qubits`), then applied as
-        Hadamards, phases and CNOTs in that order."""
-        h, p, ca, cb = (v.tolist() for v in _moment_qubits(self.n, h, p, ca, cb))
+    def _conjugate(self, h, p, ca, cb):
+        """The kernel of a moment checked by `_CliffordGates` or
+        `program.moments`, given as intp arrays: Hadamards, phases and CNOTs
+        in that order."""
+        h, p, ca, cb = (v.tolist() for v in (h, p, ca, cb))
         for a in h:
             self._apply(H2, [a])
         for a in p:
             self._apply(S2, [a])
         for a, b in zip(ca, cb):
             self._apply(CNOT4, [a, b])
-
-    def apply_cnot(self, a: int, b: int):
-        self.apply_moment((), (), (a,), (b,))
-
-    def apply_hadamard(self, a: int):
-        self.apply_moment((a,), (), (), ())
-
-    def apply_phase(self, a: int):
-        self.apply_moment((), (a,), (), ())
 
     # -- measurement -----------------------------------------------------------
 

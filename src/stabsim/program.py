@@ -23,7 +23,6 @@ tokenized once: every repeat shares the first one's frozen instruction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -125,11 +124,13 @@ def moments(gates, n: int) -> list:
 
 def apply_gates(state, gates):
     """Apply CNOT/H/P gates to any engine: `moments` checks and schedules
-    them, so a bad gate raises before the state changes, and the engine's
-    `apply_moment` takes one moment at a time.  Only `DenseState`'s floats
-    can differ from applying the gates in program order."""
+    them, so a bad gate raises before the state changes, and each moment
+    goes, as four intp arrays, straight to the engine's kernel
+    `_conjugate(h, p, ca, cb)`, which checks nothing again (a direct
+    `apply_moment` call checks its moment).  Only `DenseState`'s floats can
+    differ from applying the gates in program order."""
     for moment in moments(gates, state.n):
-        state.apply_moment(*moment)
+        state._conjugate(*(np.array(v, dtype=np.intp) for v in moment))
 
 
 def execute(state, program: "CircuitProgram", rng) -> list:
@@ -284,6 +285,9 @@ def _parse_matrix(numbered, header: int, eof: int, b: int, what: str) -> np.ndar
 
 
 _ONE_QUBIT = {"h": Hadamard, "p": Phase, "m": Measure}
+# the c/h/p/m mnemonics, either case
+_SIMPLE = {op: kind for lower, kind in {"c": Cnot, **_ONE_QUBIT}.items()
+           for op in (lower, lower.upper())}
 
 
 def _parse_simple(tokens, lineno: int):
@@ -327,29 +331,55 @@ def parse(text: str) -> CircuitProgram:
     """Parse CHP text in one pass over its lines.
 
     A `c`/`h`/`p`/`m` line means the same wherever it appears, so each
-    distinct such line is tokenized once and its frozen instruction object
-    is shared by every repeat.  `u`, `if`, `block` and `gate` lines depend
-    on the gates defined and the measurements made above them, and are
-    parsed every time.  The qubit count is taken from the distinct
-    instructions only.
+    distinct such line is decoded once, in this loop, and its frozen
+    instruction object is shared by every repeat; each distinct index token
+    is checked once too.  `u`, `if`, `block` and `gate` lines depend on the
+    gates defined and the measurements made above them, and are parsed every
+    time.  The qubit count is tracked as the lines are decoded, and the
+    measurements above a line are counted only when an `if` line asks.
     """
     lines = text.splitlines()
     numbered = enumerate(lines, 1)
     instructions = []
+    append = instructions.append
     shared = {}  # line text -> the c/h/p/m instruction it spells
-    unshared = []  # u and if instructions
+    indices = {}  # index token -> its checked qubit index
     gate_table = {}
     blocks = []
-    measures_seen = 0
+    top = -1  # the highest qubit index seen
+    measures, counted = 0, 0  # the Measures among instructions[:counted]
     for lineno, raw in numbered:
         instr = shared.get(raw)
         if instr is not None:
-            if isinstance(instr, Measure):
-                measures_seen += 1
-            instructions.append(instr)
+            append(instr)
             continue
-        tokens = raw.split("#", 1)[0].split()
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tokens:
+            continue
+        kind = _SIMPLE.get(tokens[0])
+        if kind is not None:
+            if len(tokens) != 2 + (kind is Cnot):
+                raise ParseError(lineno, "c takes exactly two qubit indices" if kind is Cnot
+                                 else f"{tokens[0].lower()} takes exactly one qubit index")
+            qubits = []
+            for tok in tokens[1:]:
+                q = indices.get(tok)
+                if q is None:
+                    q = indices[tok] = _parse_index(tok, lineno)
+                qubits.append(q)
+            a = qubits[0]
+            if kind is Cnot:
+                b = qubits[1]
+                if a == b:
+                    raise ParseError(lineno, "CNOT control and target must differ")
+                instr = Cnot(a, b)
+                a = max(a, b)
+            else:
+                instr = kind(a)
+            if a > top:
+                top = a
+            shared[raw] = instr
+            append(instr)
             continue
         op = tokens[0].lower()
         if op == "block":
@@ -375,7 +405,9 @@ def parse(text: str) -> CircuitProgram:
             if len(tokens) < 3:
                 raise ParseError(lineno, "if takes a measurement index and an instruction")
             k = _parse_index(tokens[1], lineno)
-            if k >= measures_seen:
+            measures += sum(type(i) is Measure for i in instructions[counted:])
+            counted = len(instructions)
+            if k >= measures:
                 raise ParseError(
                     lineno, f"condition references measurement {k} before it happens"
                 )
@@ -384,21 +416,14 @@ def parse(text: str) -> CircuitProgram:
                 raise ParseError(lineno, "measurements cannot be conditional")
             _check_named_gate(inner, gate_table, lineno)
             instr = Conditional(k, inner)
-            unshared.append(instr)
         else:
-            instr = _parse_simple(tokens, lineno)
-            if isinstance(instr, NamedUnitary):
-                _check_named_gate(instr, gate_table, lineno)
-                unshared.append(instr)
-            else:
-                shared[raw] = instr
-                if isinstance(instr, Measure):
-                    measures_seen += 1
-        instructions.append(instr)
+            instr = _parse_simple(tokens, lineno)  # a u line, or an unknown one
+            _check_named_gate(instr, gate_table, lineno)
+        top = max(top, _qubit_span((instr,)) - 1)
+        append(instr)
 
-    n = _qubit_span(chain(shared.values(), unshared))
     block_span = sum(int(np.log2(b.shape[0])) for b in blocks)
-    return CircuitProgram(max(n, block_span, 1), tuple(instructions), gate_table, blocks)
+    return CircuitProgram(max(top + 1, block_span, 1), tuple(instructions), gate_table, blocks)
 
 
 def _fmt_matrix(m: np.ndarray) -> str:

@@ -13,13 +13,14 @@ row 2n are zero.  `x` and `z` are two views of one array, each padded with
 zero columns to a multiple of 64 qubits, so a row's x and z bits are read
 or written in one pass.  A gate on qubits a, b touches only x[a], z[a],
 x[b], z[b] and r: O(n/64) word operations.  A moment of k gates on distinct
-qubits (`apply_moment`; `program.execute` schedules every run of CNOT/H/P
-gates into moments) is one fixed set of gathers, scatters and XOR
-reductions: O(k n / 64) word operations in a number of numpy calls that
-does not grow with k.  A measurement multiplies a whole packed mask of rows
-by one pivot row at once: one masked XOR over the pivot's support, the new
-phases from a few bit-sliced passes along the qubit axis, O(n^2/64) word
-operations at worst.
+qubits (`apply_moment`; `program.execute` checks and schedules every run of
+CNOT/H/P gates into moments, and hands them to `_conjugate` unchecked) is
+one fused kernel: a gather of all its qubits' columns, one XOR reduction of
+the sign flips and a scatter, O(k n / 64) word operations in a number of
+numpy calls that does not grow with k.  A measurement multiplies a whole
+packed mask of rows by one pivot row at once: one masked XOR over the
+pivot's support, the new phases from a few bit-sliced passes along the
+qubit axis, O(n^2/64) word operations at worst.
 
 Phases mod 4 are counted in bit-sliced form.  For a count c of set bits
 along the qubit axis, bit 0 of c is the XOR of the bits, and bit 1 is the
@@ -27,7 +28,7 @@ parity of C(c, 2), the number of pairs, which by the prefix-XOR identity is
 the XOR over j of b_j & (b_0 ^ ... ^ b_{j-1}).
 
 The Pauli-sum engine's terms (`PauliTable`) use the same layout with the
-terms in place of the rows, so one moment kernel (`conjugate_moment`)
+terms in place of the rows, so one moment kernel (`_conjugate_step`)
 conjugates the tableau and the terms, and a measurement or a
 non-stabilizer gate updates every term in whole-table numpy steps.
 
@@ -109,8 +110,7 @@ def _snapshot_bytes(n: int) -> int:
 def _unpack_rows(packed: np.ndarray, ncols: int) -> np.ndarray:
     """Packed (rows, words) uint64 -> unpacked (rows, ncols) uint8 bit matrix."""
     as_bytes = packed.astype("<u8").view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
-    return bits[:, :ncols]
+    return np.unpackbits(as_bytes, axis=1, count=ncols, bitorder="little")
 
 
 def _bits(words: np.ndarray, count: int) -> np.ndarray:
@@ -239,38 +239,6 @@ _SHIFTS = [np.uint64(s) for s in range(64)]
 _BATCH_ELEMS = 1 << 18
 
 
-# The gate formulas, shared by every gate path.  Each updates the columns of
-# the qubits it acts on in place (views, or blocks gathered over a moment's
-# gates) and returns the sign flips to XOR into r.
-
-
-def _hadamard(x, z):
-    """H: swap x and z; the sign flips at a Y (x & z)."""
-    flip = x & z
-    x ^= z
-    z ^= x
-    x ^= z
-    return flip
-
-
-def _phase(x, z):
-    """P: z ^= x; the sign flips at a Y (x & z)."""
-    flip = x & z
-    z ^= x
-    return flip
-
-
-def _cnot(xa, za, xb, zb):
-    """CNOT: xb ^= xa, za ^= zb; the sign flips where xa & zb & ~(xb ^ za)."""
-    flip = xb ^ za
-    np.invert(flip, out=flip)
-    flip &= xa
-    flip &= zb
-    xb ^= xa
-    za ^= zb
-    return flip
-
-
 def _index_array(values, what: str) -> np.ndarray:
     """`values` as an array of integers, else TypeError naming its dtype
     (bool for a list holding one: np.asarray makes [0, True] int64), or its
@@ -293,7 +261,7 @@ def _index_array(values, what: str) -> np.ndarray:
 
 
 def _moment_qubits(n: int, h, p, ca, cb) -> tuple:
-    """The moment's qubit lists as integer arrays, checked: DimensionError
+    """The moment's qubit lists as intp arrays, checked: DimensionError
     for a qubit outside 0..n-1 (the first in h, p, ca, cb order), a CNOT
     whose control is its target, CNOT lists of unequal length or two gates
     on one qubit; TypeError for an index that is not an integer."""
@@ -311,21 +279,73 @@ def _moment_qubits(n: int, h, p, ca, cb) -> tuple:
         if (ca == cb).any():
             raise DimensionError("control and target must differ")
         raise DimensionError("gates of one moment must act on distinct qubits")
-    return h, p, ca, cb
+    i, j = h.size, h.size + p.size
+    return qubits[:i], qubits[i:j], qubits[j:j + ca.size], qubits[j + ca.size:]
 
 
-def conjugate_moment(tables, h, p, ca, cb):
-    """Apply one moment to every Pauli-string store in `tables` (a `Tableau`,
-    a `PauliTable`, all on the same qubits): Hadamards on the qubits h,
-    phase gates on the qubits p and CNOTs from ca[k] to cb[k], all on
-    pairwise-distinct qubits.  The moment is checked once (see
-    `_moment_qubits`) before any bit of any table changes."""
-    h, p, ca, cb = _moment_qubits(tables[0].n, h, p, ca, cb)
-    for t in tables:
-        t._conjugate(h, p, ca, cb)
+def _conjugate_step(x, z, r, h, p, ca, cb):
+    """The fused moment kernel on (n, w) columns x, z and signs r: one gather
+    of the x and z columns of all the gates' qubits, the H and P sign flips
+    as one x & z (a Y flips), the CNOT flips (xa & zb & ~(xb ^ za)), one
+    XOR reduction of them into r, each gate's formula on its slice of the
+    gathered columns, and one scatter of x and one of z.  A fixed number of
+    numpy steps costing O(k w) word operations for k gates."""
+    i, j = h.size, h.size + p.size
+    k = j + ca.size
+    q = np.concatenate((h, p, ca, cb))
+    xs, zs = x[q], z[q]
+    flips = np.empty((k, r.size), dtype=np.uint64)
+    np.bitwise_and(xs[:j], zs[:j], out=flips[:j])
+    xa, za, xb, zb = xs[j:k], zs[j:k], xs[k:], zs[k:]
+    cnot = flips[j:]
+    np.bitwise_xor(xb, za, out=cnot)
+    np.invert(cnot, out=cnot)
+    cnot &= xa
+    cnot &= zb
+    r ^= np.bitwise_xor.reduce(flips, axis=0)
+    xs[:i], zs[:i] = zs[:i], xs[:i].copy()  # H swaps x and z
+    zs[i:j] ^= xs[i:j]  # P: z ^= x
+    xb ^= xa  # CNOT: xb ^= xa, za ^= zb
+    za ^= zb
+    x[q], z[q] = xs, zs
 
 
-class _PauliColumns:
+_NO_QUBITS = np.zeros(0, dtype=np.intp)
+
+
+class _CliffordGates:
+    """The checked CNOT/H/P entry points every engine shares.  Each checks
+    its gates (`_moment_qubits`, or `pauli._qubit_index` for one gate)
+    before anything changes and hands them, as intp arrays, to the engine's
+    moment kernel `_conjugate(h, p, ca, cb)`, which checks nothing.
+    `program.apply_gates` checks whole runs of gates in `program.moments`
+    and calls the kernels directly."""
+
+    n: int
+
+    def apply_moment(self, h, p, ca, cb):
+        """One moment: Hadamards on the qubits h, phase gates on the qubits p
+        and CNOTs from ca[k] to cb[k], all on pairwise-distinct qubits.
+        Gates on distinct qubits commute, so this equals applying them one
+        at a time in any order."""
+        self._conjugate(*_moment_qubits(self.n, h, p, ca, cb))
+
+    def apply_cnot(self, a: int, b: int):
+        """CNOT from control a to target b: a moment of one gate."""
+        a = _qubit_index(self.n, a)
+        b = _qubit_index(self.n, b, a)
+        self._conjugate(_NO_QUBITS, _NO_QUBITS, np.array([a]), np.array([b]))
+
+    def apply_hadamard(self, a: int):
+        """Hadamard on qubit a: a moment of one gate."""
+        self._conjugate(np.array([_qubit_index(self.n, a)]), _NO_QUBITS, _NO_QUBITS, _NO_QUBITS)
+
+    def apply_phase(self, a: int):
+        """Phase gate on qubit a: a moment of one gate."""
+        self._conjugate(_NO_QUBITS, np.array([_qubit_index(self.n, a)]), _NO_QUBITS, _NO_QUBITS)
+
+
+class _PauliColumns(_CliffordGates):
     """Pauli strings stored qubit-major, the layout the tableau and the
     Pauli-sum term table share: `x` and `z` are (n, w) uint64 arrays, bit i
     of word k of `x[j]` being string 64k+i's x bit at qubit j, and `r`
@@ -336,46 +356,17 @@ class _PauliColumns:
     _words: int
 
     def _conjugate(self, h, p, ca, cb):
-        """Conjugate every string by one checked moment (see
-        `conjugate_moment`): each kind's formula on all of that kind's
-        columns at once, gathered and scattered back, with its sign flips
-        XOR-reduced into r: a fixed number of numpy steps costing O(k w)
-        word operations for k gates."""
-        x, z, r = self.x, self.z, self.r
-        if h.size:
-            xh, zh = x[h], z[h]
-            r ^= np.bitwise_xor.reduce(_hadamard(xh, zh), axis=0)
-            x[h], z[h] = xh, zh
-        if p.size:
-            xp, zp = x[p], z[p]
-            r ^= np.bitwise_xor.reduce(_phase(xp, zp), axis=0)
-            z[p] = zp
-        if ca.size:
-            xa, za, xb, zb = x[ca], z[ca], x[cb], z[cb]
-            r ^= np.bitwise_xor.reduce(_cnot(xa, za, xb, zb), axis=0)
-            x[cb], z[ca] = xb, za
-
-    def apply_moment(self, h, p, ca, cb):
-        """Apply one moment, checked, as `conjugate_moment` does.  Gates on
-        distinct qubits commute and touch distinct columns, so this equals
-        applying them one at a time in any order."""
-        conjugate_moment((self,), h, p, ca, cb)
-
-    def apply_cnot(self, a: int, b: int):
-        """CNOT from control a to target b."""
-        a = _qubit_index(self.n, a)
-        b = _qubit_index(self.n, b, a)
-        self.r ^= _cnot(self.x[a], self.z[a], self.x[b], self.z[b])
-
-    def apply_hadamard(self, a: int):
-        """Hadamard on qubit a: swap the x and z bits, flipping Y signs."""
-        a = _qubit_index(self.n, a)
-        self.r ^= _hadamard(self.x[a], self.z[a])
-
-    def apply_phase(self, a: int):
-        """Phase gate on qubit a: z_a ^= x_a after absorbing the Y sign."""
-        a = _qubit_index(self.n, a)
-        self.r ^= _phase(self.x[a], self.z[a])
+        """Conjugate every string by one moment given as intp arrays already
+        checked (`_CliffordGates`), unchecked itself.  The gates commute,
+        so a large moment is taken in steps of proportional slices of the
+        four lists, each gathering at most _STEP_BYTES of x columns: the
+        fused kernel's arrays then stay in cache (on a 2-core Xeon VM, one
+        step per moment took about 1.5 times as long at n = 4,000).  A small
+        moment is one step."""
+        steps = -(-8 * self._words * (h.size + p.size + 2 * ca.size) // _STEP_BYTES)
+        for s in range(steps):
+            _conjugate_step(self.x, self.z, self.r,
+                            *(v[v.size * s // steps:v.size * (s + 1) // steps] for v in (h, p, ca, cb)))
 
     # -- anticommutation ---------------------------------------------------------
 
@@ -760,60 +751,79 @@ class Tableau(_PauliColumns):
         self._write_row(partner, *src)
         self._write_row(pivot, _word_bits(n, row), row.phase_exp // 2)
 
-    def _determinate(self, stretch) -> list[MeasurementRecord]:
-        """Records of determinate measurements given as (qubit, hits), hits
-        being the destabilizer rows that anticommute with Z there: the signs
-        of the products of the stabilizer rows they index, one
-        `_row_products` call.  As the paper's folds of k rowsums into the
-        scratch row would, this leaves the last product there, counts k
-        rowsums per measurement, and raises CorruptTableauError at the first
-        corrupt product, after the ones before it."""
-        if not stretch:
+    def _determinate(self, qubits) -> list[MeasurementRecord]:
+        """Records of determinate measurements of the qubits `qubits`.  The
+        hits of qubit a, the destabilizer rows that anticommute with Z_a,
+        are the set bits of its x column, all taken from one unpack of the
+        columns; the outcome is the sign of the product of the stabilizer
+        rows they index.  The qubits are cut into stretches of at most
+        _STEP_BYTES / 16 rows (a longer one alone), one `_row_products` call
+        each.  As the paper's folds of k rowsums
+        into the scratch row would, this leaves the last product there,
+        counts k rowsums per measurement, and raises CorruptTableauError at
+        the first corrupt product, after the ones before it."""
+        if not qubits:
             return []
-        lengths = [hits.size for _, hits in stretch]
-        rows = np.concatenate([hits for _, hits in stretch]) + self.n
-        words, phase, bad = self._row_products(rows, lengths)
-        done = int(bad.argmax()) if bad.any() else len(stretch)
-        if done:
-            bits = _unpack_rows(words[done - 1:done], 64 * words.shape[1])[0]
-            self._write_row(self.scratch_row, bits, phase[done - 1] >> 1)
-            self.rowsum_count += sum(lengths[:done])
-        if done < len(stretch):
-            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
-        return [MeasurementRecord(a, int(ph) >> 1, True) for (a, _), ph in zip(stretch, phase)]
+        n = self.n
+        bits = _unpack_rows(self.x[qubits], n)
+        lengths = bits.sum(axis=1, dtype=np.intp)
+        ends = lengths.cumsum().tolist()
+        records, s = [], 0
+        while s < len(qubits):
+            lo = ends[s - 1] if s else 0
+            e = max(s + 1, bisect_right(ends, lo + _STEP_BYTES // 16))
+            rows = np.flatnonzero(bits[s:e].view(bool)) % n + n
+            words, phase, bad = self._row_products(rows, lengths[s:e])
+            done = int(bad.argmax()) if bad.any() else e - s
+            if done:
+                last = _unpack_rows(words[done - 1:done], 64 * words.shape[1])[0]
+                self._write_row(self.scratch_row, last, phase[done - 1] >> 1)
+                self.rowsum_count += ends[s + done - 1] - lo
+            if done < e - s:
+                raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
+            records += map(MeasurementRecord, qubits[s:e], (phase >> 1).tolist(), [True] * (e - s))
+            s = e
+        return records
 
     def measure_run(self, qubits, rng) -> list[MeasurementRecord]:
         """Measure the qubits in turn in the standard basis, with the
         records, rows, rank, `rowsum_count` and rng draws of one `measure`
-        per qubit.  A random outcome (case I or III) draws one
+        per qubit.  Each qubit is checked once and classified from its
+        packed x column: it is random (case I or III) iff a stabilizer or
+        logical row (r..2n-1) has an X there.  A random outcome draws one
         rng.getrandbits(1) bit and changes the tableau; a determinate one
-        (case II) only the scratch row, so each stretch of them between
-        random ones is one `_determinate` call, cut where its row indices
-        (16 bytes a row) would pass _STEP_BYTES.  An invalid qubit raises as
-        `measure` would, after the measurements before it took effect."""
-        n = self.n
-        records, stretch, size = [], [], 0
+        only the scratch row, so the determinate qubits between random ones
+        gather into one `_determinate` call, in chunks of at most
+        max(64, _STEP_BYTES / 8W) qubits so that their W-word columns stay
+        small.  An invalid qubit raises as `measure` would, after the
+        measurements before it took effect."""
+        n, words = self.n, self._words
+        chunk = max(64, _STEP_BYTES // (8 * words))
+        records, stretch = [], []
+        rank, random_rows = self.rank, _span(self.rank, 2 * n, words)
         for a in qubits:
             try:
                 a = _qubit_index(n, a)
             except (TypeError, DimensionError):
                 self._determinate(stretch)
                 raise
-            hits = _bits(self.x[a], 2 * n).nonzero()[0]
-            case, p = self._case_split(hits)
-            if case == 2:
-                if size + hits.size > _STEP_BYTES // 16:
+            col = self.x[a]
+            if not (col & random_rows).any():
+                stretch.append(a)
+                if len(stretch) == chunk:
                     records += self._determinate(stretch)
-                    stretch, size = [], 0
-                stretch.append((a, hits))
-                size += hits.size
+                    stretch = []
                 continue
             records += self._determinate(stretch)
-            stretch, size = [], 0
+            stretch = []
+            hits = _bits(col, 2 * n).nonzero()[0]
+            case, p = self._case_split(hits)
             outcome = rng.getrandbits(1) & 1
             z_a = PauliOperator.single(n, a, "Z", 2 * outcome)
             self._collapse(hits, p, (p + n) % (2 * n), z_a)
             records.append(MeasurementRecord(a, outcome, deterministic=False))
+            if self.rank != rank:
+                rank, random_rows = self.rank, _span(self.rank, 2 * n, words)
         return records + self._determinate(stretch)
 
     def measure(self, a: int, rng) -> MeasurementRecord:
@@ -891,7 +901,8 @@ class Tableau(_PauliColumns):
         The kernel's imaginary-prefix flag is expected (a destabilizer and
         its stabilizer anticommute) and ignored; an odd final power of i
         raises CorruptTableauError.  InvalidTableauError unless both have
-        rank n.  Neither tableau changes."""
+        rank n; ResourceCapError if the selected rows' indices (8 bytes
+        each) would pass MAX_TABLEAU_BYTES.  Neither tableau changes."""
         if first.n != self.n:
             raise DimensionError(f"tableaus have different sizes: {self.n} != {first.n}")
         self._require_pure()
@@ -899,7 +910,14 @@ class Tableau(_PauliColumns):
         n = self.n
         xs, zs = first.bit_matrix()
         sel = np.concatenate((xs, zs), axis=1)  # column c selects row c
-        words, phase, _ = self._row_products(np.flatnonzero(sel) % (2 * n), sel.sum(axis=1))
+        lengths = sel.sum(axis=1, dtype=np.intp)
+        selected = int(lengths.sum())
+        if 8 * selected > MAX_TABLEAU_BYTES:
+            raise ResourceCapError(
+                f"composing tableaus on {n} qubits selects {selected} rows, whose indices "
+                f"need {8 * selected} bytes, over the cap of {MAX_TABLEAU_BYTES}"
+            )
+        words, phase, _ = self._row_products(np.flatnonzero(sel) % (2 * n), lengths)
         phase += (xs & zs).sum(axis=1, dtype=np.int64) + 2 * _bits(first.r, 2 * n)
         if (phase & 1).any():
             raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
@@ -1141,7 +1159,8 @@ def _merge(n: int, keys: np.ndarray, coeff: np.ndarray, tol: float) -> PauliTabl
     """A table on n qubits of merged row-major term keys: rows equal in
     every word become one, at the place of the first, with coeff summed
     over them in row order onto 0j (np.add.at, so each float is as a
-    one-at-a-time sum gives it), and sums with |c| <= tol are dropped."""
+    one-at-a-time sum gives it), and sums with |c| <= tol are dropped (the
+    keys are copied for that only if some are)."""
     first, group = _unique_rows(keys)
     if first.size < len(keys):
         order = np.argsort(first)
@@ -1153,7 +1172,9 @@ def _merge(n: int, keys: np.ndarray, coeff: np.ndarray, tol: float) -> PauliTabl
     else:
         sums = coeff + 0j  # the one-term sum onto 0j: -0.0 parts become 0.0
     keep = np.abs(sums) > tol
-    return object.__new__(PauliTable)._set_rows(n, keys[keep], sums[keep])
+    if not keep.all():
+        keys, sums = keys[keep], sums[keep]
+    return object.__new__(PauliTable)._set_rows(n, keys, sums)
 
 
 def new_zero_state(n: int) -> Tableau:

@@ -386,21 +386,34 @@ ENGINE_STATES = {
 }
 
 
+def _not_integer(kind):
+    return TypeError, rf"qubit indices must be integers, got {kind}"
+
+
+def _out_of_range(q):
+    return DimensionError, rf"qubit {q} out of range for n=3"
+
+
 @pytest.mark.parametrize("engine", ENGINE_STATES.values(), ids=ENGINE_STATES.keys())
-@pytest.mark.parametrize("gate, kind", [
-    pytest.param(gate, kind, id=repr(gate)) for gate, kind in [
-        (Hadamard(1.5), "float"), (Phase(1.5), "float"), (Cnot(0, 1.5), "float"),
-        (Cnot(1.5, 0), "float"), (Hadamard(True), "bool"), (Phase(np.True_), "bool"),
-        (Cnot(2, True), "bool"), (Cnot(False, 2), "bool"),
+@pytest.mark.parametrize("gate, exc, text", [
+    pytest.param(gate, *error, id=repr(gate)) for gate, error in [
+        (Hadamard(1.5), _not_integer("float")), (Phase(1.5), _not_integer("float")),
+        (Cnot(0, 1.5), _not_integer("float")), (Cnot(1.5, 0), _not_integer("float")),
+        (Hadamard(True), _not_integer("bool")), (Phase(np.True_), _not_integer("bool")),
+        (Cnot(2, True), _not_integer("bool")), (Cnot(False, 2), _not_integer("bool")),
+        (Hadamard(N), _out_of_range(N)), (Phase(-1), _out_of_range(-1)),
+        (Cnot(0, N), _out_of_range(N)), (Cnot(2**70, 0), _out_of_range(2**70)),
+        (Cnot(1, 1), (DimensionError, REPEATED)),
     ]
 ])
-def test_a_program_with_a_non_integer_qubit_is_refused_unchanged(engine, gate, kind):
-    # Hadamard(True) would share its moment with Hadamard(0)
+def test_a_program_with_a_non_integer_qubit_is_refused_unchanged(engine, gate, exc, text):
+    # Hadamard(True) would share its moment with Hadamard(0).  `moments` is
+    # the only check a gate meets on its way from `execute` to an engine's
+    # moment kernel, so it must refuse every bad gate before the state changes.
     make, snapshot = engine
     state = make()
     program = CircuitProgram(N, (Hadamard(0), gate, Measure(0)))
-    expect(TypeError, rf"qubit indices must be integers, got {kind}",
-           lambda: execute(state, program, random.Random(0)), snapshot(state))
+    expect(exc, text, lambda: execute(state, program, random.Random(0)), snapshot(state))
 
 
 @pytest.mark.parametrize("m", [np.array(1.0), np.zeros((2, 2, 2)), np.eye(3) / 3], ids=repr)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from stabsim import tableau
 from stabsim.cli import main
 from stabsim.errors import CorruptTableauError, ResourceCapError, StabsimError
-from stabsim.program import parse, random_unitary_program
+from stabsim.program import parse, random_unitary_program, render
 from stabsim.runner import (
     ENGINES,
     PROGRAMS_DIR,
@@ -482,6 +482,17 @@ class TestMainEntry:
         f3.write_text("h 1\n")  # (|00> + |01>)/sqrt(2), overlap 1/2 with Bell
         assert main(["innerprod", str(f1), str(f3)]) == 0
         assert capsys.readouterr().out.strip().startswith("2^-2/2")
+
+    def test_innerprod_over_the_byte_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        # A dense tableau on 64 qubits fits the lowered cap, but the row
+        # indices that composing with its inverse selects do not.
+        monkeypatch.setattr(tableau, "MAX_TABLEAU_BYTES", tableau._tableau_bytes(64))
+        f = tmp_path / "a.chp"
+        f.write_text(render(random_unitary_program(64, 2000, random.Random(5))))
+        assert main(["innerprod", str(f), str(f)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "resource cap: composing tableaus on 64 qubits" in captured.err
 
     def test_innerprod_zero(self, tmp_path, capsys):
         f1 = tmp_path / "a.chp"

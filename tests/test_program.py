@@ -281,9 +281,10 @@ def _parse_outcome(text):
 @given(chp_texts())
 def test_repeated_lines_parse_as_if_each_were_new(lines):
     # A distinct comment on every line makes every line new to the parser,
-    # so no instruction is shared: the result must not change.
-    got = _parse_outcome("\n".join(lines))
-    fresh = _parse_outcome("\n".join(f"{line} # {k}" for k, line in enumerate(lines)))
+    # so no instruction is shared: the result must not change.  Each line
+    # ends in a newline, so a last empty line counts in both texts.
+    got = _parse_outcome("".join(f"{line}\n" for line in lines))
+    fresh = _parse_outcome("".join(f"{line} # {k}\n" for k, line in enumerate(lines)))
     assert got == fresh
     if isinstance(got, tuple):
         if "unexpected end of file" in got[1]:
@@ -359,8 +360,8 @@ class SpyEngine:
         self.n = n
         self.calls = []
 
-    def apply_moment(self, h, p, ca, cb):
-        self.calls.append(("moment", h, p, ca, cb))
+    def _conjugate(self, h, p, ca, cb):  # the moment kernel `apply_gates` calls
+        self.calls.append(("moment", h.tolist(), p.tolist(), ca.tolist(), cb.tolist()))
 
     def measure_run(self, qubits, rng):
         self.calls.append(("measure_run", list(qubits)))

@@ -9,7 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_gate, paired_random_evolution, random_gate, random_tableau
-from stabsim.errors import CorruptTableauError, DimensionError, InvalidTableauError, StabsimError
+from stabsim.errors import (
+    CorruptTableauError,
+    DimensionError,
+    InvalidTableauError,
+    ResourceCapError,
+    StabsimError,
+)
 from stabsim.gf2 import gf2_invert
 from stabsim import tableau as tableau_module
 from stabsim.mixed import MixedTableau, new_mixed
@@ -849,6 +855,24 @@ def test_inverse_refuses_a_flipped_bit_unchanged(n, seed):
     with pytest.raises(InvalidTableauError, match="tableau violates the commutation conditions"):
         t.inverse()
     assert tableau_state(t) == before
+
+
+def test_compose_refuses_row_indices_over_the_byte_cap_unchanged(monkeypatch):
+    # Each set x or z bit of `first` selects one row, whose index takes 8
+    # bytes; a cap one byte short of them is refused before they are built.
+    n = 64
+    r = random.Random(11)
+    t, first = random_tableau(n, r), random_tableau(n, r)
+    want = t.compose(first)
+    selected = sum(int(bits.sum()) for bits in first.bit_matrix())
+    states = [tableau_state(u) for u in (t, first)]
+    monkeypatch.setattr(tableau_module, "MAX_TABLEAU_BYTES", 8 * selected - 1)
+    with pytest.raises(ResourceCapError, match=f"selects {selected} rows, whose indices need "
+                                               f"{8 * selected} bytes, over the cap of {8 * selected - 1}"):
+        t.compose(first)
+    assert [tableau_state(u) for u in (t, first)] == states
+    monkeypatch.setattr(tableau_module, "MAX_TABLEAU_BYTES", 8 * selected)
+    assert t.compose(first) == want
 
 
 def test_compose_raises_for_an_imaginary_image():

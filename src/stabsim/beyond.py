@@ -39,6 +39,7 @@ from .tableau import (  # noqa: F401  (PauliSumTerm is part of this module's API
     PauliSumTerm,
     PauliTable,
     _CliffordGates,
+    _moment_lists,
     _term_bytes,
     new_zero_state,
     sample_outcome,
@@ -142,12 +143,11 @@ class _ProductRun(_CliffordGates):
         self.q_prev = 1.0
         self.probabilities: list = []
 
-    def _conjugate(self, h, p, ca, cb):
-        """The kernel of a moment checked by `_CliffordGates` or
-        `program.moments`, given as intp arrays.  The rows are exact Pauli
-        words and the gates commute, so the order they are folded in does
-        not matter."""
-        h, p, ca, cb = (v.tolist() for v in (h, p, ca, cb))
+    def _conjugate(self, q, i, j):
+        """The kernel of a moment (q, i, j) checked by `_CliffordGates` or
+        `program.moments`.  The rows are exact Pauli words and the gates
+        commute, so the order they are folded in does not matter."""
+        h, p, ca, cb = _moment_lists(q, i, j)
         xr, zr = self.xrows, self.zrows
         for a in h:
             xr[a], zr[a] = zr[a], xr[a]
@@ -295,11 +295,11 @@ class PauliSumState(_CliffordGates):
 
     # -- stabilizer part ---------------------------------------------------------
 
-    def _conjugate(self, h, p, ca, cb):
+    def _conjugate(self, q, i, j):
         """The kernel of a checked moment (`_CliffordGates`): one kernel,
         run on the tableau and on the terms."""
-        self.tableau._conjugate(h, p, ca, cb)
-        self.table._conjugate(h, p, ca, cb)
+        self.tableau._conjugate(q, i, j)
+        self.table._conjugate(q, i, j)
 
     # -- non-stabilizer gates -------------------------------------------------------
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalIntegrityError, ResourceCapError
 from .pauli import PauliOperator, _qubit_index
-from .tableau import MeasurementRecord, _CliffordGates, sample_outcome
+from .tableau import MeasurementRecord, _CliffordGates, _moment_lists, sample_outcome
 
 MAX_QUBITS = 12
 MAX_GROUP_QUBITS = 6
@@ -122,11 +122,10 @@ class DenseState(_CliffordGates):
             t = np.moveaxis(t, range(k), qubits)
             self.vec = t.reshape(-1)
 
-    def _conjugate(self, h, p, ca, cb):
-        """The kernel of a moment checked by `_CliffordGates` or
-        `program.moments`, given as intp arrays: Hadamards, phases and CNOTs
-        in that order."""
-        h, p, ca, cb = (v.tolist() for v in (h, p, ca, cb))
+    def _conjugate(self, q, i, j):
+        """The kernel of a moment (q, i, j) checked by `_CliffordGates` or
+        `program.moments`: Hadamards, phases and CNOTs in that order."""
+        h, p, ca, cb = _moment_lists(q, i, j)
         for a in h:
             self._apply(H2, [a])
         for a in p:

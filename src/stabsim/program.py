@@ -125,12 +125,13 @@ def moments(gates, n: int) -> list:
 def apply_gates(state, gates):
     """Apply CNOT/H/P gates to any engine: `moments` checks and schedules
     them, so a bad gate raises before the state changes, and each moment
-    goes, as four intp arrays, straight to the engine's kernel
-    `_conjugate(h, p, ca, cb)`, which checks nothing again (a direct
-    `apply_moment` call checks its moment).  Only `DenseState`'s floats can
-    differ from applying the gates in program order."""
-    for moment in moments(gates, state.n):
-        state._conjugate(*(np.array(v, dtype=np.intp) for v in moment))
+    goes straight to the engine's kernel `_conjugate(q, i, j)` (q the intp
+    array of the qubits of h, p, ca, cb joined, i = len(h), j = i + len(p)),
+    which checks nothing again (a direct `apply_moment` call checks its
+    moment).  Only `DenseState`'s floats can differ from applying the gates
+    in program order."""
+    for h, p, ca, cb in moments(gates, state.n):
+        state._conjugate(np.array(h + p + ca + cb, dtype=np.intp), len(h), len(h) + len(p))
 
 
 def execute(state, program: "CircuitProgram", rng) -> list:
@@ -284,26 +285,37 @@ def _parse_matrix(numbered, header: int, eof: int, b: int, what: str) -> np.ndar
     raise ParseError(eof, f"unexpected end of file inside {what}")
 
 
-_ONE_QUBIT = {"h": Hadamard, "p": Phase, "m": Measure}
 # the c/h/p/m mnemonics, either case
-_SIMPLE = {op: kind for lower, kind in {"c": Cnot, **_ONE_QUBIT}.items()
+_SIMPLE = {op: kind for lower, kind in {"c": Cnot, "h": Hadamard, "p": Phase, "m": Measure}.items()
            for op in (lower, lower.upper())}
 
 
-def _parse_simple(tokens, lineno: int):
+def _decode_simple(kind, tokens, lineno: int, indices: dict):
+    """The `kind` (= _SIMPLE[tokens[0]]) instruction a c/h/p/m line's
+    tokens spell.  `indices` caches each index token already checked."""
+    if len(tokens) != 2 + (kind is Cnot):
+        raise ParseError(lineno, "c takes exactly two qubit indices" if kind is Cnot
+                         else f"{tokens[0].lower()} takes exactly one qubit index")
+    qubits = []
+    for tok in tokens[1:]:
+        q = indices.get(tok)
+        if q is None:
+            q = indices[tok] = _parse_index(tok, lineno)
+        qubits.append(q)
+    if kind is not Cnot:
+        return kind(qubits[0])
+    if qubits[0] == qubits[1]:
+        raise ParseError(lineno, "CNOT control and target must differ")
+    return Cnot(*qubits)
+
+
+def _parse_simple(tokens, lineno: int, indices: dict):
+    """The instruction an `if` line's inner tokens, or a line that is none
+    of c/h/p/m, block, gate and if, spell."""
+    kind = _SIMPLE.get(tokens[0])
+    if kind is not None:
+        return _decode_simple(kind, tokens, lineno, indices)
     op = tokens[0].lower()
-    if op == "c":
-        if len(tokens) != 3:
-            raise ParseError(lineno, "c takes exactly two qubit indices")
-        a = _parse_index(tokens[1], lineno)
-        b = _parse_index(tokens[2], lineno)
-        if a == b:
-            raise ParseError(lineno, "CNOT control and target must differ")
-        return Cnot(a, b)
-    if op in _ONE_QUBIT:
-        if len(tokens) != 2:
-            raise ParseError(lineno, f"{op} takes exactly one qubit index")
-        return _ONE_QUBIT[op](_parse_index(tokens[1], lineno))
     if op == "u":
         if len(tokens) < 3:
             raise ParseError(lineno, "u takes a gate name and at least one qubit")
@@ -358,27 +370,8 @@ def parse(text: str) -> CircuitProgram:
             continue
         kind = _SIMPLE.get(tokens[0])
         if kind is not None:
-            if len(tokens) != 2 + (kind is Cnot):
-                raise ParseError(lineno, "c takes exactly two qubit indices" if kind is Cnot
-                                 else f"{tokens[0].lower()} takes exactly one qubit index")
-            qubits = []
-            for tok in tokens[1:]:
-                q = indices.get(tok)
-                if q is None:
-                    q = indices[tok] = _parse_index(tok, lineno)
-                qubits.append(q)
-            a = qubits[0]
-            if kind is Cnot:
-                b = qubits[1]
-                if a == b:
-                    raise ParseError(lineno, "CNOT control and target must differ")
-                instr = Cnot(a, b)
-                a = max(a, b)
-            else:
-                instr = kind(a)
-            if a > top:
-                top = a
-            shared[raw] = instr
+            instr = shared[raw] = _decode_simple(kind, tokens, lineno, indices)
+            top = max(top, instr.a, instr.b) if kind is Cnot else max(top, instr.a)
             append(instr)
             continue
         op = tokens[0].lower()
@@ -411,13 +404,13 @@ def parse(text: str) -> CircuitProgram:
                 raise ParseError(
                     lineno, f"condition references measurement {k} before it happens"
                 )
-            inner = _parse_simple(tokens[2:], lineno)
+            inner = _parse_simple(tokens[2:], lineno, indices)
             if isinstance(inner, Measure):
                 raise ParseError(lineno, "measurements cannot be conditional")
             _check_named_gate(inner, gate_table, lineno)
             instr = Conditional(k, inner)
         else:
-            instr = _parse_simple(tokens, lineno)  # a u line, or an unknown one
+            instr = _parse_simple(tokens, lineno, indices)  # a u line, or an unknown one
             _check_named_gate(instr, gate_table, lineno)
         top = max(top, _qubit_span((instr,)) - 1)
         append(instr)

@@ -261,7 +261,9 @@ def _index_array(values, what: str) -> np.ndarray:
 
 
 def _moment_qubits(n: int, h, p, ca, cb) -> tuple:
-    """The moment's qubit lists as intp arrays, checked: DimensionError
+    """The moment as the kernel takes it, (q, i, j): q the intp array of
+    the qubits h, p, ca, cb joined in that order, i = len(h) and
+    j = len(h) + len(p).  Checked: DimensionError
     for a qubit outside 0..n-1 (the first in h, p, ca, cb order), a CNOT
     whose control is its target, CNOT lists of unequal length or two gates
     on one qubit; TypeError for an index that is not an integer."""
@@ -279,45 +281,53 @@ def _moment_qubits(n: int, h, p, ca, cb) -> tuple:
         if (ca == cb).any():
             raise DimensionError("control and target must differ")
         raise DimensionError("gates of one moment must act on distinct qubits")
-    i, j = h.size, h.size + p.size
-    return qubits[:i], qubits[i:j], qubits[j:j + ca.size], qubits[j + ca.size:]
+    return qubits.astype(np.intp, copy=False), h.size, h.size + p.size
 
 
-def _conjugate_step(x, z, r, h, p, ca, cb):
-    """The fused moment kernel on (n, w) columns x, z and signs r: one gather
-    of the x and z columns of all the gates' qubits, the H and P sign flips
-    as one x & z (a Y flips), the CNOT flips (xa & zb & ~(xb ^ za)), one
-    XOR reduction of them into r, each gate's formula on its slice of the
-    gathered columns, and one scatter of x and one of z.  A fixed number of
-    numpy steps costing O(k w) word operations for k gates."""
-    i, j = h.size, h.size + p.size
-    k = j + ca.size
-    q = np.concatenate((h, p, ca, cb))
-    xs, zs = x[q], z[q]
+def _moment_lists(q, i, j) -> tuple:
+    """The moment (q, i, j) as its h, p, ca, cb lists of ints."""
+    q = q.tolist()
+    k = (len(q) + j) // 2
+    return q[:i], q[i:j], q[j:k], q[k:]
+
+
+def _conjugate_step(x, z, r, q, i, j):
+    """The fused moment kernel on (n, w) columns x, z and signs r, for the
+    moment (q, i, j) (see `_moment_qubits`): one gather of the x and z
+    columns of the qubits q, the H and P sign flips as one x & z (a Y
+    flips), the CNOT flips (xa & zb & ~(xb ^ za)), one XOR reduction of
+    them into r, each gate's formula on its slice of the gathered columns,
+    and one scatter of x and one of z.  A fixed number of numpy steps
+    costing O(k w) word operations for k gates; a kind of gate the moment
+    lacks costs none."""
+    k = (q.size + j) // 2  # controls q[j:k], targets q[k:]
+    xs, zs = x.take(q, axis=0), z.take(q, axis=0)
     flips = np.empty((k, r.size), dtype=np.uint64)
-    np.bitwise_and(xs[:j], zs[:j], out=flips[:j])
-    xa, za, xb, zb = xs[j:k], zs[j:k], xs[k:], zs[k:]
-    cnot = flips[j:]
-    np.bitwise_xor(xb, za, out=cnot)
-    np.invert(cnot, out=cnot)
-    cnot &= xa
-    cnot &= zb
-    r ^= np.bitwise_xor.reduce(flips, axis=0)
-    xs[:i], zs[:i] = zs[:i], xs[:i].copy()  # H swaps x and z
-    zs[i:j] ^= xs[i:j]  # P: z ^= x
-    xb ^= xa  # CNOT: xb ^= xa, za ^= zb
-    za ^= zb
+    if j:
+        np.bitwise_and(xs[:j], zs[:j], out=flips[:j])
+    if k > j:
+        cnot = flips[j:]
+        np.bitwise_xor(xs[k:], zs[j:k], out=cnot)
+        np.invert(cnot, out=cnot)
+        cnot &= xs[j:k]
+        cnot &= zs[k:]
+    r ^= flips[0] if k == 1 else np.bitwise_xor.reduce(flips, axis=0)
+    if i:  # H swaps x and z
+        xs[:i], zs[:i] = zs[:i], xs[:i].copy()
+    if j > i:  # P: z ^= x
+        zs[i:j] ^= xs[i:j]
+    if k > j:  # CNOT: xb ^= xa, za ^= zb
+        xs[k:] ^= xs[j:k]
+        zs[j:k] ^= zs[k:]
     x[q], z[q] = xs, zs
-
-
-_NO_QUBITS = np.zeros(0, dtype=np.intp)
 
 
 class _CliffordGates:
     """The checked CNOT/H/P entry points every engine shares.  Each checks
     its gates (`_moment_qubits`, or `pauli._qubit_index` for one gate)
-    before anything changes and hands them, as intp arrays, to the engine's
-    moment kernel `_conjugate(h, p, ca, cb)`, which checks nothing.
+    before anything changes and hands them, as one intp array with two cut
+    points, to the engine's moment kernel `_conjugate(q, i, j)` (see
+    `_moment_qubits`), which checks nothing.
     `program.apply_gates` checks whole runs of gates in `program.moments`
     and calls the kernels directly."""
 
@@ -333,16 +343,15 @@ class _CliffordGates:
     def apply_cnot(self, a: int, b: int):
         """CNOT from control a to target b: a moment of one gate."""
         a = _qubit_index(self.n, a)
-        b = _qubit_index(self.n, b, a)
-        self._conjugate(_NO_QUBITS, _NO_QUBITS, np.array([a]), np.array([b]))
+        self._conjugate(np.array([a, _qubit_index(self.n, b, a)]), 0, 0)
 
     def apply_hadamard(self, a: int):
         """Hadamard on qubit a: a moment of one gate."""
-        self._conjugate(np.array([_qubit_index(self.n, a)]), _NO_QUBITS, _NO_QUBITS, _NO_QUBITS)
+        self._conjugate(np.array([_qubit_index(self.n, a)]), 1, 1)
 
     def apply_phase(self, a: int):
         """Phase gate on qubit a: a moment of one gate."""
-        self._conjugate(_NO_QUBITS, np.array([_qubit_index(self.n, a)]), _NO_QUBITS, _NO_QUBITS)
+        self._conjugate(np.array([_qubit_index(self.n, a)]), 0, 1)
 
 
 class _PauliColumns(_CliffordGates):
@@ -355,18 +364,23 @@ class _PauliColumns(_CliffordGates):
     n: int
     _words: int
 
-    def _conjugate(self, h, p, ca, cb):
-        """Conjugate every string by one moment given as intp arrays already
-        checked (`_CliffordGates`), unchecked itself.  The gates commute,
-        so a large moment is taken in steps of proportional slices of the
-        four lists, each gathering at most _STEP_BYTES of x columns: the
-        fused kernel's arrays then stay in cache (on a 2-core Xeon VM, one
-        step per moment took about 1.5 times as long at n = 4,000).  A small
-        moment is one step."""
-        steps = -(-8 * self._words * (h.size + p.size + 2 * ca.size) // _STEP_BYTES)
+    def _conjugate(self, q, i, j):
+        """Conjugate every string by one moment (q, i, j) already checked
+        (`_CliffordGates`), unchecked itself.  The gates commute, so a large
+        moment is taken in steps of proportional slices of its H, P, control
+        and target lists, each gathering at most _STEP_BYTES of x columns:
+        the fused kernel's arrays then stay in cache (on a 2-core Xeon VM,
+        one step per moment took about 1.5 times as long at n = 4,000).  A
+        small moment is one step, on q itself."""
+        steps = -(-8 * self._words * q.size // _STEP_BYTES)
+        if steps < 2:
+            return _conjugate_step(self.x, self.z, self.r, q, i, j)
+        ends = (0, i, j, (q.size + j) // 2, q.size)
         for s in range(steps):
-            _conjugate_step(self.x, self.z, self.r,
-                            *(v[v.size * s // steps:v.size * (s + 1) // steps] for v in (h, p, ca, cb)))
+            h, p, ca, cb = (q[lo + (hi - lo) * s // steps:lo + (hi - lo) * (s + 1) // steps]
+                            for lo, hi in zip(ends, ends[1:]))
+            _conjugate_step(self.x, self.z, self.r, np.concatenate((h, p, ca, cb)),
+                            h.size, h.size + p.size)
 
     # -- anticommutation ---------------------------------------------------------
 
@@ -1038,12 +1052,12 @@ class PauliTable(_PauliColumns):
     def __len__(self) -> int:
         return self._count
 
-    def _conjugate(self, h, p, ca, cb):
+    def _conjugate(self, q, i, j):
         # Clifford gates fix the identity word and flip no sign on it, so a
         # table of identities alone (a stabilizer state, before any
         # non-stabilizer gate) is left as it is.
         if self.x.any() or self.z.any():
-            super()._conjugate(h, p, ca, cb)
+            super()._conjugate(q, i, j)
 
     def copy(self) -> "PauliTable":
         t = object.__new__(PauliTable)

@@ -1,9 +1,12 @@
 """The moment path: `execute` schedules each run of CNOT/H/P gates into
 moments of gates on distinct qubits, and every engine applies each moment
-with its `apply_moment`.  It must give what applying the gates one at a time
-gives: exactly on the tableaus, to rounding on the dense engine."""
+with its moment kernel.  It must give what applying the gates one at a time
+gives: exactly on the tableaus, to rounding on the dense engine.  On the
+tableaus the one-at-a-time referee is the paper's column formulas, written
+out here, so that it shares no code with the engine's kernel."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,12 +28,40 @@ from stabsim.program import (
     moments,
     random_unitary_program,
 )
+from stabsim import tableau as tableau_module
 from stabsim.tableau import new_zero_state
 
 
-def per_gate_execute(state, program, rng) -> list:
-    """The reference: every instruction applied on its own, in order,
-    through the engine's per-gate methods."""
+def engine_gate(state, gate):
+    """One gate through the engine's per-gate method."""
+    if isinstance(gate, Cnot):
+        state.apply_cnot(gate.a, gate.b)
+    elif isinstance(gate, Hadamard):
+        state.apply_hadamard(gate.a)
+    else:
+        state.apply_phase(gate.a)
+
+
+def formula_gate(t, gate):
+    """One gate by the paper's formulas on a tableau's packed columns x[a],
+    z[a] and its signs r, one word array at a time."""
+    x, z, a = t.x, t.z, gate.a
+    if isinstance(gate, Cnot):
+        b = gate.b
+        t.r ^= x[a] & z[b] & ~(x[b] ^ z[a])
+        x[b] ^= x[a]
+        z[a] ^= z[b]
+    elif isinstance(gate, Hadamard):
+        t.r ^= x[a] & z[a]
+        x[a], z[a] = z[a].copy(), x[a].copy()
+    else:
+        t.r ^= x[a] & z[a]
+        z[a] ^= x[a]
+
+
+def per_gate_execute(state, program, rng, gate=engine_gate) -> list:
+    """The reference: every instruction applied on its own, in order, each
+    gate through `gate` (by default the engine's per-gate methods)."""
     records = []
     for instr in program.instructions:
         if isinstance(instr, Conditional):
@@ -39,13 +70,16 @@ def per_gate_execute(state, program, rng) -> list:
             instr = instr.inner
         if isinstance(instr, Measure):
             records.append(state.measure(instr.a, rng))
-        elif isinstance(instr, Cnot):
-            state.apply_cnot(instr.a, instr.b)
-        elif isinstance(instr, Hadamard):
-            state.apply_hadamard(instr.a)
         else:
-            state.apply_phase(instr.a)
+            gate(state, instr)
     return records
+
+
+def stepped_execute(state, program, rng) -> list:
+    """`execute` with _STEP_BYTES at 64: every moment of more than one
+    qubit is taken in steps, and `measure_run` in short stretches."""
+    with mock.patch.object(tableau_module, "_STEP_BYTES", 64):
+        return execute(state, program, rng)
 
 
 def random_gate(n: int, rng: random.Random):
@@ -100,12 +134,16 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 def test_moment_path_equals_per_gate_path(n, rank, seed):
     program = random_program(n, random.Random(seed))
     for make in (lambda: new_zero_state(n), lambda: MixedTableau(n, min(rank, n))):
-        got, want = make(), make()
-        got_rng, want_rng = random.Random(seed), random.Random(seed)
-        assert execute(got, program, got_rng) == per_gate_execute(want, program, want_rng)
-        assert got.to_bytes() == want.to_bytes()
-        assert got.rowsum_count == want.rowsum_count
-        assert got_rng.random() == want_rng.random()
+        want = make()
+        want_rng = random.Random(seed)
+        want_records = per_gate_execute(want, program, want_rng, formula_gate)
+        for run in (execute, stepped_execute, per_gate_execute):
+            got = make()
+            got_rng = random.Random(seed)
+            assert run(got, program, got_rng) == want_records
+            assert got.to_bytes() == want.to_bytes()
+            assert got.rowsum_count == want.rowsum_count
+            assert got_rng.getstate() == want_rng.getstate()
 
 
 @settings(max_examples=40, deadline=None, database=None)

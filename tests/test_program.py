@@ -23,7 +23,7 @@ from stabsim.program import (
     random_unitary_program,
     render,
 )
-from stabsim.tableau import MeasurementRecord, new_zero_state
+from stabsim.tableau import MeasurementRecord, _moment_lists, new_zero_state
 
 
 def test_teleport_listing_parses():
@@ -360,8 +360,8 @@ class SpyEngine:
         self.n = n
         self.calls = []
 
-    def _conjugate(self, h, p, ca, cb):  # the moment kernel `apply_gates` calls
-        self.calls.append(("moment", h.tolist(), p.tolist(), ca.tolist(), cb.tolist()))
+    def _conjugate(self, q, i, j):  # the moment kernel `apply_gates` calls
+        self.calls.append(("moment", *_moment_lists(q, i, j)))
 
     def measure_run(self, qubits, rng):
         self.calls.append(("measure_run", list(qubits)))

@@ -39,8 +39,10 @@ from .tableau import (  # noqa: F401  (PauliSumTerm is part of this module's API
     PauliSumTerm,
     PauliTable,
     _CliffordGates,
+    _bits,
     _moment_lists,
     _term_bytes,
+    _word_bits,
     new_zero_state,
     sample_outcome,
 )
@@ -381,14 +383,14 @@ class PauliSumState(_CliffordGates):
 
     def measure_pauli(self, q: PauliOperator, rng) -> tuple:
         """Measure the ±1 observable q; returns (outcome, probability of it)."""
-        hits = np.flatnonzero(self.tableau.anticommuting(q))
+        mask = self.tableau.anticommuting_mask(q)
         if not q.is_hermitian():
             raise DimensionError("measurement operator must be Hermitian")
-        case, pivot = self.tableau._case_split(hits)
+        case, pivot = self.tableau._case_split(mask)
         if case == 2:
-            p0, p1, keep = self._project_commuting(q, hits)
+            p0, p1, keep = self._project_commuting(q, np.flatnonzero(_bits(mask, self.n)))
         else:
-            p0, p1, keep = self._project_anticommuting(q, hits, pivot)
+            p0, p1, keep = self._project_anticommuting(q, mask, pivot)
         if abs(p0 + p1 - 1.0) > PROB_TOL:
             raise NumericalIntegrityError(
                 f"outcome probabilities sum to {p0 + p1}, not 1"
@@ -421,17 +423,19 @@ class PauliSumState(_CliffordGates):
         p0, p1 = (self._trace_sum(coeff[w], signs[w]).real for w in wheres)
         return p0, p1, lambda outcome: (table, coeff[wheres[outcome]], wheres[outcome])
 
-    def _project_anticommuting(self, q: PauliOperator, hits: np.ndarray, pivot: int):
-        """q anticommutes with the rows `hits` (ascending) of the tableau, the
-        first generator among them M_{j1} at the `pivot` row n + j1 (case I
-        of `Tableau._case_split`): the tableau's collapse multiplies every
-        other anticommuting row by M_{j1}, moves M_{j1} to its destabilizer
-        slot and puts q in its place; anticommuting words pick up a factor
-        of the old generator.  The terms are updated in a copy, so a
-        collapse that raises leaves the state as it was."""
+    def _project_anticommuting(self, q: PauliOperator, mask: np.ndarray, pivot: int):
+        """q anticommutes with the rows set in the packed mask `mask` of the
+        tableau, the first generator among them M_{j1} at the `pivot` row
+        n + j1 (case I of `Tableau._case_split`): the tableau's collapse
+        multiplies every other anticommuting row by M_{j1}, moves M_{j1} to
+        its destabilizer slot and puts q in its place; anticommuting words
+        pick up a factor of the old generator, and so do the eigenvalue bits
+        of the later generators q anticommutes with.  The terms are updated
+        in a copy, so a collapse that raises leaves the state as it was."""
         n, tab = self.n, self.tableau
         j1 = pivot - n
-        tab._collapse(hits, pivot, j1, q)
+        later = np.flatnonzero(_bits(mask, 2 * n)[pivot + 1:]) + (j1 + 1)
+        tab._collapse(mask, pivot, j1, _word_bits(n, q), q.phase_exp // 2)
         m1 = tab.get_row(j1)
 
         table = self.table.copy()
@@ -439,7 +443,7 @@ class PauliSumState(_CliffordGates):
         flips = table.anticommuting(q)
         e1 = table.eig_bits([j1])
         k = table.multiply(flips, m1)
-        table.flip_eig(hits[hits > pivot] - n, e1)
+        table.flip_eig(later, e1)
         c = coeff / 2
         c[flips] = c[flips] * _I_POWERS[k[flips]] * np.where(e1[flips], -1 + 0j, 1 + 0j)
         # keep0 and keep1 differ only in the bit for generator j1, so they

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DimensionError, InvalidTableauError
 from .gf2 import rref
 from .pauli import PauliOperator, _qubit_index
-from .tableau import Tableau
+from .tableau import Tableau, _word_bits
 
 _MAGIC = b"STBM"
 _VERSION = 1
@@ -66,13 +66,13 @@ class MixedTableau(Tableau):
                 raise InvalidTableauError("generators must carry ±1 phases")
         t = cls(n, 0)
         for g in gens:
-            hits = np.flatnonzero(t.anticommuting(g))
-            case, pivot = t._case_split(hits)
+            mask = t.anticommuting_mask(g)
+            case, pivot = t._case_split(mask)
             if case == 1:
                 raise InvalidTableauError("generators must commute")
             if case == 2:
                 raise InvalidTableauError("generators are not independent")
-            t._collapse(hits, pivot, (pivot + n) % (2 * n), g)
+            t._collapse(mask, pivot, (pivot + n) % (2 * n), _word_bits(n, g), g.phase_exp // 2)
         return t
 
     # -- accessors ----------------------------------------------------------

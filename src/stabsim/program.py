@@ -30,34 +30,34 @@ from .errors import ParseError, StabsimError
 from .pauli import _qubit_index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cnot:
     a: int
     b: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hadamard:
     a: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Phase:
     a: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measure:
     a: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NamedUnitary:
     name: str
     qubits: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conditional:
     """Run `inner` iff the outcome of measurement number `bit` was 1."""
 
@@ -296,17 +296,17 @@ def _decode_simple(kind, tokens, lineno: int, indices: dict):
     if len(tokens) != 2 + (kind is Cnot):
         raise ParseError(lineno, "c takes exactly two qubit indices" if kind is Cnot
                          else f"{tokens[0].lower()} takes exactly one qubit index")
-    qubits = []
-    for tok in tokens[1:]:
-        q = indices.get(tok)
-        if q is None:
-            q = indices[tok] = _parse_index(tok, lineno)
-        qubits.append(q)
+    a = indices.get(tokens[1])
+    if a is None:
+        a = indices[tokens[1]] = _parse_index(tokens[1], lineno)
     if kind is not Cnot:
-        return kind(qubits[0])
-    if qubits[0] == qubits[1]:
+        return kind(a)
+    b = indices.get(tokens[2])
+    if b is None:
+        b = indices[tokens[2]] = _parse_index(tokens[2], lineno)
+    if a == b:
         raise ParseError(lineno, "CNOT control and target must differ")
-    return Cnot(*qubits)
+    return Cnot(a, b)
 
 
 def _parse_simple(tokens, lineno: int, indices: dict):
@@ -347,8 +347,10 @@ def parse(text: str) -> CircuitProgram:
     instruction object is shared by every repeat; each distinct index token
     is checked once too.  `u`, `if`, `block` and `gate` lines depend on the
     gates defined and the measurements made above them, and are parsed every
-    time.  The qubit count is tracked as the lines are decoded, and the
-    measurements above a line are counted only when an `if` line asks.
+    time.  The qubit count is one more than the highest index among the
+    checked index tokens, taken once at the end, and those of the `u` and
+    `if` lines; the measurements above a line are counted only when an `if`
+    line asks.
     """
     lines = text.splitlines()
     numbered = enumerate(lines, 1)
@@ -358,7 +360,7 @@ def parse(text: str) -> CircuitProgram:
     indices = {}  # index token -> its checked qubit index
     gate_table = {}
     blocks = []
-    top = -1  # the highest qubit index seen
+    top = -1  # the highest qubit index of the u and if lines
     measures, counted = 0, 0  # the Measures among instructions[:counted]
     for lineno, raw in numbered:
         instr = shared.get(raw)
@@ -371,7 +373,6 @@ def parse(text: str) -> CircuitProgram:
         kind = _SIMPLE.get(tokens[0])
         if kind is not None:
             instr = shared[raw] = _decode_simple(kind, tokens, lineno, indices)
-            top = max(top, instr.a, instr.b) if kind is Cnot else max(top, instr.a)
             append(instr)
             continue
         op = tokens[0].lower()
@@ -415,6 +416,7 @@ def parse(text: str) -> CircuitProgram:
         top = max(top, _qubit_span((instr,)) - 1)
         append(instr)
 
+    top = max(top, max(indices.values(), default=-1))
     block_span = sum(int(np.log2(b.shape[0])) for b in blocks)
     return CircuitProgram(max(top + 1, block_span, 1), tuple(instructions), gate_table, blocks)
 

@@ -18,9 +18,9 @@ CNOT/H/P gates into moments, and hands them to `_conjugate` unchecked) is
 one fused kernel: a gather of all its qubits' columns, one XOR reduction of
 the sign flips and a scatter, O(k n / 64) word operations in a number of
 numpy calls that does not grow with k.  A measurement multiplies a whole
-packed mask of rows by one pivot row at once: one masked XOR over the
-pivot's support, the new phases from a few bit-sliced passes along the
-qubit axis, O(n^2/64) word operations at worst.
+packed mask of rows (for Z_a, x[a] itself) by one pivot read from it: one
+masked XOR over the pivot's support, the new phases from a few bit-sliced
+passes along the qubit axis, O(n^2/64) word operations at worst.
 
 Phases mod 4 are counted in bit-sliced form.  For a count c of set bits
 along the qubit axis, bit 0 of c is the XOR of the bits, and bit 1 is the
@@ -33,9 +33,9 @@ conjugates the tableau and the terms, and a measurement or a
 non-stabilizer gate updates every term in whole-table numpy steps.
 
 This module alone knows how the bits are packed.  Other modules go through
-its row reads and writes, `anticommuting_rows`, `_case_split` (the paper's
-measurement cases I-III at any rank, and the pivot), `_collapse` (the
-update for a measured Pauli that anticommutes with a pivot row),
+its row reads and writes, `anticommuting_rows`, `anticommuting_mask`,
+`_case_split` (the paper's measurement cases I-III at any rank, and the
+pivot), `_collapse` (the update for a measured Pauli on that mask),
 `row_product`, `_row_products`, `stabilizer_signs` (which Pauli-sum terms
 lie in +-S, and with which sign), `rowsum`, `apply_cnot_round`, `compose`
 and `inverse` (products and inverses of Cliffords) and the `PauliTable` methods.
@@ -208,7 +208,7 @@ def _pair_parity(b: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(b[1:] & pre[:-1], axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementRecord:
     qubit: int
     outcome: int
@@ -400,11 +400,16 @@ class _PauliColumns(_CliffordGates):
             out[s - lo:e - lo] = _anticommutation(xs[:, s - 64 * k:].T, zs[:, s - 64 * k:].T, words)
         return out
 
-    def anticommuting(self, q: PauliOperator) -> np.ndarray:
-        """Boolean per string in use: whether it anticommutes with q."""
+    def anticommuting_mask(self, q: PauliOperator) -> np.ndarray:
+        """Packed mask (w words) of the strings in use that anticommute with q."""
         n, pad = self.n, _padded(self.n)
         bits = _word_bits(n, q)[None]
-        return _bits(_anticommutation(bits[:, :n], bits[:, pad:pad + n], self)[0], self._count)
+        return (_anticommutation(bits[:, :n], bits[:, pad:pad + n], self)[0]
+                & _span(0, self._count, self._words))
+
+    def anticommuting(self, q: PauliOperator) -> np.ndarray:
+        """Boolean per string in use: whether it anticommutes with q."""
+        return _bits(self.anticommuting_mask(q), self._count)
 
 
 def _anticommutation(wx: np.ndarray, wz: np.ndarray, words: _PauliColumns) -> np.ndarray:
@@ -552,12 +557,6 @@ class Tableau(_PauliColumns):
         col |= bits << s
         self.r[w] = (self.r[w] & keep) | (np.uint64(sign) << s)
 
-    def _row_mask(self, idx) -> np.ndarray:
-        """Packed mask (W words) of the row indices idx."""
-        bits = np.zeros(64 * self._words, dtype=np.uint8)
-        bits[idx] = 1
-        return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64, copy=False)
-
     # -- rowsum ---------------------------------------------------------------
 
     def rowsum(self, h: int, i: int):
@@ -569,7 +568,9 @@ class Tableau(_PauliColumns):
 
     def _batch_rowsum(self, idx: np.ndarray, src: int):
         """rowsum(i, src) for every row index i in idx."""
-        self._rowsum_mask(self._row_mask(idx), *self._read_row(src))
+        rows = np.zeros(2 * self.n + 1, dtype=bool)
+        rows[idx] = True
+        self._rowsum_mask(_pack(rows, self._words), *self._read_row(src))
 
     def _rowsum_mask(self, mask: np.ndarray, src: np.ndarray, sign):
         """rowsum(i, src) for every row i set in the packed mask, all at once,
@@ -721,41 +722,39 @@ class Tableau(_PauliColumns):
         a = _qubit_index(self.n, a)
         return not _bits(self.x[a], 2 * self.n)[self.rank:].any()
 
-    def _case_split(self, hits: np.ndarray) -> tuple[int, int]:
+    def _case_split(self, mask: np.ndarray) -> tuple[int, int]:
         """(case, pivot) of the paper's rule for measuring a Pauli that
-        anticommutes with the rows `hits` (ascending) of this rank-r
-        tableau: 1 (case I) if it anticommutes with a stabilizer row, the
-        first being the pivot; else 3 (case III) if with a logical row, the
-        first being the pivot; else 2 (case II, pivot -1): it lies in ±S."""
+        anticommutes with the rows set in the packed mask (bit i = row i <
+        2n) of this rank-r tableau: 1 (case I) if with a stabilizer row, the
+        first in n..n+r-1 being the pivot; else 3 (case III) if with a
+        logical row, the first in r..2n-1; else 2 (case II, pivot -1)."""
         n, r = self.n, self.rank
-        k = int(np.searchsorted(hits, n))
-        if k < hits.size and hits[k] < n + r:
-            return 1, int(hits[k])
-        k = int(np.searchsorted(hits, r))
-        if k < hits.size:
-            return 3, int(hits[k])
+        bits = int.from_bytes(mask.astype("<u8", copy=False).tobytes(), "little")
+        for case, lo, hi in ((1, n, n + r), (3, r, 2 * n)):
+            hit = (bits >> lo) & ((1 << (hi - lo)) - 1)
+            if hit:
+                return case, lo + (hit & -hit).bit_length() - 1
         return 2, -1
 
-    def _collapse(self, hits: np.ndarray, pivot: int, partner: int, row: PauliOperator):
-        """Update for measuring the Pauli `row` when it anticommutes with the
-        `pivot` row (case I or III of `_case_split`), whose partner row is
-        pivot ± n: every other row in `hits` (the rows of 0..2n-1 that
-        anticommute with `row`) is multiplied by the pivot, the pivot moves
-        to `partner`, and `row`, a Hermitian Pauli carrying the sign the
-        caller drew, takes its place.
-
-        The partner row is excluded from the sweep: it anticommutes with the
-        pivot, so its product would carry an unrepresentable ±i phase, and it
-        is overwritten by the copy step regardless.
-
-        In case III the pivot is a logical row, so `row` is a new generator:
-        the logical pair in rows n+r and r moves to the pivot's two rows, and
-        `row` and its partner take rows n+r and r; the rank grows by one.
-        """
-        idx = hits[(hits != pivot) & (hits != partner)]
+    def _collapse(self, mask: np.ndarray, pivot: int, partner: int, bits: np.ndarray, sign):
+        """Update for measuring a Hermitian Pauli (the 0/1 column `bits` of
+        `_xz`, with the `sign` bit the caller drew) that anticommutes with
+        the rows of 0..2n-1 set in the packed mask `mask` (W words, bit i =
+        row i; left as it is), the `pivot` among them (case I or III of
+        `_case_split`) having its partner row pivot ± n.  Every row of the
+        mask but those two is multiplied by the pivot in one `_rowsum_mask`
+        (the partner anticommutes with the pivot, so its product would carry
+        an unrepresentable ±i phase), the pivot moves to `partner`, and the
+        Pauli takes its place.  In case III the pivot is a logical row, so
+        the Pauli is a new generator: the logical pair in rows n+r and r
+        moves to the pivot's two rows, and the Pauli and its partner take
+        rows n+r and r; the rank grows by one."""
         src = self._read_row(pivot)
-        if idx.size:
-            self._rowsum_mask(self._row_mask(idx), *src)
+        others = mask.copy()
+        for i in (pivot, partner):
+            others[i >> 6] &= ~(_ONE << _SHIFTS[i & 63])
+        if others.any():
+            self._rowsum_mask(others, *src)
         n, r = self.n, self.rank
         if not n <= pivot < n + r:
             moved = self._read_row(n + r), self._read_row(r)
@@ -763,7 +762,7 @@ class Tableau(_PauliColumns):
             self._write_row(partner, *moved[1])
             pivot, partner, self.rank = n + r, r, r + 1
         self._write_row(partner, *src)
-        self._write_row(pivot, _word_bits(n, row), row.phase_exp // 2)
+        self._write_row(pivot, bits, sign)
 
     def _determinate(self, qubits) -> list[MeasurementRecord]:
         """Records of determinate measurements of the qubits `qubits`.  The
@@ -805,15 +804,19 @@ class Tableau(_PauliColumns):
         per qubit.  Each qubit is checked once and classified from its
         packed x column: it is random (case I or III) iff a stabilizer or
         logical row (r..2n-1) has an X there.  A random outcome draws one
-        rng.getrandbits(1) bit and changes the tableau; a determinate one
-        only the scratch row, so the determinate qubits between random ones
-        gather into one `_determinate` call, in chunks of at most
-        max(64, _STEP_BYTES / 8W) qubits so that their W-word columns stay
-        small.  An invalid qubit raises as `measure` would, after the
-        measurements before it took effect."""
+        rng.getrandbits(1) bit and changes the tableau: the rows that
+        anticommute with Z_a are the set bits of x[a] in rows 0..2n-1, the
+        mask `_case_split` and `_collapse` take, and Z_a is a one-hot
+        column.  A determinate one changes only the scratch row, so the
+        determinate qubits between random ones gather into one
+        `_determinate` call, in chunks of at most max(64, _STEP_BYTES / 8W)
+        qubits so that their W-word columns stay small.  An invalid qubit
+        raises as `measure` would, after the measurements before it took
+        effect."""
         n, words = self.n, self._words
         chunk = max(64, _STEP_BYTES // (8 * words))
         records, stretch = [], []
+        rows = _span(0, 2 * n, words)
         rank, random_rows = self.rank, _span(self.rank, 2 * n, words)
         for a in qubits:
             try:
@@ -830,11 +833,12 @@ class Tableau(_PauliColumns):
                 continue
             records += self._determinate(stretch)
             stretch = []
-            hits = _bits(col, 2 * n).nonzero()[0]
-            case, p = self._case_split(hits)
+            mask = col & rows
+            case, p = self._case_split(mask)
             outcome = rng.getrandbits(1) & 1
-            z_a = PauliOperator.single(n, a, "Z", 2 * outcome)
-            self._collapse(hits, p, (p + n) % (2 * n), z_a)
+            z_a = np.zeros(len(self._xz), dtype=np.uint64)
+            z_a[_padded(n) + a] = _ONE
+            self._collapse(mask, p, (p + n) % (2 * n), z_a, outcome)
             records.append(MeasurementRecord(a, outcome, deterministic=False))
             if self.rank != rank:
                 rank, random_rows = self.rank, _span(self.rank, 2 * n, words)

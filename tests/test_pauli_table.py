@@ -28,7 +28,7 @@ from stabsim.pauli import (
     symplectic,
 )
 from stabsim.program import CircuitProgram, Cnot, Hadamard, Measure, Phase, execute
-from stabsim.tableau import PauliTable, new_zero_state, sample_outcome
+from stabsim.tableau import PauliTable, _int_words, _word_bits, new_zero_state, sample_outcome
 
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
 
@@ -128,7 +128,8 @@ class ReferencePauliSum:
         else:
             anti = [i - n for i in hits if i >= n]
             j1 = anti[0]
-            tab._collapse(np.array(hits), n + j1, j1, q)
+            packed = _int_words([mask], tab._words)[0]
+            tab._collapse(packed, n + j1, j1, _word_bits(n, q), q.phase_exp // 2)
             m1 = tab.get_row(j1)
             modmask = sum(1 << j for j in anti[1:])
             bit = 1 << j1

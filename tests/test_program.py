@@ -294,6 +294,53 @@ def test_repeated_lines_parse_as_if_each_were_new(lines):
         assert got.n == max(got.qubit_span(), span, 1)
 
 
+@st.composite
+def spanned_texts(draw):
+    """A valid CHP text and the highest qubit index written in it.  Its
+    c/h/p/m lines are new or repeat an earlier one; every index token may
+    carry leading zeros ("007"), so one index can be spelled several ways.
+    It also holds `u` lines of a defined one-qubit gate, `if` lines on
+    measurements already made (of that gate, h or p), comments and blank
+    lines."""
+    qubit = st.integers(0, 200)
+
+    def tok(q):
+        return str(q).zfill(draw(st.integers(1, 4)))
+
+    lines = ["gate t 1", "1,0 0,0", "0,0 1,0"]
+    seen, top, measured = [], -1, 0
+    for kind in draw(st.lists(st.sampled_from("nnrrui# "), max_size=30)):
+        if kind == "r" and seen:
+            line, qubits = draw(st.sampled_from(seen))
+        elif kind in "nr":
+            op = draw(st.sampled_from("chpmCHPM"))
+            if op in "cC":
+                qubits = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+            else:
+                qubits = [draw(qubit)]
+            line = " ".join([op, *map(tok, qubits)])
+            seen.append((line, qubits))
+        elif kind == "u" or (kind == "i" and measured):
+            qubits = [draw(qubit)]
+            line = draw(st.sampled_from(["u t", "h", "P"] if kind == "i" else ["u t"]))
+            line = f"{line} {tok(qubits[0])}"
+            if kind == "i":
+                line = f"if {draw(st.integers(0, measured - 1))} {line}"
+        else:
+            qubits, line = [], draw(st.sampled_from(["", "  ", "# m 999", "#"]))
+        measured += line.startswith(("m ", "M "))
+        top = max([top, *qubits])
+        lines.append(line)
+    return "\n".join(lines), top
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(spanned_texts())
+def test_parsed_qubit_count_is_the_highest_index_plus_one(case):
+    text, top = case
+    assert parse(text).n == max(top + 1, 1)
+
+
 def test_demo_programs_all_parse():
     for path in PROGRAMS_DIR.glob("*.chp"):
         prog = parse(path.read_text())

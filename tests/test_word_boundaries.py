@@ -1,8 +1,12 @@
 """Differential check of the packed tableaus against a row-by-row reference,
 at the qubit counts where the packed words break (2n+1 rows cross a 64-bit
-word at n = 32, n qubits at n = 64).  The dense oracle stops at 12 qubits,
-so these sizes have no other referee."""
+word at n = 32 and 64, n qubits at n = 64 and 128).  The dense oracle stops
+at 12 qubits, so these sizes have no other referee.  The reference shares no
+kernel with the tableaus, only their row reads and writes: a random
+outcome's collapse there is one `multiply` per row, where `measure_run`
+makes one bit-sliced `_rowsum_mask` over a packed mask of rows."""
 
+import math
 import random
 
 import pytest
@@ -20,7 +24,8 @@ from stabsim.pauli import (
     conjugate_phase,
     multiply,
 )
-from stabsim.tableau import MeasurementRecord, new_zero_state
+from stabsim.program import apply_gates, random_unitary_program
+from stabsim.tableau import MeasurementRecord, Tableau, new_zero_state
 
 
 class Reference:
@@ -151,6 +156,43 @@ def test_mixed_tableau_matches_row_reference_at_word_boundaries(n, rank, seed):
     ref = Reference(n, rank)
     run_both(m, ref, ops, seed)
     assert m.rank == ref.rank
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("rank", ["pure", 0, "half", "n-1"])
+def test_measure_run_matches_row_reference(n, seed, rank):
+    # Two rounds of random gates and one `measure_run` over a qubit list
+    # with repeats, so that random outcomes and determinate stretches mix.
+    # The reference starts each round from the tableau's rows.
+    gates = random.Random(seed)
+    if rank == "pure":
+        t = Tableau(n)
+    else:
+        t = MixedTableau(n, {0: 0, "half": n // 2, "n-1": n - 1}[rank])
+    cases = set()
+    for _ in range(2):
+        ngates = int(n * math.log2(n)) + 4 * n
+        apply_gates(t, random_unitary_program(n, ngates, gates).instructions)
+        ref = Reference(n, t.rank)
+        ref.rows = [t.get_row(i) for i in range(2 * n + 1)]
+        ref.rowsum_count = t.rowsum_count
+        qubits = [gates.randrange(n) for _ in range(n)] + list(range(n))
+        r_t, r_ref = random.Random(seed), random.Random(seed)
+        got = t.measure_run(qubits, r_t)
+        want = []
+        for a in qubits:
+            r = ref.rank
+            want.append(ref.measure(a, r_ref))
+            if not want[-1].deterministic:
+                cases.add(3 if ref.rank > r else 1)
+        assert got == want
+        assert [t.get_row(i) for i in range(2 * n + 1)] == ref.rows
+        assert (t.rank, t.rowsum_count) == (ref.rank, ref.rowsum_count)
+        assert r_t.getstate() == r_ref.getstate()
+    assert t.satisfies_invariants()
+    # both random cases: I on every tableau of n > 1 qubits, III on a mixed one
+    assert cases >= ({1} if n > 1 else set()) | ({1} if rank == "pure" else {3})
 
 
 def scrambled_rows(n: int, rng: random.Random) -> list:

@@ -4,9 +4,11 @@ Two engines, both polynomial in the qubit count but exponential in the
 non-stabilizer budget:
 
 * product-initial-state circuits with a bounded number d of measurements:
-  measurement k folds its 2k-1 projector factors into a `PauliTable` of at
-  most 2**k merged words, whose expectations come blockwise from the
-  initial blocks' Pauli traces (O(b 4**b) per block of b qubits);
+  the Clifford V applied so far is a tableau on the shared moment kernel,
+  and each measured word V†Z_aV one column of it; measurement k folds its
+  2k-1 projector factors into a `PauliTable` of at most 2**k merged words,
+  whose expectations come blockwise from the initial blocks' Pauli traces
+  (O(b 4**b) per block of b qubits);
 
 * stabilizer circuits salted with d non-stabilizer gates on at most b
   qubits each: the density matrix is kept as a sum of at most 4**(2bd)
@@ -40,7 +42,6 @@ from .tableau import (  # noqa: F401  (PauliSumTerm is part of this module's API
     PauliTable,
     _CliffordGates,
     _bits,
-    _moment_lists,
     _term_bytes,
     _word_bits,
     new_zero_state,
@@ -130,16 +131,16 @@ def _pauli_traces(m: np.ndarray) -> np.ndarray:
 
 
 class _ProductRun(_CliffordGates):
-    """The product-state run as an engine.  It keeps the rows V†X_jV and
-    V†Z_jV for the unitary V applied so far (a new gate g, V -> gV, rewrites
-    rows through g† on the input side) and the conjugated measurement words
-    W_i with their signs, from which each outcome's exact conditional
-    probability follows."""
+    """The product-state run as an engine.  It keeps the tableau of the
+    unitary V applied so far (ResourceCapError past MAX_TABLEAU_BYTES),
+    conjugated by the moment kernel every engine shares, and the words
+    W_i = V†Z_aV of the qubits a measured so far, read from it
+    (`Tableau._inverse_stabilizer`), with their signs, from which each
+    outcome's exact conditional probability follows."""
 
     def __init__(self, init: ProductState):
         n = self.n = init.n
-        self.xrows = [PauliOperator.single(n, j, "X") for j in range(n)]
-        self.zrows = [PauliOperator.single(n, j, "Z") for j in range(n)]
+        self.tableau = new_zero_state(n)
         self.traces = init.block_traces()
         self.measured: list = []  # (W_i, s_i) per earlier measurement
         self.q_prev = 1.0
@@ -147,19 +148,8 @@ class _ProductRun(_CliffordGates):
 
     def _conjugate(self, q, i, j):
         """The kernel of a moment (q, i, j) checked by `_CliffordGates` or
-        `program.moments`.  The rows are exact Pauli words and the gates
-        commute, so the order they are folded in does not matter."""
-        h, p, ca, cb = _moment_lists(q, i, j)
-        xr, zr = self.xrows, self.zrows
-        for a in h:
-            xr[a], zr[a] = zr[a], xr[a]
-        for a in p:
-            # P† X P = -Y = -i X Z
-            y = multiply(xr[a], zr[a])
-            xr[a] = PauliOperator(self.n, (y.phase_exp + 3) % 4, y.x, y.z)
-        for a, b in zip(ca, cb):
-            xr[a] = multiply(xr[a], xr[b])
-            zr[b] = multiply(zr[a], zr[b])
+        `program.moments`: the tableau's."""
+        self.tableau._conjugate(q, i, j)
 
     def _q_zero(self, w: PauliOperator) -> float:
         """Tr[rho G_1..G_{k-1} G_k G_{k-1}..G_1] with G_i = (I + s_i W_i)/2
@@ -183,7 +173,7 @@ class _ProductRun(_CliffordGates):
 
     def measure(self, a: int, rng) -> MeasurementRecord:
         a = _qubit_index(self.n, a)
-        w = self.zrows[a]
+        w = self.tableau._inverse_stabilizer(a)
         q0 = self._q_zero(w)
         p0 = q0 / self.q_prev
         if not -PROB_TOL <= p0 <= 1 + PROB_TOL:

@@ -143,7 +143,7 @@ def bench(config: BenchConfig) -> str:
     """CSV report over the configured qubit range."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, ["n", "beta", "trial", "seed", "gates", "total_meas_time",
-                                  "rowsums_per_meas", "time_per_meas"])
+                                  "rowsums_per_meas", "time_per_meas"], lineterminator="\n")
     writer.writeheader()
     for n in range(config.n_min, config.n_max + 1, config.step):
         for trial in range(config.trials):

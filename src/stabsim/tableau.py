@@ -38,7 +38,8 @@ its row reads and writes, `anticommuting_rows`, `anticommuting_mask`,
 pivot), `_collapse` (the update for a measured Pauli on that mask),
 `row_product`, `_row_products`, `stabilizer_signs` (which Pauli-sum terms
 lie in +-S, and with which sign), `rowsum`, `apply_cnot_round`, `compose`
-and `inverse` (products and inverses of Cliffords) and the `PauliTable` methods.
+and `inverse` (products and inverses of Cliffords), `_inverse_stabilizer`
+(the product-state run's measured words) and the `PauliTable` methods.
 
 A product of k commuting rows (a determinate measurement's outcome, or a
 stabilizer-group element in the Pauli-sum engine) is computed in closed
@@ -919,22 +920,25 @@ class Tableau(_PauliColumns):
         The kernel's imaginary-prefix flag is expected (a destabilizer and
         its stabilizer anticommute) and ignored; an odd final power of i
         raises CorruptTableauError.  InvalidTableauError unless both have
-        rank n; ResourceCapError if the selected rows' indices (8 bytes
-        each) would pass MAX_TABLEAU_BYTES.  Neither tableau changes."""
+        rank n; ResourceCapError, before anything is unpacked, if `first`'s
+        unpacked bits and selection (8 n^2 bytes) and the selected rows'
+        indices (8 bytes each, counted from its packed columns) would pass
+        MAX_TABLEAU_BYTES.  Neither tableau changes."""
         if first.n != self.n:
             raise DimensionError(f"tableaus have different sizes: {self.n} != {first.n}")
         self._require_pure()
         first._require_pure()
         n = self.n
+        selected = int(np.bitwise_count(first._xz & _span(0, 2 * n, first._words)).sum())
+        need = 8 * (n * n + selected)
+        if need > MAX_TABLEAU_BYTES:
+            raise ResourceCapError(
+                f"composing tableaus on {n} qubits selects {selected} rows; their indices "
+                f"and the unpacked bits need {need} bytes, over the cap of {MAX_TABLEAU_BYTES}"
+            )
         xs, zs = first.bit_matrix()
         sel = np.concatenate((xs, zs), axis=1)  # column c selects row c
         lengths = sel.sum(axis=1, dtype=np.intp)
-        selected = int(lengths.sum())
-        if 8 * selected > MAX_TABLEAU_BYTES:
-            raise ResourceCapError(
-                f"composing tableaus on {n} qubits selects {selected} rows, whose indices "
-                f"need {8 * selected} bytes, over the cap of {MAX_TABLEAU_BYTES}"
-            )
         words, phase, _ = self._row_products(np.flatnonzero(sel) % (2 * n), lengths)
         phase += (xs & zs).sum(axis=1, dtype=np.int64) + 2 * _bits(first.r, 2 * n)
         if (phase & 1).any():
@@ -959,6 +963,23 @@ class Tableau(_PauliColumns):
         cols = _transpose(np.concatenate((self.z, self.x)), np.r_[n:2 * n, :n])
         unsigned = self._with_columns(cols, np.zeros_like(self.r))
         return self._with_columns(cols, self.compose(unsigned).r)
+
+    def _inverse_stabilizer(self, a: int) -> PauliOperator:
+        """Row n + a of `inverse()`, V† Z_a V for this tableau's Clifford V,
+        without building the inverse: by M^-1 = [[D^T, B^T], [C^T, A^T]],
+        bits n..2n-1 of the column x[a] are its x bits and bits 0..n-1 its z
+        bits, and its sign is that of a `compose` row.  CorruptTableauError,
+        changing nothing, if that row's power of i is odd or its product is
+        not Z_a.  The qubit a is not checked; the tableau must be pure."""
+        n = self.n
+        col = _row_ints(self.x[a:a + 1])[0] & ((1 << 2 * n) - 1)
+        wx, wz = col >> n, col & ((1 << n) - 1)
+        rows = np.flatnonzero(np.roll(_bits(self.x[a], 2 * n), n))  # wx's rows, then wz's
+        words, phase, _ = self._row_products(rows, [rows.size])
+        phase = (int(phase[0]) + (wx & wz).bit_count()) % 4
+        if phase & 1 or _row_ints(words.reshape(2, -1)) != [0, 1 << a]:
+            raise CorruptTableauError(f"the tableau does not map V† Z_{a} V to Z_{a}")
+        return PauliOperator(n, phase, wx, wz)
 
     # -- binary snapshots -----------------------------------------------------------
 

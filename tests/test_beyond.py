@@ -27,7 +27,7 @@ from stabsim.errors import (
 from stabsim.oracle import DenseState, pauli_matrix
 from stabsim.pauli import PauliOperator, commutes, multiply, parse_pauli
 from stabsim.program import Measure, execute, parse
-from stabsim.tableau import PauliTable, new_zero_state
+from stabsim.tableau import PauliTable, _moment_lists, new_zero_state
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -594,15 +594,15 @@ def test_block_traces_match_the_matrix_traces(b):
         assert max(abs(got[x, z] - c) for (x, z), c in want.items()) < 1e-12
 
 
-def random_block_program(sizes, d, rng) -> tuple:
-    """Random density blocks of the given sizes, then d rounds of a few
-    random gates and one measurement, as (blocks, gate ops, program)."""
+def random_block_program(sizes, d, rng, gates: int = 6) -> tuple:
+    """Random density blocks of the given sizes, then d rounds of fewer than
+    `gates` random gates and one measurement, as (blocks, gate ops, program)."""
     nrng = np.random.default_rng(rng.randrange(2**32))
     blocks = [random_density(1 << b, nrng) for b in sizes]
     n = sum(sizes)
     ops = []
     for _ in range(d):
-        ops += [random_gate(n, rng) for _ in range(rng.randrange(6))]
+        ops += [random_gate(n, rng) for _ in range(rng.randrange(gates))]
         ops.append(("m", (rng.randrange(n),)))
     text = "".join(f"{name} {' '.join(map(str, q))}\n" for name, q in ops)
     return blocks, ops, parse(text)
@@ -617,7 +617,7 @@ class _CheckedRun(beyond._ProductRun):
         self.worst = 0.0
 
     def measure(self, a, rng):
-        w = self.zrows[a]
+        w = self.tableau._inverse_stabilizer(a)
         ws, signs = zip(*self.measured, (w, 1))
         want = q_by_recursion(self.ref_traces, self.n, list(ws), list(signs))
         self.worst = max(self.worst, abs(self._q_zero(w) - want))
@@ -632,6 +632,81 @@ def test_folded_q_values_match_the_recursion(seed):
     run = _CheckedRun(ProductState(blocks))
     execute(run, prog, random.Random(seed))
     assert run.worst < 1e-12
+
+
+class _RowWords:
+    """The reference for the product run's tableau: the rows V†X_jV and
+    V†Z_jV for the unitary V applied so far as `PauliOperator` lists, each
+    gate g (V -> gV) rewriting them through g† on the input side with one
+    `multiply` per changed row, as the run did before it ran on the tableau.
+    It stands in for the run's tableau: V†Z_aV is the row zrows[a]."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.xrows = [PauliOperator.single(n, j, "X") for j in range(n)]
+        self.zrows = [PauliOperator.single(n, j, "Z") for j in range(n)]
+
+    def _conjugate(self, q, i, j):
+        h, p, ca, cb = _moment_lists(q, i, j)
+        xr, zr = self.xrows, self.zrows
+        for a in h:
+            xr[a], zr[a] = zr[a], xr[a]
+        for a in p:
+            # P† X P = -Y = -i X Z
+            y = multiply(xr[a], zr[a])
+            xr[a] = PauliOperator(self.n, (y.phase_exp + 3) % 4, y.x, y.z)
+        for a, b in zip(ca, cb):
+            xr[a] = multiply(xr[a], xr[b])
+            zr[b] = multiply(zr[a], zr[b])
+
+    def _inverse_stabilizer(self, a: int) -> PauliOperator:
+        return self.zrows[a]
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129])
+@pytest.mark.parametrize("seed", range(3))
+def test_product_run_matches_the_row_reference_across_word_boundaries(n, seed):
+    # A few random blocks padded with 1-qubit blocks to n qubits, and
+    # rounds of up to 4n random gates: the words read from the tableau's
+    # columns give the records and probability bytes of the row reference.
+    rng = random.Random(seed)
+    sizes = [rng.randrange(1, 3) for _ in range(rng.randrange(1, 4))]
+    blocks, _, prog = random_block_program(sizes + [1] * (n - sum(sizes)), 2 + seed, rng,
+                                           gates=4 * n)
+    got = product_measure_probabilities(ProductState(blocks), prog, random.Random(seed))
+    ref = beyond._ProductRun(ProductState(blocks))
+    ref.tableau = _RowWords(n)
+    assert got.records == execute(ref, prog, random.Random(seed))
+    assert np.array(got.probabilities).tobytes() == np.array(ref.probabilities).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 64, 65])
+def test_a_corrupt_column_raises_and_leaves_the_product_run_unchanged(n):
+    # Flipping bit i of x[a] multiplies row i by X_a and makes V†Z_aV
+    # select row i ± n or not, so the product is no longer Z_a, unless row
+    # i ± n is ±X_a: then the tableau is that of another Clifford, and it
+    # keeps `satisfies_invariants`.  Only flips that break them are tried.
+    rng = random.Random(n)
+    blocks, _, prog = random_block_program([1] * n, 2, rng, gates=4 * n)
+    run = beyond._ProductRun(ProductState(blocks))
+    execute(run, prog, random.Random(n))
+    t = run.tableau
+    tried = 0
+    while tried < 6:
+        a, row = rng.randrange(n), rng.randrange(2 * n)
+        bit = np.uint64(1) << np.uint64(row & 63)
+        t.x[a, row >> 6] ^= bit
+        if t.satisfies_invariants():
+            t.x[a, row >> 6] ^= bit
+            continue
+        tried += 1
+        before = (t.to_bytes(), list(run.measured), run.q_prev, list(run.probabilities))
+        draws = random.Random(0)
+        with pytest.raises(CorruptTableauError):
+            run.measure(a, draws)
+        assert (t.to_bytes(), run.measured, run.q_prev, run.probabilities) == before
+        assert draws.getstate() == random.Random(0).getstate()
+        t.x[a, row >> 6] ^= bit
 
 
 @settings(max_examples=40, deadline=None, database=None)

@@ -372,7 +372,7 @@ def test_product_state_run_rejects_a_bad_measured_qubit(q, exc, text):
 
 
 def product_run_state(run):
-    return lambda: (list(run.xrows), list(run.zrows), list(run.measured), run.q_prev,
+    return lambda: (run.tableau.to_bytes(), list(run.measured), run.q_prev,
                     list(run.probabilities))
 
 

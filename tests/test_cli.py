@@ -148,6 +148,9 @@ class TestBench:
         assert lines[0].split(",")[:3] == ["n", "beta", "trial"]
         assert len(lines) == 1 + 2 * 2
 
+    def test_csv_has_lf_line_ends(self):
+        assert "\r" not in bench(BenchConfig(n_min=4, n_max=8, step=4, beta=0.8))
+
     @pytest.mark.parametrize("n,beta", [(40, 0.6), (40, 1.2), (65, 2.0)])
     def test_rowsums_per_meas_equal_a_measure_loop(self, n, beta):
         # bench_one measures through measure_run: its rowsum count must be
@@ -469,6 +472,13 @@ class TestMainEntry:
             assert "resource cap" in capsys.readouterr().err
         f.write_text("h 63\nm 63\n")
         assert main(["run", str(f)]) == 0
+        # The product-state run builds its tableau before any gate runs.
+        block = "block 1\n0.5,0 0.5,0\n0.5,0 0.5,0\n"
+        f.write_text(block + "h 64\nm 64\n")
+        assert main(["run", str(f), "--engine", "beyond"]) == 3
+        assert "resource cap" in capsys.readouterr().err
+        f.write_text(block + "h 63\nm 63\n")
+        assert main(["run", str(f), "--engine", "beyond"]) == 0
 
     def test_innerprod_output(self, tmp_path, capsys):
         f1 = tmp_path / "a.chp"
@@ -484,8 +494,8 @@ class TestMainEntry:
         assert capsys.readouterr().out.strip().startswith("2^-2/2")
 
     def test_innerprod_over_the_byte_cap_exit_code(self, tmp_path, capsys, monkeypatch):
-        # A dense tableau on 64 qubits fits the lowered cap, but the row
-        # indices that composing with its inverse selects do not.
+        # A dense tableau on 64 qubits fits the lowered cap, but the unpacked
+        # bits and row indices of composing it with its inverse do not.
         monkeypatch.setattr(tableau, "MAX_TABLEAU_BYTES", tableau._tableau_bytes(64))
         f = tmp_path / "a.chp"
         f.write_text(render(random_unitary_program(64, 2000, random.Random(5))))

@@ -859,19 +859,22 @@ def test_inverse_refuses_a_flipped_bit_unchanged(n, seed):
 
 def test_compose_refuses_row_indices_over_the_byte_cap_unchanged(monkeypatch):
     # Each set x or z bit of `first` selects one row, whose index takes 8
-    # bytes; a cap one byte short of them is refused before they are built.
+    # bytes, and its bits and selection unpack to 8 n^2 bytes; a cap one
+    # byte short of them is refused before any is built.
     n = 64
     r = random.Random(11)
     t, first = random_tableau(n, r), random_tableau(n, r)
     want = t.compose(first)
     selected = sum(int(bits.sum()) for bits in first.bit_matrix())
+    need = 8 * selected + 8 * n * n
     states = [tableau_state(u) for u in (t, first)]
-    monkeypatch.setattr(tableau_module, "MAX_TABLEAU_BYTES", 8 * selected - 1)
-    with pytest.raises(ResourceCapError, match=f"selects {selected} rows, whose indices need "
-                                               f"{8 * selected} bytes, over the cap of {8 * selected - 1}"):
+    monkeypatch.setattr(tableau_module, "MAX_TABLEAU_BYTES", need - 1)
+    with pytest.raises(ResourceCapError, match=f"selects {selected} rows; their indices and "
+                                               f"the unpacked bits need {need} bytes, over the "
+                                               f"cap of {need - 1}"):
         t.compose(first)
     assert [tableau_state(u) for u in (t, first)] == states
-    monkeypatch.setattr(tableau_module, "MAX_TABLEAU_BYTES", 8 * selected)
+    monkeypatch.setattr(tableau_module, "MAX_TABLEAU_BYTES", need)
     assert t.compose(first) == want
 
 

@@ -195,6 +195,27 @@ def test_measure_run_matches_row_reference(n, seed, rank):
     assert cases >= ({1} if n > 1 else set()) | ({1} if rank == "pure" else {3})
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_inverse_stabilizer_is_the_inverse_row(n, seed):
+    # V†Z_aV, read from the column x[a] of V's tableau, is row n + a of the
+    # inverse; and the rows, multiplied one at a time as its letters select
+    # them (destabilizer j for X_j, stabilizer j for Z_j), give exactly Z_a.
+    t = Tableau(n)
+    gates = random_unitary_program(n, int(n * math.log2(n)) + 4 * n, random.Random(seed))
+    apply_gates(t, gates.instructions)
+    inv, rows, before = t.inverse(), t.rows(0, 2 * n), t.to_bytes()
+    for a in range(n):
+        w = t._inverse_stabilizer(a)
+        assert w == inv.get_row(n + a)
+        image = PauliOperator(n, w.phase_exp + (w.x & w.z).bit_count(), 0, 0)
+        for j in range(2 * n):
+            if ((w.x if j < n else w.z) >> (j % n)) & 1:
+                image = multiply(image, rows[j])
+        assert image == PauliOperator.single(n, a, "Z")
+    assert t.to_bytes() == before
+
+
 def scrambled_rows(n: int, rng: random.Random) -> list:
     """The 2n rows of a reference tableau after random gates: destabilizers,
     then stabilizers."""

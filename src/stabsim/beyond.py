@@ -425,7 +425,7 @@ class PauliSumState(_CliffordGates):
         n, tab = self.n, self.tableau
         j1 = pivot - n
         later = np.flatnonzero(_bits(mask, 2 * n)[pivot + 1:]) + (j1 + 1)
-        tab._collapse(mask, pivot, j1, _word_bits(n, q), q.phase_exp // 2)
+        tab._collapse(mask, pivot, _word_bits(n, q), q.phase_exp // 2)
         m1 = tab.get_row(j1)
 
         table = self.table.copy()

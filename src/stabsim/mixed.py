@@ -72,7 +72,7 @@ class MixedTableau(Tableau):
                 raise InvalidTableauError("generators must commute")
             if case == 2:
                 raise InvalidTableauError("generators are not independent")
-            t._collapse(mask, pivot, (pivot + n) % (2 * n), _word_bits(n, g), g.phase_exp // 2)
+            t._collapse(mask, pivot, _word_bits(n, g), g.phase_exp // 2)
         return t
 
     # -- accessors ----------------------------------------------------------

@@ -57,6 +57,23 @@ array per word, holding that word of every row), so one prefix XOR along
 the rows and per-segment sums give every outcome.  The trace signs of a
 Pauli-sum state's terms are segments of the same kernel, one per distinct
 set of stabilizer rows the terms select.
+
+Up to 64 consecutive case-I random outcomes of `measure_run` (one word of
+step bits per row) are collapsed together.  While they are pending
+(`_RandomBlock`) the rows stay g and each next qubit's x column is
+replayed through them; `_collapse_block` then takes two phases.  Step t
+multiplies rows by the pivot row as it uses it, v[t], so every row ends as
+v[s_m] ... v[s_1] g_i over its history (a partner as v[u] times later
+pivots, a pivot row as Z_a).  First, each v[t]'s products with every row of
+g (one take and reduce over its support) and with the other pivots give
+the first step at which a multiplied row anticommutes with its pivot; the
+outcomes up to that step are drawn, none after it.  Then the steps before
+it are applied: the bits are g plus one `_xor_combine` of the histories
+with the v[t], and the signs follow from the rule above along each history,
+bit-sliced mod 4 over all rows at once.  A determinate qubit, a case-III
+outcome, an invalid qubit or the end of the run closes the block; a block
+of one outcome goes through `_collapse`, as every outcome of
+`mixed.from_stabilizers` and the Pauli-sum engine does.
 """
 
 from __future__ import annotations
@@ -185,28 +202,32 @@ def _xor_combine(rows: np.ndarray, sel: np.ndarray) -> np.ndarray:
     uint64 array, m a multiple of 8; sel (K, nb) uint8, little-endian, over
     the first 8 nb <= m rows).  Each block of 8 rows gets a table of all 256
     XORs of its rows, one lookup per result row (the method of four
-    Russians), in groups whose tables and lookups hold no more words than
-    `rows` (or 2^14), a fixed number of vectorized steps per group."""
+    Russians): the tables are built in groups that hold no more words than
+    `rows` (or 2^14), and each block is one `take` of its table's entries
+    and one XOR into the result."""
     m, w = rows.shape
     nb = sel.shape[1]
     blocks = rows[:8 * nb].reshape(nb, 8, w)
     out = np.zeros((sel.shape[0], w), dtype=np.uint64)
-    step = max(1, max(1 << 14, m * w) // ((256 + sel.shape[0]) * max(w, 1)))
+    step = max(1, max(1 << 14, m * w) // (256 * max(w, 1)))
     for lo in range(0, nb, step):
         group = blocks[lo:lo + step]
         table = np.zeros((len(group), 256, w), dtype=np.uint64)
         for b in range(8):
             np.bitwise_xor(table[:, :1 << b], group[:, b, None], out=table[:, 1 << b:2 << b])
-        picked = table[np.arange(len(group)), sel[:, lo:lo + len(group)]]
-        out ^= np.bitwise_xor.reduce(picked, axis=1)
+        for j, entries in enumerate(table, lo):
+            out ^= entries.take(sel[:, j], axis=0)
     return out
 
 
-def _pair_parity(b: np.ndarray) -> np.ndarray:
-    """Bit 1 of the number of set bits along axis 0, for every bit position
-    at once: the parity of the pairs, by the prefix-XOR identity."""
+def _count4(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bits 0 and 1 of the number of set bits along axis 0, for every bit
+    position at once: their parity and, by the prefix-XOR identity, the
+    parity of their pairs."""
+    if not len(b):
+        return np.zeros(b.shape[1:], b.dtype), np.zeros(b.shape[1:], b.dtype)
     pre = np.bitwise_xor.accumulate(b, axis=0)
-    return np.bitwise_xor.reduce(b[1:] & pre[:-1], axis=0)
+    return pre[-1], np.bitwise_xor.reduce(b[1:] & pre[:-1], axis=0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -425,6 +446,90 @@ def _anticommutation(wx: np.ndarray, wz: np.ndarray, words: _PauliColumns) -> np
     return anti
 
 
+# Random outcomes `measure_run` collapses in one block: one word of step
+# bits per row.
+_BLOCK = 64
+
+
+def _bit_at(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Bits rows[k] of the packed rows along the last axis of `words`, as
+    a bool (..., len(rows)) array."""
+    return (words[..., rows >> 6] >> (rows & 63).astype(np.uint64)) & _ONE != 0
+
+
+def _selections(m: np.ndarray) -> np.ndarray:
+    """The 0/1 matrix m as `_xor_combine` selections: row t selects the
+    rows s with m[t, s] set."""
+    return np.packbits(m.astype(np.uint8, copy=False), axis=1, bitorder="little")
+
+
+def _matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The GF(2) product of 0/1 matrices as int64, by a float32 product
+    (exact while the inner dimension is below 2^24)."""
+    return (a.astype(np.float32) @ b.astype(np.float32)).astype(np.int64) & 1
+
+
+def _row_mask(rows: np.ndarray, words: int) -> np.ndarray:
+    """Packed mask of `words` words with the bits `rows` set."""
+    out = np.zeros(words, dtype=np.uint64)
+    np.bitwise_or.at(out, rows >> 6, _ONE << (rows & 63).astype(np.uint64))
+    return out
+
+
+class _RandomBlock:
+    """Case-I random outcomes that `measure_run` keeps pending while the
+    tableau's rows stay g, as they were when the first came.  Step t
+    measures qubit qubits[t] with pivot pivots[t] and partner
+    pivots[t] - n; full[t] is the packed mask of the rows it multiplies
+    (those anticommuting with Z_a but these two) and v[t] the pivot row as
+    it uses it, a 0/1 `_xz` column.  hist[t] holds the rows whose value
+    has v[t] as a factor: full[t] and the partner, set to a copy of v[t],
+    less the rows a later step reset or overwrote.  `cleared` holds the
+    rows reset (partners) or overwritten (pivots) so far."""
+
+    def __init__(self, tableau: "Tableau"):
+        self.tableau, self.qubits, self.pivots = tableau, [], []
+
+    def __len__(self) -> int:
+        return len(self.pivots)
+
+    def column(self, a: int) -> np.ndarray:
+        """The x column of qubit a with the pending steps replayed on it:
+        row i's bit is g_i's (none for a cleared row) XOR v[t]'s for each
+        t in its history."""
+        k, x = len(self.pivots), self.tableau.x[a]
+        if not k:
+            return x
+        picked = self.hist[:k][self.v[:k, a].view(bool)]
+        return (x & ~self.cleared) ^ np.bitwise_xor.reduce(picked, axis=0)
+
+    def add(self, a: int, mask: np.ndarray, p: int):
+        """Append qubit a's outcome, whose anticommuting rows (its replayed
+        column) are `mask` and whose case-I pivot is p.  The pivot row is
+        g_p times v[s] for each earlier step s that multiplied it."""
+        if not self.pivots:  # the arrays come with the first outcome, not with every run
+            w = self.tableau._words
+            self.full, self.hist = np.zeros((2, _BLOCK, w), dtype=np.uint64)
+            self.v = np.zeros((_BLOCK, len(self.tableau._xz)), dtype=np.uint8)
+            self.cleared = np.zeros(w, dtype=np.uint64)
+        k, xz, v, full, hist = len(self.pivots), self.tableau._xz, self.v, self.full, self.hist
+        (wp, sp), (wq, sq) = divmod(p, 64), divmod(p - self.tableau.n, 64)
+        bp, bq = _ONE << _SHIFTS[sp], _ONE << _SHIFTS[sq]
+        np.bitwise_and(xz[:, wp] >> _SHIFTS[sp], _ONE, out=v[k], casting="unsafe")
+        v[k] ^= np.bitwise_xor.reduce(v[:k][full[:k, wp] & bp != 0], axis=0)
+        np.copyto(full[k], mask)
+        full[k, wp] &= ~bp
+        full[k, wq] &= ~bq
+        hist[k] = full[k]
+        hist[k, wq] |= bq
+        hist[:k, wp] &= ~bp
+        hist[:k, wq] &= ~bq
+        self.cleared[wp] |= bp
+        self.cleared[wq] |= bq
+        self.qubits.append(a)
+        self.pivots.append(p)
+
+
 class Tableau(_PauliColumns):
     """Mutable destabilizer+stabilizer tableau for an n-qubit state."""
 
@@ -569,9 +674,7 @@ class Tableau(_PauliColumns):
 
     def _batch_rowsum(self, idx: np.ndarray, src: int):
         """rowsum(i, src) for every row index i in idx."""
-        rows = np.zeros(2 * self.n + 1, dtype=bool)
-        rows[idx] = True
-        self._rowsum_mask(_pack(rows, self._words), *self._read_row(src))
+        self._rowsum_mask(_row_mask(idx, self._words), *self._read_row(src))
 
     def _rowsum_mask(self, mask: np.ndarray, src: np.ndarray, sign):
         """rowsum(i, src) for every row i set in the packed mask, all at once,
@@ -737,7 +840,7 @@ class Tableau(_PauliColumns):
                 return case, lo + (hit & -hit).bit_length() - 1
         return 2, -1
 
-    def _collapse(self, mask: np.ndarray, pivot: int, partner: int, bits: np.ndarray, sign):
+    def _collapse(self, mask: np.ndarray, pivot: int, bits: np.ndarray, sign):
         """Update for measuring a Hermitian Pauli (the 0/1 column `bits` of
         `_xz`, with the `sign` bit the caller drew) that anticommutes with
         the rows of 0..2n-1 set in the packed mask `mask` (W words, bit i =
@@ -750,6 +853,7 @@ class Tableau(_PauliColumns):
         the Pauli is a new generator: the logical pair in rows n+r and r
         moves to the pivot's two rows, and the Pauli and its partner take
         rows n+r and r; the rank grows by one."""
+        partner = (pivot + self.n) % (2 * self.n)
         src = self._read_row(pivot)
         others = mask.copy()
         for i in (pivot, partner):
@@ -799,6 +903,92 @@ class Tableau(_PauliColumns):
             s = e
         return records
 
+    def _collapse_qubit(self, a: int, mask: np.ndarray, p: int, rng) -> MeasurementRecord:
+        """A random outcome of qubit a, drawn and applied by `_collapse`
+        with Z_a as a one-hot column."""
+        outcome = rng.getrandbits(1) & 1
+        z_a = np.zeros(len(self._xz), dtype=np.uint64)
+        z_a[_padded(self.n) + a] = _ONE
+        self._collapse(mask, p, z_a, outcome)
+        return MeasurementRecord(a, outcome, deterministic=False)
+
+    def _collapse_block(self, b: _RandomBlock, rng) -> list[MeasurementRecord]:
+        """Apply the pending outcomes of `b` as one `_collapse` each would:
+        the same records, rows, signs, `rowsum_count` and draws (one
+        rng.getrandbits(1) bit per step, none after a step that raises),
+        and CorruptTableauError where a step would raise, after the steps
+        before it took effect.  A block of one goes through `_collapse`.
+        The first phase finds the first failing step, the second applies
+        the steps before it (see the module docstring)."""
+        if len(b) < 2:  # full[0] lacks only the pivot and partner, which `_collapse` skips
+            return [self._collapse_qubit(a, b.full[0], p, rng) for a, p in zip(b.qubits, b.pivots)]
+        n, words, pad, k = self.n, self._words, _padded(self.n), len(b)
+        p = np.array(b.pivots)
+        q = p - n
+        full, v = b.full[:k], b.v[:k]
+        # zx[t] = z(v[t]).x and sym[t] its symplectic product with every row of g
+        zx, sym = np.empty((2, k, words), dtype=np.uint64)
+        swapped = np.roll(v, pad, axis=1).view(bool)  # x columns at its z bits, then z at x
+        for t, cut in enumerate(np.count_nonzero(swapped[:, :pad], axis=1).tolist()):
+            cols = self._xz.take(swapped[t].nonzero()[0], axis=0)
+            np.bitwise_xor.reduce(cols[:cut], axis=0, out=zx[t])
+            np.bitwise_xor.reduce(cols[cut:], axis=0, out=sym[t])
+            sym[t] ^= zx[t]
+        g = _matmul2(v[:, pad:pad + n], v[:, :n].T)  # g[t, s] = z(v[t]).x(v[s])
+        low = np.tri(k, k, -1, dtype=np.int64)
+        omega = (g ^ g.T) & low
+        bad = full & (sym ^ _xor_combine(b.full[:-(-k // 8) * 8], _selections(omega)))
+        # From step u on, partner q[u] is v[u] times later pivots, not g_q times earlier ones.
+        hq = _bit_at(full, q).astype(np.int64)  # hq[s, u]: step s multiplied row q[u]
+        flip = hq & low & (_bit_at(sym, q) ^ _matmul2(omega, hq & low.T) ^ omega)
+        ti, ui = np.nonzero(flip)
+        np.bitwise_xor.at(bad, (ti, q[ui] >> 6), _ONE << (q[ui] & 63).astype(np.uint64))
+        failed = bad.any(axis=1)
+        f = int(failed.argmax()) if failed.any() else k
+        outcomes = np.array([rng.getrandbits(1) & 1 for _ in range(min(f + 1, k))], dtype=bool)
+        cleared = b.cleared
+        if f < k:  # undo the resets and overwrites of the steps not taken
+            later = _row_mask(np.concatenate((p[f:], q[f:])), words)
+            b.hist[:f] |= b.full[:f] & later
+            cleared = cleared & ~later
+        if f:
+            self._apply_steps(b, f, cleared, zx[:f], g[:f, :f], outcomes[:f])
+        if f < k:
+            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
+        return list(map(MeasurementRecord, b.qubits, outcomes.view(np.uint8).tolist(), [False] * k))
+
+    def _apply_steps(self, b: _RandomBlock, k: int, cleared, zx, g, outcomes):
+        """The second phase of `_collapse_block`: apply the first k steps of
+        `b`, whose rows `cleared` are reset or overwritten."""
+        words, pad = self._words, _padded(self.n)
+        p = np.array(b.pivots[:k])
+        hist, full, h8 = b.hist[:k], b.full[:k], b.hist[:-(-k // 8) * 8]
+        low = np.tri(k, k, -1, dtype=np.int64)
+        d = _bit_at(full, p).T.astype(np.int64)  # d[t, s]: step s multiplied pivot row p[t]
+        yg = _count4(self.x & self.z)
+        # e of each pivot as used, v[t] = (v[s] for s in d[t], later ones left) g_p[t]
+        c = _bit_at(yg[0], p) + 2 * (_bit_at(yg[1] ^ self.r, p) + (d * _bit_at(zx, p).T).sum(1)
+                                     + (_matmul2(d, g & low) * d).sum(1))
+        elo = ehi = 0
+        for t, (ct, dt) in enumerate(zip(c.tolist(), _selections(d).tolist())):
+            dt = int.from_bytes(bytes(dt), "little")
+            e = (ct + (dt & elo).bit_count() + 2 * (dt & ehi).bit_count()) & 3
+            elo, ehi = elo | (e & 1) << t, ehi | (e >> 1) << t
+        odd, two = (np.array([(m >> t) & 1 for t in range(k)], dtype=bool) for m in (elo, ehi))
+        # e of every row: of g_i (none where cleared), of its pivots, twice zx and g along it
+        lo, hi = _count4(hist[odd])
+        keep = ~cleared
+        hi ^= np.bitwise_xor.reduce(hist[two], axis=0)
+        cross = (zx & keep) ^ _xor_combine(h8, _selections(g & low))
+        hi ^= np.bitwise_xor.reduce(hist & cross, axis=0)
+        hi ^= (yg[1] ^ self.r ^ (yg[0] & lo)) & keep
+        self._xz &= keep
+        self._xz ^= _xor_combine(h8, np.packbits(b.v[:k], axis=0, bitorder="little").T)
+        self._xz[pad + np.array(b.qubits[:k]), p >> 6] |= _ONE << (p & 63).astype(np.uint64)
+        hi ^= _count4(self.x & self.z)[1]  # the sign is e - |x & z| over 2
+        self.r[:] = hi & ~_row_mask(p, words) | _row_mask(p[outcomes], words)
+        self.rowsum_count += int(np.bitwise_count(full).sum())
+
     def measure_run(self, qubits, rng) -> list[MeasurementRecord]:
         """Measure the qubits in turn in the standard basis, with the
         records, rows, rank, `rowsum_count` and rng draws of one `measure`
@@ -807,26 +997,34 @@ class Tableau(_PauliColumns):
         logical row (r..2n-1) has an X there.  A random outcome draws one
         rng.getrandbits(1) bit and changes the tableau: the rows that
         anticommute with Z_a are the set bits of x[a] in rows 0..2n-1, the
-        mask `_case_split` and `_collapse` take, and Z_a is a one-hot
-        column.  A determinate one changes only the scratch row, so the
-        determinate qubits between random ones gather into one
+        mask `_case_split` takes.  Up to _BLOCK consecutive case-I outcomes
+        stay pending in a `_RandomBlock`, which replays them on each next
+        qubit's column, and `_collapse_block` applies them at once; a
+        determinate qubit, a case-III outcome (one `_collapse`, which
+        changes the rank), an invalid qubit or the end of the run closes
+        the block first.  A determinate outcome changes only the scratch
+        row, so the determinate qubits between random ones gather into one
         `_determinate` call, in chunks of at most max(64, _STEP_BYTES / 8W)
         qubits so that their W-word columns stay small.  An invalid qubit
         raises as `measure` would, after the measurements before it took
         effect."""
         n, words = self.n, self._words
         chunk = max(64, _STEP_BYTES // (8 * words))
-        records, stretch = [], []
+        records, stretch, block = [], [], _RandomBlock(self)
         rows = _span(0, 2 * n, words)
         rank, random_rows = self.rank, _span(self.rank, 2 * n, words)
         for a in qubits:
             try:
                 a = _qubit_index(n, a)
             except (TypeError, DimensionError):
+                self._collapse_block(block, rng)
                 self._determinate(stretch)
                 raise
-            col = self.x[a]
+            col = block.column(a)
             if not (col & random_rows).any():
+                if block:
+                    records += self._collapse_block(block, rng)
+                    block = _RandomBlock(self)
                 stretch.append(a)
                 if len(stretch) == chunk:
                     records += self._determinate(stretch)
@@ -836,14 +1034,15 @@ class Tableau(_PauliColumns):
             stretch = []
             mask = col & rows
             case, p = self._case_split(mask)
-            outcome = rng.getrandbits(1) & 1
-            z_a = np.zeros(len(self._xz), dtype=np.uint64)
-            z_a[_padded(n) + a] = _ONE
-            self._collapse(mask, p, (p + n) % (2 * n), z_a, outcome)
-            records.append(MeasurementRecord(a, outcome, deterministic=False))
-            if self.rank != rank:
-                rank, random_rows = self.rank, _span(self.rank, 2 * n, words)
-        return records + self._determinate(stretch)
+            if case == 3 or len(block) == _BLOCK:
+                records += self._collapse_block(block, rng)
+                block = _RandomBlock(self)
+            if case == 1:
+                block.add(a, mask, p)
+                continue
+            records.append(self._collapse_qubit(a, mask, p, rng))
+            rank, random_rows = self.rank, _span(self.rank, 2 * n, words)
+        return records + self._collapse_block(block, rng) + self._determinate(stretch)
 
     def measure(self, a: int, rng) -> MeasurementRecord:
         """Measure qubit a in the standard basis: a run of one."""
@@ -884,10 +1083,10 @@ class Tableau(_PauliColumns):
         parity of |x&z| does not change.  The scratch row is left as it was.
         """
         keep, pad = _span(0, 2 * self.n, self._words), _padded(self.n)
-        before = _pair_parity(self.x & self.z)
+        before = _count4(self.x & self.z)[1]
         xn = _xor_combine(self._xz[:pad], np.packbits(e.T, axis=1, bitorder="little"))
         zn = _xor_combine(self._xz[pad:], np.packbits(f.T, axis=1, bitorder="little"))
-        self.r ^= (before ^ _pair_parity(xn & zn)) & keep
+        self.r ^= (before ^ _count4(xn & zn)[1]) & keep
         for a, new in ((self.x, xn), (self.z, zn)):
             a &= ~keep
             new &= keep
@@ -920,31 +1119,45 @@ class Tableau(_PauliColumns):
         The kernel's imaginary-prefix flag is expected (a destabilizer and
         its stabilizer anticommute) and ignored; an odd final power of i
         raises CorruptTableauError.  InvalidTableauError unless both have
-        rank n; ResourceCapError, before anything is unpacked, if `first`'s
-        unpacked bits and selection (8 n^2 bytes) and the selected rows'
-        indices (8 bytes each, counted from its packed columns) would pass
-        MAX_TABLEAU_BYTES.  Neither tableau changes."""
+        rank n; ResourceCapError, before anything is unpacked, if the bytes
+        `_compose_bytes` counts would pass MAX_TABLEAU_BYTES.  Neither
+        tableau changes."""
         if first.n != self.n:
             raise DimensionError(f"tableaus have different sizes: {self.n} != {first.n}")
         self._require_pure()
         first._require_pure()
         n = self.n
-        selected = int(np.bitwise_count(first._xz & _span(0, 2 * n, first._words)).sum())
-        need = 8 * (n * n + selected)
+        selected, need = self._compose_bytes(first)
         if need > MAX_TABLEAU_BYTES:
             raise ResourceCapError(
-                f"composing tableaus on {n} qubits selects {selected} rows; their indices "
-                f"and the unpacked bits need {need} bytes, over the cap of {MAX_TABLEAU_BYTES}"
+                f"composing tableaus on {n} qubits selects {selected} rows; their indices, "
+                f"the unpacked bits and the products need {need} bytes, over the cap of "
+                f"{MAX_TABLEAU_BYTES}"
             )
-        xs, zs = first.bit_matrix()
-        sel = np.concatenate((xs, zs), axis=1)  # column c selects row c
+        y = [_bits(b, 2 * n) for b in _count4(first.x & first.z)]  # |x & z| mod 4 per row
+        sel = np.concatenate(first.bit_matrix(), axis=1)  # column c selects row c
         lengths = sel.sum(axis=1, dtype=np.intp)
-        words, phase, _ = self._row_products(np.flatnonzero(sel) % (2 * n), lengths)
-        phase += (xs & zs).sum(axis=1, dtype=np.int64) + 2 * _bits(first.r, 2 * n)
+        rows = np.flatnonzero(sel)
+        del sel
+        rows %= 2 * n
+        words, phase, _ = self._row_products(rows, lengths)
+        phase += y[0] + 2 * (y[1] ^ _bits(first.r, 2 * n))
         if (phase & 1).any():
             raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
         cols = _transpose(words, np.r_[:n, _padded(n):_padded(n) + n])
         return self._with_columns(cols, _pack((phase & 2) > 0, self._words))
+
+    def _compose_bytes(self, first: "Tableau") -> tuple[int, int]:
+        """The rows `compose(first)` selects (the set x and z bits of
+        `first`'s rows 0..2n-1, counted from its packed columns) and a bound
+        on the bytes it holds at once: `first`'s unpacked bits and
+        selection (8 n^2), the selected rows' indices (8 each) and, in
+        `_row_products`, the gathered rows and their word-major copy, the
+        2n products (16 ceil(n/64) bytes per row each) and three arrays of
+        a step, each of at most _STEP_BYTES or 2n rows."""
+        n, row = self.n, 16 * (_padded(self.n) // 64)
+        selected = int(np.bitwise_count(first._xz).sum()) - int(first._read_row(2 * n)[0].sum())
+        return selected, 8 * (n * n + selected) + 3 * row * 2 * n + 3 * max(_STEP_BYTES, row * 2 * n)
 
     def inverse(self) -> "Tableau":
         """The tableau of the inverse Clifford, in closed form, as Stim's

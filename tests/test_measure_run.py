@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import apply_gate, random_gate, random_tableau
 from stabsim import tableau as tableau_module
-from stabsim.errors import CorruptTableauError
+from stabsim.errors import CorruptTableauError, DimensionError
 from stabsim.mixed import MixedTableau
 from stabsim.pauli import PauliOperator, multiply
 from stabsim.tableau import new_zero_state
@@ -63,6 +63,80 @@ def test_measure_run_matches_one_measure_at_a_time(n, mixed, corrupt, small_step
     assert got == want
     assert_same_state(run, one)
     assert r_run.getstate() == r_one.getstate()
+
+
+def referee(t, qubits, seed):
+    """Measure `qubits` on two copies of t, by `measure_run` and by one
+    `measure` per qubit, and check that both give the same records (or
+    raise the same error) and leave the same rows, signs, rank,
+    `rowsum_count` and rng state.  Returns the `measure_run` copy."""
+    one, run = t.copy(), t.copy()
+    r_one, r_run = random.Random(seed), random.Random(seed)
+
+    def outcome(call):
+        try:
+            return call()
+        except (CorruptTableauError, DimensionError) as e:
+            return type(e)
+
+    want = outcome(lambda: [one.measure(a, r_one) for a in qubits])
+    got = outcome(lambda: run.measure_run(qubits, r_run))
+    assert got == want
+    assert_same_state(run, one)
+    assert r_run.getstate() == r_one.getstate()
+    return run
+
+
+def flip_stabilizer_bit(t, r):
+    """Flip the x bit, the z bit or both at one qubit of a random
+    stabilizer row, which can make a row that a random outcome multiplies
+    anticommute with its pivot."""
+    n = t.n
+    row, q, flip = n + r.randrange(n), r.randrange(n), r.randrange(1, 4)
+    p = t.get_row(row)
+    t.set_row(row, PauliOperator(n, p.phase_exp, p.x ^ (flip & 1) << q, p.z ^ (flip >> 1) << q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([65, 129, 130]), mixed=st.booleans(), corrupt=st.booleans(),
+       invalid=st.booleans(), data=st.data())
+def test_measure_run_matches_one_measure_at_a_time_across_blocks(n, mixed, corrupt, invalid, data):
+    # A random circuit and every qubit measured twice: the first sweep's
+    # random outcomes fill and cross the 64-outcome blocks of
+    # `_collapse_block`, the second sweep is mostly determinate.
+    r = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    t = MixedTableau(n, data.draw(st.integers(0, n), label="rank")) if mixed else new_zero_state(n)
+    for _ in range(data.draw(st.sampled_from([1, 3, 10]), label="gates per qubit") * n):
+        apply_gate(t, random_gate(n, r))
+    if corrupt:
+        flip_stabilizer_bit(t, r)
+    qubits = r.sample(range(n), n) + r.sample(range(n), n)
+    if invalid:  # raises after the outcomes pending before it took effect
+        qubits.insert(r.randrange(1, n), n)
+    referee(t, qubits, r.getrandbits(32))
+
+
+def test_a_block_that_raises_keeps_the_steps_before_the_failing_one(monkeypatch):
+    # Corrupt tableaus whose first sweep raises inside a block of several
+    # pending outcomes, after some of them changed the rows.
+    blocks = []
+    collapse_block = tableau_module.Tableau._collapse_block
+
+    def spy(self, block, rng):
+        before = self._xz.copy()
+        try:
+            return collapse_block(self, block, rng)
+        except CorruptTableauError:
+            blocks.append((len(block), not np.array_equal(before, self._xz)))
+            raise
+
+    monkeypatch.setattr(tableau_module.Tableau, "_collapse_block", spy)
+    for seed in range(12):
+        r = random.Random(seed)
+        t = random_tableau(65, r, ngates=650)
+        flip_stabilizer_bit(t, r)
+        referee(t, list(range(65)), seed)
+    assert any(size > 1 and changed for size, changed in blocks)
 
 
 def test_measure_run_raises_inside_a_determinate_stretch_as_the_loop_does():

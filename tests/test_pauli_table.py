@@ -129,7 +129,7 @@ class ReferencePauliSum:
             anti = [i - n for i in hits if i >= n]
             j1 = anti[0]
             packed = _int_words([mask], tab._words)[0]
-            tab._collapse(packed, n + j1, j1, _word_bits(n, q), q.phase_exp // 2)
+            tab._collapse(packed, n + j1, _word_bits(n, q), q.phase_exp // 2)
             m1 = tab.get_row(j1)
             modmask = sum(1 << j for j in anti[1:])
             bit = 1 << j1

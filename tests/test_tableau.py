@@ -859,23 +859,44 @@ def test_inverse_refuses_a_flipped_bit_unchanged(n, seed):
 
 def test_compose_refuses_row_indices_over_the_byte_cap_unchanged(monkeypatch):
     # Each set x or z bit of `first` selects one row, whose index takes 8
-    # bytes, and its bits and selection unpack to 8 n^2 bytes; a cap one
+    # bytes; its bits and selection unpack to 8 n^2 bytes; the row products
+    # hold 3 gathered or product blocks of 2n rows of 16 bytes per word of
+    # n and 3 step arrays of at most 128 KiB or 2n such rows.  A cap one
     # byte short of them is refused before any is built.
     n = 64
     r = random.Random(11)
     t, first = random_tableau(n, r), random_tableau(n, r)
     want = t.compose(first)
     selected = sum(int(bits.sum()) for bits in first.bit_matrix())
-    need = 8 * selected + 8 * n * n
+    need = 8 * selected + 8 * n * n + 3 * 16 * 2 * n + 3 * (1 << 17)
+    assert t._compose_bytes(first) == (selected, need)
     states = [tableau_state(u) for u in (t, first)]
     monkeypatch.setattr(tableau_module, "MAX_TABLEAU_BYTES", need - 1)
-    with pytest.raises(ResourceCapError, match=f"selects {selected} rows; their indices and "
-                                               f"the unpacked bits need {need} bytes, over the "
-                                               f"cap of {need - 1}"):
+    with pytest.raises(ResourceCapError, match=f"selects {selected} rows; their indices, the "
+                                               f"unpacked bits and the products need {need} "
+                                               f"bytes, over the cap of {need - 1}"):
         t.compose(first)
     assert [tableau_state(u) for u in (t, first)] == states
     monkeypatch.setattr(tableau_module, "MAX_TABLEAU_BYTES", need)
     assert t.compose(first) == want
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("dense", [False, True])
+def test_compose_peak_stays_within_its_byte_count(n, dense):
+    # One H (2n selected rows, the unpacked bits dominate) or a dense
+    # random Clifford (about n^2 selected rows, their indices dominate).
+    first = random_tableau(n, random.Random(n), ngates=40 * n) if dense else new_zero_state(n)
+    if not dense:
+        first.apply_hadamard(0)
+    _, need = first._compose_bytes(first)
+    tracemalloc.start()
+    try:
+        first.compose(first)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
 
 
 def test_compose_raises_for_an_imaginary_image():

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tableau
 from .errors import (
     CorruptTableauError,
     DimensionError,
@@ -36,7 +37,6 @@ from .oracle import check_unitary
 from .pauli import PauliOperator, _qubit_index, multiply
 from .program import CircuitProgram, execute
 from .tableau import (  # noqa: F401  (PauliSumTerm is part of this module's API)
-    MAX_TABLEAU_BYTES,
     MeasurementRecord,
     PauliSumTerm,
     PauliTable,
@@ -155,17 +155,23 @@ class _ProductRun(_CliffordGates):
         """Tr[rho G_1..G_{k-1} G_k G_{k-1}..G_1] with G_i = (I + s_i W_i)/2
         and G_k = (I + w)/2, folded in one factor at a time: a copy times
         W_i joins the table and equal words merge, exactly (the coefficients
-        are Gaussian integers), so it never holds more than 2^k words."""
-        table = PauliTable(self.n)
+        are Gaussian integers), so it never holds more than 2^k words.  A
+        fold that would pass MAX_TABLEAU_BYTES raises ResourceCapError
+        before it doubles the table, changing nothing."""
+        n, table = self.n, PauliTable(self.n)
         for p, s in self.measured + [(w, 1)] + self.measured[::-1]:
+            need = 2 * len(table) * _term_bytes(n)
+            if need > tableau.MAX_TABLEAU_BYTES:
+                raise ResourceCapError(f"folding {2 * len(table)} Pauli words on {n} qubits needs "
+                                       f"about {need} bytes, over the cap of {tableau.MAX_TABLEAU_BYTES}")
             moved = table.copy()
             k = moved.multiply(np.ones(len(table), dtype=bool), p)
             coeff = np.concatenate((table.coefficients(), s * _I_POWERS[k] * moved.coefficients()))
             table = table.merged(coeff, 0.0, joined=moved)
         coeff = table.coefficients()
-        for off, b, tr in self.traces:
-            x, z = table.qubit_bits(range(off, off + b))
-            coeff = coeff * tr[x, z]
+        x, z = table.qubit_bits(range(n), [off for off, _, _ in self.traces])
+        for (_, _, tr), xb, zb in zip(self.traces, x, z):
+            coeff = coeff * tr[xb, zb]
         total = complex(coeff.sum()) / 2 ** (2 * len(self.measured) + 1)
         if abs(total.imag) > PROB_TOL:
             raise NumericalIntegrityError("probability has an imaginary part")
@@ -321,11 +327,11 @@ class PauliSumState(_CliffordGates):
                 f"{4 ** (2 * max(self.max_gate_width, width) * (self.gate_count + 1))}"
             )
         need = new_count * _term_bytes(n)
-        if need > MAX_TABLEAU_BYTES:
+        if need > tableau.MAX_TABLEAU_BYTES:
             raise ResourceCapError(f"{new_count} terms on {n} qubits need about {need} bytes "
-                                   f"to merge, over the cap of {MAX_TABLEAU_BYTES}")
+                                   f"to merge, over the cap of {tableau.MAX_TABLEAU_BYTES}")
         words, cs = zip(*expansion)
-        x, z = table.qubit_bits(qubits)
+        (x,), (z,) = table.qubit_bits(qubits)
         local, which = np.unique(x | z << width, return_inverse=True)
         left = [[multiply(bi, PauliOperator(width, 0, v, v >> width)) for bi in words]
                 for v in local.tolist()]  # PauliOperator keeps the low `width` bits of v

@@ -60,11 +60,18 @@ set of stabilizer rows the terms select.
 
 Up to 64 consecutive case-I random outcomes of `measure_run` (one word of
 step bits per row) are collapsed together.  While they are pending
-(`_RandomBlock`) the rows stay g and each next qubit's x column is
-replayed through them; `_collapse_block` then takes two phases.  Step t
-multiplies rows by the pivot row as it uses it, v[t], so every row ends as
-v[s_m] ... v[s_1] g_i over its history (a partner as v[u] times later
-pivots, a pivot row as Z_a).  First, each v[t]'s products with every row of
+(`_RandomBlock`) the rows stay g.  The first outcome gathers the x columns
+of the next 64 qubits of the run into a panel, and each step updates the
+panel rows after its own in a few whole-panel operations, so a next
+qubit's replayed column is its panel row.  `_collapse_block` then builds
+the rest once and takes two phases.  Step t multiplies rows by the pivot
+row as it uses it, v[t], so every row ends as v[s_m] ... v[s_1] g_i over
+its history (a partner as v[u] times later pivots, a pivot row as Z_a).
+With the block-start pivot rows g_p (one gather) and D[t, s] set where
+step s multiplied row p[t], v = (I + D)^-1 g_p: v[t] is g_p[t] times the
+v[s] of D[t], solved in order on Python ints.  A row's history is the
+steps that multiplied it (or set it, for a partner) after the last step
+that reset or overwrote it.  First, each v[t]'s products with every row of
 g (one take and reduce over its support) and with the other pivots give
 the first step at which a multiplied row anticommutes with its pivot; the
 outcomes up to that step are drawn, none after it.  Then the steps before
@@ -80,6 +87,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import xor
 
 import numpy as np
 
@@ -480,12 +490,12 @@ class _RandomBlock:
     """Case-I random outcomes that `measure_run` keeps pending while the
     tableau's rows stay g, as they were when the first came.  Step t
     measures qubit qubits[t] with pivot pivots[t] and partner
-    pivots[t] - n; full[t] is the packed mask of the rows it multiplies
-    (those anticommuting with Z_a but these two) and v[t] the pivot row as
-    it uses it, a 0/1 `_xz` column.  hist[t] holds the rows whose value
-    has v[t] as a factor: full[t] and the partner, set to a copy of v[t],
-    less the rows a later step reset or overwrote.  `cleared` holds the
-    rows reset (partners) or overwritten (pivots) so far."""
+    pivots[t] - n; spread[t] is the packed mask of the rows it changes
+    (those anticommuting with Z_a, and the partner).  The first outcome
+    gathers the x columns of the next _BLOCK qubits of the run, up to the
+    first invalid one, into `panel` (row j: the qubit j + 1 places after
+    it), and each step updates the rows after its own, so a next qubit's
+    x column with the pending steps replayed is its panel row."""
 
     def __init__(self, tableau: "Tableau"):
         self.tableau, self.qubits, self.pivots = tableau, [], []
@@ -494,38 +504,34 @@ class _RandomBlock:
         return len(self.pivots)
 
     def column(self, a: int) -> np.ndarray:
-        """The x column of qubit a with the pending steps replayed on it:
-        row i's bit is g_i's (none for a cleared row) XOR v[t]'s for each
-        t in its history."""
-        k, x = len(self.pivots), self.tableau.x[a]
-        if not k:
-            return x
-        picked = self.hist[:k][self.v[:k, a].view(bool)]
-        return (x & ~self.cleared) ^ np.bitwise_xor.reduce(picked, axis=0)
+        """The x column of qubit a, the run's next, as the pending steps left it."""
+        k = len(self.pivots)
+        return self.panel[k - 1] if k else self.tableau.x[a]
 
-    def add(self, a: int, mask: np.ndarray, p: int):
+    def add(self, a: int, mask: np.ndarray, p: int, run, at: int):
         """Append qubit a's outcome, whose anticommuting rows (its replayed
-        column) are `mask` and whose case-I pivot is p.  The pivot row is
-        g_p times v[s] for each earlier step s that multiplied it."""
-        if not self.pivots:  # the arrays come with the first outcome, not with every run
-            w = self.tableau._words
-            self.full, self.hist = np.zeros((2, _BLOCK, w), dtype=np.uint64)
-            self.v = np.zeros((_BLOCK, len(self.tableau._xz)), dtype=np.uint8)
-            self.cleared = np.zeros(w, dtype=np.uint64)
-        k, xz, v, full, hist = len(self.pivots), self.tableau._xz, self.v, self.full, self.hist
-        (wp, sp), (wq, sq) = divmod(p, 64), divmod(p - self.tableau.n, 64)
-        bp, bq = _ONE << _SHIFTS[sp], _ONE << _SHIFTS[sq]
-        np.bitwise_and(xz[:, wp] >> _SHIFTS[sp], _ONE, out=v[k], casting="unsafe")
-        v[k] ^= np.bitwise_xor.reduce(v[:k][full[:k, wp] & bp != 0], axis=0)
-        np.copyto(full[k], mask)
-        full[k, wp] &= ~bp
-        full[k, wq] &= ~bq
-        hist[k] = full[k]
-        hist[k, wq] |= bq
-        hist[:k, wp] &= ~bp
-        hist[:k, wq] &= ~bq
-        self.cleared[wp] |= bp
-        self.cleared[wq] |= bq
+        column) are `mask` and whose case-I pivot is p; run[at:] are the
+        qubits after it.  The step multiplies the rows of mask but p and q
+        = p - n by the pivot row, whose bit at each later panel row's qubit
+        is that row's bit p (sel), sets row q to it and row p to Z_a: the
+        panel row loses its bit q and takes sel times (mask | q)."""
+        t, k = self.tableau, len(self.pivots)
+        if not k:  # the arrays come with the first outcome, not with every run
+            ahead = []
+            for b in run[at:at + _BLOCK]:
+                try:
+                    ahead.append(_qubit_index(t.n, b))
+                except (TypeError, DimensionError):
+                    break
+            self.panel = t.x.take(np.array(ahead, dtype=np.intp), axis=0)
+            self.spread = np.zeros((_BLOCK, t._words), dtype=np.uint64)
+        wq, bq = (p - t.n) >> 6, _ONE << _SHIFTS[(p - t.n) & 63]
+        spread, rest = self.spread[k], self.panel[k:]
+        np.copyto(spread, mask)
+        spread[wq] |= bq
+        sel = (rest[:, p >> 6] >> _SHIFTS[p & 63]) & _ONE
+        rest[:, wq] &= ~bq
+        rest ^= sel[:, None] * spread
         self.qubits.append(a)
         self.pivots.append(p)
 
@@ -918,14 +924,26 @@ class Tableau(_PauliColumns):
         rng.getrandbits(1) bit per step, none after a step that raises),
         and CorruptTableauError where a step would raise, after the steps
         before it took effect.  A block of one goes through `_collapse`.
-        The first phase finds the first failing step, the second applies
-        the steps before it (see the module docstring)."""
-        if len(b) < 2:  # full[0] lacks only the pivot and partner, which `_collapse` skips
-            return [self._collapse_qubit(a, b.full[0], p, rng) for a, p in zip(b.qubits, b.pivots)]
+        The pivot rows as used and the rows' histories are built here,
+        once per block; then the first phase finds the first failing step,
+        the second applies the steps before it (see the module docstring)."""
+        if len(b) < 2:  # spread[0] adds only the partner, which `_collapse` skips
+            return [self._collapse_qubit(a, b.spread[0], p, rng) for a, p in zip(b.qubits, b.pivots)]
         n, words, pad, k = self.n, self._words, _padded(self.n), len(b)
         p = np.array(b.pivots)
         q = p - n
-        full, v = b.full[:k], b.v[:k]
+        steps = np.arange(k)
+        pm, qm = np.zeros((2, -(-k // 8) * 8, words), dtype=np.uint64)  # per step its pivot, its partner
+        pm[steps, p >> 6] = _ONE << (p & 63).astype(np.uint64)
+        qm[steps, q >> 6] = _ONE << (q & 63).astype(np.uint64)
+        both = pm | qm
+        full8 = b.spread[:len(both)] & ~both  # the rows each step multiplies
+        full = full8[:k]
+        d = _bit_at(full, p).T  # d[t, s]: step s multiplied pivot row p[t]
+        v = []  # v[t] = g_p[t] times v[s] for each s in d[t]: v = (I + d)^-1 g_p
+        for row, by in zip(_row_ints(_transpose(self._xz, p)), d.tolist()):
+            v.append(reduce(xor, compress(v, by), row))
+        v = _unpack_rows(_int_words(v, 2 * pad // 64), 2 * pad)
         # zx[t] = z(v[t]).x and sym[t] its symplectic product with every row of g
         zx, sym = np.empty((2, k, words), dtype=np.uint64)
         swapped = np.roll(v, pad, axis=1).view(bool)  # x columns at its z bits, then z at x
@@ -937,7 +955,7 @@ class Tableau(_PauliColumns):
         g = _matmul2(v[:, pad:pad + n], v[:, :n].T)  # g[t, s] = z(v[t]).x(v[s])
         low = np.tri(k, k, -1, dtype=np.int64)
         omega = (g ^ g.T) & low
-        bad = full & (sym ^ _xor_combine(b.full[:-(-k // 8) * 8], _selections(omega)))
+        bad = full & (sym ^ _xor_combine(full8, _selections(omega)))
         # From step u on, partner q[u] is v[u] times later pivots, not g_q times earlier ones.
         hq = _bit_at(full, q).astype(np.int64)  # hq[s, u]: step s multiplied row q[u]
         flip = hq & low & (_bit_at(sym, q) ^ _matmul2(omega, hq & low.T) ^ omega)
@@ -946,25 +964,27 @@ class Tableau(_PauliColumns):
         failed = bad.any(axis=1)
         f = int(failed.argmax()) if failed.any() else k
         outcomes = np.array([rng.getrandbits(1) & 1 for _ in range(min(f + 1, k))], dtype=bool)
-        cleared = b.cleared
-        if f < k:  # undo the resets and overwrites of the steps not taken
-            later = _row_mask(np.concatenate((p[f:], q[f:])), words)
-            b.hist[:f] |= b.full[:f] & later
-            cleared = cleared & ~later
-        if f:
-            self._apply_steps(b, f, cleared, zx[:f], g[:f, :f], outcomes[:f])
+        if f:  # hist[t]: full[t] and partner q[t] less the rows steps t+1..f-1 reset or overwrite
+            since = np.bitwise_or.accumulate(both[f - 1::-1], axis=0)[::-1]
+            hist = np.zeros((-(-f // 8) * 8, words), dtype=np.uint64)
+            np.bitwise_and(full[:f] | qm[:f], ~(since ^ both[:f]), out=hist[:f])
+            self._apply_steps(b, d[:f, :f].astype(np.int64), v[:f], hist, since[0], zx[:f],
+                              g[:f, :f], outcomes[:f])
+            self.rowsum_count += int(np.bitwise_count(full[:f]).sum())
         if f < k:
             raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
         return list(map(MeasurementRecord, b.qubits, outcomes.view(np.uint8).tolist(), [False] * k))
 
-    def _apply_steps(self, b: _RandomBlock, k: int, cleared, zx, g, outcomes):
-        """The second phase of `_collapse_block`: apply the first k steps of
-        `b`, whose rows `cleared` are reset or overwritten."""
-        words, pad = self._words, _padded(self.n)
+    def _apply_steps(self, b: _RandomBlock, d, v, h8, cleared, zx, g, outcomes):
+        """The second phase of `_collapse_block`: apply the first k =
+        len(outcomes) steps of `b`, with pivot rows v as used (d[t, s] set
+        where step s multiplied row p[t]), whose histories are the first k
+        rows of h8 (padded to a multiple of 8) and whose rows `cleared` are
+        reset or overwritten."""
+        words, pad, k = self._words, _padded(self.n), len(outcomes)
         p = np.array(b.pivots[:k])
-        hist, full, h8 = b.hist[:k], b.full[:k], b.hist[:-(-k // 8) * 8]
+        hist = h8[:k]
         low = np.tri(k, k, -1, dtype=np.int64)
-        d = _bit_at(full, p).T.astype(np.int64)  # d[t, s]: step s multiplied pivot row p[t]
         yg = _count4(self.x & self.z)
         # e of each pivot as used, v[t] = (v[s] for s in d[t], later ones left) g_p[t]
         c = _bit_at(yg[0], p) + 2 * (_bit_at(yg[1] ^ self.r, p) + (d * _bit_at(zx, p).T).sum(1)
@@ -983,11 +1003,10 @@ class Tableau(_PauliColumns):
         hi ^= np.bitwise_xor.reduce(hist & cross, axis=0)
         hi ^= (yg[1] ^ self.r ^ (yg[0] & lo)) & keep
         self._xz &= keep
-        self._xz ^= _xor_combine(h8, np.packbits(b.v[:k], axis=0, bitorder="little").T)
+        self._xz ^= _xor_combine(h8, np.packbits(v, axis=0, bitorder="little").T)
         self._xz[pad + np.array(b.qubits[:k]), p >> 6] |= _ONE << (p & 63).astype(np.uint64)
         hi ^= _count4(self.x & self.z)[1]  # the sign is e - |x & z| over 2
         self.r[:] = hi & ~_row_mask(p, words) | _row_mask(p[outcomes], words)
-        self.rowsum_count += int(np.bitwise_count(full).sum())
 
     def measure_run(self, qubits, rng) -> list[MeasurementRecord]:
         """Measure the qubits in turn in the standard basis, with the
@@ -1013,7 +1032,8 @@ class Tableau(_PauliColumns):
         records, stretch, block = [], [], _RandomBlock(self)
         rows = _span(0, 2 * n, words)
         rank, random_rows = self.rank, _span(self.rank, 2 * n, words)
-        for a in qubits:
+        qubits = list(qubits)
+        for i, a in enumerate(qubits, 1):
             try:
                 a = _qubit_index(n, a)
             except (TypeError, DimensionError):
@@ -1038,7 +1058,7 @@ class Tableau(_PauliColumns):
                 records += self._collapse_block(block, rng)
                 block = _RandomBlock(self)
             if case == 1:
-                block.add(a, mask, p)
+                block.add(a, mask, p, qubits, i)
                 continue
             records.append(self._collapse_qubit(a, mask, p, rng))
             rank, random_rows = self.rank, _span(self.rank, 2 * n, words)
@@ -1367,12 +1387,18 @@ class PauliTable(_PauliColumns):
         masks laid out as `Tableau.stabilizer_signs` returns them."""
         return _bits(np.bitwise_xor.reduce(self.eig & masks, axis=0), self._count)
 
-    def qubit_bits(self, qubits) -> tuple[np.ndarray, np.ndarray]:
-        """Per term, its x bits and its z bits on the given qubits (at most
-        62 of them) as int64 arrays (bit k = qubit qubits[k])."""
-        weights = np.int64(1) << np.arange(len(qubits), dtype=np.int64)
-        return tuple(weights @ _unpack_rows(v[qubits], self._count).astype(np.int64)
-                     for v in (self.x, self.z))
+    def qubit_bits(self, qubits, starts=(0,)) -> tuple[np.ndarray, np.ndarray]:
+        """Per group of the given qubits (group i: qubits[starts[i]:
+        starts[i + 1]], at most 64 qubits) and per term, its x bits and its
+        z bits there, as (groups, K) arrays (bit k = the group's k-th qubit)
+        of the smallest unsigned type that holds twice a group's bits, or
+        uint64: each qubit's unpacked bit shifted to its place, summed per
+        group."""
+        sizes = [hi - lo for lo, hi in zip(starts, [*starts[1:], len(qubits)])]
+        dtype = np.min_scalar_type((1 << min(2 * max(sizes), 64)) - 1)
+        shifts = (np.arange(len(qubits)) - np.repeat(starts, sizes)).astype(dtype)[:, None]
+        return tuple(np.add.reduceat(_unpack_rows(v[qubits], self._count).astype(dtype) << shifts,
+                                     starts, axis=0, dtype=dtype) for v in (self.x, self.z))
 
     def merged(self, coeff: np.ndarray, tol: float, where=None, joined=None) -> "PauliTable":
         """A new table of the terms `where` (all if None), followed by all

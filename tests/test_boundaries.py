@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stabsim import pauli
+from stabsim import pauli, tableau
 from stabsim.beyond import (
     PauliSumState,
     ProductState,
@@ -374,6 +374,24 @@ def test_product_state_run_rejects_a_bad_measured_qubit(q, exc, text):
 def product_run_state(run):
     return lambda: (run.tableau.to_bytes(), list(run.measured), run.q_prev,
                     list(run.probabilities))
+
+
+def test_one_lowered_cap_refuses_a_pauli_sum_gate_and_a_product_state_fold(monkeypatch):
+    # Both checks read `tableau.MAX_TABLEAU_BYTES` when they run.  The cap
+    # admits the 2-qubit tableau and a fold of one or two words, not the
+    # 256 products of a 2-qubit gate nor a fold of four words.
+    monkeypatch.setattr(tableau, "MAX_TABLEAU_BYTES", tableau._tableau_bytes(2))
+    s = PauliSumState(2)
+    expect(ResourceCapError, r"\d+ terms on 2 qubits need about \d+ bytes to merge, over the "
+           r"cap of 1032", lambda: s.apply_unitary(np.kron(H2, T_GATE) @ CNOT4, (0, 1)),
+           lambda: sum_state(s))
+    run, rng = _ProductRun(ProductState.all_zeros(2)), random.Random(2)
+    run.apply_hadamard(0)
+    run.apply_cnot(0, 1)
+    run.measure(0, rng)  # folds one word into the table of one
+    state = product_run_state(run)
+    expect(ResourceCapError, r"folding 8 Pauli words on 2 qubits needs about 1480 bytes, over "
+           r"the cap of 1032", lambda: run.measure(1, rng), lambda: (state(), rng.getstate()))
 
 
 # engine name -> (a maker of an N-qubit state, the snapshot of one)

@@ -116,6 +116,58 @@ def test_measure_run_matches_one_measure_at_a_time_across_blocks(n, mixed, corru
     referee(t, qubits, r.getrandbits(32))
 
 
+def graph_state(n, rank, r):
+    """Qubits 0..rank-1 in a random graph state (phase gates on some), the
+    rest maximally mixed, its rows multiplied into a random new basis so
+    that a measurement's rows are dense and the destabilizers (the
+    partners) have x bits.  The first measurement of a qubit below `rank`
+    is a case-I outcome, of a qubit from `rank` on a case-III one."""
+    t = MixedTableau(n, rank)
+    for a in range(rank):
+        t.apply_hadamard(a)
+    for _ in range(4 * rank):
+        a, b = r.sample(range(rank), 2)
+        t.apply_hadamard(b)
+        t.apply_cnot(a, b)
+        t.apply_hadamard(b)
+        if r.random() < 0.3:
+            t.apply_phase(a)
+    for _ in range(4 * rank):
+        h, i = r.sample(range(rank), 2)
+        t.rowsum(n + h, n + i)  # S_h S_i for S_h and D_i D_h for D_i,
+        t.rowsum(i, h)
+        t.rowsum(h, n + i)  # then D_h S_i for D_h and D_i S_h for D_i
+        t.rowsum(i, n + h)
+    return t
+
+
+@pytest.mark.parametrize("shape", ["64 then determinate", "64 then case III", "65",
+                                   "repeat in the window", "invalid in the window"])
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([65, 129, 130]), data=st.data())
+def test_measure_run_matches_one_measure_at_a_time_at_the_panel_edges(shape, n, data):
+    # A pending block keeps the next 64 qubits' columns: exactly 64 or 65
+    # consecutive random outcomes end it at the panel's last row, a case-III
+    # outcome or a repeat closes it there, and a repeated or invalid qubit
+    # may sit anywhere inside it.  A second sweep follows.
+    r = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    low = 65 if shape == "65" else 64
+    ranks = [k for k in (64, 65, n) if low <= k < n + (shape != "64 then case III")]
+    rank = data.draw(st.sampled_from(ranks), label="rank")
+    t = graph_state(n, rank, r)
+    pure = r.sample(range(rank), rank)
+    if shape == "65":
+        qubits = pure[:65] + [r.choice(pure[:65])] + pure[65:]
+    elif shape.startswith("64"):
+        mixed = data.draw(st.integers(rank, n - 1), label="case III") if "III" in shape else None
+        qubits = pure[:64] + [r.choice(pure[:64]) if mixed is None else mixed] + pure[64:]
+    else:
+        at = data.draw(st.integers(1, 64), label="place in the window")
+        extra = r.choice(pure[:at]) if shape.startswith("repeat") else data.draw(st.sampled_from([n, -1]))
+        qubits = pure[:at] + [extra] + pure[at:]
+    referee(t, qubits + r.sample(range(n), n), r.getrandbits(32))
+
+
 def test_a_block_that_raises_keeps_the_steps_before_the_failing_one(monkeypatch):
     # Corrupt tableaus whose first sweep raises inside a block of several
     # pending outcomes, after some of them changed the rows.

@@ -305,9 +305,15 @@ def test_qubit_bits_read_each_terms_bits_on_a_qubit_range(n, count):
     ranges = [range(lo, hi) for lo, hi in ((0, min(n, 62)), (n - 1, n), (n // 3, n // 3 + 2),
                                             (n - min(n, 40), n))]
     for qubits in ranges + [[n - 1, 0], r.sample(range(n), min(n, 5))]:
-        x, z = table.qubit_bits(qubits)
+        (x,), (z,) = table.qubit_bits(qubits)
         assert x.tolist() == [sum((t.x >> q & 1) << k for k, q in enumerate(qubits)) for t in table]
         assert z.tolist() == [sum((t.z >> q & 1) << k for k, q in enumerate(qubits)) for t in table]
+    # every qubit in one call, cut into groups as the product-state run cuts its blocks
+    starts = sorted(r.sample(range(1, n), n // 3) + [0]) if n > 3 else [0, 1]
+    x, z = table.qubit_bits(range(n), starts)
+    for lo, hi, xg, zg in zip(starts, starts[1:] + [n], x, z):
+        assert xg.tolist() == [t.x >> lo & (1 << hi - lo) - 1 for t in table]
+        assert zg.tolist() == [t.z >> lo & (1 << hi - lo) - 1 for t in table]
 
 
 @pytest.mark.parametrize("bad", [Hadamard(6), Phase(-1), Cnot(2, 2), Cnot(0, 9)])

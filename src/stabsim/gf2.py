@@ -70,12 +70,6 @@ class BinaryMatrix:
     def transpose(self) -> "BinaryMatrix":
         return BinaryMatrix.from_numpy(self.to_numpy().T)
 
-    def matmul(self, other: "BinaryMatrix") -> "BinaryMatrix":
-        if self.ncols != other.nrows:
-            raise DimensionError("inner dimensions differ")
-        prod = self.to_numpy().astype(np.float64) @ other.to_numpy().astype(np.float64)
-        return BinaryMatrix.from_numpy(prod.astype(np.int64) & 1)
-
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and self.rows == self.transpose().rows
 

@@ -43,8 +43,8 @@ def inner_product(t1: Tableau, t2: Tableau) -> OverlapResult:
 
     # Eliminate the stabilizer rows' X block; each row carries the set of
     # original rows it is the product of.  s is the X-block rank.
-    stab = rotated.stabilizer_generators()
-    rows, pivots = rref([p.x | 1 << (n + j) for j, p in enumerate(stab)], n)
+    xs = rotated._row_bits(n, n + rotated.rank)[0]
+    rows, pivots = rref([x | 1 << (n + j) for j, x in enumerate(xs)], n)
     s = len(pivots)
 
     # The remaining generators are Z-only; any minus sign kills the overlap.

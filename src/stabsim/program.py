@@ -453,8 +453,7 @@ def render(program: CircuitProgram) -> str:
         b, m = program.gate_table[name]
         out.append(f"gate {name} {b}")
         out.append(_fmt_matrix(m))
-    for instr in program.instructions:
-        out.append(_render_instr(instr))
+    out.extend(map(_render_instr, program.instructions))
     return "\n".join(out) + "\n"
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat, starmap
 
 from .errors import (
     DimensionError,
@@ -49,7 +51,6 @@ __all__ = [
     "canonical_stabilizer_key",
     "canonical_synthesize",
     "circuits_equivalent",
-    "cnot_synth_gauss",
     "cnot_synth_logdepth",
     "enumerate_stabilizer_states",
     "gf2_cholesky",
@@ -81,12 +82,11 @@ class CanonicalCircuit:
             raise ValueError("canonical form has exactly 11 rounds")
         for kind, seg in zip(ROUND_TYPES, self.segments):
             want = {"H": Hadamard, "C": Cnot, "P": Phase}[kind]
-            if not all(isinstance(g, want) for g in seg):
+            if not all(map(isinstance, seg, repeat(want))):
                 raise ValueError(f"round expects only {want.__name__} gates")
 
     def flatten(self) -> CircuitProgram:
-        instrs = tuple(g for seg in self.segments for g in seg)
-        return CircuitProgram(self.n, instrs)
+        return CircuitProgram(self.n, tuple(chain.from_iterable(self.segments)))
 
     def gate_count(self) -> int:
         return sum(len(seg) for seg in self.segments)
@@ -98,7 +98,7 @@ class CanonicalCircuit:
         out = []
         for k, (kind, seg) in enumerate(zip(ROUND_TYPES, self.segments), start=1):
             out.append(f"# round {k}: {kind}")
-            out.extend(_render_instr(g) for g in seg)
+            out.extend(map(_render_instr, seg))
         return "\n".join(out) + "\n"
 
 
@@ -123,7 +123,8 @@ def hadamard_fix_rank(t: Tableau) -> list:
     qubits to flip.
     """
     n = t.n
-    _, pivots = rref([p.x | p.z << n for p in t.stabilizer_generators()], 2 * n)
+    xs, zs, _ = t._row_bits(n, n + t.rank)
+    _, pivots = rref([x | z << n for x, z in zip(xs, zs)], 2 * n)
     if len(pivots) != n:
         raise InvalidTableauError("stabilizer rows are not independent")
     return [c - n for c in pivots if c >= n]
@@ -158,7 +159,7 @@ def _clear_symmetric_z(t: Tableau, segments: list, k: int, lo: int, what: str):
     """Rounds k..k+3 (P-C-P-C) on rows lo..lo+n-1, whose X block is the
     identity and whose Z block is symmetric (the rows commute)."""
     n = t.n
-    d = BinaryMatrix(n, n, [p.z for p in t.rows(lo, lo + n)])
+    d = BinaryMatrix(n, n, t._row_bits(lo, lo + n)[1])
     if not d.is_symmetric():
         raise InvalidTableauError(f"{what} rows do not commute")
     # Phases fix the Z block's diagonal so it factors as M M^T.
@@ -170,7 +171,7 @@ def _clear_symmetric_z(t: Tableau, segments: list, k: int, lo: int, what: str):
     # Phases on every qubit clear the Z block; a double phase (= Z gate) on
     # the subset s = M^-1 r clears the sign bits r.
     _emit(t, segments, k + 2, [Phase(a) for a in range(n)])
-    signs = sum((p.phase_exp >> 1) << i for i, p in enumerate(t.rows(lo, lo + n)))
+    signs = t._row_bits(lo, lo + n)[2]
     odd = [a for a, row in enumerate(m_inv.rows) if (row & signs).bit_count() & 1]
     _emit(t, segments, k + 2, [Phase(a) for a in odd for _ in range(2)])
     # The X block is now I M = M, so E = M^-1 takes it back to the identity
@@ -188,7 +189,7 @@ def _reduce_to_identity(t: Tableau, segments: list):
     # (1) Hadamards give the stabilizer X block full rank.
     _emit(t, segments, 0, [Hadamard(a) for a in hadamard_fix_rank(t)])
     # (2) CNOTs Gaussian-eliminate that block to the identity.
-    x = BinaryMatrix(n, n, [p.x for p in t.rows(n, 2 * n)])
+    x = BinaryMatrix(n, n, t._row_bits(n, 2 * n)[0])
     _emit_cnot_round(t, segments, 1, gf2_invert(x), x)
     # (3)-(6) The stabilizer Z block is now symmetric; clear it and the signs.
     _clear_symmetric_z(t, segments, 2, n, "stabilizer")
@@ -230,37 +231,55 @@ def circuits_equivalent(c1: CircuitProgram, c2: CircuitProgram) -> bool:
 
 def _pmh_lower(m: BinaryMatrix, block: int) -> list:
     """Eliminate below the diagonal section by section, de-duplicating sub-rows
-    first; returns the (src, dst) row-addition schedule."""
+    first; returns the (src, dst) row-addition schedule.
+
+    Rows r >= lo are clear left of column lo, so a row has bits in the
+    section [lo, hi) iff its first column is below hi: a row without any is
+    parked, unread, until the section of its first column, and the others
+    are scanned in index order.  After the de-duplication only the rows of a
+    distinct nonzero sub-row (at most 2^block - 1) have bits in the section,
+    so the pivot search and the elimination visit those alone."""
     n = m.nrows
+    rows = m.rows
+    parked = [[] for _ in range(0, n, block)]
+    scan = list(range(n))
     ops = []
     for lo in range(0, n, block):
         hi = min(n, lo + block)
-        mask = ((1 << hi) - 1) ^ ((1 << lo) - 1)
+        waiting = [r for r in parked[lo // block] if r >= lo]
+        if waiting:
+            scan = sorted(scan + waiting)
+        small = (1 << (hi - lo)) - 1
         seen = {}
-        for r in range(lo, n):
-            sub = m.rows[r] & mask
+        kept = []
+        for r in scan:
+            row = rows[r]
+            sub = row >> lo & small
             if not sub:
+                if row:
+                    parked[((row & -row).bit_length() - 1) // block].append(r)
                 continue
+            kept.append(r)
             if sub in seen:
-                m.rows[r] ^= m.rows[seen[sub]]
+                rows[r] = row ^ rows[seen[sub]]
                 ops.append((seen[sub], r))
             else:
                 seen[sub] = r
+        live = list(seen.values())
         for col in range(lo, hi):
-            if not (m.rows[col] >> col) & 1:
-                sel = None
-                for rr in range(col + 1, n):
-                    if (m.rows[rr] >> col) & 1:
-                        sel = rr
-                        break
+            bit = 1 << col
+            below = live[bisect_right(live, col):]
+            if not rows[col] & bit:
+                sel = next((r for r in below if rows[r] & bit), None)
                 if sel is None:
                     raise SingularMatrixError("matrix is singular over GF(2)")
-                m.rows[col] ^= m.rows[sel]
+                rows[col] ^= rows[sel]
                 ops.append((sel, col))
-            for rr in range(col + 1, n):
-                if (m.rows[rr] >> col) & 1:
-                    m.rows[rr] ^= m.rows[col]
-                    ops.append((col, rr))
+            for r in below:
+                if rows[r] & bit:
+                    rows[r] ^= rows[col]
+                    ops.append((col, r))
+        scan = kept[bisect_left(kept, hi):]
     return ops
 
 
@@ -268,19 +287,11 @@ def default_block_size(n: int) -> int:
     return max(1, math.ceil(math.log2(n) / 2)) if n > 1 else 1
 
 
-def cnot_synth_gauss(m: BinaryMatrix) -> list:
-    """Plain Gauss-Jordan synthesis: CNOTs that, applied to the identity as
-    row operations (row b ^= row a), rebuild m."""
-    ops = gf2_row_ops_to_identity(m)
-    return [Cnot(a, b) for a, b in reversed(ops)]
-
-
 def cnot_synth_logdepth(m: BinaryMatrix) -> list:
     """CNOT synthesis sharing sub-rows in sections of default_block_size(n)
-    columns: O(n^2 / log n) gates.
-
-    Same contract and SingularMatrixError as cnot_synth_gauss.
-    """
+    columns: O(n^2 / log n) gates that, applied to the identity as row
+    operations (row b ^= row a), rebuild the square matrix m.  Raises
+    SingularMatrixError unless m is invertible over GF(2)."""
     if m.nrows != m.ncols:
         raise DimensionError("CNOT synthesis requires a square matrix")
     block = default_block_size(m.nrows)
@@ -289,16 +300,8 @@ def cnot_synth_logdepth(m: BinaryMatrix) -> list:
     work = work.transpose()                # lower triangular, unit diagonal
     up = _pmh_lower(work, block)           # now the identity
     gates = [Cnot(b, a) for a, b in up]
-    gates.extend(Cnot(a, b) for a, b in reversed(low))
+    gates.extend(starmap(Cnot, reversed(low)))
     return gates
-
-
-def apply_cnots_as_row_ops(gates, n: int) -> BinaryMatrix:
-    """Fold a CNOT list into the linear map it realizes on row vectors."""
-    m = BinaryMatrix.identity(n)
-    for g in gates:
-        m.rows[g.b] ^= m.rows[g.a]
-    return m
 
 
 def minimize(program: CircuitProgram) -> CircuitProgram:

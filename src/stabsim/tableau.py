@@ -635,12 +635,16 @@ class Tableau(_PauliColumns):
         for i in (lo, hi - 1):
             if not 0 <= i <= 2 * self.n:
                 raise DimensionError(f"row {i} out of range for n={self.n}")
+        xs, zs, signs = self._row_bits(lo, hi)
+        return [PauliOperator(self.n, 2 * ((signs >> k) & 1), x, z)
+                for k, (x, z) in enumerate(zip(xs, zs))]
+
+    def _row_bits(self, lo: int, hi: int) -> tuple[list[int], list[int], int]:
+        """Rows lo..hi-1 (unchecked) as ints, read in one pass: their x bits,
+        their z bits, and their signs as one int (bit k: row lo + k)."""
         xs, zs = self._gather(np.arange(lo, hi))
         signs = int.from_bytes(self.r.astype("<u8").tobytes(), "little") >> lo
-        return [
-            PauliOperator(self.n, 2 * ((signs >> k) & 1), x, z)
-            for k, (x, z) in enumerate(zip(_row_ints(xs), _row_ints(zs)))
-        ]
+        return _row_ints(xs), _row_ints(zs), signs & ((1 << (hi - lo)) - 1)
 
     def stabilizer_generators(self) -> list[PauliOperator]:
         return self.rows(self.n, self.n + self.rank)

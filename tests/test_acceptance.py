@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from conftest import apply_gate, random_gate
+from gf2_reference import apply_cnots_as_row_ops, cnot_synth_gauss
 from stabsim.beyond import PauliSumState
 from stabsim.mixed import MixedTableau, new_mixed
 from stabsim.oracle import DenseState, density_from_generators
@@ -20,10 +21,8 @@ from stabsim.program import Cnot, Hadamard, Phase, execute, random_unitary_progr
 from stabsim.runner import bench_one
 from stabsim.synth import (
     ROUND_TYPES,
-    apply_cnots_as_row_ops,
     canonical_generator_key,
     canonical_synthesize,
-    cnot_synth_gauss,
     enumerate_stabilizer_states,
     stabilizer_state_count,
     tableau_of_program,

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_tableau
+from gf2_reference import apply_cnots_as_row_ops, cnot_synth_gauss, pmh_lower_reference
 from stabsim import synth
 from stabsim.errors import InvalidTableauError, SingularMatrixError, StabsimError
 from stabsim.gf2 import BinaryMatrix, gf2_rank
@@ -27,10 +28,8 @@ from stabsim.program import (
 from stabsim.synth import (
     ROUND_TYPES,
     CanonicalCircuit,
-    apply_cnots_as_row_ops,
     canonical_synthesize,
     circuits_equivalent,
-    cnot_synth_gauss,
     cnot_synth_logdepth,
     hadamard_fix_rank,
     minimize,
@@ -191,6 +190,51 @@ class TestCnotSynthesis:
             assert len(gates) < len(plain)
 
 
+def pmh_input(kind, n, r):
+    """A square matrix of one of the kinds `_pmh_lower` meets: a row-permuted
+    L U (invertible), a unit upper-triangular one (the Cholesky rounds, whose
+    rows below a section hold no bit in it), uniform random bits (singular
+    about 70% of the time), or sparse rows with one row a copy of another,
+    or zero at n = 1 (always singular)."""
+    if kind == "random":
+        return [r.getrandbits(n) for _ in range(n)]
+    if kind == "sparse":
+        rows = [r.getrandbits(n) & r.getrandbits(n) & r.getrandbits(n) for _ in range(n)]
+        i, j = r.sample(range(n), 2) if n > 1 else (0, 0)
+        rows[j] = rows[i] if n > 1 else 0
+        return rows
+    upper = [(1 << i) | (r.getrandbits(n) >> (i + 1) << (i + 1)) for i in range(n)]
+    if kind == "upper":
+        return upper
+    rows = list(upper)
+    for i in range(n):
+        for j in range(i):
+            if r.getrandbits(1):
+                rows[i] ^= rows[j]
+    r.shuffle(rows)
+    return rows
+
+
+def pmh_outcome(lower, rows, n, block):
+    """What a PMH pass does to a copy of rows: its schedule, or the
+    SingularMatrixError text, and the rows as they are afterwards."""
+    m = BinaryMatrix(n, n, list(rows))
+    try:
+        result = lower(m, block)
+    except SingularMatrixError as exc:
+        result = str(exc)
+    return result, m.rows
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(kind=st.sampled_from(["invertible", "upper", "random", "sparse"]),
+       n=st.integers(min_value=1, max_value=130), block=st.integers(min_value=1, max_value=8),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_pmh_lower_matches_the_full_scan(kind, n, block, seed):
+    rows = pmh_input(kind, n, random.Random(seed))
+    assert pmh_outcome(synth._pmh_lower, rows, n, block) == pmh_outcome(pmh_lower_reference, rows, n, block)
+
+
 class TestMinimize:
     def test_one_gate_circuits(self):
         for prog in (
@@ -301,6 +345,13 @@ SYNTH_PINS = {
     (65, 4): ("3e01a32d5c436fe68e2844759e26d84c306204695fd6fc43c2f39df3dab2521a",
               "f46caf7e3b192b8f709a8c14f6c445fde5d49cea88798715373949abe8d23a1a",
               "4043928abe04c17c5e07e90949cbf42527218c9a37f291be4651bfd688ac151d"),
+    # Sections of 4 and 5 columns (`default_block_size`).
+    (130, 5): ("bf6dd4b72a3b1f3b4d97073151bb8abc6794cef1ed314cbe6bc7525ccfb97784",
+               "be38aa26b404f55cbf76cd041a05926ebfa9f226b4858ea820be369595af7806",
+               "6b329354a9fdca44f213223629fbdd14d423b0dd91d68ee8ea6bf34702ea595f"),
+    (257, 6): ("97301c77153fae7d619eccb4d5ca25dab27fae02b12a40dfa12623437fce21e7",
+               "8da1260664bbe05023a7e6303614ec24ee28d5bca09d5d20af6befc9bfdfe83b",
+               "471c85c7eabdb793c6fb4859d6c42b44657b1465a1dd984d1e154777f9f0be31"),
 }
 
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_gate, paired_random_evolution, random_gate, random_tableau
+from gf2_reference import apply_cnots_as_row_ops
 from stabsim.errors import (
     CorruptTableauError,
     DimensionError,
@@ -22,7 +23,7 @@ from stabsim.mixed import MixedTableau, new_mixed
 from stabsim.oracle import DenseState, density_from_generators
 from stabsim.pauli import PauliOperator, commutes, multiply, parse_pauli
 from stabsim.program import CircuitProgram, Cnot, Phase, random_unitary_program
-from stabsim.synth import _column_maps, apply_cnots_as_row_ops, tableau_of_program
+from stabsim.synth import _column_maps, tableau_of_program
 from stabsim.tableau import PauliTable, Tableau, new_zero_state
 
 

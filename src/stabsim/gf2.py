@@ -135,6 +135,24 @@ def gf2_invert(m: BinaryMatrix) -> BinaryMatrix:
     return BinaryMatrix(n, n, [r >> n for r in rows])
 
 
+def gf2_invert_unit_lower(m: BinaryMatrix) -> BinaryMatrix:
+    """Inverse of a unit lower-triangular matrix (a `gf2_cholesky` factor)
+    by forward substitution on the int rows: M N = I gives row i of N as
+    e_i XOR the earlier rows of N that row i of M selects below its
+    diagonal.  DimensionError unless m is square and unit lower-triangular."""
+    if m.nrows != m.ncols or any(row >> i != 1 for i, row in enumerate(m.rows)):
+        raise DimensionError("gf2_invert_unit_lower requires a unit lower-triangular matrix")
+    inv = []
+    for i, row in enumerate(m.rows):
+        acc, row = 1 << i, row ^ 1 << i
+        while row:
+            j = row.bit_length() - 1
+            acc ^= inv[j]
+            row ^= 1 << j
+        inv.append(acc)
+    return BinaryMatrix(m.nrows, m.ncols, inv)
+
+
 def gf2_solve(m: BinaryMatrix, b: int) -> int:
     """Solve M s = b for square invertible M; b and s are column bitsets."""
     n = m.nrows

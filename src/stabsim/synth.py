@@ -27,6 +27,7 @@ from .gf2 import (
     gf2_cholesky,
     gf2_gaussian_eliminate,
     gf2_invert,
+    gf2_invert_unit_lower,
     gf2_rank,
     gf2_row_ops_to_identity,
     gf2_solve,
@@ -166,7 +167,7 @@ def _clear_symmetric_z(t: Tableau, segments: list, k: int, lo: int, what: str):
     m, lam = gf2_cholesky(d)
     _emit(t, segments, k, [Phase(a) for a in range(n) if lam[a]])
     # CNOTs carry the X block I to M, sending the Z block to M as well.
-    m_inv = gf2_invert(m)
+    m_inv = gf2_invert_unit_lower(m)
     _emit_cnot_round(t, segments, k + 1, m, m_inv)
     # Phases on every qubit clear the Z block; a double phase (= Z gate) on
     # the subset s = M^-1 r clears the sign bits r.

@@ -56,7 +56,11 @@ tableau as it was, so a stretch of them is one segmented product
 array per word, holding that word of every row), so one prefix XOR along
 the rows and per-segment sums give every outcome.  The trace signs of a
 Pauli-sum state's terms are segments of the same kernel, one per distinct
-set of stabilizer rows the terms select.
+set of stabilizer rows the terms select.  `compose` forms all 2n row
+products of a Clifford at once by packed GF(2) products (`_xor_combine`):
+the bits, and the cross term as the quadratic form s^T U s of each
+selection s, U the strict upper triangle of G = Z·X^T (Dehaene & De Moor
+2003).  `inverse` needs only these signs.
 
 Up to 64 consecutive case-I random outcomes of `measure_run` (one word of
 step bits per row) are collapsed together.  While they are pending
@@ -228,6 +232,19 @@ def _xor_combine(rows: np.ndarray, sel: np.ndarray) -> np.ndarray:
         for j, entries in enumerate(table, lo):
             out ^= entries.take(sel[:, j], axis=0)
     return out
+
+
+def _product_bytes(n: int) -> int:
+    """A bound, from n alone, on the bytes `compose` or `inverse` holds:
+    ten arrays of at most a tableau's bytes (selection, result, the zero
+    tableau it replaces, transposed rows, G, U s, a table group and its
+    take, two of `_count4`) and four _STEP_BYTES steps (small table groups,
+    a `_transpose` step).  ResourceCapError over MAX_TABLEAU_BYTES."""
+    need = 10 * _tableau_bytes(n) + 4 * _STEP_BYTES
+    if need > MAX_TABLEAU_BYTES:
+        raise ResourceCapError(f"composing tableaus on {n} qubits needs {need} bytes of packed "
+                               f"products, over the cap of {MAX_TABLEAU_BYTES}")
+    return need
 
 
 def _count4(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1081,19 +1098,24 @@ class Tableau(_PauliColumns):
 
     def satisfies_invariants(self) -> bool:
         """Check the commutation pattern: row i anticommutes with row j iff
-        j = i±n.  This also forces the 2n x 2n bit matrix to have full rank.
+        j = i±n.  This also forces the 2n x 2n bit matrix to have full rank."""
+        return self._gram(check=True) is not None
 
-        The whole 2n x 2n pattern is one packed GF(2) product of the rows'
-        bits with the columns (`_xor_combine`): no float array, and no
-        temporary more than a few times the size of `x`."""
+    def _gram(self, check: bool = False) -> np.ndarray | None:
+        """G = Z·X^T of rows 0..2n-1 as packed rows (bit b of row a: z_a·x_b
+        mod 2), one `_xor_combine` of the x columns by the rows' z bits.  With
+        `check`, None unless G + X·Z^T is the pattern `satisfies_invariants` wants."""
         n, k, pad = self.n, 2 * self.n, _padded(self.n)
-        xs, zs = (np.ascontiguousarray(h).view(np.uint8) for h in self._gather(np.arange(k)))
-        anti = _xor_combine(self._xz[pad:], xs) ^ _xor_combine(self._xz[:pad], zs)
+        x, z = self._xz[:pad], self._xz[pad:]
+        gram = _xor_combine(x, _transpose(z, np.arange(k)).view(np.uint8))
+        if not check:
+            return gram
+        anti = _xor_combine(z, _transpose(x, np.arange(k)).view(np.uint8))
+        anti ^= gram
         anti &= _span(0, k, self._words)
-        want = np.zeros_like(anti)
         partner = (np.arange(k) + n) % k
-        want[np.arange(k), partner >> 6] = _ONE << (partner & 63).astype(np.uint64)
-        return np.array_equal(anti, want)
+        anti[np.arange(k), partner >> 6] ^= _ONE << (partner & 63).astype(np.uint64)
+        return None if anti.any() else gram
 
     def apply_cnot_round(self, e: np.ndarray, f: np.ndarray):
         """Apply a whole CNOT round given by its column maps: every row's x
@@ -1126,62 +1148,64 @@ class Tableau(_PauliColumns):
                 f"mixed state of rank {self.rank} < n={self.n} is not a pure stabilizer state"
             )
 
-    def _with_columns(self, cols: np.ndarray, signs: np.ndarray) -> "Tableau":
-        """A tableau on n qubits whose x and z columns are the rows of the
-        (2n, <= W) packed array cols, with the W packed sign bits `signs`."""
-        t = Tableau(self.n)
-        t._xz[:] = 0
-        t.x[:, :cols.shape[1]], t.z[:, :cols.shape[1]] = cols[:self.n], cols[self.n:]
-        t.r = signs
-        return t
+    def _selection(self) -> np.ndarray:
+        """The x then z columns of rows 0..2n-1, zero rows up to a multiple
+        of 8: row c selects another tableau's row c for each row with bit c."""
+        n, k = self.n, 2 * self.n
+        sel = np.zeros(((k + 7) // 8 * 8, self._words), dtype=np.uint64)
+        sel[:n], sel[n:k] = self.x, self.z
+        sel &= _span(0, k, self._words)
+        return sel
+
+    def _product_signs(self, sel: np.ndarray, r: np.ndarray, gram: np.ndarray, prod=None) -> np.ndarray:
+        """The sign words of `compose`'s products of this tableau's rows, by
+        the module docstring's rule for all at once: sel and r are the first
+        tableau's `_selection` and signs, gram this one's `_gram()`
+        (overwritten), prod the products' `_xz` (None if each is ±I).
+        CorruptTableauError if a power of i is odd."""
+        n, k, w = self.n, 2 * self.n, self._words
+        rows = sel[:k]
+        y0, y1 = (_bits(b, k) for b in _count4(self.x & self.z))
+        lo, hi = _count4(rows[y0])
+        hi ^= np.bitwise_xor.reduce(rows[y1 ^ _bits(self.r, k)], axis=0)
+        a = np.arange(k)
+        gram[np.arange(w) < (a >> 6)[:, None]] = 0
+        low = _ONE << (a & 63).astype(np.uint64)
+        gram[a, a >> 6] &= ~(low | (low - _ONE))
+        cross = _xor_combine(sel, gram.view(np.uint8)[:, :len(sel) // 8])
+        cross &= rows
+        hi ^= np.bitwise_xor.reduce(cross, axis=0)
+        f0, f1 = _count4(rows[:n] & rows[n:])
+        hi ^= f1 ^ r ^ (lo & f0)
+        lo ^= f0
+        if prod is not None:
+            p0, p1 = _count4(prod[:n] & prod[_padded(n):_padded(n) + n])
+            lo ^= p0
+            hi ^= p1  # less |X&Z| = p1 p0: where lo == p0, as checked, no borrow
+        keep = _span(0, k, w)
+        if (lo & keep).any():
+            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
+        return hi & keep
 
     def compose(self, first: "Tableau") -> "Tableau":
         """The tableau of `first`'s Clifford followed by this one's.  Row i of
         `first`, i^{|x&z|} (-1)^r X^x Z^z, goes to the same product of this
         tableau's rows: its destabilizer rows by the x bits, then its
-        stabilizer rows by the z bits, all 2n rows one `_row_products` call.
-        The kernel's imaginary-prefix flag is expected (a destabilizer and
-        its stabilizer anticommute) and ignored; an odd final power of i
-        raises CorruptTableauError.  InvalidTableauError unless both have
-        rank n; ResourceCapError, before anything is unpacked, if the bytes
-        `_compose_bytes` counts would pass MAX_TABLEAU_BYTES.  Neither
-        tableau changes."""
+        stabilizer rows by the z bits: one `_xor_combine` of `first`'s
+        `_selection` by this tableau's columns, signed by `_product_signs`.
+        CorruptTableauError if a power of i is odd; InvalidTableauError
+        unless both have rank n; ResourceCapError from `_product_bytes`,
+        before anything is allocated.  Neither tableau changes."""
         if first.n != self.n:
             raise DimensionError(f"tableaus have different sizes: {self.n} != {first.n}")
         self._require_pure()
         first._require_pure()
-        n = self.n
-        selected, need = self._compose_bytes(first)
-        if need > MAX_TABLEAU_BYTES:
-            raise ResourceCapError(
-                f"composing tableaus on {n} qubits selects {selected} rows; their indices, "
-                f"the unpacked bits and the products need {need} bytes, over the cap of "
-                f"{MAX_TABLEAU_BYTES}"
-            )
-        y = [_bits(b, 2 * n) for b in _count4(first.x & first.z)]  # |x & z| mod 4 per row
-        sel = np.concatenate(first.bit_matrix(), axis=1)  # column c selects row c
-        lengths = sel.sum(axis=1, dtype=np.intp)
-        rows = np.flatnonzero(sel)
-        del sel
-        rows %= 2 * n
-        words, phase, _ = self._row_products(rows, lengths)
-        phase += y[0] + 2 * (y[1] ^ _bits(first.r, 2 * n))
-        if (phase & 1).any():
-            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
-        cols = _transpose(words, np.r_[:n, _padded(n):_padded(n) + n])
-        return self._with_columns(cols, _pack((phase & 2) > 0, self._words))
-
-    def _compose_bytes(self, first: "Tableau") -> tuple[int, int]:
-        """The rows `compose(first)` selects (the set x and z bits of
-        `first`'s rows 0..2n-1, counted from its packed columns) and a bound
-        on the bytes it holds at once: `first`'s unpacked bits and
-        selection (8 n^2), the selected rows' indices (8 each) and, in
-        `_row_products`, the gathered rows and their word-major copy, the
-        2n products (16 ceil(n/64) bytes per row each) and three arrays of
-        a step, each of at most _STEP_BYTES or 2n rows."""
-        n, row = self.n, 16 * (_padded(self.n) // 64)
-        selected = int(np.bitwise_count(first._xz).sum()) - int(first._read_row(2 * n)[0].sum())
-        return selected, 8 * (n * n + selected) + 3 * row * 2 * n + 3 * max(_STEP_BYTES, row * 2 * n)
+        _product_bytes(self.n)
+        sel = first._selection()
+        t = Tableau(self.n)
+        t._adopt(_xor_combine(sel, self._xz.view(np.uint8)[:, :len(sel) // 8]))
+        t.r = self._product_signs(sel, first.r, self._gram(), t._xz)
+        return t
 
     def inverse(self) -> "Tableau":
         """The tableau of the inverse Clifford, in closed form, as Stim's
@@ -1191,15 +1215,21 @@ class Tableau(_PauliColumns):
         halves, and its z columns the destabilizer halves, of this tableau's
         z then x columns.  Composing this tableau with that unsigned inverse
         gives ± the standard tableau, and a row whose image is - takes a minus
-        sign.  InvalidTableauError if the rank is below n or the rows fail
-        `satisfies_invariants`; the tableau does not change."""
+        sign (`_product_signs`, G from the invariants' check).
+        InvalidTableauError if the rank is below n or the rows fail
+        `satisfies_invariants`; ResourceCapError as `compose`; the tableau
+        does not change."""
         self._require_pure()
-        if not self.satisfies_invariants():
+        _product_bytes(self.n)
+        gram = self._gram(check=True)
+        if gram is None:
             raise InvalidTableauError("tableau violates the commutation conditions")
-        n = self.n
+        n, t = self.n, Tableau(self.n)
         cols = _transpose(np.concatenate((self.z, self.x)), np.r_[n:2 * n, :n])
-        unsigned = self._with_columns(cols, np.zeros_like(self.r))
-        return self._with_columns(cols, self.compose(unsigned).r)
+        t.x[:, :cols.shape[1]], t.z[:, :cols.shape[1]] = cols[:n], cols[n:]
+        del cols
+        t.r = self._product_signs(t._selection(), t.r, gram)
+        return t
 
     def _inverse_stabilizer(self, a: int) -> PauliOperator:
         """Row n + a of `inverse()`, V† Z_a V for this tableau's Clifford V,

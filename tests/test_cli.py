@@ -494,8 +494,8 @@ class TestMainEntry:
         assert capsys.readouterr().out.strip().startswith("2^-2/2")
 
     def test_innerprod_over_the_byte_cap_exit_code(self, tmp_path, capsys, monkeypatch):
-        # A dense tableau on 64 qubits fits the lowered cap, but the unpacked
-        # bits and row indices of composing it with its inverse do not.
+        # A dense tableau on 64 qubits fits the lowered cap, but the packed
+        # products of inverting it and composing do not.
         monkeypatch.setattr(tableau, "MAX_TABLEAU_BYTES", tableau._tableau_bytes(64))
         f = tmp_path / "a.chp"
         f.write_text(render(random_unitary_program(64, 2000, random.Random(5))))

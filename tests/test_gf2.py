@@ -11,6 +11,7 @@ from stabsim.gf2 import (
     gf2_cholesky,
     gf2_gaussian_eliminate,
     gf2_invert,
+    gf2_invert_unit_lower,
     gf2_rank,
     gf2_row_ops_to_identity,
     gf2_solve,
@@ -40,6 +41,26 @@ def test_invert_multiply_back(rng):
         inv = gf2_invert(m)
         assert matmul(m, inv) == BinaryMatrix.identity(8)
         assert matmul(inv, m) == BinaryMatrix.identity(8)
+
+
+def test_unit_lower_inverse_matches_gf2_invert():
+    # Random unit lower-triangular matrices at every n = 1..130 (three at
+    # the word edges 63/64/65, one elsewhere), each inverted both ways.
+    rng = random.Random(78)
+    for n in range(1, 131):
+        for _ in range(3 if n in (63, 64, 65) else 1):
+            m = BinaryMatrix(n, n, [rng.getrandbits(i) | 1 << i for i in range(n)])
+            assert gf2_invert_unit_lower(m) == gf2_invert(m)
+
+
+@pytest.mark.parametrize("rows, ncols", [([0b11, 0b10], 2), ([0b01, 0b01], 2),
+                                         ([0b001, 0b011, 0b011], 3), ([0b011, 0b010], 3)])
+def test_unit_lower_inverse_refuses_other_matrices(rows, ncols):
+    # an upper bit, a zero diagonal bit (so singular), the same in the last
+    # row, a non-square matrix
+    m = BinaryMatrix(len(rows), ncols, rows)
+    with pytest.raises(DimensionError, match="unit lower-triangular"):
+        gf2_invert_unit_lower(m)
 
 
 def test_singular_matrix_rejected():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import apply_gate, paired_random_evolution, random_gate, random_tableau
@@ -831,6 +831,75 @@ def test_compose_is_the_tableau_of_the_concatenated_circuit(n):
     assert ta.compose(new_zero_state(n)) == ta == new_zero_state(n).compose(ta)
 
 
+def group_law_compose(t, first):
+    """`t.compose(first)`'s rows by the Pauli group law alone: row i of
+    `first`, i^{|x&z|} (-1)^r X^x Z^z, with each X_j replaced by row j of t
+    and each Z_j by row n + j, multiplied in that order by
+    `pauli.multiply`.  An imaginary row is kept as it is."""
+    n = t.n
+    images = t.rows(0, 2 * n)
+    out = []
+    for p in first.rows(0, 2 * n):
+        acc = PauliOperator(n, p.phase_exp + (p.x & p.z).bit_count(), 0, 0)
+        for j in range(2 * n):
+            if ((p.z << n | p.x) >> j) & 1:
+                acc = multiply(acc, images[j])
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 130), seed=st.integers(0, 2**32 - 1),
+       flip=st.sampled_from([None, "sign", "x"]))
+@example(n=1, seed=1, flip=None)
+@example(n=2, seed=2, flip="x")
+@example(n=63, seed=63, flip=None)
+@example(n=64, seed=64, flip="sign")
+@example(n=65, seed=65, flip=None)
+@example(n=127, seed=127, flip="x")
+@example(n=128, seed=128, flip=None)
+@example(n=129, seed=129, flip="sign")
+def test_compose_and_inverse_match_their_circuits(n, seed, flip):
+    # Two random circuits a, b: the tableau of b after a is compose's (with
+    # a clear scratch row, whatever theirs hold), and each tableau's inverse
+    # composes with it, either way round, to the standard tableau.  Then a
+    # sign bit or an x bit of tb flips: compose agrees with the group law,
+    # raising CorruptTableauError exactly where a product is imaginary;
+    # inverse still inverts a flipped sign and refuses a broken commutation
+    # pattern; neither tableau changes.
+    r = random.Random(seed)
+    a, b = (random_unitary_program(n, r.choice([1, 4, 16]) * n + 2, r) for _ in range(2))
+    ta, tb = tableau_of_program(a), tableau_of_program(b)
+    for t in (ta, tb):  # a measurement may leave a product in the scratch row
+        t.set_row(2 * n, PauliOperator(n, 2 * r.getrandbits(1), r.getrandbits(n), r.getrandbits(n)))
+    both = tb.compose(ta)
+    assert both == tableau_of_program(CircuitProgram(n, a.instructions + b.instructions))
+    assert both.get_row(2 * n) == PauliOperator.identity(n)
+    for t in (ta, tb):
+        inv = t.inverse()
+        assert inv.compose(t) == new_zero_state(n) == t.compose(inv)
+    if flip is None:
+        return
+    i, q = r.randrange(2 * n), r.randrange(n)
+    p = tb.get_row(i)
+    bits = (p.phase_exp ^ 2, p.x, p.z) if flip == "sign" else (p.phase_exp, p.x ^ 1 << q, p.z)
+    tb.set_row(i, PauliOperator(n, *bits))
+    states = [tableau_state(t) for t in (ta, tb)]
+    want = group_law_compose(tb, ta)
+    if any(p.phase_exp & 1 for p in want):
+        with pytest.raises(CorruptTableauError, match="rowsum phase sum is odd"):
+            tb.compose(ta)
+    else:
+        assert tb.compose(ta).rows(0, 2 * n) == want
+    if tb.satisfies_invariants():  # every sign flip, and an x flip at n = 1 (Z -> Y)
+        inv = tb.inverse()
+        assert inv.compose(tb) == new_zero_state(n) == tb.compose(inv)
+    else:
+        with pytest.raises(InvalidTableauError, match="tableau violates the commutation"):
+            tb.inverse()
+    assert [tableau_state(t) for t in (ta, tb)] == states
+
+
 def test_inverse_and_compose_refuse_a_mixed_tableau_unchanged():
     mixed, pure = new_mixed(3, 2), random_tableau(3, random.Random(3))
     states = [tableau_state(t) for t in (mixed, pure)]
@@ -858,46 +927,46 @@ def test_inverse_refuses_a_flipped_bit_unchanged(n, seed):
     assert tableau_state(t) == before
 
 
-def test_compose_refuses_row_indices_over_the_byte_cap_unchanged(monkeypatch):
-    # Each set x or z bit of `first` selects one row, whose index takes 8
-    # bytes; its bits and selection unpack to 8 n^2 bytes; the row products
-    # hold 3 gathered or product blocks of 2n rows of 16 bytes per word of
-    # n and 3 step arrays of at most 128 KiB or 2n such rows.  A cap one
-    # byte short of them is refused before any is built.
+def test_compose_refuses_products_over_the_byte_cap_unchanged(monkeypatch):
+    # `_product_bytes` counts from n alone: ten arrays of a tableau's bytes
+    # (the stacked selection, the result, G, U s, the four-Russians tables
+    # and their temporaries) and four 128 KiB steps.  A cap one byte short
+    # of it is refused by `compose` and by `inverse`, both unchanged.
     n = 64
     r = random.Random(11)
     t, first = random_tableau(n, r), random_tableau(n, r)
-    want = t.compose(first)
-    selected = sum(int(bits.sum()) for bits in first.bit_matrix())
-    need = 8 * selected + 8 * n * n + 3 * 16 * 2 * n + 3 * (1 << 17)
-    assert t._compose_bytes(first) == (selected, need)
+    want, want_inverse = t.compose(first), t.inverse()
+    need = 10 * tableau_module._tableau_bytes(n) + 4 * (1 << 17)
+    assert tableau_module._product_bytes(n) == need
     states = [tableau_state(u) for u in (t, first)]
     monkeypatch.setattr(tableau_module, "MAX_TABLEAU_BYTES", need - 1)
-    with pytest.raises(ResourceCapError, match=f"selects {selected} rows; their indices, the "
-                                               f"unpacked bits and the products need {need} "
-                                               f"bytes, over the cap of {need - 1}"):
-        t.compose(first)
+    for call in (lambda: t.compose(first), t.inverse):
+        with pytest.raises(ResourceCapError, match=f"composing tableaus on {n} qubits needs "
+                                                   f"{need} bytes of packed products, over "
+                                                   f"the cap of {need - 1}"):
+            call()
     assert [tableau_state(u) for u in (t, first)] == states
     monkeypatch.setattr(tableau_module, "MAX_TABLEAU_BYTES", need)
     assert t.compose(first) == want
+    assert t.inverse() == want_inverse
 
 
 @pytest.mark.parametrize("n", [512, 1024])
 @pytest.mark.parametrize("dense", [False, True])
 def test_compose_peak_stays_within_its_byte_count(n, dense):
-    # One H (2n selected rows, the unpacked bits dominate) or a dense
-    # random Clifford (about n^2 selected rows, their indices dominate).
-    first = random_tableau(n, random.Random(n), ngates=40 * n) if dense else new_zero_state(n)
-    if not dense:
-        first.apply_hadamard(0)
-    _, need = first._compose_bytes(first)
-    tracemalloc.start()
-    try:
-        first.compose(first)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= need
+    # A 16n-gate or a dense (64n-gate) random Clifford: the peaks of
+    # `compose` and `inverse` stay within `_product_bytes`, and at most
+    # 8 n^2 bytes (16 times the tableau's n^2 / 2).
+    prog = random_unitary_program(n, (64 if dense else 16) * n, random.Random(n))
+    t = tableau_of_program(prog)
+    for call in (lambda: t.compose(t), t.inverse):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= min(tableau_module._product_bytes(n), 8 * n * n)
 
 
 def test_compose_raises_for_an_imaginary_image():

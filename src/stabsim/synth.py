@@ -134,17 +134,11 @@ def hadamard_fix_rank(t: Tableau) -> list:
 # -- CNOT rounds ------------------------------------------------------------------
 
 
-def _column_maps(e: BinaryMatrix, e_inv: BinaryMatrix) -> tuple:
-    """The CNOT round with column-op matrix E maps X^x Z^z to
-    X^(xE) Z^(z(E^-1)^T): both maps, as `Tableau.apply_cnot_round` takes them."""
-    return e.to_numpy(), e_inv.to_numpy().T
-
-
 def _emit_cnot_round(t: Tableau, segments: list, k: int, e: BinaryMatrix, e_inv: BinaryMatrix):
     """Record round k as its column-op matrix and inverse (E, E^-1), all the
     tableau update needs, and apply it in bulk."""
     segments[k] = (e, e_inv)
-    t.apply_cnot_round(*_column_maps(e, e_inv))
+    t.apply_cnot_round(e.rows, e_inv.rows)
 
 
 # -- the 11-step reduction ------------------------------------------------------

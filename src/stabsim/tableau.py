@@ -33,13 +33,16 @@ conjugates the tableau and the terms, and a measurement or a
 non-stabilizer gate updates every term in whole-table numpy steps.
 
 This module alone knows how the bits are packed.  Other modules go through
-its row reads and writes, `anticommuting_rows`, `anticommuting_mask`,
-`_case_split` (the paper's measurement cases I-III at any rank, and the
-pivot), `_collapse` (the update for a measured Pauli on that mask),
-`row_product`, `_row_products`, `stabilizer_signs` (which Pauli-sum terms
-lie in +-S, and with which sign), `rowsum`, `apply_cnot_round`, `compose`
-and `inverse` (products and inverses of Cliffords), `_inverse_stabilizer`
-(the product-state run's measured words) and the `PauliTable` methods.
+its row reads and writes, the moment kernel `_conjugate`,
+`anticommuting_rows`, `anticommuting_mask`, `_case_split` (the paper's
+measurement cases I-III at any rank, and the pivot), `_collapse` (the
+update for a measured Pauli on that mask), `_batch_rowsum`, `row_product`,
+`_row_products`, `stabilizer_signs` (which Pauli-sum terms lie in +-S, and
+with which sign), `apply_cnot_round`, `compose` and `inverse` (products and
+inverses of Cliffords), `_inverse_stabilizer` (the product-state run's
+measured words) and the `PauliTable` methods.  One kernel,
+`_left_multiply` (a phase-free Pauli times every string of a packed mask),
+serves `rowsum`, `_batch_rowsum`, `_collapse` and `PauliTable.multiply`.
 
 A product of k commuting rows (a determinate measurement's outcome, or a
 stabilizer-group element in the Pauli-sum engine) is computed in closed
@@ -408,10 +411,67 @@ class _PauliColumns(_CliffordGates):
     Pauli-sum term table share: `x` and `z` are (n, w) uint64 arrays, bit i
     of word k of `x[j]` being string 64k+i's x bit at qubit j, and `r`
     holds one sign bit per string in w words.  `_count` strings are in use;
-    every bit past them is zero."""
+    every bit past them is zero.  `x` and `z` are views of one stacked
+    column array `_xz`: x at its rows 0..n-1, z at rows _zoff..._zoff+n-1.
+    A store whose strings must stay Hermitian (`_hermitian`, the tableau)
+    refuses an imaginary product before anything is written."""
 
     n: int
     _words: int
+    _zoff: int
+    _hermitian = False
+
+    def _adopt(self, xz: np.ndarray):
+        """Store the stacked column array and take its x and z views."""
+        self._xz = xz
+        self.x, self.z = xz[:self.n], xz[self._zoff:self._zoff + self.n]
+
+    def copy(self):
+        t = object.__new__(type(self))
+        t.__dict__.update(self.__dict__)
+        t._adopt(self._xz.copy())
+        t.r = self.r.copy()
+        return t
+
+    def _left_multiply(self, mask: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Replace every string s set in the packed mask by P s, in place, for
+        the phase-free Pauli word P of the 0/1 column `src` (as `_word_bits`
+        gives it), and return bits 0 and 1 of the power of i of P s for every
+        string as two packed planes of w words.  Only P's support is read,
+        ordered by its letter there.  At each of those qubits s anticommutes
+        with P where z (X), x (Z) or x ^ z (Y) is set, and the factor there is
+        then i^{-1} rather than i^{+1} where ~x (X), ~(x ^ z) (Z) or x (Y) is
+        set.  The power of i is the count c of anticommuting qubits minus twice
+        the count of -1 factors: bit 0 is the parity of c, bit 1 C(c, 2) mod 2
+        XOR the parity of the -1 factors (see the module docstring).  A
+        `_hermitian` store raises CorruptTableauError, writing nothing, if a
+        masked string anticommutes with P."""
+        n, pad, off = self.n, _padded(self.n), self._zoff
+        sx, sz = src[:n], src[pad:pad + n]
+        xonly, zonly, both = (np.flatnonzero(v) for v in (sx > sz, sz > sx, sx & sz))
+        a, b = xonly.size, xonly.size + zonly.size
+        order = np.concatenate((xonly, zonly, both))
+        order = np.concatenate((order, order + off))  # x columns, then z columns
+        k = b + both.size
+        xz = self._xz.take(order, axis=0)
+        x, z = xz[:k], xz[k:]
+        anti = z.copy()
+        anti[a:] = x[a:]
+        anti[b:] ^= z[b:]
+        minus = x.copy()
+        minus[a:b] ^= z[a:b]
+        np.invert(minus[:b], out=minus[:b])
+        pre = np.bitwise_xor.accumulate(anti, axis=0)
+        odd = pre[-1] if k else np.zeros(self._words, dtype=np.uint64)
+        if self._hermitian and (odd & mask).any():
+            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
+        minus[1:] ^= pre[:-1]
+        minus &= anti
+        x[:a] ^= mask
+        x[b:] ^= mask
+        z[a:] ^= mask
+        self._xz[order] = xz
+        return odd, np.bitwise_xor.reduce(minus, axis=0)
 
     def _conjugate(self, q, i, j):
         """Conjugate every string by one moment (q, i, j) already checked
@@ -554,7 +614,13 @@ class _RandomBlock:
 
 
 class Tableau(_PauliColumns):
-    """Mutable destabilizer+stabilizer tableau for an n-qubit state."""
+    """Mutable destabilizer+stabilizer tableau for an n-qubit state.  Its
+    `_xz` is (2 * _padded(n), W): the x columns, zero columns up to a
+    multiple of 64 qubits (`_zoff`), the z columns, zero columns.  Row reads
+    and writes then take a row's x and z bits in one pass, and a gathered
+    row's z words start on a word boundary."""
+
+    _hermitian = True
 
     def __init__(self, n: int):
         if n < 1:
@@ -567,22 +633,13 @@ class Tableau(_PauliColumns):
         self.n = n
         self.rank = n
         self._words = _row_words(n)
+        self._zoff = _padded(n)
         self._adopt(np.zeros((2 * _padded(n), self._words), dtype=np.uint64))
         self.r = np.zeros(self._words, dtype=np.uint64)
         self.rowsum_count = 0
         q = np.arange(n)
         self.x[q, q >> 6] = _ONE << (q & 63).astype(np.uint64)
         self.z[q, (q + n) >> 6] = _ONE << ((q + n) & 63).astype(np.uint64)
-
-    def _adopt(self, xz: np.ndarray):
-        """Store the (2 * _padded(n), W) column array: the x columns, zero
-        columns up to a multiple of 64 qubits, the z columns, zero columns.
-        Row reads and writes then take a tableau row's x and z bits in one
-        pass, and a gathered row's z words start on a word boundary."""
-        self._xz = xz
-        pad = _padded(self.n)
-        self.x = xz[:self.n]
-        self.z = xz[pad:pad + self.n]
 
     # -- basic structure ---------------------------------------------------
 
@@ -594,13 +651,6 @@ class Tableau(_PauliColumns):
     def _count(self) -> int:
         """Rows 0..2n-1: the destabilizers and the stabilizers."""
         return 2 * self.n
-
-    def copy(self) -> "Tableau":
-        t = object.__new__(type(self))
-        t.__dict__.update(self.__dict__)
-        t._adopt(self._xz.copy())
-        t.r = self.r.copy()
-        return t
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tableau) or self.n != other.n:
@@ -705,46 +755,11 @@ class Tableau(_PauliColumns):
 
     def _rowsum_mask(self, mask: np.ndarray, src: np.ndarray, sign):
         """rowsum(i, src) for every row i set in the packed mask, all at once,
-        where row src is the 0/1 column `src` of `_xz` with sign bit `sign`.
-
-        Row i becomes P_src P_i.  Qubits where row src is I change nothing,
-        so only the pivot's support is read, ordered by its letter there.
-        At each of those qubits the rows anticommute where z_i (X), x_i (Z)
-        or x_i ^ z_i (Y) is set, and the factor there is then i^{-1} rather
-        than i^{+1} where ~x_i (X), ~(x_i ^ z_i) (Z) or x_i (Y) is set.  The
-        product's power of i is the count c of anticommuting qubits minus
-        twice the count of -1 factors, so its bit 0 is the parity of c (odd
-        exactly when the rows anticommute) and its bit 1 is C(c, 2) mod 2
-        XOR the parity of the -1 factors (see the module docstring).
-        """
-        pad = _padded(self.n)
-        sx, sz = src[:self.n], src[pad:pad + self.n]
-        xonly, zonly, both = (np.flatnonzero(v) for v in (sx > sz, sz > sx, sx & sz))
-        a, b = xonly.size, xonly.size + zonly.size
-        order = np.concatenate((xonly, zonly, both))
-        order = np.concatenate((order, order + pad))  # x columns, then z columns
-        k = b + both.size
-        xz = self._xz.take(order, axis=0)
-        x, z = xz[:k], xz[k:]
-        anti = z.copy()
-        anti[a:] = x[a:]
-        anti[b:] ^= z[b:]
-        minus = x.copy()
-        minus[a:b] ^= z[a:b]
-        np.invert(minus[:b], out=minus[:b])
-        pre = np.bitwise_xor.accumulate(anti, axis=0)
-        if k and (pre[-1] & mask).any():
-            raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
-        minus[1:] ^= pre[:-1]
-        minus &= anti
-        phase = np.bitwise_xor.reduce(minus, axis=0)
-        if sign:
-            np.invert(phase, out=phase)
-        x[:a] ^= mask
-        x[b:] ^= mask
-        z[a:] ^= mask
-        self._xz[order] = xz
-        self.r ^= phase & mask
+        where row src is the 0/1 column `src` of `_xz` with sign bit `sign`:
+        row i becomes P_src P_i (`_left_multiply`), and its sign bit takes
+        bit 1 of that product's power of i and the sign of row src."""
+        phase = self._left_multiply(mask, src)[1]
+        self.r ^= (~phase if sign else phase) & mask
         self.rowsum_count += int(np.bitwise_count(mask).sum())
 
     def _row_products(self, rows: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -846,12 +861,6 @@ class Tableau(_PauliColumns):
         return masks, np.select([outside, phase[group] != 0], [0.0, -1.0], 1.0)
 
     # -- measurement ------------------------------------------------------------
-
-    def is_deterministic(self, a: int) -> bool:
-        """True iff measuring qubit a gives a determinate outcome: no
-        stabilizer or logical row (rows r..2n-1) has an X at a.  O(n)."""
-        a = _qubit_index(self.n, a)
-        return not _bits(self.x[a], 2 * self.n)[self.rank:].any()
 
     def _case_split(self, mask: np.ndarray) -> tuple[int, int]:
         """(case, pivot) of the paper's rule for measuring a Pauli that
@@ -1091,11 +1100,6 @@ class Tableau(_PauliColumns):
 
     # -- invariants ---------------------------------------------------------------
 
-    def bit_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unpacked (2n, n) x and z bit matrices for rows 0..2n-1."""
-        xs, zs = self._gather(np.arange(2 * self.n))
-        return _unpack_rows(xs, self.n), _unpack_rows(zs, self.n)
-
     def satisfies_invariants(self) -> bool:
         """Check the commutation pattern: row i anticommutes with row j iff
         j = i±n.  This also forces the 2n x 2n bit matrix to have full rank."""
@@ -1117,26 +1121,34 @@ class Tableau(_PauliColumns):
         anti[np.arange(k), partner >> 6] ^= _ONE << (partner & 63).astype(np.uint64)
         return None if anti.any() else gram
 
-    def apply_cnot_round(self, e: np.ndarray, f: np.ndarray):
-        """Apply a whole CNOT round given by its column maps: every row's x
-        bits go to xE and its z bits to zF, with E, F (n, n) 0/1 arrays and
-        F = (E^-1)^T.  In this layout the new column j is the XOR of the old
-        columns i with E[i, j] = 1 (F for z), one packed GF(2) product.
+    def apply_cnot_round(self, e: list[int], e_inv: list[int]):
+        """Apply a whole CNOT round given by its column-op matrix E and E^-1
+        as int rows (`BinaryMatrix.rows`, bit j of row i = entry (i, j)):
+        every row's x bits go to xE and its z bits to z(E^-1)^T.  In this
+        layout the new x column j is the XOR of the old columns i with
+        E[i, j] = 1, selected by column j of E (one `_transpose` of its
+        rows), and the new z column j that of the old columns i set in row j
+        of E^-1: two packed GF(2) products, the x one applied before the z
+        selection is built.
 
         Such a round has no phase change in the normal-ordered picture, so
         each row's sign bit shifts only by the Y-count correction
         (|x&z| - |x'&z'|)/2 mod 2: bit 1 of |x&z| before XOR after, as the
         parity of |x&z| does not change.  The scratch row is left as it was.
         """
-        keep, pad = _span(0, 2 * self.n, self._words), _padded(self.n)
+        n, keep, pad = self.n, _span(0, 2 * self.n, self._words), _padded(self.n)
         before = _count4(self.x & self.z)[1]
-        xn = _xor_combine(self._xz[:pad], np.packbits(e.T, axis=1, bitorder="little"))
-        zn = _xor_combine(self._xz[pad:], np.packbits(f.T, axis=1, bitorder="little"))
-        self.r ^= (before ^ _count4(xn & zn)[1]) & keep
-        for a, new in ((self.x, xn), (self.z, zn)):
-            a &= ~keep
-            new &= keep
-            a |= new
+        nb = (n + 7) // 8
+        e_cols = _transpose(_int_words(e, pad // 64), np.arange(n))  # row j: column j of E
+        xn = _xor_combine(self._xz[:pad], e_cols.view(np.uint8)[:, :nb])
+        del e_cols
+        self.x &= ~keep
+        self.x |= xn & keep
+        del xn
+        zn = _xor_combine(self._xz[pad:], _int_words(e_inv, pad // 64).view(np.uint8)[:, :nb])
+        self.r ^= (before ^ _count4(self.x & zn)[1]) & keep
+        self.z &= ~keep
+        self.z |= zn & keep
 
     # -- the Clifford group ----------------------------------------------------------
 
@@ -1316,8 +1328,8 @@ class PauliTable(_PauliColumns):
     generator a; `r` holds per term a negation of its coefficient not yet
     applied (conjugation only negates them, exactly, so it is deferred);
     `_coeff` holds the complex coefficients.  x, z and eig are the rows of
-    one (3n, w) array, so a term's whole key, x | z << n | eig << 2n, is
-    one row of its transpose."""
+    one (3n, w) array `_xz` (`_zoff` = n), so a term's whole key,
+    x | z << n | eig << 2n, is one row of its transpose."""
 
     def __init__(self, n: int, terms=((1.0 + 0j, 0, 0, 0),)):
         """A table of the (coeff, x, z, eig) tuples `terms`, with x, z and
@@ -1328,18 +1340,18 @@ class PauliTable(_PauliColumns):
 
     def _set_rows(self, n: int, keys: np.ndarray, coeff: np.ndarray) -> "PauliTable":
         """Take n qubits' terms from their row-major keys and coefficients."""
-        self.n = n
+        self.n = self._zoff = n
         self._count = len(coeff)
         self._words = (self._count + 63) // 64
-        self._adopt_bits(_transpose(keys, np.arange(3 * self.n)))
+        self._adopt(_transpose(keys, np.arange(3 * self.n)))
         self.r = np.zeros(self._words, dtype=np.uint64)
         self._coeff = coeff
         return self
 
-    def _adopt_bits(self, bits: np.ndarray):
-        n = self.n
-        self._bits = bits
-        self.x, self.z, self.eig = bits[:n], bits[n:2 * n], bits[2 * n:]
+    @property
+    def eig(self) -> np.ndarray:
+        """The eigenvalue-bit rows of `_xz`."""
+        return self._xz[2 * self.n:]
 
     def __len__(self) -> int:
         return self._count
@@ -1352,16 +1364,13 @@ class PauliTable(_PauliColumns):
             super()._conjugate(q, i, j)
 
     def copy(self) -> "PauliTable":
-        t = object.__new__(PauliTable)
-        t.__dict__.update(self.__dict__)
-        t._adopt_bits(self._bits.copy())
-        t.r = self.r.copy()
+        t = super().copy()
         t._coeff = self._coeff.copy()
         return t
 
     def _keys(self) -> np.ndarray:
         """The terms' keys as row-major (K, ceil(3n/64)) words."""
-        return _transpose(self._bits, np.arange(self._count))
+        return _transpose(self._xz, np.arange(self._count))
 
     def coefficients(self) -> np.ndarray:
         """The coefficient array, every deferred negation applied."""
@@ -1388,20 +1397,13 @@ class PauliTable(_PauliColumns):
     def multiply(self, where: np.ndarray, p: PauliOperator) -> np.ndarray:
         """Multiply the words of the terms `where` (a bool array) on the
         right by p, in place, and return per term the power of i of that
-        product, as `pauli.multiply` gives it (0 for the other terms):
-        phase(p) + |x & z| + |x_p & z_p| + 2 |z & x_p| - |x' & z'| (mod 4),
-        each count a sum over the qubits of the unpacked bits."""
-        n, pad = self.n, _padded(self.n)
-        sel = _pack(where, self._words)
-        bits = _word_bits(n, p)
-        px, pz = np.flatnonzero(bits[:n]), np.flatnonzero(bits[pad:pad + n])
-        before = np.concatenate((self.x & self.z, self.z[px]))
-        self.x[px] ^= sel
-        self.z[pz] ^= sel
-        b = _unpack_rows(np.concatenate((before, self.x & self.z)), self._count)
-        k = (b[:n].sum(axis=0, dtype=np.int64) + 2 * b[n:-n].sum(axis=0, dtype=np.int64)
-             - b[-n:].sum(axis=0, dtype=np.int64))
-        return np.where(where, (k + p.phase_exp + (p.x & p.z).bit_count()) % 4, 0)
+        product, as `pauli.multiply` gives it (0 for the other terms).
+        `_left_multiply` gives the power of i of p's word times the term's
+        word; the term's word times p's is its negation (where the two
+        anticommute, its bit 1 flips), and p's phase is added."""
+        lo, hi = self._left_multiply(_pack(where, self._words), _word_bits(self.n, p))
+        k = _bits(lo, self._count) + 2 * _bits(hi ^ lo, self._count).astype(np.int64)
+        return np.where(where, (k + p.phase_exp) % 4, 0)
 
     def eig_bits(self, gens) -> np.ndarray:
         """Per term, the XOR of its eigenvalue bits for the generators gens."""

@@ -37,6 +37,13 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
 
 
+def is_deterministic(t: Tableau, a: int) -> bool:
+    """Whether measuring qubit a of the tableau t (of any rank) gives a
+    determinate outcome: no stabilizer or logical row (rows rank..2n-1) has
+    an X or a Y at a."""
+    return not any(p.x >> a & 1 for p in t.rows(t.rank, 2 * t.n))
+
+
 def random_tableau(n, rng, ngates=None) -> Tableau:
     """A tableau reached from |0...0> by a random unitary circuit."""
     t = new_zero_state(n)

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import apply_gate, random_gate
+from conftest import apply_gate, is_deterministic, random_gate
 from gf2_reference import apply_cnots_as_row_ops, cnot_synth_gauss
 from stabsim.beyond import PauliSumState
 from stabsim.mixed import MixedTableau, new_mixed
@@ -65,7 +65,7 @@ def test_criterion_01_oracle_equivalence():
             else:
                 q = gen.randrange(n)
                 p0, _ = d.measure_probs(q)
-                if t.is_deterministic(q):
+                if is_deterministic(t, q):
                     assert p0 > 1 - 1e-12 or p0 < 1e-12, "oracle says random"
                     rec = t.measure(q, gen)
                     assert rec.deterministic
@@ -219,7 +219,7 @@ def test_criterion_07_mixed_states():
                 stab_hit = not all(
                     (g.x >> q) & 1 == 0 for g in m.stabilizer_generators()
                 )
-                deterministic_claim = m.is_deterministic(q)
+                deterministic_claim = is_deterministic(m, q)
                 diag = np.real(np.diag(rho))
                 bit = 1 << (n - 1 - q)
                 p1 = float(diag[(np.arange(1 << n) & bit) != 0].sum())

@@ -70,7 +70,6 @@ TABLEAU_CALLS = {
     "apply_moment": lambda t, q: t.apply_moment([0], [], [1], [q]),
     "measure": lambda t, q: t.measure(q, random.Random(0)),
     "measure_run": lambda t, q: t.measure_run([q], random.Random(0)),
-    "is_deterministic": lambda t, q: t.is_deterministic(q),
 }
 
 
@@ -228,7 +227,7 @@ def test_a_word_of_the_wrong_length_is_rejected_everywhere():
         (lambda: t.set_row(4, long), tableau_state(t)),
         (lambda: t.anticommuting(long), tableau_state(t)),
         (lambda: s.measure_pauli(long, random.Random(0)), lambda: sum_state(s)),
-        (lambda: table.multiply(np.ones(1, dtype=bool), long), lambda: table._bits.tobytes()),
+        (lambda: table.multiply(np.ones(1, dtype=bool), long), lambda: table._xz.tobytes()),
         (lambda: MixedTableau.from_stabilizers(N, [parse_pauli("ZII"), long]), lambda: None),
     ):
         expect(DimensionError, r"operator length mismatch", call, snapshot)
@@ -284,7 +283,7 @@ def test_a_gate_past_the_byte_cap_is_refused_before_it_expands():
                              for _ in range(1024)])
     u = np.kron(H2, T_GATE) @ CNOT4
     assert 1024 * len(nonstab_expand(u)) ** 2 < s.term_cap
-    snapshot = lambda: (s.table._bits.tobytes(), s.table.coefficients().tobytes(),  # noqa: E731
+    snapshot = lambda: (s.table._xz.tobytes(), s.table.coefficients().tobytes(),  # noqa: E731
                         tableau_state(s.tableau)(), s.resource_report())
     before = snapshot()
     tracemalloc.start()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import apply_gate, random_gate, random_tableau
+from conftest import apply_gate, is_deterministic, random_gate, random_tableau
 from stabsim import tableau as tableau_module
 from stabsim.errors import CorruptTableauError, DimensionError
 from stabsim.mixed import MixedTableau
@@ -200,7 +200,7 @@ def test_measure_run_raises_inside_a_determinate_stretch_as_the_loop_does():
     t = new_zero_state(n)
     t.apply_cnot(0, 1)
     t.set_row(n + 1, PauliOperator(n, 0, 0b001, 0b011))
-    assert t.is_deterministic(1) and t.is_deterministic(2)
+    assert is_deterministic(t, 1) and is_deterministic(t, 2)
     one, run = t.copy(), t.copy()
     assert one.measure(2, random.Random(0)).outcome == 0
     with pytest.raises(CorruptTableauError):

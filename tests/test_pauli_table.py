@@ -316,6 +316,37 @@ def test_qubit_bits_read_each_terms_bits_on_a_qubit_range(n, count):
         assert zg.tolist() == [t.z >> lo & (1 << hi - lo) - 1 for t in table]
 
 
+@pytest.mark.parametrize("y_heavy", [False, True])
+@pytest.mark.parametrize("phase", range(4))
+@settings(max_examples=12, deadline=None, database=None)
+@given(
+    n=st.sampled_from([1, 63, 64, 65, 127, 128, 129]),
+    count=st.sampled_from([1, 63, 64, 65, 130]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multiply_matches_pauli_multiply_term_by_term(n, count, phase, y_heavy, seed):
+    r = random.Random(seed)
+    words = [(r.getrandbits(n), r.getrandbits(n), r.getrandbits(n)) for _ in range(count)]
+    table = PauliTable(n, [(1, *w) for w in words])
+    table.r[:] = _int_words([r.getrandbits(count)], table._words)[0]  # pending negations
+    where = np.array([r.random() < 0.5 for _ in range(count)], dtype=bool)
+    px = r.getrandbits(n)
+    # a Y-heavy p: its z bits are its x bits but for about one qubit in eight
+    pz = px ^ (r.getrandbits(n) & r.getrandbits(n) & r.getrandbits(n)) if y_heavy else r.getrandbits(n)
+    p = PauliOperator(n, phase, px, pz)
+    eig, signs = table.eig.copy(), table.r.copy()
+    k = table.multiply(where, p)
+    assert np.array_equal(table.eig, eig) and np.array_equal(table.r, signs)
+    assert not (table._xz & ~_int_words([(1 << count) - 1], table._words)[0]).any()
+    got = [(t.x, t.z, t.eig) for t in table]
+    for (x, z, e), chosen, kt, g in zip(words, where, k.tolist(), got):
+        if chosen:
+            want = multiply(PauliOperator(n, 0, x, z), p)
+            assert g == (want.x, want.z, e) and kt == want.phase_exp
+        else:
+            assert g == (x, z, e) and kt == 0
+
+
 @pytest.mark.parametrize("bad", [Hadamard(6), Phase(-1), Cnot(2, 2), Cnot(0, 9)])
 def test_bad_gate_in_a_run_changes_no_bit(bad):
     state = PauliSumState(6)

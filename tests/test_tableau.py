@@ -688,6 +688,71 @@ def test_batch_rowsum_equals_one_rowsum_per_row(n, seed):
         assert bad.rowsum_count == t.rowsum_count
 
 
+def store_words(s):
+    """The (x, z) ints of a tableau's rows 0..2n-1 or of a table's terms."""
+    return [(q.x, q.z) for q in (s.rows(0, 2 * s.n) if isinstance(s, Tableau) else s)]
+
+
+@pytest.mark.parametrize("store", ["tableau", "table"])
+@kernel_settings
+@given(n=st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129]), seed=seeds)
+def test_left_multiply_matches_pauli_multiply_in_either_store(store, n, seed):
+    # the one kernel behind rowsum and PauliTable.multiply, on the same 2n
+    # strings held by either store: P s for every masked s, and the power of
+    # i of P s for every s; only the tableau refuses an odd product, before
+    # it writes anything
+    r = random.Random(seed)
+    t = random_tableau(n, r, ngates=4 * n)
+    t.set_row(t.scratch_row, PauliOperator(n, 0, r.getrandbits(n), r.getrandbits(n)))
+    strings = [PauliOperator(n, 0, x, z) for x, z in store_words(t)]
+    s = t if store == "tableau" else word_table(n, store_words(t))
+    p = PauliOperator(n, 0, r.getrandbits(n), r.getrandbits(n))
+    want = [multiply(p, q) for q in strings]
+    odd = np.array([w.phase_exp & 1 for w in want], dtype=bool)
+    where = np.array([r.random() < 0.5 for _ in strings], dtype=bool)
+    src = tableau_module._word_bits(n, p)
+    before, signs, scratch = s._xz.copy(), s.r.copy(), t.get_row(t.scratch_row)
+    if store == "tableau" and (where & odd).any():
+        with pytest.raises(CorruptTableauError):
+            s._left_multiply(tableau_module._pack(where, s._words), src)
+        assert np.array_equal(s._xz, before) and np.array_equal(s.r, signs)
+        where &= ~odd
+    lo, hi = s._left_multiply(tableau_module._pack(where, s._words), src)
+    assert tableau_module._bits(lo, 2 * n).tolist() == odd.tolist()
+    assert tableau_module._bits(hi, 2 * n).tolist() == [w.phase_exp >> 1 for w in want]
+    assert store_words(s) == [
+        (w.x, w.z) if chosen else (q.x, q.z) for w, q, chosen in zip(want, strings, where)
+    ]
+    assert np.array_equal(s.r, signs)
+    assert t.get_row(t.scratch_row) == scratch
+
+
+@pytest.mark.parametrize("store", ["tableau", "table"])
+def test_a_copy_shares_no_array_with_its_original(store):
+    n = 65
+    t = random_tableau(n, random.Random(4), ngates=4 * n)
+    s = t if store == "tableau" else PauliTable(
+        n, [(1j * k, x, z, k) for k, (x, z) in enumerate(store_words(t))]
+    )
+    c = s.copy()
+    assert type(c) is type(s)
+    assert store_words(c) == store_words(s)
+    names = ["_xz", "x", "z", "r"] + (["eig", "_coeff"] if store == "table" else [])
+    for name in names:
+        assert np.array_equal(getattr(c, name), getattr(s, name))
+        assert not np.shares_memory(getattr(c, name), getattr(s, name)), name
+    before = {name: getattr(s, name).copy() for name in names}
+    np.invert(c._xz, out=c._xz)
+    np.invert(c.r, out=c.r)
+    if store == "table":
+        np.negative(c._coeff, out=c._coeff)
+    for name in names:
+        assert np.array_equal(getattr(s, name), before[name]), name
+    # the copy's x, z (and eig) rows are views of its own stacked array
+    for name in ["x", "z"] + (["eig"] if store == "table" else []):
+        assert np.array_equal(getattr(c, name), ~before[name]), name
+
+
 def word_table(n, words):
     """The Pauli words (x, z) as a PauliTable (coefficient 1, eig 0)."""
     return PauliTable(n, [(1, x, z, 0) for x, z in words])

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tableau
 from .errors import (
     CorruptTableauError,
     DimensionError,
@@ -37,9 +36,11 @@ from .oracle import check_unitary
 from .pauli import PauliOperator, _qubit_index, multiply
 from .program import CircuitProgram, execute
 from .tableau import (  # noqa: F401  (PauliSumTerm is part of this module's API)
+    ATOL,
     MeasurementRecord,
     PauliSumTerm,
     PauliTable,
+    _check_bytes,
     _CliffordGates,
     _bits,
     _term_bytes,
@@ -48,9 +49,10 @@ from .tableau import (  # noqa: F401  (PauliSumTerm is part of this module's API
     sample_outcome,
 )
 
-ATOL = 1e-10
-PRUNE_TOL = 1e-14
+PRUNE_TOL = 1e-14  # a term or expansion coefficient with |c| at most this is dropped
 PROB_TOL = 1e-8
+TERM_CAP = 1_000_000  # most terms a Pauli-sum gate may leave
+MAX_MEASUREMENTS = 16  # of a product-state program: measurement k sums 2^k words
 
 # Powers of i as `1j ** k` gives them (1j ** 3 has a -0.0 real part).
 _I_POWERS = np.array([1j ** k for k in range(4)])
@@ -157,13 +159,12 @@ class _ProductRun(_CliffordGates):
         W_i joins the table and equal words merge, exactly (the coefficients
         are Gaussian integers), so it never holds more than 2^k words.  A
         fold that would pass MAX_TABLEAU_BYTES raises ResourceCapError
-        before it doubles the table, changing nothing."""
+        (`_check_bytes`) before it doubles the table, changing nothing."""
         n, table = self.n, PauliTable(self.n)
         for p, s in self.measured + [(w, 1)] + self.measured[::-1]:
             need = 2 * len(table) * _term_bytes(n)
-            if need > tableau.MAX_TABLEAU_BYTES:
-                raise ResourceCapError(f"folding {2 * len(table)} Pauli words on {n} qubits needs "
-                                       f"about {need} bytes, over the cap of {tableau.MAX_TABLEAU_BYTES}")
+            _check_bytes(need, f"folding {2 * len(table)} Pauli words on {n} qubits needs about "
+                               f"{need} bytes")
             moved = table.copy()
             k = moved.multiply(np.ones(len(table), dtype=bool), p)
             coeff = np.concatenate((table.coefficients(), s * _I_POWERS[k] * moved.coefficients()))
@@ -204,21 +205,18 @@ class ProductRunResult:
         return "".join(str(r.outcome) for r in self.records)
 
 
-def product_measure_probabilities(
-    init: ProductState,
-    program: CircuitProgram,
-    rng,
-    max_measurements: int = 16,
-) -> ProductRunResult:
+def product_measure_probabilities(init: ProductState, program: CircuitProgram,
+                                  rng) -> ProductRunResult:
     """Run a stabilizer program on a tensor-product initial state, sampling
     each measurement with its exact conditional probability.  A program
-    that applies a non-stabilizer gate raises StabsimError before it runs."""
+    that applies a non-stabilizer gate, or makes more than MAX_MEASUREMENTS
+    measurements (ResourceCapError), raises before it runs."""
     if not isinstance(init, ProductState):
         raise DimensionError("initial state must be a ProductState")
-    if program.measurement_count() > max_measurements:
+    if program.measurement_count() > MAX_MEASUREMENTS:
         raise ResourceCapError(
             f"{program.measurement_count()} measurements exceed the cap of "
-            f"{max_measurements}; measurement k sums up to 2^k Pauli words"
+            f"{MAX_MEASUREMENTS}; measurement k sums up to 2^k Pauli words"
         )
     if program.n > init.n:
         raise DimensionError("block sizes do not cover the program's qubits")
@@ -250,13 +248,11 @@ class PauliSumState(_CliffordGates):
     the generators M_j (and their destabilizers) held in a tableau and the
     terms in a `PauliTable` packed like the tableau's rows."""
 
-    def __init__(self, n: int, term_cap: int = 1_000_000):
+    def __init__(self, n: int):
         self.tableau = new_zero_state(n)
         self.table = PauliTable(n)
-        self.term_cap = term_cap
         self.gate_count = 0
         self.max_gate_width = 0
-        self.prune_tolerance = PRUNE_TOL
 
     @property
     def n(self) -> int:
@@ -285,10 +281,10 @@ class PauliSumState(_CliffordGates):
         return {
             "terms": len(self.table),
             "term_bound": self.term_bound(),
-            "term_cap": self.term_cap,
+            "term_cap": TERM_CAP,
             "nonstabilizer_gates": self.gate_count,
             "max_gate_width": self.max_gate_width,
-            "prune_tolerance": self.prune_tolerance,
+            "prune_tolerance": PRUNE_TOL,
         }
 
     # -- stabilizer part ---------------------------------------------------------
@@ -311,7 +307,7 @@ class PauliSumState(_CliffordGates):
         Raises, changing nothing, for a bad qubit (`pauli._qubit_index`),
         DimensionError unless U is 2^b x 2^b for b = len(qubits),
         NumericalIntegrityError unless it is unitary, and ResourceCapError
-        past the term cap or when the products would pass MAX_TABLEAU_BYTES."""
+        past TERM_CAP or when the products would pass MAX_TABLEAU_BYTES."""
         qubits = tuple(qubits)
         qubits = [_qubit_index(self.n, q, *qubits[:j]) for j, q in enumerate(qubits)]
         width = len(qubits)
@@ -320,16 +316,14 @@ class PauliSumState(_CliffordGates):
         expansion = nonstab_expand(u)
         n, e, table = self.n, len(expansion), self.table
         new_count = len(table) * e * e
-        if new_count > self.term_cap:
+        if new_count > TERM_CAP:
             raise ResourceCapError(
-                f"term count {new_count} exceeds cap {self.term_cap}; the "
+                f"term count {new_count} exceeds cap {TERM_CAP}; the "
                 f"4^(2bd) bound after this gate is "
                 f"{4 ** (2 * max(self.max_gate_width, width) * (self.gate_count + 1))}"
             )
         need = new_count * _term_bytes(n)
-        if need > tableau.MAX_TABLEAU_BYTES:
-            raise ResourceCapError(f"{new_count} terms on {n} qubits need about {need} bytes "
-                                   f"to merge, over the cap of {tableau.MAX_TABLEAU_BYTES}")
+        _check_bytes(need, f"{new_count} terms on {n} qubits need about {need} bytes to merge")
         words, cs = zip(*expansion)
         (x,), (z,) = table.qubit_bits(qubits)
         local, which = np.unique(x | z << width, return_inverse=True)
@@ -347,7 +341,7 @@ class PauliSumState(_CliffordGates):
                for p in words]
         masks = PauliTable(n, [(1, bx, bz, 0) for bx, bz in emb]).generator_masks(self.tableau)
         shifts = [(xi ^ xk, zi ^ zk, s) for xi, zi in emb for (xk, zk), s in zip(emb, masks)]
-        self.table = table.shifted(shifts, coeff, self.prune_tolerance)
+        self.table = table.shifted(shifts, coeff, PRUNE_TOL)
         self.gate_count += 1
         self.max_gate_width = max(self.max_gate_width, width)
 
@@ -398,7 +392,7 @@ class PauliSumState(_CliffordGates):
         outcome, _ = sample_outcome(p0, rng)
         prob = p0 if outcome == 0 else 1.0 - p0
         table, coeff, where = keep(outcome)
-        self.table = table.merged(coeff / prob, self.prune_tolerance, where)
+        self.table = table.merged(coeff / prob, PRUNE_TOL, where)
         return outcome, prob
 
     def _project_commuting(self, q: PauliOperator, hits: np.ndarray):

@@ -112,9 +112,12 @@ _MAGIC = b"STBT"
 _VERSION = 1
 _HEADER = 16
 
-# Byte budget of one tableau (x, z and phase arrays).  About n^2 / 2 bytes
-# at n qubits: n = 10,000 takes 50 MB, the cap is reached near n = 46,000.
+# Byte budget of one tableau (x, z and phase arrays), and of what any engine
+# allocates in one step (`_check_bytes`).  About n^2 / 2 bytes at n qubits:
+# n = 10,000 takes 50 MB, the cap is reached near n = 46,000.
 MAX_TABLEAU_BYTES = 1 << 30
+
+ATOL = 1e-10  # within this of 0 or 1 an outcome is determinate (`sample_outcome`, `beyond`)
 
 
 def _row_words(n: int) -> int:
@@ -129,6 +132,14 @@ def _padded(n: int) -> int:
 
 def _tableau_bytes(n: int) -> int:
     return (2 * _padded(n) + 1) * _row_words(n) * 8
+
+
+def _check_bytes(need: int, what: str) -> int:
+    """need, else (past MAX_TABLEAU_BYTES, read now) ResourceCapError "<what>,
+    over the cap of <cap>": every engine's byte check."""
+    if need > MAX_TABLEAU_BYTES:
+        raise ResourceCapError(f"{what}, over the cap of {MAX_TABLEAU_BYTES}")
+    return need
 
 
 def _term_bytes(n: int) -> int:
@@ -219,14 +230,14 @@ def _xor_combine(rows: np.ndarray, sel: np.ndarray) -> np.ndarray:
     uint64 array, m a multiple of 8; sel (K, nb) uint8, little-endian, over
     the first 8 nb <= m rows).  Each block of 8 rows gets a table of all 256
     XORs of its rows, one lookup per result row (the method of four
-    Russians): the tables are built in groups that hold no more words than
-    `rows` (or 2^14), and each block is one `take` of its table's entries
-    and one XOR into the result."""
+    Russians): the tables are built in groups that hold no more bytes than
+    `rows` (or _STEP_BYTES), and each block is one `take` of its table's
+    entries and one XOR into the result."""
     m, w = rows.shape
     nb = sel.shape[1]
     blocks = rows[:8 * nb].reshape(nb, 8, w)
     out = np.zeros((sel.shape[0], w), dtype=np.uint64)
-    step = max(1, max(1 << 14, m * w) // (256 * max(w, 1)))
+    step = max(1, max(_STEP_BYTES // 8, m * w) // (256 * max(w, 1)))
     for lo in range(0, nb, step):
         group = blocks[lo:lo + step]
         table = np.zeros((len(group), 256, w), dtype=np.uint64)
@@ -244,10 +255,8 @@ def _product_bytes(n: int) -> int:
     take, two of `_count4`) and four _STEP_BYTES steps (small table groups,
     a `_transpose` step).  ResourceCapError over MAX_TABLEAU_BYTES."""
     need = 10 * _tableau_bytes(n) + 4 * _STEP_BYTES
-    if need > MAX_TABLEAU_BYTES:
-        raise ResourceCapError(f"composing tableaus on {n} qubits needs {need} bytes of packed "
-                               f"products, over the cap of {MAX_TABLEAU_BYTES}")
-    return need
+    return _check_bytes(need, f"composing tableaus on {n} qubits needs {need} bytes of packed "
+                              f"products")
 
 
 def _count4(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,25 +279,20 @@ class MeasurementRecord:
 def sample_outcome(p0: float, rng) -> tuple[int, bool]:
     """(outcome, determinate) for an outcome that is 0 with probability p0,
     by the rule every engine shares so that their transcripts agree: within
-    1e-10 of 0 or 1 it is determinate and draws nothing; p0 = 1/2 draws one
-    rng.getrandbits(1) bit, as a random tableau measurement does; any other
-    p0 draws one rng.random()."""
-    atol = 1e-10
-    if p0 >= 1 - atol:
+    ATOL of 0 or 1 it is determinate and draws nothing; p0 = 1/2 draws one
+    rng.getrandbits(1) bit, the fair coin of every random tableau outcome;
+    any other p0 draws one rng.random()."""
+    if p0 >= 1 - ATOL:
         return 0, True
-    if p0 <= atol:
+    if p0 <= ATOL:
         return 1, True
-    if abs(p0 - 0.5) < atol:
+    if abs(p0 - 0.5) < ATOL:
         return rng.getrandbits(1) & 1, False
     return (0 if rng.random() < p0 else 1), False
 
 
 _ONE = np.uint64(1)
 _SHIFTS = [np.uint64(s) for s in range(64)]
-
-# Word-qubit-word products per vectorized step of `anticommuting_rows` (8
-# bytes each), so a long Pauli-sum term list is processed in bounded slices.
-_BATCH_ELEMS = 1 << 18
 
 
 def _index_array(values, what: str) -> np.ndarray:
@@ -498,10 +502,11 @@ class _PauliColumns(_CliffordGates):
         of this store's strings lo..hi-1 anticommutes with: a (hi - lo, w)
         uint64 array, w the word count of `words`, whose row k has bit t set
         iff string lo+k anticommutes with string t (`_anticommutation`), in
-        batches of up to _BATCH_ELEMS string-qubit-word products."""
+        batches whose string-qubit-word products hold at most _STEP_BYTES
+        (one string a batch if a string's alone hold more)."""
         n, w = self.n, words._words
         out = np.zeros((max(hi - lo, 0), w), dtype=np.uint64)
-        step = max(1, _BATCH_ELEMS // (n * max(w, 1)))
+        step = max(1, _STEP_BYTES // (8 * n * max(w, 1)))
         for s in range(lo, hi, step):
             e, k = min(hi, s + step), s >> 6
             # bit i of column j: string 64k + i's bit at qubit j
@@ -625,11 +630,8 @@ class Tableau(_PauliColumns):
     def __init__(self, n: int):
         if n < 1:
             raise DimensionError(f"qubit count must be positive, got {n}")
-        if _tableau_bytes(n) > MAX_TABLEAU_BYTES:
-            raise ResourceCapError(
-                f"a tableau on {n} qubits needs {_tableau_bytes(n)} bytes, "
-                f"over the cap of {MAX_TABLEAU_BYTES}"
-            )
+        need = _tableau_bytes(n)
+        _check_bytes(need, f"a tableau on {n} qubits needs {need} bytes")
         self.n = n
         self.rank = n
         self._words = _row_words(n)
@@ -940,9 +942,9 @@ class Tableau(_PauliColumns):
         return records
 
     def _collapse_qubit(self, a: int, mask: np.ndarray, p: int, rng) -> MeasurementRecord:
-        """A random outcome of qubit a, drawn and applied by `_collapse`
-        with Z_a as a one-hot column."""
-        outcome = rng.getrandbits(1) & 1
+        """A random outcome of qubit a, drawn by `sample_outcome(0.5, rng)`
+        and applied by `_collapse` with Z_a as a one-hot column."""
+        outcome = sample_outcome(0.5, rng)[0]
         z_a = np.zeros(len(self._xz), dtype=np.uint64)
         z_a[_padded(self.n) + a] = _ONE
         self._collapse(mask, p, z_a, outcome)
@@ -951,7 +953,7 @@ class Tableau(_PauliColumns):
     def _collapse_block(self, b: _RandomBlock, rng) -> list[MeasurementRecord]:
         """Apply the pending outcomes of `b` as one `_collapse` each would:
         the same records, rows, signs, `rowsum_count` and draws (one
-        rng.getrandbits(1) bit per step, none after a step that raises),
+        `sample_outcome(0.5, rng)` coin per step, none after a step that raises),
         and CorruptTableauError where a step would raise, after the steps
         before it took effect.  A block of one goes through `_collapse`.
         The pivot rows as used and the rows' histories are built here,
@@ -993,7 +995,7 @@ class Tableau(_PauliColumns):
         np.bitwise_xor.at(bad, (ti, q[ui] >> 6), _ONE << (q[ui] & 63).astype(np.uint64))
         failed = bad.any(axis=1)
         f = int(failed.argmax()) if failed.any() else k
-        outcomes = np.array([rng.getrandbits(1) & 1 for _ in range(min(f + 1, k))], dtype=bool)
+        outcomes = np.array([sample_outcome(0.5, rng)[0] for _ in range(min(f + 1, k))], dtype=bool)
         if f:  # hist[t]: full[t] and partner q[t] less the rows steps t+1..f-1 reset or overwrite
             since = np.bitwise_or.accumulate(both[f - 1::-1], axis=0)[::-1]
             hist = np.zeros((-(-f // 8) * 8, words), dtype=np.uint64)
@@ -1044,7 +1046,7 @@ class Tableau(_PauliColumns):
         per qubit.  Each qubit is checked once and classified from its
         packed x column: it is random (case I or III) iff a stabilizer or
         logical row (r..2n-1) has an X there.  A random outcome draws one
-        rng.getrandbits(1) bit and changes the tableau: the rows that
+        `sample_outcome(0.5, rng)` coin and changes the tableau: the rows that
         anticommute with Z_a are the set bits of x[a] in rows 0..2n-1, the
         mask `_case_split` takes.  Up to _BLOCK consecutive case-I outcomes
         stay pending in a `_RandomBlock`, which replays them on each next
@@ -1061,7 +1063,7 @@ class Tableau(_PauliColumns):
         chunk = max(64, _STEP_BYTES // (8 * words))
         records, stretch, block = [], [], _RandomBlock(self)
         rows = _span(0, 2 * n, words)
-        rank, random_rows = self.rank, _span(self.rank, 2 * n, words)
+        random_rows = _span(self.rank, 2 * n, words)
         qubits = list(qubits)
         for i, a in enumerate(qubits, 1):
             try:
@@ -1091,7 +1093,7 @@ class Tableau(_PauliColumns):
                 block.add(a, mask, p, qubits, i)
                 continue
             records.append(self._collapse_qubit(a, mask, p, rng))
-            rank, random_rows = self.rank, _span(self.rank, 2 * n, words)
+            random_rows = _span(self.rank, 2 * n, words)
         return records + self._collapse_block(block, rng) + self._determinate(stretch)
 
     def measure(self, a: int, rng) -> MeasurementRecord:

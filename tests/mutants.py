@@ -101,8 +101,9 @@ MUTANTS = [
     Mutant("block-first-failure-ignored", "tableau.py",
            "f = int(failed.argmax()) if failed.any() else k", "f = k", RUN),
     Mutant("block-coins-past-failure", "tableau.py",
-           "outcomes = np.array([rng.getrandbits(1) & 1 for _ in range(min(f + 1, k))], dtype=bool)",
-           "outcomes = np.array([rng.getrandbits(1) & 1 for _ in range(k)], dtype=bool)", RUN),
+           ("outcomes = np.array([sample_outcome(0.5, rng)[0] for _ in range(min(f + 1, k))], "
+            "dtype=bool)"),
+           "outcomes = np.array([sample_outcome(0.5, rng)[0] for _ in range(k)], dtype=bool)", RUN),
     Mutant("block-history-not-erased", "tableau.py",
            "np.bitwise_and(full[:f] | qm[:f], ~(since ^ both[:f]), out=hist[:f])",
            "np.bitwise_and(full[:f] | qm[:f], ~both[:f], out=hist[:f])", RUN),
@@ -114,6 +115,8 @@ MUTANTS = [
     Mutant("steps-without-row-signs", "tableau.py",
            "hi ^= (yg[1] ^ self.r ^ (yg[0] & lo)) & keep",
            "hi ^= (yg[1] ^ (yg[0] & lo)) & keep", RUN),
+    Mutant("determinate-chunk-never-flushed", "tableau.py",
+           "if len(stretch) == chunk:", "if False:", RUN),
     # -- the closed-form row product (`_row_products`)
     Mutant("row-products-zero-cross-term", "tableau.py",
            "cross = np.bitwise_count(t).sum(axis=0, dtype=np.uint8)",
@@ -210,7 +213,8 @@ def main(argv=None) -> int:
         tests = sorted({t for m in chosen for t in m.tests})
         start = time.perf_counter()
         base = _pytest(tmp, tests)
-        print(f"unmutated: exit {base.returncode} ({time.perf_counter() - start:.1f} s) {' '.join(tests)}")
+        print(f"unmutated: exit {base.returncode} ({time.perf_counter() - start:.1f} s)",
+              *tests)
         if base.returncode != 0:
             print(base.stdout[-3000:] + base.stderr[-3000:])
             return 1

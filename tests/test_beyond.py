@@ -143,11 +143,17 @@ class TestProductState:
         res = product_measure_probabilities(ps, parse("h 0\nc 0 1"), random.Random(0))
         assert res.records == [] and res.probabilities == []
 
-    def test_measurement_cap(self):
+    def test_measurement_cap(self, monkeypatch):
+        # The cap is read when the run starts: a lowered one refuses the
+        # next program before anything is drawn.
         ps = ProductState.all_zeros(1)
         prog = parse("\n".join("m 0" for _ in range(5)))
-        with pytest.raises(ResourceCapError):
-            product_measure_probabilities(ps, prog, random.Random(0), max_measurements=4)
+        assert len(product_measure_probabilities(ps, prog, random.Random(0)).records) == 5
+        monkeypatch.setattr(beyond, "MAX_MEASUREMENTS", 4)
+        rng = random.Random(0)
+        with pytest.raises(ResourceCapError, match="5 measurements exceed the cap of 4; "):
+            product_measure_probabilities(ps, prog, rng)
+        assert rng.getstate() == random.Random(0).getstate()
 
     def test_conditional_feedback(self):
         # measure a biased qubit; flip qubit 1 iff the outcome was 1
@@ -295,11 +301,17 @@ class TestPauliSum:
         assert s.term_count() <= 16
         assert s.term_bound() == 16
 
-    def test_cap_error_names_bound(self):
-        s = PauliSumState(2, term_cap=3)
+    def test_cap_error_names_bound(self, monkeypatch):
+        # The cap is read when the gate runs: a lowered one refuses the next
+        # gate and leaves the state as it was.
+        s = PauliSumState(2)
+        monkeypatch.setattr(beyond, "TERM_CAP", 3)
+        before = list(s.terms), s.resource_report()
         with pytest.raises(ResourceCapError) as err:
             s.apply_unitary(T_GATE, (0,))
-        assert "4^(2bd)" in str(err.value)
+        assert str(err.value) == "term count 4 exceeds cap 3; the 4^(2bd) bound after this gate is 16"
+        assert (list(s.terms), s.resource_report()) == before
+        assert before[1]["term_cap"] == 3
 
     def test_hermiticity_closure_and_trace(self, rng):
         r = random.Random(4)
@@ -312,6 +324,8 @@ class TestPauliSum:
         s.apply_unitary(T_GATE, (2,))
         assert s.is_hermitian_closed()
         assert abs(s.trace() - 1.0) < 1e-8
+        s.terms.coefficients()[0] += 0.1j  # the identity term is its own mate
+        assert not s.is_hermitian_closed()
 
     def test_interleaved_t_gates_match_oracle(self):
         gen = random.Random(77)

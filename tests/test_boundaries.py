@@ -12,6 +12,7 @@ import pytest
 
 from stabsim import pauli, tableau
 from stabsim.beyond import (
+    TERM_CAP,
     PauliSumState,
     ProductState,
     _ProductRun,
@@ -282,7 +283,7 @@ def test_a_gate_past_the_byte_cap_is_refused_before_it_expands():
     s.table = PauliTable(n, [(1 / 1024, r.getrandbits(n), r.getrandbits(n), r.getrandbits(n))
                              for _ in range(1024)])
     u = np.kron(H2, T_GATE) @ CNOT4
-    assert 1024 * len(nonstab_expand(u)) ** 2 < s.term_cap
+    assert 1024 * len(nonstab_expand(u)) ** 2 < TERM_CAP
     snapshot = lambda: (s.table._xz.tobytes(), s.table.coefficients().tobytes(),  # noqa: E731
                         tableau_state(s.tableau)(), s.resource_report())
     before = snapshot()
@@ -375,11 +376,21 @@ def product_run_state(run):
                     list(run.probabilities))
 
 
-def test_one_lowered_cap_refuses_a_pauli_sum_gate_and_a_product_state_fold(monkeypatch):
-    # Both checks read `tableau.MAX_TABLEAU_BYTES` when they run.  The cap
-    # admits the 2-qubit tableau and a fold of one or two words, not the
-    # 256 products of a 2-qubit gate nor a fold of four words.
+def test_one_lowered_cap_refuses_every_byte_check(monkeypatch):
+    # All four checks are `tableau._check_bytes`, which reads
+    # `tableau.MAX_TABLEAU_BYTES` when it runs.  The cap admits a tableau on
+    # up to 64 qubits and a fold of one or two words, not a tableau on 65,
+    # the packed products of composing or inverting, the 256 products of a
+    # 2-qubit gate nor a fold of four words.
     monkeypatch.setattr(tableau, "MAX_TABLEAU_BYTES", tableau._tableau_bytes(2))
+    expect(ResourceCapError, r"a tableau on 65 qubits needs 6168 bytes, over the cap of 1032",
+           lambda: new_zero_state(65), lambda: None)
+    t = new_zero_state(2)
+    t.apply_hadamard(0)
+    t.apply_cnot(0, 1)
+    for call in (lambda: t.compose(t), t.inverse):
+        expect(ResourceCapError, r"composing tableaus on 2 qubits needs 534608 bytes of packed "
+               r"products, over the cap of 1032", call, tableau_state(t))
     s = PauliSumState(2)
     expect(ResourceCapError, r"\d+ terms on 2 qubits need about \d+ bytes to merge, over the "
            r"cap of 1032", lambda: s.apply_unitary(np.kron(H2, T_GATE) @ CNOT4, (0, 1)),

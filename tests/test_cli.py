@@ -534,6 +534,14 @@ class TestMainEntry:
         assert code == 0
         assert out.read_text().startswith("n,beta,trial")
 
+    def test_bench_csv_to_stdout(self, capsys):
+        assert main(["bench", "--beta", "0.6", "--n-min", "4", "--n-max", "6", "--step", "2"]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert lines[0] == "n,beta,trial,seed,gates,total_meas_time,rowsums_per_meas,time_per_meas"
+        assert [line.split(",")[:5] for line in lines[1:3]] == [["4", "0.6", "0", "0", "4"],
+                                                                 ["6", "0.6", "0", "0", "9"]]
+        assert lines[3:] == [""]
+
 
 # Characters a mutation may insert: ASCII and non-ASCII digits (superscript
 # two, Arabic-Indic one), line and page breaks, comment marks, separators

@@ -319,3 +319,30 @@ def test_a_long_determinate_stretch_is_cut_into_bounded_products(monkeypatch):
     assert sum(len(c) for c in calls) == 27
     assert all(sum(c) <= 4 or len(c) == 1 for c in calls)
     assert len(calls) > 1
+
+
+def test_determinate_qubits_flush_in_chunks_of_64_as_one_measure_each_would(monkeypatch):
+    # With 64-byte steps `measure_run` hands its determinate stretch to
+    # `_determinate` every 64 qubits; 150 of them flush twice mid-run.
+    monkeypatch.setattr(tableau_module, "_STEP_BYTES", 64)
+    n, r = 150, random.Random(150)
+    t = new_zero_state(n)
+    for a in r.sample(range(n), 40):  # X = H P P H: some outcomes are 1
+        t.apply_moment([a], [], [], [])
+        t.apply_moment([], [a], [], [])
+        t.apply_moment([], [a], [], [])
+        t.apply_moment([a], [], [], [])
+    for _ in range(600):
+        t.apply_cnot(*r.sample(range(n), 2))
+    want, want_rng = t.copy(), random.Random(9)
+    flushes = []
+    determinate = t._determinate
+    monkeypatch.setattr(t, "_determinate", lambda q: flushes.append(len(q)) or determinate(q))
+    qubits = r.sample(range(n), n) + [0, 1]
+    got_rng = random.Random(9)
+    records = t.measure_run(qubits, got_rng)
+    assert records == [want.measure(a, want_rng) for a in qubits]
+    assert all(rec.deterministic for rec in records) and {0, 1} <= {rec.outcome for rec in records}
+    assert flushes == [64, 64, 24]
+    assert_same_state(t, want)
+    assert got_rng.getstate() == want_rng.getstate()

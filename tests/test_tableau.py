@@ -792,7 +792,7 @@ def test_anticommuting_rows_in_small_slices(monkeypatch, rng):
     t = random_tableau(70, rng)
     table = word_table(70, [(rng.getrandbits(70), rng.getrandbits(70)) for _ in range(9)])
     whole = t.anticommuting_rows(table, 0, 141)
-    monkeypatch.setattr(tableau_module, "_BATCH_ELEMS", 1)
+    monkeypatch.setattr(tableau_module, "_STEP_BYTES", 1)  # one string a batch
     assert np.array_equal(t.anticommuting_rows(table, 0, 141), whole)
     assert t.anticommuting_rows(word_table(70, []), 0, 141).shape == (141, 0)
 

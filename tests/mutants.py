@@ -153,14 +153,17 @@ settings.load_profile("mutants")
 """
 
 
-def _pytest(tmp: Path, tests) -> subprocess.CompletedProcess:
-    """pytest -x on the test files with the copy under tmp first on the path;
-    run from tmp, so nothing is written in the repository."""
+def _python(tmp: Path, *args) -> subprocess.CompletedProcess:
+    """Python with the copy under tmp first on the path, run from tmp, so
+    nothing is written in the repository."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp), str(tmp / "src")]),
                PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-           "-p", "mutants_plugin", *(str(ROOT / t) for t in tests)]
-    return subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], cwd=tmp, env=env, capture_output=True, text=True)
+
+
+def _pytest(tmp: Path, tests) -> subprocess.CompletedProcess:
+    return _python(tmp, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                   "-p", "mutants_plugin", *(str(ROOT / t) for t in tests))
 
 
 def _locate(text: str, m: Mutant) -> int:
@@ -210,6 +213,10 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         shutil.copytree(ROOT / "src", tmp / "src", ignore=shutil.ignore_patterns("__pycache__"))
         (tmp / "mutants_plugin.py").write_text(_PLUGIN)
+        where = _python(tmp, "-c", "import stabsim; print(stabsim.__file__)").stdout.strip()
+        if not Path(where).resolve().is_relative_to(tmp.resolve()):
+            print(f"stabsim imports from {where!r}, not from the copy")
+            return 1
         tests = sorted({t for m in chosen for t in m.tests})
         start = time.perf_counter()
         base = _pytest(tmp, tests)

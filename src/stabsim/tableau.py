@@ -503,8 +503,8 @@ class _PauliColumns(_CliffordGates):
         uint64 array, w the word count of `words`, whose row k has bit t set
         iff string lo+k anticommutes with string t (`_anticommutation`), in
         batches of at most _STEP_BYTES string-qubit-word products (8 bytes
-        each: batches of _STEP_BYTES bytes ran up to 1.4 times slower at n =
-        60 and 1,024-16,384 terms), or one string."""
+        each: batches of _STEP_BYTES bytes ran up to 1.4 times slower, n =
+        60 and 1,024-16,384 terms on a 2-core VM), or one string."""
         n, w = self.n, words._words
         out = np.zeros((max(hi - lo, 0), w), dtype=np.uint64)
         step = max(1, _STEP_BYTES // (n * max(w, 1)))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptTableauError, DimensionError
-from .gf2 import rref
+from .errors import CorruptTableauError, DimensionError, InvalidTableauError
+from .gf2 import independent, rref
 from .tableau import Tableau
 
 
@@ -34,22 +34,28 @@ class OverlapResult:
 
 def inner_product(t1: Tableau, t2: Tableau) -> OverlapResult:
     """|<psi|phi>| for the states of two tableaus.  Inputs are not mutated.
-    InvalidTableauError for a tableau of rank < n, or a t1 whose rows break
-    the commutation conditions; of t2, only the stabilizer rows matter."""
+    InvalidTableauError for a tableau of rank < n, a t1 whose rows break
+    the commutation conditions, or a t2 whose stabilizer rows anticommute
+    or are dependent; of t2, only the stabilizer rows matter."""
     if t1.n != t2.n:
         raise DimensionError(f"states have different sizes: {t1.n} != {t2.n}")
     n = t1.n
+    if t2._gram(check=True, lo=n) is None:
+        raise InvalidTableauError("t2's stabilizer rows do not commute")
     rotated = t1.inverse().compose(t2)
 
-    # Eliminate the stabilizer rows' X block; each row carries the set of
-    # original rows it is the product of.  s is the X-block rank.
-    xs = rotated._row_bits(n, n + rotated.rank)[0]
-    rows, pivots = rref([x | 1 << (n + j) for j, x in enumerate(xs)], n)
+    # Eliminate the stabilizer rows' X block; each row carries its Z bits
+    # and the set of original rows it is the product of.  s is the X-block
+    # rank, and the rows are independent iff the Z bits of the rest are.
+    xs, zs, _ = rotated._row_bits(n, 2 * n)
+    rows, pivots = rref([x | z << n | 1 << (2 * n + j) for j, (x, z) in enumerate(zip(xs, zs))], n)
     s = len(pivots)
+    if not independent(row >> n & ((1 << n) - 1) for row in rows[s:]):
+        raise InvalidTableauError("t2's stabilizer rows are dependent")
 
     # The remaining generators are Z-only; any minus sign kills the overlap.
     # Each is a product of stabilizer rows, all of them one segmented product.
-    combos = [[n + j for j in range(n) if (row >> (n + j)) & 1] for row in rows[s:]]
+    combos = [[n + j for j in range(n) if (row >> (2 * n + j)) & 1] for row in rows[s:]]
     flat = np.array([i for combo in combos for i in combo], dtype=np.intp)
     _, phase, bad = rotated._row_products(flat, [len(combo) for combo in combos])
     if bad.any():

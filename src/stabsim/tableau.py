@@ -54,16 +54,17 @@ the later X factors gives the product's power of i as
     - |X & Z|   (mod 4),
 
 with X, Z the XOR of all rows.  A determinate measurement leaves the
-tableau as it was, so a stretch of them is one segmented product
-(`_row_products`): the distinct rows are gathered once, word-major (one
-array per word, holding that word of every row), so one prefix XOR along
-the rows and per-segment sums give every outcome.  The trace signs of a
-Pauli-sum state's terms are segments of the same kernel, one per distinct
-set of stabilizer rows the terms select.  `compose` forms all 2n row
-products of a Clifford at once by packed GF(2) products (`_xor_combine`):
-the bits, and the cross term as the quadratic form s^T U s of each
-selection s, U the strict upper triangle of G = Z·X^T (Dehaene & De Moor
-2003).  `inverse` needs only these signs.
+tableau as it was, so a run of them is one segmented product: the
+distinct rows it hits are gathered once, word-major (`_gather_rows`: one
+array per word, holding that word of every row), and each bounded stretch
+of the run is one `_segment_products` call on that block, whose prefix
+XOR along the rows and per-segment sums give every outcome.  The trace
+signs of a Pauli-sum state's terms are segments of one such call
+(`_row_products`), one per distinct set of stabilizer rows they select.
+`compose` forms all 2n row products of a Clifford at once by packed GF(2)
+products (`_xor_combine`): the bits, and the cross term as the quadratic
+form s^T U s of each selection s, U the strict upper triangle of
+G = Z·X^T (Dehaene & De Moor 2003).  `inverse` needs only these signs.
 
 Up to 64 consecutive case-I random outcomes of `measure_run` (one word of
 step bits per row) are collapsed together.  While they are pending
@@ -202,7 +203,7 @@ def _span(lo: int, hi: int, words: int) -> np.ndarray:
     return _int_words([((1 << max(hi - lo, 0)) - 1) << lo], words)[0]
 
 
-# Bytes one step of `_transpose` or `Tableau._row_products` (a word-major
+# Bytes one step of `_transpose` or `_segment_products` (a word-major
 # block of rows, and its prefix XOR) holds per array.
 _STEP_BYTES = 1 << 17
 
@@ -267,6 +268,64 @@ def _count4(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(b.shape[1:], b.dtype), np.zeros(b.shape[1:], b.dtype)
     pre = np.bitwise_xor.accumulate(b, axis=0)
     return pre[-1], np.bitwise_xor.reduce(b[1:] & pre[:-1], axis=0)
+
+
+def _segment_products(gathered, rows: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Products of consecutive segments of `rows`, whose rows `gathered`
+    (`Tableau._gather_rows`: block, signs, slots) holds, segment s being
+    the next lengths[s] row indices in order (the empty one is the
+    identity): per segment its x then z words (S, 2 ceil(n/64)), its
+    power of i, and whether some prefix product is imaginary, i.e. when
+    folding it in one rowsum at a time would raise CorruptTableauError.
+
+    Whole segments are taken in steps of at most _STEP_BYTES of words (a
+    longer one alone): one take of the block's columns, one XOR accumulate,
+    re-based at each segment start if the step holds several, and
+    np.add.reduceat sums of the module docstring's terms per segment.
+    Per row they are uint8 and may wrap: the phase needs them only mod
+    4, the imaginary-prefix test only their parity."""
+    block, signs, slot = gathered
+    lengths = np.asarray(lengths, dtype=np.intp)
+    hw = block.shape[0] // 2
+    full = lengths.nonzero()[0]  # the empty segments are the identity
+    ends = lengths[full].cumsum()
+    starts = ends - lengths[full]
+    bounds = ends.tolist()
+    words = np.zeros((lengths.size, 2 * hw), dtype=np.uint64)
+    # per segment: sum of y, of signs, of cross terms, of odd rows; |X & Z|
+    sums = np.zeros((5, lengths.size), dtype=np.int64)
+    step = max(1, _STEP_BYTES // (16 * hw))
+    s = 0
+    while s < full.size:
+        lo = int(starts[s])
+        e = max(s + 1, bisect_right(bounds, lo + step))
+        first, last = starts[s:e] - lo, ends[s:e] - (lo + 1)
+        idx = slot[rows[lo:bounds[e - 1]]]
+        g = block.take(idx, axis=1)
+        heads = first[1:]
+        if heads.size:
+            # XORing each segment's first row with the product of the
+            # one before it restarts the running XOR there...
+            g[:, heads] ^= np.bitwise_xor.reduceat(g, first, axis=1)[:, :-1]
+        pre = np.bitwise_xor.accumulate(g, axis=1)
+        g[:, heads] = pre[:, heads]  # ...where the prefix is that row alone
+        xs, zs, xp, zp = g[:hw], g[hw:], pre[:hw], pre[hw:]
+        y = np.bitwise_count(xs & zs).sum(axis=0, dtype=np.uint8)
+        yp = np.bitwise_count(xp & zp).sum(axis=0, dtype=np.uint8)
+        t = zp ^ zs  # z of the segment's rows before each row
+        t &= xs
+        cross = np.bitwise_count(t).sum(axis=0, dtype=np.uint8)
+        # A prefix is imaginary where the running sum of y and the
+        # prefix's |X & Z| differ in parity from their first row's.
+        odd = (y.cumsum(dtype=np.uint8) ^ yp) & 1
+        seg = full[s:e]
+        per_row = np.array((y, signs[idx], cross, odd))
+        sums[:4, seg] = np.add.reduceat(per_row, first, axis=1, dtype=np.int64)
+        sums[4, seg] = yp[last]
+        words[seg] = pre[:, last].T
+        s = e
+    y, sign, cross, odd, xz = sums
+    return words, (y + 2 * sign + 2 * cross - xz) % 4, (odd > 0) & (odd < lengths)
 
 
 @dataclass(frozen=True, slots=True)
@@ -765,68 +824,21 @@ class Tableau(_PauliColumns):
         self.r ^= (~phase if sign else phase) & mask
         self.rowsum_count += int(np.bitwise_count(mask).sum())
 
-    def _row_products(self, rows: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Products of consecutive segments of `rows`, segment s being the
-        next lengths[s] row indices in order (the empty one is the
-        identity): per segment its x then z words (S, 2 ceil(n/64)), its
-        power of i, and whether some prefix product is imaginary, i.e. when
-        folding it in one rowsum at a time would raise CorruptTableauError.
-
-        The distinct rows are gathered once, word-major: a (2 ceil(n/64), U)
-        block whose row k is word k of every distinct row, so every step runs
-        along the rows.  Whole segments are taken in steps of at most
-        _STEP_BYTES of words (a longer one alone): one XOR accumulate,
-        re-based at each segment start if the step holds several, and
-        np.add.reduceat sums of the module docstring's terms per segment.
-        Per row they are uint8 and may wrap: the phase needs them only mod
-        4, the imaginary-prefix test only their parity."""
-        lengths = np.asarray(lengths, dtype=np.intp)
-        hw = _padded(self.n) // 64
+    def _gather_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct rows among the indices `rows`, gathered once for
+        `_segment_products`: a word-major (2 ceil(n/64), U) block whose row k
+        is word k of every distinct row, so every step runs along the rows;
+        their sign bits as uint8; and each row index's slot (row i is
+        column slot[i] of the block)."""
         present = np.zeros(2 * self.n + 1, dtype=bool)
         present[rows] = True
-        slot = present.cumsum() - 1  # row i is gathered row slot[i]
         uniq = present.nonzero()[0]
-        gathered = np.ascontiguousarray(_transpose(self._xz, uniq).T)
-        signs = _bits(self.r, 2 * self.n + 1)[uniq].view(np.uint8)
-        full = lengths.nonzero()[0]  # the empty segments are the identity
-        ends = lengths[full].cumsum()
-        starts = ends - lengths[full]
-        bounds = ends.tolist()
-        words = np.zeros((lengths.size, 2 * hw), dtype=np.uint64)
-        # per segment: sum of y, of signs, of cross terms, of odd rows; |X & Z|
-        sums = np.zeros((5, lengths.size), dtype=np.int64)
-        step = max(1, _STEP_BYTES // (16 * hw))
-        s = 0
-        while s < full.size:
-            lo = int(starts[s])
-            e = max(s + 1, bisect_right(bounds, lo + step))
-            first, last = starts[s:e] - lo, ends[s:e] - (lo + 1)
-            idx = slot[rows[lo:bounds[e - 1]]]
-            g = gathered.take(idx, axis=1)
-            heads = first[1:]
-            if heads.size:
-                # XORing each segment's first row with the product of the
-                # one before it restarts the running XOR there...
-                g[:, heads] ^= np.bitwise_xor.reduceat(g, first, axis=1)[:, :-1]
-            pre = np.bitwise_xor.accumulate(g, axis=1)
-            g[:, heads] = pre[:, heads]  # ...where the prefix is that row alone
-            xs, zs, xp, zp = g[:hw], g[hw:], pre[:hw], pre[hw:]
-            y = np.bitwise_count(xs & zs).sum(axis=0, dtype=np.uint8)
-            yp = np.bitwise_count(xp & zp).sum(axis=0, dtype=np.uint8)
-            t = zp ^ zs  # z of the segment's rows before each row
-            t &= xs
-            cross = np.bitwise_count(t).sum(axis=0, dtype=np.uint8)
-            # A prefix is imaginary where the running sum of y and the
-            # prefix's |X & Z| differ in parity from their first row's.
-            odd = (y.cumsum(dtype=np.uint8) ^ yp) & 1
-            seg = full[s:e]
-            per_row = np.array((y, signs[idx], cross, odd))
-            sums[:4, seg] = np.add.reduceat(per_row, first, axis=1, dtype=np.int64)
-            sums[4, seg] = yp[last]
-            words[seg] = pre[:, last].T
-            s = e
-        y, sign, cross, odd, xz = sums
-        return words, (y + 2 * sign + 2 * cross - xz) % 4, (odd > 0) & (odd < lengths)
+        block = np.ascontiguousarray(_transpose(self._xz, uniq).T)
+        return block, _bits(self.r, 2 * self.n + 1)[uniq].view(np.uint8), present.cumsum() - 1
+
+    def _row_products(self, rows: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`_segment_products` of `rows` over their own gather."""
+        return _segment_products(self._gather_rows(rows), rows, lengths)
 
     def row_product(self, rows) -> PauliOperator:
         """The group product of the given rows, in order (one segment of
@@ -911,26 +923,29 @@ class Tableau(_PauliColumns):
     def _determinate(self, qubits) -> list[MeasurementRecord]:
         """Records of determinate measurements of the qubits `qubits`.  The
         hits of qubit a, the destabilizer rows that anticommute with Z_a,
-        are the set bits of its x column, all taken from one unpack of the
-        columns; the outcome is the sign of the product of the stabilizer
-        rows they index.  The qubits are cut into stretches of at most
-        _STEP_BYTES / 16 rows (a longer one alone), one `_row_products` call
-        each.  As the paper's folds of k rowsums
+        are the set bits of its x column below n; the outcome is the sign of
+        the product of the stabilizer rows they index.  Every stabilizer row
+        that some qubit hits is gathered once (`_gather_rows`); the qubits
+        are then cut into stretches of at most _STEP_BYTES / 16 rows (a
+        longer one alone), each unpacked and answered by one
+        `_segment_products` call on that block, so that the row indices and
+        the products' arrays stay small.  As the paper's folds of k rowsums
         into the scratch row would, this leaves the last product there,
         counts k rowsums per measurement, and raises CorruptTableauError at
         the first corrupt product, after the ones before it."""
         if not qubits:
             return []
         n = self.n
-        bits = _unpack_rows(self.x[qubits], n)
-        lengths = bits.sum(axis=1, dtype=np.intp)
+        hits = self.x[qubits] & _span(0, n, self._words)
+        lengths = np.bitwise_count(hits).sum(axis=1, dtype=np.intp)
         ends = lengths.cumsum().tolist()
+        gathered = self._gather_rows(np.flatnonzero(_bits(np.bitwise_or.reduce(hits), n)) + n)
         records, s = [], 0
         while s < len(qubits):
             lo = ends[s - 1] if s else 0
             e = max(s + 1, bisect_right(ends, lo + _STEP_BYTES // 16))
-            rows = np.flatnonzero(bits[s:e].view(bool)) % n + n
-            words, phase, bad = self._row_products(rows, lengths[s:e])
+            rows = np.flatnonzero(_unpack_rows(hits[s:e], n).view(bool)) % n + n
+            words, phase, bad = _segment_products(gathered, rows, lengths[s:e])
             done = int(bad.argmax()) if bad.any() else e - s
             if done:
                 last = _unpack_rows(words[done - 1:done], 64 * words.shape[1])[0]
@@ -1044,27 +1059,26 @@ class Tableau(_PauliColumns):
     def measure_run(self, qubits, rng) -> list[MeasurementRecord]:
         """Measure the qubits in turn in the standard basis, with the
         records, rows, rank, `rowsum_count` and rng draws of one `measure`
-        per qubit.  Each qubit is checked once and classified from its
-        packed x column: it is random (case I or III) iff a stabilizer or
-        logical row (r..2n-1) has an X there.  A random outcome draws one
-        `sample_outcome(0.5, rng)` coin and changes the tableau: the rows that
-        anticommute with Z_a are the set bits of x[a] in rows 0..2n-1, the
-        mask `_case_split` takes.  Up to _BLOCK consecutive case-I outcomes
-        stay pending in a `_RandomBlock`, which replays them on each next
-        qubit's column, and `_collapse_block` applies them at once; a
-        determinate qubit, a case-III outcome (one `_collapse`, which
-        changes the rank), an invalid qubit or the end of the run closes
-        the block first.  A determinate outcome changes only the scratch
-        row, so the determinate qubits between random ones gather into one
-        `_determinate` call, in chunks of at most max(64, _STEP_BYTES / 8W)
-        qubits so that their W-word columns stay small.  An invalid qubit
-        raises as `measure` would, after the measurements before it took
-        effect."""
+        per qubit.  Each qubit is checked once and classified from its x
+        column (or its panel row), read once as an int: it is random (case I
+        or III) iff a stabilizer or logical row (r..2n-1) has an X there.  A
+        random outcome draws one `sample_outcome(0.5, rng)` coin and changes
+        the tableau: the rows that anticommute with Z_a are the set bits of
+        x[a] in rows 0..2n-1, the mask `_case_split` takes.  Up to _BLOCK
+        consecutive case-I outcomes stay pending in a `_RandomBlock`, which
+        replays them on each next qubit's column, and `_collapse_block`
+        applies them at once; a determinate qubit, a case-III outcome (one
+        `_collapse`, which changes the rank), an invalid qubit or the end of
+        the run closes the block first.  A determinate outcome changes only
+        the scratch row, so the determinate qubits between random ones
+        gather into one `_determinate` call (one gather of their rows), in
+        chunks of at most max(64, _STEP_BYTES / 8W) qubits so that their
+        W-word columns stay small.  An invalid qubit raises as `measure`
+        would, after the measurements before it took effect."""
         n, words = self.n, self._words
         chunk = max(64, _STEP_BYTES // (8 * words))
         records, stretch, block = [], [], _RandomBlock(self)
-        rows = _span(0, 2 * n, words)
-        random_rows = _span(self.rank, 2 * n, words)
+        rows, in_use = _span(0, 2 * n, words), (1 << 2 * n) - 1
         qubits = list(qubits)
         for i, a in enumerate(qubits, 1):
             try:
@@ -1074,7 +1088,8 @@ class Tableau(_PauliColumns):
                 self._determinate(stretch)
                 raise
             col = block.column(a)
-            if not (col & random_rows).any():
+            bits = int.from_bytes(col.astype("<u8", copy=False).tobytes(), "little") & in_use
+            if not bits >> self.rank:  # no X in a stabilizer or logical row
                 if block:
                     records += self._collapse_block(block, rng)
                     block = _RandomBlock(self)
@@ -1094,7 +1109,6 @@ class Tableau(_PauliColumns):
                 block.add(a, mask, p, qubits, i)
                 continue
             records.append(self._collapse_qubit(a, mask, p, rng))
-            random_rows = _span(self.rank, 2 * n, words)
         return records + self._collapse_block(block, rng) + self._determinate(stretch)
 
     def measure(self, a: int, rng) -> MeasurementRecord:
@@ -1108,20 +1122,23 @@ class Tableau(_PauliColumns):
         j = i±n.  This also forces the 2n x 2n bit matrix to have full rank."""
         return self._gram(check=True) is not None
 
-    def _gram(self, check: bool = False) -> np.ndarray | None:
-        """G = Z·X^T of rows 0..2n-1 as packed rows (bit b of row a: z_a·x_b
-        mod 2), one `_xor_combine` of the x columns by the rows' z bits.  With
-        `check`, None unless G + X·Z^T is the pattern `satisfies_invariants` wants."""
+    def _gram(self, check: bool = False, lo: int = 0) -> np.ndarray | None:
+        """G = Z·X^T of rows lo..2n-1 as packed rows (bit b of row a - lo:
+        z_a·x_b mod 2), one `_xor_combine` of the x columns by the rows' z
+        bits.  With `check`, None unless G + G^T = Z·X^T + X·Z^T on rows and
+        columns lo..2n-1 is the pattern `satisfies_invariants` wants (from
+        lo = n: the stabilizers commute); G^T is a `_transpose` of G, not a
+        second product."""
         n, k, pad = self.n, 2 * self.n, _padded(self.n)
-        x, z = self._xz[:pad], self._xz[pad:]
-        gram = _xor_combine(x, _transpose(z, np.arange(k)).view(np.uint8))
+        a = np.arange(lo, k)
+        gram = _xor_combine(self._xz[:pad], _transpose(self._xz[pad:], a).view(np.uint8))
         if not check:
             return gram
-        anti = _xor_combine(z, _transpose(x, np.arange(k)).view(np.uint8))
-        anti ^= gram
-        anti &= _span(0, k, self._words)
-        partner = (np.arange(k) + n) % k
-        anti[np.arange(k), partner >> 6] ^= _ONE << (partner & 63).astype(np.uint64)
+        anti = _transpose(gram, a)  # G^T on rows and columns lo..2n-1, from 0
+        anti ^= _transpose(anti, a - lo)
+        p = (a + n) % k - lo  # each row's partner, the one row it anticommutes with
+        a, p = a[p >= 0] - lo, p[p >= 0]
+        anti[a, p >> 6] ^= _ONE << (p & 63).astype(np.uint64)
         return None if anti.any() else gram
 
     def apply_cnot_round(self, e: list[int], e_inv: list[int]):

@@ -51,6 +51,7 @@ class Mutant(NamedTuple):
 MOMENTS = ("tests/test_moments.py",)
 RUN = ("tests/test_measure_run.py",)
 WORDS = ("tests/test_word_boundaries.py",)
+OVERLAP = ("tests/test_overlap.py", "tests/test_errors.py")
 
 MUTANTS = [
     # -- the fused moment kernel and its steps (`_conjugate_step`, `_conjugate`)
@@ -117,13 +118,33 @@ MUTANTS = [
            "hi ^= (yg[1] ^ (yg[0] & lo)) & keep", RUN),
     Mutant("determinate-chunk-never-flushed", "tableau.py",
            "if len(stretch) == chunk:", "if False:", RUN),
-    # -- the closed-form row product (`_row_products`)
+    Mutant("classified-from-rank-plus-one", "tableau.py",
+           "if not bits >> self.rank:  # no X in a stabilizer or logical row",
+           "if not bits >> self.rank + 1:", WORDS),
+    # -- a determinate run's one gather (`_gather_rows`, `_determinate`)
+    Mutant("gather-slot-off-by-one", "tableau.py",
+           "return block, _bits(self.r, 2 * self.n + 1)[uniq].view(np.uint8), present.cumsum() - 1",
+           "return block, _bits(self.r, 2 * self.n + 1)[uniq].view(np.uint8), present.cumsum()", RUN),
+    Mutant("gather-misses-last-qubit", "tableau.py",
+           "gathered = self._gather_rows(np.flatnonzero(_bits(np.bitwise_or.reduce(hits), n)) + n)",
+           "gathered = self._gather_rows(np.flatnonzero(_bits(np.bitwise_or.reduce(hits[:-1]), n)) + n)",
+           RUN),
+    # -- the closed-form row product (`_segment_products`)
     Mutant("row-products-zero-cross-term", "tableau.py",
            "cross = np.bitwise_count(t).sum(axis=0, dtype=np.uint8)",
            "cross = np.zeros_like(y)", RUN),
     Mutant("row-products-no-parity-check", "tableau.py",
            "return words, (y + 2 * sign + 2 * cross - xz) % 4, (odd > 0) & (odd < lengths)",
            "return words, (y + 2 * sign + 2 * cross - xz) % 4, odd < 0", RUN),
+    # -- the stabilizer checks of `inner_product` (`_gram` from row n, `rref`)
+    Mutant("stabilizer-check-partner-not-rebased", "tableau.py",
+           "p = (a + n) % k - lo  # each row's partner, the one row it anticommutes with",
+           "p = (a + n) % k", OVERLAP),
+    Mutant("gram-check-without-transpose", "tableau.py",
+           "anti ^= _transpose(anti, a - lo)", "anti ^= _transpose(gram, a)", OVERLAP),
+    Mutant("overlap-dependence-unchecked", "overlap.py",
+           "if not independent(row >> n & ((1 << n) - 1) for row in rows[s:]):",
+           "if False:", OVERLAP),
     # -- compose's signs (`_product_signs`)
     Mutant("product-signs-no-cross-term", "tableau.py",
            "hi ^= np.bitwise_xor.reduce(cross, axis=0)", "pass", ("tests/test_tableau.py",)),

@@ -45,13 +45,29 @@ def test_a_row_with_an_imaginary_phase_is_refused_unchanged():
 
 
 def test_inner_product_refuses_stabilizer_rows_whose_product_is_imaginary():
-    # X0 and Y0 as stabilizers: their X parts cancel, and X0 Y0 = i Z0.
+    # X0 and Y0 as stabilizers: their X parts cancel, and X0 Y0 = i Z0.  They
+    # anticommute, which the commutation check of t2 finds first.
     good, bad = new_zero_state(2), new_zero_state(2)
     bad.set_row(2, parse_pauli("+XI"))
     bad.set_row(3, parse_pauli("+YI"))
     before = good.to_bytes(), bad.to_bytes()
-    raises(CorruptTableauError, "rowsum phase sum is odd: tableau corrupted",
+    raises(InvalidTableauError, "t2's stabilizer rows do not commute",
            lambda: inner_product(good, bad))
+    assert (good.to_bytes(), bad.to_bytes()) == before
+
+
+@pytest.mark.parametrize("rows, text", [
+    (("+XI", "+ZI"), "t2's stabilizer rows do not commute"),
+    (("+ZI", "+ZI"), "t2's stabilizer rows are dependent"),
+])
+def test_inner_product_refuses_stabilizer_rows_that_no_state_has(rows, text):
+    # Anticommuting or dependent stabilizer rows describe no state: no
+    # overlap with |00> (the first once gave 2^-1/2, the second 1).
+    good, bad = new_zero_state(2), new_zero_state(2)
+    for i, row in enumerate(rows, 2):
+        bad.set_row(i, parse_pauli(row))
+    before = good.to_bytes(), bad.to_bytes()
+    raises(InvalidTableauError, text, lambda: inner_product(good, bad))
     assert (good.to_bytes(), bad.to_bytes()) == before
 
 

@@ -1,6 +1,9 @@
 import random
+import sys
+import tracemalloc
 from contextlib import nullcontext
 from functools import cache
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +16,10 @@ from stabsim import tableau as tableau_module
 from stabsim.errors import CorruptTableauError, DimensionError
 from stabsim.mixed import MixedTableau
 from stabsim.pauli import PauliOperator, multiply
-from stabsim.tableau import new_zero_state
+from stabsim.tableau import Tableau, new_zero_state
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import reversible_ops  # noqa: E402
 
 
 def outcome_of(call):
@@ -307,13 +313,13 @@ def test_a_long_determinate_stretch_is_cut_into_bounded_products(monkeypatch):
         if name == "c":
             t.apply_cnot(*qubits)  # reversible: every outcome stays determinate
     calls = []
-    products = t._row_products
+    products = tableau_module._segment_products
 
-    def spy(rows, lengths):
+    def spy(gathered, rows, lengths):
         calls.append(list(lengths))
-        return products(rows, lengths)
+        return products(gathered, rows, lengths)
 
-    monkeypatch.setattr(t, "_row_products", spy)
+    monkeypatch.setattr(tableau_module, "_segment_products", spy)
     records = t.measure_run(list(range(9)) * 3, random.Random(0))
     assert all(rec.deterministic for rec in records)
     assert sum(len(c) for c in calls) == 27
@@ -346,3 +352,100 @@ def test_determinate_qubits_flush_in_chunks_of_64_as_one_measure_each_would(monk
     assert flushes == [64, 64, 24]
     assert_same_state(t, want)
     assert got_rng.getstate() == want_rng.getstate()
+
+
+def reversible_state(n, ops):
+    """|0...0> after `perfbench.workloads.reversible_ops`' CNOTs and X
+    gates (H P P H): every outcome is determinate, some are 1."""
+    t = new_zero_state(n)
+    for op in ops:
+        if op[0] == "c":
+            t.apply_cnot(op[1], op[2])
+        else:
+            for gate in (t.apply_hadamard, t.apply_phase, t.apply_phase, t.apply_hadamard):
+                gate(op[1])
+    return t
+
+
+def test_a_determinate_run_gathers_its_rows_once_for_all_its_stretches(monkeypatch):
+    # 64-byte steps: stretches of at most 4 rows, chunks of 64 qubits.  A
+    # few Hadamards make some outcomes random, so determinate runs sit
+    # between random outcomes, and a chunk flushes inside a sweep.
+    monkeypatch.setattr(tableau_module, "_STEP_BYTES", 64)
+    n, r = 70, random.Random(70)
+    t = reversible_state(n, reversible_ops(n, r))
+    for a in r.sample(range(n), 3):
+        t.apply_hadamard(a)
+    calls = []  # per `_determinate` call: [qubits, gathers, stretches]
+    determinate, gather = Tableau._determinate, Tableau._gather_rows
+    products = tableau_module._segment_products
+
+    def spy_determinate(self, qubits):
+        calls.append([len(qubits), 0, 0])
+        return determinate(self, qubits)
+
+    def spy_gather(self, rows):
+        calls[-1][1] += 1
+        return gather(self, rows)
+
+    def spy_products(gathered, rows, lengths):
+        calls[-1][2] += 1
+        return products(gathered, rows, lengths)
+
+    monkeypatch.setattr(Tableau, "_determinate", spy_determinate)
+    monkeypatch.setattr(Tableau, "_gather_rows", spy_gather)
+    monkeypatch.setattr(tableau_module, "_segment_products", spy_products)
+    referee(t, r.sample(range(n), n) * 2, r.getrandbits(32))
+    assert all(gathers == (size > 0) for size, gathers, _ in calls)
+    assert max(stretches for _, _, stretches in calls) >= 3
+
+
+def test_a_corrupt_row_that_only_a_later_stretch_hits_raises_at_its_measurement(monkeypatch):
+    # As in `test_measure_run_raises_inside_a_determinate_stretch_as_the_loop_does`:
+    # after CNOT 0->1, measuring 1 multiplies rows n and n+1, and row n+1
+    # set to Y_0 Z_1 makes that fold imaginary.  Every other qubit hits one
+    # row of its own, and X on qubit 5 makes its outcome 1.  At 4 rows a
+    # stretch, qubit 1 comes in the third stretch.
+    monkeypatch.setattr(tableau_module, "_STEP_BYTES", 64)
+    n = 8
+    t = new_zero_state(n)
+    t.apply_cnot(0, 1)
+    for gate in (t.apply_hadamard, t.apply_phase, t.apply_phase, t.apply_hadamard):
+        gate(5)
+    t.set_row(n + 1, PauliOperator(n, 0, 0b001, 0b011))
+    qubits = [2, 3, 4, 5, 6, 7, 2, 5, 1, 3]
+    one, run = t.copy(), t.copy()
+    with pytest.raises(CorruptTableauError):
+        for a in qubits:
+            one.measure(a, random.Random(0))
+    stretches = []
+    products = tableau_module._segment_products
+    monkeypatch.setattr(tableau_module, "_segment_products",
+                        lambda gathered, rows, lengths: stretches.append(list(lengths))
+                        or products(gathered, rows, lengths))
+    rng = random.Random(0)
+    with pytest.raises(CorruptTableauError):
+        run.measure_run(qubits, rng)
+    assert stretches == [[1, 1, 1, 1], [1, 1, 1, 1], [2, 1]]
+    assert_same_state(run, one)
+    assert run.rowsum_count == 8
+    assert run.get_row(run.scratch_row) == PauliOperator(n, 2, 0, 1 << 5)
+    assert rng.getstate() == random.Random(0).getstate()
+
+
+def test_a_determinate_sweep_stays_within_its_memory_budget():
+    # perfbench's chp_reversible state at n = 600, every qubit measured: the
+    # run is one chunk of 600 qubits (172,001 rows).  The bound is the peak
+    # of a run that gathered the rows again for each stretch and unpacked
+    # the chunk's columns whole (1.226 MB, 6.3 tableaus); one gather of the
+    # rows peaks at 0.95 MB.
+    n = 600
+    t = reversible_state(n, reversible_ops(n, random.Random(5)))
+    tracemalloc.start()
+    try:
+        records = t.measure_run(range(n), random.Random(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rec.deterministic for rec in records) and t.rowsum_count == 172_001
+    assert peak <= 6.3 * tableau_module._tableau_bytes(n)

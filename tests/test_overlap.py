@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import apply_gate, paired_random_evolution, random_gate
+from conftest import apply_gate, paired_random_evolution, random_gate, random_tableau
 from stabsim.errors import DimensionError, InvalidTableauError
 from stabsim.mixed import new_mixed
 from stabsim.overlap import OverlapResult, inner_product
@@ -112,3 +112,21 @@ def test_t2_with_broken_destabilizers_still_gets_the_oracle_answer(rng):
             t2.set_row(i, t2.get_row(n + rng.randrange(n)))
         assert not t2.satisfies_invariants()
         assert abs(inner_product(t1, t2).value - abs(np.vdot(d1.vec, d2.vec))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129])
+def test_t2_with_anticommuting_or_dependent_stabilizers_is_refused(n, rng):
+    # One stabilizer row of a valid t2 replaced by a product of the others
+    # (for n = 1 the empty one), or by a destabilizer row whose partner is
+    # another stabilizer row: the rows then describe no state.
+    t1 = random_tableau(n, rng, 10 * n)
+    for kind in ("dependent", "anticommuting") if n > 1 else ("dependent",):
+        t2 = random_tableau(n, rng, 10 * n)
+        a, b = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        others = [n + i for i in range(n) if i != a and rng.random() < 0.5]
+        t2.set_row(n + a, t2.row_product(others) if kind == "dependent" else t2.get_row(b))
+        before = t1.to_bytes(), t2.to_bytes()
+        with pytest.raises(InvalidTableauError, match=f"t2's stabilizer rows "
+                           f"{'are dependent' if kind == 'dependent' else 'do not commute'}"):
+            inner_product(t1, t2)
+        assert (t1.to_bytes(), t2.to_bytes()) == before

@@ -43,6 +43,7 @@ from .tableau import (  # noqa: F401  (PauliSumTerm is part of this module's API
     _check_bytes,
     _CliffordGates,
     _bits,
+    _row_ints,
     _term_bytes,
     _word_bits,
     new_zero_state,
@@ -376,7 +377,7 @@ class PauliSumState(_CliffordGates):
         mask = self.tableau.anticommuting_mask(q)
         if not q.is_hermitian():
             raise DimensionError("measurement operator must be Hermitian")
-        case, pivot = self.tableau._case_split(mask)
+        case, pivot = self.tableau._case_split(_row_ints(mask[None])[0])
         if case == 2:
             p0, p1, keep = self._project_commuting(q, np.flatnonzero(_bits(mask, self.n)))
         else:

@@ -128,21 +128,6 @@ def gf2_rank(m: BinaryMatrix) -> int:
     return len(rref(m.rows, m.ncols)[1])
 
 
-def independent(rows) -> bool:
-    """Whether the int rows are linearly independent over GF(2).  Each row
-    is reduced by the rows kept before it, one per leading bit, so a
-    dependent set stops at its first dependent row; no echelon form is
-    built (a tenth of `rref`'s time on 43 rows of 96 bits)."""
-    basis = {}
-    for v in rows:
-        while v and v.bit_length() in basis:
-            v ^= basis[v.bit_length()]
-        if not v:
-            return False
-        basis[v.bit_length()] = v
-    return True
-
-
 def gf2_invert(m: BinaryMatrix) -> BinaryMatrix:
     """Inverse of a square full-rank matrix; raises SingularMatrixError."""
     n = m.nrows

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DimensionError, InvalidTableauError
 from .gf2 import rref
 from .pauli import PauliOperator, _qubit_index
-from .tableau import Tableau, _word_bits
+from .tableau import Tableau, _row_ints, _word_bits
 
 _MAGIC = b"STBM"
 _VERSION = 1
@@ -67,7 +67,7 @@ class MixedTableau(Tableau):
         t = cls(n, 0)
         for g in gens:
             mask = t.anticommuting_mask(g)
-            case, pivot = t._case_split(mask)
+            case, pivot = t._case_split(_row_ints(mask[None])[0])
             if case == 1:
                 raise InvalidTableauError("generators must commute")
             if case == 2:

@@ -877,16 +877,16 @@ class Tableau(_PauliColumns):
 
     # -- measurement ------------------------------------------------------------
 
-    def _case_split(self, mask: np.ndarray) -> tuple[int, int]:
+    def _case_split(self, hits: int) -> tuple[int, int]:
         """(case, pivot) of the paper's rule for measuring a Pauli that
-        anticommutes with the rows set in the packed mask (bit i = row i <
-        2n) of this rank-r tableau: 1 (case I) if with a stabilizer row, the
-        first in n..n+r-1 being the pivot; else 3 (case III) if with a
-        logical row, the first in r..2n-1; else 2 (case II, pivot -1)."""
+        anticommutes with the rows set in `hits`, the packed mask as an int
+        (bit i = row i < 2n), of this rank-r tableau: 1 (case I) if with a
+        stabilizer row, the first in n..n+r-1 being the pivot; else 3 (case
+        III) if with a logical row, the first in r..2n-1; else 2 (case II,
+        pivot -1)."""
         n, r = self.n, self.rank
-        bits = int.from_bytes(mask.astype("<u8", copy=False).tobytes(), "little")
         for case, lo, hi in ((1, n, n + r), (3, r, 2 * n)):
-            hit = (bits >> lo) & ((1 << (hi - lo)) - 1)
+            hit = (hits >> lo) & ((1 << (hi - lo)) - 1)
             if hit:
                 return case, lo + (hit & -hit).bit_length() - 1
         return 2, -1
@@ -1064,7 +1064,7 @@ class Tableau(_PauliColumns):
         or III) iff a stabilizer or logical row (r..2n-1) has an X there.  A
         random outcome draws one `sample_outcome(0.5, rng)` coin and changes
         the tableau: the rows that anticommute with Z_a are the set bits of
-        x[a] in rows 0..2n-1, the mask `_case_split` takes.  Up to _BLOCK
+        x[a] in rows 0..2n-1, whose int `_case_split` takes.  Up to _BLOCK
         consecutive case-I outcomes stay pending in a `_RandomBlock`, which
         replays them on each next qubit's column, and `_collapse_block`
         applies them at once; a determinate qubit, a case-III outcome (one
@@ -1101,7 +1101,7 @@ class Tableau(_PauliColumns):
             records += self._determinate(stretch)
             stretch = []
             mask = col & rows
-            case, p = self._case_split(mask)
+            case, p = self._case_split(bits)
             if case == 3 or len(block) == _BLOCK:
                 records += self._collapse_block(block, rng)
                 block = _RandomBlock(self)

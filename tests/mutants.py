@@ -121,6 +121,9 @@ MUTANTS = [
     Mutant("classified-from-rank-plus-one", "tableau.py",
            "if not bits >> self.rank:  # no X in a stabilizer or logical row",
            "if not bits >> self.rank + 1:", WORDS),
+    Mutant("classified-with-the-scratch-row", "tableau.py",
+           'bits = int.from_bytes(col.astype("<u8", copy=False).tobytes(), "little") & in_use',
+           'bits = int.from_bytes(col.astype("<u8", copy=False).tobytes(), "little")', WORDS),
     # -- a determinate run's one gather (`_gather_rows`, `_determinate`)
     Mutant("gather-slot-off-by-one", "tableau.py",
            "return block, _bits(self.r, 2 * self.n + 1)[uniq].view(np.uint8), present.cumsum() - 1",
@@ -143,8 +146,9 @@ MUTANTS = [
     Mutant("gram-check-without-transpose", "tableau.py",
            "anti ^= _transpose(anti, a - lo)", "anti ^= _transpose(gram, a)", OVERLAP),
     Mutant("overlap-dependence-unchecked", "overlap.py",
-           "if not independent(row >> n & ((1 << n) - 1) for row in rows[s:]):",
-           "if False:", OVERLAP),
+           "if len(pivots) < n:", "if False:", OVERLAP),
+    Mutant("overlap-rank-counts-z-pivots", "overlap.py",
+           "s = bisect_left(pivots, n)", "s = len(pivots)", OVERLAP),
     # -- compose's signs (`_product_signs`)
     Mutant("product-signs-no-cross-term", "tableau.py",
            "hi ^= np.bitwise_xor.reduce(cross, axis=0)", "pass", ("tests/test_tableau.py",)),

@@ -15,7 +15,6 @@ from stabsim.gf2 import (
     gf2_rank,
     gf2_row_ops_to_identity,
     gf2_solve,
-    independent,
     rref,
 )
 
@@ -239,15 +238,3 @@ def test_row_ops_schedule_is_unchanged():
         for _ in range(5):
             m = random_matrix(n, rng, full_rank=True)
             assert gf2_row_ops_to_identity(m) == _swapfree_schedule(m)
-
-
-@settings(max_examples=200, deadline=None)
-@given(ncols=st.integers(1, 130), width=st.sampled_from([1, 2, 3, 6, 130]), data=st.data())
-def test_independent_agrees_with_the_rank(ncols, width, data):
-    # Up to 8 rows of `width` random bits at one offset: narrow rows often
-    # repeat or cancel, wide ones seldom, so both answers come up.
-    shift = data.draw(st.integers(0, ncols - 1), label="offset")
-    row = st.integers(0, (1 << width) - 1).map(lambda v: v << shift & ((1 << ncols) - 1))
-    rows = data.draw(st.lists(row, max_size=8), label="rows")
-    rank = gf2_rank(BinaryMatrix(len(rows), ncols, rows)) if rows else 0
-    assert independent(rows) == (rank == len(rows))

@@ -1,12 +1,11 @@
 """Mixed stabilizer states: a rank-r stabilizer plus logical X/Z rows that
 complete the symplectic basis, all in one tableau.
 
-Row layout (0-based, n qubits, rank r):
+Row layout (0-based, n qubits, rank r; 2n rows in W = ceil(2n/64) words):
   rows 0..r-1      destabilizer partners of the stabilizer generators
   rows r..n-1      logical X rows
   rows n..n+r-1    stabilizer generators
   rows n+r..2n-1   logical Z rows
-  row 2n           scratch
 
 Every row commutes with every other except its partner at distance n.  The
 state is the uniform mixture over the stabilized subspace: its density

@@ -1,8 +1,10 @@
 """Dense statevector / density-matrix simulator used as a brute-force referee.
 
-Test-only by design: everything here is O(2^n) or worse and capped at small
-qubit counts.  Basis ordering puts qubit 0 in the most significant position,
-so index bits read left-to-right like Pauli words.
+The tests' referee and the CLI's `oracle` engine: O(2^n) or worse, capped
+at small qubit counts.  `check_unitary` also checks `beyond.nonstab_expand`'s
+and every engine's `apply_unitary` matrix, to `tableau.ATOL`.  Basis ordering
+puts qubit 0 in the most significant position, so index bits read
+left-to-right like Pauli words.
 """
 
 from __future__ import annotations
@@ -11,11 +13,10 @@ import numpy as np
 
 from .errors import DimensionError, NumericalIntegrityError, ResourceCapError
 from .pauli import PauliOperator, _qubit_index
-from .tableau import MeasurementRecord, _CliffordGates, _moment_lists, sample_outcome
+from .tableau import ATOL, MeasurementRecord, _CliffordGates, _moment_lists, sample_outcome
 
 MAX_QUBITS = 12
 MAX_GROUP_QUBITS = 6
-ATOL = 1e-10
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)

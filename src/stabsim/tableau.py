@@ -1,15 +1,15 @@
 """Extended-tableau simulator for stabilizer circuits.
 
-A state on n qubits is a (2n+1)-row tableau: rows 0..n-1 hold destabilizer
-generators, rows n..2n-1 stabilizer generators, and row 2n is scratch space.
-Its `rank` r is n; a mixed state (`mixed`) has r < n generators, and its
-rows r..n-1 and n+r..2n-1 hold logical operators.
+A state on n qubits is a 2n-row tableau: rows 0..n-1 hold destabilizer
+generators and rows n..2n-1 stabilizer generators.  Its `rank` r is n; a
+mixed state (`mixed`) has r < n generators, and its rows r..n-1 and
+n+r..2n-1 hold logical operators.
 
 The bits are stored qubit-major and sliced along the row axis, as in Stim
-(Gidney 2021): `x` and `z` have shape (n, W) with W = ceil((2n+1)/64), and
+(Gidney 2021): `x` and `z` have shape (n, W) with W = ceil(2n/64), and
 the bit of row i at qubit j is bit i & 63 of word i >> 6 of `x[j]` (`z[j]`).
 The phase bits are packed the same way into the W words of `r`.  Bits past
-row 2n are zero.  `x` and `z` are two views of one array, each padded with
+row 2n-1 are zero.  `x` and `z` are two views of one array, each padded with
 zero columns to a multiple of 64 qubits, so a row's x and z bits are read
 or written in one pass.  A gate on qubits a, b touches only x[a], z[a],
 x[b], z[b] and r: O(n/64) word operations.  A moment of k gates on distinct
@@ -122,8 +122,8 @@ ATOL = 1e-10  # within this of 0 or 1 an outcome is determinate (`sample_outcome
 
 
 def _row_words(n: int) -> int:
-    """Words per qubit column: one bit for each of the 2n+1 rows."""
-    return (2 * n + 64) // 64
+    """Words per qubit column: one bit for each of the 2n rows."""
+    return (2 * n + 63) // 64
 
 
 def _padded(n: int) -> int:
@@ -219,7 +219,8 @@ def _transpose(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
     out = np.zeros((len(cols), (m + 63) // 64 * 8), dtype=np.uint8)
     for lo in range(0, len(cols), step):
         c = cols[lo:lo + step]
-        bits = by_column[c >> 3] >> (c & 7).astype(np.uint8)[:, None]
+        bits = by_column[c >> 3]
+        bits >>= (c & 7).astype(np.uint8)[:, None]
         bits &= np.uint8(1)
         out[lo:lo + len(c), :(m + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
     return out.view("<u8").astype(np.uint64, copy=False)
@@ -231,19 +232,22 @@ def _xor_combine(rows: np.ndarray, sel: np.ndarray) -> np.ndarray:
     uint64 array, m a multiple of 8; sel (K, nb) uint8, little-endian, over
     the first 8 nb <= m rows).  Each block of 8 rows gets a table of all 256
     XORs of its rows, one lookup per result row (the method of four
-    Russians): the tables are built in groups that hold no more bytes than
-    `rows` (or _STEP_BYTES), and each block is one `take` of its table's
-    entries and one XOR into the result."""
+    Russians), the XORs of its first four rows with those of its last
+    four, in groups held in one buffer of no more bytes than `rows` (or
+    _STEP_BYTES); each block is one `take` of its table and one XOR."""
     m, w = rows.shape
     nb = sel.shape[1]
-    blocks = rows[:8 * nb].reshape(nb, 8, w)
+    blocks = rows[:8 * nb].reshape(nb, 2, 4, w)
     out = np.zeros((sel.shape[0], w), dtype=np.uint64)
     step = max(1, max(_STEP_BYTES // 8, m * w) // (256 * max(w, 1)))
+    halves = np.zeros((min(step, nb), 2, 16, w), dtype=np.uint64)
+    tables = np.empty((min(step, nb), 256, w), dtype=np.uint64)
     for lo in range(0, nb, step):
         group = blocks[lo:lo + step]
-        table = np.zeros((len(group), 256, w), dtype=np.uint64)
-        for b in range(8):
-            np.bitwise_xor(table[:, :1 << b], group[:, b, None], out=table[:, 1 << b:2 << b])
+        half, table = halves[:len(group)], tables[:len(group)]
+        for b in range(4):
+            np.bitwise_xor(half[:, :, :1 << b], group[:, :, b, None], out=half[:, :, 1 << b:2 << b])
+        np.bitwise_xor(half[:, 1, :, None], half[:, 0, None], out=table.reshape(-1, 16, 16, w))
         for j, entries in enumerate(table, lo):
             out ^= entries.take(sel[:, j], axis=0)
     return out
@@ -578,8 +582,7 @@ class _PauliColumns(_CliffordGates):
         """Packed mask (w words) of the strings in use that anticommute with q."""
         n, pad = self.n, _padded(self.n)
         bits = _word_bits(n, q)[None]
-        return (_anticommutation(bits[:, :n], bits[:, pad:pad + n], self)[0]
-                & _span(0, self._count, self._words))
+        return _anticommutation(bits[:, :n], bits[:, pad:pad + n], self)[0]
 
     def anticommuting(self, q: PauliOperator) -> np.ndarray:
         """Boolean per string in use: whether it anticommutes with q."""
@@ -634,10 +637,10 @@ class _RandomBlock:
     measures qubit qubits[t] with pivot pivots[t] and partner
     pivots[t] - n; spread[t] is the packed mask of the rows it changes
     (those anticommuting with Z_a, and the partner).  The first outcome
-    gathers the x columns of the next _BLOCK qubits of the run, up to the
-    first invalid one, into `panel` (row j: the qubit j + 1 places after
-    it), and each step updates the rows after its own, so a next qubit's
-    x column with the pending steps replayed is its panel row."""
+    gathers the x columns of the next _BLOCK qubits of the run (checked,
+    up to its first invalid one) into `panel` (row j: the qubit j + 1
+    places after it), and each step updates the rows after its own, so a
+    next qubit's x column with the pending steps replayed is its panel row."""
 
     def __init__(self, tableau: "Tableau"):
         self.tableau, self.qubits, self.pivots = tableau, [], []
@@ -659,13 +662,7 @@ class _RandomBlock:
         panel row loses its bit q and takes sel times (mask | q)."""
         t, k = self.tableau, len(self.pivots)
         if not k:  # the arrays come with the first outcome, not with every run
-            ahead = []
-            for b in run[at:at + _BLOCK]:
-                try:
-                    ahead.append(_qubit_index(t.n, b))
-                except (TypeError, DimensionError):
-                    break
-            self.panel = t.x.take(np.array(ahead, dtype=np.intp), axis=0)
+            self.panel = t.x.take(np.array(run[at:at + _BLOCK], dtype=np.intp), axis=0)
             self.spread = np.zeros((_BLOCK, t._words), dtype=np.uint64)
         wq, bq = (p - t.n) >> 6, _ONE << _SHIFTS[(p - t.n) & 63]
         spread, rest = self.spread[k], self.panel[k:]
@@ -706,10 +703,6 @@ class Tableau(_PauliColumns):
     # -- basic structure ---------------------------------------------------
 
     @property
-    def scratch_row(self) -> int:
-        return 2 * self.n
-
-    @property
     def _count(self) -> int:
         """Rows 0..2n-1: the destabilizers and the stabilizers."""
         return 2 * self.n
@@ -717,19 +710,18 @@ class Tableau(_PauliColumns):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tableau) or self.n != other.n:
             return NotImplemented if not isinstance(other, Tableau) else False
-        m = _span(0, 2 * self.n, self._words)
-        return (self.rank == other.rank and np.array_equal(self._xz & m, other._xz & m)
-                and np.array_equal(self.r & m, other.r & m))
+        return (self.rank == other.rank and np.array_equal(self._xz, other._xz)
+                and np.array_equal(self.r, other.r))
 
     def memory_bits(self) -> int:
         return 8 * (self._xz.nbytes + self.r.nbytes)
 
     def _row_indices(self, rows) -> np.ndarray:
-        """A row index or an array of them, checked against the rows 0..2n
-        (the scratch row included): TypeError unless they are integers,
-        DimensionError naming the first one out of range."""
+        """A row index or an array of them, checked against the rows
+        0..2n-1: TypeError unless they are integers, DimensionError naming
+        the first one out of range."""
         idx = _index_array(rows, "row")
-        bad = (idx < 0) | (idx > 2 * self.n)
+        bad = (idx < 0) | (idx >= 2 * self.n)
         if bad.any():
             raise DimensionError(f"row {idx[bad][0]} out of range for n={self.n}")
         return idx
@@ -762,7 +754,7 @@ class Tableau(_PauliColumns):
         if hi <= lo:
             return []
         for i in (lo, hi - 1):
-            if not 0 <= i <= 2 * self.n:
+            if not 0 <= i < 2 * self.n:
                 raise DimensionError(f"row {i} out of range for n={self.n}")
         xs, zs, signs = self._row_bits(lo, hi)
         return [PauliOperator(self.n, 2 * ((signs >> k) & 1), x, z)
@@ -830,11 +822,11 @@ class Tableau(_PauliColumns):
         is word k of every distinct row, so every step runs along the rows;
         their sign bits as uint8; and each row index's slot (row i is
         column slot[i] of the block)."""
-        present = np.zeros(2 * self.n + 1, dtype=bool)
+        present = np.zeros(2 * self.n, dtype=bool)
         present[rows] = True
         uniq = present.nonzero()[0]
         block = np.ascontiguousarray(_transpose(self._xz, uniq).T)
-        return block, _bits(self.r, 2 * self.n + 1)[uniq].view(np.uint8), present.cumsum() - 1
+        return block, _bits(self.r, 2 * self.n)[uniq].view(np.uint8), present.cumsum() - 1
 
     def _row_products(self, rows: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`_segment_products` of `rows` over their own gather."""
@@ -893,17 +885,17 @@ class Tableau(_PauliColumns):
 
     def _collapse(self, mask: np.ndarray, pivot: int, bits: np.ndarray, sign):
         """Update for measuring a Hermitian Pauli (the 0/1 column `bits` of
-        `_xz`, with the `sign` bit the caller drew) that anticommutes with
-        the rows of 0..2n-1 set in the packed mask `mask` (W words, bit i =
-        row i; left as it is), the `pivot` among them (case I or III of
-        `_case_split`) having its partner row pivot ± n.  Every row of the
-        mask but those two is multiplied by the pivot in one `_rowsum_mask`
-        (the partner anticommutes with the pivot, so its product would carry
-        an unrepresentable ±i phase), the pivot moves to `partner`, and the
-        Pauli takes its place.  In case III the pivot is a logical row, so
-        the Pauli is a new generator: the logical pair in rows n+r and r
-        moves to the pivot's two rows, and the Pauli and its partner take
-        rows n+r and r; the rank grows by one."""
+        `_xz`, with the `sign` bit the caller drew) that anticommutes with the
+        rows set in the packed mask `mask` (W words, bit i = row i; read
+        before any row changes, so it may be x[a] itself), the `pivot` among
+        them (case I or III of `_case_split`) having its partner row pivot ±
+        n.  Every row of the mask but those two is multiplied by the pivot in
+        one `_rowsum_mask` (the partner anticommutes with the pivot, so its
+        product would carry an unrepresentable ±i phase), the pivot moves to
+        `partner`, and the Pauli takes its place.  In case III the pivot is a
+        logical row, so the Pauli is a new generator: the logical pair in rows
+        n+r and r moves to the pivot's two rows, and the Pauli and its partner
+        take rows n+r and r; the rank grows by one."""
         partner = (pivot + self.n) % (2 * self.n)
         src = self._read_row(pivot)
         others = mask.copy()
@@ -930,9 +922,9 @@ class Tableau(_PauliColumns):
         longer one alone), each unpacked and answered by one
         `_segment_products` call on that block, so that the row indices and
         the products' arrays stay small.  As the paper's folds of k rowsums
-        into the scratch row would, this leaves the last product there,
-        counts k rowsums per measurement, and raises CorruptTableauError at
-        the first corrupt product, after the ones before it."""
+        would, this counts k rowsums per measurement and raises
+        CorruptTableauError at the first corrupt product, after the ones
+        before it."""
         if not qubits:
             return []
         n = self.n
@@ -945,12 +937,9 @@ class Tableau(_PauliColumns):
             lo = ends[s - 1] if s else 0
             e = max(s + 1, bisect_right(ends, lo + _STEP_BYTES // 16))
             rows = np.flatnonzero(_unpack_rows(hits[s:e], n).view(bool)) % n + n
-            words, phase, bad = _segment_products(gathered, rows, lengths[s:e])
+            _, phase, bad = _segment_products(gathered, rows, lengths[s:e])
             done = int(bad.argmax()) if bad.any() else e - s
-            if done:
-                last = _unpack_rows(words[done - 1:done], 64 * words.shape[1])[0]
-                self._write_row(self.scratch_row, last, phase[done - 1] >> 1)
-                self.rowsum_count += ends[s + done - 1] - lo
+            self.rowsum_count += int(lengths[s:s + done].sum())
             if done < e - s:
                 raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
             records += map(MeasurementRecord, qubits[s:e], (phase >> 1).tolist(), [True] * (e - s))
@@ -1059,36 +1048,35 @@ class Tableau(_PauliColumns):
     def measure_run(self, qubits, rng) -> list[MeasurementRecord]:
         """Measure the qubits in turn in the standard basis, with the
         records, rows, rank, `rowsum_count` and rng draws of one `measure`
-        per qubit.  Each qubit is checked once and classified from its x
+        per qubit.  The run is checked once, up to its first invalid qubit,
+        before anything is measured.  Each qubit is classified from its x
         column (or its panel row), read once as an int: it is random (case I
         or III) iff a stabilizer or logical row (r..2n-1) has an X there.  A
         random outcome draws one `sample_outcome(0.5, rng)` coin and changes
         the tableau: the rows that anticommute with Z_a are the set bits of
-        x[a] in rows 0..2n-1, whose int `_case_split` takes.  Up to _BLOCK
-        consecutive case-I outcomes stay pending in a `_RandomBlock`, which
-        replays them on each next qubit's column, and `_collapse_block`
-        applies them at once; a determinate qubit, a case-III outcome (one
-        `_collapse`, which changes the rank), an invalid qubit or the end of
-        the run closes the block first.  A determinate outcome changes only
-        the scratch row, so the determinate qubits between random ones
-        gather into one `_determinate` call (one gather of their rows), in
-        chunks of at most max(64, _STEP_BYTES / 8W) qubits so that their
-        W-word columns stay small.  An invalid qubit raises as `measure`
-        would, after the measurements before it took effect."""
-        n, words = self.n, self._words
-        chunk = max(64, _STEP_BYTES // (8 * words))
-        records, stretch, block = [], [], _RandomBlock(self)
-        rows, in_use = _span(0, 2 * n, words), (1 << 2 * n) - 1
-        qubits = list(qubits)
-        for i, a in enumerate(qubits, 1):
+        x[a], whose int `_case_split` takes.  Up to _BLOCK consecutive
+        case-I outcomes stay pending in a `_RandomBlock`, which replays them
+        on each next qubit's column, and `_collapse_block` applies them at
+        once; a determinate qubit, a case-III outcome (one `_collapse`,
+        which changes the rank), an invalid qubit or the end of the run
+        closes the block first.  A determinate outcome leaves the tableau as
+        it was, so the determinate qubits between random ones gather into
+        one `_determinate` call (one gather of their rows), in chunks of at
+        most max(64, _STEP_BYTES / 8W) qubits so that their W-word columns
+        stay small.  An invalid qubit raises as `measure` would, once the
+        block and the stretch before it are applied."""
+        checked, error = [], None
+        for a in qubits:
             try:
-                a = _qubit_index(n, a)
-            except (TypeError, DimensionError):
-                self._collapse_block(block, rng)
-                self._determinate(stretch)
-                raise
+                checked.append(_qubit_index(self.n, a))
+            except (TypeError, DimensionError) as exc:
+                error = exc
+                break
+        chunk = max(64, _STEP_BYTES // (8 * self._words))
+        records, stretch, block = [], [], _RandomBlock(self)
+        for i, a in enumerate(checked, 1):
             col = block.column(a)
-            bits = int.from_bytes(col.astype("<u8", copy=False).tobytes(), "little") & in_use
+            bits = int.from_bytes(col.astype("<u8", copy=False).tobytes(), "little")
             if not bits >> self.rank:  # no X in a stabilizer or logical row
                 if block:
                     records += self._collapse_block(block, rng)
@@ -1100,16 +1088,18 @@ class Tableau(_PauliColumns):
                 continue
             records += self._determinate(stretch)
             stretch = []
-            mask = col & rows
             case, p = self._case_split(bits)
             if case == 3 or len(block) == _BLOCK:
                 records += self._collapse_block(block, rng)
                 block = _RandomBlock(self)
             if case == 1:
-                block.add(a, mask, p, qubits, i)
+                block.add(a, col, p, checked, i)
                 continue
-            records.append(self._collapse_qubit(a, mask, p, rng))
-        return records + self._collapse_block(block, rng) + self._determinate(stretch)
+            records.append(self._collapse_qubit(a, col, p, rng))
+        records += self._collapse_block(block, rng) + self._determinate(stretch)
+        if error is not None:
+            raise error
+        return records
 
     def measure(self, a: int, rng) -> MeasurementRecord:
         """Measure qubit a in the standard basis: a run of one."""
@@ -1154,21 +1144,17 @@ class Tableau(_PauliColumns):
         Such a round has no phase change in the normal-ordered picture, so
         each row's sign bit shifts only by the Y-count correction
         (|x&z| - |x'&z'|)/2 mod 2: bit 1 of |x&z| before XOR after, as the
-        parity of |x&z| does not change.  The scratch row is left as it was.
+        parity of |x&z| does not change.
         """
-        n, keep, pad = self.n, _span(0, 2 * self.n, self._words), _padded(self.n)
+        n, pad = self.n, _padded(self.n)
         before = _count4(self.x & self.z)[1]
         nb = (n + 7) // 8
         e_cols = _transpose(_int_words(e, pad // 64), np.arange(n))  # row j: column j of E
-        xn = _xor_combine(self._xz[:pad], e_cols.view(np.uint8)[:, :nb])
+        self.x[:] = _xor_combine(self._xz[:pad], e_cols.view(np.uint8)[:, :nb])
         del e_cols
-        self.x &= ~keep
-        self.x |= xn & keep
-        del xn
         zn = _xor_combine(self._xz[pad:], _int_words(e_inv, pad // 64).view(np.uint8)[:, :nb])
-        self.r ^= (before ^ _count4(self.x & zn)[1]) & keep
-        self.z &= ~keep
-        self.z |= zn & keep
+        self.r ^= before ^ _count4(self.x & zn)[1]
+        self.z[:] = zn
 
     # -- the Clifford group ----------------------------------------------------------
 
@@ -1186,7 +1172,6 @@ class Tableau(_PauliColumns):
         n, k = self.n, 2 * self.n
         sel = np.zeros(((k + 7) // 8 * 8, self._words), dtype=np.uint64)
         sel[:n], sel[n:k] = self.x, self.z
-        sel &= _span(0, k, self._words)
         return sel
 
     def _product_signs(self, sel: np.ndarray, r: np.ndarray, gram: np.ndarray, prod=None) -> np.ndarray:
@@ -1214,10 +1199,9 @@ class Tableau(_PauliColumns):
             p0, p1 = _count4(prod[:n] & prod[_padded(n):_padded(n) + n])
             lo ^= p0
             hi ^= p1  # less |X&Z| = p1 p0: where lo == p0, as checked, no borrow
-        keep = _span(0, k, w)
-        if (lo & keep).any():
+        if lo.any():
             raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
-        return hi & keep
+        return hi
 
     def compose(self, first: "Tableau") -> "Tableau":
         """The tableau of `first`'s Clifford followed by this one's.  Row i of
@@ -1271,7 +1255,7 @@ class Tableau(_PauliColumns):
         changing nothing, if that row's power of i is odd or its product is
         not Z_a.  The qubit a is not checked; the tableau must be pure."""
         n = self.n
-        col = _row_ints(self.x[a:a + 1])[0] & ((1 << 2 * n) - 1)
+        col = _row_ints(self.x[a:a + 1])[0]
         wx, wz = col >> n, col & ((1 << n) - 1)
         rows = np.flatnonzero(np.roll(_bits(self.x[a], 2 * n), n))  # wx's rows, then wz's
         words, phase, _ = self._row_products(rows, [rows.size])
@@ -1284,22 +1268,22 @@ class Tableau(_PauliColumns):
 
     def to_bytes(self) -> bytes:
         """Serialize: magic, version u32 LE, n u64 LE, then row-major packed
-        x bits, z bits, and phase bits, all little-endian 64-bit words.  The
-        scratch row is stored zeroed."""
+        x bits, z bits, and phase bits, all little-endian 64-bit words, of
+        2n+1 rows: the format's row 2n is always zero, kept so that stored
+        snapshots still load."""
         head = _MAGIC + _VERSION.to_bytes(4, "little") + self.n.to_bytes(8, "little")
         k = 2 * self.n
-        x, z = self._gather(np.arange(k + 1))
-        x[k] = 0
-        z[k] = 0
-        r = self.r & _span(0, k, self._words)
-        return head + b"".join(a.astype("<u8").tobytes() for a in (x, z, r))
+        x, z = self._gather(np.arange(k))
+        zero = np.zeros_like(x[:1])
+        r = np.pad(self.r, (0, (k + 64) // 64 - self._words))
+        return head + b"".join(a.astype("<u8").tobytes() for a in (x, zero, z, zero, r))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Tableau":
         """Inverse of `to_bytes`.  Raises ValueError, before allocating
         anything, unless the payload is exactly as long as the header's
         qubit count requires; ValueError if a padding bit (a qubit >= n, a
-        phase bit past row 2n-1) or the scratch row is set; and
+        phase bit past row 2n-1) or a bit of the format's row 2n is set; and
         InvalidTableauError unless the rows satisfy `satisfies_invariants`."""
         if data[:4] != _MAGIC:
             raise ValueError("bad magic in tableau snapshot")
@@ -1319,12 +1303,12 @@ class Tableau(_PauliColumns):
         if ((x | z) & ~_span(0, n, words)).any():
             raise ValueError("tableau snapshot sets bits past qubit n-1")
         if x[-1].any() or z[-1].any():
-            raise ValueError("tableau snapshot has a nonzero scratch row")
+            raise ValueError("tableau snapshot has a nonzero row 2n")
         if (r & ~_span(0, 2 * n, len(r))).any():
             raise ValueError("tableau snapshot sets phase bits past row 2n-1")
         t = cls(n)
-        t._adopt(_transpose(np.hstack((x, z)), np.arange(2 * _padded(n))))
-        t.r = r.astype(np.uint64)
+        t._adopt(_transpose(np.hstack((x[:-1], z[:-1])), np.arange(2 * _padded(n))))
+        t.r = r[:t._words].astype(np.uint64)
         if not t.satisfies_invariants():
             raise InvalidTableauError(
                 "snapshot rows break the destabilizer/stabilizer commutation pattern"

@@ -95,7 +95,8 @@ MUTANTS = [
     Mutant("panel-keeps-partner-bit", "tableau.py",
            "rest[:, wq] &= ~bq", "pass", RUN),
     Mutant("panel-one-row-short", "tableau.py",
-           "for b in run[at:at + _BLOCK]:", "for b in run[at:at + _BLOCK - 1]:", RUN),
+           "self.panel = t.x.take(np.array(run[at:at + _BLOCK], dtype=np.intp), axis=0)",
+           "self.panel = t.x.take(np.array(run[at:at + _BLOCK - 1], dtype=np.intp), axis=0)", RUN),
     Mutant("block-reset-without-omega", "tableau.py",
            "flip = hq & low & (_bit_at(sym, q) ^ _matmul2(omega, hq & low.T) ^ omega)",
            "flip = hq & low & (_bit_at(sym, q) ^ _matmul2(omega, hq & low.T))", RUN),
@@ -121,17 +122,30 @@ MUTANTS = [
     Mutant("classified-from-rank-plus-one", "tableau.py",
            "if not bits >> self.rank:  # no X in a stabilizer or logical row",
            "if not bits >> self.rank + 1:", WORDS),
-    Mutant("classified-with-the-scratch-row", "tableau.py",
-           'bits = int.from_bytes(col.astype("<u8", copy=False).tobytes(), "little") & in_use',
-           'bits = int.from_bytes(col.astype("<u8", copy=False).tobytes(), "little")', WORDS),
     # -- a determinate run's one gather (`_gather_rows`, `_determinate`)
     Mutant("gather-slot-off-by-one", "tableau.py",
-           "return block, _bits(self.r, 2 * self.n + 1)[uniq].view(np.uint8), present.cumsum() - 1",
-           "return block, _bits(self.r, 2 * self.n + 1)[uniq].view(np.uint8), present.cumsum()", RUN),
+           "return block, _bits(self.r, 2 * self.n)[uniq].view(np.uint8), present.cumsum() - 1",
+           "return block, _bits(self.r, 2 * self.n)[uniq].view(np.uint8), present.cumsum()", RUN),
     Mutant("gather-misses-last-qubit", "tableau.py",
            "gathered = self._gather_rows(np.flatnonzero(_bits(np.bitwise_or.reduce(hits), n)) + n)",
            "gathered = self._gather_rows(np.flatnonzero(_bits(np.bitwise_or.reduce(hits[:-1]), n)) + n)",
            RUN),
+    Mutant("determinate-counts-the-corrupt-product", "tableau.py",
+           "self.rowsum_count += int(lengths[s:s + done].sum())",
+           "self.rowsum_count += int(lengths[s:e].sum())", RUN),
+    # -- a run's one check (`measure_run`), rows 0..2n-1, the snapshot's zero row 2n
+    Mutant("run-checked-past-the-bad-qubit", "tableau.py",
+           "break", "continue", ("tests/test_boundaries.py",)),
+    Mutant("row-range-admits-row-2n", "tableau.py",
+           "bad = (idx < 0) | (idx >= 2 * self.n)", "bad = (idx < 0) | (idx > 2 * self.n)",
+           ("tests/test_boundaries.py",)),
+    Mutant("snapshot-phase-words-as-in-memory", "tableau.py",
+           "r = np.pad(self.r, (0, (k + 64) // 64 - self._words))", "r = self.r",
+           ("tests/test_tableau.py",)),
+    Mutant("snapshot-load-keeps-row-2n", "tableau.py",
+           "t._adopt(_transpose(np.hstack((x[:-1], z[:-1])), np.arange(2 * _padded(n))))",
+           "t._adopt(_transpose(np.hstack((x, z)), np.arange(2 * _padded(n))))",
+           ("tests/test_tableau.py",)),
     # -- the closed-form row product (`_segment_products`)
     Mutant("row-products-zero-cross-term", "tableau.py",
            "cross = np.bitwise_count(t).sum(axis=0, dtype=np.uint8)",
@@ -149,6 +163,11 @@ MUTANTS = [
            "if len(pivots) < n:", "if False:", OVERLAP),
     Mutant("overlap-rank-counts-z-pivots", "overlap.py",
            "s = bisect_left(pivots, n)", "s = len(pivots)", OVERLAP),
+    # -- the four-Russians tables of `_xor_combine`
+    Mutant("four-russians-halves-swapped", "tableau.py",
+           "np.bitwise_xor(half[:, 1, :, None], half[:, 0, None], out=table.reshape(-1, 16, 16, w))",
+           "np.bitwise_xor(half[:, 0, :, None], half[:, 1, None], out=table.reshape(-1, 16, 16, w))",
+           ("tests/test_tableau.py",)),
     # -- compose's signs (`_product_signs`)
     Mutant("product-signs-no-cross-term", "tableau.py",
            "hi ^= np.bitwise_xor.reduce(cross, axis=0)", "pass", ("tests/test_tableau.py",)),

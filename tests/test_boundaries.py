@@ -51,7 +51,7 @@ def expect(exc, text, call, snapshot):
 
 
 def tableau_state(t):
-    # every bit (the scratch row and the padding too), the rank and counters
+    # every bit (the padding too), the rank and counters
     return lambda: (t._xz.tobytes(), t.r.tobytes(), t.rank, t.rowsum_count, t.to_bytes())
 
 
@@ -119,7 +119,7 @@ def test_tableau_rejects_a_repeated_qubit_unchanged(mixed):
 @pytest.mark.parametrize("q,exc,text", BAD_QUBITS)
 def test_measure_run_raises_at_the_bad_qubit_after_the_ones_before_it(q, exc, text):
     # qubit 0 is random, then determinate twice: the stretch before the bad
-    # qubit writes the scratch row and counts its rowsums.
+    # qubit counts its rowsums.
     run, one = scrambled_tableau(False), scrambled_tableau(False)
     r_run, r_one = random.Random(7), random.Random(7)
     with pytest.raises(exc, match=text):
@@ -130,7 +130,7 @@ def test_measure_run_raises_at_the_bad_qubit_after_the_ones_before_it(q, exc, te
     assert r_run.getstate() == r_one.getstate()
 
 
-# -- tableau rows 0..2n ------------------------------------------------------------
+# -- tableau rows 0..2n-1 ----------------------------------------------------------
 
 ROW_CALLS = {
     "get_row": lambda t, i: t.get_row(i),
@@ -143,6 +143,7 @@ ROW_CALLS = {
 BAD_ROWS = [
     (1.5, TypeError, r"row indices must be integers, got float64"),
     (-1, DimensionError, r"row -1 out of range for n=3"),
+    (2 * N, DimensionError, r"row 6 out of range for n=3"),
     (2 * N + 1, DimensionError, r"row 7 out of range for n=3"),
     (2**70, DimensionError, r"row 1180591620717411303424 out of range for n=3"),
     (True, TypeError, r"row indices must be integers, got bool"),
@@ -193,7 +194,9 @@ def test_rows_in_range_and_rowsum_of_a_row_with_itself():
     t = scrambled_tableau(False)
     expect(DimensionError, r"rowsum requires distinct rows", lambda: t.rowsum(4, 4),
            tableau_state(t))
-    assert t.rows(3, 3) == [] and t.get_row(2 * N) == PauliOperator.identity(N)
+    assert t.rows(3, 3) == []
+    expect(DimensionError, r"row 6 out of range for n=3", lambda: t.get_row(2 * N),
+           tableau_state(t))
 
 
 NESTED = {

@@ -1,6 +1,6 @@
 """Differential check of the packed tableaus against a row-by-row reference,
-at the qubit counts where the packed words break (2n+1 rows cross a 64-bit
-word at n = 32 and 64, n qubits at n = 64 and 128).  The dense oracle stops
+at the qubit counts where the packed words break (2n rows fill whole 64-bit
+words at n = 32 and 64, n qubits at n = 64 and 128).  The dense oracle stops
 at 12 qubits, so these sizes have no other referee.  The reference shares no
 kernel with the tableaus, only their row reads and writes: a random
 outcome's collapse there is one `multiply` per row, where `measure_run`
@@ -29,8 +29,9 @@ from stabsim.tableau import MeasurementRecord, Tableau, new_zero_state
 
 
 class Reference:
-    """The paper's tableau with its 2n+1 rows held as `PauliOperator`s:
-    gates by conjugation, rowsum by `multiply`, and the measurement rules of
+    """The paper's tableau with its 2n+1 rows held as `PauliOperator`s (row
+    2n being its scratch space for a determinate outcome's rowsums): gates
+    by conjugation, rowsum by `multiply`, and the measurement rules of
     `Tableau.measure` at rank n and below, and of a Pauli measurement with
     a forced outcome (`MixedTableau.from_stabilizers`), written out one
     rowsum at a time."""
@@ -129,7 +130,7 @@ def run_both(t, ref, ops, seed):
         else:
             gates[name](*qubits)
             ref.gate(name, qubits)
-    assert [t.get_row(i) for i in range(2 * t.n + 1)] == ref.rows
+    assert t.rows(0, 2 * t.n) == ref.rows[:2 * t.n]
     assert t.rowsum_count == ref.rowsum_count
     assert t.satisfies_invariants()
 
@@ -175,7 +176,7 @@ def test_measure_run_matches_row_reference(n, seed, rank):
         ngates = int(n * math.log2(n)) + 4 * n
         apply_gates(t, random_unitary_program(n, ngates, gates).instructions)
         ref = Reference(n, t.rank)
-        ref.rows = [t.get_row(i) for i in range(2 * n + 1)]
+        ref.rows[:2 * n] = t.rows(0, 2 * n)
         ref.rowsum_count = t.rowsum_count
         qubits = [gates.randrange(n) for _ in range(n)] + list(range(n))
         r_t, r_ref = random.Random(seed), random.Random(seed)
@@ -187,7 +188,7 @@ def test_measure_run_matches_row_reference(n, seed, rank):
             if not want[-1].deterministic:
                 cases.add(3 if ref.rank > r else 1)
         assert got == want
-        assert [t.get_row(i) for i in range(2 * n + 1)] == ref.rows
+        assert t.rows(0, 2 * n) == ref.rows[:2 * n]
         assert (t.rank, t.rowsum_count) == (ref.rank, ref.rowsum_count)
         assert r_t.getstate() == r_ref.getstate()
     assert t.satisfies_invariants()
@@ -246,7 +247,7 @@ def test_from_stabilizers_matches_forced_measurements_at_word_boundaries(n, seed
     m = MixedTableau.from_stabilizers(n, gens)
     ref = Reference(n, 0)
     assert [ref.measure_forced(g) for g in gens] == [3] * len(gens)
-    assert [m.get_row(i) for i in range(2 * n + 1)] == ref.rows
+    assert m.rows(0, 2 * n) == ref.rows[:2 * n]
     assert m.rank == ref.rank
     assert m.rowsum_count == ref.rowsum_count
     assert m.stabilizer_generators() == gens
@@ -279,7 +280,7 @@ def test_discard_qubit_matches_one_rowsum_per_row_operation(n, seed):
     m.copy = keep_copy  # discard_qubit eliminates in a copy
     d = m.discard_qubit(a)
     (work,) = works
-    assert [work.get_row(i) for i in range(2 * n + 1)] == [ref.get_row(i) for i in range(2 * n + 1)]
+    assert work.rows(0, 2 * n) == ref.rows(0, 2 * n)
     assert work.rowsum_count == ref.rowsum_count
     assert d.stabilizer_generators() == [
         PauliOperator(n - 1, p.phase_exp, _drop_bit(p.x, a), _drop_bit(p.z, a))

@@ -44,6 +44,7 @@ from .tableau import (  # noqa: F401  (PauliSumTerm is part of this module's API
     _CliffordGates,
     _bits,
     _row_ints,
+    _sign_bytes,
     _term_bytes,
     _word_bits,
     new_zero_state,
@@ -167,7 +168,7 @@ class _ProductRun(_CliffordGates):
             _check_bytes(need, f"folding {2 * len(table)} Pauli words on {n} qubits needs about "
                                f"{need} bytes")
             moved = table.copy()
-            k = moved.multiply(np.ones(len(table), dtype=bool), p)
+            k = moved.multiply(np.ones(len(table), dtype=bool), _word_bits(n, p), p.phase_exp)
             coeff = np.concatenate((table.coefficients(), s * _I_POWERS[k] * moved.coefficients()))
             table = table.merged(coeff, 0.0, joined=moved)
         coeff = table.coefficients()
@@ -373,10 +374,13 @@ class PauliSumState(_CliffordGates):
         return total.real
 
     def measure_pauli(self, q: PauliOperator, rng) -> tuple:
-        """Measure the ±1 observable q; returns (outcome, probability of it)."""
+        """Measure the ±1 observable q; returns (outcome, probability of it).
+        Trace signs past the byte cap raise ResourceCapError (`_sign_bytes`)
+        before anything changes."""
         mask = self.tableau.anticommuting_mask(q)
         if not q.is_hermitian():
             raise DimensionError("measurement operator must be Hermitian")
+        _sign_bytes(self.n, len(self.table))
         case, pivot = self.tableau._case_split(_row_ints(mask[None])[0])
         if case == 2:
             p0, p1, keep = self._project_commuting(q, np.flatnonzero(_bits(mask, self.n)))
@@ -420,30 +424,31 @@ class PauliSumState(_CliffordGates):
         n + j1 (case I of `Tableau._case_split`): the tableau's collapse
         multiplies every other anticommuting row by M_{j1}, moves M_{j1} to
         its destabilizer slot and puts q in its place; anticommuting words
-        pick up a factor of the old generator, and so do the eigenvalue bits
-        of the later generators q anticommutes with.  The terms are updated
-        in a copy, so a collapse that raises leaves the state as it was."""
+        pick up a factor of the old generator (as the collapse read it), and
+        so do the eigenvalue bits of the later generators q anticommutes with.
+        The terms are updated in a copy, so a collapse that raises leaves the
+        state as it was."""
         n, tab = self.n, self.tableau
         j1 = pivot - n
         later = np.flatnonzero(_bits(mask, 2 * n)[pivot + 1:]) + (j1 + 1)
-        tab._collapse(mask, pivot, _word_bits(n, q), q.phase_exp // 2)
-        m1 = tab.get_row(j1)
+        m1, sign = tab._collapse(mask, pivot, _word_bits(n, q), q.phase_exp // 2)
 
         table = self.table.copy()
         coeff = table.coefficients()
         flips = table.anticommuting(q)
         e1 = table.eig_bits([j1])
-        k = table.multiply(flips, m1)
+        k = table.multiply(flips, m1, 2 * int(sign))
         table.flip_eig(later, e1)
         c = coeff / 2
         c[flips] = c[flips] * _I_POWERS[k[flips]] * np.where(e1[flips], -1 + 0j, 1 + 0j)
         # keep0 and keep1 differ only in the bit for generator j1, so they
-        # share the words, masks and product signs.
+        # share the words, masks and product signs, and their sign parities
+        # differ where a mask selects generator j1.
         masks, signs = tab.stabilizer_signs(table)
-        p = []
-        for bit in (0, 1):
-            table.set_eig(j1, bit)
-            p.append(self._trace_sum(c, np.where(table.eig_parity(masks), -signs, signs)).real)
+        table.set_eig(j1, 0)
+        odd = table.eig_parity(masks)
+        p = [self._trace_sum(c, np.where(odd ^ at, -signs, signs)).real
+             for at in (False, _bits(masks[j1], len(table)))]
 
         def keep(outcome):
             table.set_eig(j1, outcome)

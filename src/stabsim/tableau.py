@@ -149,6 +149,14 @@ def _term_bytes(n: int) -> int:
     return 25 * ((3 * n + 63) // 64) + 160
 
 
+def _sign_bytes(n: int, k: int) -> int:
+    """Bytes `stabilizer_signs` holds per its k terms on n qubits, at most (its
+    unpacked mask, the row indices it selects as two intp arrays, its mask and
+    product words with their copies, its flags and sign), by `_check_bytes`."""
+    need = k * (17 * n + 64 * ((n + 63) // 64) + 64)
+    return _check_bytes(need, f"the trace signs of {k} terms on {n} qubits need about {need} bytes")
+
+
 def _snapshot_bytes(n: int) -> int:
     rows = 2 * n + 1
     return _HEADER + 2 * rows * ((n + 63) // 64) * 8 + (rows + 63) // 64 * 8
@@ -564,40 +572,45 @@ class _PauliColumns(_CliffordGates):
         """Which strings of `words` (a `PauliTable`, or a tableau's rows) each
         of this store's strings lo..hi-1 anticommutes with: a (hi - lo, w)
         uint64 array, w the word count of `words`, whose row k has bit t set
-        iff string lo+k anticommutes with string t (`_anticommutation`), in
-        batches of at most _STEP_BYTES string-qubit-word products (8 bytes
-        each: batches of _STEP_BYTES bytes ran up to 1.4 times slower, n =
-        60 and 1,024-16,384 terms on a 2-core VM), or one string."""
-        n, w = self.n, words._words
+        iff string lo+k anticommutes with string t (`_anticommutation`), read
+        only where some string of `words` is not the identity, in batches of
+        at most _STEP_BYTES string-qubit-word products (8 bytes each: batches
+        of _STEP_BYTES bytes ran up to 1.4 times slower, n = 60 and
+        1,024-16,384 terms on a 2-core VM), or one string."""
+        w = words._words
+        cols = np.flatnonzero((words.x | words.z).any(axis=1))
+        wx, wz = words.x[cols], words.z[cols]
         out = np.zeros((max(hi - lo, 0), w), dtype=np.uint64)
-        step = max(1, _STEP_BYTES // (n * max(w, 1)))
+        step = max(1, _STEP_BYTES // max(cols.size * w, 1))
         for s in range(lo, hi, step):
             e, k = min(hi, s + step), s >> 6
-            # bit i of column j: string 64k + i's bit at qubit j
-            xs, zs = (_unpack_rows(a[:, k:(e + 63) >> 6], e - 64 * k) for a in (self.x, self.z))
-            out[s - lo:e - lo] = _anticommutation(xs[:, s - 64 * k:].T, zs[:, s - 64 * k:].T, words)
+            # bit i of column j: string 64k + i's bit at qubit cols[j]
+            xs, zs = (_unpack_rows(a[cols, k:(e + 63) >> 6], e - 64 * k) for a in (self.x, self.z))
+            out[s - lo:e - lo] = _anticommutation(xs[:, s - 64 * k:].T, zs[:, s - 64 * k:].T, wx, wz)
         return out
 
     def anticommuting_mask(self, q: PauliOperator) -> np.ndarray:
         """Packed mask (w words) of the strings in use that anticommute with q."""
         n, pad = self.n, _padded(self.n)
-        bits = _word_bits(n, q)[None]
-        return _anticommutation(bits[:, :n], bits[:, pad:pad + n], self)[0]
+        bits = _word_bits(n, q)
+        cols = np.flatnonzero(bits[:n] | bits[pad:pad + n])
+        return _anticommutation(bits[None, cols], bits[None, pad + cols], self.x[cols], self.z[cols])[0]
 
     def anticommuting(self, q: PauliOperator) -> np.ndarray:
         """Boolean per string in use: whether it anticommutes with q."""
         return _bits(self.anticommuting_mask(q), self._count)
 
 
-def _anticommutation(wx: np.ndarray, wz: np.ndarray, words: _PauliColumns) -> np.ndarray:
-    """The anticommutation kernel: for k strings given as (k, n) 0/1 uint8
-    x and z bits, a (k, w) uint64 array whose row s has bit t set iff string
-    s anticommutes with string t of `words`.  String s anticommutes with t
-    iff the XOR, over the qubits j, of z_t[j] where s has x[j] and of
-    x_t[j] where s has z[j] is 1: the XOR of `words`' z columns at s's x
-    bits and x columns at its z bits."""
-    anti = np.bitwise_xor.reduce(wx[:, :, None] * words.z, axis=1)
-    anti ^= np.bitwise_xor.reduce(wz[:, :, None] * words.x, axis=1)
+def _anticommutation(wx: np.ndarray, wz: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The anticommutation kernel: for k strings given as (k, c) 0/1 uint8
+    x and z bits at c qubits, a (k, w) uint64 array whose row s has bit t set
+    iff string s anticommutes with string t of a store whose (c, w) x and z
+    columns at those qubits are x and z.  String s anticommutes with t iff
+    the XOR, over the qubits j, of z_t[j] where s has x[j] and of x_t[j]
+    where s has z[j] is 1: the XOR of the z columns at s's x bits and the x
+    columns at its z bits."""
+    anti = np.bitwise_xor.reduce(wx[:, :, None] * z, axis=1)
+    anti ^= np.bitwise_xor.reduce(wz[:, :, None] * x, axis=1)
     return anti
 
 
@@ -852,8 +865,10 @@ class Tableau(_PauliColumns):
         Terms outside the bool array `where` get an empty mask: their
         products cannot raise, and their signs mean nothing.  A product is
         `row_product` of the rows n+a its mask selects, in ascending order,
-        and raises likewise: one `_row_products` segment per distinct mask."""
+        and raises likewise: one `_row_products` segment per distinct mask.
+        ResourceCapError (`_sign_bytes`) before the per-term arrays exist."""
         n, k = self.n, words._count
+        _sign_bytes(n, k)
         masks = self.anticommuting_rows(words, 0, n)
         if where is not None:
             masks &= _pack(where, words._words)
@@ -863,9 +878,11 @@ class Tableau(_PauliColumns):
         prods, phase, bad = self._row_products(np.flatnonzero(bits) % n + n, bits.sum(axis=1))
         if bad.any():
             raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
-        cols = _transpose(prods[group], np.r_[:n, _padded(n):_padded(n) + n])
-        outside = _bits(np.bitwise_or.reduce((cols[:n] ^ words.x) | (cols[n:] ^ words.z), axis=0), k)
-        return masks, np.select([outside, phase[group] != 0], [0.0, -1.0], 1.0)
+        pad = _padded(n)
+        cols = _transpose(prods[group], np.arange(2 * pad))
+        outside = (cols[:n] ^ words.x) | (cols[pad:pad + n] ^ words.z)
+        # a product that does not raise is real: its power of i is 0 or 2
+        return masks, np.where(_bits(np.bitwise_or.reduce(outside, axis=0), k), 0.0, 1.0 - phase[group])
 
     # -- measurement ------------------------------------------------------------
 
@@ -895,7 +912,7 @@ class Tableau(_PauliColumns):
         `partner`, and the Pauli takes its place.  In case III the pivot is a
         logical row, so the Pauli is a new generator: the logical pair in rows
         n+r and r moves to the pivot's two rows, and the Pauli and its partner
-        take rows n+r and r; the rank grows by one."""
+        take rows n+r and r; the rank grows by one.  Returns the pivot row read."""
         partner = (pivot + self.n) % (2 * self.n)
         src = self._read_row(pivot)
         others = mask.copy()
@@ -911,6 +928,7 @@ class Tableau(_PauliColumns):
             pivot, partner, self.rank = n + r, r, r + 1
         self._write_row(partner, *src)
         self._write_row(pivot, bits, sign)
+        return src
 
     def _determinate(self, qubits) -> list[MeasurementRecord]:
         """Records of determinate measurements of the qubits `qubits`.  The
@@ -1342,12 +1360,12 @@ class PauliTable(_PauliColumns):
         keys = _int_words([x | z << n | e << 2 * n for _, x, z, e in terms], (3 * n + 63) // 64)
         self._set_rows(n, keys, np.array([t[0] for t in terms], dtype=complex))
 
-    def _set_rows(self, n: int, keys: np.ndarray, coeff: np.ndarray) -> "PauliTable":
-        """Take n qubits' terms from their row-major keys and coefficients."""
+    def _set_rows(self, n: int, keys: np.ndarray, coeff: np.ndarray, xz=None) -> "PauliTable":
+        """Take n qubits' terms from their row-major keys (or a copy of their columns xz)."""
         self.n = self._zoff = n
         self._count = len(coeff)
         self._words = (self._count + 63) // 64
-        self._adopt(_transpose(keys, np.arange(3 * self.n)))
+        self._adopt(_transpose(keys, np.arange(3 * self.n)) if xz is None else xz.copy())
         self.r = np.zeros(self._words, dtype=np.uint64)
         self._coeff = coeff
         return self
@@ -1392,22 +1410,22 @@ class PauliTable(_PauliColumns):
 
     def generator_masks(self, tableau: Tableau) -> list[int]:
         """Per term, the int mask (bit a = generator a) of the stabilizer
-        generators of `tableau` that it anticommutes with."""
-        rows = self.anticommuting_rows(tableau, 0, self._count)
-        return [(m >> self.n) & ((1 << self.n) - 1) for m in _row_ints(rows)]
+        generators of `tableau` that it anticommutes with (stabilizer-major)."""
+        rows = tableau.anticommuting_rows(self, tableau.n, 2 * tableau.n)
+        return _row_ints(_transpose(rows, np.arange(self._count)))
 
     # -- the measurement's term updates -------------------------------------------
 
-    def multiply(self, where: np.ndarray, p: PauliOperator) -> np.ndarray:
+    def multiply(self, where: np.ndarray, bits: np.ndarray, phase: int) -> np.ndarray:
         """Multiply the words of the terms `where` (a bool array) on the
-        right by p, in place, and return per term the power of i of that
-        product, as `pauli.multiply` gives it (0 for the other terms).
-        `_left_multiply` gives the power of i of p's word times the term's
-        word; the term's word times p's is its negation (where the two
-        anticommute, its bit 1 flips), and p's phase is added."""
-        lo, hi = self._left_multiply(_pack(where, self._words), _word_bits(self.n, p))
+        right by i^phase P, P the 0/1 column `bits` (`_word_bits`, or the row
+        `_collapse` returns), in place; return per term the power of i of
+        that product, as `pauli.multiply` gives it (0 for the other terms).
+        `_left_multiply` gives the power of i of P times the term's word; the
+        term's word times P is its negation (bit 1 flips where they anticommute)."""
+        lo, hi = self._left_multiply(_pack(where, self._words), bits)
         k = _bits(lo, self._count) + 2 * _bits(hi ^ lo, self._count).astype(np.int64)
-        return np.where(where, (k + p.phase_exp) % 4, 0)
+        return np.where(where, (k + phase) % 4, 0)
 
     def eig_bits(self, gens) -> np.ndarray:
         """Per term, the XOR of its eigenvalue bits for the generators gens."""
@@ -1443,13 +1461,13 @@ class PauliTable(_PauliColumns):
     def merged(self, coeff: np.ndarray, tol: float, where=None, joined=None) -> "PauliTable":
         """A new table of the terms `where` (all if None), followed by all
         those of the table `joined` if given, with coefficients coeff,
-        merged by `_merge`."""
+        merged by `_merge` (with this table's columns if the keys are all its own)."""
         keys = self._keys()
         if where is not None:
             keys = keys[where]
         if joined is not None:
             keys = np.concatenate((keys, joined._keys()))
-        return _merge(self.n, keys, coeff, tol)
+        return _merge(self.n, keys, coeff, tol, self._xz if len(keys) == self._count else None)
 
     def shifted(self, shifts, coeff: np.ndarray, tol: float) -> "PauliTable":
         """A new table whose term m t + j (m = len(shifts)) is term t with
@@ -1473,12 +1491,13 @@ def _unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], group
 
 
-def _merge(n: int, keys: np.ndarray, coeff: np.ndarray, tol: float) -> PauliTable:
+def _merge(n: int, keys: np.ndarray, coeff: np.ndarray, tol: float, xz=None) -> PauliTable:
     """A table on n qubits of merged row-major term keys: rows equal in
     every word become one, at the place of the first, with coeff summed
     over them in row order onto 0j (np.add.at, so each float is as a
     one-at-a-time sum gives it), and sums with |c| <= tol are dropped (the
-    keys are copied for that only if some are)."""
+    keys are copied for that only if some are).  If neither happens, a copy
+    of xz, the keys' own columns if given, spares transposing them back."""
     first, group = _unique_rows(keys)
     if first.size < len(keys):
         order = np.argsort(first)
@@ -1486,13 +1505,13 @@ def _merge(n: int, keys: np.ndarray, coeff: np.ndarray, tol: float) -> PauliTabl
         rank[order] = np.arange(order.size)
         sums = np.zeros(order.size, dtype=complex)
         np.add.at(sums, rank[group], coeff)
-        keys = keys[first[order]]
+        keys, xz = keys[first[order]], None
     else:
         sums = coeff + 0j  # the one-term sum onto 0j: -0.0 parts become 0.0
     keep = np.abs(sums) > tol
     if not keep.all():
-        keys, sums = keys[keep], sums[keep]
-    return object.__new__(PauliTable)._set_rows(n, keys, sums)
+        keys, sums, xz = keys[keep], sums[keep], None
+    return object.__new__(PauliTable)._set_rows(n, keys, sums, xz)
 
 
 def new_zero_state(n: int) -> Tableau:

@@ -52,6 +52,7 @@ MOMENTS = ("tests/test_moments.py",)
 RUN = ("tests/test_measure_run.py",)
 WORDS = ("tests/test_word_boundaries.py",)
 OVERLAP = ("tests/test_overlap.py", "tests/test_errors.py")
+TABLE = ("tests/test_pauli_table.py",)
 
 MUTANTS = [
     # -- the fused moment kernel and its steps (`_conjugate_step`, `_conjugate`)
@@ -184,6 +185,20 @@ MUTANTS = [
            "anti[b:] ^= z[b:]", "pass", ("tests/test_pauli_table.py",)),
     Mutant("left-multiply-no-odd-check", "tableau.py",
            "if self._hermitian and (odd & mask).any():", "if False:", ("tests/test_tableau.py",)),
+    # -- a Pauli-sum measurement (`anticommuting_rows` over the terms' support,
+    # `stabilizer_signs`, the pivot row `_collapse` returns, `_merge`'s columns)
+    Mutant("support-drops-last-column", "tableau.py",
+           "cols = np.flatnonzero((words.x | words.z).any(axis=1))",
+           "cols = np.flatnonzero((words.x | words.z).any(axis=1))[:-1]", TABLE),
+    Mutant("signs-compare-x-only", "tableau.py",
+           "outside = (cols[:n] ^ words.x) | (cols[pad:pad + n] ^ words.z)",
+           "outside = cols[:n] ^ words.x", ("tests/test_tableau.py",)),
+    Mutant("multiply-by-the-new-pivot-row", "tableau.py",
+           "return src", "return self._read_row(pivot)", TABLE),
+    Mutant("merge-keeps-columns-after-a-merge", "tableau.py",
+           "keys, xz = keys[first[order]], None", "keys = keys[first[order]]", TABLE),
+    Mutant("outcome-1-parity-not-flipped", "beyond.py",
+           "for at in (False, _bits(masks[j1], len(table)))]", "for at in (False, False)]", TABLE),
 ]
 
 # Loaded by each pytest run (`-p`): hypothesis derandomized, with no example

@@ -34,6 +34,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from perfbench.workloads import T_GATE as T_GATE_TEXT  # noqa: E402
+from perfbench.workloads import dense_program  # noqa: E402
 
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
 
@@ -445,6 +446,17 @@ def test_collapse_matches_rowsum_loop(n, seed, with_t):
     assert [s.tableau.get_row(i) for i in rows] == [ref.get_row(i) for i in rows]
     assert s.tableau.rowsum_count == ref.rowsum_count
     assert s.is_hermitian_closed()
+
+
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_one_term_gives_the_tableau_transcript(n):
+    # With no non-stabilizer gate the state is one identity term: its
+    # masks read no qubit, and every outcome is the tableau's.
+    program = parse(dense_program(n, random.Random(n)))
+    out = runner.run(program, seed=3, engine="beyond", verbose=True)
+    body, report = out.split("# terms ")
+    assert body == runner.run(program, seed=3, engine="tableau", verbose=True)
+    assert report.startswith("1 (bound 1,")
 
 
 def t_state():

@@ -231,7 +231,9 @@ def test_a_word_of_the_wrong_length_is_rejected_everywhere():
         (lambda: t.set_row(4, long), tableau_state(t)),
         (lambda: t.anticommuting(long), tableau_state(t)),
         (lambda: s.measure_pauli(long, random.Random(0)), lambda: sum_state(s)),
-        (lambda: table.multiply(np.ones(1, dtype=bool), long), lambda: table._xz.tobytes()),
+        # `multiply` takes a word as the column `_word_bits` makes of it
+        (lambda: table.multiply(np.ones(1, dtype=bool), tableau._word_bits(N, long), 0),
+         lambda: table._xz.tobytes()),
         (lambda: MixedTableau.from_stabilizers(N, [parse_pauli("ZII"), long]), lambda: None),
     ):
         expect(DimensionError, r"operator length mismatch", call, snapshot)
@@ -405,6 +407,24 @@ def test_one_lowered_cap_refuses_every_byte_check(monkeypatch):
     state = product_run_state(run)
     expect(ResourceCapError, r"folding 8 Pauli words on 2 qubits needs about 1480 bytes, over "
            r"the cap of 1032", lambda: run.measure(1, rng), lambda: (state(), rng.getstate()))
+
+
+def test_a_measurement_past_the_byte_cap_is_refused_unchanged(monkeypatch):
+    # A Pauli-sum measurement's trace signs hold about 17 n bytes per term
+    # (`tableau._sign_bytes`).  The cap is read when the measurement runs,
+    # and one byte below that need refuses it before the tableau collapses:
+    # on qubit 0 (Z_0 anticommutes with a stabilizer) and on qubit 2 (it
+    # commutes with all of them).
+    s, rng = t_state(), random.Random(5)
+    k = len(s.terms)
+    need = tableau._sign_bytes(N, k)
+    monkeypatch.setattr(tableau, "MAX_TABLEAU_BYTES", need - 1)
+    for a in (0, 2):
+        expect(ResourceCapError, rf"the trace signs of {k} terms on {N} qubits need about {need} "
+               rf"bytes, over the cap of {need - 1}", lambda: s.measure_qubit(a, rng),
+               lambda: (sum_state(s), rng.getstate()))
+    monkeypatch.setattr(tableau, "MAX_TABLEAU_BYTES", need)
+    s.measure_qubit(0, rng)
 
 
 # engine name -> (a maker of an N-qubit state, the snapshot of one)

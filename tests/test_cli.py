@@ -480,6 +480,20 @@ class TestMainEntry:
         f.write_text(block + "h 63\nm 63\n")
         assert main(["run", str(f), "--engine", "beyond"]) == 0
 
+    def test_pauli_sum_measurement_over_memory_cap_exit_code(self, tmp_path, capsys, monkeypatch):
+        # A tableau on 64 qubits and the T gate's products fit the lowered
+        # cap; the trace signs of the terms of the measurement after it do
+        # not.  The one term of a stabilizer state fits.
+        monkeypatch.setattr(tableau, "MAX_TABLEAU_BYTES", tableau._tableau_bytes(64))
+        f = tmp_path / "t64.chp"
+        f.write_text(T_GATE + "h 63\nu t 63\nm 63\n")
+        assert main(["run", str(f), "--engine", "beyond"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "resource cap: the trace signs of 4 terms on 64 qubits" in captured.err
+        f.write_text(T_GATE + "h 63\nm 63\n")
+        assert main(["run", str(f), "--engine", "beyond"]) == 0
+
     def test_innerprod_output(self, tmp_path, capsys):
         f1 = tmp_path / "a.chp"
         f1.write_text("h 0\nc 0 1\n")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unitary
+from conftest import random_tableau, random_unitary
 
 from stabsim.beyond import PRUNE_TOL, PROB_TOL, PauliSumState, nonstab_expand
 from stabsim.errors import CorruptTableauError, DimensionError, NumericalIntegrityError
@@ -28,7 +28,14 @@ from stabsim.pauli import (
     symplectic,
 )
 from stabsim.program import CircuitProgram, Cnot, Hadamard, Measure, Phase, execute
-from stabsim.tableau import PauliTable, _int_words, _word_bits, new_zero_state, sample_outcome
+from stabsim.tableau import (
+    PauliTable,
+    _int_words,
+    _row_ints,
+    _word_bits,
+    new_zero_state,
+    sample_outcome,
+)
 
 T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
 
@@ -335,7 +342,7 @@ def test_multiply_matches_pauli_multiply_term_by_term(n, count, phase, y_heavy, 
     pz = px ^ (r.getrandbits(n) & r.getrandbits(n) & r.getrandbits(n)) if y_heavy else r.getrandbits(n)
     p = PauliOperator(n, phase, px, pz)
     eig, signs = table.eig.copy(), table.r.copy()
-    k = table.multiply(where, p)
+    k = table.multiply(where, _word_bits(n, p), p.phase_exp)
     assert np.array_equal(table.eig, eig) and np.array_equal(table.r, signs)
     assert not (table._xz & ~_int_words([(1 << count) - 1], table._words)[0]).any()
     got = [(t.x, t.z, t.eig) for t in table]
@@ -345,6 +352,40 @@ def test_multiply_matches_pauli_multiply_term_by_term(n, count, phase, y_heavy, 
             assert g == (want.x, want.z, e) and kt == want.phase_exp
         else:
             assert g == (x, z, e) and kt == 0
+
+
+def support_words(n, support, r):
+    """Pauli words (x, z) whose joint support is empty, one qubit (three
+    tables: qubit 0, 63 where it exists, and n - 1) or every qubit."""
+    if support == "empty":
+        return [[(0, 0)] * 3]
+    if support == "full":
+        ones = (1 << n) - 1
+        return [[(ones, 0), (ones, ones), (0, ones)]
+                + [(r.getrandbits(n), r.getrandbits(n)) for _ in range(67)]]
+    qubits = sorted({0, min(63, n - 1), n - 1})
+    return [[(0, 0), (1 << q, 0), (1 << q, 1 << q), (0, 1 << q)] for q in qubits]
+
+
+@pytest.mark.parametrize("n", [63, 64, 65])
+@pytest.mark.parametrize("support", ["empty", "one qubit", "full"])
+def test_masks_over_the_support_equal_the_whole_product(n, support):
+    """`anticommuting_rows`, the destabilizer masks of `stabilizer_signs`
+    and `generator_masks` read only the qubits where some term is not the
+    identity.  Each equals the symplectic product over all n qubits, term
+    by term and row by row."""
+    r = random.Random(n)
+    t = random_tableau(n, r, ngates=8 * n)
+    rows = t.rows(0, 2 * n)
+    for words in support_words(n, support, r):
+        table = PauliTable(n, [(1.0, x, z, 0) for x, z in words])
+        # bit j of row i: row i anticommutes with word j
+        whole = [sum((((p.x & z).bit_count() + (p.z & x).bit_count()) & 1) << j
+                     for j, (x, z) in enumerate(words)) for p in rows]
+        assert _row_ints(t.anticommuting_rows(table, 0, 2 * n)) == whole
+        assert _row_ints(t.stabilizer_signs(table)[0]) == whole[:n]
+        assert table.generator_masks(t) == [sum((w >> j & 1) << a for a, w in enumerate(whole[n:]))
+                                            for j in range(len(words))]
 
 
 @pytest.mark.parametrize("bad", [Hadamard(6), Phase(-1), Cnot(2, 2), Cnot(0, 9)])

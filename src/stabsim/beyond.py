@@ -42,8 +42,6 @@ from .tableau import (  # noqa: F401  (PauliSumTerm is part of this module's API
     PauliTable,
     _check_bytes,
     _CliffordGates,
-    _bits,
-    _row_ints,
     _sign_bytes,
     _term_bytes,
     _word_bits,
@@ -53,6 +51,7 @@ from .tableau import (  # noqa: F401  (PauliSumTerm is part of this module's API
 
 PRUNE_TOL = 1e-14  # a term or expansion coefficient with |c| at most this is dropped
 PROB_TOL = 1e-8
+HERMITIAN_TOL = 1e-9  # most |c* - c'| between mated terms `is_hermitian_closed` accepts
 TERM_CAP = 1_000_000  # most terms a Pauli-sum gate may leave
 MAX_MEASUREMENTS = 16  # of a product-state program: measurement k sums 2^k words
 
@@ -375,17 +374,47 @@ class PauliSumState(_CliffordGates):
 
     def measure_pauli(self, q: PauliOperator, rng) -> tuple:
         """Measure the ±1 observable q; returns (outcome, probability of it).
-        Trace signs past the byte cap raise ResourceCapError (`_sign_bytes`)
-        before anything changes."""
-        mask = self.tableau.anticommuting_mask(q)
+        `Tableau._pauli_case` gives q's column, case and pivot and the rows q
+        anticommutes with; the terms q anticommutes with come from the same
+        column.  Case II: q is ± the product of the generators those
+        destabilizer rows index, so those terms have trace 0 and are dropped,
+        and the rest split by their q-eigenvalue.  Case I: the collapse puts
+        q in place of the first anticommuting generator M_{j1}; in a copy of
+        the terms, the anticommuting words pick up a factor of M_{j1} (as the
+        collapse read it), and so do the eigenvalue bits of the later
+        generators q anticommutes with; the outcomes differ only in the bit
+        for generator j1.  Trace signs past the byte cap raise
+        ResourceCapError (`_sign_bytes`) before anything changes."""
+        n, tab, table = self.n, self.tableau, self.table
+        bits, case, pivot, mask, rows = tab._pauli_case(q)
         if not q.is_hermitian():
             raise DimensionError("measurement operator must be Hermitian")
-        _sign_bytes(self.n, len(self.table))
-        case, pivot = self.tableau._case_split(_row_ints(mask[None])[0])
+        _sign_bytes(n, len(table))
+        flips = table.anticommuting(bits)
         if case == 2:
-            p0, p1, keep = self._project_commuting(q, np.flatnonzero(_bits(mask, self.n)))
+            prod = tab.row_product(n + rows)
+            _, signs = self._trace_signs(table, ~flips)
+            if (prod.x, prod.z) != (q.x, q.z):
+                raise CorruptTableauError("operator commutes with but is outside ±S")
+            ones = table.eig_bits(rows) ^ ((prod.phase_exp != 0) != (q.phase_exp == 2))
+            c = table.coefficients()
+            wheres = (~flips & ~ones, ~flips & ones)
+            p0, p1 = (self._trace_sum(c[w], signs[w]).real for w in wheres)
         else:
-            p0, p1, keep = self._project_anticommuting(q, mask, pivot)
+            j1 = pivot - n
+            m1, sign = tab._collapse(mask, pivot, bits, q.phase_exp // 2)
+            table = table.copy()
+            e1 = table.eig_bits([j1])
+            k = table.multiply(flips, m1, 2 * int(sign))
+            table.flip_eig(rows[rows > pivot] - n, e1)
+            c = table.coefficients() / 2
+            c[flips] = c[flips] * _I_POWERS[k[flips]] * np.where(e1[flips], -1 + 0j, 1 + 0j)
+            masks, signs = tab.stabilizer_signs(table)
+            p = []
+            for bit in (0, 1):  # each outcome's eigenvalue bit for generator j1
+                table.set_eig(j1, bit)
+                p.append(self._trace_sum(c, np.where(table.eig_parity(masks), -signs, signs)).real)
+            p0, p1 = p
         if abs(p0 + p1 - 1.0) > PROB_TOL:
             raise NumericalIntegrityError(
                 f"outcome probabilities sum to {p0 + p1}, not 1"
@@ -396,65 +425,14 @@ class PauliSumState(_CliffordGates):
         p0 = min(max(p0, 0.0), 1.0)
         outcome, _ = sample_outcome(p0, rng)
         prob = p0 if outcome == 0 else 1.0 - p0
-        table, coeff, where = keep(outcome)
-        self.table = table.merged(coeff / prob, PRUNE_TOL, where)
-        return outcome, prob
-
-    def _project_commuting(self, q: PauliOperator, hits: np.ndarray):
-        """q commutes with the whole stabilizer, hence lies in ±S as the
-        product of the generators `hits` (the destabilizers it anticommutes
-        with): terms anticommuting with q have trace 0 and are dropped, the
-        rest split by their q-eigenvalue."""
-        table = self.table
-        kept = ~table.anticommuting(q)
-        prod = self.tableau.row_product(self.n + hits)
-        _, signs = self._trace_signs(table, kept)
-        if (prod.x, prod.z) != (q.x, q.z):
-            raise CorruptTableauError("operator commutes with but is outside ±S")
-        flip = (prod.phase_exp != 0) != (q.phase_exp == 2)
-        ones = table.eig_bits(hits) ^ flip
-        coeff = table.coefficients()
-        wheres = (kept & ~ones, kept & ones)
-        p0, p1 = (self._trace_sum(coeff[w], signs[w]).real for w in wheres)
-        return p0, p1, lambda outcome: (table, coeff[wheres[outcome]], wheres[outcome])
-
-    def _project_anticommuting(self, q: PauliOperator, mask: np.ndarray, pivot: int):
-        """q anticommutes with the rows set in the packed mask `mask` of the
-        tableau, the first generator among them M_{j1} at the `pivot` row
-        n + j1 (case I of `Tableau._case_split`): the tableau's collapse
-        multiplies every other anticommuting row by M_{j1}, moves M_{j1} to
-        its destabilizer slot and puts q in its place; anticommuting words
-        pick up a factor of the old generator (as the collapse read it), and
-        so do the eigenvalue bits of the later generators q anticommutes with.
-        The terms are updated in a copy, so a collapse that raises leaves the
-        state as it was."""
-        n, tab = self.n, self.tableau
-        j1 = pivot - n
-        later = np.flatnonzero(_bits(mask, 2 * n)[pivot + 1:]) + (j1 + 1)
-        m1, sign = tab._collapse(mask, pivot, _word_bits(n, q), q.phase_exp // 2)
-
-        table = self.table.copy()
-        coeff = table.coefficients()
-        flips = table.anticommuting(q)
-        e1 = table.eig_bits([j1])
-        k = table.multiply(flips, m1, 2 * int(sign))
-        table.flip_eig(later, e1)
-        c = coeff / 2
-        c[flips] = c[flips] * _I_POWERS[k[flips]] * np.where(e1[flips], -1 + 0j, 1 + 0j)
-        # keep0 and keep1 differ only in the bit for generator j1, so they
-        # share the words, masks and product signs, and their sign parities
-        # differ where a mask selects generator j1.
-        masks, signs = tab.stabilizer_signs(table)
-        table.set_eig(j1, 0)
-        odd = table.eig_parity(masks)
-        p = [self._trace_sum(c, np.where(odd ^ at, -signs, signs)).real
-             for at in (False, _bits(masks[j1], len(table)))]
-
-        def keep(outcome):
+        where = None
+        if case == 2:
+            where = wheres[outcome]
+            c = c[where]
+        else:
             table.set_eig(j1, outcome)
-            return table, c, None
-
-        return p[0], p[1], keep
+        self.table = table.merged(c / prob, PRUNE_TOL, where)
+        return outcome, prob
 
     def measure_qubit(self, a: int, rng) -> tuple:
         """Measure Z on qubit a (see `pauli._qubit_index`); returns
@@ -472,15 +450,15 @@ class PauliSumState(_CliffordGates):
 
     # -- diagnostics ---------------------------------------------------------------
 
-    def is_hermitian_closed(self, tol: float = 1e-9) -> bool:
-        """The term list must pair (c, P, e) with (c*, P, e ^ s_P) where s_P
-        marks the generators anticommuting with P."""
+    def is_hermitian_closed(self) -> bool:
+        """The term list must pair (c, P, e) with (c*, P, e ^ s_P), to within
+        HERMITIAN_TOL, where s_P marks the generators anticommuting with P."""
         table = {(t.x, t.z, t.eig): t.coeff for t in self.terms}
         words = PauliTable(self.n, [(1, x, z, 0) for x, z, _ in table])
         masks = words.generator_masks(self.tableau)
         for ((x, z, e), c), s in zip(table.items(), masks):
             mate = table.get((x, z, e ^ s))
-            if mate is None or abs(np.conj(mate) - c) > tol:
+            if mate is None or abs(np.conj(mate) - c) > HERMITIAN_TOL:
                 return False
         return True
 

@@ -12,12 +12,13 @@ state is the uniform mixture over the stabilized subspace: its density
 matrix is 2**(-r) times the product of (I + M_i) over the generators.
 
 Gates and measurement are the `Tableau`'s, which read the rank: measuring
-a Pauli is case I, II or III of one case split (`Tableau._case_split`).
-`from_stabilizers` builds a state from its generators the same way: it
-starts from the completely mixed state (rank 0) and measures each generator
-in turn with the outcome forced to +1.  Every generator must be case III
-and becomes the next stabilizer row exactly as given; the collapses supply
-its destabilizer partner and the logical rows.
+a Pauli starts with one step (`Tableau._pauli_case`: its column, its case
+I, II or III, the pivot and the rows it anticommutes with).
+`from_stabilizers` builds a state from its generators: from the completely
+mixed state (rank 0) it measures each generator in turn, the outcome
+forced to +1, and collapses the tableau on what that step returns.  Every
+generator must be case III and becomes the next stabilizer row exactly as
+given; the collapses supply its destabilizer partner and the logical rows.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import DimensionError, InvalidTableauError
 from .gf2 import rref
 from .pauli import PauliOperator, _qubit_index
-from .tableau import Tableau, _row_ints, _word_bits
+from .tableau import Tableau
 
 _MAGIC = b"STBM"
 _VERSION = 1
@@ -65,13 +66,12 @@ class MixedTableau(Tableau):
                 raise InvalidTableauError("generators must carry ±1 phases")
         t = cls(n, 0)
         for g in gens:
-            mask = t.anticommuting_mask(g)
-            case, pivot = t._case_split(_row_ints(mask[None])[0])
+            bits, case, pivot, mask, _ = t._pauli_case(g)
             if case == 1:
                 raise InvalidTableauError("generators must commute")
             if case == 2:
                 raise InvalidTableauError("generators are not independent")
-            t._collapse(mask, pivot, _word_bits(n, g), g.phase_exp // 2)
+            t._collapse(mask, pivot, bits, g.phase_exp // 2)
         return t
 
     # -- accessors ----------------------------------------------------------

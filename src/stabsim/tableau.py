@@ -34,9 +34,9 @@ non-stabilizer gate updates every term in whole-table numpy steps.
 
 This module alone knows how the bits are packed.  Other modules go through
 its row reads and writes, the moment kernel `_conjugate`,
-`anticommuting_rows`, `anticommuting_mask`, `_case_split` (the paper's
-measurement cases I-III at any rank, and the pivot), `_collapse` (the
-update for a measured Pauli on that mask), `_batch_rowsum`, `row_product`,
+`anticommuting_rows`, `_pauli_case` (a measured Pauli's column, its rows'
+mask, and the paper's cases I-III at any rank with the pivot), `_collapse`
+(the update for a measured Pauli on that mask), `_batch_rowsum`, `row_product`,
 `_row_products`, `stabilizer_signs` (which Pauli-sum terms lie in +-S, and
 with which sign), `apply_cnot_round`, `compose` and `inverse` (products and
 inverses of Cliffords), `_inverse_stabilizer` (the product-state run's
@@ -182,10 +182,18 @@ def _pack(flags: np.ndarray, words: int) -> np.ndarray:
     return out.view("<u8").astype(np.uint64, copy=False)
 
 
+_INT_ROWS = 32  # per step of `_int_words`: at n = 500 it peaks at 1.3 times its output
+
+
 def _int_words(vals, words: int) -> np.ndarray:
-    """Ints (bit j = column j) -> packed (len(vals), words) uint64 rows."""
-    raw = b"".join(v.to_bytes(8 * words, "little") for v in vals)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(vals), words).astype(np.uint64)
+    """Ints (bit j = column j) -> packed (len(vals), words) uint64 rows,
+    written into the one output array _INT_ROWS rows at a time."""
+    out = np.empty(len(vals) * words, dtype="<u8")
+    raw, step = memoryview(out.view(np.uint8)), 8 * words
+    for lo in range(0, len(vals), _INT_ROWS):
+        chunk = vals[lo:lo + _INT_ROWS]
+        raw[lo * step:(lo + len(chunk)) * step] = b"".join(v.to_bytes(step, "little") for v in chunk)
+    return out.reshape(len(vals), words).astype(np.uint64, copy=False)
 
 
 def _row_ints(a: np.ndarray) -> list[int]:
@@ -208,7 +216,8 @@ def _word_bits(n: int, p: PauliOperator) -> np.ndarray:
 
 def _span(lo: int, hi: int, words: int) -> np.ndarray:
     """Packed mask of `words` words with bits lo..hi-1 set."""
-    return _int_words([((1 << max(hi - lo, 0)) - 1) << lo], words)[0]
+    return np.frombuffer((((1 << max(hi - lo, 0)) - 1) << lo).to_bytes(8 * words, "little"),
+                         dtype="<u8").astype(np.uint64)
 
 
 # Bytes one step of `_transpose` or `_segment_products` (a word-major
@@ -589,16 +598,16 @@ class _PauliColumns(_CliffordGates):
             out[s - lo:e - lo] = _anticommutation(xs[:, s - 64 * k:].T, zs[:, s - 64 * k:].T, wx, wz)
         return out
 
-    def anticommuting_mask(self, q: PauliOperator) -> np.ndarray:
-        """Packed mask (w words) of the strings in use that anticommute with q."""
+    def anticommuting_mask(self, bits: np.ndarray) -> np.ndarray:
+        """Packed mask (w words) of the strings in use that anticommute with
+        the word of the 0/1 column `bits` (`_word_bits`), read at its support."""
         n, pad = self.n, _padded(self.n)
-        bits = _word_bits(n, q)
         cols = np.flatnonzero(bits[:n] | bits[pad:pad + n])
         return _anticommutation(bits[None, cols], bits[None, pad + cols], self.x[cols], self.z[cols])[0]
 
-    def anticommuting(self, q: PauliOperator) -> np.ndarray:
-        """Boolean per string in use: whether it anticommutes with q."""
-        return _bits(self.anticommuting_mask(q), self._count)
+    def anticommuting(self, bits: np.ndarray) -> np.ndarray:
+        """Boolean per string in use: whether it anticommutes with `bits`' word."""
+        return _bits(self.anticommuting_mask(bits), self._count)
 
 
 def _anticommutation(wx: np.ndarray, wz: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -885,6 +894,16 @@ class Tableau(_PauliColumns):
         return masks, np.where(_bits(np.bitwise_or.reduce(outside, axis=0), k), 0.0, 1.0 - phase[group])
 
     # -- measurement ------------------------------------------------------------
+
+    def _pauli_case(self, q: PauliOperator) -> tuple:
+        """The first step of every measurement of a Pauli q (on n qubits,
+        else DimensionError): q's 0/1 column (`_word_bits`), the case and
+        pivot (`_case_split`), the packed mask of the rows q anticommutes
+        with (`anticommuting_mask`) and its set bits in ascending order."""
+        bits = _word_bits(self.n, q)
+        mask = self.anticommuting_mask(bits)
+        case, pivot = self._case_split(_row_ints(mask[None])[0])
+        return bits, case, pivot, mask, np.flatnonzero(_bits(mask, 2 * self.n))
 
     def _case_split(self, hits: int) -> tuple[int, int]:
         """(case, pivot) of the paper's rule for measuring a Pauli that

@@ -198,7 +198,17 @@ MUTANTS = [
     Mutant("merge-keeps-columns-after-a-merge", "tableau.py",
            "keys, xz = keys[first[order]], None", "keys = keys[first[order]]", TABLE),
     Mutant("outcome-1-parity-not-flipped", "beyond.py",
-           "for at in (False, _bits(masks[j1], len(table)))]", "for at in (False, False)]", TABLE),
+           "table.set_eig(j1, bit)", "table.set_eig(j1, 0)", TABLE),
+    # -- the one step of a Pauli measurement (`Tableau._pauli_case`) and its
+    # two cases in `PauliSumState.measure_pauli`
+    Mutant("case-2-keeps-anticommuting-terms", "beyond.py",
+           "wheres = (~flips & ~ones, ~flips & ones)", "wheres = (~ones, ones)", TABLE),
+    Mutant("later-generators-miss-the-last", "beyond.py",
+           "table.flip_eig(rows[rows > pivot] - n, e1)",
+           "table.flip_eig((rows[rows > pivot] - n)[:-1], e1)", TABLE),
+    Mutant("pauli-case-rows-below-n-only", "tableau.py",
+           "return bits, case, pivot, mask, np.flatnonzero(_bits(mask, 2 * self.n))",
+           "return bits, case, pivot, mask, np.flatnonzero(_bits(mask, self.n))", TABLE),
 ]
 
 # Loaded by each pytest run (`-p`): hypothesis derandomized, with no example

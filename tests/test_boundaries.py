@@ -229,9 +229,9 @@ def test_a_word_of_the_wrong_length_is_rejected_everywhere():
     long = parse_pauli("ZZZZ")
     for call, snapshot in (
         (lambda: t.set_row(4, long), tableau_state(t)),
-        (lambda: t.anticommuting(long), tableau_state(t)),
+        (lambda: t.anticommuting(tableau._word_bits(N, long)), tableau_state(t)),
         (lambda: s.measure_pauli(long, random.Random(0)), lambda: sum_state(s)),
-        # `multiply` takes a word as the column `_word_bits` makes of it
+        # `anticommuting` and `multiply` take a word as the column `_word_bits` makes of it
         (lambda: table.multiply(np.ones(1, dtype=bool), tableau._word_bits(N, long), 0),
          lambda: table._xz.tobytes()),
         (lambda: MixedTableau.from_stabilizers(N, [parse_pauli("ZII"), long]), lambda: None),

@@ -403,6 +403,22 @@ def test_cnot_round_allocates_a_few_tableaus(n):
     assert peak <= 4 * tableau_module._tableau_bytes(n)
 
 
+def test_int_words_peak_stays_near_its_output():
+    # n = 500's CNOT-round rows (8 words each) are written a few rows at a
+    # time into the one array returned, not joined whole and then copied.
+    r = random.Random(500)
+    vals = [r.getrandbits(500) for _ in range(500)]
+    tracemalloc.start()
+    try:
+        out = tableau_module._int_words(vals, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (500, 8) and out.dtype == np.uint64
+    assert tableau_module._row_ints(out) == vals
+    assert peak <= 1.5 * out.nbytes
+
+
 def test_memory_bits_close_to_4n_squared():
     n = 256
     t = new_zero_state(n)
@@ -796,7 +812,7 @@ def test_anticommuting_rows_match_commutes(n, k, seed):
     ]
     for q in [PauliOperator(n, 0, x, z) for x, z in words[-1:]]:
         want = [bool(commutes(PauliOperator(n, 0, x, z), q)) for x, z in words]
-        assert list(table.anticommuting(q)) == want
+        assert list(table.anticommuting(tableau_module._word_bits(n, q))) == want
 
 
 def test_anticommuting_rows_in_small_slices(monkeypatch, rng):
@@ -863,6 +879,30 @@ def test_only_tableau_py_knows_the_bit_layout():
                     for a in node.names
                     if a.name in private
                 ]
+    assert not offenders
+
+
+# tableau.py's helpers that read or write packed words
+PACKED_WORD_HELPERS = {
+    "_bits", "_row_ints", "_int_words", "_unpack_rows", "_pack", "_span", "_row_mask",
+    "_transpose", "_xor_combine",
+}
+
+
+def test_no_module_but_tableau_py_imports_a_packed_word_helper():
+    """Every other module measures, multiplies and masks through tableau.py's
+    methods; `_word_bits` (a word's 0/1 column), the byte checks and
+    `_moment_lists` touch no packed words and stay importable."""
+    offenders = []
+    for path in sorted(Path(tableau_module.__file__).parent.glob("*.py")):
+        if path.name == "tableau.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("tableau"):
+                offenders += [f"{path.name}:{node.lineno} imports {a.name}"
+                              for a in node.names if a.name in PACKED_WORD_HELPERS]
+            if isinstance(node, ast.Attribute) and node.attr in PACKED_WORD_HELPERS:
+                offenders.append(f"{path.name}:{node.lineno} reads .{node.attr}")
     assert not offenders
 
 

@@ -193,9 +193,6 @@ class _ProductRun(_CliffordGates):
         self.probabilities.append(p0 if outcome == 0 else 1 - p0)
         return MeasurementRecord(a, outcome, det)
 
-    def measure_run(self, qubits, rng) -> list:
-        return [self.measure(a, rng) for a in qubits]
-
 
 @dataclass
 class ProductRunResult:
@@ -445,20 +442,16 @@ class PauliSumState(_CliffordGates):
         outcome, prob = self.measure_qubit(a, rng)
         return MeasurementRecord(a, outcome, deterministic=prob > 1 - ATOL)
 
-    def measure_run(self, qubits, rng) -> list:
-        return [self.measure(a, rng) for a in qubits]
-
     # -- diagnostics ---------------------------------------------------------------
 
     def is_hermitian_closed(self) -> bool:
         """The term list must pair (c, P, e) with (c*, P, e ^ s_P), to within
         HERMITIAN_TOL, where s_P marks the generators anticommuting with P."""
-        table = {(t.x, t.z, t.eig): t.coeff for t in self.terms}
-        words = PauliTable(self.n, [(1, x, z, 0) for x, z, _ in table])
-        masks = words.generator_masks(self.tableau)
-        for ((x, z, e), c), s in zip(table.items(), masks):
-            mate = table.get((x, z, e ^ s))
-            if mate is None or abs(np.conj(mate) - c) > HERMITIAN_TOL:
+        terms = list(self.terms)
+        table = {(t.x, t.z, t.eig): t.coeff for t in terms}
+        for t, s in zip(terms, self.table.generator_masks(self.tableau)):
+            mate = table.get((t.x, t.z, t.eig ^ s))
+            if mate is None or abs(np.conj(mate) - t.coeff) > HERMITIAN_TOL:
                 return False
         return True
 

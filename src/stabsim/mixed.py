@@ -23,13 +23,9 @@ given; the collapses supply its destabilizer partner and the logical rows.
 
 from __future__ import annotations
 
-from itertools import groupby
-
-import numpy as np
-
-from .errors import DimensionError, InvalidTableauError
+from .errors import CorruptTableauError, DimensionError, InvalidTableauError
 from .gf2 import rref
-from .pauli import PauliOperator, _qubit_index
+from .pauli import PauliOperator, _qubit_index, multiply
 from .tableau import Tableau
 
 _MAGIC = b"STBM"
@@ -114,19 +110,19 @@ class MixedTableau(Tableau):
         if self.n < 2:
             raise DimensionError("cannot discard below one qubit")
         a = _qubit_index(self.n, a)
-        n, r = self.n, self.rank
-        work = self.copy()
-        letters = [(p.x >> a & 1) | (p.z >> a & 1) << 1 for p in work.stabilizer_generators()]
-        # Eliminate on the (x_a, z_a) bits; the rows past the pivots are the
-        # generators with identity at a.  The row operations come in at most
-        # four runs that share a source row, each one batched rowsum.
-        ops = []
-        _, pivots = rref(letters, 2, lambda src, dst: ops.append((src, dst)))
-        for src, run in groupby(ops, key=lambda op: op[0]):
-            work._batch_rowsum(np.array([n + dst for _, dst in run]), n + src)
-        gens = [PauliOperator(n - 1, p.phase_exp, _drop_bit(p.x, a), _drop_bit(p.z, a))
-                for p in work.rows(n + len(pivots), n + r)]
-        return MixedTableau.from_stabilizers(n - 1, gens)
+        rows = self.stabilizer_generators()
+
+        def add(src: int, dst: int):
+            rows[dst] = multiply(rows[src], rows[dst])
+            if rows[dst].phase_exp % 2:
+                raise CorruptTableauError("rowsum phase sum is odd: tableau corrupted")
+
+        # Eliminate on the (x_a, z_a) bits, multiplying generators as `rowsum`
+        # would; the rows past the pivots have identity at a.
+        _, pivots = rref([(p.x >> a & 1) | (p.z >> a & 1) << 1 for p in rows], 2, add)
+        gens = [PauliOperator(self.n - 1, p.phase_exp, _drop_bit(p.x, a), _drop_bit(p.z, a))
+                for p in rows[len(pivots):]]
+        return MixedTableau.from_stabilizers(self.n - 1, gens)
 
     # -- snapshots ------------------------------------------------------------
 

@@ -178,9 +178,6 @@ class DenseState(_CliffordGates):
         self.project(a, outcome)
         return MeasurementRecord(a, outcome, det)
 
-    def measure_run(self, qubits, rng) -> list:
-        return [self.measure(a, rng) for a in qubits]
-
     # -- stabilizer-group extraction -----------------------------------------------
 
     def _pauli_apply(self, x: int, z: int) -> np.ndarray:

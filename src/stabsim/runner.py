@@ -19,8 +19,7 @@ from .beyond import ZERO_BLOCK, PauliSumState, ProductState, product_measure_pro
 from .errors import DimensionError, ResourceCapError, StabsimError
 from .mixed import MixedTableau
 from .oracle import DenseState
-from .program import CircuitProgram, execute, parse, random_unitary_program
-from .synth import tableau_of_program
+from .program import CircuitProgram, apply_gates, execute, parse, random_unitary_program
 from .tableau import new_zero_state
 
 ENGINES = ("tableau", "mixed", "beyond", "oracle")
@@ -93,6 +92,10 @@ def run(program: CircuitProgram, seed: int = 0, engine: str = "tableau",
 # sweep (n = 8000, beta about 5) needs about 5e5.
 MAX_BENCH_GATES = 10**7
 
+# Random gates `bench_one` draws and applies at a time: a configuration's
+# gates (about 120 bytes each as instructions) are never all held at once.
+BENCH_RUN_GATES = 4096
+
 
 @dataclass
 class BenchConfig:
@@ -119,11 +122,14 @@ class BenchConfig:
 
 
 def bench_one(n: int, beta: float, seed: int) -> dict:
-    """One trial: floor(beta n log2 n) random gates, then measure every qubit
-    in sequence, reporting wall time and rowsum invocations per measurement."""
+    """One trial: floor(beta n log2 n) random gates, in runs, then measure every
+    qubit in sequence, reporting wall time and rowsum invocations per measurement."""
     rng = random.Random(seed)
     ngates = int(beta * n * math.log2(n))
-    t = tableau_of_program(random_unitary_program(n, ngates, rng))
+    t = new_zero_state(n)
+    for done in range(0, ngates, BENCH_RUN_GATES):
+        run = random_unitary_program(n, min(BENCH_RUN_GATES, ngates - done), rng)
+        apply_gates(t, run.instructions)
     t.rowsum_count = 0
     start = time.perf_counter()
     t.measure_run(range(n), rng)

@@ -32,17 +32,17 @@ terms in place of the rows, so one moment kernel (`_conjugate_step`)
 conjugates the tableau and the terms, and a measurement or a
 non-stabilizer gate updates every term in whole-table numpy steps.
 
-This module alone knows how the bits are packed.  Other modules go through
-its row reads and writes, the moment kernel `_conjugate`,
-`anticommuting_rows`, `_pauli_case` (a measured Pauli's column, its rows'
-mask, and the paper's cases I-III at any rank with the pivot), `_collapse`
-(the update for a measured Pauli on that mask), `_batch_rowsum`, `row_product`,
-`_row_products`, `stabilizer_signs` (which Pauli-sum terms lie in +-S, and
-with which sign), `apply_cnot_round`, `compose` and `inverse` (products and
-inverses of Cliffords), `_inverse_stabilizer` (the product-state run's
-measured words) and the `PauliTable` methods.  One kernel,
-`_left_multiply` (a phase-free Pauli times every string of a packed mask),
-serves `rowsum`, `_batch_rowsum`, `_collapse` and `PauliTable.multiply`.
+This module alone knows how the bits are packed and makes row operations.
+Other modules go through its row reads and writes, the moment kernel
+`_conjugate`, `anticommuting_rows`, `_pauli_case` (a measured Pauli's
+column, its rows' mask, and the paper's cases I-III at any rank with the
+pivot), `_collapse` (the update for a measured Pauli on that mask),
+`row_product`, `_row_products`, `stabilizer_signs` (which Pauli-sum terms
+lie in +-S, and with which sign), `apply_cnot_round`, `compose` and
+`inverse` (products and inverses of Cliffords), `_inverse_stabilizer` (the
+product-state run's measured words) and the `PauliTable` methods.  One
+kernel, `_left_multiply` (a phase-free Pauli times every string of a packed
+mask), serves `rowsum`, `_collapse` and `PauliTable.multiply`.
 
 A product of k commuting rows (a determinate measurement's outcome, or a
 stabilizer-group element in the Pauli-sum engine) is computed in closed
@@ -150,10 +150,12 @@ def _term_bytes(n: int) -> int:
 
 
 def _sign_bytes(n: int, k: int) -> int:
-    """Bytes `stabilizer_signs` holds per its k terms on n qubits, at most (its
-    unpacked mask, the row indices it selects as two intp arrays, its mask and
-    product words with their copies, its flags and sign), by `_check_bytes`."""
-    need = k * (17 * n + 64 * ((n + 63) // 64) + 64)
+    """Bytes `stabilizer_signs` holds for k terms on n qubits, at most, by
+    `_check_bytes`: per term its mask bits, row indices, words and flags; per
+    qubit four arrays of n rows of 2 _padded(n) bits (a gather, or one long
+    product's rows, prefix XOR and temporaries) and 160 bytes; and twelve
+    _STEP_BYTES of batches (`anticommuting_rows`' products and unpacked bits)."""
+    need = k * (17 * n + 64 * ((n + 63) // 64) + 64) + n * (_padded(n) + 160) + 12 * _STEP_BYTES
     return _check_bytes(need, f"the trace signs of {k} terms on {n} qubits need about {need} bytes")
 
 
@@ -459,13 +461,12 @@ def _conjugate_step(x, z, r, q, i, j):
 
 
 class _CliffordGates:
-    """The checked CNOT/H/P entry points every engine shares.  Each checks
-    its gates (`_moment_qubits`, or `pauli._qubit_index` for one gate)
-    before anything changes and hands them, as one intp array with two cut
-    points, to the engine's moment kernel `_conjugate(q, i, j)` (see
-    `_moment_qubits`), which checks nothing.
-    `program.apply_gates` checks whole runs of gates in `program.moments`
-    and calls the kernels directly."""
+    """The engine base.  An engine gives its moment kernel `_conjugate(q, i,
+    j)`, which checks nothing, and `measure(a, rng)`.  The CNOT/H/P entry
+    points check their gates (`_moment_qubits`, or `pauli._qubit_index` for
+    one gate) before anything changes; `program.apply_gates` checks whole
+    runs in `program.moments` and calls the kernel directly.  `measure_run`
+    measures one qubit at a time; `Tableau` batches its runs."""
 
     n: int
 
@@ -489,16 +490,21 @@ class _CliffordGates:
         """Phase gate on qubit a: a moment of one gate."""
         self._conjugate(np.array([_qubit_index(self.n, a)]), 0, 1)
 
+    def measure_run(self, qubits, rng) -> list[MeasurementRecord]:
+        """Measure the qubits in turn: one `measure(a, rng)` each."""
+        return [self.measure(a, rng) for a in qubits]
 
-class _PauliColumns(_CliffordGates):
+
+class _PauliColumns:
     """Pauli strings stored qubit-major, the layout the tableau and the
-    Pauli-sum term table share: `x` and `z` are (n, w) uint64 arrays, bit i
-    of word k of `x[j]` being string 64k+i's x bit at qubit j, and `r`
-    holds one sign bit per string in w words.  `_count` strings are in use;
-    every bit past them is zero.  `x` and `z` are views of one stacked
-    column array `_xz`: x at its rows 0..n-1, z at rows _zoff..._zoff+n-1.
-    A store whose strings must stay Hermitian (`_hermitian`, the tableau)
-    refuses an imaginary product before anything is written."""
+    Pauli-sum term table share, with their moment kernel `_conjugate`: `x`
+    and `z` are (n, w) uint64 arrays, bit i of word k of `x[j]` being string
+    64k+i's x bit at qubit j, and `r` holds one sign bit per string in w
+    words.  `_count` strings are in use; every bit past them is zero.  `x`
+    and `z` are views of one stacked column array `_xz`: x at its rows
+    0..n-1, z at rows _zoff..._zoff+n-1.  A store whose strings must stay
+    Hermitian (`_hermitian`, the tableau) refuses an imaginary product
+    before anything is written."""
 
     n: int
     _words: int
@@ -697,7 +703,7 @@ class _RandomBlock:
         self.pivots.append(p)
 
 
-class Tableau(_PauliColumns):
+class Tableau(_CliffordGates, _PauliColumns):
     """Mutable destabilizer+stabilizer tableau for an n-qubit state.  Its
     `_xz` is (2 * _padded(n), W): the x columns, zero columns up to a
     multiple of 64 qubits (`_zoff`), the z columns, zero columns.  Row reads
@@ -775,9 +781,7 @@ class Tableau(_PauliColumns):
         lo, hi = _index_array([lo, hi], "row").tolist()
         if hi <= lo:
             return []
-        for i in (lo, hi - 1):
-            if not 0 <= i < 2 * self.n:
-                raise DimensionError(f"row {i} out of range for n={self.n}")
+        self._row_indices([lo, hi - 1])
         xs, zs, signs = self._row_bits(lo, hi)
         return [PauliOperator(self.n, 2 * ((signs >> k) & 1), x, z)
                 for k, (x, z) in enumerate(zip(xs, zs))]
@@ -823,11 +827,7 @@ class Tableau(_PauliColumns):
         h, i = self._row_indices([h, i]).tolist()
         if h == i:
             raise DimensionError("rowsum requires distinct rows")
-        self._batch_rowsum(np.array([h]), i)
-
-    def _batch_rowsum(self, idx: np.ndarray, src: int):
-        """rowsum(i, src) for every row index i in idx."""
-        self._rowsum_mask(_row_mask(idx, self._words), *self._read_row(src))
+        self._rowsum_mask(_row_mask(np.array([h]), self._words), *self._read_row(i))
 
     def _rowsum_mask(self, mask: np.ndarray, src: np.ndarray, sign):
         """rowsum(i, src) for every row i set in the packed mask, all at once,

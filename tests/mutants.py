@@ -209,6 +209,23 @@ MUTANTS = [
     Mutant("pauli-case-rows-below-n-only", "tableau.py",
            "return bits, case, pivot, mask, np.flatnonzero(_bits(mask, 2 * self.n))",
            "return bits, case, pivot, mask, np.flatnonzero(_bits(mask, self.n))", TABLE),
+    # -- the engine base's one-qubit-at-a-time run (`_CliffordGates.measure_run`)
+    Mutant("engine-run-skips-last-qubit", "tableau.py",
+           "return [self.measure(a, rng) for a in qubits]",
+           "return [self.measure(a, rng) for a in list(qubits)[:-1]]", ("tests/test_program.py",)),
+    # -- discarding a qubit by reducing the generators as Pauli rows
+    Mutant("discard-keeps-a-pivot-row", "mixed.py",
+           "for p in rows[len(pivots):]]", "for p in rows[len(pivots) - 1:]]", WORDS),
+    Mutant("discard-odd-phase-unchecked", "mixed.py",
+           "if rows[dst].phase_exp % 2:", "if False:", ("tests/test_mixed.py",)),
+    # -- the bench's runs of gates and the trace signs' byte count
+    Mutant("bench-run-past-the-gate-count", "runner.py",
+           "run = random_unitary_program(n, min(BENCH_RUN_GATES, ngates - done), rng)",
+           "run = random_unitary_program(n, BENCH_RUN_GATES, rng)", ("tests/test_cli.py",)),
+    Mutant("sign-bytes-without-batches", "tableau.py",
+           "need = k * (17 * n + 64 * ((n + 63) // 64) + 64) + n * (_padded(n) + 160) + 12 * _STEP_BYTES",
+           "need = k * (17 * n + 64 * ((n + 63) // 64) + 64) + n * (_padded(n) + 160)",
+           ("tests/test_boundaries.py",)),
 ]
 
 # Loaded by each pytest run (`-p`): hypothesis derandomized, with no example

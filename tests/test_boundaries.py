@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import random_tableau
 from stabsim import pauli, tableau
 from stabsim.beyond import (
     TERM_CAP,
@@ -410,9 +411,10 @@ def test_one_lowered_cap_refuses_every_byte_check(monkeypatch):
 
 
 def test_a_measurement_past_the_byte_cap_is_refused_unchanged(monkeypatch):
-    # A Pauli-sum measurement's trace signs hold about 17 n bytes per term
-    # (`tableau._sign_bytes`).  The cap is read when the measurement runs,
-    # and one byte below that need refuses it before the tableau collapses:
+    # A Pauli-sum measurement's trace signs hold about 17 n bytes per term,
+    # n^2 bytes of gathered rows and a few batches (`tableau._sign_bytes`).
+    # The cap is read when the measurement runs, and one byte below that
+    # need refuses it before the tableau collapses:
     # on qubit 0 (Z_0 anticommutes with a stabilizer) and on qubit 2 (it
     # commutes with all of them).
     s, rng = t_state(), random.Random(5)
@@ -425,6 +427,26 @@ def test_a_measurement_past_the_byte_cap_is_refused_unchanged(monkeypatch):
                lambda: (sum_state(s), rng.getstate()))
     monkeypatch.setattr(tableau, "MAX_TABLEAU_BYTES", need)
     s.measure_qubit(0, rng)
+
+
+@pytest.mark.parametrize("n,k", [(600, 1), (600, 64), (1000, 8), (600, 640), (60, 4096),
+                                 (200, 2000), (3000, 16)])
+def test_trace_signs_stay_within_their_byte_count(n, k):
+    # The identity and k - 1 random terms against a tableau of 8n random
+    # gates.  At one term the arrays over n dominate, at (1,000, 8) an
+    # `anticommuting_rows` batch, at (3,000, 16) the gathered rows of one
+    # long product, and the per-term arrays at 640 terms and more.
+    r = random.Random(n + k)
+    t = random_tableau(n, r, 8 * n)
+    words = PauliTable(n, [(1.0, 0, 0, 0)] + [(1.0, r.getrandbits(n), r.getrandbits(n),
+                                               r.getrandbits(n)) for _ in range(k - 1)])
+    tracemalloc.start()
+    try:
+        t.stabilizer_signs(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= tableau._sign_bytes(n, k)
 
 
 # engine name -> (a maker of an N-qubit state, the snapshot of one)

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabsim import tableau
+from stabsim import runner, tableau
 from stabsim.cli import main
 from stabsim.errors import CorruptTableauError, ResourceCapError, StabsimError
 from stabsim.program import parse, random_unitary_program, render
@@ -162,6 +163,27 @@ class TestBench:
             t.measure(a, rng)
         assert t.rowsum_count > 0
         assert bench_one(n, beta, seed=4)["rowsums_per_meas"] == t.rowsum_count / n
+
+    def test_gates_in_runs_leave_the_tableau_of_one_run(self, monkeypatch):
+        # 782 gates: one run of BENCH_RUN_GATES, or 112 runs of 7 drawing the
+        # same gates in the same order
+        whole = bench_one(65, 2.0, seed=4)
+        monkeypatch.setattr(runner, "BENCH_RUN_GATES", 7)
+        assert bench_one(65, 2.0, seed=4)["rowsums_per_meas"] == whole["rowsums_per_meas"]
+
+    def test_peak_memory_does_not_grow_with_the_gate_count(self):
+        # 69,760 and 139,520 gates at n = 1,000 (a 0.5 MB tableau): held as
+        # one program they peaked at 7.9 and 14.9 MB under tracemalloc
+        peaks = []
+        for beta in (7.0, 14.0):
+            tracemalloc.start()
+            try:
+                bench_one(1000, beta, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 3.5e6
+        assert peaks[1] <= 1.05 * peaks[0]
 
     def test_gate_count_is_floor_beta_n_log_n(self):
         for n, beta in ((16, 0.6), (33, 1.2)):
@@ -481,10 +503,11 @@ class TestMainEntry:
         assert main(["run", str(f), "--engine", "beyond"]) == 0
 
     def test_pauli_sum_measurement_over_memory_cap_exit_code(self, tmp_path, capsys, monkeypatch):
-        # A tableau on 64 qubits and the T gate's products fit the lowered
-        # cap; the trace signs of the terms of the measurement after it do
-        # not.  The one term of a stabilizer state fits.
-        monkeypatch.setattr(tableau, "MAX_TABLEAU_BYTES", tableau._tableau_bytes(64))
+        # The cap is lowered to the trace signs of one term on 64 qubits: a
+        # tableau on 64 qubits and the T gate's products fit, the trace signs
+        # of the four terms of the measurement after it do not.  The one term
+        # of a stabilizer state fits.
+        monkeypatch.setattr(tableau, "MAX_TABLEAU_BYTES", tableau._sign_bytes(64, 1))
         f = tmp_path / "t64.chp"
         f.write_text(T_GATE + "h 63\nu t 63\nm 63\n")
         assert main(["run", str(f), "--engine", "beyond"]) == 3

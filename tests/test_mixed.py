@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from stabsim.errors import DimensionError, InvalidTableauError
+from stabsim.errors import CorruptTableauError, DimensionError, InvalidTableauError
 from stabsim.mixed import MixedTableau, new_mixed
 from stabsim.oracle import DenseState, density_from_generators, partial_trace
 from stabsim.pauli import parse_pauli
@@ -247,6 +247,16 @@ class TestDiscard:
     def test_single_qubit_rejected(self):
         with pytest.raises(DimensionError):
             new_mixed(1, 1).discard_qubit(0)
+
+    def test_discard_with_anticommuting_generators_raises(self):
+        # stabilizer rows Z0 and X0: eliminating on qubit 0 multiplies one
+        # by the other, a product with an odd power of i
+        m = new_mixed(2, 2)
+        m.set_row(3, parse_pauli("XI"))
+        before = m.copy()
+        with pytest.raises(CorruptTableauError):
+            m.discard_qubit(0)
+        assert m == before
 
     def test_discard_matches_partial_trace(self, rng):
         for _ in range(25):

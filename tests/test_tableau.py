@@ -31,7 +31,7 @@ from stabsim.oracle import DenseState, density_from_generators
 from stabsim.pauli import PauliOperator, commutes, multiply, parse_pauli
 from stabsim.program import CircuitProgram, Cnot, Phase, random_unitary_program
 from stabsim.synth import tableau_of_program
-from stabsim.tableau import PauliTable, Tableau, new_zero_state
+from stabsim.tableau import PauliTable, Tableau, _row_mask, new_zero_state
 
 
 def test_zero_state_two_qubits_is_block_identity():
@@ -697,7 +697,7 @@ def test_batch_rowsum_equals_one_rowsum_per_row(n, seed):
     idx = r.sample(others, r.randrange(len(others) + 1))
     want = [multiply(t.get_row(src), t.get_row(i)) for i in idx]
     batch, single = t.copy(), t.copy()
-    batch._batch_rowsum(np.array(idx, dtype=np.intp), src)
+    batch._rowsum_mask(_row_mask(np.array(idx, dtype=np.intp), t._words), *t._read_row(src))
     for i in idx:
         single.rowsum(i, src)
     rows = range(2 * n)
@@ -707,7 +707,8 @@ def test_batch_rowsum_equals_one_rowsum_per_row(n, seed):
     # the partner anticommutes with src: its phase sum is odd, and both raise
     # before they write anything
     for call in (
-        lambda u: u._batch_rowsum(np.array(idx + [partner], dtype=np.intp), src),
+        lambda u: u._rowsum_mask(_row_mask(np.array(idx + [partner], dtype=np.intp), u._words),
+                                 *u._read_row(src)),
         lambda u: u.rowsum(partner, src),
     ):
         bad = t.copy()
@@ -858,10 +859,24 @@ def test_invariants_reject_two_swapped_stabilizer_rows(n, seed):
     assert not t.satisfies_invariants()
 
 
+# tableau.py's helpers that read or write packed words, and its row operations
+PACKED_WORD_HELPERS = {
+    "_bits", "_row_ints", "_int_words", "_unpack_rows", "_pack", "_span", "_row_mask",
+    "_transpose", "_xor_combine", "_SHIFTS", "_ONE",
+}
+ROW_OPERATIONS = {"_rowsum_mask", "_read_row", "_write_row"}
+
+
 def test_only_tableau_py_knows_the_bit_layout():
-    """No module but tableau.py subscripts a tableau's packed x, z or r
-    arrays or imports tableau.py's packing helpers."""
-    private = {"_pack_rows", "_unpack_rows", "_pack_int", "_SHIFTS", "_ONE"}
+    """No module but tableau.py subscripts a store's packed x, z or r arrays,
+    imports or reads a packed-word helper, or makes a row operation (nor
+    `_batch_rowsum`, which is gone): every other module measures, multiplies
+    and masks through tableau.py's methods, and reduces generators as
+    `PauliOperator` rows.  `_word_bits` (a word's 0/1 column), the byte
+    checks and `_moment_lists` touch no packed words and stay importable."""
+    assert PACKED_WORD_HELPERS <= set(vars(tableau_module))
+    assert ROW_OPERATIONS <= set(vars(Tableau))
+    private = PACKED_WORD_HELPERS | ROW_OPERATIONS | {"_batch_rowsum"}
     offenders = []
     for path in sorted(Path(tableau_module.__file__).parent.glob("*.py")):
         if path.name == "tableau.py":
@@ -874,34 +889,9 @@ def test_only_tableau_py_knows_the_bit_layout():
             ):
                 offenders.append(f"{path.name}:{node.lineno} indexes .{node.value.attr}")
             if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("tableau"):
-                offenders += [
-                    f"{path.name}:{node.lineno} imports {a.name}"
-                    for a in node.names
-                    if a.name in private
-                ]
-    assert not offenders
-
-
-# tableau.py's helpers that read or write packed words
-PACKED_WORD_HELPERS = {
-    "_bits", "_row_ints", "_int_words", "_unpack_rows", "_pack", "_span", "_row_mask",
-    "_transpose", "_xor_combine",
-}
-
-
-def test_no_module_but_tableau_py_imports_a_packed_word_helper():
-    """Every other module measures, multiplies and masks through tableau.py's
-    methods; `_word_bits` (a word's 0/1 column), the byte checks and
-    `_moment_lists` touch no packed words and stay importable."""
-    offenders = []
-    for path in sorted(Path(tableau_module.__file__).parent.glob("*.py")):
-        if path.name == "tableau.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("tableau"):
                 offenders += [f"{path.name}:{node.lineno} imports {a.name}"
-                              for a in node.names if a.name in PACKED_WORD_HELPERS]
-            if isinstance(node, ast.Attribute) and node.attr in PACKED_WORD_HELPERS:
+                              for a in node.names if a.name in private]
+            if isinstance(node, ast.Attribute) and node.attr in private:
                 offenders.append(f"{path.name}:{node.lineno} reads .{node.attr}")
     assert not offenders
 

@@ -128,8 +128,8 @@ def bench_one(n: int, beta: float, seed: int) -> dict:
     ngates = int(beta * n * math.log2(n))
     t = new_zero_state(n)
     for done in range(0, ngates, BENCH_RUN_GATES):
-        run = random_unitary_program(n, min(BENCH_RUN_GATES, ngates - done), rng)
-        apply_gates(t, run.instructions)
+        gates = random_unitary_program(n, min(BENCH_RUN_GATES, ngates - done), rng)
+        apply_gates(t, gates.instructions)
     t.rowsum_count = 0
     start = time.perf_counter()
     t.measure_run(range(n), rng)

@@ -220,8 +220,8 @@ MUTANTS = [
            "if rows[dst].phase_exp % 2:", "if False:", ("tests/test_mixed.py",)),
     # -- the bench's runs of gates and the trace signs' byte count
     Mutant("bench-run-past-the-gate-count", "runner.py",
-           "run = random_unitary_program(n, min(BENCH_RUN_GATES, ngates - done), rng)",
-           "run = random_unitary_program(n, BENCH_RUN_GATES, rng)", ("tests/test_cli.py",)),
+           "gates = random_unitary_program(n, min(BENCH_RUN_GATES, ngates - done), rng)",
+           "gates = random_unitary_program(n, BENCH_RUN_GATES, rng)", ("tests/test_cli.py",)),
     Mutant("sign-bytes-without-batches", "tableau.py",
            "need = k * (17 * n + 64 * ((n + 63) // 64) + 64) + n * (_padded(n) + 160) + 12 * _STEP_BYTES",
            "need = k * (17 * n + 64 * ((n + 63) // 64) + 64) + n * (_padded(n) + 160)",
